@@ -39,6 +39,12 @@ class ChainRun:
     def final(self) -> Coloring:
         return self.trajectory[-1]
 
+    @property
+    def recorded_steps(self) -> tuple[int, ...]:
+        """The step index of each trajectory entry: 0 for x0, then the kept
+        steps."""
+        return (0,) + tuple(t for t in range(1, self.steps + 1) if _keep(t, self.thin, self.steps))
+
 
 @dataclass(frozen=True)
 class SimplexPoint:

@@ -19,7 +19,6 @@ import sys
 
 from .chains import (
     EhrenfestParams,
-    _keep,
     run_efcp_coordinate,
     run_efcp_matrix,
     standard_ehrenfest,
@@ -83,8 +82,15 @@ def _emit_csv(rows, out: str | None) -> None:
 def _load_config(args) -> dict:
     if not getattr(args, "config", None):
         return {}
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except OSError as e:
+        raise ValidationError(
+            f"cannot read config file {args.config!r}: {e.strerror or e}", field="config"
+        ) from None
+    except ValueError as e:
+        raise ValidationError(f"config file is not valid JSON: {e}", field="config") from None
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object", field="config")
     return cfg
@@ -148,8 +154,6 @@ def _cmd_simulate(args) -> None:
         run = run_efcp_coordinate(law, x0, steps, seed, thin=thin)
     else:
         raise ValidationError(f"unknown construction {construction!r}", field="construction")
-    # the run always records x0 up front, then the kept steps
-    recorded = [0] + [s for s in range(1, steps + 1) if _keep(s, thin, steps)]
     resolved = {
         "law": law.config(), "n": n, "steps": steps, "seed": seed,
         "thin": thin, "construction": construction, "x0": x0.to_string(),
@@ -158,7 +162,7 @@ def _cmd_simulate(args) -> None:
         "final": run.final.to_string(),
         "trajectory": [
             {"step": s, "word": x.to_string()}
-            for s, x in zip(recorded, run.trajectory, strict=True)
+            for s, x in zip(run.recorded_steps, run.trajectory, strict=True)
         ],
     }
     _emit_json("simulate", resolved, result, args.out)

@@ -24,6 +24,14 @@ _NEG_CLIP = -1e-12
 _ATOM_TOL = 1e-12
 
 
+def _float_array(values, field: str) -> np.ndarray:
+    """values as a float array; non-numeric or ragged input is invalid input."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{field} must be a numeric array", field=field) from None
+
+
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
@@ -42,7 +50,7 @@ class StochasticMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
+        arr = _float_array(entries, "entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("entries must form a square matrix", field="entries")
         k = arr.shape[0]
@@ -233,7 +241,7 @@ class Atomic(PaintboxLaw):
         k = atoms[0].k
         if any(a.k != k for a in atoms):
             raise ValidationError("atoms must share one k", field="atoms")
-        w = np.array(weights, dtype=float)
+        w = _float_array(weights, "weights")
         if w.shape != (len(atoms),):
             raise ValidationError("need one weight per atom", field="weights")
         if np.any(w < -_ATOM_TOL) or not np.all(np.isfinite(w)):
@@ -302,7 +310,7 @@ class PermutationMix(PaintboxLaw):
         if weights is None:
             w = np.full(len(cleaned), 1.0 / len(cleaned))
         else:
-            w = np.array(weights, dtype=float)
+            w = _float_array(weights, "weights")
             if w.shape != (len(cleaned),):
                 raise ValidationError("need one weight per permutation", field="weights")
             if np.any(w < -_ATOM_TOL):
@@ -390,7 +398,7 @@ class DirichletColumns(PaintboxLaw):
     kind = "dirichlet_columns"
 
     def __init__(self, alpha_columns):
-        arr = np.array(alpha_columns, dtype=float)
+        arr = _float_array(alpha_columns, "alpha_columns")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(
                 "need one length-k parameter vector per column", field="alpha_columns"
@@ -443,7 +451,7 @@ class SelfSimilar(DirichletColumns):
     kind = "self_similar"
 
     def __init__(self, nu):
-        nu = np.atleast_1d(np.array(nu, dtype=float))
+        nu = np.atleast_1d(_float_array(nu, "nu"))
         if nu.ndim != 1:
             raise ValidationError("nu must be a vector", field="nu")
         super().__init__(np.tile(nu, (len(nu), 1)))

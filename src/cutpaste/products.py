@@ -5,6 +5,11 @@ matrix, so products act invariantly on the subspace V orthogonal to it.
 Everything here measures that restricted action: singular values of Q_m|V,
 the diameter of the image simplex, and growth-rate (Lyapunov) estimates
 accumulated through per-step QR re-orthonormalization.
+
+The restriction helpers and the QR step broadcast over leading axes, so the
+estimators advance every replicate at once: each step is one stacked
+matmul/QR/SVD call on an (R, k, k) array rather than R small ones. Each
+replicate still draws its matrices from its own derived stream.
 """
 
 from __future__ import annotations
@@ -47,75 +52,39 @@ def _entries(q) -> np.ndarray:
     return np.asarray(q, dtype=float)
 
 
+def _scalar(x):
+    """A 0-d result as a Python float; stacked results stay arrays."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def restrict_to_V(q) -> np.ndarray:
-    """The (k-1) x (k-1) matrix of q acting on V in the Helmert basis."""
+    """The (..., k-1, k-1) matrices of q (..., k, k) acting on V in the
+    Helmert basis."""
     e = _entries(q)
-    h = helmert_basis(e.shape[0])
+    h = helmert_basis(e.shape[-1])
     return h.T @ e @ h
 
 
-def jacobi_eigenvalues(a, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations,
-    returned in descending order."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValidationError("need a square matrix")
-    if n == 0:
-        return np.zeros(0)
-    scale = max(1.0, float(np.abs(a).max()))
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                for r in range(n):
-                    if r == p or r == q:
-                        continue
-                    arp, arq = a[r, p], a[r, q]
-                    a[r, p] = a[p, r] = c * arp - s * arq
-                    a[r, q] = a[q, r] = s * arp + c * arq
-    return np.sort(np.diag(a))[::-1]
-
-
 def singular_values_on_V(q) -> np.ndarray:
-    """Singular values of q restricted to V, descending."""
-    b = restrict_to_V(q)
-    eigs = jacobi_eigenvalues(b.T @ b)
-    return np.sqrt(np.clip(eigs, 0.0, None))
+    """Singular values of q restricted to V, descending along the last axis."""
+    return np.linalg.svd(restrict_to_V(q), compute_uv=False)
 
 
-def top_singular_on_V(q) -> float:
+def top_singular_on_V(q):
     """Largest singular value of q|V; the Lipschitz constant of v -> qv on the
-    simplex. Always within 1e-10 of [0, 1] for column-stochastic q."""
+    simplex. Always within 1e-10 of [0, 1] for column-stochastic q. A float
+    for one matrix, an array over the leading axes of a stack."""
     e = _entries(q)
-    if e.shape[0] == 1:
-        return 0.0
-    return float(singular_values_on_V(e)[0])
+    if e.shape[-1] == 1:
+        return _scalar(np.zeros(e.shape[:-2]))
+    return _scalar(singular_values_on_V(e)[..., 0])
 
 
-def log_abs_det_on_V(q) -> float:
-    """log |det(q|V)|; -inf when the restriction is singular."""
-    b = restrict_to_V(q)
-    if b.shape[0] == 0:
-        return 0.0
-    sign, logdet = np.linalg.slogdet(b)
-    if sign == 0.0:
-        return float("-inf")
-    return float(logdet)
+def log_abs_det_on_V(q):
+    """log |det(q|V)|; -inf where the restriction is singular. A float for one
+    matrix, an array over the leading axes of a stack."""
+    _, logdet = np.linalg.slogdet(restrict_to_V(q))
+    return _scalar(logdet)
 
 
 def simplex_diameter(q) -> float:
@@ -133,56 +102,62 @@ def simplex_diameter(q) -> float:
 class ProductState:
     """Running product Q_m with a QR-maintained orthonormal frame in V.
 
-    log_r_sums[i] accumulates the log of diagonal entry i of each step's
+    log_r_sums[..., i] accumulates the log of diagonal entry i of each step's
     triangular factor; log_r_sums / m are the per-direction growth-rate
-    estimates. degenerate marks a numerically collapsed frame direction
-    (its accumulated sum is -inf from then on).
+    estimates. A state made by new_product_state takes the leading (replicate)
+    axes of the first matrices stepped into it.
     """
 
     q: np.ndarray
     m: int
     frame: np.ndarray
     log_r_sums: np.ndarray
-    degenerate: bool = False
+
+    @property
+    def degenerate(self):
+        """Whether a frame direction has numerically collapsed (its sum is
+        -inf from then on); per replicate for a stacked state."""
+        return np.isneginf(self.log_r_sums).any(axis=-1)
 
 
 def new_product_state(k: int) -> ProductState:
     if k < 2:
         raise ValidationError(f"need k >= 2, got {k}", field="k")
-    return ProductState(np.eye(k), 0, _helmert(k).copy(), np.zeros(k - 1), False)
+    return ProductState(np.eye(k), 0, _helmert(k).copy(), np.zeros(k - 1))
 
 
 _COLLAPSE_EPS = 1e-13
 
 
 def step(state: ProductState, s) -> ProductState:
-    """Advance the running product by one matrix and refresh the frame.
+    """Advance the running product by one matrix (or one per replicate, for
+    s of shape (R, k, k)) and refresh the frame.
 
     The QR happens in Helmert coordinates: simple ambient multiplication lets
     float error feed the neutral all-ones direction, which then outgrows the
     contracting frame exponentially, so every step must project back onto V.
     Triangular diagonal entries below 1e-13 count as collapsed directions
-    (log increment -inf, degenerate flag).
+    (log increment -inf).
     """
     e = _entries(s)
-    if e.shape[0] != state.q.shape[0]:
+    if e.shape[-1] != state.q.shape[-1]:
         raise ValidationError("dimension mismatch in product step")
-    h = _helmert(e.shape[0])
-    q = e @ state.q
+    h = _helmert(e.shape[-1])
     qv, r = np.linalg.qr(h.T @ (e @ state.frame))
-    d = np.diag(r)
-    qv = qv * np.where(d < 0.0, -1.0, 1.0)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    qv = qv * np.where(d < 0.0, -1.0, 1.0)[..., None, :]
     absd = np.abs(d)
-    collapsed = absd < _COLLAPSE_EPS
-    with np.errstate(divide="ignore"):
-        logs = np.where(collapsed, -np.inf, np.log(np.maximum(absd, 1e-300)))
-    return ProductState(
-        q,
-        state.m + 1,
-        h @ qv,
-        state.log_r_sums + logs,
-        state.degenerate or bool(collapsed.any()),
-    )
+    logs = np.where(absd < _COLLAPSE_EPS, -np.inf, np.log(np.maximum(absd, 1e-300)))
+    return ProductState(e @ state.q, state.m + 1, h @ qv, state.log_r_sums + logs)
+
+
+def _replicate_batches(law: PaintboxLaw, seed, label: str, replicates: int, m: int) -> np.ndarray:
+    """(replicates, m, k, k) draws; replicate rep samples its m matrices from
+    the stream derived as (label, rep)."""
+    base = as_stream(seed)
+    return np.stack([
+        law.sample_batch(base.derive(label, rep).generator(), m) for rep in range(replicates)
+    ])
 
 
 @dataclass(frozen=True)
@@ -215,7 +190,8 @@ def estimate_lyapunov(law: PaintboxLaw, m: int, replicates: int, seed) -> Lyapun
     and std_error its sampling error on the lambda1 scale. kappa_hat is the
     mean per-step log |det(S|V)|, floored at -700 against underflow (flagged
     when the floor is hit). A collapsed direction yields lambda1 = 0 and the
-    super_exponential_collapse flag.
+    super_exponential_collapse flag. All replicates advance together, one
+    stacked step per time t.
     """
     if law.k < 2:
         raise ValidationError("growth rates need k >= 2", field="k")
@@ -223,26 +199,21 @@ def estimate_lyapunov(law: PaintboxLaw, m: int, replicates: int, seed) -> Lyapun
         raise ValidationError(f"need m >= 1, got {m}", field="m")
     if replicates < 1:
         raise ValidationError("need at least one replicate", field="replicates")
-    base = as_stream(seed)
-    h = helmert_basis(law.k)
-    exponents = np.zeros((replicates, law.k - 1))
-    kappa_sum = 0.0
+    batches = _replicate_batches(law, seed, "lyapunov-replicate", replicates, m)
+    state = new_product_state(law.k)
+    for t in range(m):
+        state = step(state, batches[:, t])
+    exponents = state.log_r_sums / m
     flags: set[str] = set()
-    for rep in range(replicates):
-        gen = base.derive("lyapunov-replicate", rep).generator()
-        batch = law.sample_batch(gen, m)
-        state = new_product_state(law.k)
-        for t in range(m):
-            state = step(state, batch[t])
-            restricted = h.T @ batch[t] @ h
-            sign, logdet = np.linalg.slogdet(restricted)
-            if sign == 0.0 or logdet < _LOGDET_FLOOR:
-                logdet = _LOGDET_FLOOR
-                flags.add("logdet_floored")
-            kappa_sum += logdet
-        if state.degenerate:
-            flags.add("super_exponential_collapse")
-        exponents[rep] = state.log_r_sums / m
+    if state.degenerate.any():
+        flags.add("super_exponential_collapse")
+    logdets = log_abs_det_on_V(batches)
+    floored = logdets < _LOGDET_FLOOR
+    if floored.any():
+        flags.add("logdet_floored")
+    # a sequential running sum in replicate-major order gives the same bits as
+    # a per-replicate loop would; np.sum sums pairwise and would not
+    kappa_sum = np.cumsum(np.where(floored, _LOGDET_FLOOR, logdets), axis=None)[-1]
     kappa_hat = kappa_sum / (replicates * m)
     mean_exp = exponents.mean(axis=0)
     if "super_exponential_collapse" in flags:
@@ -272,8 +243,7 @@ def lyapunov_trace(law: PaintboxLaw, m: int, seed) -> np.ndarray:
     log_r_sums / t after t steps. For convergence plots."""
     if law.k < 2:
         raise ValidationError("growth rates need k >= 2", field="k")
-    gen = as_stream(seed).derive("lyapunov-replicate", 0).generator()
-    batch = law.sample_batch(gen, m)
+    batch = _replicate_batches(law, seed, "lyapunov-replicate", 1, m)[0]
     state = new_product_state(law.k)
     out = np.zeros((m, law.k - 1))
     for t in range(m):
@@ -321,23 +291,18 @@ def collapse_diagnostic(
     delta: float = 1e-6,
 ) -> CollapseReport:
     """Estimate P(top singular value of Q_m|V < 1 - delta) and P(all entries of
-    Q_m positive) for m = 1..m_max; either event occurring certifies collapse."""
+    Q_m positive) for m = 1..m_max; either event occurring certifies collapse.
+    All replicates' products advance together, one stacked step per m."""
     if m_max < 1 or replicates < 1:
         raise ValidationError("m_max and replicates must be positive")
-    base = as_stream(seed)
-    k = law.k
+    batches = _replicate_batches(law, seed, "collapse-replicate", replicates, m_max)
     contract = np.zeros(m_max)
     positive = np.zeros(m_max)
-    for rep in range(replicates):
-        gen = base.derive("collapse-replicate", rep).generator()
-        batch = law.sample_batch(gen, m_max)
-        q = np.eye(k)
-        for t in range(m_max):
-            q = batch[t] @ q
-            if top_singular_on_V(q) < 1.0 - delta:
-                contract[t] += 1
-            if np.all(q > 0.0):
-                positive[t] += 1
+    q = np.eye(law.k)
+    for t in range(m_max):
+        q = batches[:, t] @ q
+        contract[t] = np.count_nonzero(top_singular_on_V(q) < 1.0 - delta)
+        positive[t] = np.count_nonzero(np.all(q > 0.0, axis=(-2, -1)))
     contract /= replicates
     positive /= replicates
     first_c = int(np.argmax(contract > 0)) + 1 if np.any(contract > 0) else None

@@ -108,3 +108,88 @@ def ehrenfest_exhaustive_tv(n: int, a: int, t: int) -> float:
     for _ in range(t):
         dist = dist @ kernel
     return tv_distance(dist, pi)
+
+
+def helmert_columns(k: int) -> np.ndarray:
+    """Orthonormal basis of the mean-zero subspace: column j-1 is
+    (1, ..., 1, -j, 0, ..., 0) with j leading ones, normalized."""
+    basis = np.zeros((k, k - 1))
+    for j in range(1, k):
+        col = np.zeros(k)
+        col[:j] = 1.0
+        col[j] = -float(j)
+        basis[:, j - 1] = col / np.linalg.norm(col)
+    return basis
+
+
+def singular_values_on_mean_zero(q: np.ndarray) -> np.ndarray:
+    """Singular values of q restricted to the mean-zero subspace, descending,
+    as square roots of the eigenvalues of B^T B."""
+    h = helmert_columns(q.shape[0])
+    b = h.T @ np.asarray(q, dtype=float) @ h
+    eigs = np.linalg.eigvalsh(b.T @ b)[::-1]
+    return np.sqrt(np.clip(eigs, 0.0, None))
+
+
+def lyapunov_per_replicate(samples: np.ndarray, logdet_floor: float = -700.0) -> dict:
+    """QR growth-rate estimate from pre-drawn samples (R, m, k, k), one
+    replicate and one step at a time: per replicate a Helmert-coordinate QR
+    frame with sign-fixed triangular diagonals (entries below 1e-13 count as
+    collapsed, log -inf), and the per-step log |det| on the mean-zero subspace
+    floored at logdet_floor, summed replicate by replicate. Returns the fields
+    of a Lyapunov estimate."""
+    reps, m, k, _ = samples.shape
+    h = helmert_columns(k)
+    exponents = np.zeros((reps, k - 1))
+    kappa_sum = 0.0
+    flags = set()
+    for rep in range(reps):
+        frame = h.copy()
+        sums = np.zeros(k - 1)
+        for t in range(m):
+            s = samples[rep, t]
+            qv, r = np.linalg.qr(h.T @ (s @ frame))
+            d = np.diag(r)
+            frame = h @ (qv * np.where(d < 0.0, -1.0, 1.0))
+            for i, v in enumerate(np.abs(d)):
+                sums[i] += -np.inf if v < 1e-13 else np.log(v)
+            sign, logdet = np.linalg.slogdet(h.T @ s @ h)
+            if sign == 0.0 or logdet < logdet_floor:
+                logdet = logdet_floor
+                flags.add("logdet_floored")
+            kappa_sum += logdet
+        if np.isneginf(sums).any():
+            flags.add("super_exponential_collapse")
+        exponents[rep] = sums / m
+    mean_exp = exponents.mean(axis=0)
+    if "super_exponential_collapse" in flags:
+        lambda1, std_error = 0.0, 0.0
+    else:
+        lambda1 = float(np.exp(mean_exp.max()))
+        per_rep = np.exp(exponents.max(axis=1))
+        std_error = float(per_rep.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+    return {
+        "lambda1": lambda1,
+        "spectrum": sorted(np.exp(mean_exp).tolist(), reverse=True),
+        "kappa_hat": kappa_sum / (reps * m),
+        "std_error": std_error,
+        "flags": sorted(flags),
+    }
+
+
+def collapse_counts(samples: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per horizon m = 1..M, the number of replicates whose running product
+    Q_m (from pre-drawn samples (R, M, k, k)) contracts the mean-zero subspace
+    (top singular value below 1 - delta) and the number with all entries
+    positive."""
+    reps, horizon, k, _ = samples.shape
+    contract = np.zeros(horizon, dtype=np.int64)
+    positive = np.zeros(horizon, dtype=np.int64)
+    for rep in range(reps):
+        q = np.eye(k)
+        for t in range(horizon):
+            q = samples[rep, t] @ q
+            top = singular_values_on_mean_zero(q)[0] if k > 1 else 0.0
+            contract[t] += top < 1.0 - delta
+            positive[t] += bool(np.all(q > 0.0))
+    return contract, positive

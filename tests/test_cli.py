@@ -288,3 +288,48 @@ def test_config_must_be_object(capsys, tmp_path):
     rc, _, err = run_cli(capsys, ["simulate", "--config", str(path), "--n", "4", "--steps", "2"])
     assert rc == 2
     assert json.loads(err)["error"]["field"] == "config"
+
+
+def _validation_field(err: str):
+    diag = json.loads(err)
+    assert diag["error"]["type"] == "validation"
+    return diag["error"]["field"]
+
+
+def test_malformed_json_config_exits_2(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"law": {"kind": "point_mass",')
+    rc, out, err = run_cli(capsys, ["lyapunov", "--config", str(path), "--m", "5"])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == "config"
+
+
+def test_missing_config_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    rc, out, err = run_cli(capsys, ["collapse", "--config", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == "config"
+
+
+def test_non_numeric_matrix_entry_exits_2(capsys, tmp_path):
+    law = {"kind": "point_mass", "matrix": [[0.9, "a lot"], [0.1, 0.8]]}
+    cfg = write_config(tmp_path, {"law": law})
+    rc, out, err = run_cli(capsys, ["lyapunov", "--config", cfg, "--m", "5"])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == "entries"
+    ragged = dict(ATOMIC_LAW, atoms=[[[0.8, 0.3], [0.2]], ATOMIC_LAW["atoms"][1]])
+    rc, _, err = run_cli(capsys, ["collapse", "--config", write_config(tmp_path, {"law": ragged})])
+    assert rc == 2
+    assert _validation_field(err) == "entries"
+
+
+def test_simulate_thinned_trajectory_steps(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"law": ATOMIC_LAW})
+    rc, out, _ = run_cli(
+        capsys, ["simulate", "--config", cfg, "--n", "4", "--steps", "7", "--thin", "3", "--seed", "1"]
+    )
+    assert rc == 0
+    assert [row["step"] for row in json.loads(out)["result"]["trajectory"]] == [0, 3, 6, 7]

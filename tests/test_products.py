@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import collapse_counts, lyapunov_per_replicate, singular_values_on_mean_zero
 from cutpaste.errors import ValidationError
 from cutpaste.paintbox import (
     Atomic,
@@ -17,7 +18,6 @@ from cutpaste.products import (
     collapse_diagnostic,
     estimate_lyapunov,
     helmert_basis,
-    jacobi_eigenvalues,
     log_abs_det_on_V,
     lyapunov_trace,
     new_product_state,
@@ -27,7 +27,7 @@ from cutpaste.products import (
     step,
     top_singular_on_V,
 )
-from cutpaste.rng import RngStream
+from cutpaste.rng import RngStream, as_stream
 
 
 def random_stochastic(rng, k):
@@ -43,24 +43,13 @@ def test_helmert_basis_is_orthonormal_and_mean_free():
         assert np.allclose(h.sum(axis=0), 0.0, atol=1e-14)
 
 
-def test_jacobi_matches_eigvalsh():
-    rng = np.random.default_rng(5)
-    for n in range(1, 9):
-        for _ in range(20):
-            b = rng.normal(size=(n, n))
-            a = (b + b.T) / 2
-            got = jacobi_eigenvalues(a.copy())
-            want = np.sort(np.linalg.eigvalsh(a))[::-1]
-            assert np.allclose(got, want, atol=1e-10)
-
-
 def test_singular_values_match_svd():
     rng = np.random.default_rng(6)
     for k in range(2, 7):
         for _ in range(20):
             q = random_stochastic(rng, k)
             got = singular_values_on_V(q)
-            want = np.linalg.svd(restrict_to_V(q), compute_uv=False)
+            want = singular_values_on_mean_zero(q.entries)
             assert np.allclose(got, want, atol=1e-10)
             assert got[0] <= 1.0 + 1e-10
 
@@ -226,3 +215,89 @@ def test_collapse_diagnostic_verdicts():
     # reproducibility of the whole report
     rep4 = collapse_diagnostic(dirichlet, m_max=4, replicates=50, seed=8)
     assert rep4 == rep2
+
+
+def test_restriction_helpers_broadcast_over_stacks():
+    rng = np.random.default_rng(12)
+    for k in (1, 2, 3, 5):
+        stack = np.stack([random_stochastic(rng, k).entries for _ in range(6)]).reshape(2, 3, k, k)
+        assert restrict_to_V(stack).shape == (2, 3, k - 1, k - 1)
+        tops = top_singular_on_V(stack)
+        logdets = log_abs_det_on_V(stack)
+        assert tops.shape == logdets.shape == (2, 3)
+        for i, j in itertools.product(range(2), range(3)):
+            assert np.allclose(restrict_to_V(stack)[i, j], restrict_to_V(stack[i, j]), atol=1e-15)
+            assert abs(tops[i, j] - top_singular_on_V(stack[i, j])) < 1e-14
+            assert abs(logdets[i, j] - log_abs_det_on_V(stack[i, j])) < 1e-12
+    singular = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    assert log_abs_det_on_V(singular) == -math.inf
+    assert isinstance(top_singular_on_V(np.eye(1)), float)
+
+
+def test_stacked_step_matches_per_replicate_steps():
+    rng = np.random.default_rng(13)
+    for k in (2, 3, 4):
+        draws = np.stack([[random_stochastic(rng, k).entries for _ in range(3)] for _ in range(25)])
+        stacked = new_product_state(k)
+        singles = [new_product_state(k) for _ in range(3)]
+        for t in range(25):
+            stacked = step(stacked, draws[t])
+            singles = [step(st, draws[t, r]) for r, st in enumerate(singles)]
+        assert stacked.m == 25
+        for r, st in enumerate(singles):
+            assert np.allclose(stacked.q[r], st.q, atol=1e-14)
+            assert np.allclose(stacked.frame[r], st.frame, atol=1e-14)
+            assert np.allclose(stacked.log_r_sums[r], st.log_r_sums, atol=1e-12)
+        assert stacked.degenerate.shape == (3,) and not stacked.degenerate.any()
+
+
+def _replicate_draws(law, seed, label, replicates, m):
+    base = as_stream(seed)
+    return np.stack([
+        law.sample_batch(base.derive(label, rep).generator(), m) for rep in range(replicates)
+    ])
+
+
+_SINGULAR_ON_V = [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
+_ORACLE_CASES = {
+    "self_similar_k2": (SelfSimilar([1.0, 1.0]), 40, 6),
+    "self_similar_k3": (SelfSimilar([1.0, 1.0, 1.0]), 40, 6),
+    "self_similar_k5": (SelfSimilar([0.7, 1.0, 1.3, 1.0, 0.5]), 30, 5),
+    "rank1_atom": (Atomic([np.tile([[0.6], [0.4]], (1, 2)), np.eye(2)], [0.5, 0.5]), 20, 5),
+    "singular_point_mass": (PointMass(_SINGULAR_ON_V), 10, 3),
+    "identity_point_mass": (PointMass(np.eye(3)), 10, 3),
+    "one_replicate_one_step": (SelfSimilar([1.0, 1.0, 1.0]), 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_estimate_lyapunov_matches_per_replicate_oracle(case):
+    law, m, replicates = _ORACLE_CASES[case]
+    est = estimate_lyapunov(law, m, replicates, seed=21)
+    want = lyapunov_per_replicate(_replicate_draws(law, 21, "lyapunov-replicate", replicates, m))
+    got = est.to_json()
+    assert got["flags"] == want["flags"]
+    for key in ("lambda1", "spectrum", "kappa_hat", "std_error"):
+        np.testing.assert_allclose(got[key], want[key], rtol=0.0, atol=1e-12, err_msg=key)
+    if case == "rank1_atom":
+        assert "super_exponential_collapse" in est.flags
+        assert est.lambda1 == 0.0 and est.spectrum[-1] == 0.0
+    if case == "singular_point_mass":
+        assert "logdet_floored" in est.flags
+    if case == "identity_point_mass":
+        assert abs(est.lambda1 - 1.0) < 1e-12 and est.flags == ()
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_collapse_diagnostic_matches_per_replicate_oracle(case):
+    law, m, replicates = _ORACLE_CASES[case]
+    draws = _replicate_draws(law, 22, "collapse-replicate", replicates, m)
+    # a coarse delta makes the contraction counts depend on each product
+    for delta in (1e-6, 0.5):
+        rep = collapse_diagnostic(law, m_max=m, replicates=replicates, seed=22, delta=delta)
+        contract, positive = collapse_counts(draws, delta)
+        assert rep.p_contract == tuple((contract / replicates).tolist())
+        assert rep.p_positive == tuple((positive / replicates).tolist())
+        assert rep.verdict == ("yes" if contract.any() or positive.any() else "undetermined")
+    if case == "identity_point_mass":
+        assert rep.verdict == "undetermined"
