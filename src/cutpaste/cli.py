@@ -23,7 +23,7 @@ from .chains import (
     run_efcp_matrix,
     standard_ehrenfest,
 )
-from .errors import Refusal, ValidationError
+from .errors import Refusal, ValidationError, coerce
 from .paintbox import law_from_config
 from .partitions import Coloring
 from .products import collapse_diagnostic, estimate_lyapunov
@@ -96,11 +96,15 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _setting(args, cfg: dict, key: str, default=None):
+def _setting(args, cfg: dict, key: str, default=None, kind=None):
+    """The flag if given, else the config value, converted by kind (int or
+    float) when one is named; default when neither is set."""
     v = getattr(args, key.replace("-", "_"), None)
-    if v is not None:
-        return v
-    return cfg.get(key, default)
+    if v is None:
+        v = cfg.get(key)
+    if v is None:
+        return default
+    return v if kind is None else coerce(v, kind, key)
 
 
 def _require(value, key: str):
@@ -123,31 +127,26 @@ def _pair(name: str, n: int, k: int, color_a: int, color_b: int):
     raise ValidationError(f"unknown pair design {name!r}", field="pair")
 
 
-def _int_list(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(p) for p in str(text).split(",") if p != ""]
-
-
-def _float_list(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(p) for p in str(text).split(",") if p != ""]
+def _list(text, kind, key: str) -> list:
+    """A JSON list or a comma list, each entry converted by kind."""
+    if not isinstance(text, (list, tuple)):
+        text = [p for p in str(text).split(",") if p != ""]
+    return [coerce(v, kind, key) for v in text]
 
 
 def _cmd_simulate(args) -> None:
     cfg = _load_config(args)
     law = _law(cfg)
-    n = int(_require(_setting(args, cfg, "n"), "n"))
-    steps = int(_require(_setting(args, cfg, "steps"), "steps"))
-    seed = int(_setting(args, cfg, "seed", 0))
-    thin = int(_setting(args, cfg, "thin", 0))
+    n = _require(_setting(args, cfg, "n", kind=int), "n")
+    steps = _require(_setting(args, cfg, "steps", kind=int), "steps")
+    seed = _setting(args, cfg, "seed", 0, int)
+    thin = _setting(args, cfg, "thin", 0, int)
     construction = _setting(args, cfg, "construction", "matrix")
     x0_text = _setting(args, cfg, "x0")
     if x0_text is not None:
         x0 = Coloring.from_string(str(x0_text), law.k)
     else:
-        x0 = Coloring.constant(n, law.k, int(_setting(args, cfg, "x0_color", 1)))
+        x0 = Coloring.constant(n, law.k, _setting(args, cfg, "x0_color", 1, int))
     if construction == "matrix":
         run = run_efcp_matrix(law, x0, steps, seed, thin=thin)
     elif construction == "coordinate":
@@ -171,9 +170,9 @@ def _cmd_simulate(args) -> None:
 def _cmd_lyapunov(args) -> None:
     cfg = _load_config(args)
     law = _law(cfg)
-    m = int(_setting(args, cfg, "m", 2000))
-    replicates = int(_setting(args, cfg, "replicates", 32))
-    seed = int(_setting(args, cfg, "seed", 0))
+    m = _setting(args, cfg, "m", 2000, int)
+    replicates = _setting(args, cfg, "replicates", 32, int)
+    seed = _setting(args, cfg, "seed", 0, int)
     est = estimate_lyapunov(law, m, replicates, seed)
     resolved = {"law": law.config(), "m": m, "replicates": replicates, "seed": seed}
     _emit_json("lyapunov", resolved, {"kind": "mc_estimate", **est.to_json()}, args.out)
@@ -182,10 +181,10 @@ def _cmd_lyapunov(args) -> None:
 def _cmd_collapse(args) -> None:
     cfg = _load_config(args)
     law = _law(cfg)
-    m_max = int(_setting(args, cfg, "m_max", 32))
-    replicates = int(_setting(args, cfg, "replicates", 200))
-    delta = float(_setting(args, cfg, "delta", 1e-6))
-    seed = int(_setting(args, cfg, "seed", 0))
+    m_max = _setting(args, cfg, "m_max", 32, int)
+    replicates = _setting(args, cfg, "replicates", 200, int)
+    delta = _setting(args, cfg, "delta", 1e-6, float)
+    seed = _setting(args, cfg, "seed", 0, int)
     rep = collapse_diagnostic(law, m_max, replicates, seed, delta)
     resolved = {
         "law": law.config(), "m_max": m_max, "replicates": replicates,
@@ -207,18 +206,18 @@ def _estimate_tv(law, method, x0, x1, m, replicates, seed):
 def _cmd_tv(args) -> None:
     cfg = _load_config(args)
     law = _law(cfg)
-    n = int(_require(_setting(args, cfg, "n"), "n"))
+    n = _require(_setting(args, cfg, "n", kind=int), "n")
     method = _setting(args, cfg, "method", "upper")
     pair = _setting(args, cfg, "pair", "constant")
-    color_a = int(_setting(args, cfg, "color_a", 1))
-    color_b = int(_setting(args, cfg, "color_b", 2))
-    replicates = int(_setting(args, cfg, "replicates", 10_000))
-    seed = int(_setting(args, cfg, "seed", 0))
+    color_a = _setting(args, cfg, "color_a", 1, int)
+    color_b = _setting(args, cfg, "color_b", 2, int)
+    replicates = _setting(args, cfg, "replicates", 10_000, int)
+    seed = _setting(args, cfg, "seed", 0, int)
     x0, x1 = _pair(pair, n, law.k, color_a, color_b)
     grid = _setting(args, cfg, "m_grid")
     if grid is not None:
         rows = []
-        for m in sorted(set(_int_list(grid))):
+        for m in sorted(set(_list(grid, int, "m_grid"))):
             est = _estimate_tv(law, method, x0, x1, m, replicates, seed)
             rows.append({
                 "n": n, "m": m, "tv_value": est.value, "kind": est.kind,
@@ -227,7 +226,7 @@ def _cmd_tv(args) -> None:
             })
         _emit_csv(rows, args.out)
         return
-    m = int(_require(_setting(args, cfg, "m"), "m"))
+    m = _require(_setting(args, cfg, "m", kind=int), "m")
     est = _estimate_tv(law, method, x0, x1, m, replicates, seed)
     resolved = {
         "law": law.config(), "n": n, "m": m, "method": method, "pair": pair,
@@ -240,13 +239,13 @@ def _cmd_tv(args) -> None:
 def _cmd_mixing_time(args) -> None:
     cfg = _load_config(args)
     law = _law(cfg)
-    n = int(_require(_setting(args, cfg, "n"), "n"))
-    k = int(_setting(args, cfg, "k", law.k))
-    epsilons = _float_list(_setting(args, cfg, "epsilon", "0.25"))
+    n = _require(_setting(args, cfg, "n", kind=int), "n")
+    k = _setting(args, cfg, "k", law.k, int)
+    epsilons = _list(_setting(args, cfg, "epsilon", "0.25"), float, "epsilon")
     method = _setting(args, cfg, "method", "mc_sandwich")
-    replicates = int(_setting(args, cfg, "replicates", 2000))
-    m_max = int(_setting(args, cfg, "m_max", 4096))
-    seed = int(_setting(args, cfg, "seed", 0))
+    replicates = _setting(args, cfg, "replicates", 2000, int)
+    m_max = _setting(args, cfg, "m_max", 4096, int)
+    seed = _setting(args, cfg, "seed", 0, int)
     prof = mixing_time(
         law, n, k, tuple(epsilons), method, seed,
         replicates=replicates, m_max=m_max,
@@ -261,15 +260,15 @@ def _cmd_mixing_time(args) -> None:
 def _cmd_cutoff(args) -> None:
     cfg = _load_config(args)
     law = _law(cfg)
-    k = int(_setting(args, cfg, "k", law.k))
-    n_grid = _int_list(_require(_setting(args, cfg, "n_grid"), "n_grid"))
-    epsilon = float(_setting(args, cfg, "epsilon", 0.25))
+    k = _setting(args, cfg, "k", law.k, int)
+    n_grid = _list(_require(_setting(args, cfg, "n_grid"), "n_grid"), int, "n_grid")
+    epsilon = _setting(args, cfg, "epsilon", 0.25, float)
     method = _setting(args, cfg, "method", "mc_sandwich")
-    replicates = int(_setting(args, cfg, "replicates", 2000))
-    m_max = int(_setting(args, cfg, "m_max", 4096))
-    lyapunov_m = int(_setting(args, cfg, "lyapunov_m", 2000))
-    lyapunov_replicates = int(_setting(args, cfg, "lyapunov_replicates", 32))
-    seed = int(_setting(args, cfg, "seed", 0))
+    replicates = _setting(args, cfg, "replicates", 2000, int)
+    m_max = _setting(args, cfg, "m_max", 4096, int)
+    lyapunov_m = _setting(args, cfg, "lyapunov_m", 2000, int)
+    lyapunov_replicates = _setting(args, cfg, "lyapunov_replicates", 32, int)
+    seed = _setting(args, cfg, "seed", 0, int)
     rep = cutoff_experiment(
         law, k, n_grid, epsilon, seed, method, replicates, m_max,
         lyapunov_m, lyapunov_replicates,
@@ -284,11 +283,11 @@ def _cmd_cutoff(args) -> None:
 
 
 def _ehrenfest_params(args, cfg) -> EhrenfestParams:
-    n = int(_require(_setting(args, cfg, "n"), "n"))
+    n = _require(_setting(args, cfg, "n", kind=int), "n")
     if getattr(args, "standard", False) or cfg.get("standard", False):
         return standard_ehrenfest(n)
-    alpha = _require(_setting(args, cfg, "alpha"), "alpha")
-    return EhrenfestParams(n, float(alpha))
+    alpha = _require(_setting(args, cfg, "alpha", kind=float), "alpha")
+    return EhrenfestParams(n, alpha)
 
 
 def _default_ehrenfest_grid(params: EhrenfestParams) -> list[int]:
@@ -298,11 +297,11 @@ def _default_ehrenfest_grid(params: EhrenfestParams) -> list[int]:
 
 def _cmd_ehrenfest(args) -> None:
     cfg = _load_config(args)
-    seed = int(_setting(args, cfg, "seed", 0))
+    seed = _setting(args, cfg, "seed", 0, int)
     if getattr(args, "loglog", False) or cfg.get("loglog", False):
         # the schedule picks its own refresh fraction from n
-        n = int(_require(_setting(args, cfg, "n"), "n"))
-        beta = float(_require(_setting(args, cfg, "beta"), "beta"))
+        n = _require(_setting(args, cfg, "n", kind=int), "n")
+        beta = _require(_setting(args, cfg, "beta", kind=float), "beta")
         sched = loglog_schedule(n, beta)
         _emit_json("ehrenfest", {"n": n, "beta": beta, "loglog": True, "seed": seed},
                    sched.to_json(), args.out)
@@ -310,7 +309,7 @@ def _cmd_ehrenfest(args) -> None:
     params = _ehrenfest_params(args, cfg)
     if getattr(args, "exact", False) or cfg.get("exact", False):
         grid_setting = _setting(args, cfg, "t_grid")
-        grid = sorted(set(_int_list(grid_setting))) if grid_setting is not None else _default_ehrenfest_grid(params)
+        grid = sorted(set(_list(grid_setting, int, "t_grid"))) if grid_setting is not None else _default_ehrenfest_grid(params)
         rows = []
         for t, est in ehrenfest_tv_profile(params, grid):
             rows.append({
@@ -324,20 +323,15 @@ def _cmd_ehrenfest(args) -> None:
         "n": params.n, "alpha": params.alpha, "variant": params.variant,
         "batch_size": params.batch_size, "seed": seed,
     }
-    mixing_eps = _setting(args, cfg, "mixing_eps")
-    if mixing_eps is not None:
-        eps = float(mixing_eps)
+    eps = _setting(args, cfg, "mixing_eps", kind=float)
+    if eps is not None:
         t_mix = ehrenfest_mixing_time(params, eps)
         _emit_json("ehrenfest", {**resolved, "mixing_eps": eps},
                    {"t_mix": t_mix, "kind": "exact"}, args.out)
         return
     t = _setting(args, cfg, "t")
     beta = _setting(args, cfg, "beta")
-    bounds = ehrenfest_bounds(
-        params,
-        float(t) if t is not None else None,
-        float(beta) if beta is not None else None,
-    )
+    bounds = ehrenfest_bounds(params, _setting(args, cfg, "t", kind=float), _setting(args, cfg, "beta", kind=float))
     _emit_json("ehrenfest", {**resolved, "t": t, "beta": beta},
                {"kind": "bounds", **bounds.to_json()}, args.out)
 
@@ -345,12 +339,12 @@ def _cmd_ehrenfest(args) -> None:
 def _cmd_project(args) -> None:
     cfg = _load_config(args)
     law = _law(cfg)
-    n = int(_require(_setting(args, cfg, "n"), "n"))
-    k = int(_setting(args, cfg, "k", law.k))
-    epsilons = _float_list(_setting(args, cfg, "epsilon", "0.5,0.25"))
-    state_budget = int(_setting(args, cfg, "state_budget", 4096))
-    m_max = int(_setting(args, cfg, "m_max", 512))
-    seed = int(_setting(args, cfg, "seed", 0))
+    n = _require(_setting(args, cfg, "n", kind=int), "n")
+    k = _setting(args, cfg, "k", law.k, int)
+    epsilons = _list(_setting(args, cfg, "epsilon", "0.5,0.25"), float, "epsilon")
+    state_budget = _setting(args, cfg, "state_budget", 4096, int)
+    m_max = _setting(args, cfg, "m_max", 512, int)
+    seed = _setting(args, cfg, "seed", 0, int)
     rep = projected_mixing_equivalence(
         law, n, k, tuple(epsilons), seed, state_budget=state_budget, m_max=m_max
     )

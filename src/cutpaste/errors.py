@@ -18,6 +18,15 @@ class ValidationError(ValueError):
         self.field = field
 
 
+def coerce(value, kind, field):
+    """kind(value) for a setting read from outside the program: a value that
+    kind rejects is malformed input for the named field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{field} cannot take the value {value!r}", field=field) from None
+
+
 class Refusal(RuntimeError):
     """A computation declined to run for a stated, machine-readable reason."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, coerce
 from .partitions import MAX_COLORS, PartitionMatrix
 from .rng import as_stream
 
@@ -290,6 +290,7 @@ class PermutationMix(PaintboxLaw):
     kind = "permutation_mix"
 
     def __init__(self, k, perms=None, weights=None):
+        k = coerce(k, int, "k")
         if not 1 <= k <= MAX_COLORS:
             raise ValidationError(f"k={k} outside 1..{MAX_COLORS}", field="k")
         self._k = k
@@ -300,8 +301,7 @@ class PermutationMix(PaintboxLaw):
             self.weights = None
             return
         cleaned = []
-        for p in perms:
-            p = tuple(int(c) - 1 for c in p)
+        for p in coerce(perms, lambda ps: [tuple(int(c) - 1 for c in p) for p in ps], "perms"):
             if sorted(p) != list(range(k)):
                 raise ValidationError(f"{p} is not a permutation of 1..{k}", field="perms")
             cleaned.append(p)
@@ -477,7 +477,7 @@ def law_from_config(obj) -> PaintboxLaw:
         if kind == Atomic.kind:
             return Atomic(obj["atoms"], obj["weights"])
         if kind == PermutationMix.kind:
-            return PermutationMix(int(obj["k"]), obj.get("perms"), obj.get("weights"))
+            return PermutationMix(obj["k"], obj.get("perms"), obj.get("weights"))
         if kind == DirichletColumns.kind:
             return DirichletColumns(obj["alpha_columns"])
         if kind == SelfSimilar.kind:

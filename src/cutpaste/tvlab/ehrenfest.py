@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..chains import EhrenfestParams
 from ..errors import BudgetRefusal, TheoryRefusal, ValidationError
 from ..partitions import Coloring
-from .exact import TVEstimate, _half_l1
+from .exact import TVEstimate, _half_l1, _log_factorials
 
 DEFAULT_EXACT_N_LIMIT = 1100
 
@@ -148,37 +147,30 @@ def loglog_schedule(n: int, beta: float) -> LogLogSchedule:
     )
 
 
-def _log_binom(n, k):
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float)
-    n, k = np.broadcast_arrays(n, k)
-    out = np.full(n.shape, -np.inf)
-    ok = (k >= 0) & (k <= n)
-    out[ok] = gammaln(n[ok] + 1) - gammaln(k[ok] + 1) - gammaln(n[ok] - k[ok] + 1)
-    return out
-
-
 def _coverage_weights(n: int, a: int) -> np.ndarray:
     """W[c, h] = P(a uniform batch hits h of the n - c uncovered sites)."""
+    lf = _log_factorials(n)
     c = np.arange(n + 1)[:, None]
     h = np.arange(a + 1)[None, :]
-    logw = _log_binom(n - c, h) + _log_binom(c, a - h) - _log_binom(n, a)
-    return np.exp(logw)
+    fresh, old = n - c, a - h
+    ok = (h <= fresh) & (old <= c)
+    logw = (
+        (lf[fresh] - lf[h] - lf[np.where(ok, fresh - h, 0)])
+        + (lf[c] - lf[old] - lf[np.where(ok, c - old, 0)])
+        - (lf[n] - lf[a] - lf[n - a])
+    )
+    return np.exp(np.where(ok, logw, -np.inf))
 
 
 def _dp_step(p: np.ndarray, w: np.ndarray, a: int) -> np.ndarray:
     """One covering move on the (covered, ones-among-covered) law: h fresh
     sites join, and one fair coin either adds all h to the ones or none."""
     n1 = p.shape[0]
-    new = np.zeros_like(p)
-    for h in range(a + 1):
-        contrib = p * w[:, h][:, None]
-        if h == 0:
-            new += contrib
-        else:
-            half = 0.5 * contrib[: n1 - h, :]
-            new[h:, :] += half
-            new[h:, h:] += half[:, : n1 - h]
+    new = p * w[:, :1]
+    for h in range(1, a + 1):
+        half = 0.5 * (p[: n1 - h] * w[: n1 - h, h, None])
+        new[h:, :] += half
+        new[h:, h:] += half[:, : n1 - h]
     return new
 
 
@@ -197,28 +189,37 @@ def _stationary_counts(n: int, a: int, w: np.ndarray) -> np.ndarray:
     covering at least one fresh site per move. Coverage grows every jump, so
     n rounds absorb all mass exactly."""
     if a == 1:
-        i = np.arange(n + 1)
-        return np.exp(_log_binom(n, i) - n * math.log(2.0))
+        lf = _log_factorials(n)
+        return np.exp(lf[n] - lf - lf[::-1] - n * math.log(2.0))
     p = np.zeros((n + 1, n + 1))
     p[0, 0] = 1.0
     pi = np.zeros(n + 1)
-    stay = 1.0 - w[:, 0]
-    jump = np.zeros_like(w)
-    active = stay > 0
-    jump[active] = w[active] / stay[active, None]
+    stay = 1.0 - w[:, :1]
+    jump = np.divide(w, stay, out=np.zeros_like(w), where=stay > 0)
+    jump[:, 0] = 0.0
     for _ in range(n):
-        new = np.zeros_like(p)
-        for h in range(1, a + 1):
-            contrib = p * jump[:, h][:, None]
-            half = 0.5 * contrib[: n + 1 - h, :]
-            new[h:, :] += half
-            new[h:, h:] += half[:, : n + 1 - h]
-        pi += new[n, :]
-        new[n, :] = 0.0
-        p = new
+        p = _dp_step(p, jump, a)
+        pi += p[n, :]
+        p[n, :] = 0.0
         if p.sum() < 1e-16:
             break
     return pi
+
+
+def _tv_sweep(params: EhrenfestParams, horizons):
+    """(t, exact TV to stationarity) at each of the increasing horizons, from
+    the all-ones start, in one forward pass of the covering DP."""
+    n, a = params.n, params.batch_size
+    w = _coverage_weights(n, a)
+    pi = _stationary_counts(n, a, w)
+    p = np.zeros((n + 1, n + 1))
+    p[0, 0] = 1.0
+    t = 0
+    for horizon in horizons:
+        for _ in range(t, horizon):
+            p = _dp_step(p, w, a)
+        t = horizon
+        yield t, _half_l1(_counts_from_state(p), pi)
 
 
 def _check_exact_inputs(params: EhrenfestParams, x0, n_limit: int) -> None:
@@ -251,19 +252,7 @@ def ehrenfest_tv_profile(
     grid = sorted({int(t) for t in t_grid})
     if not grid or grid[0] < 0:
         raise ValidationError("t_grid must be non-empty with t >= 0", field="t_grid")
-    n, a = params.n, params.batch_size
-    w = _coverage_weights(n, a)
-    pi = _stationary_counts(n, a, w)
-    p = np.zeros((n + 1, n + 1))
-    p[0, 0] = 1.0
-    out = []
-    want = set(grid)
-    for t in range(grid[-1] + 1):
-        if t > 0:
-            p = _dp_step(p, w, a)
-        if t in want:
-            out.append((t, TVEstimate(_half_l1(_counts_from_state(p), pi), "exact")))
-    return out
+    return [(t, TVEstimate(tv, "exact")) for t, tv in _tv_sweep(params, grid)]
 
 
 def ehrenfest_tv_exact(
@@ -292,14 +281,8 @@ def ehrenfest_mixing_time(
     n, a = params.n, params.batch_size
     if t_max is None:
         t_max = int(math.ceil(2.0 * (n / a) * math.log(n))) + 8 * int(math.ceil(n / a))
-    w = _coverage_weights(n, a)
-    pi = _stationary_counts(n, a, w)
-    p = np.zeros((n + 1, n + 1))
-    p[0, 0] = 1.0
-    for t in range(t_max + 1):
-        if t > 0:
-            p = _dp_step(p, w, a)
-        if _half_l1(_counts_from_state(p), pi) < epsilon:
+    for t, tv in _tv_sweep(params, range(t_max + 1)):
+        if tv < epsilon:
             return t
     raise BudgetRefusal(
         "no horizon below epsilon within the step allowance",

@@ -3,25 +3,31 @@
 Everything in this module reduces a TV distance between laws of colorings to
 a finite sum over a sufficient count statistic: per-block color-count vectors
 for product-multinomial laws, and their weighted mixtures for finitely
-supported paintbox laws. Probabilities are assembled from log-space per-block
-terms, and the final half-L1 sums use compensated accumulation.
+supported paintbox laws. Every such law is built by one count-law kernel:
+multinomial log-pmfs over a stack of cell distributions, as log-factorial
+coefficients plus a matrix product of log-probabilities with the count
+vectors. Exact totals take their half-L1 sums with compensated accumulation
+(fsum); Monte Carlo rows use a plain numpy row sum.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from ..errors import BudgetRefusal, TheoryRefusal, ValidationError
 from ..paintbox import PaintboxLaw, StochasticMatrix
 from ..partitions import Coloring
 
 DEFAULT_ENUMERATION_BUDGET = 20_000_000
+# most elements one stacked block of count laws may hold at once
+_ELEMENT_BUDGET = 4_000_000
+# stands in for log 0: finite, so a zero count times it is exactly 0, and so
+# negative that any positive count makes the term underflow to probability 0
+_LOG_ZERO = -1e300
 
 _KINDS = ("exact", "upper_bound", "lower_bound")
 
@@ -114,16 +120,62 @@ def _compositions(n: int, k: int) -> np.ndarray:
     return out
 
 
-def _block_pmf(size: int, s) -> np.ndarray:
-    """Multinomial count pmf over _compositions(size, k), via log space."""
-    s = np.asarray(s, dtype=float)
-    counts = _compositions(size, len(s))
-    logp = (
-        gammaln(size + 1)
-        - gammaln(counts + 1).sum(axis=1)
-        + xlogy(counts, s[None, :]).sum(axis=1)
-    )
-    return np.exp(logp)
+@lru_cache(maxsize=64)
+def _log_factorials(n: int) -> np.ndarray:
+    """log(i!) for i = 0..n: the one source of log-binomial and
+    log-multinomial coefficients."""
+    out = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    out.setflags(write=False)
+    return out
+
+
+def _statistic_size(sizes, k: int) -> int:
+    """Number of joint count vectors over cells of the given sizes."""
+    return math.prod(math.comb(size + k - 1, k - 1) for size in sizes)
+
+
+def _count_logpmf(cols: np.ndarray, size: int) -> np.ndarray:
+    """Row r: the Multinomial(size, cols[r]) log-pmf over
+    _compositions(size, k), for an (R, k) stack of cell distributions."""
+    counts = _compositions(size, cols.shape[1])
+    lf = _log_factorials(size)
+    coef = lf[size] - lf[counts].sum(axis=1)
+    with np.errstate(divide="ignore"):
+        logs = np.maximum(np.log(cols), _LOG_ZERO)
+    return coef + logs @ counts.T
+
+
+def _joint_pmfs(cols: np.ndarray, sizes) -> np.ndarray:
+    """Row r: the joint count law over independent cells, cell b holding
+    sizes[b] sites colored from cols[r, :, b]; cols is (R, k, cells), and the
+    joint index runs over the cells' compositions, first cell slowest."""
+    rows = np.ones((cols.shape[0], 1))
+    for b, size in enumerate(sizes):
+        block = np.exp(_count_logpmf(cols[:, :, b], size))
+        rows = (rows[:, :, None] * block[:, None, :]).reshape(rows.shape[0], -1)
+    return rows
+
+
+def _row_chunks(rows: int, width: int):
+    """Slices over rows such that a chunk of rows of `width` elements each
+    stays within the element budget."""
+    step = max(1, _ELEMENT_BUDGET // width)
+    for lo in range(0, rows, step):
+        yield slice(lo, min(lo + step, rows))
+
+
+def _pmf_pairs(cols_p: np.ndarray, cols_q: np.ndarray, sizes, budget: int):
+    """Chunks (rows, joint pmfs from cols_p, joint pmfs from cols_q) over
+    the (R, k, cells) stacks; refuses when the joint statistic exceeds the
+    budget."""
+    size = _statistic_size(sizes, cols_p.shape[1])
+    if size > budget:
+        raise BudgetRefusal(
+            "joint count statistic too large to enumerate",
+            required=size, budget=budget,
+        )
+    for rows in _row_chunks(len(cols_p), size):
+        yield rows, _joint_pmfs(cols_p[rows], sizes), _joint_pmfs(cols_q[rows], sizes)
 
 
 def _half_l1(p: np.ndarray, q: np.ndarray) -> float:
@@ -131,13 +183,6 @@ def _half_l1(p: np.ndarray, q: np.ndarray) -> float:
     if d.size <= 1 << 16:
         return 0.5 * math.fsum(d.tolist())
     return 0.5 * float(np.sum(d))
-
-
-def _joint_pmf(blocks) -> np.ndarray:
-    vec = np.array([1.0])
-    for size, s in blocks:
-        vec = np.multiply.outer(vec, _block_pmf(size, s)).ravel()
-    return vec
 
 
 def tv_exact_product_multinomial(
@@ -161,23 +206,9 @@ def tv_exact_product_multinomial(
             kept.append((np_, sp, sq))
     if not kept:
         return TVEstimate(0.0, "exact")
-    size = 1
-    for n_j, _, _ in kept:
-        size *= _compositions(n_j, p.k).shape[0]
-    if size > budget:
-        raise BudgetRefusal(
-            "joint count statistic too large to enumerate",
-            required=size, budget=budget,
-        )
-    vec_p = _joint_pmf([(n_j, sp) for n_j, sp, _ in kept])
-    vec_q = _joint_pmf([(n_j, sq) for n_j, _, sq in kept])
-    return TVEstimate(_half_l1(vec_p, vec_q), "exact")
-
-
-def _entries(qm) -> np.ndarray:
-    if isinstance(qm, StochasticMatrix):
-        return qm.entries
-    return StochasticMatrix(qm).entries
+    sizes, cols_p, cols_q = zip(*kept)
+    [(_, rows_p, rows_q)] = _pmf_pairs(np.array(cols_p).T[None], np.array(cols_q).T[None], sizes, budget)
+    return TVEstimate(_half_l1(rows_p[0], rows_q[0]), "exact")
 
 
 def refinement_cells(x0: Coloring, x0_tilde: Coloring) -> list[tuple[int, int, int]]:
@@ -196,18 +227,28 @@ def tv_exact_conditional(qm, x0: Coloring, x0_tilde: Coloring) -> TVEstimate:
     paintbox qm: given the paintbox trace, each chain is product-multinomial
     over the refinement cells of the initial pair, with cell distributions
     read from the columns of qm."""
-    e = _entries(qm)
+    e = (qm if isinstance(qm, StochasticMatrix) else StochasticMatrix(qm)).entries
     if e.shape[0] != x0.k:
         raise ValidationError("paintbox and states must share k")
     cells = refinement_cells(x0, x0_tilde)
-    blocks_p = []
-    blocks_q = []
-    for a, b, cnt in cells:
-        blocks_p.append((cnt, tuple(e[:, a - 1].tolist())))
-        blocks_q.append((cnt, tuple(e[:, b - 1].tolist())))
     return tv_exact_product_multinomial(
-        ProductMultinomialLaw(tuple(blocks_p)), ProductMultinomialLaw(tuple(blocks_q))
+        ProductMultinomialLaw(tuple((cnt, e[:, a - 1]) for a, _, cnt in cells)),
+        ProductMultinomialLaw(tuple((cnt, e[:, b - 1]) for _, b, cnt in cells)),
     )
+
+
+def _conditional_tvs(qs: np.ndarray, x0: Coloring, x0_tilde: Coloring) -> np.ndarray:
+    """Row r: the exact conditional TV of tv_exact_conditional at the
+    composed paintbox qs[r], for an (R, k, k) stack, with numpy row sums.
+    Cells where both starts agree have equal laws and factor out."""
+    col_a, col_b, sizes = zip(
+        *((a - 1, b - 1, cnt) for a, b, cnt in refinement_cells(x0, x0_tilde) if a != b)
+    )
+    values = np.empty(len(qs))
+    pairs = _pmf_pairs(qs[:, :, list(col_a)], qs[:, :, list(col_b)], sizes, DEFAULT_ENUMERATION_BUDGET)
+    for rows, pmf_p, pmf_q in pairs:
+        values[rows] = 0.5 * np.abs(pmf_p - pmf_q).sum(axis=1)
+    return values
 
 
 def tv_exact_atomic(
@@ -239,32 +280,31 @@ def tv_exact_atomic(
     cells = refinement_cells(x0, x0_tilde)
     if m == 0:
         return TVEstimate(0.0 if x0 == x0_tilde else 1.0, "exact")
+    k = law.k
+    col_a, col_b, sizes = zip(*((a - 1, b - 1, cnt) for a, b, cnt in cells))
     r = len(atomic.atoms)
-    joint_size = 1
-    for _, _, cnt in cells:
-        joint_size *= _compositions(cnt, law.k).shape[0]
+    joint_size = _statistic_size(sizes, k)
     required = (r**m) * joint_size
     if required > budget:
         raise BudgetRefusal(
             "atom-sequence enumeration exceeds the budget",
             required=required, budget=budget,
         )
-    stack = [a.entries for a in atomic.atoms]
+    atoms = np.stack([a.entries for a in atomic.atoms])
     weights = np.asarray(atomic.weights, dtype=float)
+    # digit t of sequence index i is the atom applied at step t + 1
+    place = r ** np.arange(m - 1, -1, -1)
     mix_p = np.zeros(joint_size)
     mix_q = np.zeros(joint_size)
-    for seq in itertools.product(range(r), repeat=m):
-        q = np.eye(law.k)
-        w = 1.0
-        for t in seq:
-            q = stack[t] @ q
-            w *= weights[t]
-        if w == 0.0:
-            continue
-        vec_p = _joint_pmf([(cnt, q[:, a - 1]) for a, _, cnt in cells])
-        vec_q = _joint_pmf([(cnt, q[:, b - 1]) for _, b, cnt in cells])
-        mix_p += w * vec_p
-        mix_q += w * vec_q
+    for seqs in _row_chunks(r**m, joint_size + k * k):
+        digits = np.arange(seqs.start, seqs.stop)[:, None] // place % r
+        q = np.broadcast_to(np.eye(k), (len(digits), k, k))
+        w = np.ones(len(digits))
+        for t in range(m):
+            q = atoms[digits[:, t]] @ q
+            w = w * weights[digits[:, t]]
+        mix_p += w @ _joint_pmfs(q[:, :, list(col_a)], sizes)
+        mix_q += w @ _joint_pmfs(q[:, :, list(col_b)], sizes)
     return TVEstimate(_half_l1(mix_p, mix_q), "exact")
 
 

@@ -14,14 +14,12 @@ import itertools
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.special import gammaln, xlogy
 
 from ..errors import TheoryRefusal, ValidationError
 from ..paintbox import PaintboxLaw
 from ..partitions import Coloring
 from ..rng import as_stream
-from .exact import TVEstimate, refinement_cells, tv_exact_conditional
+from .exact import TVEstimate, _conditional_tvs, _count_logpmf, _row_chunks
 
 DEFAULT_REPLICATES = 10_000
 
@@ -65,24 +63,6 @@ def batched_products(law: PaintboxLaw, m: int, replicates: int, stream) -> np.nd
     return q
 
 
-def _binomial_logpmf(p: np.ndarray, size: int) -> np.ndarray:
-    """Row r holds the Bin(size, p[r]) pmf over counts 0..size, in logs."""
-    i = np.arange(size + 1)
-    logc = gammaln(size + 1) - gammaln(i + 1) - gammaln(size - i + 1)
-    return logc[None, :] + xlogy(i[None, :], p[:, None]) + xlogy(size - i[None, :], 1.0 - p[:, None])
-
-
-def _binomial_tv_batch(p: np.ndarray, q: np.ndarray, size: int) -> np.ndarray:
-    out = np.empty(len(p))
-    chunk = max(1, 4_000_000 // (size + 1))
-    for lo in range(0, len(p), chunk):
-        hi = min(lo + chunk, len(p))
-        a = np.exp(_binomial_logpmf(p[lo:hi], size))
-        b = np.exp(_binomial_logpmf(q[lo:hi], size))
-        out[lo:hi] = 0.5 * np.abs(a - b).sum(axis=1)
-    return out
-
-
 def tv_upper_mc(
     law: PaintboxLaw,
     x0: Coloring,
@@ -100,14 +80,7 @@ def tv_upper_mc(
         raise ValidationError("need replicates >= 1", field="replicates")
     if x0 == x0_tilde:
         return TVEstimate(0.0, "upper_bound", 0.0, replicates)
-    qs = batched_products(law, m, replicates, seed)
-    informative = [(a, b, cnt) for a, b, cnt in refinement_cells(x0, x0_tilde) if a != b]
-    if law.k == 2 and len(informative) == 1:
-        # single mixed cell at k=2: conditional TV is a binomial TV, batchable
-        a, b, cnt = informative[0]
-        values = _binomial_tv_batch(qs[:, 0, a - 1], qs[:, 0, b - 1], cnt)
-    else:
-        values = np.array([tv_exact_conditional(q, x0, x0_tilde).value for q in qs])
+    values = _conditional_tvs(batched_products(law, m, replicates, seed), x0, x0_tilde)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
     return TVEstimate(min(mean, 1.0), "upper_bound", se, replicates)
@@ -121,11 +94,15 @@ def _statistic_pmfs(qs: np.ndarray, k: int, n_prime: int, tilde: bool) -> np.nda
     x0_tilde. Given the paintbox those counts are independent binomials, so
     each row is a convolution of k(k-1) binomial pmfs.
     """
-    out = np.ones((qs.shape[0], 1))
-    for i, j in itertools.permutations(range(k), 2):
+    pairs = list(itertools.permutations(range(k), 2))
+    length = len(pairs) * n_prime + 1
+    padded = 1 << (length - 1).bit_length()
+    spectrum = np.ones((qs.shape[0], padded // 2 + 1), dtype=complex)
+    for i, j in pairs:
         p = qs[:, j, j] if tilde else qs[:, j, i]
-        pmf = np.exp(_binomial_logpmf(p, n_prime))
-        out = fftconvolve(out, pmf, axes=1)
+        pmf = np.exp(_count_logpmf(np.stack([p, 1.0 - p], axis=1), n_prime))
+        spectrum *= np.fft.rfft(pmf, padded, axis=1)
+    out = np.fft.irfft(spectrum, padded, axis=1)[:, :length]
     return np.clip(out, 0.0, None)
 
 
@@ -164,16 +141,15 @@ def tv_lower_mc(
     qs = batched_products(law, m, replicates, seed)
 
     length = k * (k - 1) * n_prime + 1
-    chunk = max(1, 2_000_000 // length)
 
     def chunks():
-        for lo in range(0, replicates, chunk):
-            part = qs[lo : lo + chunk]
-            yield _statistic_pmfs(part, k, n_prime, False), _statistic_pmfs(part, k, n_prime, True)
+        for rows in _row_chunks(replicates, 2 * length):
+            part = qs[rows]
+            yield rows, _statistic_pmfs(part, k, n_prime, False), _statistic_pmfs(part, k, n_prime, True)
 
     mean_p = np.zeros(length)
     mean_q = np.zeros(length)
-    for pmf_p, pmf_q in chunks():
+    for _, pmf_p, pmf_q in chunks():
         mean_p += pmf_p.sum(axis=0)
         mean_q += pmf_q.sum(axis=0)
     mean_p /= replicates
@@ -182,10 +158,7 @@ def tv_lower_mc(
 
     best = mean_p > mean_q
     margins = np.empty(replicates)
-    pos = 0
-    for pmf_p, pmf_q in chunks():
-        rows = pmf_p.shape[0]
-        margins[pos : pos + rows] = pmf_p[:, best].sum(axis=1) - pmf_q[:, best].sum(axis=1)
-        pos += rows
+    for rows, pmf_p, pmf_q in chunks():
+        margins[rows] = pmf_p[:, best].sum(axis=1) - pmf_q[:, best].sum(axis=1)
     se = float(margins.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
     return TVEstimate(max(0.0, tv_hat - 3.0 * se), "lower_bound", se, replicates)

@@ -1,11 +1,15 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here is deliberately self-contained (numpy only, no package
-imports) so the tests compare two genuinely separate routes to the same
-numbers.
+Everything here is deliberately self-contained (numpy and math only, no
+package imports) so the tests compare two genuinely separate routes to the
+same numbers.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+from collections import Counter
 
 import numpy as np
 
@@ -193,3 +197,65 @@ def collapse_counts(samples: np.ndarray, delta: float) -> tuple[np.ndarray, np.n
             contract[t] += top < 1.0 - delta
             positive[t] += bool(np.all(q > 0.0))
     return contract, positive
+
+
+def multinomial_pmf(size: int, s) -> np.ndarray:
+    """Multinomial(size, s) pmf over every count vector summing to size,
+    term by term from exact integer coefficients and plain powers (0**0 is
+    1, so a zero entry rules out exactly the positive counts)."""
+    out = []
+    for counts in itertools.product(range(size + 1), repeat=len(s)):
+        if sum(counts) != size:
+            continue
+        coef = math.factorial(size)
+        for c in counts:
+            coef //= math.factorial(c)
+        out.append(float(coef) * math.prod(float(p) ** c for p, c in zip(s, counts)))
+    return np.array(out)
+
+
+def _cell_laws(q: np.ndarray, x0_word, x1_word) -> tuple[np.ndarray, np.ndarray]:
+    """Joint count laws of the two starts over all refinement cells (cells
+    where the starts agree included) given one composed paintbox q."""
+    vec_p = np.ones(1)
+    vec_q = np.ones(1)
+    for (a, b), cnt in Counter(zip(x0_word, x1_word)).items():
+        vec_p = np.outer(vec_p, multinomial_pmf(cnt, q[:, a - 1])).ravel()
+        vec_q = np.outer(vec_q, multinomial_pmf(cnt, q[:, b - 1])).ravel()
+    return vec_p, vec_q
+
+
+def conditional_tvs(qs: np.ndarray, x0_word, x1_word) -> np.ndarray:
+    """Exact conditional TV of the two starts, one composed paintbox
+    (row of qs, shape (R, k, k)) at a time."""
+    return np.array([tv_distance(*_cell_laws(q, x0_word, x1_word)) for q in qs])
+
+
+def binomial_tvs(p, q, n: int) -> np.ndarray:
+    """TV(Bin(n, p[r]), Bin(n, q[r])) per row, from the dense pmfs."""
+    i = np.arange(n + 1)
+    coef = np.array([float(math.comb(n, j)) for j in i])
+    out = []
+    for pr, qr in zip(p, q):
+        pmf_p = coef * pr**i * (1.0 - pr) ** (n - i)
+        pmf_q = coef * qr**i * (1.0 - qr) ** (n - i)
+        out.append(tv_distance(pmf_p, pmf_q))
+    return np.array(out)
+
+
+def atomic_tv(atoms, weights, x0_word, x1_word, m: int) -> float:
+    """Exact TV at step m under a finitely supported paintbox law: one atom
+    sequence at a time, each sequence's conditional count laws mixed with
+    its weight."""
+    k = len(atoms[0])
+    mix_p = mix_q = 0.0
+    for seq in itertools.product(range(len(atoms)), repeat=m):
+        q = np.eye(k)
+        w = 1.0
+        for t in seq:
+            q = np.asarray(atoms[t], dtype=float) @ q
+            w *= weights[t]
+        vec_p, vec_q = _cell_laws(q, x0_word, x1_word)
+        mix_p = mix_p + w * vec_p
+        mix_q = mix_q + w * vec_q
+    return tv_distance(mix_p, mix_q)

@@ -333,3 +333,25 @@ def test_simulate_thinned_trajectory_steps(capsys, tmp_path):
     )
     assert rc == 0
     assert [row["step"] for row in json.loads(out)["result"]["trajectory"]] == [0, 3, 6, 7]
+
+
+def test_non_numeric_scalar_settings_exit_2(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"law": ATOMIC_LAW, "m": "many"})
+    rc, out, err = run_cli(capsys, ["lyapunov", "--config", cfg])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == "m"
+    law = {"kind": "permutation_mix", "k": "three"}
+    rc, out, err = run_cli(capsys, ["collapse", "--config", write_config(tmp_path, {"law": law})])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == "k"
+    law = {"kind": "permutation_mix", "k": 3, "perms": [[1, 2, "x"]]}
+    rc, _, err = run_cli(capsys, ["collapse", "--config", write_config(tmp_path, {"law": law})])
+    assert rc == 2
+    assert _validation_field(err) == "perms"
+    for key, value in (("n_grid", [64, "big"]), ("epsilon", "tiny"), ("replicates", 1e400)):
+        cfg = write_config(tmp_path, {"law": ATOMIC_LAW, "n_grid": [8], key: value})
+        rc, _, err = run_cli(capsys, ["cutoff", "--config", cfg])
+        assert rc == 2
+        assert _validation_field(err) == key

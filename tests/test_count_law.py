@@ -1,0 +1,160 @@
+"""The batched count-law kernel against one-at-a-time oracles.
+
+Conditional TVs, atom-sequence mixtures and the binomial case all run
+through one stacked multinomial pmf; each is checked here against a loop
+over replicates or sequences in _oracles.py, to 1e-12.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from _oracles import atomic_tv, binomial_tvs, conditional_tvs
+from cutpaste.errors import BudgetRefusal
+from cutpaste.paintbox import Atomic, PointMass, SelfSimilar
+from cutpaste.partitions import Coloring
+from cutpaste.tvlab import (
+    ProductMultinomialLaw,
+    batched_products,
+    make_constant_pair,
+    make_test_pair,
+    tv_exact_atomic,
+    tv_exact_product_multinomial,
+    tv_upper_mc,
+)
+from cutpaste.tvlab import exact
+
+TOL = 1e-12
+
+IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+ONE_SIDED = [[1.0, 0.3], [0.0, 0.7]]  # p = 1 in column 1
+RANK_ONE = [[0.3, 0.3], [0.7, 0.7]]  # equal columns: p = q
+# per replicate at m = 1: p, q in {0, 1}; p = 1 against an interior q; p = q
+EDGE_K2 = Atomic([IDENTITY, ONE_SIDED, RANK_ONE], [0.3, 0.3, 0.4])
+ZERO_K3 = Atomic(
+    [
+        [[1.0, 0.2, 0.0], [0.0, 0.8, 0.5], [0.0, 0.0, 0.5]],
+        [[0.6, 0.2, 0.1], [0.3, 0.5, 0.2], [0.1, 0.3, 0.7]],
+        [[0.2, 0.2, 0.2], [0.5, 0.5, 0.5], [0.3, 0.3, 0.3]],
+    ],
+    [0.3, 0.4, 0.3],
+)
+TWO_ATOM_K3 = Atomic(
+    [
+        [[0.6, 0.2, 0.1], [0.3, 0.5, 0.2], [0.1, 0.3, 0.7]],
+        [[0.3, 0.1, 0.25], [0.2, 0.7, 0.15], [0.5, 0.2, 0.6]],
+    ],
+    [0.4, 0.6],
+)
+
+
+def _pair(design, n, k):
+    if design == "constant":
+        return make_constant_pair(n, k)
+    if design == "block":
+        return make_test_pair(n, k)
+    rng = np.random.default_rng(n * 10 + k)
+    words = rng.integers(1, k + 1, size=(2, n))
+    return Coloring(n, k, tuple(map(int, words[0]))), Coloring(n, k, tuple(map(int, words[1])))
+
+
+CONDITIONAL_CASES = [
+    pytest.param(SelfSimilar([1.0, 1.0]), "constant", 1, 3, 50, id="k2-n1"),
+    pytest.param(SelfSimilar([1.0, 1.0]), "general", 7, 2, 40, id="k2-general"),
+    pytest.param(EDGE_K2, "constant", 9, 1, 60, id="k2-edge-columns"),
+    pytest.param(PointMass(RANK_ONE), "general", 6, 2, 5, id="k2-rank-one"),
+    pytest.param(SelfSimilar([1.0, 1.0]), "block", 8, 2, 30, id="k2-block"),
+    pytest.param(SelfSimilar([1.0, 1.0, 1.0]), "constant", 1, 2, 30, id="k3-n1"),
+    pytest.param(SelfSimilar([0.5, 1.0, 2.0]), "general", 6, 3, 30, id="k3-general"),
+    pytest.param(ZERO_K3, "general", 5, 1, 40, id="k3-zero-entries"),
+    pytest.param(ZERO_K3, "block", 12, 2, 20, id="k3-block"),
+    pytest.param(TWO_ATOM_K3, "constant", 10, 4, 1, id="k3-R1"),
+]
+
+
+@pytest.mark.parametrize("law, design, n, m, reps", CONDITIONAL_CASES)
+def test_conditional_tvs_match_per_replicate_oracle(law, design, n, m, reps):
+    x, y = _pair(design, n, law.k)
+    qs = batched_products(law, m, reps, 17)
+    want = conditional_tvs(qs, x.word, y.word)
+    got = exact._conditional_tvs(qs, x, y)
+    assert np.max(np.abs(got - want)) < TOL
+    up = tv_upper_mc(law, x, y, m, reps, 17)
+    assert abs(up.value - min(want.mean(), 1.0)) < TOL
+    want_se = want.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
+    assert abs(up.mc_std_error - want_se) < TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 400])
+@pytest.mark.parametrize("law", [SelfSimilar([1.0, 1.0]), EDGE_K2], ids=["smooth", "edge"])
+def test_binomial_case_matches_dense_oracle(law, n):
+    x, y = make_constant_pair(n, 2)
+    qs = batched_products(law, 2, 200, 3)
+    want = binomial_tvs(qs[:, 0, 0], qs[:, 0, 1], n)
+    assert np.max(np.abs(exact._conditional_tvs(qs, x, y) - want)) < TOL
+
+
+def test_edge_columns_give_exact_extremes():
+    # identity: disjoint supports; rank one: equal laws
+    x, y = make_constant_pair(5, 2)
+    qs = np.array([IDENTITY, RANK_ONE])
+    assert exact._conditional_tvs(qs, x, y).tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "law, design, n",
+    [
+        pytest.param(Atomic([ONE_SIDED, [[0.6, 0.45], [0.4, 0.55]]], [0.5, 0.5]), "general", 5, id="k2-general"),
+        pytest.param(EDGE_K2, "block", 8, id="k2-block"),
+        pytest.param(TWO_ATOM_K3, "constant", 4, id="k3-constant"),
+        pytest.param(ZERO_K3, "general", 4, id="k3-zero-rank-one"),
+    ],
+)
+def test_atomic_matches_per_sequence_oracle(law, design, n, m):
+    x, y = _pair(design, n, law.k)
+    atomic = law.as_atomic()
+    atoms = [a.entries for a in atomic.atoms]
+    want = atomic_tv(atoms, list(atomic.weights), x.word, y.word, m)
+    assert abs(tv_exact_atomic(law, x, y, m).value - want) < TOL
+
+
+def test_chunked_stacks_match_one_block(monkeypatch):
+    law = TWO_ATOM_K3
+    x, y = _pair("general", 6, 3)
+    qs = batched_products(law, 3, 50, 2)
+    whole_rows = exact._conditional_tvs(qs, x, y)
+    whole_atomic = tv_exact_atomic(law, x, y, 4).value
+    size = exact._statistic_size([c for a, b, c in exact.refinement_cells(x, y) if a != b], 3)
+    monkeypatch.setattr(exact, "_ELEMENT_BUDGET", 3 * size)
+    assert np.max(np.abs(exact._conditional_tvs(qs, x, y) - whole_rows)) < TOL
+    assert abs(tv_exact_atomic(law, x, y, 4).value - whole_atomic) < TOL
+
+
+def test_statistic_size_counts_compositions():
+    for k in (1, 2, 3, 4):
+        for size in (0, 1, 5, 12):
+            assert exact._statistic_size([size], k) == exact._compositions(size, k).shape[0]
+    assert exact._statistic_size([3, 4], 3) == 10 * 15
+
+
+def test_budget_refusals_report_the_same_sizes():
+    p = ProductMultinomialLaw(((30, (0.3, 0.3, 0.2, 0.2)),))
+    q = ProductMultinomialLaw(((30, (0.25, 0.25, 0.25, 0.25)),))
+    with pytest.raises(BudgetRefusal) as exc:
+        tv_exact_product_multinomial(p, q, budget=100)
+    assert exc.value.details["required"] == 5456
+
+    law = Atomic([IDENTITY, [[0.5, 0.5], [0.5, 0.5]]], [0.5, 0.5])
+    x, y = make_constant_pair(6, 2)
+    with pytest.raises(BudgetRefusal) as exc:
+        tv_exact_atomic(law, x, y, 5, budget=10)
+    assert exc.value.details["required"] == 2**5 * 7
+    assert tv_exact_atomic(law, x, y, 5, budget=224).kind == "exact"
+
+    # one mixed cell of 6400 sites at k = 3 holds C(6402, 2) count vectors
+    x, y = make_constant_pair(6400, 3)
+    with pytest.raises(BudgetRefusal) as exc:
+        tv_upper_mc(SelfSimilar([1.0, 1.0, 1.0]), x, y, 1, replicates=2, seed=0)
+    assert exc.value.details["required"] == math.comb(6402, 2) == 20_489_601
