@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TheoryRefusal, ValidationError
-from .paintbox import PaintboxLaw, StochasticMatrix, sample_M_given_S, sample_S
-from .partitions import Coloring, act
+from .paintbox import PaintboxLaw, StochasticMatrix, sample_S
+from .partitions import Coloring
 from .rng import RngStream, as_stream
 
 
@@ -114,6 +114,48 @@ def _check_run(law: PaintboxLaw, x0: Coloring, m_steps: int) -> None:
         raise ValidationError(f"need m_steps >= 0, got {m_steps}", field="m_steps")
 
 
+def _run_efcp(law, x0, m_steps, seed, thin, record_paintbox, paintbox_sequence, streams, per_column):
+    """The loop of both constructions: site i moves from its color c to the
+    row of column c of S in which its uniform falls. streams names the
+    paintbox and the move streams; per_column draws one uniform per site and
+    column, as sample_M_given_S does, and site i reads its color's column."""
+    _check_run(law, x0, m_steps)
+    stream = as_stream(seed)
+    # separate streams for the paintbox draws and the moves, so that
+    # injecting a recorded paintbox sequence replays the same moves
+    gen_s = stream.derive(streams[0]).generator()
+    gen_u = stream.derive(streams[1]).generator()
+    n, k = x0.n, x0.k
+    seq = None
+    if paintbox_sequence is not None:
+        seq = [s if isinstance(s, StochasticMatrix) else StochasticMatrix(s) for s in paintbox_sequence]
+        if len(seq) < m_steps or any(s.k != k for s in seq[:m_steps]):
+            raise ValidationError("paintbox_sequence needs m_steps k x k matrices")
+    sites = np.arange(n)
+    word = np.array(x0.word, dtype=np.int64) - 1
+    traj = [x0]
+    trace: list[StochasticMatrix] = []
+    for t in range(1, m_steps + 1):
+        s = seq[t - 1] if seq is not None else sample_S(law, gen_s)
+        cum = np.cumsum(s.entries, axis=0)
+        cum[-1, :] = 1.0
+        u = gen_u.random((n, k))[sites, word] if per_column else gen_u.random(n)
+        new = np.empty_like(word)
+        for c in range(k):
+            mask = word == c
+            if mask.any():
+                new[mask] = np.searchsorted(cum[:, c], u[mask], side="right")
+        word = new
+        if record_paintbox:
+            trace.append(s)
+        if _keep(t, thin, m_steps):
+            traj.append(Coloring(n, k, tuple(int(v) + 1 for v in word)))
+    return ChainRun(
+        law, x0, m_steps, thin, tuple(traj),
+        tuple(trace) if record_paintbox else None, None, stream,
+    )
+
+
 def run_efcp_matrix(
     law: PaintboxLaw,
     x0: Coloring,
@@ -126,36 +168,16 @@ def run_efcp_matrix(
 ) -> ChainRun:
     """Whole-step construction: per step draw S from the law, then a random
     partition matrix with the product law given S, and apply it to the state.
+    The matrix is drawn as sample_M_given_S draws it (one uniform per site
+    and column) and applied site by site, without building its bitmasks.
 
     paintbox_sequence injects a fixed sequence of stochastic matrices in
     place of fresh draws (the per-step matrix draw still uses the stream),
     which is how the two constructions are compared at a shared paintbox.
     """
-    _check_run(law, x0, m_steps)
-    stream = as_stream(seed)
-    # separate streams for the paintbox draws and the matrix draws, so that
-    # injecting a recorded paintbox sequence replays the same matrices
-    gen_s = stream.derive("efcp-matrix-paintbox").generator()
-    gen_m = stream.derive("efcp-matrix-moves").generator()
-    seq = None
-    if paintbox_sequence is not None:
-        seq = [s if isinstance(s, StochasticMatrix) else StochasticMatrix(s) for s in paintbox_sequence]
-        if len(seq) < m_steps:
-            raise ValidationError("paintbox_sequence shorter than m_steps")
-    x = x0
-    traj = [x0]
-    trace: list[StochasticMatrix] = []
-    for t in range(1, m_steps + 1):
-        s = seq[t - 1] if seq is not None else sample_S(law, gen_s)
-        m = sample_M_given_S(s, x0.n, gen_m)
-        x = act(m, x)
-        if record_paintbox:
-            trace.append(s)
-        if _keep(t, thin, m_steps):
-            traj.append(x)
-    return ChainRun(
-        law, x0, m_steps, thin, tuple(traj),
-        tuple(trace) if record_paintbox else None, None, stream,
+    return _run_efcp(
+        law, x0, m_steps, seed, thin, record_paintbox, paintbox_sequence,
+        ("efcp-matrix-paintbox", "efcp-matrix-moves"), per_column=True,
     )
 
 
@@ -173,37 +195,9 @@ def run_efcp_coordinate(
     independently from its color c to color r with probability S[r, c].
     Given the same paintbox sequence this has the same law as the
     whole-matrix construction."""
-    _check_run(law, x0, m_steps)
-    stream = as_stream(seed)
-    gen_s = stream.derive("efcp-coordinate-paintbox").generator()
-    gen_jump = stream.derive("efcp-coordinate-jumps").generator()
-    seq = None
-    if paintbox_sequence is not None:
-        seq = [s if isinstance(s, StochasticMatrix) else StochasticMatrix(s) for s in paintbox_sequence]
-        if len(seq) < m_steps:
-            raise ValidationError("paintbox_sequence shorter than m_steps")
-    k = law.k
-    word = np.array(x0.word, dtype=np.int64) - 1
-    traj = [x0]
-    trace: list[StochasticMatrix] = []
-    for t in range(1, m_steps + 1):
-        s = seq[t - 1] if seq is not None else sample_S(law, gen_s)
-        cum = np.cumsum(s.entries, axis=0)
-        cum[-1, :] = 1.0
-        u = gen_jump.random(x0.n)
-        new = np.empty_like(word)
-        for c in range(k):
-            mask = word == c
-            if mask.any():
-                new[mask] = np.searchsorted(cum[:, c], u[mask], side="right")
-        word = new
-        if record_paintbox:
-            trace.append(s)
-        if _keep(t, thin, m_steps):
-            traj.append(Coloring(x0.n, k, tuple(int(v) + 1 for v in word)))
-    return ChainRun(
-        law, x0, m_steps, thin, tuple(traj),
-        tuple(trace) if record_paintbox else None, None, stream,
+    return _run_efcp(
+        law, x0, m_steps, seed, thin, record_paintbox, paintbox_sequence,
+        ("efcp-coordinate-paintbox", "efcp-coordinate-jumps"), per_column=False,
     )
 
 

@@ -107,6 +107,17 @@ def _setting(args, cfg: dict, key: str, default=None, kind=None):
     return v if kind is None else coerce(v, kind, key)
 
 
+def _flag(args, cfg: dict, key: str) -> bool:
+    """The store_true flag if given, else a JSON true/false from the config;
+    a JSON null counts as unset."""
+    if getattr(args, key, False):
+        return True
+    v = cfg.get(key)
+    if v is None or isinstance(v, bool):
+        return bool(v)
+    raise ValidationError(f"{key} must be true or false, got {v!r}", field=key)
+
+
 def _require(value, key: str):
     if value is None:
         raise ValidationError(f"missing required setting {key!r}", field=key)
@@ -284,7 +295,7 @@ def _cmd_cutoff(args) -> None:
 
 def _ehrenfest_params(args, cfg) -> EhrenfestParams:
     n = _require(_setting(args, cfg, "n", kind=int), "n")
-    if getattr(args, "standard", False) or cfg.get("standard", False):
+    if _flag(args, cfg, "standard"):
         return standard_ehrenfest(n)
     alpha = _require(_setting(args, cfg, "alpha", kind=float), "alpha")
     return EhrenfestParams(n, alpha)
@@ -298,7 +309,7 @@ def _default_ehrenfest_grid(params: EhrenfestParams) -> list[int]:
 def _cmd_ehrenfest(args) -> None:
     cfg = _load_config(args)
     seed = _setting(args, cfg, "seed", 0, int)
-    if getattr(args, "loglog", False) or cfg.get("loglog", False):
+    if _flag(args, cfg, "loglog"):
         # the schedule picks its own refresh fraction from n
         n = _require(_setting(args, cfg, "n", kind=int), "n")
         beta = _require(_setting(args, cfg, "beta", kind=float), "beta")
@@ -307,7 +318,7 @@ def _cmd_ehrenfest(args) -> None:
                    sched.to_json(), args.out)
         return
     params = _ehrenfest_params(args, cfg)
-    if getattr(args, "exact", False) or cfg.get("exact", False):
+    if _flag(args, cfg, "exact"):
         grid_setting = _setting(args, cfg, "t_grid")
         grid = sorted(set(_list(grid_setting, int, "t_grid"))) if grid_setting is not None else _default_ehrenfest_grid(params)
         rows = []

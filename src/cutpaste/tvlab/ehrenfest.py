@@ -1,12 +1,16 @@
 """Batch-refresh chain: coupling bounds and exact TV to stationarity.
 
-The exact pass never enumerates the 2^n configurations. Reading the moves
-most-recent-first, each site keeps the coin of the first batch that contains
-it, so the word is assembled by a covering process: a batch covers h fresh
-sites, all h share one fair coin. The pair (covered sites, ones among
-covered) is then a Markov chain on a quadratic state space, the one-count
-N1 = s + (n - c) is a sufficient statistic by exchangeability, and the
-stationary law is the same process run to full coverage.
+The exact pass never enumerates the 2^n configurations. The batch is a
+uniform subset and all its sites share one coin, so the move from a word
+depends on the word only through its one-count N1: the batch holds h of the
+j ones with hypergeometric probability, and the count goes to j - h or
+j - h + a. N1 is therefore itself a Markov chain on n + 1 states (the chain
+is lumpable; Kemeny & Snell, Finite Markov Chains, 1960). From a constant
+start the law at every time t is exchangeable, and so is the stationary
+law, so both are uniform given N1 and their TV equals the TV between the
+two N1 laws. The stationary N1 law comes from Grassmann-Taksar-Heyman
+elimination (Operations Research 33, 1985), which does no subtractions and
+so keeps its relative accuracy in the tails.
 """
 
 from __future__ import annotations
@@ -147,79 +151,58 @@ def loglog_schedule(n: int, beta: float) -> LogLogSchedule:
     )
 
 
-def _coverage_weights(n: int, a: int) -> np.ndarray:
-    """W[c, h] = P(a uniform batch hits h of the n - c uncovered sites)."""
+def _count_kernel(n: int, a: int) -> np.ndarray:
+    """Transition matrix of the one-count N1: from j ones the batch holds h
+    of them with hypergeometric weight C(j, h) C(n - j, a - h) / C(n, a), and
+    one fair coin sends the count to j - h or to j - h + a."""
     lf = _log_factorials(n)
-    c = np.arange(n + 1)[:, None]
+    j = np.arange(n + 1)[:, None]
     h = np.arange(a + 1)[None, :]
-    fresh, old = n - c, a - h
-    ok = (h <= fresh) & (old <= c)
+    rest, miss = n - j, a - h
+    ok = (h <= j) & (miss <= rest)
     logw = (
-        (lf[fresh] - lf[h] - lf[np.where(ok, fresh - h, 0)])
-        + (lf[c] - lf[old] - lf[np.where(ok, c - old, 0)])
+        (lf[j] - lf[h] - lf[np.where(ok, j - h, 0)])
+        + (lf[rest] - lf[miss] - lf[np.where(ok, rest - miss, 0)])
         - (lf[n] - lf[a] - lf[n - a])
     )
-    return np.exp(np.where(ok, logw, -np.inf))
+    w = 0.5 * np.exp(np.where(ok, logw, -np.inf))
+    ones, hits = np.nonzero(w)
+    k = np.zeros((n + 1, n + 1))
+    k[ones, ones - hits] = w[ones, hits]
+    k[ones, ones - hits + a] += w[ones, hits]
+    return k
 
 
-def _dp_step(p: np.ndarray, w: np.ndarray, a: int) -> np.ndarray:
-    """One covering move on the (covered, ones-among-covered) law: h fresh
-    sites join, and one fair coin either adds all h to the ones or none."""
-    n1 = p.shape[0]
-    new = p * w[:, :1]
-    for h in range(1, a + 1):
-        half = 0.5 * (p[: n1 - h] * w[: n1 - h, h, None])
-        new[h:, :] += half
-        new[h:, h:] += half[:, : n1 - h]
-    return new
-
-
-def _counts_from_state(p: np.ndarray) -> np.ndarray:
-    """Push (c, s) mass onto the one-count N1 = s + (n - c), for the
-    all-ones start (uncovered sites still show color 1)."""
-    n = p.shape[0] - 1
-    counts = np.zeros(n + 1)
-    for c in range(n + 1):
-        counts[n - c :] += p[c, : c + 1]
-    return counts
-
-
-def _stationary_counts(n: int, a: int, w: np.ndarray) -> np.ndarray:
-    """One-count law at full coverage, by the jump chain conditioned on
-    covering at least one fresh site per move. Coverage grows every jump, so
-    n rounds absorb all mass exactly."""
-    if a == 1:
-        lf = _log_factorials(n)
-        return np.exp(lf[n] - lf - lf[::-1] - n * math.log(2.0))
-    p = np.zeros((n + 1, n + 1))
-    p[0, 0] = 1.0
-    pi = np.zeros(n + 1)
-    stay = 1.0 - w[:, :1]
-    jump = np.divide(w, stay, out=np.zeros_like(w), where=stay > 0)
-    jump[:, 0] = 0.0
-    for _ in range(n):
-        p = _dp_step(p, jump, a)
-        pi += p[n, :]
-        p[n, :] = 0.0
-        if p.sum() < 1e-16:
-            break
-    return pi
+def _stationary(k: np.ndarray) -> np.ndarray:
+    """Stationary law by Grassmann-Taksar-Heyman elimination: censor the
+    states from the top down, dividing by the escape mass below each pivot
+    instead of subtracting from one. Count 0 is reachable from every count,
+    so every pivot is positive."""
+    g = k.copy()
+    for m in range(g.shape[0] - 1, 0, -1):
+        g[:m, m] /= g[m, :m].sum()
+        g[:m, :m] += np.outer(g[:m, m], g[m, :m])
+    pi = np.zeros(g.shape[0])
+    pi[0] = 1.0
+    for m in range(1, g.shape[0]):
+        pi[m] = pi[:m] @ g[:m, m]
+    return pi / pi.sum()
 
 
 def _tv_sweep(params: EhrenfestParams, horizons):
     """(t, exact TV to stationarity) at each of the increasing horizons, from
-    the all-ones start, in one forward pass of the covering DP."""
+    the all-ones start, in one forward pass of the one-count chain."""
     n, a = params.n, params.batch_size
-    w = _coverage_weights(n, a)
-    pi = _stationary_counts(n, a, w)
-    p = np.zeros((n + 1, n + 1))
-    p[0, 0] = 1.0
+    k = _count_kernel(n, a)
+    pi = _stationary(k)
+    row = np.zeros(n + 1)
+    row[n] = 1.0
     t = 0
     for horizon in horizons:
         for _ in range(t, horizon):
-            p = _dp_step(p, w, a)
+            row = row @ k
         t = horizon
-        yield t, _half_l1(_counts_from_state(p), pi)
+        yield t, _half_l1(row, pi)
 
 
 def _check_exact_inputs(params: EhrenfestParams, x0, n_limit: int) -> None:
@@ -246,7 +229,7 @@ def ehrenfest_tv_profile(
     n_limit: int = DEFAULT_EXACT_N_LIMIT,
 ) -> list[tuple[int, TVEstimate]]:
     """Exact TV to stationarity at every horizon in t_grid, in one forward
-    DP sweep. The two constant starts are symmetric, so the all-ones law
+    sweep. The two constant starts are symmetric, so the all-ones law
     computed here covers both."""
     _check_exact_inputs(params, x0, n_limit)
     grid = sorted({int(t) for t in t_grid})

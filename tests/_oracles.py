@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -112,6 +113,124 @@ def ehrenfest_exhaustive_tv(n: int, a: int, t: int) -> float:
     for _ in range(t):
         dist = dist @ kernel
     return tv_distance(dist, pi)
+
+
+def _covering_weights(n: int, a: int) -> np.ndarray:
+    """W[c, h] = P(a uniform batch hits h of the n - c uncovered sites), from
+    this module's own lgamma table."""
+    lf = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    c = np.arange(n + 1)[:, None]
+    h = np.arange(a + 1)[None, :]
+    fresh, old = n - c, a - h
+    ok = (h <= fresh) & (old <= c)
+    logw = (
+        (lf[fresh] - lf[h] - lf[np.where(ok, fresh - h, 0)])
+        + (lf[c] - lf[old] - lf[np.where(ok, c - old, 0)])
+        - (lf[n] - lf[a] - lf[n - a])
+    )
+    return np.exp(np.where(ok, logw, -np.inf))
+
+
+def _covering_step(p: np.ndarray, w: np.ndarray, a: int) -> np.ndarray:
+    """One covering move on the (covered, ones-among-covered) law: h fresh
+    sites join, and one fair coin either adds all h to the ones or none."""
+    n1 = p.shape[0]
+    new = p * w[:, :1]
+    for h in range(1, a + 1):
+        half = 0.5 * (p[: n1 - h] * w[: n1 - h, h, None])
+        new[h:, :] += half
+        new[h:, h:] += half[:, : n1 - h]
+    return new
+
+
+def _covering_counts(p: np.ndarray) -> np.ndarray:
+    """Push (c, s) mass onto the one-count N1 = s + (n - c), for the
+    all-ones start (uncovered sites still show color 1)."""
+    n = p.shape[0] - 1
+    counts = np.zeros(n + 1)
+    for c in range(n + 1):
+        counts[n - c :] += p[c, : c + 1]
+    return counts
+
+
+def _covering_stationary(n: int, a: int, w: np.ndarray) -> np.ndarray:
+    """One-count law at full coverage, by the jump chain conditioned on
+    covering at least one fresh site per move."""
+    if a == 1:
+        return np.array([float(Fraction(math.comb(n, j), 2**n)) for j in range(n + 1)])
+    p = np.zeros((n + 1, n + 1))
+    p[0, 0] = 1.0
+    pi = np.zeros(n + 1)
+    stay = 1.0 - w[:, :1]
+    jump = np.divide(w, stay, out=np.zeros_like(w), where=stay > 0)
+    jump[:, 0] = 0.0
+    for _ in range(n):
+        p = _covering_step(p, jump, a)
+        pi += p[n, :]
+        p[n, :] = 0.0
+        if p.sum() < 1e-16:
+            break
+    return pi
+
+
+def ehrenfest_covering_tvs(n: int, a: int, t_grid) -> list[float]:
+    """TV to stationarity from the all-ones start at each horizon, by the
+    covering process: reading the moves most-recent-first, each site keeps
+    the coin of the first batch that contains it, so (covered sites, ones
+    among covered) is a Markov chain on a quadratic state space, and the
+    stationary law is the same process run to full coverage."""
+    w = _covering_weights(n, a)
+    pi = _covering_stationary(n, a, w)
+    p = np.zeros((n + 1, n + 1))
+    p[0, 0] = 1.0
+    out, t = [], 0
+    for horizon in sorted(t_grid):
+        for _ in range(t, horizon):
+            p = _covering_step(p, w, a)
+        t = horizon
+        out.append(tv_distance(_covering_counts(p), pi))
+    return out
+
+
+def _fraction_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+    """x with a x = b, by Gauss-Jordan elimination in exact arithmetic."""
+    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    size = len(m)
+    for col in range(size):
+        piv = next(r for r in range(col, size) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        lead = m[col][col]
+        m[col] = [v / lead for v in m[col]]
+        for r in range(size):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * u for v, u in zip(m[r], m[col])]
+    return [row[-1] for row in m]
+
+
+def ehrenfest_fraction_tvs(n: int, a: int, t_grid) -> list[float]:
+    """TV to stationarity of the one-count chain from the all-ones start, in
+    exact rational arithmetic: hypergeometric weights from integer binomials,
+    the stationary law from the linear system pi (K - I) = 0, sum(pi) = 1.
+    Only the final TV values are rounded to floats."""
+    total = 2 * math.comb(n, a)
+    kernel = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for j in range(n + 1):
+        for h in range(max(0, a - (n - j)), min(a, j) + 1):
+            w = Fraction(math.comb(j, h) * math.comb(n - j, a - h), total)
+            kernel[j][j - h] += w
+            kernel[j][j - h + a] += w
+    system = [[kernel[j][i] - (i == j) for j in range(n + 1)] for i in range(n)]
+    system.append([Fraction(1)] * (n + 1))
+    pi = _fraction_solve(system, [Fraction(0)] * n + [Fraction(1)])
+    row = [Fraction(0)] * n + [Fraction(1)]
+    out, t = [], 0
+    for horizon in sorted(t_grid):
+        for _ in range(t, horizon):
+            row = [sum(row[j] * kernel[j][i] for j in range(n + 1)) for i in range(n + 1)]
+        t = horizon
+        out.append(float(sum(abs(r - p) for r, p in zip(row, pi)) / 2))
+    return out
 
 
 def helmert_columns(k: int) -> np.ndarray:

@@ -12,7 +12,14 @@ from cutpaste.chains import (
     standard_ehrenfest,
 )
 from cutpaste.errors import TheoryRefusal, ValidationError
-from cutpaste.paintbox import Atomic, DirichletColumns, PointMass, StochasticMatrix
+from cutpaste.paintbox import (
+    Atomic,
+    DirichletColumns,
+    PointMass,
+    StochasticMatrix,
+    sample_M_given_S,
+    sample_S,
+)
 from cutpaste.partitions import Coloring, act, cyclic_shift_matrix
 from cutpaste.rng import RngStream
 from cutpaste.smallspace import (
@@ -99,6 +106,29 @@ def test_constructions_agree_given_fixed_paintbox():
         freq = counts / reps
         sigma = np.sqrt(np.clip(expected * (1 - expected), 1e-12, None) / reps)
         assert np.all(np.abs(freq - expected) < 5 * sigma + 1e-9)
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["drawn", "injected"])
+def test_matrix_construction_replays_partition_matrices(fixed):
+    # the matrix construction applies its draw site by site; replaying the
+    # same streams through whole partition matrices must give the same path
+    law = DirichletColumns([[1.0, 2.0, 1.5], [2.0, 1.0, 0.5], [1.0, 1.0, 1.0]])
+    x0 = Coloring(11, 3, (1, 2, 3, 1, 1, 2, 3, 3, 2, 1, 2))
+    steps = 12
+    stream = RngStream(12)
+    gen = RngStream(13).generator()
+    seq = [random_stochastic(gen, 3) for _ in range(steps)] if fixed else None
+    gen_s = stream.derive("efcp-matrix-paintbox").generator()
+    gen_m = stream.derive("efcp-matrix-moves").generator()
+    x, want = x0, [x0]
+    for t in range(steps):
+        s = seq[t] if fixed else sample_S(law, gen_s)
+        x = act(sample_M_given_S(s, x0.n, gen_m), x)
+        want.append(x)
+    full = run_efcp_matrix(law, x0, steps, stream, thin=1, paintbox_sequence=seq)
+    assert full.trajectory == tuple(want)
+    ends = run_efcp_matrix(law, x0, steps, stream, paintbox_sequence=seq)
+    assert ends.trajectory == (x0, want[-1])
 
 
 def test_paintbox_trace_recording():
@@ -288,6 +318,9 @@ def test_run_validation():
         run_efcp_matrix(law, Coloring.constant(3, 2, 1), -1, RngStream(0))
     with pytest.raises(ValidationError):
         run_efcp_matrix(law, Coloring.constant(3, 2, 1), 3, RngStream(0), paintbox_sequence=[np.eye(2)])
+    for runner in (run_efcp_matrix, run_efcp_coordinate):
+        with pytest.raises(ValidationError):
+            runner(law, Coloring.constant(3, 2, 1), 1, RngStream(0), paintbox_sequence=[np.eye(3)])
     with pytest.raises(ValidationError):
         run_ehrenfest(EhrenfestParams(3, 0.5), Coloring.constant(3, 3, 1), 2, RngStream(0))
     with pytest.raises(ValidationError):

@@ -355,3 +355,33 @@ def test_non_numeric_scalar_settings_exit_2(capsys, tmp_path):
         rc, _, err = run_cli(capsys, ["cutoff", "--config", cfg])
         assert rc == 2
         assert _validation_field(err) == key
+
+
+def test_ehrenfest_boolean_settings(capsys, tmp_path):
+    base = {"n": 16, "alpha": 0.25, "t": 3}
+    for key, value in (("exact", "false"), ("standard", "no"), ("loglog", 1), ("exact", [])):
+        cfg = write_config(tmp_path, {**base, key: value})
+        rc, out, err = run_cli(capsys, ["ehrenfest", "--config", cfg])
+        assert rc == 2
+        assert out == ""
+        assert _validation_field(err) == key
+    # JSON false and null both leave the bounds request (alpha 0.25, batch 4)
+    want = run_cli(capsys, ["ehrenfest", "--config", write_config(tmp_path, base)])
+    for value in (False, None):
+        cfg = write_config(tmp_path, {**base, "exact": value, "standard": value, "loglog": value})
+        got = run_cli(capsys, ["ehrenfest", "--config", cfg])
+        assert got == want
+    assert json.loads(want[1])["result"]["batch_size"] == 4
+    # JSON true matches the store_true flag
+    cfg = write_config(tmp_path, {"n": 16, "standard": True, "exact": True, "t_grid": [0, 5]})
+    flags = ["ehrenfest", "--n", "16", "--standard", "--exact", "--t-grid", "0,5"]
+    assert run_cli(capsys, ["ehrenfest", "--config", cfg]) == run_cli(capsys, flags)
+
+
+def test_ehrenfest_exact_refuses_past_the_size_limit(capsys):
+    rc, out, err = run_cli(capsys, ["ehrenfest", "--n", "2000", "--alpha", "0.25", "--exact"])
+    assert rc == 3
+    assert out == ""
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "budget_exceeded"
+    assert diag["details"] == {"n": 2000, "limit": 1100}

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    ehrenfest_covering_tvs,
     ehrenfest_exhaustive_kernel,
     ehrenfest_exhaustive_tv,
+    ehrenfest_fraction_tvs,
     product_step_kernel,
     tv_distance,
     words_array,
@@ -587,6 +589,26 @@ def test_ehrenfest_exact_matches_exhaustive_oracle():
             got = ehrenfest_tv_exact(params, t).value
             want = ehrenfest_exhaustive_tv(n, a, t)
             assert abs(got - want) < 1e-10, (n, a, t)
+
+
+@pytest.mark.parametrize("n,a", [(40, 10), (64, 1), (64, 16), (97, 33), (128, 8), (64, 64)])
+def test_ehrenfest_profile_matches_covering_oracle(n, a):
+    # the covering process tracks (covered, ones among covered); agreeing
+    # with it checks the one-count lumping well past the 2^n oracle's reach
+    params = EhrenfestParams(n, a / n)
+    assert params.batch_size == a
+    grid = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
+    got = [est.value for _, est in ehrenfest_tv_profile(params, grid)]
+    want = ehrenfest_covering_tvs(n, a, grid)
+    assert np.max(np.abs(np.array(got) - np.array(want))) < 2e-11
+
+
+@pytest.mark.parametrize("n,a", [(16, 1), (16, 4), (20, 5), (24, 3), (24, 24)])
+def test_ehrenfest_profile_matches_exact_rational_oracle(n, a):
+    grid = [0, 1, 2, 5, 10, 20]
+    got = [est.value for _, est in ehrenfest_tv_profile(EhrenfestParams(n, a / n), grid)]
+    want = ehrenfest_fraction_tvs(n, a, grid)
+    assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-13
 
 
 def test_ehrenfest_t0_point_mass_vs_stationary():
