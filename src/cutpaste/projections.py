@@ -106,7 +106,8 @@ def projected_mixing_equivalence(
     projection, with the smallest horizon under each epsilon.
 
     Needs a row-column exchangeable, finitely supported law on a state space
-    within budget; the projected kernel is the lumping of the labeled one and
+    within budget whose labeled chain has a unique stationary law; the
+    projected kernel is the lumping of the labeled one and
     the projected stationary law is the pushforward of the labeled one. The
     seed parameter is accepted for interface uniformity; the computation is
     deterministic.
@@ -114,19 +115,25 @@ def projected_mixing_equivalence(
     del seed
     if law.k != k:
         raise ValidationError(f"law has k={law.k}, asked for k={k}", field="k")
+    if n < 1:
+        raise ValidationError(f"n must be at least 1, got {n}", field="n")
+    if m_max < 1:
+        raise ValidationError(f"m_max must be at least 1, got {m_max}", field="m_max")
+    try:
+        eps_grid = tuple(sorted({float(e) for e in epsilon}, reverse=True))
+    except TypeError:
+        eps_grid = (float(epsilon),)
+    if not eps_grid:
+        raise ValidationError("epsilon needs at least one threshold", field="epsilon")
+    for e in eps_grid:
+        if not 0.0 < e < 1.0:
+            raise ValidationError("epsilon must lie in (0, 1)", field="epsilon")
     rce = law.is_rce()
     if not rce:
         raise TheoryRefusal(
             "projection equivalence holds under row-column exchangeability only",
             rce_reason=rce.reason,
         )
-    try:
-        eps_grid = tuple(sorted({float(e) for e in epsilon}, reverse=True))
-    except TypeError:
-        eps_grid = (float(epsilon),)
-    for e in eps_grid:
-        if not 0.0 < e < 1.0:
-            raise ValidationError("epsilon must lie in (0, 1)", field="epsilon")
     states = state_count(n, k)
     if states > state_budget:
         raise BudgetRefusal(
@@ -135,7 +142,13 @@ def projected_mixing_equivalence(
         )
 
     kernel = exact_kernel(law, n)
-    pi = stationary_distribution(kernel)
+    try:
+        pi = stationary_distribution(kernel)
+    except ValidationError as e:
+        raise TheoryRefusal(
+            "projection equivalence needs a unique, certified stationary law "
+            "of the labeled chain", stationary=str(e),
+        ) from None
     labels, reps = projection_classes(n, k)
     lumped = lumped_kernel(kernel, labels)
     pi_proj = np.bincount(labels, weights=pi, minlength=len(reps))
@@ -144,11 +157,8 @@ def projected_mixing_equivalence(
     profile: list[tuple[int, float, float]] = []
     t_lab: dict[float, int | None] = {e: None for e in eps_grid}
     t_proj: dict[float, int | None] = {e: None for e in eps_grid}
-    power = np.eye(states)
-    power_proj = np.eye(len(reps))
+    power, power_proj = kernel, lumped
     for m in range(1, m_max + 1):
-        power = power @ kernel
-        power_proj = power_proj @ lumped
         tv_lab = _worst_tv(power, pi)
         tv_pr = _worst_tv(power_proj, pi_proj)
         profile.append((m, tv_lab, tv_pr))
@@ -161,6 +171,8 @@ def projected_mixing_equivalence(
                 t_proj[e] = m
         if all(t_lab[e] is not None and t_proj[e] is not None for e in eps_grid):
             break
+        power = power @ kernel
+        power_proj = power_proj @ lumped
     else:
         flags.append(f"profile truncated at m_max={m_max} before all crossings")
 

@@ -4,6 +4,14 @@ Enumerates all k^n colorings, builds one-step transition kernels for finitely
 supported paintbox laws, and lumps kernels onto unlabeled (color-permutation)
 classes. Everything here is dense linear algebra, so callers must keep k^n
 within a few thousand states.
+
+Given the paintbox s, the n coordinates jump independently, so the kernel is
+the n-fold Kronecker power of s^T. The stationary law comes from one LU
+solve of pi (K - I) = 0 with one equation swapped for sum(pi) = 1, and is
+certified twice: the state with the most mass must be reachable from every
+state on the support graph K > 0 (so the chain has exactly one closed class
+and the law is unique), and pi K must equal pi to within a residual
+tolerance.
 """
 
 from __future__ import annotations
@@ -19,14 +27,19 @@ def state_count(n: int, k: int) -> int:
     return k**n
 
 
-def words(n: int, k: int) -> np.ndarray:
-    """All colorings as an (k^n, n) array of 0-based color words, in
-    lexicographic order (site 1 is the most significant digit)."""
+def _enumerable(n: int, k: int) -> int:
     if n < 1 or k < 1:
         raise ValidationError("need n >= 1 and k >= 1")
     total = k**n
     if total > 1 << 20:
         raise ValidationError(f"k^n = {total} is too large to enumerate")
+    return total
+
+
+def words(n: int, k: int) -> np.ndarray:
+    """All colorings as an (k^n, n) array of 0-based color words, in
+    lexicographic order (site 1 is the most significant digit)."""
+    total = _enumerable(n, k)
     idx = np.arange(total)
     out = np.empty((total, n), dtype=np.int64)
     for i in range(n - 1, -1, -1):
@@ -50,14 +63,16 @@ def state_index(x: Coloring) -> int:
 def product_kernel_given_S(s, n: int) -> np.ndarray:
     """K[x, y] = prod_i s[y_i, x_i]: the one-step kernel of n coordinates
     jumping independently through the column of their current color. Both
-    chain constructions share this conditional kernel given the paintbox."""
+    chain constructions share this conditional kernel given the paintbox.
+
+    Site 1 is the most significant digit of a state index, so K is the
+    Kronecker power s^T (x) ... (x) s^T, built from site 1 on; each entry is
+    the product over sites taken in site order."""
     entries = np.asarray(getattr(s, "entries", s), dtype=float)
-    k = entries.shape[0]
-    w = words(n, k)
-    total = w.shape[0]
-    kernel = np.ones((total, total))
-    for i in range(n):
-        kernel *= entries[w[None, :, i], w[:, None, i]]
+    _enumerable(n, entries.shape[0])
+    kernel = np.ones((1, 1))
+    for _ in range(n):
+        kernel = np.kron(kernel, entries.T)
     return kernel
 
 
@@ -92,22 +107,46 @@ def kernel_power(kernel: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def stationary_distribution(kernel: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Left eigenvector for eigenvalue 1, normalized to a probability vector.
+def _reaches_all(support: np.ndarray, r: int) -> bool:
+    """Whether state r can be reached from every state along support[x, y]
+    (backward breadth-first search)."""
+    reached = np.zeros(support.shape[0], dtype=bool)
+    reached[r] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = support[:, frontier].any(axis=1) & ~reached
+        reached |= frontier
+    return bool(reached.all())
 
-    Raises if the eigenvalue-1 eigenspace is not one-dimensional (the chain
-    is not ergodic on the full space).
+
+def stationary_distribution(kernel: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """The stationary law pi = pi K, normalized to a probability vector.
+
+    The columns of K^T - I sum to zero, so one equation of (K^T - I) pi = 0
+    is redundant and is replaced by sum(pi) = 1; the system is nonsingular
+    exactly when the chain has one closed class. Raises if the law is not
+    unique (a singular solve, or a state with the most mass that some state
+    cannot reach) or if the solve fails its residual check.
     """
-    vals, vecs = np.linalg.eig(kernel.T)
-    close = np.where(np.abs(vals - 1.0) < 1e-8)[0]
-    if len(close) != 1:
+    total = kernel.shape[0]
+    system = kernel.T - np.eye(total)
+    system[-1] = 1.0
+    rhs = np.zeros(total)
+    rhs[-1] = 1.0
+    try:
+        pi = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
         raise ValidationError(
-            f"kernel has {len(close)} unit eigenvalues; stationary law not unique"
+            "stationary system is singular: stationary law not unique"
+        ) from None
+    r = int(np.argmax(pi))
+    if not _reaches_all(kernel > 0, r):
+        raise ValidationError(
+            f"state {r} is not reachable from every state: stationary law not unique"
         )
-    pi = np.real(vecs[:, close[0]])
-    pi = np.clip(pi / pi.sum(), 0.0, None)
+    pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    if np.max(np.abs(pi @ kernel - pi)) > tol:
+    if not np.max(np.abs(pi @ kernel - pi)) <= tol:  # a NaN residual fails too
         raise ValidationError("stationary solve failed its residual check")
     return pi
 

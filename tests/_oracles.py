@@ -72,6 +72,18 @@ def product_step_kernel(s: np.ndarray, n: int) -> np.ndarray:
     return kernel
 
 
+def eig_stationary(kernel: np.ndarray) -> np.ndarray:
+    """Stationary law from a general eigensolve of K^T: the eigenvector of
+    the only eigenvalue within 1e-8 of 1, normalized to sum 1."""
+    vals, vecs = np.linalg.eig(np.asarray(kernel, dtype=float).T)
+    close = np.where(np.abs(vals - 1.0) < 1e-8)[0]
+    if len(close) != 1:
+        raise ValueError(f"kernel has {len(close)} unit eigenvalues")
+    pi = np.real(vecs[:, close[0]])
+    pi = np.clip(pi / pi.sum(), 0.0, None)
+    return pi / pi.sum()
+
+
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 

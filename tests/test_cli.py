@@ -271,6 +271,33 @@ def test_project_non_rce_exit_3(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "theory_gate"
 
 
+def test_project_non_ergodic_exit_3(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"law": {"kind": "permutation_mix", "k": 2}})
+    rc, out, err = run_cli(capsys, ["project", "--config", cfg, "--n", "3", "--k", "2"])
+    assert rc == 3
+    assert out == ""
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "theory_gate"
+    assert "stationary law" in diag["reason"]
+
+
+@pytest.mark.parametrize(
+    "settings,field",
+    [
+        ({"epsilon": []}, "epsilon"),
+        ({"m_max": -3}, "m_max"),
+        ({"m_max": 0}, "m_max"),
+        ({"n": 0}, "n"),
+    ],
+)
+def test_project_malformed_settings_exit_2(capsys, tmp_path, settings, field):
+    cfg = write_config(tmp_path, {"law": RCE_LAW, "n": 4, "k": 2, **settings})
+    rc, out, err = run_cli(capsys, ["project", "--config", cfg])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == field
+
+
 def test_out_file_redirects_stdout(capsys, tmp_path):
     cfg = write_config(tmp_path, {"law": ATOMIC_LAW})
     target = tmp_path / "run.json"

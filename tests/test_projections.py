@@ -203,6 +203,32 @@ def test_equivalence_refuses_non_rce():
         projected_mixing_equivalence(Atomic([RCE_BASE], [1.0]), 4, 2)
 
 
+def test_equivalence_refuses_non_ergodic_rce_law():
+    # the uniform color swap is row-column exchangeable, but each word only
+    # ever meets its mirror: four closed classes at n = 3
+    law = PermutationMix(2)
+    assert law.is_rce().value is True
+    with pytest.raises(TheoryRefusal) as exc:
+        projected_mixing_equivalence(law, 3, 2)
+    assert "unique" in exc.value.details["stationary"]
+
+
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"n": 0}, "n"),
+        ({"m_max": 0}, "m_max"),
+        ({"m_max": -3}, "m_max"),
+        ({"epsilon": ()}, "epsilon"),
+    ],
+)
+def test_equivalence_malformed_settings_name_their_field(kwargs, field):
+    args = {"law": orbit_closure_law(RCE_BASE), "n": 4, "k": 2, **kwargs}
+    with pytest.raises(ValidationError) as exc:
+        projected_mixing_equivalence(**args)
+    assert exc.value.field == field
+
+
 def test_equivalence_validation_and_budget():
     law = orbit_closure_law(RCE_BASE)
     with pytest.raises(ValidationError):

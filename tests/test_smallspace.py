@@ -1,6 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from _oracles import eig_stationary, product_step_kernel
 from cutpaste.errors import TheoryRefusal, ValidationError
 from cutpaste.paintbox import Atomic, DirichletColumns, PermutationMix, StochasticMatrix
 from cutpaste.partitions import Coloring
@@ -85,6 +91,120 @@ def test_stationary_distribution_rejects_reducible():
     kernel = exact_kernel(law, 2)
     with pytest.raises(ValidationError):
         stationary_distribution(kernel)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_product_kernel_bit_identical_to_site_loop(k, n):
+    gen = np.random.default_rng(100 * k + n)
+    m = gen.random((k, k)) + 0.05
+    s = m / m.sum(axis=0)
+    assert np.array_equal(product_kernel_given_S(s, n), product_step_kernel(s, n))
+
+
+def permuted_identity_blend(k: int, gamma: float) -> Atomic:
+    """Uniform mixture of (1 - gamma) P + gamma J / k over the permutation
+    matrices P (row-column exchangeable)."""
+    atoms = []
+    for perm in itertools.permutations(range(k)):
+        atom = np.full((k, k), gamma / k)
+        atom[list(perm), list(range(k))] += 1.0 - gamma
+        atoms.append(atom)
+    return Atomic(atoms, [1.0 / len(atoms)] * len(atoms))
+
+
+def _random_positive_kernel(gen, size):
+    m = gen.random((size, size)) + 1e-3
+    return m / m.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        *(_random_positive_kernel(np.random.default_rng(seed), size)
+          for seed, size in [(1, 1), (2, 2), (3, 5), (4, 17), (5, 64), (6, 243)]),
+        exact_kernel(permuted_identity_blend(3, 0.2), 6),
+        np.array([[0.0, 1.0], [0.0, 1.0]]),  # one transient state
+    ],
+    ids=["pos1", "pos2", "pos5", "pos17", "pos64", "pos243", "blend_k3_n6", "transient"],
+)
+def test_stationary_distribution_matches_eig_oracle(kernel):
+    pi = stationary_distribution(kernel)
+    assert np.max(np.abs(pi - eig_stationary(kernel))) < 1e-12
+
+
+def test_stationary_distribution_keeps_transient_states_at_zero():
+    pi = stationary_distribution(np.array([[0.0, 1.0], [0.0, 1.0]]))
+    assert pi.tolist() == [0.0, 1.0]
+
+
+def test_stationary_distribution_refuses_identity():
+    with pytest.raises(ValidationError, match="not unique"):
+        stationary_distribution(np.eye(4))
+
+
+def test_stationary_distribution_refuses_two_closed_classes():
+    # state 0 feeds the closed classes {1, 2} and {3, 4}; the solve itself
+    # goes through and returns a stationary law of one class, so only the
+    # reachability check can refuse it
+    kernel = np.zeros((5, 5))
+    kernel[0] = [0.2, 0.3, 0.1, 0.4, 0.0]
+    kernel[1:3, 1:3] = [[0.3, 0.7], [0.6, 0.4]]
+    kernel[3:, 3:] = [[0.1, 0.9], [0.55, 0.45]]
+    with pytest.raises(ValidationError, match="not reachable"):
+        stationary_distribution(kernel)
+    # two classes with no transient state make the solve singular
+    with pytest.raises(ValidationError, match="not unique"):
+        stationary_distribution(kernel[1:, 1:])
+
+
+def _closed_classes(kernel: np.ndarray) -> int:
+    """Number of closed communicating classes, from the transitive closure
+    of the support graph."""
+    size = kernel.shape[0]
+    reach = (kernel > 0) | np.eye(size, dtype=bool)
+    for _ in range(size):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    closed = [i for i in range(size) if reach[np.flatnonzero(reach[i]), i].all()]
+    return len({tuple(reach[i]) for i in closed})
+
+
+def _stochastic(zeros: bool):
+    entry = st.floats(0.01, 1.0)
+    if zeros:
+        entry = st.one_of(st.just(0.0), entry)
+    return st.integers(1, 6).flatmap(
+        lambda size: arrays(float, (size, size), elements=entry)
+    ).map(_normalize_rows)
+
+
+def _normalize_rows(m: np.ndarray) -> np.ndarray:
+    m = m.copy()
+    empty = m.sum(axis=1) == 0
+    m[empty, empty] = 1.0  # an all-zero row becomes absorbing
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def _assert_stationary(pi: np.ndarray, kernel: np.ndarray) -> None:
+    assert np.all(pi >= 0.0)
+    assert abs(pi.sum() - 1.0) < 1e-12
+    assert np.max(np.abs(pi @ kernel - pi)) <= 1e-10
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_stochastic(zeros=False))
+def test_stationary_distribution_property_positive(kernel):
+    _assert_stationary(stationary_distribution(kernel), kernel)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_stochastic(zeros=True))
+def test_stationary_distribution_property_answers_iff_one_closed_class(kernel):
+    if _closed_classes(kernel) == 1:
+        _assert_stationary(stationary_distribution(kernel), kernel)
+    else:
+        with pytest.raises(ValidationError):
+            stationary_distribution(kernel)
 
 
 def test_canonical_relabel_and_classes():
