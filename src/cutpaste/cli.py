@@ -6,6 +6,11 @@ reductions are index-ordered. Malformed input exits 2 with a field-level
 diagnostic; a precondition gate that declines to run (theory hypothesis,
 enumeration budget, inconclusive certification) exits 3 with a
 machine-readable reason.
+
+Every command's settings are declared once, in COMMANDS: each key maps to
+the reader that converts its value and to its default. The parser's flags
+and the accepted config keys both come from that table, and a flag value
+goes through the same reader as a config value.
 """
 
 from __future__ import annotations
@@ -71,11 +76,15 @@ def _emit_json(command: str, config: dict, result, out: str | None) -> None:
     _write_text(json.dumps(doc, sort_keys=True, indent=2, default=_coerce) + "\n", out)
 
 
-def _emit_csv(rows, out: str | None) -> None:
+def _emit_csv(n: int, seed: int, estimates, out: str | None) -> None:
+    """One TV_CSV_FIELDS row per (horizon, TVEstimate) pair."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=TV_CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TV_CSV_FIELDS)
+    writer.writerows(
+        (n, m, est.value, est.kind, est.mc_std_error, est.replicates, seed)
+        for m, est in estimates
+    )
     _write_text(buf.getvalue(), out)
 
 
@@ -96,209 +105,154 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _setting(args, cfg: dict, key: str, default=None, kind=None):
-    """The flag if given, else the config value, converted by kind (int or
-    float) when one is named; default when neither is set."""
-    v = getattr(args, key.replace("-", "_"), None)
-    if v is None:
-        v = cfg.get(key)
-    if v is None:
-        return default
-    return v if kind is None else coerce(v, kind, key)
+# A reader converts one setting, given as flag text or as a JSON value, and
+# raises ValidationError naming the setting when it cannot. A setting whose
+# default is REQUIRED must be given.
+REQUIRED = object()
 
 
-def _flag(args, cfg: dict, key: str) -> bool:
-    """The store_true flag if given, else a JSON true/false from the config;
-    a JSON null counts as unset."""
-    if getattr(args, key, False):
-        return True
-    v = cfg.get(key)
-    if v is None or isinstance(v, bool):
-        return bool(v)
-    raise ValidationError(f"{key} must be true or false, got {v!r}", field=key)
+def _int(v, key):
+    return coerce(v, int, key)
 
 
-def _require(value, key: str):
-    if value is None:
-        raise ValidationError(f"missing required setting {key!r}", field=key)
-    return value
+def _float(v, key):
+    return coerce(v, float, key)
 
 
-def _law(cfg: dict):
-    if "law" not in cfg:
-        raise ValidationError("config must define a 'law' object", field="law")
-    return law_from_config(cfg["law"])
+def _text(v, key):
+    return str(v)
 
 
-def _pair(name: str, n: int, k: int, color_a: int, color_b: int):
-    if name == "constant":
-        return make_constant_pair(n, k, color_a, color_b)
-    if name == "block":
-        return make_test_pair(n, k)
-    raise ValidationError(f"unknown pair design {name!r}", field="pair")
+def _bool(v, key):
+    if not isinstance(v, bool):
+        raise ValidationError(f"{key} must be true or false, got {v!r}", field=key)
+    return v
 
 
-def _list(text, kind, key: str) -> list:
-    """A JSON list or a comma list, each entry converted by kind."""
-    if not isinstance(text, (list, tuple)):
-        text = [p for p in str(text).split(",") if p != ""]
-    return [coerce(v, kind, key) for v in text]
+def _law(v, key):
+    return law_from_config(v)
 
 
-def _cmd_simulate(args) -> None:
+def _list_of(kind):
+    """A reader for a JSON list or a comma list, each entry converted by kind."""
+    def read(v, key):
+        if not isinstance(v, list):
+            v = [p for p in str(v).split(",") if p != ""]
+        return [coerce(x, kind, key) for x in v]
+    return read
+
+
+def _one_of(what: str, *names: str):
+    """A reader that accepts one of the given names."""
+    def read(v, key):
+        if v not in names:
+            raise ValidationError(f"unknown {what} {v!r}", field=key)
+        return v
+    return read
+
+
+def _law_k(values: dict) -> int:
+    return values["law"].k
+
+
+def _missing(key: str) -> ValidationError:
+    return ValidationError(f"missing required setting {key!r}", field=key)
+
+
+def _settings(args, table: dict) -> dict:
+    """Every setting of the table, in table order: the flag if given, else
+    the config value (a JSON null counts as unset), converted by the
+    setting's reader; else its default, which may be computed from the
+    settings before it. A config key outside the table is malformed input."""
     cfg = _load_config(args)
-    law = _law(cfg)
-    n = _require(_setting(args, cfg, "n", kind=int), "n")
-    steps = _require(_setting(args, cfg, "steps", kind=int), "steps")
-    seed = _setting(args, cfg, "seed", 0, int)
-    thin = _setting(args, cfg, "thin", 0, int)
-    construction = _setting(args, cfg, "construction", "matrix")
-    x0_text = _setting(args, cfg, "x0")
-    if x0_text is not None:
-        x0 = Coloring.from_string(str(x0_text), law.k)
+    for key in cfg:
+        if key not in table:
+            raise ValidationError(f"unknown setting {key!r}", field=key)
+    values = {}
+    for key, (read, default) in table.items():
+        v = getattr(args, key, None)
+        if v is None:
+            v = cfg.get(key)
+        if v is not None:
+            values[key] = read(v, key)
+        elif default is REQUIRED:
+            raise _missing(key)
+        else:
+            values[key] = default(values) if callable(default) else default
+    return values
+
+
+def _echo(s: dict) -> dict:
+    """The settings a run used, as the output's config: unset ones left
+    out, and the law shown as its own config."""
+    return {k: v.config() if k == "law" else v for k, v in s.items() if v is not None}
+
+
+def _cmd_simulate(s, out) -> None:
+    law = s["law"]
+    x0_color = s.pop("x0_color")
+    if s["x0"] is not None:
+        x0 = Coloring.from_string(s["x0"], law.k)
     else:
-        x0 = Coloring.constant(n, law.k, _setting(args, cfg, "x0_color", 1, int))
-    if construction == "matrix":
-        run = run_efcp_matrix(law, x0, steps, seed, thin=thin)
-    elif construction == "coordinate":
-        run = run_efcp_coordinate(law, x0, steps, seed, thin=thin)
-    else:
-        raise ValidationError(f"unknown construction {construction!r}", field="construction")
-    resolved = {
-        "law": law.config(), "n": n, "steps": steps, "seed": seed,
-        "thin": thin, "construction": construction, "x0": x0.to_string(),
-    }
+        x0 = Coloring.constant(s["n"], law.k, x0_color)
+    run_efcp = run_efcp_matrix if s["construction"] == "matrix" else run_efcp_coordinate
+    run = run_efcp(law, x0, s["steps"], s["seed"], thin=s["thin"])
+    s["x0"] = x0.to_string()
     result = {
         "final": run.final.to_string(),
         "trajectory": [
-            {"step": s, "word": x.to_string()}
-            for s, x in zip(run.recorded_steps, run.trajectory, strict=True)
+            {"step": t, "word": x.to_string()}
+            for t, x in zip(run.recorded_steps, run.trajectory, strict=True)
         ],
     }
-    _emit_json("simulate", resolved, result, args.out)
+    _emit_json("simulate", _echo(s), result, out)
 
 
-def _cmd_lyapunov(args) -> None:
-    cfg = _load_config(args)
-    law = _law(cfg)
-    m = _setting(args, cfg, "m", 2000, int)
-    replicates = _setting(args, cfg, "replicates", 32, int)
-    seed = _setting(args, cfg, "seed", 0, int)
-    est = estimate_lyapunov(law, m, replicates, seed)
-    resolved = {"law": law.config(), "m": m, "replicates": replicates, "seed": seed}
-    _emit_json("lyapunov", resolved, {"kind": "mc_estimate", **est.to_json()}, args.out)
+def _cmd_lyapunov(s, out) -> None:
+    est = estimate_lyapunov(s["law"], s["m"], s["replicates"], s["seed"])
+    _emit_json("lyapunov", _echo(s), {"kind": "mc_estimate", **est.to_json()}, out)
 
 
-def _cmd_collapse(args) -> None:
-    cfg = _load_config(args)
-    law = _law(cfg)
-    m_max = _setting(args, cfg, "m_max", 32, int)
-    replicates = _setting(args, cfg, "replicates", 200, int)
-    delta = _setting(args, cfg, "delta", 1e-6, float)
-    seed = _setting(args, cfg, "seed", 0, int)
-    rep = collapse_diagnostic(law, m_max, replicates, seed, delta)
-    resolved = {
-        "law": law.config(), "m_max": m_max, "replicates": replicates,
-        "delta": delta, "seed": seed,
-    }
-    _emit_json("collapse", resolved, rep.to_json(), args.out)
+def _cmd_collapse(s, out) -> None:
+    rep = collapse_diagnostic(s["law"], s["m_max"], s["replicates"], s["seed"], s["delta"])
+    _emit_json("collapse", _echo(s), rep.to_json(), out)
 
 
-def _estimate_tv(law, method, x0, x1, m, replicates, seed):
-    if method == "exact":
-        return tv_exact_atomic(law, x0, x1, m)
-    if method == "upper":
-        return tv_upper_mc(law, x0, x1, m, replicates, seed)
-    if method == "lower":
-        return tv_lower_mc(law, x0, x1, m, replicates, seed)
-    raise ValidationError(f"unknown tv method {method!r}", field="method")
+def _cmd_tv(s, out) -> None:
+    law, n, method, seed = s["law"], s["n"], s["method"], s["seed"]
+    if s["pair"] == "constant":
+        x0, x1 = make_constant_pair(n, law.k, s["color_a"], s["color_b"])
+    else:
+        x0, x1 = make_test_pair(n, law.k)
+
+    def estimate(m):
+        if method == "exact":
+            return tv_exact_atomic(law, x0, x1, m)
+        tv_mc = tv_upper_mc if method == "upper" else tv_lower_mc
+        return tv_mc(law, x0, x1, m, s["replicates"], seed)
+
+    if s["m_grid"] is not None:
+        _emit_csv(n, seed, [(m, estimate(m)) for m in sorted(set(s["m_grid"]))], out)
+    elif s["m"] is None:
+        raise _missing("m")
+    else:
+        _emit_json("tv", _echo(s), estimate(s["m"]).to_json(), out)
 
 
-def _cmd_tv(args) -> None:
-    cfg = _load_config(args)
-    law = _law(cfg)
-    n = _require(_setting(args, cfg, "n", kind=int), "n")
-    method = _setting(args, cfg, "method", "upper")
-    pair = _setting(args, cfg, "pair", "constant")
-    color_a = _setting(args, cfg, "color_a", 1, int)
-    color_b = _setting(args, cfg, "color_b", 2, int)
-    replicates = _setting(args, cfg, "replicates", 10_000, int)
-    seed = _setting(args, cfg, "seed", 0, int)
-    x0, x1 = _pair(pair, n, law.k, color_a, color_b)
-    grid = _setting(args, cfg, "m_grid")
-    if grid is not None:
-        rows = []
-        for m in sorted(set(_list(grid, int, "m_grid"))):
-            est = _estimate_tv(law, method, x0, x1, m, replicates, seed)
-            rows.append({
-                "n": n, "m": m, "tv_value": est.value, "kind": est.kind,
-                "std_error": est.mc_std_error, "replicates": est.replicates,
-                "seed": seed,
-            })
-        _emit_csv(rows, args.out)
-        return
-    m = _require(_setting(args, cfg, "m", kind=int), "m")
-    est = _estimate_tv(law, method, x0, x1, m, replicates, seed)
-    resolved = {
-        "law": law.config(), "n": n, "m": m, "method": method, "pair": pair,
-        "color_a": color_a, "color_b": color_b, "replicates": replicates,
-        "seed": seed,
-    }
-    _emit_json("tv", resolved, est.to_json(), args.out)
-
-
-def _cmd_mixing_time(args) -> None:
-    cfg = _load_config(args)
-    law = _law(cfg)
-    n = _require(_setting(args, cfg, "n", kind=int), "n")
-    k = _setting(args, cfg, "k", law.k, int)
-    epsilons = _list(_setting(args, cfg, "epsilon", "0.25"), float, "epsilon")
-    method = _setting(args, cfg, "method", "mc_sandwich")
-    replicates = _setting(args, cfg, "replicates", 2000, int)
-    m_max = _setting(args, cfg, "m_max", 4096, int)
-    seed = _setting(args, cfg, "seed", 0, int)
+def _cmd_mixing_time(s, out) -> None:
     prof = mixing_time(
-        law, n, k, tuple(epsilons), method, seed,
-        replicates=replicates, m_max=m_max,
+        s["law"], s["n"], s["k"], tuple(s["epsilon"]), s["method"], s["seed"],
+        replicates=s["replicates"], m_max=s["m_max"],
     )
-    resolved = {
-        "law": law.config(), "n": n, "k": k, "epsilon": epsilons,
-        "method": method, "replicates": replicates, "m_max": m_max, "seed": seed,
-    }
-    _emit_json("mixing-time", resolved, prof.to_json(), args.out)
+    _emit_json("mixing-time", _echo(s), prof.to_json(), out)
 
 
-def _cmd_cutoff(args) -> None:
-    cfg = _load_config(args)
-    law = _law(cfg)
-    k = _setting(args, cfg, "k", law.k, int)
-    n_grid = _list(_require(_setting(args, cfg, "n_grid"), "n_grid"), int, "n_grid")
-    epsilon = _setting(args, cfg, "epsilon", 0.25, float)
-    method = _setting(args, cfg, "method", "mc_sandwich")
-    replicates = _setting(args, cfg, "replicates", 2000, int)
-    m_max = _setting(args, cfg, "m_max", 4096, int)
-    lyapunov_m = _setting(args, cfg, "lyapunov_m", 2000, int)
-    lyapunov_replicates = _setting(args, cfg, "lyapunov_replicates", 32, int)
-    seed = _setting(args, cfg, "seed", 0, int)
+def _cmd_cutoff(s, out) -> None:
     rep = cutoff_experiment(
-        law, k, n_grid, epsilon, seed, method, replicates, m_max,
-        lyapunov_m, lyapunov_replicates,
+        s["law"], s["k"], s["n_grid"], s["epsilon"], s["seed"], s["method"],
+        s["replicates"], s["m_max"], s["lyapunov_m"], s["lyapunov_replicates"],
     )
-    resolved = {
-        "law": law.config(), "k": k, "n_grid": n_grid, "epsilon": epsilon,
-        "method": method, "replicates": replicates, "m_max": m_max,
-        "lyapunov_m": lyapunov_m, "lyapunov_replicates": lyapunov_replicates,
-        "seed": seed,
-    }
-    _emit_json("cutoff", resolved, rep.to_json(), args.out)
-
-
-def _ehrenfest_params(args, cfg) -> EhrenfestParams:
-    n = _require(_setting(args, cfg, "n", kind=int), "n")
-    if _flag(args, cfg, "standard"):
-        return standard_ehrenfest(n)
-    alpha = _require(_setting(args, cfg, "alpha", kind=float), "alpha")
-    return EhrenfestParams(n, alpha)
+    _emit_json("cutoff", _echo(s), rep.to_json(), out)
 
 
 def _default_ehrenfest_grid(params: EhrenfestParams) -> list[int]:
@@ -306,64 +260,97 @@ def _default_ehrenfest_grid(params: EhrenfestParams) -> list[int]:
     return sorted({int(round(c * scale)) for c in (0.25, 0.35, 0.45, 0.5, 0.55, 0.65, 0.75)})
 
 
-def _cmd_ehrenfest(args) -> None:
-    cfg = _load_config(args)
-    seed = _setting(args, cfg, "seed", 0, int)
-    if _flag(args, cfg, "loglog"):
+def _cmd_ehrenfest(s, out) -> None:
+    n, seed, beta = s["n"], s["seed"], s["beta"]
+    if s["loglog"]:
         # the schedule picks its own refresh fraction from n
-        n = _require(_setting(args, cfg, "n", kind=int), "n")
-        beta = _require(_setting(args, cfg, "beta", kind=float), "beta")
-        sched = loglog_schedule(n, beta)
+        if beta is None:
+            raise _missing("beta")
         _emit_json("ehrenfest", {"n": n, "beta": beta, "loglog": True, "seed": seed},
-                   sched.to_json(), args.out)
+                   loglog_schedule(n, beta).to_json(), out)
         return
-    params = _ehrenfest_params(args, cfg)
-    if _flag(args, cfg, "exact"):
-        grid_setting = _setting(args, cfg, "t_grid")
-        grid = sorted(set(_list(grid_setting, int, "t_grid"))) if grid_setting is not None else _default_ehrenfest_grid(params)
-        rows = []
-        for t, est in ehrenfest_tv_profile(params, grid):
-            rows.append({
-                "n": params.n, "m": t, "tv_value": est.value, "kind": est.kind,
-                "std_error": est.mc_std_error, "replicates": est.replicates,
-                "seed": seed,
-            })
-        _emit_csv(rows, args.out)
+    if s["standard"]:
+        params = standard_ehrenfest(n)
+    elif s["alpha"] is None:
+        raise _missing("alpha")
+    else:
+        params = EhrenfestParams(n, s["alpha"])
+    if s["exact"]:
+        grid = _default_ehrenfest_grid(params) if s["t_grid"] is None else sorted(set(s["t_grid"]))
+        _emit_csv(n, seed, ehrenfest_tv_profile(params, grid), out)
         return
-    resolved = {
-        "n": params.n, "alpha": params.alpha, "variant": params.variant,
+    echo = {
+        "n": n, "alpha": params.alpha, "variant": params.variant,
         "batch_size": params.batch_size, "seed": seed,
     }
-    eps = _setting(args, cfg, "mixing_eps", kind=float)
+    eps = s["mixing_eps"]
     if eps is not None:
-        t_mix = ehrenfest_mixing_time(params, eps)
-        _emit_json("ehrenfest", {**resolved, "mixing_eps": eps},
-                   {"t_mix": t_mix, "kind": "exact"}, args.out)
+        _emit_json("ehrenfest", {**echo, "mixing_eps": eps},
+                   {"t_mix": ehrenfest_mixing_time(params, eps), "kind": "exact"}, out)
         return
-    t = _setting(args, cfg, "t")
-    beta = _setting(args, cfg, "beta")
-    bounds = ehrenfest_bounds(params, _setting(args, cfg, "t", kind=float), _setting(args, cfg, "beta", kind=float))
-    _emit_json("ehrenfest", {**resolved, "t": t, "beta": beta},
-               {"kind": "bounds", **bounds.to_json()}, args.out)
+    bounds = ehrenfest_bounds(params, s["t"], beta)
+    _emit_json("ehrenfest", {**echo, "t": s["t"], "beta": beta},
+               {"kind": "bounds", **bounds.to_json()}, out)
 
 
-def _cmd_project(args) -> None:
-    cfg = _load_config(args)
-    law = _law(cfg)
-    n = _require(_setting(args, cfg, "n", kind=int), "n")
-    k = _setting(args, cfg, "k", law.k, int)
-    epsilons = _list(_setting(args, cfg, "epsilon", "0.5,0.25"), float, "epsilon")
-    state_budget = _setting(args, cfg, "state_budget", 4096, int)
-    m_max = _setting(args, cfg, "m_max", 512, int)
-    seed = _setting(args, cfg, "seed", 0, int)
+def _cmd_project(s, out) -> None:
     rep = projected_mixing_equivalence(
-        law, n, k, tuple(epsilons), seed, state_budget=state_budget, m_max=m_max
+        s["law"], s["n"], s["k"], tuple(s["epsilon"]), s["seed"],
+        state_budget=s["state_budget"], m_max=s["m_max"],
     )
-    resolved = {
-        "law": law.config(), "n": n, "k": k, "epsilon": epsilons,
-        "state_budget": state_budget, "m_max": m_max, "seed": seed,
-    }
-    _emit_json("project", resolved, rep.to_json(), args.out)
+    _emit_json("project", _echo(s), rep.to_json(), out)
+
+
+_LAW = (_law, REQUIRED)
+_SEED = (_int, 0)
+
+# command: (handler, help, {setting: (reader, default)}). A setting is read
+# from its --flag (store_true for _bool readers) or its config key, except
+# the law, which only a config can hold.
+COMMANDS = {
+    "simulate": (_cmd_simulate, "run one chain and record its trajectory", {
+        "law": _LAW, "n": (_int, REQUIRED), "steps": (_int, REQUIRED), "seed": _SEED,
+        "thin": (_int, 0),
+        "construction": (_one_of("construction", "matrix", "coordinate"), "matrix"),
+        "x0": (_text, None), "x0_color": (_int, 1),
+    }),
+    "lyapunov": (_cmd_lyapunov, "estimate product growth rates", {
+        "law": _LAW, "m": (_int, 2000), "replicates": (_int, 32), "seed": _SEED,
+    }),
+    "collapse": (_cmd_collapse, "sample the simplex-collapse diagnostic", {
+        "law": _LAW, "m_max": (_int, 32), "replicates": (_int, 200),
+        "delta": (_float, 1e-6), "seed": _SEED,
+    }),
+    "tv": (_cmd_tv, "TV estimates between two designed starts", {
+        "law": _LAW, "n": (_int, REQUIRED),
+        "method": (_one_of("tv method", "exact", "upper", "lower"), "upper"),
+        "pair": (_one_of("pair design", "constant", "block"), "constant"),
+        "color_a": (_int, 1), "color_b": (_int, 2), "replicates": (_int, 10_000),
+        "seed": _SEED, "m_grid": (_list_of(int), None), "m": (_int, None),
+    }),
+    "mixing-time": (_cmd_mixing_time, "smallest certified horizon under epsilon", {
+        "law": _LAW, "n": (_int, REQUIRED), "k": (_int, _law_k),
+        "epsilon": (_list_of(float), (0.25,)), "method": (_text, "mc_sandwich"),
+        "replicates": (_int, 2000), "m_max": (_int, 4096), "seed": _SEED,
+    }),
+    "cutoff": (_cmd_cutoff, "mixing horizons across a size grid", {
+        "law": _LAW, "k": (_int, _law_k), "n_grid": (_list_of(int), REQUIRED),
+        "epsilon": (_float, 0.25), "method": (_text, "mc_sandwich"),
+        "replicates": (_int, 2000), "m_max": (_int, 4096), "lyapunov_m": (_int, 2000),
+        "lyapunov_replicates": (_int, 32), "seed": _SEED,
+    }),
+    "ehrenfest": (_cmd_ehrenfest, "batch-refresh chain bounds and exact curves", {
+        "seed": _SEED, "loglog": (_bool, False), "n": (_int, REQUIRED),
+        "beta": (_float, None), "standard": (_bool, False), "alpha": (_float, None),
+        "exact": (_bool, False), "t_grid": (_list_of(int), None),
+        "mixing_eps": (_float, None), "t": (_float, None),
+    }),
+    "project": (_cmd_project, "labeled vs projected mixing equivalence", {
+        "law": _LAW, "n": (_int, REQUIRED), "k": (_int, _law_k),
+        "epsilon": (_list_of(float), (0.5, 0.25)), "state_budget": (_int, 4096),
+        "m_max": (_int, 512), "seed": _SEED,
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,113 +359,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation and analysis of paintbox-driven coloring chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, help_text, table) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="base RNG seed")
         p.add_argument("--out", help="output path (default stdout)")
-
-    p = sub.add_parser("simulate", help="run one chain and record its trajectory")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--thin", type=int)
-    p.add_argument("--construction", choices=("matrix", "coordinate"))
-    p.add_argument("--x0", help="initial coloring as a digit string")
-    p.add_argument("--x0-color", type=int, dest="x0_color")
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("lyapunov", help="estimate product growth rates")
-    common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--replicates", type=int)
-    p.set_defaults(handler=_cmd_lyapunov)
-
-    p = sub.add_parser("collapse", help="sample the simplex-collapse diagnostic")
-    common(p)
-    p.add_argument("--m-max", type=int, dest="m_max")
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--delta", type=float)
-    p.set_defaults(handler=_cmd_collapse)
-
-    p = sub.add_parser("tv", help="TV estimates between two designed starts")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--m-grid", dest="m_grid", help="comma list of horizons; emits CSV")
-    p.add_argument("--method", choices=("exact", "upper", "lower"))
-    p.add_argument("--pair", choices=("constant", "block"))
-    p.add_argument("--color-a", type=int, dest="color_a")
-    p.add_argument("--color-b", type=int, dest="color_b")
-    p.add_argument("--replicates", type=int)
-    p.set_defaults(handler=_cmd_tv)
-
-    p = sub.add_parser("mixing-time", help="smallest certified horizon under epsilon")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--epsilon", help="comma list of thresholds")
-    p.add_argument("--method", choices=("exact_atomic", "mc_sandwich"))
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--m-max", type=int, dest="m_max")
-    p.set_defaults(handler=_cmd_mixing_time)
-
-    p = sub.add_parser("cutoff", help="mixing horizons across a size grid")
-    common(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n-grid", dest="n_grid", help="comma list of sizes")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--method", choices=("exact_atomic", "mc_sandwich"))
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--m-max", type=int, dest="m_max")
-    p.add_argument("--lyapunov-m", type=int, dest="lyapunov_m")
-    p.add_argument("--lyapunov-replicates", type=int, dest="lyapunov_replicates")
-    p.set_defaults(handler=_cmd_cutoff)
-
-    p = sub.add_parser("ehrenfest", help="batch-refresh chain bounds and exact curves")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--standard", action="store_true", help="single-site variant")
-    p.add_argument("--t", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--exact", action="store_true", help="emit the exact TV curve as CSV")
-    p.add_argument("--t-grid", dest="t_grid", help="comma list of horizons for --exact")
-    p.add_argument("--mixing-eps", dest="mixing_eps", type=float)
-    p.add_argument("--loglog", action="store_true", help="evaluate the loglog schedule")
-    p.set_defaults(handler=_cmd_ehrenfest)
-
-    p = sub.add_parser("project", help="labeled vs projected mixing equivalence")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--epsilon", help="comma list of thresholds")
-    p.add_argument("--state-budget", type=int, dest="state_budget")
-    p.add_argument("--m-max", type=int, dest="m_max")
-    p.set_defaults(handler=_cmd_project)
-
+        for key, (read, _) in table.items():
+            if key == "law":
+                continue
+            flag = "--" + key.replace("_", "-")
+            if read is _bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None)
+            else:
+                p.add_argument(flag, dest=key)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _, table = COMMANDS[args.command]
     try:
-        args.handler(args)
+        handler(_settings(args, table), args.out)
+        return 0
     except ValidationError as e:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "error": {"type": "validation", "message": str(e), "field": e.field},
-        }
-        sys.stderr.write(json.dumps(doc, sort_keys=True, default=_coerce) + "\n")
-        return 2
+        error, code = {"type": "validation", "message": str(e), "field": e.field}, 2
     except Refusal as e:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "error": {"type": e.code, "reason": e.reason, "details": e.details},
-        }
-        sys.stderr.write(json.dumps(doc, sort_keys=True, default=_coerce) + "\n")
-        return 3
-    return 0
+        error, code = {"type": e.code, "reason": e.reason, "details": e.details}, 3
+    doc = {"schema_version": SCHEMA_VERSION, "error": error}
+    sys.stderr.write(json.dumps(doc, sort_keys=True, default=_coerce) + "\n")
+    return code
 
 
 if __name__ == "__main__":

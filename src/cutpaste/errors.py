@@ -20,8 +20,13 @@ class ValidationError(ValueError):
 
 def coerce(value, kind, field):
     """kind(value) for a setting read from outside the program: a value that
-    kind rejects is malformed input for the named field."""
+    kind rejects is malformed input for the named field. A boolean is no
+    number, and an int setting takes only an integral number."""
     try:
+        if kind in (int, float) and isinstance(value, bool):
+            raise TypeError
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{field} cannot take the value {value!r}", field=field) from None

@@ -151,36 +151,25 @@ def stationary_distribution(kernel: np.ndarray, tol: float = 1e-10) -> np.ndarra
     return pi
 
 
-def canonical_relabel(word: tuple[int, ...]) -> tuple[int, ...]:
-    """First-occurrence relabeling: color names are replaced by the order in
-    which they first appear, which indexes the orbit under color
-    permutations (the unlabeled partition)."""
-    seen: dict[int, int] = {}
-    out = []
-    for v in word:
-        if v not in seen:
-            seen[v] = len(seen) + 1
-        out.append(seen[v])
-    return tuple(out)
-
-
 def projection_classes(n: int, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Map every state index to its orbit index under color permutations.
 
     Returns (labels, reps) where labels[i] is the orbit of state i and
     reps[c] is the canonical word of orbit c, in order of first appearance.
+    The canonical word renames each color by the rank of its first
+    occurrence (first-occurrence relabeling), which indexes the orbit: the
+    unlabeled partition.
     """
     w = words(n, k)
-    reps: list[tuple[int, ...]] = []
-    where: dict[tuple[int, ...], int] = {}
-    labels = np.empty(w.shape[0], dtype=np.int64)
-    for i, row in enumerate(w):
-        rep = canonical_relabel(tuple(int(v) + 1 for v in row))
-        if rep not in where:
-            where[rep] = len(reps)
-            reps.append(rep)
-        labels[i] = where[rep]
-    return labels, reps
+    hits = w[:, :, None] == np.arange(k)
+    first = np.where(hits.any(axis=1), hits.argmax(axis=1), n)
+    rank = np.argsort(np.argsort(first, axis=1, kind="stable"), axis=1)
+    canon = np.take_along_axis(rank, w, axis=1)
+    # read as a base-k number, a canonical word is its own state index; it
+    # is the smallest word of its orbit, so the sorted indices list the
+    # orbits in order of first appearance
+    firsts, labels = np.unique(canon @ k ** np.arange(n - 1, -1, -1), return_inverse=True)
+    return labels, [tuple(row) for row in (w[firsts] + 1).tolist()]
 
 
 def lumped_kernel(kernel: np.ndarray, labels: np.ndarray, atol: float = 1e-10) -> np.ndarray:

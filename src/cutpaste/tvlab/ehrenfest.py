@@ -177,7 +177,13 @@ def _stationary(k: np.ndarray) -> np.ndarray:
     """Stationary law by Grassmann-Taksar-Heyman elimination: censor the
     states from the top down, dividing by the escape mass below each pivot
     instead of subtracting from one. Count 0 is reachable from every count,
-    so every pivot is positive."""
+    so every pivot is positive.
+
+    The back-substituted pi[m] / pi[0] grows like C(n, m), past the double
+    range near n = 1030, so the prefix is scaled down by 2^-900 whenever an
+    entry passes 2^900. A power-of-two scaling is exact, so wherever the
+    unscaled law was finite the normalised law keeps every bit, except in
+    entries that end up subnormal."""
     g = k.copy()
     for m in range(g.shape[0] - 1, 0, -1):
         g[:m, m] /= g[m, :m].sum()
@@ -186,6 +192,8 @@ def _stationary(k: np.ndarray) -> np.ndarray:
     pi[0] = 1.0
     for m in range(1, g.shape[0]):
         pi[m] = pi[:m] @ g[:m, m]
+        if pi[m] > 2.0**900:
+            pi[: m + 1] = np.ldexp(pi[: m + 1], -900)
     return pi / pi.sum()
 
 

@@ -116,6 +116,8 @@ def mixing_time(
         eps_grid = tuple(sorted({float(e) for e in epsilon}))
     except TypeError:
         eps_grid = (float(epsilon),)
+    if not eps_grid:
+        raise ValidationError("epsilon needs at least one threshold", field="epsilon")
     for e in eps_grid:
         if not 0.0 < e < 1.0:
             raise ValidationError("epsilon must lie in (0, 1)", field="epsilon")

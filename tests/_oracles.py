@@ -84,6 +84,34 @@ def eig_stationary(kernel: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def canonical_relabel(word: tuple[int, ...]) -> tuple[int, ...]:
+    """First-occurrence relabeling: color names are replaced by the order in
+    which they first appear, which indexes the orbit under color
+    permutations (the unlabeled partition)."""
+    seen: dict[int, int] = {}
+    out = []
+    for v in word:
+        if v not in seen:
+            seen[v] = len(seen) + 1
+        out.append(seen[v])
+    return tuple(out)
+
+
+def orbit_classes(n: int, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Orbit index of every state and the canonical word of every orbit, in
+    order of first appearance, one word at a time."""
+    reps: list[tuple[int, ...]] = []
+    where: dict[tuple[int, ...], int] = {}
+    labels = np.empty(k**n, dtype=np.int64)
+    for i, row in enumerate(words_array(n, k)):
+        rep = canonical_relabel(tuple(int(v) + 1 for v in row))
+        if rep not in where:
+            where[rep] = len(reps)
+            reps.append(rep)
+        labels[i] = where[rep]
+    return labels, reps
+
+
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 

@@ -1,10 +1,13 @@
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cutpaste.chains import standard_ehrenfest
-from cutpaste.cli import main
+from cutpaste.cli import COMMANDS, _float, _int, build_parser, main
 from cutpaste.tvlab import ehrenfest_mixing_time, ehrenfest_tv_profile, loglog_schedule
 
 ATOMIC_LAW = {
@@ -49,6 +52,7 @@ def test_simulate_json_deterministic(capsys, tmp_path):
     assert doc["schema_version"] == 1
     assert doc["command"] == "simulate"
     assert doc["config"]["n"] == 6
+    assert set(doc["config"]) == {"law", "n", "steps", "seed", "thin", "construction", "x0"}
     traj = doc["result"]["trajectory"]
     assert traj[0] == {"step": 0, "word": "111111"}
     assert traj[-1]["step"] == 5
@@ -131,6 +135,9 @@ def test_tv_upper_single_m_json(capsys, tmp_path):
     )
     assert rc == 0
     doc = json.loads(out)
+    assert set(doc["config"]) == {
+        "law", "n", "m", "method", "pair", "color_a", "color_b", "replicates", "seed",
+    }
     result = doc["result"]
     assert result["kind"] == "upper_bound"
     assert result["replicates"] == 200
@@ -377,11 +384,24 @@ def test_non_numeric_scalar_settings_exit_2(capsys, tmp_path):
     rc, _, err = run_cli(capsys, ["collapse", "--config", write_config(tmp_path, {"law": law})])
     assert rc == 2
     assert _validation_field(err) == "perms"
-    for key, value in (("n_grid", [64, "big"]), ("epsilon", "tiny"), ("replicates", 1e400)):
+    for key, value in (("n_grid", [64, "big"]), ("epsilon", "tiny"), ("replicates", 1e400),
+                       ("n_grid", [8, 8.5]), ("epsilon", True), ("replicates", True)):
         cfg = write_config(tmp_path, {"law": ATOMIC_LAW, "n_grid": [8], key: value})
         rc, _, err = run_cli(capsys, ["cutoff", "--config", cfg])
         assert rc == 2
         assert _validation_field(err) == key
+    # a boolean is no number, and an int setting takes only integral numbers
+    for value in (2.9, True, False):
+        cfg = write_config(tmp_path, {"law": ATOMIC_LAW, "m": value})
+        rc, _, err = run_cli(capsys, ["lyapunov", "--config", cfg])
+        assert rc == 2
+        assert _validation_field(err) == "m"
+    cfg = write_config(tmp_path, {"law": ATOMIC_LAW, "m": 6, "replicates": 2})
+    want = run_cli(capsys, ["lyapunov", "--config", cfg])
+    assert want[0] == 0
+    for value in (6.0, "6"):
+        cfg = write_config(tmp_path, {"law": ATOMIC_LAW, "m": value, "replicates": 2})
+        assert run_cli(capsys, ["lyapunov", "--config", cfg]) == want
 
 
 def test_ehrenfest_boolean_settings(capsys, tmp_path):
@@ -412,3 +432,151 @@ def test_ehrenfest_exact_refuses_past_the_size_limit(capsys):
     diag = json.loads(err)["error"]
     assert diag["type"] == "budget_exceeded"
     assert diag["details"] == {"n": 2000, "limit": 1100}
+
+
+@pytest.mark.parametrize("n,grid", [("1029", "0,100"), ("1100", "100")])
+def test_ehrenfest_exact_single_site_near_the_size_limit(capsys, n, grid):
+    # the unnormalised stationary law passes the double range near n = 1030
+    argv = ["ehrenfest", "--n", n, "--standard", "--exact", "--t-grid", grid]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0
+    assert err == ""
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[1] for row in rows] == grid.split(",")
+    assert all(row[3] == "exact" and 0.0 <= float(row[2]) <= 1.0 for row in rows)
+    if rows[0][1] == "0":
+        # 1 - 2^-1029 rounds to 1
+        assert rows[0][2] == "1.0"
+
+
+# ----------------------------------------------------- the settings table
+
+# The flags and config keys each command accepts. The law is a config key
+# only; every other setting is also a flag.
+ACCEPTED = {
+    "simulate": "law n steps seed thin construction x0 x0_color",
+    "lyapunov": "law m replicates seed",
+    "collapse": "law m_max replicates delta seed",
+    "tv": "law n m m_grid method pair color_a color_b replicates seed",
+    "mixing-time": "law n k epsilon method replicates m_max seed",
+    "cutoff": "law k n_grid epsilon method replicates m_max lyapunov_m lyapunov_replicates seed",
+    "ehrenfest": "n alpha standard t beta exact t_grid mixing_eps loglog seed",
+    "project": "law n k epsilon state_budget m_max seed",
+}
+
+# A quick, valid run of each command; the tests below change one setting
+# at a time.
+BASE = {
+    "simulate": {"law": ATOMIC_LAW, "n": 4, "steps": 2},
+    "lyapunov": {"law": ATOMIC_LAW, "m": 5, "replicates": 2},
+    "collapse": {"law": ATOMIC_LAW, "m_max": 4, "replicates": 5},
+    "tv": {"law": ATOMIC_LAW, "n": 4, "m": 1, "method": "exact", "replicates": 50},
+    "mixing-time": {"law": ATOMIC_LAW, "n": 4, "method": "exact_atomic", "replicates": 50},
+    "cutoff": {"law": {"kind": "self_similar", "nu": [1.0, 1.0]}, "n_grid": [4, 8],
+               "replicates": 50, "m_max": 8, "lyapunov_m": 5, "lyapunov_replicates": 2},
+    "ehrenfest": {"n": 16, "alpha": 0.25, "t": 3, "beta": 1.0},
+    "project": {"law": RCE_LAW, "n": 3},
+}
+
+# One value per setting that differs from the base run; (command, key)
+# entries win over the shared ones. Whole numbers for float settings check
+# that a config value is converted just as its flag is.
+SAMPLE = {
+    "n": 5, "steps": 3, "seed": 7, "thin": 2, "construction": "coordinate", "x0": "12121",
+    "x0_color": 2, "m": 2, "replicates": 3, "m_max": 6, "delta": 0.001, "pair": "block",
+    "color_a": 2, "color_b": 1, "m_grid": [1, 2], "k": 2, "epsilon": [0.5, 0.3],
+    "n_grid": [4, 6], "lyapunov_m": 6, "lyapunov_replicates": 3, "state_budget": 100,
+    "alpha": 0.5, "t": 4, "beta": 2, "mixing_eps": 0.3, "t_grid": [1, 2],
+    "standard": True, "exact": True, "loglog": True,
+    ("tv", "method"): "upper", ("tv", "n"): 8, ("mixing-time", "method"): "mc_sandwich",
+    ("cutoff", "method"): "mc_sandwich", ("cutoff", "epsilon"): 0.3, ("cutoff", "m_max"): 16,
+}
+
+SETTINGS = [(command, key, read) for command, (_, _, table) in COMMANDS.items()
+            for key, (read, _) in table.items()]
+
+
+def _as_flag(key, value) -> list[str]:
+    flag = "--" + key.replace("_", "-")
+    if value is True:
+        return [flag]
+    return [flag, ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+
+
+def test_settings_table_declares_the_accepted_keys_and_flags():
+    declared = {command: set(table) for command, (_, _, table) in COMMANDS.items()}
+    assert declared == {command: set(keys.split()) for command, keys in ACCEPTED.items()}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(ACCEPTED)
+    for command, keys in ACCEPTED.items():
+        flags = {f for a in sub.choices[command]._actions for f in a.option_strings}
+        want = {"-h", "--help", "--config", "--out"}
+        want |= {"--" + k.replace("_", "-") for k in keys.split() if k != "law"}
+        assert flags == want, command
+
+
+@pytest.mark.parametrize("command,key", [(c, k) for c, k, _ in SETTINGS if k != "law"])
+def test_flag_reads_like_config(capsys, tmp_path, command, key):
+    value = SAMPLE.get((command, key), SAMPLE.get(key))
+    base = {k: v for k, v in BASE[command].items() if k != key}
+    by_config = run_cli(capsys, [command, "--config", write_config(tmp_path, {**base, key: value})])
+    by_flag = run_cli(capsys, [command, "--config", write_config(tmp_path, base, "base.json"),
+                               *_as_flag(key, value)])
+    assert by_config[0] == 0, by_config[2]
+    assert by_flag == by_config
+
+
+@pytest.mark.parametrize("command,key,read", [s for s in SETTINGS if s[2] in (_int, _float)])
+def test_malformed_number_exits_2(capsys, tmp_path, command, key, read):
+    for value in ["x", True] + ([2.5] if read is _int else []):
+        cfg = write_config(tmp_path, {**BASE[command], key: value})
+        rc, out, err = run_cli(capsys, [command, "--config", cfg])
+        assert rc == 2, value
+        assert out == ""
+        assert _validation_field(err) == key
+    rc, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, BASE[command]),
+                                    *_as_flag(key, "x")])
+    assert rc == 2
+    assert _validation_field(err) == key
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("key", ["replicate", "out"])
+def test_unknown_config_key_exits_2(capsys, tmp_path, command, key):
+    cfg = write_config(tmp_path, {**BASE[command], key: 1})
+    rc, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == key
+
+
+@pytest.mark.parametrize("command", ["mixing-time", "project"])
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_empty_epsilon_list_exits_2(capsys, tmp_path, command, how):
+    base = {k: v for k, v in BASE[command].items() if k != "epsilon"}
+    if how == "config":
+        argv = [command, "--config", write_config(tmp_path, {**base, "epsilon": []})]
+    else:
+        argv = [command, "--config", write_config(tmp_path, base), "--epsilon="]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == "epsilon"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_EXAMPLES = [
+    line for line in README.read_text().split("## CLI")[1].split("\n## ")[0].splitlines()
+    if line.startswith("cutpaste ")
+]
+
+
+@pytest.mark.parametrize("line", README_EXAMPLES)
+def test_readme_example_runs(capsys, tmp_path, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, {"law": ATOMIC_LAW}, "law.json")
+    write_config(tmp_path, {"law": {"kind": "self_similar", "nu": [1.0, 1.0]}}, "selfsim.json")
+    write_config(tmp_path, {"law": RCE_LAW}, "rce_law.json")
+    rc, out, err = run_cli(capsys, shlex.split(line)[1:])
+    assert rc == 0, err
+    assert out

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import eig_stationary, product_step_kernel
+from _oracles import canonical_relabel, eig_stationary, orbit_classes, product_step_kernel
 from cutpaste.errors import TheoryRefusal, ValidationError
 from cutpaste.paintbox import Atomic, DirichletColumns, PermutationMix, StochasticMatrix
 from cutpaste.partitions import Coloring
 from cutpaste.smallspace import (
-    canonical_relabel,
     enumerate_colorings,
     exact_kernel,
     kernel_power,
@@ -220,6 +219,17 @@ def test_canonical_relabel_and_classes():
     for i, c in enumerate(enumerate_colorings(3, 2)):
         mirror = Coloring(3, 2, tuple(swapped[v] for v in c.word))
         assert labels[i] == labels[state_index(mirror)]
+
+
+@pytest.mark.parametrize(
+    "n,k", [(1, 1), (1, 3), (2, 2), (3, 3), (4, 2), (5, 3), (6, 3), (4, 5), (8, 2)]
+)
+def test_projection_classes_match_word_by_word_relabeling(n, k):
+    labels, reps = projection_classes(n, k)
+    want_labels, want_reps = orbit_classes(n, k)
+    assert labels.tolist() == want_labels.tolist()
+    assert reps == want_reps
+    assert all(type(v) is int for rep in reps for v in rep)
 
 
 def test_lumped_kernel_row_sums_and_consistency():

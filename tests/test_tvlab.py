@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from cutpaste.tvlab import (
     tv_lower_mc,
     tv_upper_mc,
 )
+from cutpaste.tvlab.ehrenfest import _count_kernel, _stationary
 
 
 def random_stochastic(rng, k):
@@ -615,6 +617,17 @@ def test_ehrenfest_t0_point_mass_vs_stationary():
     for n in (3, 6, 10):
         est = ehrenfest_tv_exact(standard_ehrenfest(n), 0)
         assert abs(est.value - (1.0 - 2.0**-n)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1029, 1100])
+def test_single_site_stationary_law_is_binomial_past_the_double_range(n):
+    # for a = 1 the stationary one-count law is Binomial(n, 1/2); its
+    # unnormalised back-substitution grows like C(n, j), past 2^1024 here
+    pi = _stationary(_count_kernel(n, 1))
+    want = np.array([float(Fraction(math.comb(n, j), 2**n)) for j in range(n + 1)])
+    # the kernel's log-factorial weights round at ulp(log n!) ~ 9e-13
+    # relative, which is about 2e-14 at the binomial mode 0.024
+    assert np.max(np.abs(pi - want)) < 4e-14
 
 
 def test_ehrenfest_profile_monotone_and_consistent():
