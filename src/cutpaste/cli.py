@@ -193,6 +193,8 @@ def _cmd_simulate(s, out) -> None:
     x0_color = s.pop("x0_color")
     if s["x0"] is not None:
         x0 = Coloring.from_string(s["x0"], law.k)
+        if x0.n != s["n"]:
+            raise ValidationError(f"n={s['n']} but x0 has {x0.n} sites", field="n")
     else:
         x0 = Coloring.constant(s["n"], law.k, x0_color)
     run_efcp = run_efcp_matrix if s["construction"] == "matrix" else run_efcp_coordinate

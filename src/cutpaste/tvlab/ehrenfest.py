@@ -73,7 +73,7 @@ def ehrenfest_bounds(params: EhrenfestParams, t: float | None = None, beta: floa
     for the lower bound (the upper bound has no such restriction).
     """
     if t is None and beta is None:
-        raise ValidationError("provide t, beta, or both")
+        raise ValidationError("provide t, beta, or both", field="t")
     n, a = params.n, params.batch_size
     out = {"n": n, "batch_size": a}
     if t is not None:

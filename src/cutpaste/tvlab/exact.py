@@ -8,6 +8,18 @@ multinomial log-pmfs over a stack of cell distributions, as log-factorial
 coefficients plus a matrix product of log-probabilities with the count
 vectors. Exact totals take their half-L1 sums with compensated accumulation
 (fsum); Monte Carlo rows use a plain numpy row sum.
+
+One case has a shortcut: two colors and a single cell where the starts
+differ, which is every Monte Carlo upper bound on the constant pair. There
+the conditional TV is TV(Bin(n, p), Bin(n, q)). Binomials have a monotone
+likelihood ratio, so by Scheffe's identity the TV is F_lo(c) - F_hi(c) at
+the one crossing c of the two pmfs, that is 1 minus the lower tail of the
+larger parameter up to c minus the upper tail of the smaller above c. Both
+tails are summed in a window of O(sqrt(n)) counts around c; Hoeffding's
+inequality bounds the mass left outside it by _TAIL_MASS, far below double
+rounding, so the value stays exact at O(sqrt(n)) cost per replicate. Its
+log-binomial coefficients are rounded once from exact integers, not taken
+as differences of log-factorials.
 """
 
 from __future__ import annotations
@@ -28,6 +40,10 @@ _ELEMENT_BUDGET = 4_000_000
 # stands in for log 0: finite, so a zero count times it is exactly 0, and so
 # negative that any positive count makes the term underflow to probability 0
 _LOG_ZERO = -1e300
+
+# Hoeffding bound on each binomial tail left outside the window of
+# _binomial_tvs
+_TAIL_MASS = 1e-18
 
 _KINDS = ("exact", "upper_bound", "lower_bound")
 
@@ -122,9 +138,23 @@ def _compositions(n: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _log_factorials(n: int) -> np.ndarray:
-    """log(i!) for i = 0..n: the one source of log-binomial and
-    log-multinomial coefficients."""
+    """log(i!) for i = 0..n: the source of the multinomial coefficients of
+    the count-law kernel and of the Ehrenfest hypergeometric weights."""
     out = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, x) for x = 0..n, each rounded once from the exact integer:
+    a difference of log-factorials loses several ulps of log(n!), more than
+    the binomial path's error budget."""
+    out = np.empty(n + 1)
+    c = 1
+    for x in range(n + 1):
+        out[x] = math.log(c)
+        c = c * (n - x) // (x + 1)
     out.setflags(write=False)
     return out
 
@@ -216,10 +246,12 @@ def refinement_cells(x0: Coloring, x0_tilde: Coloring) -> list[tuple[int, int, i
     in x0_tilde, number of sites), ordered by first site occurrence."""
     if x0.n != x0_tilde.n or x0.k != x0_tilde.k:
         raise ValidationError("initial states must share n and k")
-    cells: dict[tuple[int, int], int] = {}
-    for a, b in zip(x0.word, x0_tilde.word):
-        cells[(a, b)] = cells.get((a, b), 0) + 1
-    return [(a, b, cnt) for (a, b), cnt in cells.items()]
+    base = x0.k + 1
+    codes = np.asarray(x0.word) * base + np.asarray(x0_tilde.word)
+    uniq, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return [(int(c // base), int(c % base), int(cnt))
+            for c, cnt in zip(uniq[order], counts[order])]
 
 
 def tv_exact_conditional(qm, x0: Coloring, x0_tilde: Coloring) -> TVEstimate:
@@ -237,13 +269,52 @@ def tv_exact_conditional(qm, x0: Coloring, x0_tilde: Coloring) -> TVEstimate:
     )
 
 
+def _binomial_tvs(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """Row r: TV(Bin(n, p[r]), Bin(n, q[r])), as 1 minus the lower tail of
+    the larger parameter up to the crossing c minus the upper tail of the
+    smaller one above c, both summed over the counts c - h + 1 .. c + h
+    (clipped into 0..n), outside which each tail holds at most _TAIL_MASS."""
+    lo = np.minimum(p, q)
+    hi = np.maximum(p, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_lo, log_hi = np.log(lo), np.log(hi)
+        log1m_lo, log1m_hi = np.log1p(-lo), np.log1p(-hi)
+        # in [n lo - 1, n hi] and below n; NaN when hi = 1 (crossing n - 1)
+        # or lo = hi (any crossing), and fmin takes n - 1 over NaN
+        c = np.floor(n * (log1m_lo - log1m_hi) / (log_hi - log_lo + log1m_lo - log1m_hi))
+    c = np.fmin(c, n - 1).astype(np.int64)
+    # log 0 becomes _LOG_ZERO, as in _count_logpmf, so a zero count times it is 0
+    logs = np.maximum([log_lo, log_hi, log1m_lo, log1m_hi], _LOG_ZERO)
+    log_lo, log_hi, log1m_lo, log1m_hi = logs
+    h = math.ceil(math.sqrt(n * math.log(1.0 / _TAIL_MASS) / 2.0)) + 1
+    w = min(n + 1, 2 * h)
+    log_comb = _log_binomials(n)
+    tails = np.empty(len(c))
+    for rows in _row_chunks(len(c), w):
+        cr = c[rows, None]
+        x = np.clip(cr - h + 1, 0, n + 1 - w) + np.arange(w)
+        below = x <= cr
+        # updated in place to keep the (rows, w) temporaries few
+        logpmf = np.where(below, log_hi[rows, None], log_lo[rows, None])
+        logpmf *= x
+        log1m = np.where(below, log1m_hi[rows, None], log1m_lo[rows, None])
+        log1m *= n - x
+        logpmf += log1m
+        logpmf += log_comb[x]
+        tails[rows] = np.exp(logpmf, out=logpmf).sum(axis=1)
+    return np.where(lo == hi, 0.0, np.clip(1.0 - tails, 0.0, 1.0))
+
+
 def _conditional_tvs(qs: np.ndarray, x0: Coloring, x0_tilde: Coloring) -> np.ndarray:
     """Row r: the exact conditional TV of tv_exact_conditional at the
     composed paintbox qs[r], for an (R, k, k) stack, with numpy row sums.
-    Cells where both starts agree have equal laws and factor out."""
+    Cells where both starts agree have equal laws and factor out; two colors
+    with one differing cell take the binomial shortcut."""
     col_a, col_b, sizes = zip(
         *((a - 1, b - 1, cnt) for a, b, cnt in refinement_cells(x0, x0_tilde) if a != b)
     )
+    if qs.shape[1] == 2 and len(sizes) == 1:
+        return _binomial_tvs(qs[:, 0, col_a[0]], qs[:, 0, col_b[0]], sizes[0])
     values = np.empty(len(qs))
     pairs = _pmf_pairs(qs[:, :, list(col_a)], qs[:, :, list(col_b)], sizes, DEFAULT_ENUMERATION_BUDGET)
     for rows, pmf_p, pmf_q in pairs:

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here is deliberately self-contained (numpy and math only, no
-package imports) so the tests compare two genuinely separate routes to the
-same numbers.
+Everything here is deliberately self-contained (numpy, math, fractions and
+scipy.stats only, no package imports) so the tests compare two genuinely
+separate routes to the same numbers.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+from scipy.stats import binom
 
 
 def words_array(n: int, k: int) -> np.ndarray:
@@ -391,15 +392,29 @@ def conditional_tvs(qs: np.ndarray, x0_word, x1_word) -> np.ndarray:
 
 
 def binomial_tvs(p, q, n: int) -> np.ndarray:
-    """TV(Bin(n, p[r]), Bin(n, q[r])) per row, from the dense pmfs."""
+    """TV(Bin(n, p[r]), Bin(n, q[r])) per row, from the dense pmfs of
+    scipy.stats (computed in log space, so safe at any n)."""
     i = np.arange(n + 1)
-    coef = np.array([float(math.comb(n, j)) for j in i])
-    out = []
-    for pr, qr in zip(p, q):
-        pmf_p = coef * pr**i * (1.0 - pr) ** (n - i)
-        pmf_q = coef * qr**i * (1.0 - qr) ** (n - i)
-        out.append(tv_distance(pmf_p, pmf_q))
-    return np.array(out)
+    pmf_p = binom.pmf(i, n, np.asarray(p, dtype=float)[:, None])
+    pmf_q = binom.pmf(i, n, np.asarray(q, dtype=float)[:, None])
+    return np.array([tv_distance(a, b) for a, b in zip(pmf_p, pmf_q)])
+
+
+def binomial_tv_fraction(p: float, q: float, n: int) -> float:
+    """TV(Bin(n, p), Bin(n, q)) in exact rational arithmetic: a double is
+    an exact rational, so the only rounding is the final conversion."""
+    p, q = Fraction(p), Fraction(q)
+    total = sum(
+        abs(math.comb(n, j) * (p**j * (1 - p) ** (n - j) - q**j * (1 - q) ** (n - j)))
+        for j in range(n + 1)
+    )
+    return float(total / 2)
+
+
+def refinement_cells(x0_word, x1_word) -> list[tuple[int, int, int]]:
+    """(color in x0, color in x1, number of sites) per refinement cell, in
+    order of first site occurrence, one site at a time."""
+    return [(a, b, cnt) for (a, b), cnt in Counter(zip(x0_word, x1_word)).items()]
 
 
 def atomic_tv(atoms, weights, x0_word, x1_word, m: int) -> float:

@@ -81,6 +81,19 @@ def test_simulate_explicit_x0_and_constructions(capsys, tmp_path):
         assert doc["result"]["trajectory"][0]["word"] == "1212"
 
 
+def test_simulate_refuses_n_that_disagrees_with_x0(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"law": ATOMIC_LAW})
+    base = ["simulate", "--config", cfg, "--steps", "1", "--seed", "0", "--x0", "12121"]
+    for n in ("4", "6"):
+        rc, out, err = run_cli(capsys, base + ["--n", n])
+        assert rc == 2
+        assert out == ""
+        assert _validation_field(err) == "n"
+    rc, out, _ = run_cli(capsys, base + ["--n", "5"])
+    assert rc == 0
+    assert json.loads(out)["config"]["n"] == 5
+
+
 def test_missing_setting_exits_2(capsys, tmp_path):
     cfg = write_config(tmp_path, {"law": ATOMIC_LAW})
     rc, out, err = run_cli(capsys, ["simulate", "--config", cfg, "--n", "4"])
@@ -257,6 +270,13 @@ def test_ehrenfest_conflicting_requests_exit_2(capsys):
     rc, _, err = run_cli(capsys, ["ehrenfest", "--n", "16"])
     assert rc == 2
     assert json.loads(err)["error"]["type"] == "validation"
+
+
+def test_ehrenfest_bounds_without_t_or_beta_name_t(capsys):
+    rc, out, err = run_cli(capsys, ["ehrenfest", "--n", "64", "--alpha", "0.25", "--t-grid", "1,2"])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == "t"
 
 
 def test_project_command(capsys, tmp_path):
@@ -482,7 +502,7 @@ BASE = {
 # entries win over the shared ones. Whole numbers for float settings check
 # that a config value is converted just as its flag is.
 SAMPLE = {
-    "n": 5, "steps": 3, "seed": 7, "thin": 2, "construction": "coordinate", "x0": "12121",
+    "n": 5, "steps": 3, "seed": 7, "thin": 2, "construction": "coordinate", "x0": "1212",
     "x0_color": 2, "m": 2, "replicates": 3, "m_max": 6, "delta": 0.001, "pair": "block",
     "color_a": 2, "color_b": 1, "m_grid": [1, 2], "k": 2, "epsilon": [0.5, 0.3],
     "n_grid": [4, 6], "lyapunov_m": 6, "lyapunov_replicates": 3, "state_budget": 100,

@@ -1,16 +1,26 @@
 """The batched count-law kernel against one-at-a-time oracles.
 
-Conditional TVs, atom-sequence mixtures and the binomial case all run
-through one stacked multinomial pmf; each is checked here against a loop
-over replicates or sequences in _oracles.py, to 1e-12.
+Conditional TVs and atom-sequence mixtures run through one stacked
+multinomial pmf; each is checked here against a loop over replicates or
+sequences in _oracles.py, to 1e-12. The binomial case (two colors, one
+differing cell) takes the windowed Scheffe sum of exact._binomial_tvs,
+checked against exact rationals, scipy's pmfs and the dense kernel.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import atomic_tv, binomial_tvs, conditional_tvs
+from _oracles import (
+    atomic_tv,
+    binomial_tv_fraction,
+    binomial_tvs,
+    conditional_tvs,
+    refinement_cells,
+)
 from cutpaste.errors import BudgetRefusal
 from cutpaste.paintbox import Atomic, PointMass, SelfSimilar
 from cutpaste.partitions import Coloring
@@ -93,6 +103,108 @@ def test_binomial_case_matches_dense_oracle(law, n):
     qs = batched_products(law, 2, 200, 3)
     want = binomial_tvs(qs[:, 0, 0], qs[:, 0, 1], n)
     assert np.max(np.abs(exact._conditional_tvs(qs, x, y) - want)) < TOL
+
+
+def _dense_binomial_tvs(p, q, n):
+    """The general multinomial kernel on one cell of n sites, k = 2."""
+    rows_p = exact._joint_pmfs(np.stack([p, 1.0 - p], axis=1)[:, :, None], [n])
+    rows_q = exact._joint_pmfs(np.stack([q, 1.0 - q], axis=1)[:, :, None], [n])
+    return 0.5 * np.abs(rows_p - rows_q).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 40, 64])
+def test_binomial_tvs_match_exact_rationals(n):
+    qs = batched_products(SelfSimilar([1.0, 1.0]), 2, 30, n)
+    p, q = qs[:, 0, 0], qs[:, 0, 1]
+    want = np.array([binomial_tv_fraction(a, b, n) for a, b in zip(p, q)])
+    assert np.max(np.abs(exact._binomial_tvs(p, q, n) - want)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 400, 2048, 4096])
+def test_binomial_tvs_match_log_safe_oracle(n):
+    # the dense kernel's own error sets the bar: a double log-factorial
+    # table rounds at ulp(log n!), 3.6e-12 at n = 4096
+    qs = batched_products(SelfSimilar([1.0, 1.0]), 2, 200, 3)
+    p, q = qs[:, 0, 0], qs[:, 0, 1]
+    want = binomial_tvs(p, q, n)
+    err = np.max(np.abs(exact._binomial_tvs(p, q, n) - want))
+    dense_err = np.max(np.abs(_dense_binomial_tvs(p, q, n) - want))
+    assert err < (1e-12 if n <= 400 else 3e-12)
+    assert err <= dense_err + 1e-15
+
+
+@pytest.mark.parametrize(
+    "p, q, n",
+    [
+        pytest.param(0.0, 1.0, 9, id="both-extremes"),
+        pytest.param(1.0, 0.0, 9, id="both-extremes-swapped"),
+        pytest.param(0.0, 0.3, 9, id="p-zero"),
+        pytest.param(0.7, 1.0, 9, id="q-one"),
+        pytest.param(0.0, 0.0, 9, id="both-zero"),
+        pytest.param(1.0, 1.0, 9, id="both-one"),
+        pytest.param(0.3, 0.3, 9, id="equal"),
+        pytest.param(0.8, 0.35, 12, id="p-above-q"),
+        pytest.param(0.25, 0.6, 1, id="n1"),
+        # unrounded crossings 0.19 and 49.8 of 50
+        pytest.param(1e-4, 0.02, 50, id="crossing-at-0"),
+        pytest.param(0.98, 0.9999, 50, id="crossing-at-n-1"),
+        pytest.param(0.3, 0.3 + 1e-12, 64, id="gap-1e-12"),
+        pytest.param(0.5, 0.5 - 1e-12, 64, id="gap-1e-12-center"),
+    ],
+)
+def test_binomial_tvs_edges_match_exact_rationals(p, q, n):
+    got = exact._binomial_tvs(np.array([p, q]), np.array([q, p]), n)
+    assert got[0] == got[1]
+    want = binomial_tv_fraction(p, q, n)
+    assert abs(got[0] - want) < 1e-14
+    if p == q:
+        assert got[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(0.2, 0.8), (0.45, 0.55), (0.001, 0.999), (0.49, 0.51), (0.03, 0.0301)],
+    ids=["far", "near-center", "extremes", "close", "tiny-p"],
+)
+def test_binomial_tvs_at_large_n_match_log_safe_oracle(p, q):
+    # at n = 4096 the window holds 586 of 4097 counts, so for far-apart
+    # pairs most of both laws' mass lies outside it
+    got = exact._binomial_tvs(np.array([p]), np.array([q]), 4096)
+    assert abs(got[0] - binomial_tvs([p], [q], 4096)[0]) < 3e-12
+
+
+def test_binomial_tvs_clip_the_window_at_both_ends():
+    n = 400
+    p = np.array([0.0, 1e-3, 0.02, 0.98, 0.999, 1.0])
+    q = np.array([0.01, 0.004, 0.05, 0.95, 0.99, 0.97])
+    assert np.max(np.abs(exact._binomial_tvs(p, q, n) - binomial_tvs(p, q, n))) < 1e-12
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(1, 400),
+)
+def test_binomial_tvs_property(p, q, n):
+    pq = exact._binomial_tvs(np.array([p]), np.array([q]), n)[0]
+    qp = exact._binomial_tvs(np.array([q]), np.array([p]), n)[0]
+    assert pq == qp
+    assert 0.0 <= pq <= 1.0
+    dense = _dense_binomial_tvs(np.array([p]), np.array([q]), n)[0]
+    assert abs(pq - dense) < 1e-12
+
+
+def test_refinement_cells_match_site_loop():
+    rng = np.random.default_rng(5)
+    for n, k in [(1, 1), (1, 2), (7, 2), (40, 3), (300, 5), (2048, 2)]:
+        words = rng.integers(1, k + 1, size=(2, n))
+        x, y = (Coloring(n, k, tuple(map(int, w))) for w in words)
+        assert exact.refinement_cells(x, y) == refinement_cells(x.word, y.word)
+    x, y = make_test_pair(24, 3)
+    assert exact.refinement_cells(x, y) == refinement_cells(x.word, y.word)
+    x, y = make_constant_pair(10, 4, 3, 1)
+    assert exact.refinement_cells(x, y) == [(3, 1, 10)]
 
 
 def test_edge_columns_give_exact_extremes():
