@@ -2,10 +2,10 @@
 
 JSON config in, JSON or CSV out, with every output fully determined by
 (config, seed): keys are sorted, no timestamps are emitted, and replicate
-reductions are index-ordered. Malformed input exits 2 with a field-level
-diagnostic; a precondition gate that declines to run (theory hypothesis,
-enumeration budget, inconclusive certification) exits 3 with a
-machine-readable reason.
+reductions are index-ordered. Malformed input, a setting the requested
+mode would not read included, exits 2 with a field-level diagnostic; a
+precondition gate that declines to run (theory hypothesis, enumeration
+budget, inconclusive certification) exits 3 with a machine-readable reason.
 
 Every command's settings are declared once, in COMMANDS: each key maps to
 the reader that converts its value and to its default. The parser's flags
@@ -182,6 +182,14 @@ def _settings(args, table: dict) -> dict:
     return values
 
 
+def _refuse_unused(s: dict, keys, why: str) -> None:
+    """Malformed input: a setting given where the run's mode does not read
+    it, which would otherwise be dropped without a word."""
+    for key in keys:
+        if s[key] is not None:
+            raise ValidationError(f"{key} is not used {why}", field=key)
+
+
 def _echo(s: dict) -> dict:
     """The settings a run used, as the output's config: unset ones left
     out, and the law shown as its own config."""
@@ -234,6 +242,7 @@ def _cmd_tv(s, out) -> None:
         return tv_mc(law, x0, x1, m, s["replicates"], seed)
 
     if s["m_grid"] is not None:
+        _refuse_unused(s, ("m",), "with m_grid")
         _emit_csv(n, seed, [(m, estimate(m)) for m in sorted(set(s["m_grid"]))], out)
     elif s["m"] is None:
         raise _missing("m")
@@ -272,12 +281,14 @@ def _cmd_ehrenfest(s, out) -> None:
                    loglog_schedule(n, beta).to_json(), out)
         return
     if s["standard"]:
+        _refuse_unused(s, ("alpha",), "with standard")
         params = standard_ehrenfest(n)
     elif s["alpha"] is None:
         raise _missing("alpha")
     else:
         params = EhrenfestParams(n, s["alpha"])
     if s["exact"]:
+        _refuse_unused(s, ("mixing_eps", "t", "beta"), "with exact")
         grid = _default_ehrenfest_grid(params) if s["t_grid"] is None else sorted(set(s["t_grid"]))
         _emit_csv(n, seed, ehrenfest_tv_profile(params, grid), out)
         return
@@ -287,9 +298,14 @@ def _cmd_ehrenfest(s, out) -> None:
     }
     eps = s["mixing_eps"]
     if eps is not None:
+        _refuse_unused(s, ("t", "beta"), "with mixing_eps")
+        _refuse_unused(s, ("t_grid",), "without exact")
         _emit_json("ehrenfest", {**echo, "mixing_eps": eps},
                    {"t_mix": ehrenfest_mixing_time(params, eps), "kind": "exact"}, out)
         return
+    if s["t"] is not None or beta is not None:
+        # given neither, the bounds call names the missing t instead
+        _refuse_unused(s, ("t_grid",), "without exact")
     bounds = ehrenfest_bounds(params, s["t"], beta)
     _emit_json("ehrenfest", {**echo, "t": s["t"], "beta": beta},
                {"kind": "bounds", **bounds.to_json()}, out)

@@ -180,16 +180,13 @@ def lumped_kernel(kernel: np.ndarray, labels: np.ndarray, atol: float = 1e-10) -
     the law was not exchangeable enough to project and is reported loudly.
     """
     classes = int(labels.max()) + 1
-    total = kernel.shape[0]
-    mass = np.zeros((total, classes))
-    for c in range(classes):
-        mass[:, c] = kernel[:, labels == c].sum(axis=1)
-    lumped = np.empty((classes, classes))
-    for c in range(classes):
-        rows = mass[labels == c]
-        if np.max(np.abs(rows - rows[0])) > atol:
-            raise ValidationError(
-                f"kernel is not lumpable over class {c}: projected rows disagree"
-            )
-        lumped[c] = rows[0]
+    mass = kernel @ (labels[:, None] == np.arange(classes))
+    # each class's row is its first state's; every state of the class must match
+    lumped = mass[np.unique(labels, return_index=True)[1]]
+    off = np.abs(mass - lumped[labels]) > atol
+    if off.any():
+        c = int(labels[off.any(axis=1)].min())
+        raise ValidationError(
+            f"kernel is not lumpable over class {c}: projected rows disagree"
+        )
     return lumped

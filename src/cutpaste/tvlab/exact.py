@@ -186,10 +186,10 @@ def _joint_pmfs(cols: np.ndarray, sizes) -> np.ndarray:
     return rows
 
 
-def _row_chunks(rows: int, width: int):
+def _row_chunks(rows: int, width: int, budget: int = _ELEMENT_BUDGET):
     """Slices over rows such that a chunk of rows of `width` elements each
-    stays within the element budget."""
-    step = max(1, _ELEMENT_BUDGET // width)
+    stays within `budget` elements."""
+    step = max(1, budget // width)
     for lo in range(0, rows, step):
         yield slice(lo, min(lo + step, rows))
 

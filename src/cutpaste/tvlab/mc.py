@@ -6,6 +6,18 @@ statistic and mixes the projected laws. Replicate r's paintbox sequence is
 assembled from per-step derived streams, so the first m matrices of a run at
 horizon m' > m are identical to the run at horizon m (estimates are pathwise
 consistent across horizons for a fixed seed).
+
+The lower bound never builds a per-replicate pmf. Given a paintbox, the
+block statistic is a sum of k(k-1) independent Binomial(n', p) counts, so its
+discrete Fourier transform on L = k(k-1)n' + 1 points, its support size, is
+the product over the counts of (1 + p (w^f - 1))^n', w = exp(-2 pi i / L)
+(the DFT-CF method for Poisson-binomial laws; Hong, Comput. Stat. Data Anal.
+59, 2013). Nothing wraps around, so no padding is needed; the power is taken
+by repeated squaring. Summing over replicates commutes with the inverse
+transform, so each side's mixed law is one irfft of the summed spectra, and
+each replicate's margin on the separating set is an inner product with the
+set's spectrum (Parseval), one complex matvec per chunk of rows. Chunks hold
+about _SPECTRUM_BUDGET complex entries, so they stay in cache.
 """
 
 from __future__ import annotations
@@ -19,9 +31,12 @@ from ..errors import TheoryRefusal, ValidationError
 from ..paintbox import PaintboxLaw
 from ..partitions import Coloring
 from ..rng import as_stream
-from .exact import TVEstimate, _conditional_tvs, _count_logpmf, _row_chunks
+from .exact import TVEstimate, _conditional_tvs, _row_chunks
 
 DEFAULT_REPLICATES = 10_000
+# complex entries one chunk of lower-bound spectra holds (about 125 rows at
+# n = 1024, k = 2): small enough to stay in cache while it is worked on
+_SPECTRUM_BUDGET = 1 << 15
 
 
 def make_constant_pair(n: int, k: int, i: int = 1, j: int = 2) -> tuple[Coloring, Coloring]:
@@ -86,24 +101,47 @@ def tv_upper_mc(
     return TVEstimate(min(mean, 1.0), "upper_bound", se, replicates)
 
 
-def _statistic_pmfs(qs: np.ndarray, k: int, n_prime: int, tilde: bool) -> np.ndarray:
-    """Law of the summed block statistic given each paintbox in qs.
+def _power(z: np.ndarray, e: int) -> np.ndarray:
+    """z**e entrywise for an integer e >= 1 by repeated squaring, about
+    log2(e) complex multiplies; numpy's complex ** goes through log and exp
+    above small exponents and is far slower. Overwrites z."""
+    while not e & 1:
+        z *= z
+        e >>= 1
+    out = z.copy()
+    e >>= 1
+    while e:
+        z *= z
+        if e & 1:
+            out *= z
+        e >>= 1
+    return out
+
+
+def _statistic_spectra(qs: np.ndarray, k: int, n_prime: int, tilde: bool) -> np.ndarray:
+    """rfft, over the statistic's L = k(k-1)n' + 1 support points, of the
+    summed block statistic's law given each paintbox in qs.
 
     The statistic adds, over every ordered pair (i, j), the number of sites
     of color j in the half-block that starts at i in x0 and at j in
-    x0_tilde. Given the paintbox those counts are independent binomials, so
-    each row is a convolution of k(k-1) binomial pmfs.
+    x0_tilde. Given the paintbox those counts are independent
+    Binomial(n', p) with p = Q[j, i] (x0) or Q[j, j] (x0_tilde), so the
+    spectrum is the n'-th power of the product of (1 + p (w^f - 1)) over
+    the pairs.
     """
     pairs = list(itertools.permutations(range(k), 2))
     length = len(pairs) * n_prime + 1
-    padded = 1 << (length - 1).bit_length()
-    spectrum = np.ones((qs.shape[0], padded // 2 + 1), dtype=complex)
+    # w^f - 1 with w = exp(-2 pi i / L), without cancellation at small f
+    shift = np.expm1(-2j * np.pi / length * np.arange(length // 2 + 1))
+    spectrum = None
     for i, j in pairs:
-        p = qs[:, j, j] if tilde else qs[:, j, i]
-        pmf = np.exp(_count_logpmf(np.stack([p, 1.0 - p], axis=1), n_prime))
-        spectrum *= np.fft.rfft(pmf, padded, axis=1)
-    out = np.fft.irfft(spectrum, padded, axis=1)[:, :length]
-    return np.clip(out, 0.0, None)
+        factor = (qs[:, j, j] if tilde else qs[:, j, i])[:, None] * shift
+        factor += 1.0
+        if spectrum is None:
+            spectrum = factor
+        else:
+            spectrum *= factor
+    return _power(spectrum, n_prime)
 
 
 def tv_lower_mc(
@@ -141,24 +179,40 @@ def tv_lower_mc(
     qs = batched_products(law, m, replicates, seed)
 
     length = k * (k - 1) * n_prime + 1
+    chunks = list(_row_chunks(replicates, length // 2 + 1, _SPECTRUM_BUDGET))
 
-    def chunks():
-        for rows in _row_chunks(replicates, 2 * length):
-            part = qs[rows]
-            yield rows, _statistic_pmfs(part, k, n_prime, False), _statistic_pmfs(part, k, n_prime, True)
+    def spectra(rows):
+        part = qs[rows]
+        return (
+            _statistic_spectra(part, k, n_prime, False),
+            _statistic_spectra(part, k, n_prime, True),
+        )
 
-    mean_p = np.zeros(length)
-    mean_q = np.zeros(length)
-    for _, pmf_p, pmf_q in chunks():
-        mean_p += pmf_p.sum(axis=0)
-        mean_q += pmf_q.sum(axis=0)
-    mean_p /= replicates
-    mean_q /= replicates
+    sum_p = np.zeros(length // 2 + 1, dtype=complex)
+    sum_q = np.zeros_like(sum_p)
+    for rows in chunks:
+        phi_p, phi_q = spectra(rows)
+        sum_p += phi_p.sum(axis=0)
+        sum_q += phi_q.sum(axis=0)
+    mean_p = np.clip(np.fft.irfft(sum_p / replicates, length), 0.0, None)
+    mean_q = np.clip(np.fft.irfft(sum_q / replicates, length), 0.0, None)
     tv_hat = 0.5 * float(np.abs(mean_p - mean_q).sum())
 
+    # Parseval: row r's margin on the set `best` is the sum over all L bins
+    # of D_r(f) conj(B(f)) / L for D_r = phi_p - phi_q and B = rfft(1_best).
+    # L is odd, so every rfft bin but DC stands for itself and its mirror
+    # image, and D_r(0) is exactly 0 (both laws have mass 1, and w^0 - 1 = 0)
     best = mean_p > mean_q
+    dual = np.conj(np.fft.rfft(best.astype(float))) * (2.0 / length)
     margins = np.empty(replicates)
-    for rows, pmf_p, pmf_q in chunks():
-        margins[rows] = pmf_p[:, best].sum(axis=1) - pmf_q[:, best].sum(axis=1)
+    for rows in chunks:
+        phi_p, phi_q = spectra(rows)
+        phi_p -= phi_q
+        # einsum, not BLAS: a one-row matvec takes another kernel, and a
+        # margin must not depend on the chunk its row falls in
+        margins[rows] = np.einsum("rf,f->r", phi_p, dual).real
+    # spread about the first margin: the same value, and exactly 0 when every
+    # replicate has the same paintbox (m = 0)
+    margins -= margins[0]
     se = float(margins.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
     return TVEstimate(max(0.0, tv_hat - 3.0 * se), "lower_bound", se, replicates)

@@ -113,6 +113,23 @@ def orbit_classes(n: int, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     return labels, reps
 
 
+def lumped_kernel_by_class(kernel: np.ndarray, labels: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+    """Kernel lumped onto orbit classes one class at a time: each column
+    block summed with a boolean mask, each class's rows compared with its
+    first row. Raises ValueError naming the first class whose rows differ."""
+    classes = int(labels.max()) + 1
+    mass = np.zeros((kernel.shape[0], classes))
+    for c in range(classes):
+        mass[:, c] = kernel[:, labels == c].sum(axis=1)
+    lumped = np.empty((classes, classes))
+    for c in range(classes):
+        rows = mass[labels == c]
+        if np.max(np.abs(rows - rows[0])) > atol:
+            raise ValueError(f"class {c}")
+        lumped[c] = rows[0]
+    return lumped
+
+
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
@@ -409,6 +426,58 @@ def binomial_tv_fraction(p: float, q: float, n: int) -> float:
         for j in range(n + 1)
     )
     return float(total / 2)
+
+
+def _block_pairs(k: int) -> list[tuple[int, int]]:
+    return list(itertools.permutations(range(k), 2))
+
+
+def block_statistic_pmfs(qs: np.ndarray, k: int, n_prime: int, tilde: bool) -> np.ndarray:
+    """Law of the paired block design's summed count statistic given each
+    composed paintbox q in qs (R, k, k), one row per paintbox: the
+    convolution over ordered color pairs (i, j) of Binomial(n', p) pmfs with
+    p = q[j, i] for x0 and q[j, j] for x0_tilde, as the product of their
+    FFTs on a zero-padded power-of-two grid."""
+    pairs = _block_pairs(k)
+    length = len(pairs) * n_prime + 1
+    padded = 1 << (length - 1).bit_length()
+    spectrum = np.ones((len(qs), padded // 2 + 1), dtype=complex)
+    counts = np.arange(n_prime + 1)
+    for i, j in pairs:
+        p = qs[:, j, j] if tilde else qs[:, j, i]
+        spectrum *= np.fft.rfft(binom.pmf(counts, n_prime, p[:, None]), padded, axis=1)
+    out = np.fft.irfft(spectrum, padded, axis=1)[:, :length]
+    return np.clip(out, 0.0, None)
+
+
+def block_statistic_pmf_fraction(q: np.ndarray, k: int, n_prime: int, tilde: bool) -> np.ndarray:
+    """One row of block_statistic_pmfs in exact rational arithmetic: the
+    binomial pmfs of the exact rationals q holds, convolved term by term."""
+    pmf = [Fraction(1)]
+    for i, j in _block_pairs(k):
+        p = Fraction(float(q[j, j] if tilde else q[j, i]))
+        term = [math.comb(n_prime, x) * p**x * (1 - p) ** (n_prime - x) for x in range(n_prime + 1)]
+        conv = [Fraction(0)] * (len(pmf) + n_prime)
+        for a, u in enumerate(pmf):
+            for b, v in enumerate(term):
+                conv[a + b] += u * v
+        pmf = conv
+    return np.array([float(v) for v in pmf])
+
+
+def tv_lower_reference(qs: np.ndarray, k: int, n_prime: int) -> tuple[float, float]:
+    """(value, standard error) of the block-statistic lower bound from
+    per-row pmfs: the half-L1 distance of the replicate-mean laws less three
+    standard errors (floored at 0), the error taken from each replicate's
+    mass difference on the set where the mean law of x0 is larger."""
+    pmf_p = block_statistic_pmfs(qs, k, n_prime, False)
+    pmf_q = block_statistic_pmfs(qs, k, n_prime, True)
+    mean_p = pmf_p.mean(axis=0)
+    mean_q = pmf_q.mean(axis=0)
+    best = mean_p > mean_q
+    margins = pmf_p[:, best].sum(axis=1) - pmf_q[:, best].sum(axis=1)
+    se = float(margins.std(ddof=1) / math.sqrt(len(qs))) if len(qs) > 1 else 0.0
+    return max(0.0, tv_distance(mean_p, mean_q) - 3.0 * se), se
 
 
 def refinement_cells(x0_word, x1_word) -> list[tuple[int, int, int]]:

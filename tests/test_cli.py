@@ -512,6 +512,16 @@ SAMPLE = {
     ("cutoff", "method"): "mc_sandwich", ("cutoff", "epsilon"): 0.3, ("cutoff", "m_max"): 16,
 }
 
+# A setting that only one mode reads is sampled against a base run in that
+# mode: the command refuses it next to a setting of another mode.
+MODE_BASE = {
+    ("tv", "m_grid"): {"law": ATOMIC_LAW, "n": 4, "method": "exact", "replicates": 50},
+    ("ehrenfest", "standard"): {"n": 16, "t": 3, "beta": 1.0},
+    ("ehrenfest", "exact"): {"n": 16, "alpha": 0.25},
+    ("ehrenfest", "t_grid"): {"n": 16, "alpha": 0.25, "exact": True},
+    ("ehrenfest", "mixing_eps"): {"n": 16, "alpha": 0.25},
+}
+
 SETTINGS = [(command, key, read) for command, (_, _, table) in COMMANDS.items()
             for key, (read, _) in table.items()]
 
@@ -538,7 +548,7 @@ def test_settings_table_declares_the_accepted_keys_and_flags():
 @pytest.mark.parametrize("command,key", [(c, k) for c, k, _ in SETTINGS if k != "law"])
 def test_flag_reads_like_config(capsys, tmp_path, command, key):
     value = SAMPLE.get((command, key), SAMPLE.get(key))
-    base = {k: v for k, v in BASE[command].items() if k != key}
+    base = {k: v for k, v in MODE_BASE.get((command, key), BASE[command]).items() if k != key}
     by_config = run_cli(capsys, [command, "--config", write_config(tmp_path, {**base, key: value})])
     by_flag = run_cli(capsys, [command, "--config", write_config(tmp_path, base, "base.json"),
                                *_as_flag(key, value)])
@@ -582,6 +592,28 @@ def test_empty_epsilon_list_exits_2(capsys, tmp_path, command, how):
     assert rc == 2
     assert out == ""
     assert _validation_field(err) == "epsilon"
+
+
+@pytest.mark.parametrize("command,settings,field", [
+    ("tv", {"law": ATOMIC_LAW, "n": 4, "method": "exact", "m": 1, "m_grid": [1, 2]}, "m"),
+    ("ehrenfest", {"n": 64, "alpha": 0.25, "t": 3, "t_grid": [1, 2]}, "t_grid"),
+    ("ehrenfest", {"n": 64, "alpha": 0.25, "beta": 1.0, "t_grid": [1, 2]}, "t_grid"),
+    ("ehrenfest", {"n": 64, "alpha": 0.25, "mixing_eps": 0.25, "t_grid": [1, 2]}, "t_grid"),
+    ("ehrenfest", {"n": 16, "alpha": 0.25, "exact": True, "mixing_eps": 0.25}, "mixing_eps"),
+    ("ehrenfest", {"n": 16, "standard": True, "alpha": 0.25, "exact": True}, "alpha"),
+    ("ehrenfest", {"n": 16, "alpha": 0.25, "exact": True, "t": 3}, "t"),
+    ("ehrenfest", {"n": 16, "alpha": 0.25, "exact": True, "beta": 1.0}, "beta"),
+    ("ehrenfest", {"n": 16, "alpha": 0.25, "mixing_eps": 0.25, "t": 3}, "t"),
+    ("ehrenfest", {"n": 16, "alpha": 0.25, "mixing_eps": 0.25, "beta": 1.0}, "beta"),
+])
+def test_setting_the_mode_ignores_exits_2(capsys, tmp_path, command, settings, field):
+    rc, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, settings)])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == field
+    # without the ignored setting the same run answers
+    rest = {k: v for k, v in settings.items() if k != field}
+    assert run_cli(capsys, [command, "--config", write_config(tmp_path, rest)])[0] == 0
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

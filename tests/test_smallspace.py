@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import canonical_relabel, eig_stationary, orbit_classes, product_step_kernel
+from _oracles import (
+    canonical_relabel,
+    eig_stationary,
+    lumped_kernel_by_class,
+    orbit_classes,
+    product_step_kernel,
+)
 from cutpaste.errors import TheoryRefusal, ValidationError
 from cutpaste.paintbox import Atomic, DirichletColumns, PermutationMix, StochasticMatrix
 from cutpaste.partitions import Coloring
@@ -246,6 +252,45 @@ def test_lumped_kernel_row_sums_and_consistency():
     skew = Atomic([StochasticMatrix([[0.9, 0.2], [0.1, 0.8]])], [1.0])
     with pytest.raises(ValidationError):
         lumped_kernel(exact_kernel(skew, 3), labels)
+
+
+def permuted_identity_blend(k: int, gamma: float) -> Atomic:
+    """Uniform mixture of (1 - gamma) P + gamma J / k over all permutation
+    matrices P: exchangeable, so it lumps onto color orbits."""
+    atoms = []
+    for perm in itertools.permutations(range(k)):
+        atom = np.full((k, k), gamma / k)
+        atom[list(perm), range(k)] += 1.0 - gamma
+        atoms.append(atom)
+    return Atomic(atoms, [1.0 / len(atoms)] * len(atoms))
+
+
+@pytest.mark.parametrize(
+    "law,n", [(PermutationMix(2), 6), (PermutationMix(3), 4), (permuted_identity_blend(3, 0.2), 5)]
+)
+def test_lumped_kernel_matches_class_by_class_oracle(law, n):
+    kernel = exact_kernel(law, n)
+    labels, _ = projection_classes(n, law.k)
+    lumped = lumped_kernel(kernel, labels)
+    # one matmul sums each class block in another order than the mask sums
+    assert np.max(np.abs(lumped - lumped_kernel_by_class(kernel, labels))) <= 1e-15
+    assert np.allclose(lumped.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_lumped_kernel_names_the_first_class_that_disagrees():
+    kernel = exact_kernel(permuted_identity_blend(3, 0.2), 4)
+    labels, _ = projection_classes(4, 3)
+    for bad in ([7, 40], [12], [80, 3]):
+        skewed = kernel.copy()
+        for x in bad:
+            # move mass between two target classes of state x only
+            y0, y1 = np.flatnonzero(labels == 0)[0], np.flatnonzero(labels == 1)[0]
+            skewed[x, y0] += 1e-6
+            skewed[x, y1] -= 1e-6
+        with pytest.raises(ValueError) as want:
+            lumped_kernel_by_class(skewed, labels)
+        with pytest.raises(ValidationError, match=f"over {want.value.args[0]}:"):
+            lumped_kernel(skewed, labels)
 
 
 def test_words_budget():

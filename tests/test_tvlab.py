@@ -1,17 +1,21 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from _oracles import (
+    block_statistic_pmf_fraction,
+    block_statistic_pmfs,
     ehrenfest_covering_tvs,
     ehrenfest_exhaustive_kernel,
     ehrenfest_exhaustive_tv,
     ehrenfest_fraction_tvs,
     product_step_kernel,
     tv_distance,
+    tv_lower_reference,
     words_array,
 )
 from cutpaste.chains import EhrenfestParams, standard_ehrenfest
@@ -29,6 +33,7 @@ from cutpaste.tvlab import (
     MixingProfile,
     ProductMultinomialLaw,
     TVEstimate,
+    batched_products,
     coupling_upper,
     cutoff_experiment,
     ehrenfest_bounds,
@@ -47,6 +52,7 @@ from cutpaste.tvlab import (
     tv_upper_mc,
 )
 from cutpaste.tvlab.ehrenfest import _count_kernel, _stationary
+from cutpaste.tvlab.mc import _SPECTRUM_BUDGET, _statistic_spectra
 
 
 def random_stochastic(rng, k):
@@ -378,6 +384,99 @@ def test_tv_lower_point_mass_matches_convolution_oracle():
         est = tv_lower_mc(law, x, y, m, replicates=5, seed=7)
         assert est.mc_std_error < 1e-14
         assert abs(est.value - want) < 1e-10
+
+
+ATOMIC_K2 = Atomic([[[0.9, 0.2], [0.1, 0.8]], [[0.7, 0.05], [0.3, 0.95]]], [0.5, 0.5])
+ATOMIC_K3 = Atomic(
+    [
+        [[0.6, 0.2, 0.1], [0.3, 0.5, 0.2], [0.1, 0.3, 0.7]],
+        [[0.3, 0.1, 0.25], [0.2, 0.7, 0.15], [0.5, 0.2, 0.6]],
+    ],
+    [0.4, 0.6],
+)
+
+
+def assert_lower_matches_reference(law, n_prime, m, replicates, seed):
+    k = law.k
+    x, y = make_test_pair(2 * k * (k - 1) * n_prime, k)
+    est = tv_lower_mc(law, x, y, m, replicates, seed)
+    qs = batched_products(law, m, replicates, seed)
+    value, se = tv_lower_reference(qs, k, n_prime)
+    assert abs(est.value - value) <= 1e-12
+    assert abs(est.mc_std_error - se) <= 1e-12
+    return est
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n_prime", [1, 3, 17, 256])
+def test_tv_lower_matches_per_row_pmf_reference(k, n_prime):
+    # the Dirichlet law draws a fresh paintbox per replicate; the atomic one
+    # keeps the bound well above 0, where it is not floored
+    values = []
+    for law in (SelfSimilar([1.0] * k), ATOMIC_K2 if k == 2 else ATOMIC_K3):
+        for m, replicates in ((1, 50), (2, 97)):
+            values.append(assert_lower_matches_reference(law, n_prime, m, replicates, 11).value)
+    assert max(values) > 0.2
+
+
+@pytest.mark.parametrize("k, n_prime", [(2, 1), (2, 7), (2, 12), (3, 1), (3, 4)])
+def test_statistic_spectra_invert_to_exact_convolutions(k, n_prime):
+    rng = np.random.default_rng(5)
+    qs = np.stack(
+        [random_stochastic(rng, k) for _ in range(4)]
+        + [np.eye(k), np.eye(k)[::-1], np.full((k, k), 1.0 / k)]
+    )
+    length = k * (k - 1) * n_prime + 1
+    for tilde in (False, True):
+        pmfs = np.fft.irfft(_statistic_spectra(qs, k, n_prime, tilde), length, axis=1)
+        for q, pmf in zip(qs, pmfs):
+            want = block_statistic_pmf_fraction(q, k, n_prime, tilde)
+            assert np.max(np.abs(pmf - want)) <= 1e-14
+        assert np.max(np.abs(block_statistic_pmfs(qs, k, n_prime, tilde) - pmfs)) <= 1e-14
+
+
+@pytest.mark.parametrize("k, n_prime", [(2, 1), (2, 256), (3, 17), (3, 1000)])
+def test_tv_lower_m0_is_exactly_one_in_every_chunking(k, n_prime):
+    x, y = make_test_pair(2 * k * (k - 1) * n_prime, k)
+    rows = _SPECTRUM_BUDGET // (k * (k - 1) * n_prime // 2 + 1)
+    for replicates in (1, 2, rows + 1, 2 * rows + 3):
+        est = tv_lower_mc(SelfSimilar([1.0] * k), x, y, m=0, replicates=replicates, seed=0)
+        assert est.value == 1.0
+        assert est.mc_std_error == 0.0
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.3], [0.0, 0.7]]],
+)
+def test_tv_lower_point_mass_with_zero_one_entries(matrix):
+    law = PointMass(matrix)
+    for m in (1, 2):
+        est = assert_lower_matches_reference(law, 5, m, 9, 0)
+        assert est.mc_std_error == 0.0
+
+
+def test_tv_lower_single_replicate_and_ragged_chunks():
+    est = assert_lower_matches_reference(SelfSimilar([1.0, 1.0]), 256, 1, 1, 3)
+    assert est.mc_std_error == 0.0
+    # several chunks, the last one partial
+    rows = _SPECTRUM_BUDGET // (2 * 256 // 2 + 1)
+    assert_lower_matches_reference(ATOMIC_K2, 256, 3, 3 * rows + 11, 3)
+    assert_lower_matches_reference(SelfSimilar([1.0, 1.0]), 256, 1, 3 * rows + 11, 3)
+
+
+def test_tv_lower_peak_memory_stays_small():
+    # numpy reports its buffers to tracemalloc; holding every replicate's
+    # pmf, as a per-row FFT path does, peaks at about 67 MiB here
+    law = SelfSimilar([1.0, 1.0])
+    x, y = make_test_pair(1024, 2)
+    tracemalloc.start()
+    try:
+        tv_lower_mc(law, x, y, m=1, replicates=2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_tv_lower_requires_block_design():
