@@ -4,6 +4,11 @@ Two equivalent constructions of the paintbox-directed chain (whole-step
 partition matrices versus independent per-coordinate jumps), the induced
 chain on the color simplex, the two-color batch-refresh (Ehrenfest) family,
 and the cyclic-shift group chain.
+
+Both paintbox constructions move all sites in one stacked step, with the
+paintboxes and move uniforms of a block of steps drawn at once. The
+streams are read in the same order as one draw per step, so a seed replays
+the same path as a per-step, per-color loop (kept as a test oracle).
 """
 
 from __future__ import annotations
@@ -14,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TheoryRefusal, ValidationError
-from .paintbox import PaintboxLaw, StochasticMatrix, sample_S
+from .paintbox import (
+    PaintboxLaw,
+    StochasticMatrix,
+    _bits_to_mask,
+    _column_stochastic,
+    _mask_to_bits,
+)
 from .partitions import Coloring
 from .rng import RngStream, as_stream
 
@@ -103,6 +114,10 @@ def standard_ehrenfest(n: int) -> EhrenfestParams:
     return EhrenfestParams(n, 1.0 / n, "standard")
 
 
+# most uniforms one block of move draws holds (512 KiB)
+_UNIFORM_BUDGET = 1 << 16
+
+
 def _keep(step: int, thin: int, total: int) -> bool:
     return step == total or (thin > 0 and step % thin == 0)
 
@@ -118,7 +133,14 @@ def _run_efcp(law, x0, m_steps, seed, thin, record_paintbox, paintbox_sequence, 
     """The loop of both constructions: site i moves from its color c to the
     row of column c of S in which its uniform falls. streams names the
     paintbox and the move streams; per_column draws one uniform per site and
-    column, as sample_M_given_S does, and site i reads its color's column."""
+    column, as sample_M_given_S does, and site i reads its color's column.
+
+    Paintboxes and uniforms are drawn a block of steps at a time, which
+    reads each stream in the same order as one draw per step. The new color
+    of a site at color c with uniform u is the number of r < k - 1 with
+    cum[r, c] <= u, cum the column cumsums of S: the row searchsorted would
+    find, since a cumsum of nonnegative entries never decreases and u < 1.
+    That is k - 1 gathers and compares per step over all sites at once."""
     _check_run(law, x0, m_steps)
     stream = as_stream(seed)
     # separate streams for the paintbox draws and the moves, so that
@@ -131,25 +153,36 @@ def _run_efcp(law, x0, m_steps, seed, thin, record_paintbox, paintbox_sequence, 
         seq = [s if isinstance(s, StochasticMatrix) else StochasticMatrix(s) for s in paintbox_sequence]
         if len(seq) < m_steps or any(s.k != k for s in seq[:m_steps]):
             raise ValidationError("paintbox_sequence needs m_steps k x k matrices")
-    sites = np.arange(n)
-    word = np.array(x0.word, dtype=np.int64) - 1
+    width = n * k if per_column else n
+    # site i's uniform for color c sits at i * k + c of a step's draw
+    offsets = np.arange(n) * k if per_column else None
+    block = max(1, _UNIFORM_BUDGET // width)
+    word = np.array(x0.word, dtype=np.intp) - 1
     traj = [x0]
     trace: list[StochasticMatrix] = []
-    for t in range(1, m_steps + 1):
-        s = seq[t - 1] if seq is not None else sample_S(law, gen_s)
-        cum = np.cumsum(s.entries, axis=0)
-        cum[-1, :] = 1.0
-        u = gen_u.random((n, k))[sites, word] if per_column else gen_u.random(n)
-        new = np.empty_like(word)
-        for c in range(k):
-            mask = word == c
-            if mask.any():
-                new[mask] = np.searchsorted(cum[:, c], u[mask], side="right")
-        word = new
+    for lo in range(0, m_steps, block):
+        b = min(block, m_steps - lo)
+        if seq is not None:
+            drawn = seq[lo:lo + b]
+            boxes = np.stack([s.entries for s in drawn])
+        else:
+            raw = law.sample_batch(gen_s, b)
+            boxes = _column_stochastic(raw)
+            # a recorded paintbox is built from its raw draw, as sample_S builds it
+            drawn = [StochasticMatrix(r) for r in raw] if record_paintbox else ()
         if record_paintbox:
-            trace.append(s)
-        if _keep(t, thin, m_steps):
-            traj.append(Coloring(n, k, tuple(int(v) + 1 for v in word)))
+            trace.extend(drawn)
+        cum = np.cumsum(boxes, axis=1)
+        uniforms = gen_u.random((b, width))
+        for j in range(b):
+            u = uniforms[j] if offsets is None else uniforms[j].take(offsets + word)
+            new = np.zeros(n, dtype=np.intp)
+            for r in range(k - 1):
+                new += cum[j, r].take(word) <= u
+            word = new
+            t = lo + j + 1
+            if _keep(t, thin, m_steps):
+                traj.append(Coloring(n, k, tuple((word + 1).tolist())))
     return ChainRun(
         law, x0, m_steps, thin, tuple(traj),
         tuple(trace) if record_paintbox else None, None, stream,
@@ -271,15 +304,15 @@ def run_ehrenfest(
     for t in range(1, m_steps + 1):
         if injected is not None:
             mask, color = injected[t - 1]
-            sites = [i for i in range(params.n) if (mask >> i) & 1]
-            word[sites] = color
+            word[_mask_to_bits(mask, params.n)] = color
         else:
             subset = _uniform_subset(gen, params.n, a)
             color = int(gen.integers(1, 3))
             word[subset] = color
-            mask = 0
-            for i in subset:
-                mask |= 1 << int(i)
+            if record_moves:
+                bits = np.zeros(params.n, dtype=bool)
+                bits[subset] = True
+                mask = _bits_to_mask(bits)
         if record_moves:
             trace.append((mask, color))
         if _keep(t, thin, m_steps):

@@ -183,10 +183,11 @@ def _settings(args, table: dict) -> dict:
 
 
 def _refuse_unused(s: dict, keys, why: str) -> None:
-    """Malformed input: a setting given where the run's mode does not read
-    it, which would otherwise be dropped without a word."""
+    """Malformed input: a setting given (a boolean switched on) where the
+    run's mode does not read it, which would otherwise be dropped without a
+    word."""
     for key in keys:
-        if s[key] is not None:
+        if s[key] is not None and s[key] is not False:
             raise ValidationError(f"{key} is not used {why}", field=key)
 
 
@@ -277,6 +278,9 @@ def _cmd_ehrenfest(s, out) -> None:
         # the schedule picks its own refresh fraction from n
         if beta is None:
             raise _missing("beta")
+        _refuse_unused(
+            s, ("standard", "alpha", "exact", "t_grid", "mixing_eps", "t"), "with loglog"
+        )
         _emit_json("ehrenfest", {"n": n, "beta": beta, "loglog": True, "seed": seed},
                    loglog_schedule(n, beta).to_json(), out)
         return

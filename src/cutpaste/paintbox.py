@@ -38,6 +38,28 @@ def _as_generator(rng) -> np.random.Generator:
     return as_stream(rng).generator()
 
 
+def _column_stochastic(arr: np.ndarray) -> np.ndarray:
+    """A (..., k, k) stack of column-stochastic matrices, checked and
+    normalized: entries finite, negatives above -1e-12 clipped to zero,
+    column sums within 1e-9 of 1, then every column divided by its sum.
+    Returns a new array."""
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("entries must be finite", field="entries")
+    if arr.min() < _NEG_CLIP:
+        raise ValidationError("negative entry in stochastic matrix", field="entries")
+    arr = np.clip(arr, 0.0, None)
+    sums = arr.sum(axis=-2, keepdims=True)
+    off = np.abs(sums - 1.0) > _COLSUM_TOL
+    if off.any():
+        bad = sums[np.nonzero(off)[:-1]][0]
+        raise ValidationError(
+            f"column sums {bad.tolist()} not within {_COLSUM_TOL} of 1",
+            field="entries",
+        )
+    arr /= sums
+    return arr
+
+
 class StochasticMatrix:
     """A column-stochastic k x k matrix. entries[r, c] = P(next color r+1 | color c+1).
 
@@ -56,18 +78,7 @@ class StochasticMatrix:
         k = arr.shape[0]
         if not 1 <= k <= MAX_COLORS:
             raise ValidationError(f"k={k} outside 1..{MAX_COLORS}", field="entries")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("entries must be finite", field="entries")
-        if arr.min() < _NEG_CLIP:
-            raise ValidationError("negative entry in stochastic matrix", field="entries")
-        arr = np.clip(arr, 0.0, None)
-        sums = arr.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > _COLSUM_TOL):
-            raise ValidationError(
-                f"column sums {sums.tolist()} not within {_COLSUM_TOL} of 1",
-                field="entries",
-            )
-        arr /= sums
+        arr = _column_stochastic(arr)
         arr.setflags(write=False)
         self.entries = arr
 
@@ -494,6 +505,13 @@ def sample_S(law: PaintboxLaw, rng) -> StochasticMatrix:
 
 def _bits_to_mask(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _mask_to_bits(mask: int, n: int) -> np.ndarray:
+    """Bit i of mask for i < n, as a boolean array; higher bits are ignored."""
+    raw = (mask & ((1 << n) - 1)).to_bytes((n + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
+    return bits.view(bool)
 
 
 def sample_M_given_S(s: StochasticMatrix, n: int, rng) -> PartitionMatrix:

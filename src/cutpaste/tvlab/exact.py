@@ -44,6 +44,9 @@ _LOG_ZERO = -1e300
 # Hoeffding bound on each binomial tail left outside the window of
 # _binomial_tvs
 _TAIL_MASS = 1e-18
+# most elements of one (rows, window) temporary in _binomial_tvs: small
+# enough to stay in cache and to be reused from the heap between chunks
+_WINDOW_BUDGET = 1 << 15
 
 _KINDS = ("exact", "upper_bound", "lower_bound")
 
@@ -186,7 +189,7 @@ def _joint_pmfs(cols: np.ndarray, sizes) -> np.ndarray:
     return rows
 
 
-def _row_chunks(rows: int, width: int, budget: int = _ELEMENT_BUDGET):
+def _row_chunks(rows: int, width: int, budget: int):
     """Slices over rows such that a chunk of rows of `width` elements each
     stays within `budget` elements."""
     step = max(1, budget // width)
@@ -204,7 +207,7 @@ def _pmf_pairs(cols_p: np.ndarray, cols_q: np.ndarray, sizes, budget: int):
             "joint count statistic too large to enumerate",
             required=size, budget=budget,
         )
-    for rows in _row_chunks(len(cols_p), size):
+    for rows in _row_chunks(len(cols_p), size, _ELEMENT_BUDGET):
         yield rows, _joint_pmfs(cols_p[rows], sizes), _joint_pmfs(cols_q[rows], sizes)
 
 
@@ -290,7 +293,7 @@ def _binomial_tvs(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     w = min(n + 1, 2 * h)
     log_comb = _log_binomials(n)
     tails = np.empty(len(c))
-    for rows in _row_chunks(len(c), w):
+    for rows in _row_chunks(len(c), w, _WINDOW_BUDGET):
         cr = c[rows, None]
         x = np.clip(cr - h + 1, 0, n + 1 - w) + np.arange(w)
         below = x <= cr
@@ -367,7 +370,7 @@ def tv_exact_atomic(
     place = r ** np.arange(m - 1, -1, -1)
     mix_p = np.zeros(joint_size)
     mix_q = np.zeros(joint_size)
-    for seqs in _row_chunks(r**m, joint_size + k * k):
+    for seqs in _row_chunks(r**m, joint_size + k * k, _ELEMENT_BUDGET):
         digits = np.arange(seqs.start, seqs.stop)[:, None] // place % r
         q = np.broadcast_to(np.eye(k), (len(digits), k, k))
         w = np.ones(len(digits))

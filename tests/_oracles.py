@@ -502,3 +502,81 @@ def atomic_tv(atoms, weights, x0_word, x1_word, m: int) -> float:
         mix_p = mix_p + w * vec_p
         mix_q = mix_q + w * vec_q
     return tv_distance(mix_p, mix_q)
+
+
+def efcp_by_column(boxes, x0_word, k: int, m_steps: int, gen_u, thin: int, per_column: bool):
+    """The paintbox chain one step and one color at a time.
+
+    boxes[t] drives step t + 1: an object with normalized .entries is used
+    as it is, a raw array has negatives clipped and each column divided by
+    its sum first. Per step one draw of uniforms from gen_u ((n, k) when
+    per_column, site i reading its color's column; else (n,)) and a
+    searchsorted of each color's sites into the cumulative column of S.
+    Returns (kept words, x0 first; entries bytes of every step's S)."""
+    n = len(x0_word)
+    word = np.array(x0_word, dtype=np.int64) - 1
+    traj, trace = [tuple(x0_word)], []
+    for t in range(1, m_steps + 1):
+        s = getattr(boxes[t - 1], "entries", None)
+        if s is None:
+            s = np.clip(np.array(boxes[t - 1], dtype=float), 0.0, None)
+            s /= s.sum(axis=0)
+        cum = np.cumsum(s, axis=0)
+        cum[-1, :] = 1.0
+        u = gen_u.random((n, k))[np.arange(n), word] if per_column else gen_u.random(n)
+        new = np.empty_like(word)
+        for c in range(k):
+            mask = word == c
+            if mask.any():
+                new[mask] = np.searchsorted(cum[:, c], u[mask], side="right")
+        word = new
+        trace.append(s.tobytes())
+        if t == m_steps or (thin > 0 and t % thin == 0):
+            traj.append(tuple(int(v) + 1 for v in word))
+    return traj, trace
+
+
+def worst_tv_profile_dense(kernel: np.ndarray, pi: np.ndarray, m_max: int) -> list[float]:
+    """max_x TV(K^m(x, .), pi) for m = 1..m_max, from the full matrix power
+    K^m = K^(m-1) K over every start."""
+    out = []
+    power = kernel
+    for _ in range(m_max):
+        out.append(float(0.5 * np.abs(power - pi[None, :]).sum(axis=1).max()))
+        power = power @ kernel
+    return out
+
+
+def _uniform_subset(gen, n: int, a: int) -> list[int]:
+    swaps: dict[int, int] = {}
+    picked = []
+    for t in range(a):
+        j = int(gen.integers(t, n))
+        vt, vj = swaps.get(t, t), swaps.get(j, j)
+        swaps[t], swaps[j] = vj, vt
+        picked.append(vj)
+    return picked
+
+
+def ehrenfest_by_site(n: int, a: int, x0_word, m_steps: int, gen, moves=None):
+    """The batch-refresh chain with Python-int site masks: per step a
+    uniform a-subset by partial Fisher-Yates and a coin in {1, 2} from gen
+    (or the injected (mask, color) pair, read bit by bit over the n sites).
+    Returns (every word from x0 on, the (mask, color) of every step)."""
+    word = list(x0_word)
+    traj, trace = [tuple(word)], []
+    for t in range(m_steps):
+        if moves is not None:
+            mask, color = int(moves[t][0]), int(moves[t][1])
+            sites = [i for i in range(n) if (mask >> i) & 1]
+        else:
+            sites = _uniform_subset(gen, n, a)
+            color = int(gen.integers(1, 3))
+            mask = 0
+            for i in sites:
+                mask |= 1 << i
+        for i in sites:
+            word[i] = color
+        traj.append(tuple(word))
+        trace.append((mask, color))
+    return traj, trace

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cutpaste import chains
 from cutpaste.chains import (
     EhrenfestParams,
     SimplexPoint,
@@ -15,7 +16,9 @@ from cutpaste.errors import TheoryRefusal, ValidationError
 from cutpaste.paintbox import (
     Atomic,
     DirichletColumns,
+    PermutationMix,
     PointMass,
+    SelfSimilar,
     StochasticMatrix,
     sample_M_given_S,
     sample_S,
@@ -29,7 +32,7 @@ from cutpaste.smallspace import (
     words,
 )
 
-from _oracles import matrix_enumeration_kernel
+from _oracles import efcp_by_column, ehrenfest_by_site, matrix_enumeration_kernel
 
 
 def random_stochastic(gen, k):
@@ -333,3 +336,128 @@ def test_run_validation():
         EhrenfestParams(0, 0.5)
     with pytest.raises(ValidationError):
         EhrenfestParams(4, 0.5, variant="weird")
+
+
+# ------------------------------------------- stacked step against its oracle
+
+_STREAMS = {
+    run_efcp_matrix: ("efcp-matrix-paintbox", "efcp-matrix-moves"),
+    run_efcp_coordinate: ("efcp-coordinate-paintbox", "efcp-coordinate-jumps"),
+}
+
+
+def _law(kind, k, gen):
+    if kind == "point_mass":
+        return PointMass(random_stochastic(gen, k))
+    if kind == "atomic":
+        return Atomic([random_stochastic(gen, k) for _ in range(3)], [0.2, 0.5, 0.3])
+    if kind == "permutation_mix":
+        return PermutationMix(k)
+    if kind == "permutation_mix_perms":
+        perms = [tuple(gen.permutation(k) + 1) for _ in range(3)]
+        return PermutationMix(k, perms, [0.25, 0.25, 0.5])
+    if kind == "dirichlet_columns":
+        return DirichletColumns(gen.random((k, k)) + 0.3)
+    return SelfSimilar(np.full(k, 0.7))
+
+
+LAW_KINDS = ["point_mass", "atomic", "permutation_mix", "permutation_mix_perms",
+             "dirichlet_columns", "self_similar"]
+
+
+def _assert_matches_oracle(runner, law, x0, m_steps, seed, thin, sequence=None):
+    run = runner(law, x0, m_steps, seed, thin=thin, record_paintbox=True,
+                 paintbox_sequence=sequence)
+    names = _STREAMS[runner]
+    if sequence is None:
+        gen_s = seed.derive(names[0]).generator()
+        boxes = [law.sample_batch(gen_s, 1)[0] for _ in range(m_steps)]
+    else:
+        boxes = [s if isinstance(s, StochasticMatrix) else np.asarray(s) for s in sequence]
+    want, trace = efcp_by_column(boxes, x0.word, x0.k, m_steps, seed.derive(names[1]).generator(),
+                                 thin, runner is run_efcp_matrix)
+    assert [x.word for x in run.trajectory] == want
+    assert run.final.word == want[-1]
+    assert [s.entries.tobytes() for s in run.paintbox_trace] == trace
+    plain = runner(law, x0, m_steps, seed, thin=thin, paintbox_sequence=sequence)
+    assert plain.trajectory == run.trajectory and plain.paintbox_trace is None
+
+
+def _block(runner, n, k):
+    width = n * k if runner is run_efcp_matrix else n
+    return max(1, chains._UNIFORM_BUDGET // width)
+
+
+@pytest.mark.parametrize("runner", [run_efcp_matrix, run_efcp_coordinate])
+@pytest.mark.parametrize("kind", LAW_KINDS)
+def test_stacked_step_matches_column_oracle(monkeypatch, runner, kind):
+    # a small block budget makes every size cross block boundaries
+    monkeypatch.setattr(chains, "_UNIFORM_BUDGET", 96)
+    gen = RngStream(71).derive(kind).generator()
+    for k in (1, 2, 3, 5):
+        law = _law(kind, k, gen)
+        for n in (1, 7, 700):
+            x0 = Coloring(n, k, tuple(int(c) + 1 for c in gen.integers(0, k, n)))
+            for m_steps in (0, 1, _block(runner, n, k) + 1):
+                for thin in (0, 1, 3):
+                    seed = RngStream(1000 * k + n).derive(kind, 10 * m_steps + thin)
+                    _assert_matches_oracle(runner, law, x0, m_steps, seed, thin)
+
+
+@pytest.mark.parametrize("runner", [run_efcp_matrix, run_efcp_coordinate])
+@pytest.mark.parametrize("k", [2, 5])
+def test_stacked_step_matches_column_oracle_at_the_block_budget(runner, k):
+    gen = RngStream(72).derive("budget", k).generator()
+    n = 700
+    x0 = Coloring(n, k, tuple(int(c) + 1 for c in gen.integers(0, k, n)))
+    for kind in LAW_KINDS:
+        m_steps = _block(runner, n, k) + 1
+        _assert_matches_oracle(runner, _law(kind, k, gen), x0, m_steps, RngStream(k), 3)
+
+
+@pytest.mark.parametrize("runner", [run_efcp_matrix, run_efcp_coordinate])
+def test_stacked_step_matches_column_oracle_on_exact_zeros_and_ones(monkeypatch, runner):
+    # injected paintboxes with exact 0/1 entries: uniforms never reach a
+    # zero-width row, and a column with a single 1 moves every site to it
+    monkeypatch.setattr(chains, "_UNIFORM_BUDGET", 40)
+    sequence = [
+        np.eye(3),
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]],
+        StochasticMatrix([[0.5, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 1.0, 0.0]]),
+        [[0.0, 0.0, 0.25], [1.0, 0.0, 0.25], [0.0, 1.0, 0.5]],
+        [[0.2, 0.0, 1.0], [0.0, 1.0, 0.0], [0.8, 0.0, 0.0]],
+    ] * 3
+    law = PointMass(np.full((3, 3), 1 / 3))
+    for n in (1, 7, 20):
+        x0 = Coloring(n, 3, tuple(i % 3 + 1 for i in range(n)))
+        for thin in (0, 1, 3):
+            for m_steps in (0, 1, len(sequence)):
+                _assert_matches_oracle(runner, law, x0, m_steps, RngStream(n), thin, sequence)
+
+
+@pytest.mark.parametrize("params,x0", [
+    (EhrenfestParams(10, 0.3), (1,) * 10),
+    (standard_ehrenfest(1), (2,)),
+    (EhrenfestParams(13, 0.5), (1, 2) * 6 + (1,)),
+    (EhrenfestParams(70, 0.2), (2,) * 70),
+])
+def test_ehrenfest_matches_site_mask_oracle(params, x0):
+    x0 = Coloring(params.n, 2, x0)
+    steps = 30
+    seed = RngStream(params.n)
+    run = run_ehrenfest(params, x0, steps, seed, thin=1, record_moves=True)
+    want, moves = ehrenfest_by_site(params.n, params.batch_size, x0.word, steps,
+                                    seed.derive("ehrenfest").generator())
+    assert [x.word for x in run.trajectory] == want
+    assert run.move_trace == tuple(moves)
+    assert run_ehrenfest(params, x0, steps, seed, thin=1).trajectory == run.trajectory
+    # injected masks: bits past n and negative masks select as Python ints do
+    gen = RngStream(73).derive("masks", params.n).generator()
+    injected = [(int(m), int(c)) for m, c in zip(gen.integers(-2**40, 2**40, steps),
+                                                gen.integers(1, 3, steps))]
+    injected[0] = (1 << (params.n + 3), 1)
+    replay = run_ehrenfest(params, x0, steps, RngStream(0), thin=1, moves=injected,
+                           record_moves=True)
+    want, _ = ehrenfest_by_site(params.n, params.batch_size, x0.word, steps, None, injected)
+    assert [x.word for x in replay.trajectory] == want
+    assert replay.move_trace == tuple(injected)

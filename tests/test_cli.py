@@ -520,6 +520,7 @@ MODE_BASE = {
     ("ehrenfest", "exact"): {"n": 16, "alpha": 0.25},
     ("ehrenfest", "t_grid"): {"n": 16, "alpha": 0.25, "exact": True},
     ("ehrenfest", "mixing_eps"): {"n": 16, "alpha": 0.25},
+    ("ehrenfest", "loglog"): {"n": 16, "beta": 1.0},
 }
 
 SETTINGS = [(command, key, read) for command, (_, _, table) in COMMANDS.items()
@@ -605,6 +606,12 @@ def test_empty_epsilon_list_exits_2(capsys, tmp_path, command, how):
     ("ehrenfest", {"n": 16, "alpha": 0.25, "exact": True, "beta": 1.0}, "beta"),
     ("ehrenfest", {"n": 16, "alpha": 0.25, "mixing_eps": 0.25, "t": 3}, "t"),
     ("ehrenfest", {"n": 16, "alpha": 0.25, "mixing_eps": 0.25, "beta": 1.0}, "beta"),
+    ("ehrenfest", {"n": 64, "beta": 1.5, "loglog": True, "alpha": 0.3}, "alpha"),
+    ("ehrenfest", {"n": 64, "beta": 1.5, "loglog": True, "t": 4}, "t"),
+    ("ehrenfest", {"n": 64, "beta": 1.5, "loglog": True, "t_grid": [1, 2]}, "t_grid"),
+    ("ehrenfest", {"n": 64, "beta": 1.5, "loglog": True, "mixing_eps": 0.25}, "mixing_eps"),
+    ("ehrenfest", {"n": 64, "beta": 1.5, "loglog": True, "standard": True}, "standard"),
+    ("ehrenfest", {"n": 64, "beta": 1.5, "loglog": True, "exact": True}, "exact"),
 ])
 def test_setting_the_mode_ignores_exits_2(capsys, tmp_path, command, settings, field):
     rc, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, settings)])

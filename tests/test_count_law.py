@@ -244,6 +244,30 @@ def test_chunked_stacks_match_one_block(monkeypatch):
     assert abs(tv_exact_atomic(law, x, y, 4).value - whole_atomic) < TOL
 
 
+@pytest.mark.parametrize("n", [1, 48, 2048])
+def test_binomial_window_chunks_keep_every_bit(monkeypatch, n):
+    # rows are independent, so the chunk size cannot move a value
+    gen = np.random.default_rng(n)
+    p, q = gen.random(301), gen.random(301)
+    p[:4], q[:4] = [0.0, 1.0, 0.5, 0.3], [1.0, 0.2, 0.5, 0.0]
+    chunks = []
+    row_chunks = exact._row_chunks
+
+    def recording(*args):
+        chunks.append(list(row_chunks(*args)))
+        return chunks[-1]
+
+    monkeypatch.setattr(exact, "_row_chunks", recording)
+    split = exact._binomial_tvs(p, q, n)
+    monkeypatch.setattr(exact, "_WINDOW_BUDGET", 1)
+    rows = exact._binomial_tvs(p, q, n)
+    monkeypatch.setattr(exact, "_WINDOW_BUDGET", 1 << 30)
+    whole = exact._binomial_tvs(p, q, n)
+    assert [len(c) for c in chunks[1:]] == [301, 1]
+    assert len(chunks[0]) == (4 if n == 2048 else 1)
+    assert whole.tobytes() == split.tobytes() == rows.tobytes()
+
+
 def test_statistic_size_counts_compositions():
     for k in (1, 2, 3, 4):
         for size in (0, 1, 5, 12):

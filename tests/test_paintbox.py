@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cutpaste.paintbox import (
     PointMass,
     SelfSimilar,
     StochasticMatrix,
+    _column_stochastic,
     law_from_config,
     sample_M_given_S,
     sample_S,
@@ -36,6 +38,48 @@ def test_stochastic_matrix_normalizes_and_protects():
         StochasticMatrix([[1.2, 0.2], [-0.2, 0.8]])
     with pytest.raises(ValidationError):
         Atomic([np.eye(2)], [0.9])
+
+
+def test_stack_normalization_matches_one_matrix_at_a_time():
+    gen = RngStream(8).generator()
+    for k in (1, 2, 3, 5, 16):
+        raw = gen.random((7, k, k)) + 1e-3
+        raw[0, 0, 0] = 0.0 if k > 1 else 1.0
+        raw /= raw.sum(axis=1, keepdims=True)
+        raw[1, :, 0] += 4e-10 / k
+        raw[2, 0, :] -= 5e-13
+        stack = _column_stochastic(raw)
+        for r, s in zip(raw, stack):
+            assert StochasticMatrix(r).entries.tobytes() == s.tobytes()
+    good = np.stack([np.eye(2)] * 3)
+    for bad, text in ((np.nan, "finite"), (-1e-9, "negative"), (0.5, "column sums [1.5, 1.0]")):
+        arr = good.copy()
+        arr[1, 1, 0] = bad
+        with pytest.raises(ValidationError, match=re.escape(text)):
+            _column_stochastic(arr)
+
+
+LAWS = [
+    PointMass([[0.7, 0.2, 0.1], [0.3, 0.8, 0.0], [0.0, 0.0, 0.9]]),
+    Atomic([np.eye(3), np.full((3, 3), 1 / 3), np.eye(3)[[1, 2, 0]]], [0.2, 0.5, 0.3]),
+    PermutationMix(4),
+    PermutationMix(3, [[2, 1, 3], [3, 1, 2]], [0.4, 0.6]),
+    DirichletColumns([[1.0, 2.0, 0.5], [0.3, 1.0, 1.0], [2.0, 2.0, 2.0]]),
+    SelfSimilar([0.5, 0.5]),
+]
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+def test_sample_batch_is_the_draws_one_at_a_time(law):
+    for m in (1, 2, 17):
+        batched, single = RngStream(m).generator(), RngStream(m).generator()
+        batch = law.sample_batch(batched, m)
+        for drawn in batch:
+            assert law.sample(single) == StochasticMatrix(drawn)
+        assert batched.random() == single.random()
+        one_by_one = RngStream(m).generator()
+        raw = np.concatenate([law.sample_batch(one_by_one, 1) for _ in range(m)])
+        assert raw.tobytes() == batch.tobytes()
 
 
 def test_point_mass_sampling_is_exact():

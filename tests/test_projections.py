@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from cutpaste.chains import EhrenfestParams, run_efcp_matrix, run_ehrenfest
@@ -12,6 +14,7 @@ from cutpaste.partitions import Coloring, project
 from cutpaste.projections import (
     EquivalenceReport,
     ProjectedRun,
+    _site_orbit_reps,
     project_run,
     projected_mixing_equivalence,
 )
@@ -21,7 +24,10 @@ from cutpaste.smallspace import (
     lumped_kernel,
     projection_classes,
     state_index,
+    stationary_distribution,
 )
+
+from _oracles import worst_tv_profile_dense
 
 
 def orbit_closure_law(base):
@@ -246,3 +252,79 @@ def test_equivalence_truncation_flag():
     assert not report.equal_crossings
     assert any("truncated" in f for f in report.flags)
     assert report.t_labeled[1e-9] is None
+
+
+# ------------------------------------- site-orbit rows against the full power
+
+
+def _sorted_word_states(n, k):
+    """Indices of the non-decreasing words, listed directly."""
+    return sorted(
+        sum(c * k ** (n - 1 - i) for i, c in enumerate(w))
+        for w in itertools.combinations_with_replacement(range(k), n)
+    )
+
+
+K3_BASE = [[0.7, 0.2, 0.1], [0.2, 0.7, 0.1], [0.1, 0.1, 0.8]]
+BLEND = orbit_closure_law(0.8 * np.eye(3) + 0.2 / 3)
+
+
+@pytest.mark.parametrize("law,n,k,eps", [
+    (orbit_closure_law(RCE_BASE), 4, 2, (0.5, 0.25)),
+    (orbit_closure_law([[0.95, 0.05], [0.05, 0.95]]), 4, 2, (0.5, 0.25)),
+    (orbit_closure_law(RCE_BASE), 3, 2, (0.5, 0.25, 0.1)),
+    (orbit_closure_law(RCE_BASE), 5, 2, (0.5, 0.25, 0.1)),
+    (orbit_closure_law(RCE_BASE), 6, 2, (0.5, 0.25, 0.1)),
+    (orbit_closure_law(K3_BASE), 3, 3, (0.5, 0.25, 0.1)),
+    (BLEND, 6, 3, (0.5, 0.25)),
+    (BLEND, 4, 3, (1e-6,)),
+])
+def test_profile_matches_the_full_matrix_power(law, n, k, eps):
+    report = projected_mixing_equivalence(law, n, k, epsilon=eps)
+    kernel = exact_kernel(law, n)
+    pi = stationary_distribution(kernel)
+    labels, reps = projection_classes(n, k)
+    lumped = lumped_kernel(kernel, labels)
+    pi_proj = np.bincount(labels, weights=pi, minlength=len(reps))
+    steps = len(report.profile)
+    want = np.array([worst_tv_profile_dense(kernel, pi, steps),
+                     worst_tv_profile_dense(lumped, pi_proj, steps)]).T
+    got = np.array([(a, b) for _, a, b in report.profile])
+    assert np.max(np.abs(got - want)) <= 1e-14
+    for col, crossings in ((0, report.t_labeled), (1, report.t_projected)):
+        for e in report.epsilons:
+            below = [m for m, v in enumerate(want[:, col], start=1) if v < e]
+            assert crossings[e] == (below[0] if below else None)
+
+
+@st.composite
+def _atomic_laws(draw):
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 5 if k == 2 else 3))
+    count = draw(st.integers(1, 3))
+    entry = st.floats(0.05, 1.0)
+    atoms = []
+    for _ in range(count):
+        m = np.array(draw(st.lists(entry, min_size=k * k, max_size=k * k))).reshape(k, k)
+        atoms.append(m / m.sum(axis=0))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=count, max_size=count)))
+    return Atomic(atoms, weights / weights.sum()), n, k
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_atomic_laws())
+def test_worst_start_is_a_sorted_word(case):
+    # K commutes with permuting the sites, and so does pi, so every start's
+    # distance equals that of its sorted word
+    law, n, k = case
+    kernel = exact_kernel(law, n)
+    pi = stationary_distribution(kernel)
+    reps = _sorted_word_states(n, k)
+    assert _site_orbit_reps(n, k).tolist() == reps
+    assert len(reps) == math.comb(n + k - 1, k - 1)
+    power = kernel
+    for _ in range(4):
+        tvs = 0.5 * np.abs(power - pi).sum(axis=1)
+        assert abs(tvs.max() - tvs[reps].max()) <= 1e-14
+        power = power @ kernel
+        power = power @ kernel
