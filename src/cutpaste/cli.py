@@ -232,9 +232,19 @@ def _cmd_collapse(s, out) -> None:
 def _cmd_tv(s, out) -> None:
     law, n, method, seed = s["law"], s["n"], s["method"], s["seed"]
     if s["pair"] == "constant":
+        for key in ("color_a", "color_b"):
+            if not 1 <= s[key] <= law.k:
+                raise ValidationError(f"{key} must lie in 1..{law.k}", field=key)
         x0, x1 = make_constant_pair(n, law.k, s["color_a"], s["color_b"])
+    elif law.k < 2:
+        raise ValidationError("the block design needs a law with k >= 2", field="law")
     else:
         x0, x1 = make_test_pair(n, law.k)
+
+    if method == "exact":
+        _refuse_unused(s, ("replicates",), "with method exact")
+    elif s["replicates"] is None:
+        s["replicates"] = 10_000
 
     def estimate(m):
         if method == "exact":
@@ -252,6 +262,10 @@ def _cmd_tv(s, out) -> None:
 
 
 def _cmd_mixing_time(s, out) -> None:
+    if s["method"] == "exact_atomic":
+        _refuse_unused(s, ("replicates",), "with method exact_atomic")
+    elif s["replicates"] is None:
+        s["replicates"] = 2000
     prof = mixing_time(
         s["law"], s["n"], s["k"], tuple(s["epsilon"]), s["method"], s["seed"],
         replicates=s["replicates"], m_max=s["m_max"],
@@ -347,13 +361,13 @@ COMMANDS = {
         "law": _LAW, "n": (_int, REQUIRED),
         "method": (_one_of("tv method", "exact", "upper", "lower"), "upper"),
         "pair": (_one_of("pair design", "constant", "block"), "constant"),
-        "color_a": (_int, 1), "color_b": (_int, 2), "replicates": (_int, 10_000),
+        "color_a": (_int, 1), "color_b": (_int, 2), "replicates": (_int, None),
         "seed": _SEED, "m_grid": (_list_of(int), None), "m": (_int, None),
     }),
     "mixing-time": (_cmd_mixing_time, "smallest certified horizon under epsilon", {
         "law": _LAW, "n": (_int, REQUIRED), "k": (_int, _law_k),
         "epsilon": (_list_of(float), (0.25,)), "method": (_text, "mc_sandwich"),
-        "replicates": (_int, 2000), "m_max": (_int, 4096), "seed": _SEED,
+        "replicates": (_int, None), "m_max": (_int, 4096), "seed": _SEED,
     }),
     "cutoff": (_cmd_cutoff, "mixing horizons across a size grid", {
         "law": _LAW, "k": (_int, _law_k), "n_grid": (_list_of(int), REQUIRED),

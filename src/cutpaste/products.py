@@ -10,6 +10,11 @@ The restriction helpers and the QR step broadcast over leading axes, so the
 estimators advance every replicate at once: each step is one stacked
 matmul/QR/SVD call on an (R, k, k) array rather than R small ones. Each
 replicate still draws its matrices from its own derived stream.
+
+The collapse diagnostic and the mixing search's ergodicity gate share one
+replicate scan. The diagnostic counts every replicate; the gate needs only
+one witness, so it tries replicate 0 alone before the stacked rest and
+stops at the first product that contracts V or is positive.
 """
 
 from __future__ import annotations
@@ -151,13 +156,11 @@ def step(state: ProductState, s) -> ProductState:
     return ProductState(e @ state.q, state.m + 1, h @ qv, state.log_r_sums + logs)
 
 
-def _replicate_batches(law: PaintboxLaw, seed, label: str, replicates: int, m: int) -> np.ndarray:
-    """(replicates, m, k, k) draws; replicate rep samples its m matrices from
+def _replicate_batches(law: PaintboxLaw, seed, label: str, reps: range, m: int) -> np.ndarray:
+    """(len(reps), m, k, k) draws; replicate rep samples its m matrices from
     the stream derived as (label, rep)."""
     base = as_stream(seed)
-    return np.stack([
-        law.sample_batch(base.derive(label, rep).generator(), m) for rep in range(replicates)
-    ])
+    return np.stack([law.sample_batch(base.derive(label, rep).generator(), m) for rep in reps])
 
 
 @dataclass(frozen=True)
@@ -194,12 +197,12 @@ def estimate_lyapunov(law: PaintboxLaw, m: int, replicates: int, seed) -> Lyapun
     stacked step per time t.
     """
     if law.k < 2:
-        raise ValidationError("growth rates need k >= 2", field="k")
+        raise ValidationError("growth rates need a law with k >= 2", field="law")
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}", field="m")
     if replicates < 1:
         raise ValidationError("need at least one replicate", field="replicates")
-    batches = _replicate_batches(law, seed, "lyapunov-replicate", replicates, m)
+    batches = _replicate_batches(law, seed, "lyapunov-replicate", range(replicates), m)
     state = new_product_state(law.k)
     for t in range(m):
         state = step(state, batches[:, t])
@@ -242,8 +245,8 @@ def lyapunov_trace(law: PaintboxLaw, m: int, seed) -> np.ndarray:
     """Running per-direction exponent estimates along one path: row t-1 holds
     log_r_sums / t after t steps. For convergence plots."""
     if law.k < 2:
-        raise ValidationError("growth rates need k >= 2", field="k")
-    batch = _replicate_batches(law, seed, "lyapunov-replicate", 1, m)[0]
+        raise ValidationError("growth rates need a law with k >= 2", field="law")
+    batch = _replicate_batches(law, seed, "lyapunov-replicate", range(1), m)[0]
     state = new_product_state(law.k)
     out = np.zeros((m, law.k - 1))
     for t in range(m):
@@ -293,18 +296,49 @@ def collapse_diagnostic(
     """Estimate P(top singular value of Q_m|V < 1 - delta) and P(all entries of
     Q_m positive) for m = 1..m_max; either event occurring certifies collapse.
     All replicates' products advance together, one stacked step per m."""
-    if m_max < 1 or replicates < 1:
-        raise ValidationError("m_max and replicates must be positive")
-    batches = _replicate_batches(law, seed, "collapse-replicate", replicates, m_max)
-    contract = np.zeros(m_max)
-    positive = np.zeros(m_max)
-    q = np.eye(law.k)
-    for t in range(m_max):
-        q = batches[:, t] @ q
-        contract[t] = np.count_nonzero(top_singular_on_V(q) < 1.0 - delta)
-        positive[t] = np.count_nonzero(np.all(q > 0.0, axis=(-2, -1)))
-    contract /= replicates
-    positive /= replicates
+    return _collapse_scan(law, m_max, replicates, seed, delta)
+
+
+def _collapse_scan(
+    law: PaintboxLaw,
+    m_max: int = 32,
+    replicates: int = 200,
+    seed=0,
+    delta: float = 1e-6,
+    first_witness: bool = False,
+) -> CollapseReport | None:
+    """The collapse diagnostic's counts, replicate rep drawing its m_max
+    matrices from the stream derived as ("collapse-replicate", rep).
+
+    By default every replicate advances in one stacked block. With
+    first_witness, the scan is the ergodicity gate: it runs replicate 0
+    alone, then the rest as one block, and returns None at the first
+    product that contracts V or is positive, since one witness certifies
+    collapse. Only a scan that finds none returns its report; the counts
+    add across blocks, so that report is the full diagnostic's.
+    """
+    if m_max < 1:
+        raise ValidationError(f"need m_max >= 1, got {m_max}", field="m_max")
+    if replicates < 1:
+        raise ValidationError(f"need replicates >= 1, got {replicates}", field="replicates")
+    if not 0.0 < delta < 1.0:
+        raise ValidationError(f"delta must lie in (0, 1), got {delta!r}", field="delta")
+    blocks = [range(1), range(1, replicates)] if first_witness else [range(replicates)]
+    contract = np.zeros(m_max, dtype=np.int64)
+    positive = np.zeros(m_max, dtype=np.int64)
+    for reps in blocks:
+        if not reps:
+            continue
+        batches = _replicate_batches(law, seed, "collapse-replicate", reps, m_max)
+        q = np.eye(law.k)
+        for t in range(m_max):
+            q = batches[:, t] @ q
+            c = np.count_nonzero(top_singular_on_V(q) < 1.0 - delta)
+            p = np.count_nonzero(np.all(q > 0.0, axis=(-2, -1)))
+            if first_witness and (c or p):
+                return None
+            contract[t] += c
+            positive[t] += p
     first_c = int(np.argmax(contract > 0)) + 1 if np.any(contract > 0) else None
     first_p = int(np.argmax(positive > 0)) + 1 if np.any(positive > 0) else None
     verdict = "yes" if (first_c is not None or first_p is not None) else "undetermined"
@@ -312,8 +346,8 @@ def collapse_diagnostic(
         verdict=verdict,
         first_contraction_m=first_c,
         first_positivity_m=first_p,
-        p_contract=tuple(contract.tolist()),
-        p_positive=tuple(positive.tolist()),
+        p_contract=tuple((contract / replicates).tolist()),
+        p_positive=tuple((positive / replicates).tolist()),
         delta=delta,
         m_max=m_max,
         replicates=replicates,

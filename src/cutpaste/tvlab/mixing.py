@@ -1,11 +1,15 @@
 """Mixing-time search and cutoff experiments over growing n.
 
-A mixing-time query first runs the collapse diagnostic; without a certified
-collapsing product the chain need not mix to a unique law and the search is
-refused. Distance to stationarity is tracked through the worst designed
-initial-state pair, and a horizon only counts as mixed when its estimate is
-certified below epsilon (exact value below, or mean plus three standard
-errors below for MC).
+A mixing-time query first runs the collapse diagnostic's scan as a gate;
+without a certified collapsing product the chain need not mix to a unique
+law and the search is refused. One witness certifies collapse, so the gate
+stops at the first sampled product that contracts V or is positive, and
+only a refusal carries the full diagnostic. Distance to stationarity is
+tracked through the worst designed initial-state pair, and a horizon only
+counts as mixed when its estimate is certified below epsilon (exact value
+below, or mean plus three standard errors below for MC). MC probes of one
+designed pair extend one product path, so each horizon draws only the
+steps past the nearest probed one.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ import numpy as np
 from ..errors import BudgetRefusal, TheoryRefusal, ValidationError
 from ..paintbox import PaintboxLaw
 from ..partitions import Coloring
-from ..products import collapse_diagnostic, estimate_lyapunov
+from ..products import _collapse_scan, estimate_lyapunov
 from ..rng import as_stream
 from .exact import DEFAULT_ENUMERATION_BUDGET, TVEstimate, tv_exact_atomic
-from .mc import make_constant_pair, tv_upper_mc
+from .mc import _ProductPath, make_constant_pair, tv_upper_mc
 
 METHODS = ("exact_atomic", "mc_sandwich")
 
@@ -101,17 +105,26 @@ def mixing_time(
     Doubles the horizon until certified, then bisects; a final pass takes the
     minimum certified horizon over everything probed. Estimates share one
     seed per pair across horizons, so MC probes at different m see the same
-    paintbox path prefixes. Certification failures (budget or band width)
-    leave t_mix None for that epsilon and add a flag instead of raising.
+    paintbox path prefixes, and each probe extends that pair's path from the
+    nearest probed horizon below it. MC certification needs a standard
+    error, so mc_sandwich needs at least two replicates. Certification
+    failures (budget or band width) leave t_mix None for that epsilon and
+    add a flag instead of raising.
     """
     if law.k != k:
         raise ValidationError(f"law has k={law.k}, asked for k={k}", field="k")
+    if k < 2:
+        raise ValidationError("the designed pairs need k >= 2", field="k")
     if n < 1:
         raise ValidationError("need n >= 1", field="n")
     if method not in METHODS:
         raise ValidationError(f"method must be one of {METHODS}", field="method")
     if m_max < 1:
         raise ValidationError("need m_max >= 1", field="m_max")
+    if method == "mc_sandwich" and replicates < 2:
+        raise ValidationError(
+            "MC certification needs replicates >= 2 for a standard error", field="replicates"
+        )
     try:
         eps_grid = tuple(sorted({float(e) for e in epsilon}))
     except TypeError:
@@ -123,25 +136,26 @@ def mixing_time(
             raise ValidationError("epsilon must lie in (0, 1)", field="epsilon")
 
     stream = as_stream(seed)
-    gate = collapse_diagnostic(law, seed=stream.derive("collapse-gate"))
-    if gate.verdict != "yes":
+    refused = _collapse_scan(law, seed=stream.derive("collapse-gate"), first_witness=True)
+    if refused is not None:
         raise TheoryRefusal(
             "mixing-time search needs a certified collapsing product",
-            diagnostic=gate.to_json(),
+            diagnostic=refused.to_json(),
         )
 
     pairs = designed_pairs(n, k)
+    paths = [_ProductPath(law, replicates, stream.derive("pair", i)) for i in range(len(pairs))]
     cache: dict[int, TVEstimate] = {}
     flags: list[str] = []
 
     def d_bar(m: int) -> TVEstimate:
         if m not in cache:
             best: TVEstimate | None = None
-            for idx, (a, b) in enumerate(pairs):
+            for (a, b), path in zip(pairs, paths):
                 if method == "exact_atomic":
                     est = tv_exact_atomic(law, a, b, m, budget=budget)
                 else:
-                    est = tv_upper_mc(law, a, b, m, replicates, stream.derive("pair", idx))
+                    est = tv_upper_mc(law, a, b, m, replicates, path)
                 if best is None or est.value > best.value:
                     best = est
             cache[m] = best

@@ -580,3 +580,73 @@ def ehrenfest_by_site(n: int, a: int, x0_word, m_steps: int, gen, moves=None):
         traj.append(tuple(word))
         trace.append((mask, color))
     return traj, trace
+
+
+def mixing_search_redraw(pair_estimates, epsilons, m_max: int, mc: bool, replicates: int):
+    """The mixing-time search with every probe estimated afresh: the search
+    as it ran before MC probes shared one product path per pair.
+
+    pair_estimates(m) gives every designed pair's estimate at horizon m,
+    each redrawing its paintboxes from step 1 for MC; an estimate has
+    .value, .kind and .mc_std_error. An exception with details["required"]
+    stands for the enumeration budget. Doubles the horizon until the worst
+    pair is certified below epsilon (largest epsilon first), then bisects;
+    returns the probed (m, estimate) pairs in order of m, the smallest
+    certified horizon per epsilon, and the flags.
+    """
+    def certified(est, eps):
+        if est.kind == "exact":
+            return est.value < eps
+        return est.value + 3.0 * est.mc_std_error < eps
+
+    probed: dict = {}
+
+    def worst(m):
+        if m not in probed:
+            best = None
+            for est in pair_estimates(m):
+                if best is None or est.value > best.value:
+                    best = est
+            probed[m] = best
+        return probed[m]
+
+    flags = []
+    budget_note = None
+    for eps in sorted(epsilons, reverse=True):
+        lo, hi = 0, 1
+        while hi <= m_max:
+            try:
+                est = worst(hi)
+            except Exception as exc:
+                if "required" not in getattr(exc, "details", {}):
+                    raise
+                budget_note = f"enumeration budget reached at m={hi} ({exc.details['required']} needed)"
+                hi = None
+                break
+            if certified(est, eps):
+                break
+            lo, hi = hi, 2 * hi
+        else:
+            hi = None
+            if mc:
+                flags.append(
+                    f"inconclusive for epsilon={eps:g}: bands too wide within m <= {m_max} "
+                    f"at {replicates} replicates"
+                )
+            else:
+                flags.append(f"no certified horizon <= {m_max} for epsilon={eps:g}")
+        if hi is None:
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if certified(worst(mid), eps):
+                hi = mid
+            else:
+                lo = mid
+    if budget_note is not None:
+        flags.append(budget_note)
+    t_mix = {}
+    for eps in epsilons:
+        hits = [m for m, est in probed.items() if certified(est, eps)]
+        t_mix[eps] = min(hits) if hits else None
+    return sorted(probed.items(), key=lambda item: item[0]), t_mix, flags

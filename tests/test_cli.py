@@ -490,8 +490,8 @@ BASE = {
     "simulate": {"law": ATOMIC_LAW, "n": 4, "steps": 2},
     "lyapunov": {"law": ATOMIC_LAW, "m": 5, "replicates": 2},
     "collapse": {"law": ATOMIC_LAW, "m_max": 4, "replicates": 5},
-    "tv": {"law": ATOMIC_LAW, "n": 4, "m": 1, "method": "exact", "replicates": 50},
-    "mixing-time": {"law": ATOMIC_LAW, "n": 4, "method": "exact_atomic", "replicates": 50},
+    "tv": {"law": ATOMIC_LAW, "n": 4, "m": 1, "method": "exact"},
+    "mixing-time": {"law": ATOMIC_LAW, "n": 4, "method": "exact_atomic"},
     "cutoff": {"law": {"kind": "self_similar", "nu": [1.0, 1.0]}, "n_grid": [4, 8],
                "replicates": 50, "m_max": 8, "lyapunov_m": 5, "lyapunov_replicates": 2},
     "ehrenfest": {"n": 16, "alpha": 0.25, "t": 3, "beta": 1.0},
@@ -515,7 +515,9 @@ SAMPLE = {
 # A setting that only one mode reads is sampled against a base run in that
 # mode: the command refuses it next to a setting of another mode.
 MODE_BASE = {
-    ("tv", "m_grid"): {"law": ATOMIC_LAW, "n": 4, "method": "exact", "replicates": 50},
+    ("tv", "m_grid"): {"law": ATOMIC_LAW, "n": 4, "method": "exact"},
+    ("tv", "replicates"): {"law": ATOMIC_LAW, "n": 4, "m": 1, "method": "upper"},
+    ("mixing-time", "replicates"): {"law": ATOMIC_LAW, "n": 4, "method": "mc_sandwich"},
     ("ehrenfest", "standard"): {"n": 16, "t": 3, "beta": 1.0},
     ("ehrenfest", "exact"): {"n": 16, "alpha": 0.25},
     ("ehrenfest", "t_grid"): {"n": 16, "alpha": 0.25, "exact": True},
@@ -612,6 +614,11 @@ def test_empty_epsilon_list_exits_2(capsys, tmp_path, command, how):
     ("ehrenfest", {"n": 64, "beta": 1.5, "loglog": True, "mixing_eps": 0.25}, "mixing_eps"),
     ("ehrenfest", {"n": 64, "beta": 1.5, "loglog": True, "standard": True}, "standard"),
     ("ehrenfest", {"n": 64, "beta": 1.5, "loglog": True, "exact": True}, "exact"),
+    ("tv", {"law": ATOMIC_LAW, "n": 4, "m": 1, "method": "exact", "replicates": 5}, "replicates"),
+    ("tv", {"law": ATOMIC_LAW, "n": 4, "method": "exact", "m_grid": [1, 2], "replicates": 5},
+     "replicates"),
+    ("mixing-time", {"law": ATOMIC_LAW, "n": 4, "method": "exact_atomic", "replicates": 5},
+     "replicates"),
 ])
 def test_setting_the_mode_ignores_exits_2(capsys, tmp_path, command, settings, field):
     rc, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, settings)])
@@ -622,6 +629,73 @@ def test_setting_the_mode_ignores_exits_2(capsys, tmp_path, command, settings, f
     rest = {k: v for k, v in settings.items() if k != field}
     assert run_cli(capsys, [command, "--config", write_config(tmp_path, rest)])[0] == 0
 
+
+
+def test_replicates_echo_only_where_read(capsys, tmp_path):
+    # MC runs echo the default they used; exact runs read none and echo none
+    runs = [
+        ("tv", {"law": ATOMIC_LAW, "n": 4, "m": 1, "method": "upper"}, 10_000),
+        ("tv", {"law": ATOMIC_LAW, "n": 4, "m": 1, "method": "exact"}, None),
+        ("mixing-time", {"law": ATOMIC_LAW, "n": 4, "method": "mc_sandwich"}, 2000),
+        ("mixing-time", {"law": ATOMIC_LAW, "n": 4, "method": "exact_atomic"}, None),
+    ]
+    for command, settings, want in runs:
+        rc, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, settings)])
+        assert rc == 0, err
+        assert json.loads(out)["config"].get("replicates") == want
+
+
+@pytest.mark.parametrize("delta", ["-1", "0", "1", "nan", "inf", "-inf", "1.5"])
+def test_collapse_refuses_a_delta_outside_the_unit_interval(capsys, tmp_path, delta):
+    cfg = write_config(tmp_path, {"law": {"kind": "permutation_mix", "k": 2}})
+    rc, out, err = run_cli(capsys, ["collapse", "--config", cfg, f"--delta={delta}"])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == "delta"
+
+
+@pytest.mark.parametrize("key", ["replicates", "m_max"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_collapse_names_a_nonpositive_size(capsys, tmp_path, key, value):
+    cfg = write_config(tmp_path, {"law": ATOMIC_LAW, key: value})
+    rc, out, err = run_cli(capsys, ["collapse", "--config", cfg])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == key
+
+
+@pytest.mark.parametrize("command", ["mixing-time", "cutoff"])
+def test_mc_certification_refuses_one_replicate(capsys, tmp_path, command):
+    base = {k: v for k, v in BASE[command].items() if k != "method"}
+    cfg = write_config(tmp_path, {**base, "method": "mc_sandwich", "replicates": 1})
+    rc, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == "replicates"
+    # a plain MC estimate may still use one replicate
+    cfg = write_config(tmp_path, {"law": ATOMIC_LAW, "n": 4, "m": 1, "replicates": 1})
+    rc, out, _ = run_cli(capsys, ["tv", "--config", cfg])
+    assert rc == 0
+    assert json.loads(out)["result"]["mc_std_error"] == 0.0
+
+
+ONE_COLOR_LAW = {"kind": "point_mass", "matrix": [[1.0]]}
+
+
+@pytest.mark.parametrize("command,settings,field", [
+    ("lyapunov", {"law": ONE_COLOR_LAW, "m": 5}, "law"),
+    ("tv", {"law": ATOMIC_LAW, "n": 4, "m": 1, "color_b": 3}, "color_b"),
+    ("tv", {"law": ATOMIC_LAW, "n": 4, "m": 1, "color_a": 0}, "color_a"),
+    ("tv", {"law": ONE_COLOR_LAW, "n": 4, "m": 1, "pair": "block"}, "law"),
+    # the search has no designed pair to probe; this was a traceback
+    ("mixing-time", {"law": ONE_COLOR_LAW, "n": 4, "method": "exact_atomic", "m_max": 4}, "k"),
+])
+def test_settings_out_of_the_laws_range_name_a_setting(capsys, tmp_path, command, settings,
+                                                       field):
+    rc, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, settings)])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == field
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 README_EXAMPLES = [

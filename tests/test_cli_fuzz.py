@@ -1,0 +1,108 @@
+"""CLI fuzz over generated configs: small runs of collapse, tv, mixing-time
+and lyapunov with bad and boundary values mixed in. Every run must exit 0,
+2 or 3, print the same bytes when rerun, and name, when it exits 2, a
+setting the command accepts."""
+
+import json
+import math
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cutpaste.cli import COMMANDS, main
+
+LAWS = [
+    {"kind": "atomic", "atoms": [[[0.8, 0.3], [0.2, 0.7]], [[0.6, 0.45], [0.4, 0.55]]],
+     "weights": [0.5, 0.5]},
+    {"kind": "permutation_mix", "k": 2},
+    {"kind": "self_similar", "nu": [1.0, 1.0]},
+    {"kind": "point_mass", "matrix": [[1.0, 0.5, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]]},
+    {"kind": "point_mass", "matrix": [[1.0]]},
+]
+SEEDS = [0, 7, -5, 2**70, "x", True, 1.5]
+COUNTS = [-1, 0, 1, 2, 3, "x", True, 2.5, math.inf]
+FRACTIONS = [-1.0, 0.0, 1e-6, 0.25, 0.5, 1.0, 1.5, math.nan, math.inf, "x", True]
+EPSILON_LISTS = [[0.25], [0.5, 0.25], [], [0.0], [1.0], [math.nan], ["x"], 0.3]
+
+# Each command's settings, each with the values it may take; a setting
+# marked optional may also be left out, which reads its default. Sizes
+# that set the cost (steps, horizons, n) are always given and kept small.
+FUZZED = {
+    "collapse": {
+        "m_max": (COUNTS + [6], True), "replicates": (COUNTS + [20], True),
+        "delta": (FRACTIONS, True), "seed": (SEEDS, True),
+    },
+    "lyapunov": {
+        "m": (COUNTS + [5], False), "replicates": (COUNTS + [4], True), "seed": (SEEDS, True),
+    },
+    "tv": {
+        "n": ([-1, 0, 1, 4, 12, "x", 2.5], False), "m": ([-1, 0, 1, 3, "x"], True),
+        "m_grid": ([[1, 2], [0], [], [-1], ["x"], [3, 1], "2,1"], True),
+        "method": (["exact", "upper", "lower", "bogus", 3], True),
+        "pair": (["constant", "block", "bogus"], True),
+        "color_a": ([0, 1, 2, 3, "x"], True), "color_b": ([0, 1, 2, 4], True),
+        "replicates": ([-1, 0, 1, 2, 50, "x"], True), "seed": (SEEDS, True),
+    },
+    "mixing-time": {
+        "n": ([-1, 0, 1, 4, 6, "x"], False), "k": ([1, 2, 3, "x"], True),
+        "epsilon": (EPSILON_LISTS, True),
+        "method": (["exact_atomic", "mc_sandwich", "bogus"], True),
+        "replicates": ([-1, 0, 1, 2, 20, "x"], True), "m_max": ([-1, 0, 1, 4, 16], False),
+        "seed": (SEEDS, True),
+    },
+}
+
+
+@st.composite
+def runs(draw):
+    command = draw(st.sampled_from(sorted(FUZZED)))
+    config = {"law": draw(st.sampled_from(LAWS))}
+    for key, (values, optional) in FUZZED[command].items():
+        if optional and draw(st.booleans()):
+            continue
+        config[key] = draw(st.sampled_from(values))
+    as_flag = sorted(k for k in config if k != "law" and draw(st.booleans()))
+    return command, config, as_flag
+
+
+def _argv(tmp_path, command, config, as_flag):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps({k: v for k, v in config.items() if k not in as_flag}))
+    argv = [command, "--config", str(path)]
+    for key in as_flag:
+        value = config[key]
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    return argv
+
+
+def test_fuzzed_settings_table_covers_the_commands():
+    for command, fuzzed in FUZZED.items():
+        assert set(fuzzed) | {"law"} == set(COMMANDS[command][2])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(runs())
+def test_cli_exits_cleanly_and_names_an_accepted_setting(tmp_path_factory, capsys, run):
+    command, config, as_flag = run
+    argv = _argv(tmp_path_factory.mktemp("fuzz"), command, config, as_flag)
+    outcomes = []
+    for _ in range(2):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        outcomes.append((rc, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+    rc, out, err = outcomes[0]
+    assert rc in (0, 2, 3), err
+    if rc == 0:
+        assert out and not err
+        return
+    assert not out
+    error = json.loads(err)["error"]
+    if rc == 2:
+        assert error["type"] == "validation"
+        assert error["field"] in COMMANDS[command][2], (argv, error)
+    else:
+        assert error["type"] in ("theory_gate", "budget_exceeded", "inconclusive")

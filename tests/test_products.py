@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import collapse_counts, lyapunov_per_replicate, singular_values_on_mean_zero
 from cutpaste.errors import ValidationError
@@ -15,6 +17,7 @@ from cutpaste.paintbox import (
 )
 from cutpaste.products import (
     CollapseReport,
+    _collapse_scan,
     collapse_diagnostic,
     estimate_lyapunov,
     helmert_basis,
@@ -301,3 +304,89 @@ def test_collapse_diagnostic_matches_per_replicate_oracle(case):
         assert rep.verdict == ("yes" if contract.any() or positive.any() else "undetermined")
     if case == "identity_point_mass":
         assert rep.verdict == "undetermined"
+
+
+# ------------------------------------------------------- the collapse gate
+
+_SWAP = [[0.0, 1.0], [1.0, 0.0]]
+_CONTRACTING = [[0.8, 0.3], [0.2, 0.7]]
+# permutations never contract V nor turn positive, so a witness waits for
+# the rare contracting atom: often past replicate 0 and past m = 1
+_RARE_WITNESS = Atomic([_SWAP, np.eye(2), _CONTRACTING], [0.49, 0.49, 0.02])
+
+_GATE_LAWS = {
+    "permutation_mix_k2": PermutationMix(2),
+    "permutation_mix_k3": PermutationMix(3),
+    "identity_point_mass": PointMass(np.eye(3)),
+    "dirichlet_k3": SelfSimilar([1.0, 1.0, 1.0]),
+    "rare_witness": _RARE_WITNESS,
+}
+
+
+def _gate_agrees(law, m_max, replicates, seed, delta):
+    """The gate is None exactly when the diagnostic says yes, and otherwise
+    is the diagnostic."""
+    gate = _collapse_scan(law, m_max, replicates, seed, delta, first_witness=True)
+    report = collapse_diagnostic(law, m_max, replicates, seed, delta)
+    if report.verdict == "yes":
+        assert gate is None
+    else:
+        assert gate == report
+    return report
+
+
+@pytest.mark.parametrize("case", sorted(_GATE_LAWS))
+def test_gate_stops_exactly_when_the_diagnostic_says_yes(case):
+    law = _GATE_LAWS[case]
+    verdicts = set()
+    late = 0
+    for (m_max, replicates), seed in itertools.product([(32, 200), (4, 5), (3, 1)], range(6)):
+        report = _gate_agrees(law, m_max, replicates, seed, 1e-6)
+        verdicts.add(report.verdict)
+        draws = _replicate_draws(law, seed, "collapse-replicate", 1, m_max)
+        contract, positive = collapse_counts(draws, 1e-6)
+        first = min(m for m in (report.first_contraction_m, report.first_positivity_m, m_max + 1)
+                    if m is not None)
+        late += report.verdict == "yes" and not (contract.any() or positive.any()) and first > 1
+    want = {"permutation_mix_k2": {"undetermined"}, "permutation_mix_k3": {"undetermined"},
+            "identity_point_mass": {"undetermined"}, "dirichlet_k3": {"yes"},
+            "rare_witness": {"yes", "undetermined"}}[case]
+    assert verdicts == want
+    if case == "rare_witness":
+        # some scans found their first witness past replicate 0 and m = 1
+        assert late > 0
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_gate_agrees_with_the_diagnostic_on_random_atomic_laws(data):
+    k = data.draw(st.integers(2, 3))
+    count = data.draw(st.integers(1, 3))
+    atoms = []
+    for _ in range(count):
+        if data.draw(st.booleans()):
+            perm = data.draw(st.permutations(range(k)))
+            atoms.append(np.eye(k)[:, perm])
+        else:
+            m = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k * k, max_size=k * k)))
+            m = m.reshape(k, k) + 1e-3
+            atoms.append(m / m.sum(axis=0))
+    weights = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count)))
+    law = Atomic(atoms, weights / weights.sum())
+    m_max = data.draw(st.integers(1, 6))
+    replicates = data.draw(st.integers(1, 6))
+    delta = data.draw(st.sampled_from([1e-6, 0.1, 0.5]))
+    _gate_agrees(law, m_max, replicates, data.draw(st.integers(0, 50)), delta)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("m_max", 0), ("m_max", -2), ("replicates", 0), ("replicates", -1),
+    ("delta", -1.0), ("delta", 0.0), ("delta", 1.0), ("delta", 2.0),
+    ("delta", math.nan), ("delta", math.inf), ("delta", -math.inf),
+])
+def test_collapse_scan_names_a_bad_setting(key, value):
+    kwargs = {"m_max": 4, "replicates": 3, "seed": 0, "delta": 1e-6, key: value}
+    for scan in (collapse_diagnostic, lambda law, **kw: _collapse_scan(law, **kw, first_witness=True)):
+        with pytest.raises(ValidationError) as exc:
+            scan(PermutationMix(2), **kwargs)
+        assert exc.value.field == key

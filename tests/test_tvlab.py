@@ -13,6 +13,7 @@ from _oracles import (
     ehrenfest_exhaustive_kernel,
     ehrenfest_exhaustive_tv,
     ehrenfest_fraction_tvs,
+    mixing_search_redraw,
     product_step_kernel,
     tv_distance,
     tv_lower_reference,
@@ -30,6 +31,7 @@ from cutpaste.paintbox import (
 )
 from cutpaste.partitions import Coloring
 from cutpaste.tvlab import (
+    DEFAULT_ENUMERATION_BUDGET,
     MixingProfile,
     ProductMultinomialLaw,
     TVEstimate,
@@ -51,8 +53,12 @@ from cutpaste.tvlab import (
     tv_lower_mc,
     tv_upper_mc,
 )
+from cutpaste.products import collapse_diagnostic
+from cutpaste.rng import RngStream, as_stream
+from cutpaste.tvlab import mixing as mixing_module
 from cutpaste.tvlab.ehrenfest import _count_kernel, _stationary
-from cutpaste.tvlab.mc import _SPECTRUM_BUDGET, _statistic_spectra
+from cutpaste.tvlab.mc import _SPECTRUM_BUDGET, _ProductPath, _statistic_spectra
+from cutpaste.tvlab.mixing import designed_pairs
 
 
 def random_stochastic(rng, k):
@@ -642,6 +648,147 @@ def test_mixing_time_validation():
         mixing_time(law, 8, 2, epsilon=0.25, method="secret")
     with pytest.raises(ValidationError):
         mixing_time(law, 8, 3, epsilon=0.25, method="exact_atomic")
+
+
+def test_mixing_time_mc_needs_two_replicates():
+    law = slow_two_atom_law()
+    for replicates in (1, 0, -3):
+        with pytest.raises(ValidationError) as exc:
+            mixing_time(law, 8, 2, epsilon=0.25, method="mc_sandwich", replicates=replicates)
+        assert exc.value.field == "replicates"
+    # refused before the gate, which would refuse this law
+    with pytest.raises(ValidationError):
+        mixing_time(PermutationMix(2), 8, 2, epsilon=0.25, replicates=1)
+    # the exact search reads no replicates
+    prof = mixing_time(law, 8, 2, epsilon=0.25, method="exact_atomic", replicates=1)
+    assert prof.t_mix[0.25] is not None
+
+
+def redraw_mixing_time(law, n, k, epsilon=0.25, method="mc_sandwich", seed=0,
+                       replicates=2000, m_max=4096, budget=DEFAULT_ENUMERATION_BUDGET,
+                       theta_hat=None):
+    """mixing_time as it ran before the gate stopped at its first witness and
+    probes shared a product path: the full collapse diagnostic, then every
+    probe redrawn by tv_upper_mc (or enumerated by tv_exact_atomic)."""
+    try:
+        epsilons = tuple(sorted({float(e) for e in epsilon}))
+    except TypeError:
+        epsilons = (float(epsilon),)
+    stream = as_stream(seed)
+    gate = collapse_diagnostic(law, seed=stream.derive("collapse-gate"))
+    if gate.verdict != "yes":
+        raise TheoryRefusal(
+            "mixing-time search needs a certified collapsing product",
+            diagnostic=gate.to_json(),
+        )
+    pairs = designed_pairs(n, k)
+
+    def pair_estimates(m):
+        for idx, (a, b) in enumerate(pairs):
+            if method == "exact_atomic":
+                yield tv_exact_atomic(law, a, b, m, budget=budget)
+            else:
+                yield tv_upper_mc(law, a, b, m, replicates, stream.derive("pair", idx))
+
+    estimates, t_mix, flags = mixing_search_redraw(
+        pair_estimates, epsilons, m_max, method == "mc_sandwich", replicates
+    )
+    return MixingProfile(n, epsilons, tuple(estimates), t_mix, method, theta_hat, tuple(flags))
+
+
+_SEARCH_CASES = {
+    "two_atom_mc": (slow_two_atom_law(), 12, 2, dict(
+        epsilon=(0.5, 0.25, 0.1), replicates=300, seed=3)),
+    "two_atom_exact": (slow_two_atom_law(), 12, 2, dict(
+        epsilon=(0.5, 0.25), method="exact_atomic", seed=3)),
+    "two_atom_budget": (slow_two_atom_law(), 8, 2, dict(
+        epsilon=0.25, method="exact_atomic", budget=20)),
+    "dirichlet_k2_cutoff_size": (SelfSimilar([1.0, 1.0]), 256, 2, dict(
+        epsilon=(0.25, 0.75), replicates=400, m_max=64, seed=11)),
+    "dirichlet_k3": (SelfSimilar([1.0, 1.0, 1.0]), 6, 3, dict(
+        epsilon=(0.5, 0.25), replicates=200, seed=5)),
+    "atomic_k3": (Atomic([
+        [[0.6, 0.2, 0.1], [0.3, 0.5, 0.2], [0.1, 0.3, 0.7]],
+        [[0.3, 0.1, 0.25], [0.2, 0.7, 0.15], [0.5, 0.2, 0.6]],
+    ], [0.4, 0.6]), 5, 3, dict(epsilon=0.25, replicates=100, seed=8)),
+    "m_max_exhausted_mc": (slow_two_atom_law(), 16, 2, dict(
+        epsilon=1e-9, replicates=50, m_max=8, seed=2)),
+    "two_replicates": (slow_two_atom_law(), 6, 2, dict(
+        epsilon=(0.75, 0.3), replicates=2, m_max=32, seed=4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SEARCH_CASES))
+def test_mixing_time_matches_redraw_search(case):
+    law, n, k, kwargs = _SEARCH_CASES[case]
+    got = mixing_time(law, n, k, **kwargs).to_json()
+    assert got == redraw_mixing_time(law, n, k, **kwargs).to_json()
+    if case == "m_max_exhausted_mc":
+        assert got["flags"] and all(row["m"] is None for row in got["t_mix"])
+    if case == "two_atom_budget":
+        assert any("budget" in f for f in got["flags"])
+
+
+@pytest.mark.parametrize("law", [PermutationMix(2), PermutationMix(3), PointMass(np.eye(2))])
+def test_mixing_time_refusal_matches_redraw_search(law):
+    with pytest.raises(TheoryRefusal) as got:
+        mixing_time(law, 6, law.k, epsilon=0.25, seed=9)
+    with pytest.raises(TheoryRefusal) as want:
+        redraw_mixing_time(law, 6, law.k, epsilon=0.25, seed=9)
+    assert got.value.reason == want.value.reason
+    assert got.value.details == want.value.details
+    diagnostic = collapse_diagnostic(law, seed=as_stream(9).derive("collapse-gate"))
+    assert got.value.details["diagnostic"] == diagnostic.to_json()
+    assert diagnostic.verdict == "undetermined"
+
+
+def test_cutoff_experiment_matches_redraw_search(monkeypatch):
+    law = SelfSimilar([1.0, 1.0])
+    kwargs = dict(seed=7, replicates=200, m_max=64, lyapunov_m=200, lyapunov_replicates=4)
+    got = cutoff_experiment(law, 2, (32, 64, 128), 0.25, **kwargs).to_json()
+    monkeypatch.setattr(mixing_module, "mixing_time", redraw_mixing_time)
+    want = cutoff_experiment(law, 2, (32, 64, 128), 0.25, **kwargs).to_json()
+    assert got == want
+    assert all(row["m"] is not None for p in got["profiles"] for row in p["t_mix"])
+
+
+def test_gate_draws_one_replicate_on_a_witness_first_law(monkeypatch):
+    law = slow_two_atom_law()
+    # every atom contracts V, so replicate 0 is a witness at m = 1
+    made = []
+    generator = RngStream.generator
+
+    def counted(self):
+        made.append(self)
+        return generator(self)
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    mixing_time(law, 8, 2, epsilon=0.25, method="exact_atomic", seed=1)
+    assert len(made) == 1
+    made.clear()
+    collapse_diagnostic(law, seed=as_stream(1).derive("collapse-gate"))
+    assert len(made) == 200
+
+
+@pytest.mark.parametrize("law", [
+    slow_two_atom_law(),
+    SelfSimilar([0.5, 2.0]),
+    Atomic([
+        [[0.6, 0.2, 0.1], [0.3, 0.5, 0.2], [0.1, 0.3, 0.7]],
+        [[0.3, 0.1, 0.25], [0.2, 0.7, 0.15], [0.5, 0.2, 0.6]],
+    ], [0.4, 0.6]),
+    DirichletColumns(np.array([[1.0, 0.5, 2.0], [1.0, 1.0, 1.0], [0.3, 1.0, 1.0]])),
+], ids=["atomic_k2", "dirichlet_k2", "atomic_k3", "dirichlet_columns_k3"])
+def test_product_path_matches_fresh_products(law):
+    for order in itertools.permutations([0, 1, 5]):
+        for asked in (list(order), list(order) + [3, 8, 2]):
+            path = _ProductPath(law, 7, 42)
+            for m in asked:
+                assert np.array_equal(path.at(m), batched_products(law, m, 7, 42)), (asked, m)
+            # the path keeps the horizons asked for, and only those
+            assert sorted(path.kept) == sorted(set(asked))
+    with pytest.raises(ValidationError):
+        _ProductPath(law, 7, 42).at(-1)
 
 
 # ------------------------------------------------------------------ cutoff
