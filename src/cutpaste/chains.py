@@ -122,11 +122,13 @@ def _keep(step: int, thin: int, total: int) -> bool:
     return step == total or (thin > 0 and step % thin == 0)
 
 
-def _check_run(law: PaintboxLaw, x0: Coloring, m_steps: int) -> None:
+def _check_run(law: PaintboxLaw, x0: Coloring, m_steps: int, thin: int) -> None:
     if law.k != x0.k:
         raise ValidationError("law and initial state must share k")
     if m_steps < 0:
         raise ValidationError(f"need m_steps >= 0, got {m_steps}", field="m_steps")
+    if thin < 0:
+        raise ValidationError(f"need thin >= 0, got {thin}", field="thin")
 
 
 def _run_efcp(law, x0, m_steps, seed, thin, record_paintbox, paintbox_sequence, streams, per_column):
@@ -141,7 +143,7 @@ def _run_efcp(law, x0, m_steps, seed, thin, record_paintbox, paintbox_sequence, 
     cum[r, c] <= u, cum the column cumsums of S: the row searchsorted would
     find, since a cumsum of nonnegative entries never decreases and u < 1.
     That is k - 1 gathers and compares per step over all sites at once."""
-    _check_run(law, x0, m_steps)
+    _check_run(law, x0, m_steps, thin)
     stream = as_stream(seed)
     # separate streams for the paintbox draws and the moves, so that
     # injecting a recorded paintbox sequence replays the same moves

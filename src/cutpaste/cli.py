@@ -28,7 +28,7 @@ from .chains import (
     run_efcp_matrix,
     standard_ehrenfest,
 )
-from .errors import Refusal, ValidationError, coerce
+from .errors import Refusal, ValidationError, _renamed, coerce
 from .paintbox import law_from_config
 from .partitions import Coloring
 from .products import collapse_diagnostic, estimate_lyapunov
@@ -201,13 +201,17 @@ def _cmd_simulate(s, out) -> None:
     law = s["law"]
     x0_color = s.pop("x0_color")
     if s["x0"] is not None:
-        x0 = Coloring.from_string(s["x0"], law.k)
+        # the word's length is its n, so an empty word is a bad x0 too
+        with _renamed({"word": "x0", "n": "x0"}):
+            x0 = Coloring.from_string(s["x0"], law.k)
         if x0.n != s["n"]:
             raise ValidationError(f"n={s['n']} but x0 has {x0.n} sites", field="n")
     else:
-        x0 = Coloring.constant(s["n"], law.k, x0_color)
+        with _renamed({"word": "x0_color"}):
+            x0 = Coloring.constant(s["n"], law.k, x0_color)
     run_efcp = run_efcp_matrix if s["construction"] == "matrix" else run_efcp_coordinate
-    run = run_efcp(law, x0, s["steps"], s["seed"], thin=s["thin"])
+    with _renamed({"m_steps": "steps"}):
+        run = run_efcp(law, x0, s["steps"], s["seed"], thin=s["thin"])
     s["x0"] = x0.to_string()
     result = {
         "final": run.final.to_string(),
@@ -232,13 +236,16 @@ def _cmd_collapse(s, out) -> None:
 def _cmd_tv(s, out) -> None:
     law, n, method, seed = s["law"], s["n"], s["method"], s["seed"]
     if s["pair"] == "constant":
-        for key in ("color_a", "color_b"):
+        for key, default in (("color_a", 1), ("color_b", 2)):
+            if s[key] is None:
+                s[key] = default
             if not 1 <= s[key] <= law.k:
                 raise ValidationError(f"{key} must lie in 1..{law.k}", field=key)
         x0, x1 = make_constant_pair(n, law.k, s["color_a"], s["color_b"])
     elif law.k < 2:
         raise ValidationError("the block design needs a law with k >= 2", field="law")
     else:
+        _refuse_unused(s, ("color_a", "color_b"), "with pair block")
         x0, x1 = make_test_pair(n, law.k)
 
     if method == "exact":
@@ -361,7 +368,7 @@ COMMANDS = {
         "law": _LAW, "n": (_int, REQUIRED),
         "method": (_one_of("tv method", "exact", "upper", "lower"), "upper"),
         "pair": (_one_of("pair design", "constant", "block"), "constant"),
-        "color_a": (_int, 1), "color_b": (_int, 2), "replicates": (_int, None),
+        "color_a": (_int, None), "color_b": (_int, None), "replicates": (_int, None),
         "seed": _SEED, "m_grid": (_list_of(int), None), "m": (_int, None),
     }),
     "mixing-time": (_cmd_mixing_time, "smallest certified horizon under epsilon", {

@@ -9,6 +9,8 @@ certification), and maps to CLI exit code 3.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class ValidationError(ValueError):
     """Malformed input or configuration."""
@@ -30,6 +32,18 @@ def coerce(value, kind, field):
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{field} cannot take the value {value!r}", field=field) from None
+
+
+@contextmanager
+def _renamed(fields: dict):
+    """Report malformed input raised inside the block under the caller's own
+    names: fields maps the field a callee names to the caller's setting."""
+    try:
+        yield
+    except ValidationError as e:
+        if e.field not in fields:
+            raise
+        raise ValidationError(str(e), field=fields[e.field]) from None
 
 
 class Refusal(RuntimeError):

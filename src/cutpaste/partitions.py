@@ -123,7 +123,7 @@ class Coloring:
             try:
                 c = _DIGITS.index(ch.upper()) + 1
             except ValueError:
-                raise ValidationError(f"bad color digit {ch!r}") from None
+                raise ValidationError(f"bad color digit {ch!r}", field="word") from None
             word.append(c)
         return cls(len(word), k, tuple(word))
 

@@ -8,9 +8,15 @@ j - h + a. N1 is therefore itself a Markov chain on n + 1 states (the chain
 is lumpable; Kemeny & Snell, Finite Markov Chains, 1960). From a constant
 start the law at every time t is exchangeable, and so is the stationary
 law, so both are uniform given N1 and their TV equals the TV between the
-two N1 laws. The stationary N1 law comes from Grassmann-Taksar-Heyman
-elimination (Operations Research 33, 1985), which does no subtractions and
-so keeps its relative accuracy in the tails.
+two N1 laws.
+
+A move shifts the count by at most a, so the N1 chain is a band of width a,
+kept only as the table of its moves. A forward step scatters the law over
+that table at O(n a). The stationary law comes from Grassmann-Taksar-Heyman
+elimination (Operations Research 33, 1985), which does no subtractions, so
+keeps its relative accuracy in the tails, and adds no entry outside the band
+(Stewart, Introduction to the Numerical Solution of Markov Chains, 1994):
+O(n a^2) work, in the (n+1)^2 matrix that DEFAULT_EXACT_N_LIMIT bounds.
 """
 
 from __future__ import annotations
@@ -151,10 +157,9 @@ def loglog_schedule(n: int, beta: float) -> LogLogSchedule:
     )
 
 
-def _count_kernel(n: int, a: int) -> np.ndarray:
-    """Transition matrix of the one-count N1: from j ones the batch holds h
-    of them with hypergeometric weight C(j, h) C(n - j, a - h) / C(n, a), and
-    one fair coin sends the count to j - h or to j - h + a."""
+def _count_moves(n: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every move of N1 as (from, to, probability) arrays: from j ones, with
+    weight C(j, h) C(n - j, a - h) / (2 C(n, a)) each, to j - h and j - h + a."""
     lf = _log_factorials(n)
     j = np.arange(n + 1)[:, None]
     h = np.arange(a + 1)[None, :]
@@ -167,31 +172,39 @@ def _count_kernel(n: int, a: int) -> np.ndarray:
     )
     w = 0.5 * np.exp(np.where(ok, logw, -np.inf))
     ones, hits = np.nonzero(w)
-    k = np.zeros((n + 1, n + 1))
-    k[ones, ones - hits] = w[ones, hits]
-    k[ones, ones - hits + a] += w[ones, hits]
-    return k
+    low = ones - hits
+    return np.tile(ones, 2), np.concatenate([low, low + a]), np.tile(w[ones, hits], 2)
 
 
-def _stationary(k: np.ndarray) -> np.ndarray:
+def _step(row: np.ndarray, moves) -> np.ndarray:
+    """The one-count law one step on, at O(n a): each move carries its share."""
+    src, dst, p = moves
+    return np.bincount(dst, weights=row[src] * p, minlength=row.size)
+
+
+def _stationary(moves, n: int, a: int) -> np.ndarray:
     """Stationary law by Grassmann-Taksar-Heyman elimination: censor the
     states from the top down, dividing by the escape mass below each pivot
     instead of subtracting from one. Count 0 is reachable from every count,
-    so every pivot is positive.
+    so every pivot is positive. Pivot m touches only counts m - a to m - 1.
 
     The back-substituted pi[m] / pi[0] grows like C(n, m), past the double
     range near n = 1030, so the prefix is scaled down by 2^-900 whenever an
     entry passes 2^900. A power-of-two scaling is exact, so wherever the
     unscaled law was finite the normalised law keeps every bit, except in
     entries that end up subnormal."""
-    g = k.copy()
-    for m in range(g.shape[0] - 1, 0, -1):
-        g[:m, m] /= g[m, :m].sum()
-        g[:m, :m] += np.outer(g[:m, m], g[m, :m])
-    pi = np.zeros(g.shape[0])
+    src, dst, p = moves
+    size = n + 1
+    g = np.bincount(src * size + dst, weights=p, minlength=size * size).reshape(size, size)
+    for m in range(n, 0, -1):
+        lo = max(0, m - a)
+        g[lo:m, m] /= g[m, lo:m].sum()
+        g[lo:m, lo:m] += np.outer(g[lo:m, m], g[m, lo:m])
+    pi = np.zeros(size)
     pi[0] = 1.0
-    for m in range(1, g.shape[0]):
-        pi[m] = pi[:m] @ g[:m, m]
+    for m in range(1, size):
+        lo = max(0, m - a)
+        pi[m] = pi[lo:m] @ g[lo:m, m]
         if pi[m] > 2.0**900:
             pi[: m + 1] = np.ldexp(pi[: m + 1], -900)
     return pi / pi.sum()
@@ -201,24 +214,24 @@ def _tv_sweep(params: EhrenfestParams, horizons):
     """(t, exact TV to stationarity) at each of the increasing horizons, from
     the all-ones start, in one forward pass of the one-count chain."""
     n, a = params.n, params.batch_size
-    k = _count_kernel(n, a)
-    pi = _stationary(k)
+    moves = _count_moves(n, a)
+    pi = _stationary(moves, n, a)
     row = np.zeros(n + 1)
     row[n] = 1.0
     t = 0
     for horizon in horizons:
         for _ in range(t, horizon):
-            row = row @ k
+            row = _step(row, moves)
         t = horizon
         yield t, _half_l1(row, pi)
 
 
-def _check_exact_inputs(params: EhrenfestParams, x0, n_limit: int) -> None:
+def _check_exact_inputs(params: EhrenfestParams, x0) -> None:
     n = params.n
-    if n > n_limit:
+    if n > DEFAULT_EXACT_N_LIMIT:
         raise BudgetRefusal(
             "exact pass is limited to moderate n; use the coupling bounds instead",
-            n=n, limit=n_limit,
+            n=n, limit=DEFAULT_EXACT_N_LIMIT,
         )
     if x0 is not None:
         if not isinstance(x0, Coloring) or x0.k != 2 or x0.n != n:
@@ -231,44 +244,31 @@ def _check_exact_inputs(params: EhrenfestParams, x0, n_limit: int) -> None:
 
 
 def ehrenfest_tv_profile(
-    params: EhrenfestParams,
-    t_grid,
-    x0: Coloring | None = None,
-    n_limit: int = DEFAULT_EXACT_N_LIMIT,
+    params: EhrenfestParams, t_grid, x0: Coloring | None = None
 ) -> list[tuple[int, TVEstimate]]:
     """Exact TV to stationarity at every horizon in t_grid, in one forward
     sweep. The two constant starts are symmetric, so the all-ones law
     computed here covers both."""
-    _check_exact_inputs(params, x0, n_limit)
+    _check_exact_inputs(params, x0)
     grid = sorted({int(t) for t in t_grid})
     if not grid or grid[0] < 0:
         raise ValidationError("t_grid must be non-empty with t >= 0", field="t_grid")
     return [(t, TVEstimate(tv, "exact")) for t, tv in _tv_sweep(params, grid)]
 
 
-def ehrenfest_tv_exact(
-    params: EhrenfestParams,
-    t: int,
-    x0: Coloring | None = None,
-    n_limit: int = DEFAULT_EXACT_N_LIMIT,
-) -> TVEstimate:
+def ehrenfest_tv_exact(params: EhrenfestParams, t: int, x0: Coloring | None = None) -> TVEstimate:
     """Exact TV between the chain's law at horizon t (from a constant start)
     and its stationary law."""
-    return ehrenfest_tv_profile(params, [t], x0, n_limit)[0][1]
+    return ehrenfest_tv_profile(params, [t], x0)[0][1]
 
 
-def ehrenfest_mixing_time(
-    params: EhrenfestParams,
-    epsilon: float,
-    t_max: int | None = None,
-    n_limit: int = DEFAULT_EXACT_N_LIMIT,
-) -> int:
+def ehrenfest_mixing_time(params: EhrenfestParams, epsilon: float, t_max: int | None = None) -> int:
     """Smallest t with exact TV below epsilon. TV to stationarity is
     non-increasing in t, so the first crossing found by the forward sweep is
     the mixing time."""
     if not 0.0 < epsilon < 1.0:
         raise ValidationError("epsilon must lie in (0, 1)", field="epsilon")
-    _check_exact_inputs(params, None, n_limit)
+    _check_exact_inputs(params, None)
     n, a = params.n, params.batch_size
     if t_max is None:
         t_max = int(math.ceil(2.0 * (n / a) * math.log(n))) + 8 * int(math.ceil(n / a))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BudgetRefusal, TheoryRefusal, ValidationError
+from ..errors import BudgetRefusal, TheoryRefusal, ValidationError, _renamed
 from ..paintbox import PaintboxLaw
 from ..partitions import Coloring
 from ..products import _collapse_scan, estimate_lyapunov
@@ -43,6 +43,23 @@ def certified_below(est: TVEstimate, epsilon: float) -> bool:
     if est.kind == "exact":
         return est.value < epsilon
     return est.value + 3.0 * est.mc_std_error < epsilon
+
+
+def _check_search(law: PaintboxLaw, k: int, method: str, replicates: int, m_max: int) -> None:
+    """The search settings that mixing_time and cutoff_experiment share,
+    checked before either spends any work."""
+    if law.k != k:
+        raise ValidationError(f"law has k={law.k}, asked for k={k}", field="k")
+    if k < 2:
+        raise ValidationError("the designed pairs need k >= 2", field="k")
+    if method not in METHODS:
+        raise ValidationError(f"method must be one of {METHODS}", field="method")
+    if m_max < 1:
+        raise ValidationError("need m_max >= 1", field="m_max")
+    if method == "mc_sandwich" and replicates < 2:
+        raise ValidationError(
+            "MC certification needs replicates >= 2 for a standard error", field="replicates"
+        )
 
 
 @dataclass(frozen=True)
@@ -111,20 +128,9 @@ def mixing_time(
     failures (budget or band width) leave t_mix None for that epsilon and
     add a flag instead of raising.
     """
-    if law.k != k:
-        raise ValidationError(f"law has k={law.k}, asked for k={k}", field="k")
-    if k < 2:
-        raise ValidationError("the designed pairs need k >= 2", field="k")
+    _check_search(law, k, method, replicates, m_max)
     if n < 1:
         raise ValidationError("need n >= 1", field="n")
-    if method not in METHODS:
-        raise ValidationError(f"method must be one of {METHODS}", field="method")
-    if m_max < 1:
-        raise ValidationError("need m_max >= 1", field="m_max")
-    if method == "mc_sandwich" and replicates < 2:
-        raise ValidationError(
-            "MC certification needs replicates >= 2 for a standard error", field="replicates"
-        )
     try:
         eps_grid = tuple(sorted({float(e) for e in epsilon}))
     except TypeError:
@@ -266,8 +272,7 @@ def cutoff_experiment(
     them. Sizes whose certification fails are reported with a flag and
     excluded from the slope fits.
     """
-    if law.k != k:
-        raise ValidationError(f"law has k={law.k}, asked for k={k}", field="k")
+    _check_search(law, k, method, replicates, m_max)
     if not law.has_smooth_density:
         raise TheoryRefusal(
             "cutoff experiments need a paintbox law with a smooth density",
@@ -276,11 +281,14 @@ def cutoff_experiment(
     if not 0.0 < epsilon < 0.5:
         raise ValidationError("epsilon must lie in (0, 0.5)", field="epsilon")
     n_grid = tuple(int(n) for n in n_grid)
-    if len(n_grid) < 2 or sorted(set(n_grid)) != list(n_grid):
-        raise ValidationError("n_grid must be at least two strictly increasing sizes", field="n_grid")
+    if len(n_grid) < 2 or n_grid[0] < 1 or sorted(set(n_grid)) != list(n_grid):
+        raise ValidationError(
+            "n_grid must be at least two strictly increasing sizes >= 1", field="n_grid"
+        )
 
     stream = as_stream(seed)
-    lyap = estimate_lyapunov(law, lyapunov_m, lyapunov_replicates, stream.derive("lyapunov"))
+    with _renamed({"m": "lyapunov_m", "replicates": "lyapunov_replicates"}):
+        lyap = estimate_lyapunov(law, lyapunov_m, lyapunov_replicates, stream.derive("lyapunov"))
     if not 0.0 < lyap.lambda1 < 1.0:
         raise TheoryRefusal(
             "cutoff prediction needs a top growth rate strictly inside (0, 1)",

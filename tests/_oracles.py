@@ -250,6 +250,48 @@ def ehrenfest_covering_tvs(n: int, a: int, t_grid) -> list[float]:
     return out
 
 
+def ehrenfest_dense_kernel(n: int, a: int) -> np.ndarray:
+    """The one-count chain's kernel as a dense (n+1) x (n+1) matrix: from j
+    ones the batch holds h of them with weight C(j, h) C(n - j, a - h) /
+    C(n, a), from this module's own lgamma table, and one fair coin sends the
+    count to j - h or to j - h + a."""
+    lf = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    j = np.arange(n + 1)[:, None]
+    h = np.arange(a + 1)[None, :]
+    rest, miss = n - j, a - h
+    ok = (h <= j) & (miss <= rest)
+    logw = (
+        (lf[j] - lf[h] - lf[np.where(ok, j - h, 0)])
+        + (lf[rest] - lf[miss] - lf[np.where(ok, rest - miss, 0)])
+        - (lf[n] - lf[a] - lf[n - a])
+    )
+    w = 0.5 * np.exp(np.where(ok, logw, -np.inf))
+    ones, hits = np.nonzero(w)
+    k = np.zeros((n + 1, n + 1))
+    k[ones, ones - hits] = w[ones, hits]
+    k[ones, ones - hits + a] += w[ones, hits]
+    return k
+
+
+def dense_gth_stationary(k: np.ndarray) -> np.ndarray:
+    """Stationary law by Grassmann-Taksar-Heyman elimination over the whole
+    matrix, with no use of its band: censor the states from the top down,
+    dividing by the escape mass below each pivot. The back-substituted
+    prefix is scaled by 2^-900 whenever an entry passes 2^900, which is
+    exact, so laws past the double range stay finite."""
+    g = np.array(k, dtype=float)
+    for m in range(g.shape[0] - 1, 0, -1):
+        g[:m, m] /= g[m, :m].sum()
+        g[:m, :m] += np.outer(g[:m, m], g[m, :m])
+    pi = np.zeros(g.shape[0])
+    pi[0] = 1.0
+    for m in range(1, g.shape[0]):
+        pi[m] = pi[:m] @ g[:m, m]
+        if pi[m] > 2.0**900:
+            pi[: m + 1] = np.ldexp(pi[: m + 1], -900)
+    return pi / pi.sum()
+
+
 def _fraction_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     """x with a x = b, by Gauss-Jordan elimination in exact arithmetic."""
     m = [row[:] + [rhs] for row, rhs in zip(a, b)]

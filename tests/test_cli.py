@@ -619,6 +619,10 @@ def test_empty_epsilon_list_exits_2(capsys, tmp_path, command, how):
      "replicates"),
     ("mixing-time", {"law": ATOMIC_LAW, "n": 4, "method": "exact_atomic", "replicates": 5},
      "replicates"),
+    ("tv", {"law": ATOMIC_LAW, "n": 4, "m": 1, "method": "exact", "pair": "block", "color_a": 1},
+     "color_a"),
+    ("tv", {"law": ATOMIC_LAW, "n": 4, "m": 1, "method": "exact", "pair": "block", "color_b": 2},
+     "color_b"),
 ])
 def test_setting_the_mode_ignores_exits_2(capsys, tmp_path, command, settings, field):
     rc, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, settings)])
@@ -664,6 +668,23 @@ def test_collapse_names_a_nonpositive_size(capsys, tmp_path, key, value):
     assert _validation_field(err) == key
 
 
+@pytest.mark.parametrize("command,settings,field", [
+    ("simulate", {"steps": -1}, "steps"),
+    ("simulate", {"thin": -1}, "thin"),
+    ("simulate", {"x0": "1X21"}, "x0"),
+    ("simulate", {"x0": ""}, "x0"),
+    ("cutoff", {"n_grid": [0, 32]}, "n_grid"),
+    ("cutoff", {"lyapunov_m": 0}, "lyapunov_m"),
+    ("cutoff", {"lyapunov_replicates": 0}, "lyapunov_replicates"),
+])
+def test_a_bad_value_names_the_setting_given(capsys, tmp_path, command, settings, field):
+    cfg = write_config(tmp_path, {**BASE[command], **settings})
+    rc, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == field
+
+
 @pytest.mark.parametrize("command", ["mixing-time", "cutoff"])
 def test_mc_certification_refuses_one_replicate(capsys, tmp_path, command):
     base = {k: v for k, v in BASE[command].items() if k != "method"}
@@ -689,6 +710,8 @@ ONE_COLOR_LAW = {"kind": "point_mass", "matrix": [[1.0]]}
     ("tv", {"law": ONE_COLOR_LAW, "n": 4, "m": 1, "pair": "block"}, "law"),
     # the search has no designed pair to probe; this was a traceback
     ("mixing-time", {"law": ONE_COLOR_LAW, "n": 4, "method": "exact_atomic", "m_max": 4}, "k"),
+    ("simulate", {"law": ATOMIC_LAW, "n": 4, "steps": 1, "x0": "1313"}, "x0"),
+    ("simulate", {"law": ATOMIC_LAW, "n": 4, "steps": 1, "x0_color": 3}, "x0_color"),
 ])
 def test_settings_out_of_the_laws_range_name_a_setting(capsys, tmp_path, command, settings,
                                                        field):

@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     block_statistic_pmf_fraction,
     block_statistic_pmfs,
+    dense_gth_stationary,
     ehrenfest_covering_tvs,
+    ehrenfest_dense_kernel,
     ehrenfest_exhaustive_kernel,
     ehrenfest_exhaustive_tv,
     ehrenfest_fraction_tvs,
@@ -53,10 +57,10 @@ from cutpaste.tvlab import (
     tv_lower_mc,
     tv_upper_mc,
 )
-from cutpaste.products import collapse_diagnostic
+from cutpaste.products import collapse_diagnostic, estimate_lyapunov
 from cutpaste.rng import RngStream, as_stream
 from cutpaste.tvlab import mixing as mixing_module
-from cutpaste.tvlab.ehrenfest import _count_kernel, _stationary
+from cutpaste.tvlab.ehrenfest import _count_moves, _stationary, _step
 from cutpaste.tvlab.mc import _SPECTRUM_BUDGET, _ProductPath, _statistic_spectra
 from cutpaste.tvlab.mixing import designed_pairs
 
@@ -811,6 +815,27 @@ def test_cutoff_validation():
         cutoff_experiment(law, 2, (16,), epsilon=0.25, seed=0)
 
 
+@pytest.mark.parametrize("settings,field", [
+    ({"replicates": 1}, "replicates"), ({"m_max": 0}, "m_max"), ({"method": "bogus"}, "method"),
+    ({"k": 3}, "k"), ({"n_grid": (0, 32)}, "n_grid"), ({"lyapunov_m": 0}, "lyapunov_m"),
+    ({"lyapunov_replicates": 0}, "lyapunov_replicates"),
+])
+def test_cutoff_names_its_own_setting_before_any_work(monkeypatch, settings, field):
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return estimate_lyapunov(*args)
+
+    monkeypatch.setattr(mixing_module, "estimate_lyapunov", recorded)
+    kwargs = {"k": 2, "n_grid": (16, 32), "lyapunov_m": 10, "lyapunov_replicates": 2, **settings}
+    with pytest.raises(ValidationError) as err:
+        cutoff_experiment(SelfSimilar([1.0, 1.0]), **kwargs)
+    assert err.value.field == field
+    # only the estimate's own settings reach it, and it refuses them at once
+    assert not calls or field.startswith("lyapunov_")
+
+
 def test_cutoff_smoke_report_shape():
     law = SelfSimilar([1.0, 1.0])
     report = cutoff_experiment(
@@ -869,11 +894,53 @@ def test_ehrenfest_t0_point_mass_vs_stationary():
 def test_single_site_stationary_law_is_binomial_past_the_double_range(n):
     # for a = 1 the stationary one-count law is Binomial(n, 1/2); its
     # unnormalised back-substitution grows like C(n, j), past 2^1024 here
-    pi = _stationary(_count_kernel(n, 1))
+    pi = _stationary(_count_moves(n, 1), n, 1)
     want = np.array([float(Fraction(math.comb(n, j), 2**n)) for j in range(n + 1)])
     # the kernel's log-factorial weights round at ulp(log n!) ~ 9e-13
     # relative, which is about 2e-14 at the binomial mode 0.024
     assert np.max(np.abs(pi - want)) < 4e-14
+
+
+def _assert_band_matches_dense(n, a):
+    moves = _count_moves(n, a)
+    kernel = ehrenfest_dense_kernel(n, a)
+    assert np.max(np.abs(_stationary(moves, n, a) - dense_gth_stationary(kernel))) < 1e-14
+    row = np.zeros(n + 1)
+    row[n] = 1.0
+    want = row.copy()
+    for _ in range(2 * n // a + 3):
+        row, want = _step(row, moves), want @ kernel
+        assert np.max(np.abs(row - want)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "n,a", [(1, 1), (7, 3), (40, 10), (64, 1), (64, 32), (64, 63), (64, 64), (97, 33)]
+)
+def test_band_sweep_and_stationary_law_match_the_dense_oracle(n, a):
+    _assert_band_matches_dense(n, a)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+def test_band_matches_the_dense_oracle_for_every_batch(na):
+    _assert_band_matches_dense(*na)
+
+
+def test_band_step_memory_is_linear_in_the_band():
+    # one (n+1)^2 kernel at n = 1100 alone is 9.3 MiB; the band step reads
+    # 2(n+1)(a+1) moves, about 0.2 MiB per array here
+    n, a = 1100, 11
+    moves = _count_moves(n, a)
+    row = np.zeros(n + 1)
+    row[n] = 1.0
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            row = _step(row, moves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_ehrenfest_profile_monotone_and_consistent():
