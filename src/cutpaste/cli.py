@@ -11,6 +11,10 @@ Every command's settings are declared once, in COMMANDS: each key maps to
 the reader that converts its value and to its default. The parser's flags
 and the accepted config keys both come from that table, and a flag value
 goes through the same reader as a config value.
+
+Each command's handler imports the modules it calls, and a call builds
+the flags of its own command only, so a call loads and parses no more
+than its command needs.
 """
 
 from __future__ import annotations
@@ -22,30 +26,7 @@ import json
 import math
 import sys
 
-from .chains import (
-    EhrenfestParams,
-    run_efcp_coordinate,
-    run_efcp_matrix,
-    standard_ehrenfest,
-)
 from .errors import Refusal, ValidationError, _renamed, coerce
-from .paintbox import law_from_config
-from .partitions import Coloring
-from .products import collapse_diagnostic, estimate_lyapunov
-from .projections import projected_mixing_equivalence
-from .tvlab import (
-    cutoff_experiment,
-    ehrenfest_bounds,
-    ehrenfest_mixing_time,
-    ehrenfest_tv_profile,
-    loglog_schedule,
-    make_constant_pair,
-    make_test_pair,
-    mixing_time,
-    tv_exact_atomic,
-    tv_lower_mc,
-    tv_upper_mc,
-)
 
 SCHEMA_VERSION = 1
 
@@ -130,7 +111,15 @@ def _bool(v, key):
 
 
 def _law(v, key):
-    return law_from_config(v)
+    """The law from its config; malformed input names the law's own key,
+    as law.atoms or law.kind, or the law itself when it is no mapping."""
+    from .paintbox import law_from_config
+
+    try:
+        return law_from_config(v)
+    except ValidationError as e:
+        field = key if e.field is None else f"{key}.{e.field}"
+        raise ValidationError(str(e), field=field) from None
 
 
 def _list_of(kind):
@@ -198,11 +187,13 @@ def _echo(s: dict) -> dict:
 
 
 def _cmd_simulate(s, out) -> None:
+    from .chains import run_efcp_coordinate, run_efcp_matrix
+    from .partitions import Coloring
+
     law = s["law"]
     x0_color = s.pop("x0_color")
     if s["x0"] is not None:
-        # the word's length is its n, so an empty word is a bad x0 too
-        with _renamed({"word": "x0", "n": "x0"}):
+        with _renamed({"word": "x0"}):
             x0 = Coloring.from_string(s["x0"], law.k)
         if x0.n != s["n"]:
             raise ValidationError(f"n={s['n']} but x0 has {x0.n} sites", field="n")
@@ -224,16 +215,23 @@ def _cmd_simulate(s, out) -> None:
 
 
 def _cmd_lyapunov(s, out) -> None:
+    from .products import estimate_lyapunov
+
     est = estimate_lyapunov(s["law"], s["m"], s["replicates"], s["seed"])
     _emit_json("lyapunov", _echo(s), {"kind": "mc_estimate", **est.to_json()}, out)
 
 
 def _cmd_collapse(s, out) -> None:
+    from .products import collapse_diagnostic
+
     rep = collapse_diagnostic(s["law"], s["m_max"], s["replicates"], s["seed"], s["delta"])
     _emit_json("collapse", _echo(s), rep.to_json(), out)
 
 
 def _cmd_tv(s, out) -> None:
+    from .tvlab.exact import tv_exact_atomic
+    from .tvlab.mc import make_constant_pair, make_test_pair, tv_lower_mc, tv_upper_mc
+
     law, n, method, seed = s["law"], s["n"], s["method"], s["seed"]
     if s["pair"] == "constant":
         for key, default in (("color_a", 1), ("color_b", 2)):
@@ -269,6 +267,8 @@ def _cmd_tv(s, out) -> None:
 
 
 def _cmd_mixing_time(s, out) -> None:
+    from .tvlab.mixing import mixing_time
+
     if s["method"] == "exact_atomic":
         _refuse_unused(s, ("replicates",), "with method exact_atomic")
     elif s["replicates"] is None:
@@ -281,6 +281,8 @@ def _cmd_mixing_time(s, out) -> None:
 
 
 def _cmd_cutoff(s, out) -> None:
+    from .tvlab.mixing import cutoff_experiment
+
     rep = cutoff_experiment(
         s["law"], s["k"], s["n_grid"], s["epsilon"], s["seed"], s["method"],
         s["replicates"], s["m_max"], s["lyapunov_m"], s["lyapunov_replicates"],
@@ -288,12 +290,20 @@ def _cmd_cutoff(s, out) -> None:
     _emit_json("cutoff", _echo(s), rep.to_json(), out)
 
 
-def _default_ehrenfest_grid(params: EhrenfestParams) -> list[int]:
+def _default_ehrenfest_grid(params) -> list[int]:
     scale = (params.n / params.batch_size) * math.log(params.n)
     return sorted({int(round(c * scale)) for c in (0.25, 0.35, 0.45, 0.5, 0.55, 0.65, 0.75)})
 
 
 def _cmd_ehrenfest(s, out) -> None:
+    from .chains import EhrenfestParams, standard_ehrenfest
+    from .tvlab.ehrenfest import (
+        ehrenfest_bounds,
+        ehrenfest_mixing_time,
+        ehrenfest_tv_profile,
+        loglog_schedule,
+    )
+
     n, seed, beta = s["n"], s["seed"], s["beta"]
     if s["loglog"]:
         # the schedule picks its own refresh fraction from n
@@ -337,6 +347,8 @@ def _cmd_ehrenfest(s, out) -> None:
 
 
 def _cmd_project(s, out) -> None:
+    from .projections import projected_mixing_equivalence
+
     rep = projected_mixing_equivalence(
         s["law"], s["n"], s["k"], tuple(s["epsilon"]), s["seed"],
         state_budget=s["state_budget"], m_max=s["m_max"],
@@ -396,7 +408,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; given a command, only that command's
+    subparser gets its flags, which is all a call naming it parses."""
     parser = argparse.ArgumentParser(
         prog="cutpaste",
         description="Simulation and analysis of paintbox-driven coloring chains.",
@@ -404,6 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, table) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path (default stdout)")
         for key, (read, _) in table.items():
@@ -418,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     handler, _, table = COMMANDS[args.command]
     try:
         handler(_settings(args, table), args.out)

@@ -9,6 +9,7 @@ certification), and maps to CLI exit code 3.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 
 
@@ -37,13 +38,16 @@ def coerce(value, kind, field):
 @contextmanager
 def _renamed(fields: dict):
     """Report malformed input raised inside the block under the caller's own
-    names: fields maps the field a callee names to the caller's setting."""
+    names: fields maps the field a callee names to the caller's setting,
+    and the callee's name is replaced as a whole word in the message too."""
     try:
         yield
     except ValidationError as e:
         if e.field not in fields:
             raise
-        raise ValidationError(str(e), field=fields[e.field]) from None
+        name = fields[e.field]
+        message = re.sub(rf"\b{re.escape(e.field)}\b", name, str(e))
+        raise ValidationError(message, field=name) from None
 
 
 class Refusal(RuntimeError):

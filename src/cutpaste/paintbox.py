@@ -245,7 +245,8 @@ class Atomic(PaintboxLaw):
 
     def __init__(self, atoms, weights):
         atoms = tuple(
-            a if isinstance(a, StochasticMatrix) else StochasticMatrix(a) for a in atoms
+            a if isinstance(a, StochasticMatrix) else StochasticMatrix(a)
+            for a in coerce(atoms, tuple, "atoms")
         )
         if not atoms:
             raise ValidationError("need at least one atom", field="atoms")
@@ -477,25 +478,38 @@ class SelfSimilar(DirichletColumns):
         return {"kind": self.kind, "nu": self.nu.tolist()}
 
 
+# each law kind: its config keys and its constructor from the config.
+# Malformed input that a constructor reports under none of the keys (a
+# matrix's "entries", a Dirichlet parameter) comes from the first key's data.
+_LAW_KINDS = {
+    PointMass.kind: (("matrix",), lambda c: PointMass(c["matrix"])),
+    Atomic.kind: (("atoms", "weights"), lambda c: Atomic(c["atoms"], c["weights"])),
+    PermutationMix.kind: (
+        ("k", "perms", "weights"),
+        lambda c: PermutationMix(c["k"], c.get("perms"), c.get("weights")),
+    ),
+    DirichletColumns.kind: (("alpha_columns",), lambda c: DirichletColumns(c["alpha_columns"])),
+    SelfSimilar.kind: (("nu",), lambda c: SelfSimilar(c["nu"])),
+}
+
+
 def law_from_config(obj) -> PaintboxLaw:
-    """Build a PaintboxLaw from its JSON-style config dict."""
+    """Build a PaintboxLaw from its JSON-style config dict. Malformed input
+    names the config key it came from: "kind", or one of the kind's keys."""
     if not isinstance(obj, dict):
         raise ValidationError("law config must be a mapping")
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _LAW_KINDS:
+        raise ValidationError(f"unknown law kind {kind!r}", field="kind")
+    keys, build = _LAW_KINDS[kind]
     try:
-        if kind == PointMass.kind:
-            return PointMass(obj["matrix"])
-        if kind == Atomic.kind:
-            return Atomic(obj["atoms"], obj["weights"])
-        if kind == PermutationMix.kind:
-            return PermutationMix(obj["k"], obj.get("perms"), obj.get("weights"))
-        if kind == DirichletColumns.kind:
-            return DirichletColumns(obj["alpha_columns"])
-        if kind == SelfSimilar.kind:
-            return SelfSimilar(obj["nu"])
+        return build(obj)
     except KeyError as e:
-        raise ValidationError(f"law config missing field {e.args[0]!r}", field=kind) from None
-    raise ValidationError(f"unknown law kind {kind!r}", field="kind")
+        raise ValidationError(f"law config missing field {e.args[0]!r}", field=e.args[0]) from None
+    except ValidationError as e:
+        if e.field in keys:
+            raise
+        raise ValidationError(str(e), field=keys[0]) from None
 
 
 def sample_S(law: PaintboxLaw, rng) -> StochasticMatrix:

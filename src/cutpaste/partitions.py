@@ -118,6 +118,8 @@ class Coloring:
 
     @classmethod
     def from_string(cls, text: str, k: int) -> "Coloring":
+        if not text:
+            raise ValidationError("need at least one color digit", field="word")
         word = []
         for ch in text:
             try:

@@ -1,69 +1,27 @@
 """Total-variation laboratory: exact count-statistic TV, Monte Carlo
 sandwich bounds, mixing-time search, cutoff experiments, and the
-batch-refresh chain's bounds and exact profile."""
+batch-refresh chain's bounds and exact profile.
 
-from .ehrenfest import (
-    EhrenfestBounds,
-    LogLogSchedule,
-    coupling_upper,
-    ehrenfest_bounds,
-    ehrenfest_mixing_time,
-    ehrenfest_tv_exact,
-    ehrenfest_tv_profile,
-    loglog_schedule,
-)
-from .exact import (
-    DEFAULT_ENUMERATION_BUDGET,
-    LikelihoodCertificate,
-    ProductMultinomialLaw,
-    TVEstimate,
-    refinement_cells,
-    tv_exact_atomic,
-    tv_exact_conditional,
-    tv_exact_product_multinomial,
-    tv_likelihood_bound,
-)
-from .mc import (
-    batched_products,
-    make_constant_pair,
-    make_test_pair,
-    tv_lower_mc,
-    tv_upper_mc,
-)
-from .mixing import (
-    CutoffReport,
-    MixingProfile,
-    cutoff_experiment,
-    designed_pairs,
-    mixing_time,
-)
+Like the package, this namespace loads each submodule on first use."""
 
-__all__ = [
-    "DEFAULT_ENUMERATION_BUDGET",
-    "CutoffReport",
-    "EhrenfestBounds",
-    "LikelihoodCertificate",
-    "LogLogSchedule",
-    "MixingProfile",
-    "ProductMultinomialLaw",
-    "TVEstimate",
-    "batched_products",
-    "coupling_upper",
-    "cutoff_experiment",
-    "designed_pairs",
-    "ehrenfest_bounds",
-    "ehrenfest_mixing_time",
-    "ehrenfest_tv_exact",
-    "ehrenfest_tv_profile",
-    "loglog_schedule",
-    "make_constant_pair",
-    "make_test_pair",
-    "mixing_time",
-    "refinement_cells",
-    "tv_exact_atomic",
-    "tv_exact_conditional",
-    "tv_exact_product_multinomial",
-    "tv_likelihood_bound",
-    "tv_lower_mc",
-    "tv_upper_mc",
-]
+from .. import _lazy
+
+__all__, __getattr__, __dir__ = _lazy(globals(), {
+    "ehrenfest": (
+        "EhrenfestBounds", "LogLogSchedule", "coupling_upper", "ehrenfest_bounds",
+        "ehrenfest_mixing_time", "ehrenfest_tv_exact", "ehrenfest_tv_profile",
+        "loglog_schedule",
+    ),
+    "exact": (
+        "DEFAULT_ENUMERATION_BUDGET", "LikelihoodCertificate", "ProductMultinomialLaw",
+        "TVEstimate", "refinement_cells", "tv_exact_atomic", "tv_exact_conditional",
+        "tv_exact_product_multinomial", "tv_likelihood_bound",
+    ),
+    "mc": (
+        "batched_products", "make_constant_pair", "make_test_pair", "tv_lower_mc",
+        "tv_upper_mc",
+    ),
+    "mixing": (
+        "CutoffReport", "MixingProfile", "cutoff_experiment", "designed_pairs", "mixing_time",
+    ),
+})

@@ -64,8 +64,10 @@ class TVEstimate:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown estimate kind {self.kind!r}", field="kind")
         v = float(self.value)
+        # the program computes every value, so one outside [0, 1] (NaN
+        # included) is a fault of the program, not malformed input
         if not -1e-9 <= v <= 1.0 + 1e-9:
-            raise ValidationError(f"TV value {v} outside [0, 1]", field="value")
+            raise FloatingPointError(f"TV value {v} outside [0, 1]")
         object.__setattr__(self, "value", min(1.0, max(0.0, v)))
         if self.kind == "exact" and self.mc_std_error != 0.0:
             raise ValidationError("exact estimates carry no MC error", field="mc_std_error")

@@ -1,13 +1,19 @@
 import argparse
 import json
+import math
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cutpaste.chains import standard_ehrenfest
+import cutpaste.tvlab.exact
+from cutpaste.chains import run_efcp_matrix, standard_ehrenfest
 from cutpaste.cli import COMMANDS, _float, _int, build_parser, main
+from cutpaste.errors import ValidationError, _renamed
+from cutpaste.paintbox import law_from_config
+from cutpaste.partitions import Coloring
+from cutpaste.products import estimate_lyapunov
 from cutpaste.tvlab import ehrenfest_mixing_time, ehrenfest_tv_profile, loglog_schedule
 
 ATOMIC_LAW = {
@@ -373,11 +379,11 @@ def test_non_numeric_matrix_entry_exits_2(capsys, tmp_path):
     rc, out, err = run_cli(capsys, ["lyapunov", "--config", cfg, "--m", "5"])
     assert rc == 2
     assert out == ""
-    assert _validation_field(err) == "entries"
+    assert _validation_field(err) == "law.matrix"
     ragged = dict(ATOMIC_LAW, atoms=[[[0.8, 0.3], [0.2]], ATOMIC_LAW["atoms"][1]])
     rc, _, err = run_cli(capsys, ["collapse", "--config", write_config(tmp_path, {"law": ragged})])
     assert rc == 2
-    assert _validation_field(err) == "entries"
+    assert _validation_field(err) == "law.atoms"
 
 
 def test_simulate_thinned_trajectory_steps(capsys, tmp_path):
@@ -399,11 +405,11 @@ def test_non_numeric_scalar_settings_exit_2(capsys, tmp_path):
     rc, out, err = run_cli(capsys, ["collapse", "--config", write_config(tmp_path, {"law": law})])
     assert rc == 2
     assert out == ""
-    assert _validation_field(err) == "k"
+    assert _validation_field(err) == "law.k"
     law = {"kind": "permutation_mix", "k": 3, "perms": [[1, 2, "x"]]}
     rc, _, err = run_cli(capsys, ["collapse", "--config", write_config(tmp_path, {"law": law})])
     assert rc == 2
-    assert _validation_field(err) == "perms"
+    assert _validation_field(err) == "law.perms"
     for key, value in (("n_grid", [64, "big"]), ("epsilon", "tiny"), ("replicates", 1e400),
                        ("n_grid", [8, 8.5]), ("epsilon", True), ("replicates", True)):
         cfg = write_config(tmp_path, {"law": ATOMIC_LAW, "n_grid": [8], key: value})
@@ -736,3 +742,67 @@ def test_readme_example_runs(capsys, tmp_path, monkeypatch, line):
     rc, out, err = run_cli(capsys, shlex.split(line)[1:])
     assert rc == 0, err
     assert out
+
+
+@pytest.mark.parametrize("command,settings,field,message", [
+    ("simulate", {"steps": -1}, "steps", "need steps >= 0, got -1"),
+    ("simulate", {"x0": ""}, "x0", "need at least one color digit"),
+    ("cutoff", {"lyapunov_m": 0}, "lyapunov_m", "need lyapunov_m >= 1, got 0"),
+    ("cutoff", {"lyapunov_replicates": 0}, "lyapunov_replicates", "need at least one replicate"),
+])
+def test_a_renamed_setting_is_named_in_the_message_too(capsys, tmp_path, command, settings,
+                                                        field, message):
+    cfg = write_config(tmp_path, {**BASE[command], **settings})
+    rc, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "validation", "field": field, "message": message}
+
+
+def test_renaming_replaces_whole_words_and_library_calls_keep_their_names():
+    with pytest.raises(ValidationError) as exc, _renamed({"m": "lyapunov_m"}):
+        raise ValidationError("need m >= 1 and m_max >= m, got m=0", field="m")
+    assert str(exc.value) == "need lyapunov_m >= 1 and m_max >= lyapunov_m, got lyapunov_m=0"
+    assert exc.value.field == "lyapunov_m"
+    law = law_from_config(ATOMIC_LAW)
+    with pytest.raises(ValidationError, match=r"^need m_steps >= 0, got -1$"):
+        run_efcp_matrix(law, Coloring.constant(4, 2, 1), -1, 0)
+    with pytest.raises(ValidationError, match=r"^need m >= 1, got 0$"):
+        estimate_lyapunov(law, 0, 2, 0)
+
+
+@pytest.mark.parametrize("law,field", [
+    (dict(ATOMIC_LAW, atoms=[[[0.8, 0.3], [0.2]], ATOMIC_LAW["atoms"][1]]), "law.atoms"),
+    (dict(ATOMIC_LAW, atoms=[[[0.8, 0.3], [0.3, 0.7]], ATOMIC_LAW["atoms"][1]]), "law.atoms"),
+    (dict(ATOMIC_LAW, atoms=5), "law.atoms"),
+    (dict(ATOMIC_LAW, weights=[0.7, 0.7]), "law.weights"),
+    ({"kind": "dirichlet_columns"}, "law.alpha_columns"),
+    ({"kind": "dirichlet_columns", "alpha_columns": [[1.0, -1.0], [1.0, 1.0]]}, "law.alpha_columns"),
+    ({"kind": "self_similar", "nu": [1.0, 0.0]}, "law.nu"),
+    ({"kind": "mystery"}, "law.kind"),
+    ([1], "law"),
+])
+def test_a_malformed_law_names_its_own_key(capsys, tmp_path, law, field):
+    cfg = write_config(tmp_path, {"law": law})
+    rc, out, err = run_cli(capsys, ["lyapunov", "--config", cfg, "--m", "5"])
+    assert (rc, out) == (2, "")
+    assert _validation_field(err) == field
+
+
+def test_a_nan_from_the_program_is_a_fault_not_bad_input(tmp_path, monkeypatch):
+    # a fault raises out of main, so the process exits 1 with a traceback
+    monkeypatch.setattr(cutpaste.tvlab.exact, "_half_l1", lambda p, q: math.nan)
+    with pytest.raises(FloatingPointError):
+        main(["tv", "--config", write_config(tmp_path, BASE["tv"])])
+
+
+def test_a_command_parser_declares_only_its_own_flags():
+    def flags(parser):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {c: {f for a in p._actions for f in a.option_strings} for c, p in sub.choices.items()}
+
+    full = flags(build_parser())
+    for command in COMMANDS:
+        assert flags(build_parser(command)) == {
+            c: want if c == command else {"-h", "--help"} for c, want in full.items()
+        }
+        assert build_parser(command).format_help() == build_parser().format_help()

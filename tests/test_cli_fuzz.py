@@ -1,7 +1,7 @@
 """CLI fuzz over generated configs: small runs of every command with bad and
 boundary values mixed in. Every run must exit 0, 2 or 3, print the same
 bytes when rerun, and name, when it exits 2, a setting the command
-accepts."""
+accepts, or a key of the law as law.<key>."""
 
 import json
 import math
@@ -18,7 +18,17 @@ LAWS = [
     {"kind": "self_similar", "nu": [1.0, 1.0]},
     {"kind": "point_mass", "matrix": [[1.0, 0.5, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]]},
     {"kind": "point_mass", "matrix": [[1.0]]},
+    # malformed laws, each reported under one of LAW_KEYS
+    {"kind": "atomic", "atoms": [[[0.8, 0.3], [0.2]], [[0.6, 0.45], [0.4, 0.55]]],
+     "weights": [0.5, 0.5]},
+    {"kind": "atomic", "atoms": [[[0.8, 0.3], [0.3, 0.7]]], "weights": [1.0]},
+    {"kind": "atomic", "atoms": 5, "weights": [1.0]},
+    {"kind": "dirichlet_columns"},
+    {"kind": "self_similar", "nu": [1.0, math.nan]},
+    {"kind": "mystery"},
+    [1],
 ]
+LAW_KEYS = ("kind", "matrix", "atoms", "weights", "k", "perms", "alpha_columns", "nu")
 SEEDS = [0, 7, -5, 2**70, "x", True, 1.5]
 COUNTS = [-1, 0, 1, 2, 3, "x", True, 2.5, math.inf]
 FRACTIONS = [-1.0, 0.0, 1e-6, 0.25, 0.5, 1.0, 1.5, math.nan, math.inf, "x", True]
@@ -148,6 +158,8 @@ def test_cli_exits_cleanly_and_names_an_accepted_setting(tmp_path_factory, capsy
         error = json.loads(err)["error"]
         if rc == 2:
             assert error["type"] == "validation"
-            assert error["field"] in COMMANDS[command][2], (argv, error)
+            setting, _, law_key = error["field"].partition(".")
+            assert setting in COMMANDS[command][2], (argv, error)
+            assert not law_key or (setting == "law" and law_key in LAW_KEYS), (argv, error)
         else:
             assert error["type"] in ("theory_gate", "budget_exceeded", "inconclusive")

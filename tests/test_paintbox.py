@@ -207,6 +207,21 @@ def test_config_round_trips():
         law_from_config([1, 2])
 
 
+@pytest.mark.parametrize("cfg,field", [
+    ({"kind": "atomic", "atoms": [[[1.0]], [[0.5, 0.5]]], "weights": [0.5, 0.5]}, "atoms"),
+    ({"kind": "point_mass", "matrix": [[0.5, 0.5], [0.4, 0.5]]}, "matrix"),
+    ({"kind": "self_similar", "nu": [1.0, -1.0]}, "nu"),
+    ({"kind": "dirichlet_columns"}, "alpha_columns"),
+    ({"kind": "mystery"}, "kind"),
+    ({"kind": ["atomic"]}, "kind"),
+    ([1, 2], None),
+])
+def test_law_config_errors_name_the_config_key(cfg, field):
+    with pytest.raises(ValidationError) as exc:
+        law_from_config(cfg)
+    assert exc.value.field == field
+
+
 def test_sample_m_identity():
     s = StochasticMatrix(np.eye(3))
     m = sample_M_given_S(s, 9, RngStream(41))

@@ -103,8 +103,10 @@ def test_tv_estimate_validation():
     assert TVEstimate(-5e-10, "exact").value == 0.0
     with pytest.raises(ValidationError):
         TVEstimate(0.5, "approximate")
-    with pytest.raises(ValidationError):
-        TVEstimate(1.2, "exact")
+    # a value outside [0, 1] can only come from the program itself
+    for value in (1.2, -0.1, math.nan):
+        with pytest.raises(FloatingPointError):
+            TVEstimate(value, "exact")
     with pytest.raises(ValidationError):
         TVEstimate(0.5, "exact", mc_std_error=0.1)
     with pytest.raises(ValidationError):
