@@ -67,14 +67,8 @@ class SimplexPoint:
     def __post_init__(self):
         if len(self.coords) != self.k:
             raise ValidationError("need one coordinate per color", field="coords")
-        arr = np.array(self.coords, dtype=float)
-        if arr.min() < -1e-12 or abs(arr.sum() - 1.0) > 1e-12:
-            raise ValidationError(
-                f"{self.coords} is not a point of the simplex", field="coords"
-            )
-        arr = np.clip(arr, 0.0, None)
-        arr /= arr.sum()
-        object.__setattr__(self, "coords", tuple(arr.tolist()))
+        arr = _column_stochastic(np.array(self.coords, dtype=float)[:, None], "coords", 1e-12)
+        object.__setattr__(self, "coords", tuple(arr[:, 0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -334,11 +328,9 @@ def check_group_weights(lambda_weights, k: int) -> np.ndarray:
     w = np.array(lambda_weights, dtype=float)
     if w.shape != (k,):
         raise ValidationError("need one weight per color", field="lambda_weights")
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+    if np.any(w <= 0.0):
         raise ValidationError("weights must be strictly positive", field="lambda_weights")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"weights sum to {w.sum()}, not 1", field="lambda_weights")
-    w /= w.sum()
+    w = _column_stochastic(w[:, None], "lambda_weights")[:, 0]
     if np.max(np.abs(w - w[::-1])) > 1e-12:
         raise TheoryRefusal(
             "group-chain weights must satisfy lambda(j) = lambda(k-j+1) > 0",

@@ -35,6 +35,20 @@ def coerce(value, kind, field):
         raise ValidationError(f"{field} cannot take the value {value!r}", field=field) from None
 
 
+def _epsilon_grid(epsilon, descending: bool = False) -> tuple[float, ...]:
+    """The distinct thresholds of an epsilon setting, one number or several,
+    sorted; each must lie in (0, 1)."""
+    try:
+        grid = tuple(sorted({float(e) for e in epsilon}, reverse=descending))
+    except TypeError:
+        grid = (float(epsilon),)
+    if not grid:
+        raise ValidationError("epsilon needs at least one threshold", field="epsilon")
+    if not all(0.0 < e < 1.0 for e in grid):
+        raise ValidationError("epsilon must lie in (0, 1)", field="epsilon")
+    return grid
+
+
 @contextmanager
 def _renamed(fields: dict):
     """Report malformed input raised inside the block under the caller's own

@@ -38,24 +38,25 @@ def _as_generator(rng) -> np.random.Generator:
     return as_stream(rng).generator()
 
 
-def _column_stochastic(arr: np.ndarray) -> np.ndarray:
-    """A (..., k, k) stack of column-stochastic matrices, checked and
+def _column_stochastic(
+    arr: np.ndarray, field: str = "entries", tol: float = _COLSUM_TOL
+) -> np.ndarray:
+    """A (..., r, c) stack of column-stochastic arrays, checked and
     normalized: entries finite, negatives above -1e-12 clipped to zero,
-    column sums within 1e-9 of 1, then every column divided by its sum.
-    Returns a new array."""
+    column sums within tol of 1, then every column divided by its sum.
+    Returns a new array. This is the one check of a probability vector,
+    given as the single column of an (r, 1) array; malformed input names
+    field."""
     if not np.all(np.isfinite(arr)):
-        raise ValidationError("entries must be finite", field="entries")
+        raise ValidationError(f"{field} must be finite", field=field)
     if arr.min() < _NEG_CLIP:
-        raise ValidationError("negative entry in stochastic matrix", field="entries")
+        raise ValidationError(f"{field} must be nonnegative", field=field)
     arr = np.clip(arr, 0.0, None)
     sums = arr.sum(axis=-2, keepdims=True)
-    off = np.abs(sums - 1.0) > _COLSUM_TOL
+    off = np.abs(sums - 1.0) > tol
     if off.any():
         bad = sums[np.nonzero(off)[:-1]][0]
-        raise ValidationError(
-            f"column sums {bad.tolist()} not within {_COLSUM_TOL} of 1",
-            field="entries",
-        )
+        raise ValidationError(f"column sums {bad.tolist()} not within {tol} of 1", field=field)
     arr /= sums
     return arr
 
@@ -124,9 +125,12 @@ class RceResult:
 
 
 class PaintboxLaw:
-    """Base class for distributions over column-stochastic matrices."""
+    """Base class for distributions over column-stochastic matrices. A law
+    with finite support holds it as one Atomic, which answers its
+    exchangeability test."""
 
     kind = "abstract"
+    _atomic: "Atomic | None" = None
 
     @property
     def k(self) -> int:
@@ -141,6 +145,8 @@ class PaintboxLaw:
 
     def is_rce(self) -> RceResult:
         """Whether the law is invariant under row and column permutations."""
+        if self._atomic is not None:
+            return self._atomic.is_rce()
         return RceResult(None, f"no structural exchangeability test for kind {self.kind}")
 
     @property
@@ -153,7 +159,7 @@ class PaintboxLaw:
 
     def as_atomic(self) -> "Atomic | None":
         """A finitely supported representation of this law, if one exists."""
-        return None
+        return self._atomic
 
     def config(self) -> dict:
         raise NotImplementedError
@@ -218,6 +224,7 @@ class PointMass(PaintboxLaw):
         if not isinstance(matrix, StochasticMatrix):
             matrix = StochasticMatrix(matrix)
         self.matrix = matrix
+        self._atomic = Atomic([matrix], [1.0])
 
     @property
     def k(self) -> int:
@@ -225,14 +232,6 @@ class PointMass(PaintboxLaw):
 
     def sample_batch(self, rng, size):
         return np.tile(self.matrix.entries, (size, 1, 1))
-
-    def is_rce(self):
-        if np.max(np.abs(self.matrix.entries - 1.0 / self.k)) <= _ATOM_TOL:
-            return RceResult(True, "point mass at the uniform-column matrix")
-        return RceResult(False, "a point mass is permutation-invariant only at the uniform-column matrix")
-
-    def as_atomic(self):
-        return Atomic([self.matrix], [1.0])
 
     def config(self):
         return {"kind": self.kind, "matrix": self.matrix.to_lists()}
@@ -256,13 +255,7 @@ class Atomic(PaintboxLaw):
         w = _float_array(weights, "weights")
         if w.shape != (len(atoms),):
             raise ValidationError("need one weight per atom", field="weights")
-        if np.any(w < -_ATOM_TOL) or not np.all(np.isfinite(w)):
-            raise ValidationError("weights must be nonnegative", field="weights")
-        w = np.clip(w, 0.0, None)
-        total = w.sum()
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise ValidationError(f"weights sum to {total}, not 1", field="weights")
-        w /= total
+        w = _column_stochastic(w[:, None], "weights")[:, 0]
         w.setflags(write=False)
         self.atoms = atoms
         self.weights = w
@@ -296,7 +289,8 @@ class PermutationMix(PaintboxLaw):
     """A mixture of permutation matrices.
 
     perms lists permutations as 1-based image vectors (entry j is the color
-    that color j+1 maps to); perms=None means uniform over all k! permutations.
+    that color j+1 maps to), held as one Atomic of permutation matrices;
+    perms=None means uniform over all k! permutations.
     """
 
     kind = "permutation_mix"
@@ -306,11 +300,10 @@ class PermutationMix(PaintboxLaw):
         if not 1 <= k <= MAX_COLORS:
             raise ValidationError(f"k={k} outside 1..{MAX_COLORS}", field="k")
         self._k = k
+        self.perms = None
         if perms is None:
             if weights is not None:
                 raise ValidationError("weights require an explicit perm list", field="weights")
-            self.perms = None
-            self.weights = None
             return
         cleaned = []
         for p in coerce(perms, lambda ps: [tuple(int(c) - 1 for c in p) for p in ps], "perms"):
@@ -320,20 +313,9 @@ class PermutationMix(PaintboxLaw):
         if not cleaned:
             raise ValidationError("need at least one permutation", field="perms")
         if weights is None:
-            w = np.full(len(cleaned), 1.0 / len(cleaned))
-        else:
-            w = _float_array(weights, "weights")
-            if w.shape != (len(cleaned),):
-                raise ValidationError("need one weight per permutation", field="weights")
-            if np.any(w < -_ATOM_TOL):
-                raise ValidationError("weights must be nonnegative", field="weights")
-            w = np.clip(w, 0.0, None)
-            if abs(w.sum() - 1.0) > _WEIGHT_TOL:
-                raise ValidationError(f"weights sum to {w.sum()}, not 1", field="weights")
-            w /= w.sum()
-        w.setflags(write=False)
+            weights = np.full(len(cleaned), 1.0 / len(cleaned))
         self.perms = tuple(cleaned)
-        self.weights = w
+        self._atomic = Atomic([self._perm_matrix(p) for p in cleaned], weights)
 
     @property
     def k(self) -> int:
@@ -345,49 +327,24 @@ class PermutationMix(PaintboxLaw):
         return m
 
     def sample_batch(self, rng, size):
+        if self._atomic is not None:
+            return self._atomic.sample_batch(rng, size)
         gen = _as_generator(rng)
         k = self._k
+        # argsort of i.i.d. uniforms is a uniform random permutation
+        order = np.argsort(gen.random((size, k)), axis=1)
         out = np.zeros((size, k, k))
-        if self.perms is None:
-            # argsort of i.i.d. uniforms is a uniform random permutation
-            order = np.argsort(gen.random((size, k)), axis=1)
-        else:
-            idx = gen.choice(len(self.perms), size=size, p=self.weights)
-            order = np.array(self.perms)[idx]
         out[np.arange(size)[:, None], order, np.arange(k)[None, :]] = 1.0
         return out
 
     def is_rce(self):
-        if self.perms is None:
+        if self._atomic is None:
             return RceResult(True, "uniform over all permutation matrices")
-        k = self._k
-        merged: dict[tuple, float] = {}
-        for p, w in zip(self.perms, self.weights):
-            merged[p] = merged.get(p, 0.0) + float(w)
-
-        def invariant(transform):
-            image = {}
-            for p, w in merged.items():
-                q = transform(p)
-                image[q] = image.get(q, 0.0) + w
-            return set(image) == set(merged) and all(
-                abs(image[p] - merged[p]) <= _WEIGHT_TOL for p in merged
-            )
-
-        for t in range(k - 1):
-            swap = list(range(k))
-            swap[t], swap[t + 1] = swap[t + 1], swap[t]
-            if not invariant(lambda p: tuple(swap[c] for c in p)):
-                return RceResult(False, f"permutation set not closed under swapping rows {t + 1},{t + 2}")
-            if not invariant(lambda p: tuple(p[swap[j]] for j in range(k))):
-                return RceResult(False, f"permutation set not closed under swapping columns {t + 1},{t + 2}")
-        return RceResult(True, "permutation set closed under row and column permutations with matched weights")
+        return super().is_rce()
 
     def as_atomic(self):
-        if self.perms is not None:
-            return Atomic([self._perm_matrix(p) for p in self.perms], self.weights)
-        if math.factorial(self._k) > 720:
-            return None
+        if self.perms is not None or math.factorial(self._k) > 720:
+            return self._atomic
         perms = list(itertools.permutations(range(self._k)))
         w = [1.0 / len(perms)] * len(perms)
         return Atomic([self._perm_matrix(p) for p in perms], w)
@@ -396,7 +353,7 @@ class PermutationMix(PaintboxLaw):
         cfg: dict = {"kind": self.kind, "k": self._k}
         if self.perms is not None:
             cfg["perms"] = [[c + 1 for c in p] for p in self.perms]
-            cfg["weights"] = self.weights.tolist()
+            cfg["weights"] = self._atomic.weights.tolist()
         return cfg
 
 
@@ -469,11 +426,6 @@ class SelfSimilar(DirichletColumns):
         super().__init__(np.tile(nu, (len(nu), 1)))
         self.nu = self.alpha[:, 0]
 
-    def is_rce(self):
-        if np.max(np.abs(self.nu - self.nu[0])) > _ATOM_TOL:
-            return RceResult(False, "nu is not symmetric")
-        return RceResult(True, "i.i.d. columns with a symmetric Dirichlet parameter")
-
     def config(self):
         return {"kind": self.kind, "nu": self.nu.tolist()}
 
@@ -495,13 +447,17 @@ _LAW_KINDS = {
 
 def law_from_config(obj) -> PaintboxLaw:
     """Build a PaintboxLaw from its JSON-style config dict. Malformed input
-    names the config key it came from: "kind", or one of the kind's keys."""
+    names the config key it came from: "kind", or one of the kind's keys; a
+    key the kind does not declare is malformed input under its own name."""
     if not isinstance(obj, dict):
         raise ValidationError("law config must be a mapping")
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in _LAW_KINDS:
         raise ValidationError(f"unknown law kind {kind!r}", field="kind")
     keys, build = _LAW_KINDS[kind]
+    for key in obj:
+        if key != "kind" and key not in keys:
+            raise ValidationError(f"unknown {kind} law setting {key!r}", field=key)
     try:
         return build(obj)
     except KeyError as e:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import ChainRun
-from .errors import BudgetRefusal, TheoryRefusal, ValidationError
+from .errors import BudgetRefusal, TheoryRefusal, ValidationError, _epsilon_grid
 from .paintbox import PaintboxLaw
 from .partitions import UnlabeledPartition, project
 from .smallspace import (
@@ -35,6 +35,9 @@ from .smallspace import (
 )
 
 DEFAULT_STATE_BUDGET = 4096
+# most states a dense k^n x k^n kernel may have, whatever the budget asked
+# for: 2^13 states is 512 MiB per kernel
+_KERNEL_STATE_CAP = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,8 @@ def projected_mixing_equivalence(
     projection, with the smallest horizon under each epsilon.
 
     Needs a row-column exchangeable, finitely supported law on a state space
-    within budget whose labeled chain has a unique stationary law; the
+    within state_budget and 2^13 states (refused before any kernel is built)
+    whose labeled chain has a unique stationary law; the
     projected kernel is the lumping of the labeled one and
     the projected stationary law is the pushforward of the labeled one. The
     seed parameter is accepted for interface uniformity; the computation is
@@ -134,26 +138,18 @@ def projected_mixing_equivalence(
         raise ValidationError(f"n must be at least 1, got {n}", field="n")
     if m_max < 1:
         raise ValidationError(f"m_max must be at least 1, got {m_max}", field="m_max")
-    try:
-        eps_grid = tuple(sorted({float(e) for e in epsilon}, reverse=True))
-    except TypeError:
-        eps_grid = (float(epsilon),)
-    if not eps_grid:
-        raise ValidationError("epsilon needs at least one threshold", field="epsilon")
-    for e in eps_grid:
-        if not 0.0 < e < 1.0:
-            raise ValidationError("epsilon must lie in (0, 1)", field="epsilon")
+    eps_grid = _epsilon_grid(epsilon, descending=True)
     rce = law.is_rce()
     if not rce:
         raise TheoryRefusal(
             "projection equivalence holds under row-column exchangeability only",
             rce_reason=rce.reason,
         )
-    states = state_count(n, k)
-    if states > state_budget:
+    states, budget = state_count(n, k), min(state_budget, _KERNEL_STATE_CAP)
+    if states > budget:
         raise BudgetRefusal(
             "labeled state space too large for the exact equivalence check",
-            required=states, budget=state_budget,
+            required=states, budget=budget,
         )
 
     kernel = exact_kernel(law, n)

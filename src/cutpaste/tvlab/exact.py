@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import BudgetRefusal, TheoryRefusal, ValidationError
-from ..paintbox import PaintboxLaw, StochasticMatrix
+from ..paintbox import PaintboxLaw, StochasticMatrix, _column_stochastic
 from ..partitions import Coloring
 
 DEFAULT_ENUMERATION_BUDGET = 20_000_000
@@ -105,10 +105,7 @@ class ProductMultinomialLaw:
                 k = len(s)
             elif len(s) != k:
                 raise ValidationError("blocks must share one k", field="blocks")
-            if s.min() < -1e-12 or abs(s.sum() - 1.0) > 1e-9:
-                raise ValidationError(f"{s.tolist()} is not a distribution", field="blocks")
-            s = np.clip(s, 0.0, None)
-            s /= s.sum()
+            s = _column_stochastic(s[:, None], "blocks")[:, 0]
             cleaned.append((size, tuple(s.tolist())))
         if not cleaned:
             raise ValidationError("need at least one block", field="blocks")
@@ -416,9 +413,9 @@ def tv_likelihood_bound(p, q, epsilon: float) -> LikelihoodCertificate:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1:
         raise ValidationError("laws must be vectors on a shared support")
+    # checked only: the certificate is computed on p and q as given
     for name, v in (("p", p), ("q", q)):
-        if v.min() < -1e-12 or abs(v.sum() - 1.0) > 1e-6:
-            raise ValidationError(f"{name} is not a probability vector", field=name)
+        _column_stochastic(v[:, None], name, 1e-6)
     pos = q > 0.0
     in_b = np.zeros(p.shape, dtype=bool)
     in_b[pos] = np.abs(p[pos] / q[pos] - 1.0) > epsilon

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BudgetRefusal, TheoryRefusal, ValidationError, _renamed
+from ..errors import BudgetRefusal, TheoryRefusal, ValidationError, _epsilon_grid, _renamed
 from ..paintbox import PaintboxLaw
 from ..partitions import Coloring
 from ..products import _collapse_scan, estimate_lyapunov
@@ -131,15 +131,7 @@ def mixing_time(
     _check_search(law, k, method, replicates, m_max)
     if n < 1:
         raise ValidationError("need n >= 1", field="n")
-    try:
-        eps_grid = tuple(sorted({float(e) for e in epsilon}))
-    except TypeError:
-        eps_grid = (float(epsilon),)
-    if not eps_grid:
-        raise ValidationError("epsilon needs at least one threshold", field="epsilon")
-    for e in eps_grid:
-        if not 0.0 < e < 1.0:
-            raise ValidationError("epsilon must lie in (0, 1)", field="epsilon")
+    eps_grid = _epsilon_grid(epsilon)
 
     stream = as_stream(seed)
     refused = _collapse_scan(law, seed=stream.derive("collapse-gate"), first_witness=True)

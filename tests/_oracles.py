@@ -692,3 +692,41 @@ def mixing_search_redraw(pair_estimates, epsilons, m_max: int, mc: bool, replica
         hits = [m for m, est in probed.items() if certified(est, eps)]
         t_mix[eps] = min(hits) if hits else None
     return sorted(probed.items(), key=lambda item: item[0]), t_mix, flags
+
+
+def listed_permutation_draws(perms, weights, k: int, gen, size: int) -> np.ndarray:
+    """Draws of a mixture of listed permutations (0-based image tuples) as
+    (size, k, k) permutation matrices: one weighted choice of a list index
+    per draw, then the chosen image vectors scattered as ones. The weights
+    are used as given."""
+    idx = gen.choice(len(perms), size=size, p=np.asarray(weights, dtype=float))
+    order = np.array(perms)[idx]
+    out = np.zeros((size, k, k))
+    out[np.arange(size)[:, None], order, np.arange(k)[None, :]] = 1.0
+    return out
+
+
+def permutation_set_rce(perms, weights, k: int, tol: float = 1e-9) -> bool:
+    """Whether a weighted list of permutations (0-based image tuples) is
+    fixed by every adjacent row swap (relabel the images) and every
+    adjacent column swap (reorder the sites), with duplicates merged by
+    adding their weights."""
+    merged: dict[tuple, float] = {}
+    for p, w in zip(perms, weights):
+        merged[tuple(p)] = merged.get(tuple(p), 0.0) + float(w)
+
+    def invariant(transform) -> bool:
+        image: dict[tuple, float] = {}
+        for p, w in merged.items():
+            q = transform(p)
+            image[q] = image.get(q, 0.0) + w
+        return set(image) == set(merged) and all(abs(image[p] - merged[p]) <= tol for p in merged)
+
+    for t in range(k - 1):
+        swap = list(range(k))
+        swap[t], swap[t + 1] = swap[t + 1], swap[t]
+        if not invariant(lambda p: tuple(swap[c] for c in p)):
+            return False
+        if not invariant(lambda p: tuple(p[swap[j]] for j in range(k))):
+            return False
+    return True

@@ -780,6 +780,13 @@ def test_renaming_replaces_whole_words_and_library_calls_keep_their_names():
     ({"kind": "self_similar", "nu": [1.0, 0.0]}, "law.nu"),
     ({"kind": "mystery"}, "law.kind"),
     ([1], "law"),
+    (dict(ATOMIC_LAW, weigths=[0.2, 0.8]), "law.weigths"),
+    (dict(ATOMIC_LAW, weights=[math.nan, 1.0]), "law.weights"),
+    (dict(ATOMIC_LAW, weights=[math.inf, 1.0]), "law.weights"),
+    ({"kind": "permutation_mix", "k": 2, "perms": [[1, 2], [2, 1]], "weights": [math.nan, 1.0]},
+     "law.weights"),
+    ({"kind": "permutation_mix", "k": 2, "perms": [[1, 2], [2, 1]], "weights": [-math.inf, 1.0]},
+     "law.weights"),
 ])
 def test_a_malformed_law_names_its_own_key(capsys, tmp_path, law, field):
     cfg = write_config(tmp_path, {"law": law})

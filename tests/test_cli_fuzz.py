@@ -1,7 +1,8 @@
 """CLI fuzz over generated configs: small runs of every command with bad and
 boundary values mixed in. Every run must exit 0, 2 or 3, print the same
 bytes when rerun, and name, when it exits 2, a setting the command
-accepts, or a key of the law as law.<key>."""
+accepts, or a key of the law as law.<key>: one that some law kind reads,
+or one that the drawn law config holds."""
 
 import json
 import math
@@ -15,10 +16,14 @@ LAWS = [
     {"kind": "atomic", "atoms": [[[0.8, 0.3], [0.2, 0.7]], [[0.6, 0.45], [0.4, 0.55]]],
      "weights": [0.5, 0.5]},
     {"kind": "permutation_mix", "k": 2},
+    {"kind": "permutation_mix", "k": 3, "perms": [[2, 3, 1], [1, 3, 2]], "weights": [0.4, 0.6]},
     {"kind": "self_similar", "nu": [1.0, 1.0]},
     {"kind": "point_mass", "matrix": [[1.0, 0.5, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]]},
     {"kind": "point_mass", "matrix": [[1.0]]},
-    # malformed laws, each reported under one of LAW_KEYS
+    # malformed laws, each reported under one of LAW_KEYS or a key it holds
+    {"kind": "permutation_mix", "k": 2, "perms": [[1, 2], [2, 1]], "weights": [math.nan, 1.0]},
+    {"kind": "atomic", "atoms": [[[0.8, 0.3], [0.2, 0.7]]], "weights": [1.0],
+     "weigths": [0.2, 0.8]},
     {"kind": "atomic", "atoms": [[[0.8, 0.3], [0.2]], [[0.6, 0.45], [0.4, 0.55]]],
      "weights": [0.5, 0.5]},
     {"kind": "atomic", "atoms": [[[0.8, 0.3], [0.3, 0.7]]], "weights": [1.0]},
@@ -160,6 +165,9 @@ def test_cli_exits_cleanly_and_names_an_accepted_setting(tmp_path_factory, capsy
             assert error["type"] == "validation"
             setting, _, law_key = error["field"].partition(".")
             assert setting in COMMANDS[command][2], (argv, error)
-            assert not law_key or (setting == "law" and law_key in LAW_KEYS), (argv, error)
+            held = config["law"] if isinstance(config.get("law"), dict) else {}
+            assert not law_key or (
+                setting == "law" and (law_key in LAW_KEYS or law_key in held)
+            ), (argv, error)
         else:
             assert error["type"] in ("theory_gate", "budget_exceeded", "inconclusive")

@@ -1,9 +1,14 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from cutpaste.chains import SimplexPoint, check_group_weights
 from cutpaste.errors import ValidationError
 from cutpaste.paintbox import (
     Atomic,
@@ -20,6 +25,9 @@ from cutpaste.paintbox import (
 )
 from cutpaste.partitions import identity_matrix, mask_to_sites
 from cutpaste.rng import RngStream
+from cutpaste.tvlab.exact import ProductMultinomialLaw, tv_likelihood_bound
+
+from _oracles import listed_permutation_draws, permutation_set_rce
 
 
 def test_stochastic_matrix_normalizes_and_protects():
@@ -274,3 +282,89 @@ def test_marginal_row_probabilities():
     freq = hits / (reps * n)
     sigma = np.sqrt(s.entries * (1 - s.entries) / (reps * n))
     assert np.all(np.abs(freq - s.entries) < 4 * sigma)
+
+
+def test_listed_permutations_draw_as_the_index_sampler():
+    gen = RngStream(51).generator()
+    k = 4
+    for r in (2, 3, 6, 7):
+        perms = [tuple(int(c) for c in gen.permutation(k)) for _ in range(r)]
+        raw = gen.random(r) + 0.05
+        for given_weights in (None, (raw / raw.sum()).tolist()):
+            law = PermutationMix(k, [[c + 1 for c in p] for p in perms], given_weights)
+            weights = np.full(r, 1.0 / r) if given_weights is None else given_weights
+            for seed in range(10):
+                want = listed_permutation_draws(perms, weights, k, RngStream(seed).generator(), 2000)
+                assert law.sample_batch(RngStream(seed), 2000).tobytes() == want.tobytes()
+
+
+def test_listed_permutation_exchangeability_matches_the_permutation_oracle():
+    gen = RngStream(52).generator()
+    verdicts = []
+    for _ in range(300):
+        k = int(gen.integers(2, 5))
+        every = list(itertools.permutations(range(k)))
+        if gen.random() < 0.5:
+            # all of S_k at equal weight, two listed twice with the weight split
+            twice = [every[i] for i in gen.choice(len(every), 2, replace=False)]
+            perms = every + twice
+            weights = [(0.5 if p in twice else 1.0) / len(every) for p in perms]
+        else:
+            perms = [every[i] for i in gen.choice(len(every), int(gen.integers(1, 8)))]
+            weights = [1.0 / len(perms)] * len(perms)
+        if gen.random() < 0.3:
+            raw = gen.random(len(perms)) + 0.1
+            weights = (raw / raw.sum()).tolist()
+        law = PermutationMix(k, [[c + 1 for c in p] for p in perms], weights)
+        want = permutation_set_rce(perms, law.as_atomic().weights, k)
+        assert law.is_rce().value is want
+        verdicts.append(want)
+    assert 50 < sum(verdicts) < 250
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build,field", [
+    (lambda x: StochasticMatrix([[x, 0.5], [1.0, 0.5]]), "entries"),
+    (lambda x: Atomic([np.eye(2), np.eye(2)], [x, 1.0]), "weights"),
+    (lambda x: PermutationMix(2, [[1, 2], [2, 1]], [x, 1.0]), "weights"),
+    (lambda x: law_from_config({"kind": "permutation_mix", "k": 2, "perms": [[1, 2], [2, 1]],
+                                "weights": [x, 1.0]}), "weights"),
+    (lambda x: SimplexPoint(2, (x, 1.0)), "coords"),
+    (lambda x: check_group_weights([x, 1.0, x], 3), "lambda_weights"),
+    (lambda x: ProductMultinomialLaw(((3, [x, 1.0]),)), "blocks"),
+    (lambda x: tv_likelihood_bound([x, 1.0], [0.5, 0.5], 0.1), "p"),
+    (lambda x: tv_likelihood_bound([0.5, 0.5], [1.0, x], 0.1), "q"),
+], ids=["matrix", "atomic", "perms", "perms-config", "simplex", "group", "blocks", "p", "q"])
+def test_every_probability_vector_refuses_non_finite_values(build, field, bad):
+    with pytest.raises(ValidationError) as exc:
+        build(bad)
+    assert exc.value.field == field
+
+
+_ENTRIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0, -1e-13, -1e-9, 5e-324, 1e308, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    arr=arrays(np.float64, array_shapes(min_dims=2, max_dims=3, max_side=4), elements=_ENTRIES),
+    normalize=st.booleans(),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+    field=st.sampled_from(["entries", "weights", "coords"]),
+)
+def test_column_stochastic_refuses_or_returns_probability_columns(arr, normalize, tol, field):
+    if normalize:
+        with np.errstate(all="ignore"):
+            arr = arr / arr.sum(axis=-2, keepdims=True)
+    try:
+        out = _column_stochastic(arr, field, tol)
+    except ValidationError as e:
+        assert e.field == field
+        return
+    assert out.shape == arr.shape
+    assert np.all(np.isfinite(out))
+    assert np.all(out >= 0.0)
+    assert np.all(np.abs(out.sum(axis=-2) - 1.0) <= 1e-12)

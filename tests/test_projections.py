@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cutpaste.smallspace import (
     state_index,
     stationary_distribution,
 )
+from cutpaste.tvlab.mixing import mixing_time
 
 from _oracles import worst_tv_profile_dense
 
@@ -244,6 +246,40 @@ def test_equivalence_validation_and_budget():
     with pytest.raises(BudgetRefusal) as exc:
         projected_mixing_equivalence(law, 16, 2, state_budget=100)
     assert exc.value.details["required"] == 2**16
+
+
+def test_equivalence_refuses_past_the_kernel_cap_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetRefusal) as exc:
+            projected_mixing_equivalence(PermutationMix(3), 10, 3, state_budget=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.details == {"required": 3**10, "budget": 2**13}
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("epsilon,message", [
+    ((), "epsilon needs at least one threshold"),
+    ((0.25, 1.0), "epsilon must lie in (0, 1)"),
+    (0.0, "epsilon must lie in (0, 1)"),
+    ((math.nan,), "epsilon must lie in (0, 1)"),
+])
+def test_both_searches_read_epsilon_alike(epsilon, message):
+    law = orbit_closure_law(RCE_BASE)
+    for search in (projected_mixing_equivalence, mixing_time):
+        with pytest.raises(ValidationError) as exc:
+            search(law, 4, 2, epsilon=epsilon)
+        assert (exc.value.field, str(exc.value)) == ("epsilon", message)
+
+
+def test_epsilon_grid_order_follows_each_search():
+    law = orbit_closure_law(RCE_BASE)
+    report = projected_mixing_equivalence(law, 4, 2, epsilon=(0.25, 0.5, 0.25))
+    assert report.epsilons == (0.5, 0.25)
+    profile = mixing_time(law, 4, 2, epsilon=(0.5, 0.25, 0.5), method="exact_atomic")
+    assert profile.epsilons == (0.25, 0.5)
 
 
 def test_equivalence_truncation_flag():
