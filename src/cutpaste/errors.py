@@ -52,15 +52,18 @@ def _epsilon_grid(epsilon, descending: bool = False) -> tuple[float, ...]:
 @contextmanager
 def _renamed(fields: dict):
     """Report malformed input raised inside the block under the caller's own
-    names: fields maps the field a callee names to the caller's setting,
-    and the callee's name is replaced as a whole word in the message too."""
+    names: fields maps the field a callee names (None for none) to the
+    caller's setting, and the callee's name is replaced as a whole word in
+    the message too."""
     try:
         yield
     except ValidationError as e:
         if e.field not in fields:
             raise
         name = fields[e.field]
-        message = re.sub(rf"\b{re.escape(e.field)}\b", name, str(e))
+        message = str(e)
+        if e.field is not None:
+            message = re.sub(rf"\b{re.escape(e.field)}\b", name, message)
         raise ValidationError(message, field=name) from None
 
 

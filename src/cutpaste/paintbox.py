@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, coerce
+from .errors import ValidationError, _renamed, coerce
 from .partitions import MAX_COLORS, PartitionMatrix
 from .rng import as_stream
 
@@ -52,7 +52,9 @@ def _column_stochastic(
     if arr.min() < _NEG_CLIP:
         raise ValidationError(f"{field} must be nonnegative", field=field)
     arr = np.clip(arr, 0.0, None)
-    sums = arr.sum(axis=-2, keepdims=True)
+    # a sum that overflows to inf fails the check below
+    with np.errstate(over="ignore"):
+        sums = arr.sum(axis=-2, keepdims=True)
     off = np.abs(sums - 1.0) > tol
     if off.any():
         bad = sums[np.nonzero(off)[:-1]][0]
@@ -447,8 +449,10 @@ _LAW_KINDS = {
 
 def law_from_config(obj) -> PaintboxLaw:
     """Build a PaintboxLaw from its JSON-style config dict. Malformed input
-    names the config key it came from: "kind", or one of the kind's keys; a
-    key the kind does not declare is malformed input under its own name."""
+    names the config key it came from: "kind", or one of the kind's keys (an
+    error the constructor raises under another name is moved to the kind's
+    first key, in its message too); a key the kind does not declare is
+    malformed input under its own name."""
     if not isinstance(obj, dict):
         raise ValidationError("law config must be a mapping")
     kind = obj.get("kind")
@@ -465,7 +469,8 @@ def law_from_config(obj) -> PaintboxLaw:
     except ValidationError as e:
         if e.field in keys:
             raise
-        raise ValidationError(str(e), field=keys[0]) from None
+        with _renamed({e.field: keys[0]}):
+            raise
 
 
 def sample_S(law: PaintboxLaw, rng) -> StochasticMatrix:

@@ -17,6 +17,7 @@ matrix power. The projected chain is small and keeps its full power.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,8 +125,9 @@ def projected_mixing_equivalence(
     projection, with the smallest horizon under each epsilon.
 
     Needs a row-column exchangeable, finitely supported law on a state space
-    within state_budget and 2^13 states (refused before any kernel is built)
-    whose labeled chain has a unique stationary law; the
+    within state_budget and 2^13 states (refused before any kernel is built,
+    with the count as the string "k^n" once it passes 2^63) whose labeled
+    chain has a unique stationary law; the
     projected kernel is the lumping of the labeled one and
     the projected stationary law is the pushforward of the labeled one. The
     seed parameter is accepted for interface uniformity; the computation is
@@ -145,8 +147,11 @@ def projected_mixing_equivalence(
             "projection equivalence holds under row-column exchangeability only",
             rce_reason=rce.reason,
         )
-    states, budget = state_count(n, k), min(state_budget, _KERNEL_STATE_CAP)
-    if states > budget:
+    budget = min(state_budget, _KERNEL_STATE_CAP)
+    # past 2^63 states the count is refused as the power k^n: its digits
+    # alone would cost seconds at n = 10^7 and break JSON past 4300 of them
+    states = state_count(n, k) if n * math.log2(k) < 63 else f"{k}^{n}"
+    if isinstance(states, str) or states > budget:
         raise BudgetRefusal(
             "labeled state space too large for the exact equivalence check",
             required=states, budget=budget,

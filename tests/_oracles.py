@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -352,6 +353,54 @@ def singular_values_on_mean_zero(q: np.ndarray) -> np.ndarray:
     b = h.T @ np.asarray(q, dtype=float) @ h
     eigs = np.linalg.eigvalsh(b.T @ b)[::-1]
     return np.sqrt(np.clip(eigs, 0.0, None))
+
+
+@dataclass
+class ProductState:
+    """Running product Q_m with a QR-maintained orthonormal frame in the
+    mean-zero subspace; log_r_sums[..., i] accumulates the log of diagonal
+    entry i of each step's triangular factor. The leading (replicate) axes
+    come from the first matrices stepped into it."""
+
+    q: np.ndarray
+    m: int
+    frame: np.ndarray
+    log_r_sums: np.ndarray
+
+    @property
+    def degenerate(self):
+        """Whether a frame direction has collapsed (its sum is -inf)."""
+        return np.isneginf(self.log_r_sums).any(axis=-1)
+
+
+def new_product_state(k: int) -> ProductState:
+    return ProductState(np.eye(k), 0, helmert_columns(k), np.zeros(k - 1))
+
+
+def step(state: ProductState, s) -> ProductState:
+    """Step-by-step QR accumulation: advance the ambient product by one
+    matrix (or one per replicate, for s of shape (R, k, k)) and refresh the
+    frame by a QR in Helmert coordinates with sign-fixed triangular
+    diagonals; entries below 1e-13 count as collapsed (log -inf)."""
+    e = np.asarray(getattr(s, "entries", s), dtype=float)
+    h = helmert_columns(e.shape[-1])
+    qv, r = np.linalg.qr(h.T @ (e @ state.frame))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    qv = qv * np.where(d < 0.0, -1.0, 1.0)[..., None, :]
+    absd = np.abs(d)
+    logs = np.where(absd < 1e-13, -np.inf, np.log(np.maximum(absd, 1e-300)))
+    return ProductState(e @ state.q, state.m + 1, h @ qv, state.log_r_sums + logs)
+
+
+def lyapunov_trace_steps(samples: np.ndarray) -> np.ndarray:
+    """Running exponent estimates along one path of pre-drawn samples
+    (m, k, k), by step: row t-1 holds log_r_sums / t after t steps."""
+    state = new_product_state(samples.shape[-1])
+    out = np.zeros((len(samples), samples.shape[-1] - 1))
+    for t, s in enumerate(samples):
+        state = step(state, s)
+        out[t] = state.log_r_sums / (t + 1)
+    return out
 
 
 def lyapunov_per_replicate(samples: np.ndarray, logdet_floor: float = -700.0) -> dict:

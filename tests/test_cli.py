@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import shlex
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -793,6 +795,47 @@ def test_a_malformed_law_names_its_own_key(capsys, tmp_path, law, field):
     rc, out, err = run_cli(capsys, ["lyapunov", "--config", cfg, "--m", "5"])
     assert (rc, out) == (2, "")
     assert _validation_field(err) == field
+
+
+@pytest.mark.parametrize("law,field,message", [
+    ({"kind": "point_mass", "matrix": [[math.nan, 0.5], [0.5, 0.5]]}, "law.matrix",
+     "matrix must be finite"),
+    ({"kind": "point_mass", "matrix": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]}, "law.matrix",
+     "matrix must form a square matrix"),
+    (dict(ATOMIC_LAW, atoms=[[[math.inf, 0.3], [0.2, 0.7]], ATOMIC_LAW["atoms"][1]]), "law.atoms",
+     "atoms must be finite"),
+])
+def test_a_malformed_law_message_names_the_key_of_its_field(capsys, tmp_path, law, field, message):
+    cfg = write_config(tmp_path, {"law": law})
+    rc, out, err = run_cli(capsys, ["lyapunov", "--config", cfg, "--m", "5"])
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "validation", "field": field, "message": message}
+
+
+def test_an_overflowing_column_sum_is_refused_without_a_warning(capsys, tmp_path):
+    # numpy reports the overflow as a RuntimeWarning; raising it would exit 1
+    law = {"kind": "point_mass", "matrix": [[1e308, 0.5], [1e308, 0.5]]}
+    cfg = write_config(tmp_path, {"law": law})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, ["lyapunov", "--config", cfg, "--m", "5"])
+    assert (rc, out) == (2, "")
+    assert _validation_field(err) == "law.matrix"
+
+
+def test_project_refuses_a_huge_n_from_n_and_k_alone(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"law": {"kind": "permutation_mix", "k": 3}})
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["project", "--config", cfg, "--n", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (3, "")
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "budget_exceeded"
+    assert diag["details"] == {"required": "3^100000000", "budget": 4096}
+    # an exact count while it stays below 2^63
+    rc, _, err = run_cli(capsys, ["project", "--config", cfg, "--n", "39"])
+    assert rc == 3
+    assert json.loads(err)["error"]["details"] == {"required": 3**39, "budget": 4096}
 
 
 def test_a_nan_from_the_program_is_a_fault_not_bad_input(tmp_path, monkeypatch):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import collapse_counts, lyapunov_per_replicate, singular_values_on_mean_zero
+from _oracles import (
+    collapse_counts,
+    lyapunov_per_replicate,
+    lyapunov_trace_steps,
+    new_product_state,
+    singular_values_on_mean_zero,
+    step,
+)
 from cutpaste.errors import ValidationError
 from cutpaste.paintbox import (
     Atomic,
@@ -16,18 +23,20 @@ from cutpaste.paintbox import (
     StochasticMatrix,
 )
 from cutpaste.products import (
+    _LOG_BLOCK_COND,
     CollapseReport,
+    _block_length,
+    _block_log_r,
     _collapse_scan,
+    _restrict_path,
     collapse_diagnostic,
     estimate_lyapunov,
     helmert_basis,
     log_abs_det_on_V,
     lyapunov_trace,
-    new_product_state,
     restrict_to_V,
     simplex_diameter,
     singular_values_on_V,
-    step,
     top_singular_on_V,
 )
 from cutpaste.rng import RngStream, as_stream
@@ -36,6 +45,12 @@ from cutpaste.rng import RngStream, as_stream
 def random_stochastic(rng, k):
     arr = rng.random((k, k)) + 1e-3
     return StochasticMatrix(arr / arr.sum(axis=0))
+
+
+def blend(rng, k, c=0.2):
+    """A stochastic matrix near the identity, so its restriction to V is
+    well conditioned and the kernel takes blocks longer than one step."""
+    return (1.0 - c) * np.eye(k) + c * random_stochastic(rng, k).entries
 
 
 def test_helmert_basis_is_orthonormal_and_mean_free():
@@ -270,6 +285,11 @@ _ORACLE_CASES = {
     "singular_point_mass": (PointMass(_SINGULAR_ON_V), 10, 3),
     "identity_point_mass": (PointMass(np.eye(3)), 10, 3),
     "one_replicate_one_step": (SelfSimilar([1.0, 1.0, 1.0]), 1, 1),
+    # two non-commuting atoms whose steps the kernel takes in blocks
+    "near_identity_k3": (Atomic([blend(np.random.default_rng(16), 3),
+                                 blend(np.random.default_rng(17), 3)], [0.5, 0.5]), 61, 3),
+    "near_identity_k4": (Atomic([blend(np.random.default_rng(14), 4, 0.1),
+                                 blend(np.random.default_rng(15), 4, 0.1)], [0.5, 0.5]), 61, 3),
 }
 
 
@@ -289,6 +309,157 @@ def test_estimate_lyapunov_matches_per_replicate_oracle(case):
         assert "logdet_floored" in est.flags
     if case == "identity_point_mass":
         assert abs(est.lambda1 - 1.0) < 1e-12 and est.flags == ()
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_lyapunov_trace_matches_the_step_oracle_at_every_step(case):
+    law, m, _ = _ORACLE_CASES[case]
+    got = lyapunov_trace(law, m, seed=23)
+    want = lyapunov_trace_steps(_replicate_draws(law, 23, "lyapunov-replicate", 1, m)[0])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+# --------------------------------------------------- the block QR kernel
+
+
+def _kernel_log_r_sums(draws):
+    b = _restrict_path(draws)
+    return _block_log_r(b, _block_length(b, log_abs_det_on_V(draws))).sum(axis=-2)
+
+
+def test_block_kernel_telescopes_to_the_restricted_determinant():
+    # the kernel's counterpart of test_qr_telescoping_identity
+    rng = np.random.default_rng(9)
+    blocks = set()
+    for trial in range(30):
+        k = int(rng.integers(2, 6))
+        draws = np.stack([blend(rng, k) if trial % 2 else random_stochastic(rng, k).entries
+                          for _ in range(50)])[None]
+        b = _restrict_path(draws)
+        blocks.add(_block_length(b, log_abs_det_on_V(draws)))
+        per_step = float(np.sum(log_abs_det_on_V(draws)))
+        assert abs(float(_kernel_log_r_sums(draws).sum()) - per_step) < 1e-8
+        q = draws[0, 2] @ draws[0, 1] @ draws[0, 0]
+        assert abs(float(_kernel_log_r_sums(draws[:, :3]).sum()) - log_abs_det_on_V(q)) < 1e-8
+    assert 1 in blocks and max(blocks) >= 8
+
+
+def test_block_kernel_stacked_matches_single_replicates():
+    # the kernel's counterpart of test_stacked_step_matches_per_replicate_steps;
+    # a single replicate may take longer blocks than the stack
+    rng = np.random.default_rng(13)
+    for k in (2, 3, 4):
+        draws = np.stack([[blend(rng, k) for _ in range(25)] for _ in range(3)])
+        stacked = _kernel_log_r_sums(draws)
+        assert stacked.shape == (3, k - 1)
+        for r in range(3):
+            np.testing.assert_allclose(stacked[r], _kernel_log_r_sums(draws[r:r + 1])[0],
+                                       rtol=0.0, atol=1e-12)
+
+
+def _block_cond_logs(b, block):
+    """log of the product of the 2-norm condition numbers of the steps of
+    every aligned block of b (R, m, d, d)."""
+    logs = np.log(np.linalg.cond(b))
+    starts = np.arange(0, b.shape[1], block)
+    return np.add.reduceat(logs, starts, axis=1)
+
+
+_BLOCK_LAWS = {
+    "self_similar_k2": (SelfSimilar([1.0, 1.0]), 300, 4),
+    "self_similar_k3": (SelfSimilar([1.0, 1.0, 1.0]), 100, 4),
+    "atomic_k3": (Atomic([[[0.6, 0.2, 0.1], [0.3, 0.5, 0.2], [0.1, 0.3, 0.7]],
+                          [[0.3, 0.1, 0.25], [0.2, 0.7, 0.15], [0.5, 0.2, 0.6]]],
+                         [0.4, 0.6]), 200, 4),
+    "identity_k3": (PointMass(np.eye(3)), 100, 2),
+    "near_identity_k4": _ORACLE_CASES["near_identity_k4"],
+    "rank1_atom": _ORACLE_CASES["rank1_atom"],
+    "singular_point_mass": _ORACLE_CASES["singular_point_mass"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_LAWS))
+def test_block_length_follows_the_conditioning_rule(case):
+    law, m, replicates = _BLOCK_LAWS[case]
+    draws = _replicate_draws(law, 31, "lyapunov-replicate", replicates, m)
+    b = _restrict_path(draws)
+    block = _block_length(b, log_abs_det_on_V(draws))
+    sigma_min = np.linalg.svd(b, compute_uv=False)[..., -1]
+    assert block & (block - 1) == 0 and block < 2 * m
+    if (sigma_min < 1e-13).any():
+        assert block == 1
+    else:
+        # every aligned block's condition product is within the bound
+        assert _block_cond_logs(b, block).max() <= _LOG_BLOCK_COND + 1e-9
+    if case == "self_similar_k2":
+        # 1 x 1 steps have condition 1: one block spans the path
+        assert block == 512
+    if case in ("rank1_atom", "singular_point_mass"):
+        assert block == 1
+    if case in ("identity_k3", "near_identity_k4"):
+        assert block > 1
+
+    # one step whose sigma_min on V is below 1e-13 makes every block one step
+    k = law.k
+    if k > 2 and block > 1:
+        # two equal columns make S singular on V; a 1e-14 blend keeps it so
+        # to within 1e-13
+        singular = np.eye(k)[:, [0, 0, *range(2, k)]]
+        spiked = draws.copy()
+        spiked[0, m // 2] = (1 - 1e-14) * singular + 1e-14 * np.eye(k)
+        spiked_b = _restrict_path(spiked)
+        assert np.linalg.svd(spiked_b[0, m // 2], compute_uv=False)[-1] < 1e-13
+        assert _block_length(spiked_b, log_abs_det_on_V(spiked)) == 1
+
+
+def _random_atom(data, k):
+    kinds = ["near_identity", "dense", "permutation", "rank1", "singular"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "permutation":
+        return np.eye(k)[:, data.draw(st.permutations(range(k)))]
+    # generic entries: equal cells would make most atoms singular on V
+    dense = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((k, k)) + 0.05
+    dense /= dense.sum(axis=0)
+    if kind == "near_identity":
+        c = data.draw(st.floats(0.05, 0.3))
+        return (1.0 - c) * np.eye(k) + c * dense
+    if kind == "rank1":
+        return np.tile(dense[:, :1], (1, k))
+    if kind == "singular":
+        dense[:, 1] = dense[:, 0]
+    return dense
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_block_kernel_matches_the_step_oracle_on_random_atomic_laws(data):
+    k = data.draw(st.integers(2, 5))
+    count = data.draw(st.integers(1, 3))
+    atoms = [_random_atom(data, k) for _ in range(count)]
+    weights = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count)))
+    law = Atomic(atoms, weights / weights.sum())
+    # path lengths that end on, just before and just past a power of two
+    m = data.draw(st.sampled_from([64, 33, 31, 16, 8, 5, 3, 2, 1]))
+    replicates = data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 1000))
+    got = estimate_lyapunov(law, m, replicates, seed).to_json()
+    want = lyapunov_per_replicate(_replicate_draws(law, seed, "lyapunov-replicate", replicates, m))
+    keys = ["lambda1", "std_error"]
+    # log |det| of a restriction that is singular in exact arithmetic is the
+    # rounding noise of the Helmert basis, which the oracle forms its own way
+    # (-308 against -310 for a uniform 5 x 5 atom), so kappa_hat and its floor
+    # flag are compared only when every atom is invertible on V
+    if min(singular_values_on_mean_zero(a)[-1] for a in atoms) > 1e-8:
+        keys.append("kappa_hat")
+        assert got["flags"] == want["flags"]
+    collapse = "super_exponential_collapse"
+    assert (collapse in got["flags"]) == (collapse in want["flags"])
+    # once a direction collapses, the frame's next columns are whatever the
+    # rounding left, and so are the later directions' rates
+    if collapse not in got["flags"]:
+        keys.append("spectrum")
+    for key in keys:
+        np.testing.assert_allclose(got[key], want[key], rtol=0.0, atol=1e-12, err_msg=key)
 
 
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
