@@ -8,9 +8,11 @@ precondition gate that declines to run (theory hypothesis, enumeration
 budget, inconclusive certification) exits 3 with a machine-readable reason.
 
 Every command's settings are declared once, in COMMANDS: each key maps to
-the reader that converts its value and to its default. The parser's flags
-and the accepted config keys both come from that table, and a flag value
-goes through the same reader as a config value.
+the reader that converts its value, to its default and, for a setting that
+only some modes read, to a read condition that states those modes; any
+other mode refuses the setting when given. The parser's flags and the
+accepted config keys both come from that table, and a flag value goes
+through the same reader as a config value.
 
 Each command's handler imports the modules it calls, and a call builds
 the flags of its own command only, so a call loads and parses no more
@@ -144,40 +146,52 @@ def _law_k(values: dict) -> int:
     return values["law"].k
 
 
-def _missing(key: str) -> ValidationError:
-    return ValidationError(f"missing required setting {key!r}", field=key)
+def _given(v) -> bool:
+    """A setting counts as given unless it is unset or a switch left off."""
+    return v is not None and v is not False
+
+
+def _unread_with(*keys):
+    """The read condition of a setting that no mode with one of keys given
+    reads: why it is unread, naming the first such key."""
+    return lambda values: next((f"with {k}" for k in keys if _given(values[k])), None)
+
+
+def _unread_when(key, value):
+    """The read condition of a setting that the mode key = value does not read."""
+    return lambda values: values[key] == value and f"with {key} {value}"
 
 
 def _settings(args, table: dict) -> dict:
     """Every setting of the table, in table order: the flag if given, else
     the config value (a JSON null counts as unset), converted by the
-    setting's reader; else its default, which may be computed from the
-    settings before it. A config key outside the table is malformed input."""
+    setting's reader. A setting whose read condition says the run's mode
+    does not read it must not be given and stays unset; any other unset
+    setting takes its default. Conditions and defaults may be computed from
+    the settings before them. A config key outside the table is malformed
+    input."""
     cfg = _load_config(args)
     for key in cfg:
         if key not in table:
             raise ValidationError(f"unknown setting {key!r}", field=key)
     values = {}
-    for key, (read, default) in table.items():
+    for key, (read, default, *unread) in table.items():
         v = getattr(args, key, None)
         if v is None:
             v = cfg.get(key)
         if v is not None:
-            values[key] = read(v, key)
-        elif default is REQUIRED:
-            raise _missing(key)
-        else:
-            values[key] = default(values) if callable(default) else default
+            v = read(v, key)
+        why = unread[0](values) if unread else None
+        if why:
+            if _given(v):
+                raise ValidationError(f"{key} is not used {why}", field=key)
+            v = None
+        elif v is None:
+            v = default(values) if callable(default) else default
+            if v is REQUIRED:
+                raise ValidationError(f"missing required setting {key!r}", field=key)
+        values[key] = v
     return values
-
-
-def _refuse_unused(s: dict, keys, why: str) -> None:
-    """Malformed input: a setting given (a boolean switched on) where the
-    run's mode does not read it, which would otherwise be dropped without a
-    word."""
-    for key in keys:
-        if s[key] is not None and s[key] is not False:
-            raise ValidationError(f"{key} is not used {why}", field=key)
 
 
 def _echo(s: dict) -> dict:
@@ -234,22 +248,14 @@ def _cmd_tv(s, out) -> None:
 
     law, n, method, seed = s["law"], s["n"], s["method"], s["seed"]
     if s["pair"] == "constant":
-        for key, default in (("color_a", 1), ("color_b", 2)):
-            if s[key] is None:
-                s[key] = default
+        for key in ("color_a", "color_b"):
             if not 1 <= s[key] <= law.k:
                 raise ValidationError(f"{key} must lie in 1..{law.k}", field=key)
         x0, x1 = make_constant_pair(n, law.k, s["color_a"], s["color_b"])
     elif law.k < 2:
         raise ValidationError("the block design needs a law with k >= 2", field="law")
     else:
-        _refuse_unused(s, ("color_a", "color_b"), "with pair block")
         x0, x1 = make_test_pair(n, law.k)
-
-    if method == "exact":
-        _refuse_unused(s, ("replicates",), "with method exact")
-    elif s["replicates"] is None:
-        s["replicates"] = 10_000
 
     def estimate(m):
         if method == "exact":
@@ -258,10 +264,7 @@ def _cmd_tv(s, out) -> None:
         return tv_mc(law, x0, x1, m, s["replicates"], seed)
 
     if s["m_grid"] is not None:
-        _refuse_unused(s, ("m",), "with m_grid")
         _emit_csv(n, seed, [(m, estimate(m)) for m in sorted(set(s["m_grid"]))], out)
-    elif s["m"] is None:
-        raise _missing("m")
     else:
         _emit_json("tv", _echo(s), estimate(s["m"]).to_json(), out)
 
@@ -269,10 +272,6 @@ def _cmd_tv(s, out) -> None:
 def _cmd_mixing_time(s, out) -> None:
     from .tvlab.mixing import mixing_time
 
-    if s["method"] == "exact_atomic":
-        _refuse_unused(s, ("replicates",), "with method exact_atomic")
-    elif s["replicates"] is None:
-        s["replicates"] = 2000
     prof = mixing_time(
         s["law"], s["n"], s["k"], tuple(s["epsilon"]), s["method"], s["seed"],
         replicates=s["replicates"], m_max=s["m_max"],
@@ -304,26 +303,14 @@ def _cmd_ehrenfest(s, out) -> None:
         loglog_schedule,
     )
 
-    n, seed, beta = s["n"], s["seed"], s["beta"]
+    n, seed = s["n"], s["seed"]
     if s["loglog"]:
         # the schedule picks its own refresh fraction from n
-        if beta is None:
-            raise _missing("beta")
-        _refuse_unused(
-            s, ("standard", "alpha", "exact", "t_grid", "mixing_eps", "t"), "with loglog"
-        )
-        _emit_json("ehrenfest", {"n": n, "beta": beta, "loglog": True, "seed": seed},
-                   loglog_schedule(n, beta).to_json(), out)
+        _emit_json("ehrenfest", {"n": n, "beta": s["beta"], "loglog": True, "seed": seed},
+                   loglog_schedule(n, s["beta"]).to_json(), out)
         return
-    if s["standard"]:
-        _refuse_unused(s, ("alpha",), "with standard")
-        params = standard_ehrenfest(n)
-    elif s["alpha"] is None:
-        raise _missing("alpha")
-    else:
-        params = EhrenfestParams(n, s["alpha"])
+    params = standard_ehrenfest(n) if s["standard"] else EhrenfestParams(n, s["alpha"])
     if s["exact"]:
-        _refuse_unused(s, ("mixing_eps", "t", "beta"), "with exact")
         grid = _default_ehrenfest_grid(params) if s["t_grid"] is None else sorted(set(s["t_grid"]))
         _emit_csv(n, seed, ehrenfest_tv_profile(params, grid), out)
         return
@@ -333,16 +320,13 @@ def _cmd_ehrenfest(s, out) -> None:
     }
     eps = s["mixing_eps"]
     if eps is not None:
-        _refuse_unused(s, ("t", "beta"), "with mixing_eps")
-        _refuse_unused(s, ("t_grid",), "without exact")
+        with _renamed({"epsilon": "mixing_eps"}):
+            t_mix = ehrenfest_mixing_time(params, eps)
         _emit_json("ehrenfest", {**echo, "mixing_eps": eps},
-                   {"t_mix": ehrenfest_mixing_time(params, eps), "kind": "exact"}, out)
+                   {"t_mix": t_mix, "kind": "exact"}, out)
         return
-    if s["t"] is not None or beta is not None:
-        # given neither, the bounds call names the missing t instead
-        _refuse_unused(s, ("t_grid",), "without exact")
-    bounds = ehrenfest_bounds(params, s["t"], beta)
-    _emit_json("ehrenfest", {**echo, "t": s["t"], "beta": beta},
+    bounds = ehrenfest_bounds(params, s["t"], s["beta"])
+    _emit_json("ehrenfest", {**echo, "t": s["t"], "beta": s["beta"]},
                {"kind": "bounds", **bounds.to_json()}, out)
 
 
@@ -359,15 +343,16 @@ def _cmd_project(s, out) -> None:
 _LAW = (_law, REQUIRED)
 _SEED = (_int, 0)
 
-# command: (handler, help, {setting: (reader, default)}). A setting is read
-# from its --flag (store_true for _bool readers) or its config key, except
-# the law, which only a config can hold.
+# command: (handler, help, {setting: (reader, default[, read condition])}).
+# A setting is read from its --flag (store_true for _bool readers) or its
+# config key, except the law, which only a config can hold. A read condition
+# reads only the settings above it in its table.
 COMMANDS = {
     "simulate": (_cmd_simulate, "run one chain and record its trajectory", {
         "law": _LAW, "n": (_int, REQUIRED), "steps": (_int, REQUIRED), "seed": _SEED,
         "thin": (_int, 0),
         "construction": (_one_of("construction", "matrix", "coordinate"), "matrix"),
-        "x0": (_text, None), "x0_color": (_int, 1),
+        "x0": (_text, None), "x0_color": (_int, 1, _unread_with("x0")),
     }),
     "lyapunov": (_cmd_lyapunov, "estimate product growth rates", {
         "law": _LAW, "m": (_int, 2000), "replicates": (_int, 32), "seed": _SEED,
@@ -380,13 +365,18 @@ COMMANDS = {
         "law": _LAW, "n": (_int, REQUIRED),
         "method": (_one_of("tv method", "exact", "upper", "lower"), "upper"),
         "pair": (_one_of("pair design", "constant", "block"), "constant"),
-        "color_a": (_int, None), "color_b": (_int, None), "replicates": (_int, None),
-        "seed": _SEED, "m_grid": (_list_of(int), None), "m": (_int, None),
+        "color_a": (_int, 1, _unread_when("pair", "block")),
+        "color_b": (_int, 2, _unread_when("pair", "block")),
+        "replicates": (_int, 10_000, _unread_when("method", "exact")),
+        "seed": _SEED, "m_grid": (_list_of(int), None),
+        "m": (_int, REQUIRED, _unread_with("m_grid")),
     }),
     "mixing-time": (_cmd_mixing_time, "smallest certified horizon under epsilon", {
         "law": _LAW, "n": (_int, REQUIRED), "k": (_int, _law_k),
-        "epsilon": (_list_of(float), (0.25,)), "method": (_text, "mc_sandwich"),
-        "replicates": (_int, None), "m_max": (_int, 4096), "seed": _SEED,
+        "epsilon": (_list_of(float), (0.25,)),
+        "method": (_one_of("mixing method", "exact_atomic", "mc_sandwich"), "mc_sandwich"),
+        "replicates": (_int, 2000, _unread_when("method", "exact_atomic")),
+        "m_max": (_int, 4096), "seed": _SEED,
     }),
     "cutoff": (_cmd_cutoff, "mixing horizons across a size grid", {
         "law": _LAW, "k": (_int, _law_k), "n_grid": (_list_of(int), REQUIRED),
@@ -396,9 +386,17 @@ COMMANDS = {
     }),
     "ehrenfest": (_cmd_ehrenfest, "batch-refresh chain bounds and exact curves", {
         "seed": _SEED, "loglog": (_bool, False), "n": (_int, REQUIRED),
-        "beta": (_float, None), "standard": (_bool, False), "alpha": (_float, None),
-        "exact": (_bool, False), "t_grid": (_list_of(int), None),
-        "mixing_eps": (_float, None), "t": (_float, None),
+        "standard": (_bool, False, _unread_with("loglog")),
+        "alpha": (_float, REQUIRED, _unread_with("loglog", "standard")),
+        "exact": (_bool, False, _unread_with("loglog")),
+        "mixing_eps": (_float, None, _unread_with("loglog", "exact")),
+        "beta": (_float, lambda s: REQUIRED if s["loglog"] else None,
+                 _unread_with("exact", "mixing_eps")),
+        # bounds mode reads t, beta or both; given neither, it names t
+        "t": (_float, lambda s: REQUIRED if s["beta"] is None else None,
+              _unread_with("loglog", "exact", "mixing_eps")),
+        "t_grid": (_list_of(int), None, lambda s: (
+            "with loglog" if s["loglog"] else None if s["exact"] else "without exact")),
     }),
     "project": (_cmd_project, "labeled vs projected mixing equivalence", {
         "law": _LAW, "n": (_int, REQUIRED), "k": (_int, _law_k),
@@ -422,7 +420,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             continue
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path (default stdout)")
-        for key, (read, _) in table.items():
+        for key, (read, *_) in table.items():
             if key == "law":
                 continue
             flag = "--" + key.replace("_", "-")

@@ -87,6 +87,8 @@ def ehrenfest_bounds(params: EhrenfestParams, t: float | None = None, beta: floa
         out["upper_at_t"] = coupling_upper(params, float(t))
     if beta is not None:
         beta = float(beta)
+        if not beta > 0:
+            raise ValidationError("need beta > 0", field="beta")
         if params.alpha > 0.5:
             raise TheoryRefusal(
                 "the schedule lower bound needs refresh fraction alpha <= 1/2",
@@ -139,7 +141,7 @@ def loglog_schedule(n: int, beta: float) -> LogLogSchedule:
     """
     if n < 3:
         raise ValidationError("schedule needs n >= 3 so log log n > 0", field="n")
-    if beta <= 0:
+    if not beta > 0:
         raise ValidationError("need beta > 0", field="beta")
     lln = math.log(math.log(n))
     alpha = 1.0 - math.exp(-math.log(n) / lln)

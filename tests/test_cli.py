@@ -534,7 +534,7 @@ MODE_BASE = {
 }
 
 SETTINGS = [(command, key, read) for command, (_, _, table) in COMMANDS.items()
-            for key, (read, _) in table.items()]
+            for key, (read, *_) in table.items()]
 
 
 def _as_flag(key, value) -> list[str]:
@@ -631,6 +631,8 @@ def test_empty_epsilon_list_exits_2(capsys, tmp_path, command, how):
      "color_a"),
     ("tv", {"law": ATOMIC_LAW, "n": 4, "m": 1, "method": "exact", "pair": "block", "color_b": 2},
      "color_b"),
+    ("simulate", {"law": ATOMIC_LAW, "n": 4, "steps": 1, "x0": "1212", "x0_color": 2},
+     "x0_color"),
 ])
 def test_setting_the_mode_ignores_exits_2(capsys, tmp_path, command, settings, field):
     rc, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, settings)])
@@ -641,6 +643,13 @@ def test_setting_the_mode_ignores_exits_2(capsys, tmp_path, command, settings, f
     rest = {k: v for k, v in settings.items() if k != field}
     assert run_cli(capsys, [command, "--config", write_config(tmp_path, rest)])[0] == 0
 
+
+def test_every_read_condition_has_an_ignored_setting_row():
+    rows = next(mark.args[1] for mark in test_setting_the_mode_ignores_exits_2.pytestmark
+                if mark.name == "parametrize")
+    conditioned = {(command, key) for command, (_, _, table) in COMMANDS.items()
+                   for key, entry in table.items() if len(entry) == 3}
+    assert conditioned - {(command, field) for command, _, field in rows} == set()
 
 
 def test_replicates_echo_only_where_read(capsys, tmp_path):
@@ -684,6 +693,11 @@ def test_collapse_names_a_nonpositive_size(capsys, tmp_path, key, value):
     ("cutoff", {"n_grid": [0, 32]}, "n_grid"),
     ("cutoff", {"lyapunov_m": 0}, "lyapunov_m"),
     ("cutoff", {"lyapunov_replicates": 0}, "lyapunov_replicates"),
+    ("ehrenfest", {"beta": -1}, "beta"),
+    ("ehrenfest", {"beta": 0}, "beta"),
+    # JSON null unsets the base run's t and beta, which mixing_eps does not read
+    ("ehrenfest", {"mixing_eps": 0, "t": None, "beta": None}, "mixing_eps"),
+    ("ehrenfest", {"mixing_eps": -1, "t": None, "beta": None}, "mixing_eps"),
 ])
 def test_a_bad_value_names_the_setting_given(capsys, tmp_path, command, settings, field):
     cfg = write_config(tmp_path, {**BASE[command], **settings})
@@ -751,6 +765,9 @@ def test_readme_example_runs(capsys, tmp_path, monkeypatch, line):
     ("simulate", {"x0": ""}, "x0", "need at least one color digit"),
     ("cutoff", {"lyapunov_m": 0}, "lyapunov_m", "need lyapunov_m >= 1, got 0"),
     ("cutoff", {"lyapunov_replicates": 0}, "lyapunov_replicates", "need at least one replicate"),
+    ("ehrenfest", {"mixing_eps": 1.5, "t": None, "beta": None}, "mixing_eps",
+     "mixing_eps must lie in (0, 1)"),
+    ("ehrenfest", {"beta": -1}, "beta", "need beta > 0"),
 ])
 def test_a_renamed_setting_is_named_in_the_message_too(capsys, tmp_path, command, settings,
                                                         field, message):

@@ -1039,3 +1039,15 @@ def test_loglog_schedule_hits_target_rate():
         loglog_schedule(2, 1.0)
     with pytest.raises(ValidationError):
         loglog_schedule(100, 0.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+def test_schedules_refuse_a_beta_that_is_not_positive(beta):
+    # at beta = -1 the lower schedule time came after the upper one
+    params = standard_ehrenfest(64)
+    for schedule in (lambda: ehrenfest_bounds(params, beta=beta),
+                     lambda: ehrenfest_bounds(params, t=3.0, beta=beta),
+                     lambda: loglog_schedule(64, beta)):
+        with pytest.raises(ValidationError, match=r"^need beta > 0$") as exc:
+            schedule()
+        assert exc.value.field == "beta"
