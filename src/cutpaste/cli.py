@@ -56,7 +56,8 @@ def _emit_json(command: str, config: dict, result, out: str | None) -> None:
         "config": config,
         "result": result,
     }
-    _write_text(json.dumps(doc, sort_keys=True, indent=2, default=_coerce) + "\n", out)
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_coerce)
+    _write_text(text + "\n", out)
 
 
 def _emit_csv(n: int, seed: int, estimates, out: str | None) -> None:
@@ -99,7 +100,10 @@ def _int(v, key):
 
 
 def _float(v, key):
-    return coerce(v, float, key)
+    x = coerce(v, float, key)
+    if not math.isfinite(x):
+        raise ValidationError(f"{key} must be a finite number, got {v!r}", field=key)
+    return x
 
 
 def _text(v, key):
@@ -124,12 +128,12 @@ def _law(v, key):
         raise ValidationError(str(e), field=field) from None
 
 
-def _list_of(kind):
-    """A reader for a JSON list or a comma list, each entry converted by kind."""
+def _list_of(entry):
+    """A reader for a JSON list or a comma list, each entry read by entry."""
     def read(v, key):
         if not isinstance(v, list):
             v = [p for p in str(v).split(",") if p != ""]
-        return [coerce(x, kind, key) for x in v]
+        return [entry(x, key) for x in v]
     return read
 
 
@@ -368,18 +372,18 @@ COMMANDS = {
         "color_a": (_int, 1, _unread_when("pair", "block")),
         "color_b": (_int, 2, _unread_when("pair", "block")),
         "replicates": (_int, 10_000, _unread_when("method", "exact")),
-        "seed": _SEED, "m_grid": (_list_of(int), None),
+        "seed": _SEED, "m_grid": (_list_of(_int), None),
         "m": (_int, REQUIRED, _unread_with("m_grid")),
     }),
     "mixing-time": (_cmd_mixing_time, "smallest certified horizon under epsilon", {
         "law": _LAW, "n": (_int, REQUIRED), "k": (_int, _law_k),
-        "epsilon": (_list_of(float), (0.25,)),
+        "epsilon": (_list_of(_float), (0.25,)),
         "method": (_one_of("mixing method", "exact_atomic", "mc_sandwich"), "mc_sandwich"),
         "replicates": (_int, 2000, _unread_when("method", "exact_atomic")),
         "m_max": (_int, 4096), "seed": _SEED,
     }),
     "cutoff": (_cmd_cutoff, "mixing horizons across a size grid", {
-        "law": _LAW, "k": (_int, _law_k), "n_grid": (_list_of(int), REQUIRED),
+        "law": _LAW, "k": (_int, _law_k), "n_grid": (_list_of(_int), REQUIRED),
         "epsilon": (_float, 0.25), "method": (_text, "mc_sandwich"),
         "replicates": (_int, 2000), "m_max": (_int, 4096), "lyapunov_m": (_int, 2000),
         "lyapunov_replicates": (_int, 32), "seed": _SEED,
@@ -395,12 +399,12 @@ COMMANDS = {
         # bounds mode reads t, beta or both; given neither, it names t
         "t": (_float, lambda s: REQUIRED if s["beta"] is None else None,
               _unread_with("loglog", "exact", "mixing_eps")),
-        "t_grid": (_list_of(int), None, lambda s: (
+        "t_grid": (_list_of(_int), None, lambda s: (
             "with loglog" if s["loglog"] else None if s["exact"] else "without exact")),
     }),
     "project": (_cmd_project, "labeled vs projected mixing equivalence", {
         "law": _LAW, "n": (_int, REQUIRED), "k": (_int, _law_k),
-        "epsilon": (_list_of(float), (0.5, 0.25)), "state_budget": (_int, 4096),
+        "epsilon": (_list_of(_float), (0.5, 0.25)), "state_budget": (_int, 4096),
         "m_max": (_int, 512), "seed": _SEED,
     }),
 }
@@ -444,7 +448,7 @@ def main(argv=None) -> int:
     except Refusal as e:
         error, code = {"type": e.code, "reason": e.reason, "details": e.details}, 3
     doc = {"schema_version": SCHEMA_VERSION, "error": error}
-    sys.stderr.write(json.dumps(doc, sort_keys=True, default=_coerce) + "\n")
+    sys.stderr.write(json.dumps(doc, sort_keys=True, allow_nan=False, default=_coerce) + "\n")
     return code
 
 

@@ -8,23 +8,23 @@ accumulated through QR re-orthonormalization.
 
 The restriction helpers broadcast over leading axes, so the estimators treat
 every replicate at once; each replicate still draws its matrices from its
-own derived stream. The growth rates restrict every step of every replicate
-to V in one stacked call, B_t = H^T (S_t H), and re-orthonormalize once per
-block of L steps rather than once per step (Benettin et al., Meccanica 15,
-1980): triangular factors multiply, so the QR of a block's product carries
-the block's diagonals. The block products come from log2(L) stacked
-matmuls. L is chosen per call from a conditioning bound, since the rounding
-of one block is about eps * prod cond(B_t): with cond(B_t) <= ||B_t||_F^(k-1)
-/ |det B_t|, L is the largest power of two, up to the first at or past m,
-whose aligned blocks keep that product within 2^10, and L is 1 as soon as
-a step's bound on sigma_min(B_t), |det B_t| / ||B_t||_F^(k-2), falls below
-twice the collapse threshold 1e-13, so that test runs on single steps only.
-Before the products, each B_t is divided by ||B_t||_F, whose log is added
-back to every direction, so no block underflows. A fixed L = 16 fails: on
+own derived stream. Every step is restricted once, B_t = H^T (S_t H), and
+its determinant needs no restriction: 1^T S = 1^T makes S block triangular
+in the basis [H, 1/sqrt(k)], so det B_t = det S_t. The growth rates
+re-orthonormalize once per block of L steps rather than once per step
+(Benettin et al., Meccanica 15, 1980): triangular factors multiply, so the
+QR of a block's product carries the block's diagonals, and the block
+products come from log2(L) stacked matmuls. The rounding of one block is
+about eps * prod cond(B_t), and cond(B_t) <= ||B_t||_F^(k-1) / |det S_t|: L
+is the largest power of two, up to the first at or past m, whose aligned
+blocks keep that product within 2^10, and L is 1 as soon as a step's bound
+on sigma_min(B_t), |det S_t| / ||B_t||_F^(k-2), falls below twice the
+collapse threshold 1e-13. Each B_t is divided by ||B_t||_F, whose log is
+added back, so no block underflows. A fixed L = 16 fails: on
 SelfSimilar([0.7, 1, 1.3, 1, 0.5]) (k = 5, m = 30, 5 replicates) its
-smallest exponent is 4e-4 off the step-by-step value, and on a two-atom
-k = 3 law (m = 400, 16 replicates) 2e-6 off, and its block diagonals fall
-below 1e-13, flagging a collapse that never happened. The step-by-step loop is the test oracle.
+smallest exponent is 4e-4 off the step-by-step value (the test oracle), and
+on a two-atom k = 3 law (m = 400, 16 replicates) 2e-6 off, and its block
+diagonals fall below 1e-13, flagging a collapse that never happened.
 
 The collapse diagnostic and the mixing search's ergodicity gate share one
 replicate scan. The diagnostic counts every replicate; the gate needs only
@@ -78,11 +78,11 @@ def _scalar(x):
 
 
 def restrict_to_V(q) -> np.ndarray:
-    """The (..., k-1, k-1) matrices of q (..., k, k) acting on V in the
-    Helmert basis."""
+    """The (..., k-1, k-1) matrices H^T (q H) of q (..., k, k) acting on V in
+    the Helmert basis H."""
     e = _entries(q)
     h = helmert_basis(e.shape[-1])
-    return h.T @ e @ h
+    return h.T @ (e @ h)
 
 
 def singular_values_on_V(q) -> np.ndarray:
@@ -101,9 +101,10 @@ def top_singular_on_V(q):
 
 
 def log_abs_det_on_V(q):
-    """log |det(q|V)|; -inf where the restriction is singular. A float for one
-    matrix, an array over the leading axes of a stack."""
-    _, logdet = np.linalg.slogdet(restrict_to_V(q))
+    """log |det(q|V)| of column-stochastic q, which is log |det q| (see the
+    module docstring); -inf where q is singular. A float for one matrix, an
+    array over the leading axes of a stack."""
+    _, logdet = np.linalg.slogdet(_entries(q))
     return _scalar(logdet)
 
 
@@ -125,20 +126,11 @@ _COLLAPSE_EPS = 1e-13
 _LOG_BLOCK_COND = 10 * math.log(2.0)
 
 
-def _restrict_path(batches: np.ndarray) -> np.ndarray:
-    """B_t = H^T (S_t H) for draws (..., m, k, k): the (..., m, k-1, k-1)
-    matrices of every step on V. This association is step-by-step QR's first
-    step; (H^T S) H leaves a 2.5e-17 entry where S|V is exactly singular
-    and collapses one direction too many."""
-    h = _helmert(batches.shape[-1])
-    return h.T @ (batches @ h)
-
-
 def _block_length(b: np.ndarray, logdets: np.ndarray) -> int:
     """Steps per QR, by the rule in the module docstring, for the restricted
-    path b (R, m, d, d) whose steps have log |det| logdets (R, m). The
-    sigma_min bound is held to twice the collapse threshold, for the
-    rounding between (H^T S) H, which logdets come from, and b: every |r_ii|
+    path b (R, m, d, d) whose draws S_t have log |det S_t| logdets (R, m).
+    The sigma_min bound is held to twice the collapse threshold, for the
+    rounding between det S_t, which logdets come from, and b: every |r_ii|
     of a product is at least its sigma_min, so only single steps collapse.
     """
     d = b.shape[-1]
@@ -208,7 +200,7 @@ def _replicate_batches(law: PaintboxLaw, seed, label: str, reps: range, m: int) 
 @dataclass(frozen=True)
 class LyapunovEstimate:
     lambda1: float
-    spectrum: tuple[float, ...]
+    spectrum: tuple[float | None, ...]
     kappa_hat: float
     std_error: float
     m: int
@@ -235,8 +227,9 @@ def estimate_lyapunov(law: PaintboxLaw, m: int, replicates: int, seed) -> Lyapun
     and std_error its sampling error on the lambda1 scale. kappa_hat is the
     mean per-step log |det(S|V)|, floored at -700 against underflow (flagged
     when the floor is hit). A collapsed direction yields lambda1 = 0 and the
-    super_exponential_collapse flag. All replicates advance together, one
-    stacked QR per block of steps.
+    super_exponential_collapse flag; the spectrum gives the first frame
+    direction that collapses rate 0.0 and every later one None. All
+    replicates advance together, one stacked QR per block of steps.
     """
     if law.k < 2:
         raise ValidationError("growth rates need a law with k >= 2", field="law")
@@ -246,11 +239,12 @@ def estimate_lyapunov(law: PaintboxLaw, m: int, replicates: int, seed) -> Lyapun
         raise ValidationError("need at least one replicate", field="replicates")
     batches = _replicate_batches(law, seed, "lyapunov-replicate", range(replicates), m)
     logdets = log_abs_det_on_V(batches)
-    b = _restrict_path(batches)
+    b = restrict_to_V(batches)
     log_r_sums = _block_log_r(b, _block_length(b, logdets)).sum(axis=-2)
     exponents = log_r_sums / m
     flags: set[str] = set()
-    if np.isneginf(log_r_sums).any():
+    collapsed = np.isneginf(log_r_sums).any(axis=0)
+    if collapsed.any():
         flags.add("super_exponential_collapse")
     floored = logdets < _LOGDET_FLOOR
     if floored.any():
@@ -270,7 +264,10 @@ def estimate_lyapunov(law: PaintboxLaw, m: int, replicates: int, seed) -> Lyapun
             std_error = float(per_rep_lambda1.std(ddof=1) / math.sqrt(replicates))
         else:
             std_error = 0.0
-    spectrum = tuple(float(v) for v in np.sort(np.exp(mean_exp))[::-1])
+    # rates up to the first direction that collapses in any replicate
+    kept = int(np.argmax(collapsed)) + 1 if collapsed.any() else law.k - 1
+    rates = sorted(np.exp(mean_exp[:kept]).tolist(), reverse=True)
+    spectrum = (*rates, *(None,) * (law.k - 1 - kept))
     return LyapunovEstimate(
         lambda1=lambda1,
         spectrum=spectrum,
@@ -289,7 +286,7 @@ def lyapunov_trace(law: PaintboxLaw, m: int, seed) -> np.ndarray:
     if law.k < 2:
         raise ValidationError("growth rates need a law with k >= 2", field="law")
     batch = _replicate_batches(law, seed, "lyapunov-replicate", range(1), m)
-    logs = _block_log_r(_restrict_path(batch), 1)[0]
+    logs = _block_log_r(restrict_to_V(batch), 1)[0]
     return np.cumsum(logs, axis=0) / np.arange(1, m + 1)[:, None]
 
 

@@ -36,7 +36,7 @@ DEFAULT_EXACT_N_LIMIT = 1100
 
 def coupling_upper(params: EhrenfestParams, t: float) -> float:
     """Mean residual-coupling bound n * (1 - a/n)^t; can exceed 1 early on."""
-    if t < 0:
+    if not t >= 0:
         raise ValidationError("need t >= 0", field="t")
     n, a = params.n, params.batch_size
     return n * (1.0 - a / n) ** t
@@ -76,7 +76,9 @@ def ehrenfest_bounds(params: EhrenfestParams, t: float | None = None, beta: floa
 
     The lower bound 1 - 8 exp(1 - 2 beta) at the early schedule time needs
     the refresh fraction at or below one half; larger batches are refused
-    for the lower bound (the upper bound has no such restriction).
+    for the lower bound (the upper bound has no such restriction). Where the
+    early schedule time is negative, both lower-schedule fields are None; a
+    beta whose late schedule time overflows is refused.
     """
     if t is None and beta is None:
         raise ValidationError("provide t, beta, or both", field="t")
@@ -96,11 +98,14 @@ def ehrenfest_bounds(params: EhrenfestParams, t: float | None = None, beta: floa
             )
         base = (n / (2.0 * a)) * math.log(n)
         shift = beta * n / a
+        if not math.isfinite(base + shift):
+            raise ValidationError("beta is too large: the schedule time overflows", field="beta")
         out["beta"] = beta
         out["t_upper_schedule"] = base + shift
         out["upper_at_schedule"] = coupling_upper(params, base + shift)
-        out["t_lower_schedule"] = base - shift
-        out["lower_at_schedule"] = 1.0 - 8.0 * math.exp(1.0 - 2.0 * beta)
+        if base - shift >= 0:
+            out["t_lower_schedule"] = base - shift
+            out["lower_at_schedule"] = 1.0 - 8.0 * math.exp(1.0 - 2.0 * beta)
     return EhrenfestBounds(**out)
 
 
@@ -146,6 +151,8 @@ def loglog_schedule(n: int, beta: float) -> LogLogSchedule:
     lln = math.log(math.log(n))
     alpha = 1.0 - math.exp(-math.log(n) / lln)
     t = (1.0 + beta) * lln
+    if not math.isfinite(t):
+        raise ValidationError("beta is too large: the schedule time overflows", field="beta")
     params = EhrenfestParams(n, alpha)
     return LogLogSchedule(
         n=n,

@@ -212,7 +212,8 @@ def mixing_time(
 class CutoffReport:
     """Cutoff evidence across a size grid: mixing horizons at epsilon and
     1 - epsilon, their least-squares slopes against log n, the Lyapunov
-    prediction theta_hat, and the window-to-log-n ratios."""
+    prediction theta_hat, and the window-to-log-n ratios (None where a
+    horizon is missing or n = 1)."""
 
     law_config: dict
     k: int
@@ -318,7 +319,8 @@ def cutoff_experiment(
     ratios: list[float | None] = []
     for p, ln in zip(profiles, logs):
         hi, lo = p.t_mix[epsilon], p.t_mix[1.0 - epsilon]
-        ratios.append((hi - lo) / ln if hi is not None and lo is not None else None)
+        # no ratio at n = 1, where log n is 0
+        ratios.append((hi - lo) / ln if hi is not None and lo is not None and ln > 0 else None)
     seen = [r for r in ratios if r is not None]
     noninc = all(b <= a + 1e-9 for a, b in zip(seen, seen[1:])) if len(seen) >= 2 else None
 

@@ -403,16 +403,39 @@ def lyapunov_trace_steps(samples: np.ndarray) -> np.ndarray:
     return out
 
 
+def fraction_det(a) -> Fraction:
+    """det a of a float matrix in exact arithmetic on its float entries, by
+    Gaussian elimination."""
+    m = [[Fraction(float(v)) for v in row] for row in np.asarray(a, dtype=float)]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [v - f * u for v, u in zip(m[r], m[col])]
+    return det
+
+
 def lyapunov_per_replicate(samples: np.ndarray, logdet_floor: float = -700.0) -> dict:
     """QR growth-rate estimate from pre-drawn samples (R, m, k, k), one
     replicate and one step at a time: per replicate a Helmert-coordinate QR
     frame with sign-fixed triangular diagonals (entries below 1e-13 count as
     collapsed, log -inf), and the per-step log |det| on the mean-zero subspace
-    floored at logdet_floor, summed replicate by replicate. Returns the fields
-    of a Lyapunov estimate."""
+    floored at logdet_floor, summed replicate by replicate. Since 1^T s = 1^T,
+    that log |det| is log |det s| of the k x k sample, taken exactly by
+    fraction_det. The spectrum lists the rates up to the first
+    frame direction that collapses in any replicate, and None after it.
+    Returns the fields of a Lyapunov estimate."""
     reps, m, k, _ = samples.shape
     h = helmert_columns(k)
     exponents = np.zeros((reps, k - 1))
+    collapsed = np.zeros(k - 1, dtype=bool)
     kappa_sum = 0.0
     flags = set()
     for rep in range(reps):
@@ -425,14 +448,16 @@ def lyapunov_per_replicate(samples: np.ndarray, logdet_floor: float = -700.0) ->
             frame = h @ (qv * np.where(d < 0.0, -1.0, 1.0))
             for i, v in enumerate(np.abs(d)):
                 sums[i] += -np.inf if v < 1e-13 else np.log(v)
-            sign, logdet = np.linalg.slogdet(h.T @ s @ h)
-            if sign == 0.0 or logdet < logdet_floor:
+            det = abs(fraction_det(s))
+            logdet = math.log(det.numerator) - math.log(det.denominator) if det else -math.inf
+            if logdet < logdet_floor:
                 logdet = logdet_floor
                 flags.add("logdet_floored")
             kappa_sum += logdet
-        if np.isneginf(sums).any():
-            flags.add("super_exponential_collapse")
+        collapsed |= np.isneginf(sums)
         exponents[rep] = sums / m
+    if collapsed.any():
+        flags.add("super_exponential_collapse")
     mean_exp = exponents.mean(axis=0)
     if "super_exponential_collapse" in flags:
         lambda1, std_error = 0.0, 0.0
@@ -440,9 +465,11 @@ def lyapunov_per_replicate(samples: np.ndarray, logdet_floor: float = -700.0) ->
         lambda1 = float(np.exp(mean_exp.max()))
         per_rep = np.exp(exponents.max(axis=1))
         std_error = float(per_rep.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+    kept = next((i + 1 for i in range(k - 1) if collapsed[i]), k - 1)
+    spectrum = sorted(np.exp(mean_exp[:kept]).tolist(), reverse=True)
     return {
         "lambda1": lambda1,
-        "spectrum": sorted(np.exp(mean_exp).tolist(), reverse=True),
+        "spectrum": spectrum + [None] * (k - 1 - kept),
         "kappa_hat": kappa_sum / (reps * m),
         "std_error": std_error,
         "flags": sorted(flags),

@@ -244,6 +244,37 @@ def test_ehrenfest_bounds_json(capsys):
     assert doc["result"]["upper_at_t"] == 64 * (1 - 16 / 64) ** 30
 
 
+def test_cutoff_has_no_window_ratio_at_one_site(capsys, tmp_path):
+    # log 1 = 0: the ratio was printed as Infinity
+    cfg = write_config(tmp_path, {**BASE["cutoff"], "n_grid": [1, 4]})
+    rc, out, err = run_cli(capsys, ["cutoff", "--config", cfg])
+    assert rc == 0, err
+    result = json.loads(out)["result"]
+    assert [p["n"] for p in result["profiles"]] == [1, 4]
+    assert result["window_ratios"][0] is None
+
+
+def test_ehrenfest_lower_schedule_before_time_zero_is_null(capsys):
+    # (64 / 32) log 64 - 100 * 64 / 16 < 0: the lower schedule has no time
+    rc, out, err = run_cli(capsys, ["ehrenfest", "--n", "64", "--alpha", "0.25", "--beta", "100"])
+    assert rc == 0, err
+    result = json.loads(out)["result"]
+    assert result["t_lower_schedule"] is None and result["lower_at_schedule"] is None
+    assert result["t_upper_schedule"] == 2 * math.log(64) + 100 * 64 / 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "1000", "--loglog", "--beta", "1e308"],
+    ["--n", "64", "--alpha", "0.25", "--beta", "1e308"],
+    ["--n", "64", "--alpha", "0.25", "--t", "3", "--beta", "1e308"],
+])
+def test_ehrenfest_refuses_a_beta_whose_schedule_overflows(capsys, argv):
+    rc, out, err = run_cli(capsys, ["ehrenfest", *argv])
+    assert rc == 2
+    assert out == ""
+    assert _validation_field(err) == "beta"
+
+
 def test_ehrenfest_exact_csv_matches_library(capsys):
     rc, out, _ = run_cli(capsys, ["ehrenfest", "--n", "16", "--standard", "--exact", "--t-grid", "0,5,10"])
     assert rc == 0
@@ -579,6 +610,27 @@ def test_malformed_number_exits_2(capsys, tmp_path, command, key, read):
                                     *_as_flag(key, "x")])
     assert rc == 2
     assert _validation_field(err) == key
+
+
+@pytest.mark.parametrize("command,key", [
+    *[(c, k) for c, k, read in SETTINGS if read is _float],
+    ("mixing-time", "epsilon"), ("project", "epsilon"),
+])
+def test_a_non_finite_number_exits_2(capsys, tmp_path, command, key):
+    listed = key == "epsilon" and command != "cutoff"
+    for value in (math.nan, math.inf, -math.inf):
+        cfg = write_config(tmp_path, {**BASE[command], key: [0.25, value] if listed else value})
+        rc, out, err = run_cli(capsys, [command, "--config", cfg])
+        assert rc == 2, value
+        assert out == ""
+        assert _validation_field(err) == key
+    flag = "--" + key.replace("_", "-")
+    for text in ("nan", "inf", "-inf", "1e999"):
+        rc, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, BASE[command]),
+                                        f"{flag}={'0.25,' if listed else ''}{text}"])
+        assert rc == 2, text
+        assert out == ""
+        assert _validation_field(err) == key
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))

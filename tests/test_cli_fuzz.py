@@ -1,8 +1,9 @@
 """CLI fuzz over generated configs: small runs of every command with bad and
 boundary values mixed in. Every run must exit 0, 2 or 3, print the same
-bytes when rerun, and name, when it exits 2, a setting the command
-accepts, or a key of the law as law.<key>: one that some law kind reads,
-or one that the drawn law config holds."""
+bytes when rerun, print strict JSON (no NaN or Infinity) wherever it prints
+JSON, and name, when it exits 2, a setting the command accepts, or a key of
+the law as law.<key>: one that some law kind reads, or one that the drawn
+law config holds."""
 
 import json
 import math
@@ -91,8 +92,9 @@ FUZZED = {
         "n": ([-1, 0, 1, 2, 16, 64, 2000, "x", 2.5], False),
         "alpha": ([-0.5, 0.1, 0.25, 0.5, 1.0, 1.5, math.nan, "x", True], True),
         "standard": (SWITCHES, True),
-        "loglog": (SWITCHES, True), "exact": (SWITCHES, True), "beta": (FRACTIONS, True),
-        "t": ([-1, 0, 3, 1e6, math.nan, "x"], True),
+        "loglog": (SWITCHES, True), "exact": (SWITCHES, True),
+        "beta": (FRACTIONS + [1e308], True),
+        "t": ([-1, 0, 3, 1e6, 1e308, math.nan, "x"], True),
         "t_grid": ([[0, 5], [40], [], [-1], ["x"], [3, 1], "2,1"], True),
         "mixing_eps": ([0.25, 1e-3, -1.0, 0.0, 1.0, 1.5, math.nan, "x", True], True),
         "seed": (SEEDS, True),
@@ -103,6 +105,13 @@ FUZZED = {
         "m_max": ([-1, 0, 1, 8, "x"], False), "seed": (SEEDS, True),
     },
 }
+
+
+def _strict_json(text):
+    """text parsed as JSON that holds no NaN or Infinity."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} in {text!r}")
+    return json.loads(text, parse_constant=refuse)
 
 
 @st.composite
@@ -158,9 +167,11 @@ def test_cli_exits_cleanly_and_names_an_accepted_setting(tmp_path_factory, capsy
         assert rc in (0, 2, 3), err
         if rc == 0:
             assert out and not err
+            if out.startswith("{"):
+                _strict_json(out)
             continue
         assert not out
-        error = json.loads(err)["error"]
+        error = _strict_json(err)["error"]
         if rc == 2:
             assert error["type"] == "validation"
             setting, _, law_key = error["field"].partition(".")

@@ -1051,3 +1051,35 @@ def test_schedules_refuse_a_beta_that_is_not_positive(beta):
         with pytest.raises(ValidationError, match=r"^need beta > 0$") as exc:
             schedule()
         assert exc.value.field == "beta"
+
+
+def test_schedules_refuse_a_beta_whose_schedule_time_overflows():
+    params = EhrenfestParams(64, 0.25)
+    for schedule in (lambda: ehrenfest_bounds(params, beta=1e308),
+                     lambda: loglog_schedule(1000, 1e308)):
+        with pytest.raises(ValidationError, match="overflows") as exc:
+            schedule()
+        assert exc.value.field == "beta"
+    # schedules near the largest float still answer
+    assert math.isfinite(ehrenfest_bounds(params, beta=1e306).t_upper_schedule)
+    assert math.isfinite(loglog_schedule(1000, 1e307).t)
+
+
+def test_coupling_upper_refuses_a_t_that_is_not_nonnegative():
+    params = EhrenfestParams(64, 0.25)
+    for t in (-1.0, math.nan):
+        with pytest.raises(ValidationError) as exc:
+            coupling_upper(params, t)
+        assert exc.value.field == "t"
+    assert coupling_upper(params, 1e308) == 0.0
+
+
+def test_lower_schedule_is_unset_before_time_zero():
+    # (n / 2a) log n - beta n / a < 0 exactly when beta > (log n) / 2
+    params = EhrenfestParams(64, 0.25)
+    late = ehrenfest_bounds(params, beta=100.0)
+    assert late.t_lower_schedule is None and late.lower_at_schedule is None
+    assert late.t_upper_schedule == pytest.approx(2 * math.log(64) + 400)
+    edge = ehrenfest_bounds(params, beta=math.log(64) / 2)
+    assert edge.t_lower_schedule is not None and edge.t_lower_schedule >= 0
+    assert ehrenfest_bounds(params, beta=math.log(64) / 2 * (1 + 1e-12)).t_lower_schedule is None
