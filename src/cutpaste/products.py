@@ -282,12 +282,16 @@ def estimate_lyapunov(law: PaintboxLaw, m: int, replicates: int, seed) -> Lyapun
 def lyapunov_trace(law: PaintboxLaw, m: int, seed) -> np.ndarray:
     """Running per-direction exponent estimates along one path: row t-1 holds
     log_r_sums / t after t steps. For convergence plots; every step is its
-    own block, since each row reads the exponents after one more step."""
+    own block, since each row reads the exponents after one more step. As in
+    estimate_lyapunov's spectrum, the directions after the first collapsed
+    one (log_r_sum -inf) have no rate: they read NaN."""
     if law.k < 2:
         raise ValidationError("growth rates need a law with k >= 2", field="law")
     batch = _replicate_batches(law, seed, "lyapunov-replicate", range(1), m)
-    logs = _block_log_r(restrict_to_V(batch), 1)[0]
-    return np.cumsum(logs, axis=0) / np.arange(1, m + 1)[:, None]
+    sums = np.cumsum(_block_log_r(restrict_to_V(batch), 1)[0], axis=0)
+    collapsed = np.logical_or.accumulate(np.isneginf(sums), axis=1)
+    sums[:, 1:][collapsed[:, :-1]] = np.nan
+    return sums / np.arange(1, m + 1)[:, None]
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,15 @@ differ, which is every Monte Carlo upper bound on the constant pair. There
 the conditional TV is TV(Bin(n, p), Bin(n, q)). Binomials have a monotone
 likelihood ratio, so by Scheffe's identity the TV is F_lo(c) - F_hi(c) at
 the one crossing c of the two pmfs, that is 1 minus the lower tail of the
-larger parameter up to c minus the upper tail of the smaller above c. Both
-tails are summed in a window of O(sqrt(n)) counts around c; Hoeffding's
-inequality bounds the mass left outside it by _TAIL_MASS, far below double
-rounding, so the value stays exact at O(sqrt(n)) cost per replicate. Its
-log-binomial coefficients are rounded once from exact integers, not taken
-as differences of log-factorials.
+larger parameter up to c minus the upper tail of the smaller above c. Each
+tail is summed over a half window of h = O(sqrt(n)) counts on its side of
+c; Hoeffding's inequality bounds the mass left outside it by _TAIL_MASS,
+far below double rounding, so the value stays exact at O(sqrt(n)) cost per
+replicate. A half window takes its log-binomial coefficients as one row of
+a table padded with log 0 outside 0..n, so a window that runs past either
+end needs no clipping and no per-element select. The coefficients are
+rounded once from exact integers, not taken as differences of
+log-factorials.
 """
 
 from __future__ import annotations
@@ -148,14 +151,15 @@ def _log_factorials(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _log_binomials(n: int) -> np.ndarray:
-    """log C(n, x) for x = 0..n, each rounded once from the exact integer:
-    a difference of log-factorials loses several ulps of log(n!), more than
+def _log_binomials(n: int, pad: int) -> np.ndarray:
+    """log C(n, x) for x = -pad .. n + pad: _LOG_ZERO outside 0..n, and
+    inside each value rounded once from the exact integer, since a
+    difference of log-factorials loses several ulps of log(n!), more than
     the binomial path's error budget."""
-    out = np.empty(n + 1)
+    out = np.full(n + 1 + 2 * pad, _LOG_ZERO)
     c = 1
     for x in range(n + 1):
-        out[x] = math.log(c)
+        out[pad + x] = math.log(c)
         c = c * (n - x) // (x + 1)
     out.setflags(write=False)
     return out
@@ -246,14 +250,21 @@ def tv_exact_product_multinomial(
 def refinement_cells(x0: Coloring, x0_tilde: Coloring) -> list[tuple[int, int, int]]:
     """Cells of the common refinement of two colorings: (color in x0, color
     in x0_tilde, number of sites), ordered by first site occurrence."""
+    return list(_refinement_cells(x0, x0_tilde))
+
+
+@lru_cache(maxsize=16)
+def _refinement_cells(x0: Coloring, x0_tilde: Coloring) -> tuple[tuple[int, int, int], ...]:
+    """refinement_cells once per pair of (frozen) colorings: the mixing
+    search asks for the cells of the same pairs at every probe."""
     if x0.n != x0_tilde.n or x0.k != x0_tilde.k:
         raise ValidationError("initial states must share n and k")
     base = x0.k + 1
     codes = np.asarray(x0.word) * base + np.asarray(x0_tilde.word)
     uniq, first, counts = np.unique(codes, return_index=True, return_counts=True)
     order = np.argsort(first)
-    return [(int(c // base), int(c % base), int(cnt))
-            for c, cnt in zip(uniq[order], counts[order])]
+    return tuple((int(c // base), int(c % base), int(cnt))
+                 for c, cnt in zip(uniq[order], counts[order]))
 
 
 def tv_exact_conditional(qm, x0: Coloring, x0_tilde: Coloring) -> TVEstimate:
@@ -264,7 +275,7 @@ def tv_exact_conditional(qm, x0: Coloring, x0_tilde: Coloring) -> TVEstimate:
     e = (qm if isinstance(qm, StochasticMatrix) else StochasticMatrix(qm)).entries
     if e.shape[0] != x0.k:
         raise ValidationError("paintbox and states must share k")
-    cells = refinement_cells(x0, x0_tilde)
+    cells = _refinement_cells(x0, x0_tilde)
     return tv_exact_product_multinomial(
         ProductMultinomialLaw(tuple((cnt, e[:, a - 1]) for a, _, cnt in cells)),
         ProductMultinomialLaw(tuple((cnt, e[:, b - 1]) for _, b, cnt in cells)),
@@ -273,9 +284,10 @@ def tv_exact_conditional(qm, x0: Coloring, x0_tilde: Coloring) -> TVEstimate:
 
 def _binomial_tvs(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     """Row r: TV(Bin(n, p[r]), Bin(n, q[r])), as 1 minus the lower tail of
-    the larger parameter up to the crossing c minus the upper tail of the
-    smaller one above c, both summed over the counts c - h + 1 .. c + h
-    (clipped into 0..n), outside which each tail holds at most _TAIL_MASS."""
+    the larger parameter over the counts c - h + 1 .. c up to the crossing
+    c, minus the upper tail of the smaller one over c + 1 .. c + h. Outside
+    these half windows each tail holds at most _TAIL_MASS, and counts
+    outside 0..n have probability 0."""
     lo = np.minimum(p, q)
     hi = np.maximum(p, q)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -283,28 +295,38 @@ def _binomial_tvs(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
         log1m_lo, log1m_hi = np.log1p(-lo), np.log1p(-hi)
         # in [n lo - 1, n hi] and below n; NaN when hi = 1 (crossing n - 1)
         # or lo = hi (any crossing), and fmin takes n - 1 over NaN
-        c = np.floor(n * (log1m_lo - log1m_hi) / (log_hi - log_lo + log1m_lo - log1m_hi))
-    c = np.fmin(c, n - 1).astype(np.int64)
-    # log 0 becomes _LOG_ZERO, as in _count_logpmf, so a zero count times it is 0
+        c = np.fmin(np.floor(n * (log1m_lo - log1m_hi) / (log_hi - log_lo + log1m_lo - log1m_hi)), n - 1)
+    # log 0 becomes _LOG_ZERO, as in _count_logpmf, so a zero count times it
+    # is 0; rows with lo = hi return 0 and take log 1/2 throughout, so that
+    # no count outside 0..n can overflow
     logs = np.maximum([log_lo, log_hi, log1m_lo, log1m_hi], _LOG_ZERO)
-    log_lo, log_hi, log1m_lo, log1m_hi = logs
-    h = math.ceil(math.sqrt(n * math.log(1.0 / _TAIL_MASS) / 2.0)) + 1
-    w = min(n + 1, 2 * h)
-    log_comb = _log_binomials(n)
+    same = lo == hi
+    logs[:, same] = math.log(0.5)
+    log_lo, log_hi, log1m_lo, log1m_hi = logs[:, :, None]
+    h = min(n, math.ceil(math.sqrt(n * math.log(1.0 / _TAIL_MASS) / 2.0)) + 1)
+    # row i: log C(n, x) for x = i - h .. i - 1
+    log_comb = np.lib.stride_tricks.sliding_window_view(_log_binomials(n, h), h)
+    first = c.astype(np.int64) + 1
+    below, above = np.arange(1.0 - h, 1.0), np.arange(1.0, h + 1.0)
     tails = np.empty(len(c))
-    for rows in _row_chunks(len(c), w, _WINDOW_BUDGET):
-        cr = c[rows, None]
-        x = np.clip(cr - h + 1, 0, n + 1 - w) + np.arange(w)
-        below = x <= cr
-        # updated in place to keep the (rows, w) temporaries few
-        logpmf = np.where(below, log_hi[rows, None], log_lo[rows, None])
-        logpmf *= x
-        log1m = np.where(below, log1m_hi[rows, None], log1m_lo[rows, None])
-        log1m *= n - x
-        logpmf += log1m
-        logpmf += log_comb[x]
-        tails[rows] = np.exp(logpmf, out=logpmf).sum(axis=1)
-    return np.where(lo == hi, 0.0, np.clip(1.0 - tails, 0.0, 1.0))
+    for rows in _row_chunks(len(c), 2 * h, _WINDOW_BUDGET):
+        cr, start = c[rows, None], first[rows]
+        tails[rows] = _tail_sums(cr + below, log_hi[rows], log1m_hi[rows], log_comb[start], n)
+        tails[rows] += _tail_sums(cr + above, log_lo[rows], log1m_lo[rows], log_comb[start + h], n)
+    return np.where(same, 0.0, np.clip(1.0 - tails, 0.0, 1.0))
+
+
+def _tail_sums(x: np.ndarray, log_p: np.ndarray, log1m_p: np.ndarray, log_comb: np.ndarray,
+               n: int) -> np.ndarray:
+    """Row sums of the Bin(n, p) pmf over the counts x (rows, h), given
+    log p and log(1 - p) as (rows, 1) columns and log C(n, x); x is a float
+    array (exact below 2^53), which this overwrites."""
+    logpmf = x * log_p
+    x = np.subtract(n, x, out=x)
+    x *= log1m_p
+    logpmf += x
+    logpmf += log_comb
+    return np.exp(logpmf, out=logpmf).sum(axis=1)
 
 
 def _conditional_tvs(qs: np.ndarray, x0: Coloring, x0_tilde: Coloring) -> np.ndarray:
@@ -313,7 +335,7 @@ def _conditional_tvs(qs: np.ndarray, x0: Coloring, x0_tilde: Coloring) -> np.nda
     Cells where both starts agree have equal laws and factor out; two colors
     with one differing cell take the binomial shortcut."""
     col_a, col_b, sizes = zip(
-        *((a - 1, b - 1, cnt) for a, b, cnt in refinement_cells(x0, x0_tilde) if a != b)
+        *((a - 1, b - 1, cnt) for a, b, cnt in _refinement_cells(x0, x0_tilde) if a != b)
     )
     if qs.shape[1] == 2 and len(sizes) == 1:
         return _binomial_tvs(qs[:, 0, col_a[0]], qs[:, 0, col_b[0]], sizes[0])
@@ -350,7 +372,7 @@ def tv_exact_atomic(
         )
     if law.k != x0.k:
         raise ValidationError("law and states must share k")
-    cells = refinement_cells(x0, x0_tilde)
+    cells = _refinement_cells(x0, x0_tilde)
     if m == 0:
         return TVEstimate(0.0 if x0 == x0_tilde else 1.0, "exact")
     k = law.k

@@ -19,7 +19,11 @@ by repeated squaring. Summing over replicates commutes with the inverse
 transform, so each side's mixed law is one irfft of the summed spectra, and
 each replicate's margin on the separating set is an inner product with the
 set's spectrum (Parseval), one complex matvec per chunk of rows. Chunks hold
-about _SPECTRUM_BUDGET complex entries, so they stay in cache.
+about _SPECTRUM_BUDGET complex entries, so they stay in cache. At k = 2 the
+columns sum to 1, so the x0_tilde statistic is 2n' less a copy of the x0
+statistic: its mixed law is the x0 one reversed, each margin is an inner
+product with the spectrum of 1_best - reverse(1_best), and each pass
+computes one spectrum per replicate.
 """
 
 from __future__ import annotations
@@ -126,6 +130,10 @@ def tv_upper_mc(
     if x0 == x0_tilde:
         return TVEstimate(0.0, "upper_bound", 0.0, replicates)
     path = seed if isinstance(seed, _ProductPath) else _ProductPath(law, replicates, seed)
+    # the caller builds the path, so one of another law or size is a fault
+    # of the program, not malformed input
+    if path.law is not law or path.replicates != replicates:
+        raise RuntimeError("product path of another law or replicate count")
     values = _conditional_tvs(path.at(m), x0, x0_tilde)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
@@ -135,10 +143,13 @@ def tv_upper_mc(
 def _power(z: np.ndarray, e: int) -> np.ndarray:
     """z**e entrywise for an integer e >= 1 by repeated squaring, about
     log2(e) complex multiplies; numpy's complex ** goes through log and exp
-    above small exponents and is far slower. Overwrites z."""
+    above small exponents and is far slower. Overwrites z, and returns it
+    when e is a power of two."""
     while not e & 1:
         z *= z
         e >>= 1
+    if e == 1:
+        return z
     out = z.copy()
     e >>= 1
     while e:
@@ -211,37 +222,44 @@ def tv_lower_mc(
 
     length = k * (k - 1) * n_prime + 1
     chunks = list(_row_chunks(replicates, length // 2 + 1, _SPECTRUM_BUDGET))
-
-    def spectra(rows):
-        part = qs[rows]
-        return (
-            _statistic_spectra(part, k, n_prime, False),
-            _statistic_spectra(part, k, n_prime, True),
-        )
-
+    # at k = 2, Q[1, 1] = 1 - Q[0, 1] and Q[0, 0] = 1 - Q[1, 0]: the x0_tilde
+    # statistic is 2n' less a copy of the x0 statistic, so its law is the
+    # x0 law reversed, and only the x0 spectra are computed
+    mirrored = k == 2
     sum_p = np.zeros(length // 2 + 1, dtype=complex)
     sum_q = np.zeros_like(sum_p)
     for rows in chunks:
-        phi_p, phi_q = spectra(rows)
-        sum_p += phi_p.sum(axis=0)
-        sum_q += phi_q.sum(axis=0)
+        sum_p += _statistic_spectra(qs[rows], k, n_prime, False).sum(axis=0)
+        if not mirrored:
+            sum_q += _statistic_spectra(qs[rows], k, n_prime, True).sum(axis=0)
     mean_p = np.clip(np.fft.irfft(sum_p / replicates, length), 0.0, None)
-    mean_q = np.clip(np.fft.irfft(sum_q / replicates, length), 0.0, None)
+    if mirrored:
+        mean_q = mean_p[::-1]
+    else:
+        mean_q = np.clip(np.fft.irfft(sum_q / replicates, length), 0.0, None)
     tv_hat = 0.5 * float(np.abs(mean_p - mean_q).sum())
 
     # Parseval: row r's margin on the set `best` is the sum over all L bins
     # of D_r(f) conj(B(f)) / L for D_r = phi_p - phi_q and B = rfft(1_best).
     # L is odd, so every rfft bin but DC stands for itself and its mirror
-    # image, and D_r(0) is exactly 0 (both laws have mass 1, and w^0 - 1 = 0)
-    best = mean_p > mean_q
-    dual = np.conj(np.fft.rfft(best.astype(float))) * (2.0 / length)
+    # image. Mirrored, the x0_tilde law's mass on `best` is the x0 law's on
+    # the reversed set, so D_r is phi_p alone and B the rfft of
+    # 1_best - reverse(1_best). The DC bin adds nothing: D_r(0) is exactly 0
+    # (both laws have mass 1, and w^0 - 1 = 0), or else B(0) is (the set
+    # and its reverse have the same size)
+    weights = (mean_p > mean_q).astype(float)
+    if mirrored:
+        weights -= weights[::-1]
+    dual = np.conj(np.fft.rfft(weights)) * (2.0 / length)
+    dual[0] = 0.0
     margins = np.empty(replicates)
     for rows in chunks:
-        phi_p, phi_q = spectra(rows)
-        phi_p -= phi_q
+        phi = _statistic_spectra(qs[rows], k, n_prime, False)
+        if not mirrored:
+            phi -= _statistic_spectra(qs[rows], k, n_prime, True)
         # einsum, not BLAS: a one-row matvec takes another kernel, and a
         # margin must not depend on the chunk its row falls in
-        margins[rows] = np.einsum("rf,f->r", phi_p, dual).real
+        margins[rows] = np.einsum("rf,f->r", phi, dual).real
     # spread about the first margin: the same value, and exactly 0 when every
     # replicate has the same paintbox (m = 0)
     margins -= margins[0]

@@ -394,12 +394,17 @@ def step(state: ProductState, s) -> ProductState:
 
 def lyapunov_trace_steps(samples: np.ndarray) -> np.ndarray:
     """Running exponent estimates along one path of pre-drawn samples
-    (m, k, k), by step: row t-1 holds log_r_sums / t after t steps."""
+    (m, k, k), by step: row t-1 holds log_r_sums / t after t steps, and NaN
+    for every direction after the first whose sum is -inf."""
     state = new_product_state(samples.shape[-1])
     out = np.zeros((len(samples), samples.shape[-1] - 1))
     for t, s in enumerate(samples):
         state = step(state, s)
         out[t] = state.log_r_sums / (t + 1)
+        for j, v in enumerate(state.log_r_sums):
+            if v == -np.inf:
+                out[t, j + 1:] = np.nan
+                break
     return out
 
 

@@ -180,6 +180,27 @@ def test_binomial_tvs_clip_the_window_at_both_ends():
     assert np.max(np.abs(exact._binomial_tvs(p, q, n) - binomial_tvs(p, q, n))) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        # unrounded crossings 0 (p = 0), 0.13 and 37.4 of 2048: the lower
+        # half window runs past 0
+        pytest.param(0.0, 1e-3, id="p-zero"),
+        pytest.param(1e-5, 2e-4, id="crossing-at-0"),
+        pytest.param(0.01, 0.03, id="crossing-near-0"),
+        # unrounded crossings 2010.6, 2047.9 and none (q = 1, taken as
+        # n - 1): the upper half window runs past n
+        pytest.param(0.97, 0.99, id="crossing-near-n"),
+        pytest.param(1.0 - 2e-4, 1.0 - 1e-5, id="crossing-at-n-1"),
+        pytest.param(0.999, 1.0, id="q-one"),
+    ],
+)
+def test_binomial_half_windows_past_both_ends_match_log_safe_oracle(p, q):
+    got = exact._binomial_tvs(np.array([p, q]), np.array([q, p]), 2048)
+    assert got[0] == got[1]
+    assert abs(got[0] - binomial_tvs([p], [q], 2048)[0]) < 3e-12
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(
     st.floats(0.0, 1.0),
@@ -205,6 +226,18 @@ def test_refinement_cells_match_site_loop():
     assert exact.refinement_cells(x, y) == refinement_cells(x.word, y.word)
     x, y = make_constant_pair(10, 4, 3, 1)
     assert exact.refinement_cells(x, y) == [(3, 1, 10)]
+
+
+def test_refinement_cells_are_computed_once_per_pair():
+    x, y = make_test_pair(24, 3)
+    exact._refinement_cells.cache_clear()
+    cells = exact.refinement_cells(x, y)
+    cells.append((0, 0, 0))
+    # an equal pair built anew hits the same entry, and the caller's list
+    # is its own
+    again = exact.refinement_cells(*make_test_pair(24, 3))
+    assert again == refinement_cells(x.word, y.word)
+    assert exact._refinement_cells.cache_info().misses == 1
 
 
 def test_edge_columns_give_exact_extremes():

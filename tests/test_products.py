@@ -340,6 +340,16 @@ def test_lyapunov_trace_matches_the_step_oracle_at_every_step(case):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
+def test_lyapunov_trace_has_no_rate_after_a_collapsed_direction():
+    # as in estimate_lyapunov's spectrum; the QR's choice of frame column
+    # for the collapsed direction set the later rates (-0.599 and -1.441)
+    law, m, _ = _ORACLE_CASES["two_unit_columns_k4"]
+    last = lyapunov_trace(law, m, seed=23)[-1]
+    assert last[0] == -np.inf and np.isnan(last[1:]).all()
+    trace = lyapunov_trace(_ORACLE_CASES["self_similar_k3"][0], 40, seed=23)
+    assert np.isfinite(trace).all()
+
+
 # --------------------------------------------------- the block QR kernel
 
 

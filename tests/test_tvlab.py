@@ -61,7 +61,7 @@ from cutpaste.products import collapse_diagnostic, estimate_lyapunov
 from cutpaste.rng import RngStream, as_stream
 from cutpaste.tvlab import mixing as mixing_module
 from cutpaste.tvlab.ehrenfest import _count_moves, _stationary, _step
-from cutpaste.tvlab.mc import _SPECTRUM_BUDGET, _ProductPath, _statistic_spectra
+from cutpaste.tvlab.mc import _SPECTRUM_BUDGET, _power, _ProductPath, _statistic_spectra
 from cutpaste.tvlab.mixing import designed_pairs
 
 
@@ -447,6 +447,58 @@ def test_statistic_spectra_invert_to_exact_convolutions(k, n_prime):
         assert np.max(np.abs(block_statistic_pmfs(qs, k, n_prime, tilde) - pmfs)) <= 1e-14
 
 
+@pytest.mark.parametrize("n_prime", [1, 2, 5])
+def test_x0_tilde_statistic_law_is_the_x0_law_reversed_at_k2(n_prime):
+    # exact rationals, on columns that sum to 1 exactly, with entries 0 and 1
+    qs = [
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[1.0, 0.375], [0.0, 0.625]],
+        [[0.25, 0.0], [0.75, 1.0]],
+        [[0.5, 0.5], [0.5, 0.5]],
+        [[0.8125, 0.1875], [0.1875, 0.8125]],
+    ]
+    for q in np.array(qs):
+        x0 = block_statistic_pmf_fraction(q, 2, n_prime, False)
+        assert np.array_equal(block_statistic_pmf_fraction(q, 2, n_prime, True), x0[::-1])
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(1, 4),
+    st.integers(0, 3),
+)
+def test_tv_lower_is_never_above_the_exact_value(entries, weight, n_prime, m):
+    # the bound projects the replicates' own mixture, so it is compared with
+    # that mixture's exact TV: one step of the law whose atoms are the drawn
+    # products, weighted by their counts. Against the sampled law it holds
+    # only with high probability: at weights 1e-5 and 1 - 1e-5 on the atoms
+    # [[0, 0], [1, 1]] and [[0, 1], [1, 0]] (n' = 1, m = 1) no replicate of
+    # 2000 draws the rare one, and the bound reads 1.0 with error 0 against
+    # the exact 0.99999
+    a, b, c, d = entries
+    law = Atomic([[[a, b], [1.0 - a, 1.0 - b]], [[c, d], [1.0 - c, 1.0 - d]]], [weight, 1.0 - weight])
+    x, y = make_test_pair(4 * n_prime, 2)
+    lower = tv_lower_mc(law, x, y, m, replicates=200, seed=0)
+    products, counts = np.unique(batched_products(law, m, 200, 0), axis=0, return_counts=True)
+    drawn = Atomic(list(products), counts / 200)
+    assert lower.value <= tv_exact_atomic(drawn, x, y, 1).value + 1e-12
+
+
+def test_power_matches_repeated_products_and_keeps_powers_of_two_in_place():
+    z = np.exp(1j * np.linspace(0.0, 3.0, 7)) * np.linspace(0.5, 1.0, 7)
+    for e in range(1, 40):
+        want = np.ones_like(z)
+        for _ in range(e):
+            want = want * z
+        work = z.copy()
+        got = _power(work, e)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert (got is work) == (e & (e - 1) == 0)
+
+
 @pytest.mark.parametrize("k, n_prime", [(2, 1), (2, 256), (3, 17), (3, 1000)])
 def test_tv_lower_m0_is_exactly_one_in_every_chunking(k, n_prime):
     x, y = make_test_pair(2 * k * (k - 1) * n_prime, k)
@@ -795,6 +847,18 @@ def test_product_path_matches_fresh_products(law):
             assert sorted(path.kept) == sorted(set(asked))
     with pytest.raises(ValidationError):
         _ProductPath(law, 7, 42).at(-1)
+
+
+def test_tv_upper_refuses_a_product_path_of_another_law_or_size():
+    law = SelfSimilar([1.0, 1.0])
+    x, y = make_constant_pair(16, 2)
+    path = _ProductPath(law, 7, 42)
+    assert tv_upper_mc(law, x, y, 3, 7, path) == tv_upper_mc(law, x, y, 3, 7, 42)
+    # the mean would run over 7 rows and the error divide by sqrt(8)
+    with pytest.raises(RuntimeError, match="product path"):
+        tv_upper_mc(law, x, y, 3, 8, path)
+    with pytest.raises(RuntimeError, match="product path"):
+        tv_upper_mc(SelfSimilar([1.0, 1.0]), x, y, 3, 7, path)
 
 
 # ------------------------------------------------------------------ cutoff
