@@ -338,8 +338,7 @@ def _cmd_project(s, out) -> None:
     from .projections import projected_mixing_equivalence
 
     rep = projected_mixing_equivalence(
-        s["law"], s["n"], s["k"], tuple(s["epsilon"]), s["seed"],
-        state_budget=s["state_budget"], m_max=s["m_max"],
+        s["law"], s["n"], s["k"], tuple(s["epsilon"]), s["seed"], m_max=s["m_max"],
     )
     _emit_json("project", _echo(s), rep.to_json(), out)
 
@@ -384,7 +383,8 @@ COMMANDS = {
     }),
     "cutoff": (_cmd_cutoff, "mixing horizons across a size grid", {
         "law": _LAW, "k": (_int, _law_k), "n_grid": (_list_of(_int), REQUIRED),
-        "epsilon": (_float, 0.25), "method": (_text, "mc_sandwich"),
+        "epsilon": (_float, 0.25),
+        "method": (_one_of("cutoff method", "mc_sandwich"), "mc_sandwich"),
         "replicates": (_int, 2000), "m_max": (_int, 4096), "lyapunov_m": (_int, 2000),
         "lyapunov_replicates": (_int, 32), "seed": _SEED,
     }),
@@ -404,8 +404,7 @@ COMMANDS = {
     }),
     "project": (_cmd_project, "labeled vs projected mixing equivalence", {
         "law": _LAW, "n": (_int, REQUIRED), "k": (_int, _law_k),
-        "epsilon": (_list_of(_float), (0.5, 0.25)), "state_budget": (_int, 4096),
-        "m_max": (_int, 512), "seed": _SEED,
+        "epsilon": (_list_of(_float), (0.5, 0.25)), "m_max": (_int, 512), "seed": _SEED,
     }),
 }
 

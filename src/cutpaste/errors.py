@@ -4,11 +4,13 @@ Two failure families matter to callers. ValidationError means the input
 itself is malformed (bad dimensions, bad config fields) and maps to CLI
 exit code 2. Refusal means the input was well formed but a precondition
 gate declined to run (theory hypotheses, enumeration budgets, Monte Carlo
-certification), and maps to CLI exit code 3.
+certification), and maps to CLI exit code 3. Every size gate refuses
+through check_budget, against one named limit of BUDGETS.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from contextlib import contextmanager
 
@@ -91,6 +93,33 @@ class BudgetRefusal(Refusal):
     """An exact enumeration would exceed the configured budget."""
 
     code = "budget_exceeded"
+
+
+# The most work each exact method may enumerate, by name.
+BUDGETS = {
+    "enumeration": 20_000_000,  # atom sequences x count vectors, or the count statistic
+    "project_states": 4096,  # the k^n labeled states of `project`: a 128 MiB dense kernel
+    "ehrenfest_sites": 1100,  # n: the stationary elimination works in an (n+1)^2 matrix
+    "small_space_states": 1 << 20,  # states of a direct small-space enumeration
+}
+
+
+def check_budget(name: str, required, reason: str, budget: int | None = None) -> None:
+    """Refuse work whose size exceeds budget, by default the named entry of
+    BUDGETS, with the details {budget_name, required, budget}. required is a
+    count, or a power (base, exponent, *factors), base^exponent times the
+    factors. A power that would pass 2^63 is refused whatever the budget,
+    without being built (its digits alone can take seconds, and Python will
+    not print past 4300 of them), and reported as "base^exponent*factor"."""
+    budget = BUDGETS[name] if budget is None else budget
+    if isinstance(required, tuple):
+        base, exponent, *factors = required
+        if exponent * math.log2(base) + sum(map(math.log2, factors)) < 63:
+            required = base**exponent * math.prod(factors)
+        else:
+            required = "*".join([f"{base}^{exponent}", *map(str, factors)])
+    if isinstance(required, str) or required > budget:
+        raise BudgetRefusal(reason, budget_name=name, required=required, budget=budget)
 
 
 class InconclusiveRefusal(Refusal):

@@ -17,28 +17,21 @@ matrix power. The projected chain is small and keeps its full power.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chains import ChainRun
-from .errors import BudgetRefusal, TheoryRefusal, ValidationError, _epsilon_grid
+from .errors import TheoryRefusal, ValidationError, _epsilon_grid, check_budget
 from .paintbox import PaintboxLaw
 from .partitions import UnlabeledPartition, project
 from .smallspace import (
     exact_kernel,
     lumped_kernel,
     projection_classes,
-    state_count,
     stationary_distribution,
     words,
 )
-
-DEFAULT_STATE_BUDGET = 4096
-# most states a dense k^n x k^n kernel may have, whatever the budget asked
-# for: 2^13 states is 512 MiB per kernel
-_KERNEL_STATE_CAP = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -118,18 +111,16 @@ def projected_mixing_equivalence(
     k: int,
     epsilon=(0.5, 0.25),
     seed=0,
-    state_budget: int = DEFAULT_STATE_BUDGET,
     m_max: int = 512,
 ) -> EquivalenceReport:
     """Exact worst-start TV profiles for the labeled chain and its unlabeled
     projection, with the smallest horizon under each epsilon.
 
-    Needs a row-column exchangeable, finitely supported law on a state space
-    within state_budget and 2^13 states (refused before any kernel is built,
-    with the count as the string "k^n" once it passes 2^63) whose labeled
-    chain has a unique stationary law; the
-    projected kernel is the lumping of the labeled one and
-    the projected stationary law is the pushforward of the labeled one. The
+    Needs a row-column exchangeable, finitely supported law on k^n states
+    within the "project_states" budget (refused before any kernel is built)
+    whose labeled chain has a unique stationary law; the projected kernel is
+    the lumping of the labeled one and the projected stationary law is the
+    pushforward of the labeled one. The
     seed parameter is accepted for interface uniformity; the computation is
     deterministic.
     """
@@ -147,15 +138,8 @@ def projected_mixing_equivalence(
             "projection equivalence holds under row-column exchangeability only",
             rce_reason=rce.reason,
         )
-    budget = min(state_budget, _KERNEL_STATE_CAP)
-    # past 2^63 states the count is refused as the power k^n: its digits
-    # alone would cost seconds at n = 10^7 and break JSON past 4300 of them
-    states = state_count(n, k) if n * math.log2(k) < 63 else f"{k}^{n}"
-    if isinstance(states, str) or states > budget:
-        raise BudgetRefusal(
-            "labeled state space too large for the exact equivalence check",
-            required=states, budget=budget,
-        )
+    check_budget("project_states", (k, n),
+                 "labeled state space too large for the exact equivalence check")
 
     kernel = exact_kernel(law, n)
     try:

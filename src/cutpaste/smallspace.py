@@ -18,22 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TheoryRefusal, ValidationError
+from .errors import TheoryRefusal, ValidationError, check_budget
 from .paintbox import PaintboxLaw
 from .partitions import Coloring
-
-
-def state_count(n: int, k: int) -> int:
-    return k**n
 
 
 def _enumerable(n: int, k: int) -> int:
     if n < 1 or k < 1:
         raise ValidationError("need n >= 1 and k >= 1")
-    total = k**n
-    if total > 1 << 20:
-        raise ValidationError(f"k^n = {total} is too large to enumerate")
-    return total
+    check_budget("small_space_states", (k, n), "k^n states are too many to enumerate")
+    return k**n
 
 
 def words(n: int, k: int) -> np.ndarray:
@@ -88,7 +82,7 @@ def exact_kernel(law: PaintboxLaw, n: int) -> np.ndarray:
             "exact kernels need a finitely supported paintbox law",
             law=law.config(),
         )
-    total = law.k**n
+    total = _enumerable(n, law.k)
     kernel = np.zeros((total, total))
     for s, wgt in zip(atoms.atoms, atoms.weights):
         kernel += float(wgt) * product_kernel_given_S(s, n)

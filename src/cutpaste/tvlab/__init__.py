@@ -13,9 +13,9 @@ __all__, __getattr__, __dir__ = _lazy(globals(), {
         "loglog_schedule",
     ),
     "exact": (
-        "DEFAULT_ENUMERATION_BUDGET", "LikelihoodCertificate", "ProductMultinomialLaw",
-        "TVEstimate", "refinement_cells", "tv_exact_atomic", "tv_exact_conditional",
-        "tv_exact_product_multinomial", "tv_likelihood_bound",
+        "LikelihoodCertificate", "ProductMultinomialLaw", "TVEstimate", "refinement_cells",
+        "tv_exact_atomic", "tv_exact_conditional", "tv_exact_product_multinomial",
+        "tv_likelihood_bound",
     ),
     "mc": (
         "batched_products", "make_constant_pair", "make_test_pair", "tv_lower_mc",

@@ -16,7 +16,8 @@ that table at O(n a). The stationary law comes from Grassmann-Taksar-Heyman
 elimination (Operations Research 33, 1985), which does no subtractions, so
 keeps its relative accuracy in the tails, and adds no entry outside the band
 (Stewart, Introduction to the Numerical Solution of Markov Chains, 1994):
-O(n a^2) work, in the (n+1)^2 matrix that DEFAULT_EXACT_N_LIMIT bounds.
+O(n a^2) work, in an (n+1)^2 matrix; so the pass is refused past the
+"ehrenfest_sites" budget on n.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..chains import EhrenfestParams
-from ..errors import BudgetRefusal, TheoryRefusal, ValidationError
+from ..errors import BudgetRefusal, TheoryRefusal, ValidationError, check_budget
 from ..partitions import Coloring
 from .exact import TVEstimate, _half_l1, _log_factorials
-
-DEFAULT_EXACT_N_LIMIT = 1100
 
 
 def coupling_upper(params: EhrenfestParams, t: float) -> float:
@@ -237,11 +236,8 @@ def _tv_sweep(params: EhrenfestParams, horizons):
 
 def _check_exact_inputs(params: EhrenfestParams, x0) -> None:
     n = params.n
-    if n > DEFAULT_EXACT_N_LIMIT:
-        raise BudgetRefusal(
-            "exact pass is limited to moderate n; use the coupling bounds instead",
-            n=n, limit=DEFAULT_EXACT_N_LIMIT,
-        )
+    check_budget("ehrenfest_sites", n,
+                 "exact pass is limited to moderate n; use the coupling bounds instead")
     if x0 is not None:
         if not isinstance(x0, Coloring) or x0.k != 2 or x0.n != n:
             raise ValidationError("x0 must be a 2-coloring of the chain's sites", field="x0")

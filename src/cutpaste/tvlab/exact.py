@@ -33,11 +33,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import BudgetRefusal, TheoryRefusal, ValidationError
+from ..errors import TheoryRefusal, ValidationError, check_budget
 from ..paintbox import PaintboxLaw, StochasticMatrix, _column_stochastic
 from ..partitions import Coloring
 
-DEFAULT_ENUMERATION_BUDGET = 20_000_000
 # most elements one stacked block of count laws may hold at once
 _ELEMENT_BUDGET = 4_000_000
 # stands in for log 0: finite, so a zero count times it is exactly 0, and so
@@ -64,18 +63,18 @@ class TVEstimate:
     replicates: int = 0
 
     def __post_init__(self):
+        # the program builds every estimate, so a broken one is a fault of
+        # the program, not malformed input
         if self.kind not in _KINDS:
-            raise ValidationError(f"unknown estimate kind {self.kind!r}", field="kind")
+            raise RuntimeError(f"unknown estimate kind {self.kind!r}")
         v = float(self.value)
-        # the program computes every value, so one outside [0, 1] (NaN
-        # included) is a fault of the program, not malformed input
-        if not -1e-9 <= v <= 1.0 + 1e-9:
+        if not -1e-9 <= v <= 1.0 + 1e-9:  # NaN included
             raise FloatingPointError(f"TV value {v} outside [0, 1]")
         object.__setattr__(self, "value", min(1.0, max(0.0, v)))
         if self.kind == "exact" and self.mc_std_error != 0.0:
-            raise ValidationError("exact estimates carry no MC error", field="mc_std_error")
+            raise RuntimeError("exact estimates carry no MC error")
         if self.mc_std_error < 0.0:
-            raise ValidationError("negative standard error", field="mc_std_error")
+            raise RuntimeError("negative standard error")
 
     def to_json(self) -> dict:
         return {
@@ -200,16 +199,12 @@ def _row_chunks(rows: int, width: int, budget: int):
         yield slice(lo, min(lo + step, rows))
 
 
-def _pmf_pairs(cols_p: np.ndarray, cols_q: np.ndarray, sizes, budget: int):
+def _pmf_pairs(cols_p: np.ndarray, cols_q: np.ndarray, sizes, budget: int | None = None):
     """Chunks (rows, joint pmfs from cols_p, joint pmfs from cols_q) over
     the (R, k, cells) stacks; refuses when the joint statistic exceeds the
-    budget."""
+    enumeration budget."""
     size = _statistic_size(sizes, cols_p.shape[1])
-    if size > budget:
-        raise BudgetRefusal(
-            "joint count statistic too large to enumerate",
-            required=size, budget=budget,
-        )
+    check_budget("enumeration", size, "joint count statistic too large to enumerate", budget)
     for rows in _row_chunks(len(cols_p), size, _ELEMENT_BUDGET):
         yield rows, _joint_pmfs(cols_p[rows], sizes), _joint_pmfs(cols_q[rows], sizes)
 
@@ -224,7 +219,7 @@ def _half_l1(p: np.ndarray, q: np.ndarray) -> float:
 def tv_exact_product_multinomial(
     p: ProductMultinomialLaw,
     q: ProductMultinomialLaw,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    budget: int | None = None,
 ) -> TVEstimate:
     """Exact TV between two product-multinomial laws over the per-block
     count-vector statistic, which is sufficient for the pair.
@@ -340,7 +335,7 @@ def _conditional_tvs(qs: np.ndarray, x0: Coloring, x0_tilde: Coloring) -> np.nda
     if qs.shape[1] == 2 and len(sizes) == 1:
         return _binomial_tvs(qs[:, 0, col_a[0]], qs[:, 0, col_b[0]], sizes[0])
     values = np.empty(len(qs))
-    pairs = _pmf_pairs(qs[:, :, list(col_a)], qs[:, :, list(col_b)], sizes, DEFAULT_ENUMERATION_BUDGET)
+    pairs = _pmf_pairs(qs[:, :, list(col_a)], qs[:, :, list(col_b)], sizes)
     for rows, pmf_p, pmf_q in pairs:
         values[rows] = 0.5 * np.abs(pmf_p - pmf_q).sum(axis=1)
     return values
@@ -351,7 +346,7 @@ def tv_exact_atomic(
     x0: Coloring,
     x0_tilde: Coloring,
     m: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    budget: int | None = None,
 ) -> TVEstimate:
     """Exact TV between the two chains' unconditional laws at step m, for a
     finitely supported paintbox law: enumerate all atom sequences, mix the
@@ -379,12 +374,8 @@ def tv_exact_atomic(
     col_a, col_b, sizes = zip(*((a - 1, b - 1, cnt) for a, b, cnt in cells))
     r = len(atomic.atoms)
     joint_size = _statistic_size(sizes, k)
-    required = (r**m) * joint_size
-    if required > budget:
-        raise BudgetRefusal(
-            "atom-sequence enumeration exceeds the budget",
-            required=required, budget=budget,
-        )
+    check_budget("enumeration", (r, m, joint_size), "atom-sequence enumeration exceeds the budget",
+                 budget)
     atoms = np.stack([a.entries for a in atomic.atoms])
     weights = np.asarray(atomic.weights, dtype=float)
     # digit t of sequence index i is the atom applied at step t + 1

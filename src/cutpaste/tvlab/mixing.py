@@ -25,7 +25,7 @@ from ..paintbox import PaintboxLaw
 from ..partitions import Coloring
 from ..products import _collapse_scan, estimate_lyapunov
 from ..rng import as_stream
-from .exact import DEFAULT_ENUMERATION_BUDGET, TVEstimate, tv_exact_atomic
+from .exact import TVEstimate, tv_exact_atomic
 from .mc import _ProductPath, make_constant_pair, tv_upper_mc
 
 METHODS = ("exact_atomic", "mc_sandwich")
@@ -45,15 +45,16 @@ def certified_below(est: TVEstimate, epsilon: float) -> bool:
     return est.value + 3.0 * est.mc_std_error < epsilon
 
 
-def _check_search(law: PaintboxLaw, k: int, method: str, replicates: int, m_max: int) -> None:
+def _check_search(law: PaintboxLaw, k: int, method: str, methods: tuple[str, ...],
+                  replicates: int, m_max: int) -> None:
     """The search settings that mixing_time and cutoff_experiment share,
-    checked before either spends any work."""
+    checked before either spends any work; method must be one of methods."""
     if law.k != k:
         raise ValidationError(f"law has k={law.k}, asked for k={k}", field="k")
     if k < 2:
         raise ValidationError("the designed pairs need k >= 2", field="k")
-    if method not in METHODS:
-        raise ValidationError(f"method must be one of {METHODS}", field="method")
+    if method not in methods:
+        raise ValidationError(f"method must be one of {methods}", field="method")
     if m_max < 1:
         raise ValidationError("need m_max >= 1", field="m_max")
     if method == "mc_sandwich" and replicates < 2:
@@ -78,14 +79,15 @@ class MixingProfile:
 
     def __post_init__(self):
         ms = [m for m, _ in self.estimates]
+        # the search builds every profile: a broken one is a program fault
         if ms != sorted(set(ms)):
-            raise ValidationError("estimates must be sorted by distinct m")
+            raise RuntimeError("estimates must be sorted by distinct m")
         if set(self.t_mix) != set(self.epsilons):
-            raise ValidationError("t_mix must cover exactly the epsilon grid")
+            raise RuntimeError("t_mix must cover exactly the epsilon grid")
         known = [(e, t) for e, t in sorted(self.t_mix.items()) if t is not None]
         for (_, ta), (_, tb) in zip(known, known[1:]):
             if tb > ta:
-                raise ValidationError("t_mix must be non-increasing in epsilon")
+                raise RuntimeError("t_mix must be non-increasing in epsilon")
 
     def estimate_at(self, m: int) -> TVEstimate | None:
         for mm, est in self.estimates:
@@ -114,7 +116,7 @@ def mixing_time(
     seed=0,
     replicates: int = 2000,
     m_max: int = 4096,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    budget: int | None = None,
     theta_hat: float | None = None,
 ) -> MixingProfile:
     """Smallest horizon with certified worst-pair TV below each epsilon.
@@ -128,7 +130,7 @@ def mixing_time(
     failures (budget or band width) leave t_mix None for that epsilon and
     add a flag instead of raising.
     """
-    _check_search(law, k, method, replicates, m_max)
+    _check_search(law, k, method, METHODS, replicates, m_max)
     if n < 1:
         raise ValidationError("need n >= 1", field="n")
     eps_grid = _epsilon_grid(epsilon)
@@ -262,10 +264,11 @@ def cutoff_experiment(
 
     Only laws with a smooth paintbox density qualify; finitely supported
     laws are refused because the sharp-threshold scaling has no content for
-    them. Sizes whose certification fails are reported with a flag and
-    excluded from the slope fits.
+    them, and so is the exact_atomic method, which needs such a law. Sizes
+    whose certification fails are reported with a flag and excluded from
+    the slope fits.
     """
-    _check_search(law, k, method, replicates, m_max)
+    _check_search(law, k, method, ("mc_sandwich",), replicates, m_max)
     if not law.has_smooth_density:
         raise TheoryRefusal(
             "cutoff experiments need a paintbox law with a smooth density",

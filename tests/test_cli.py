@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import shlex
 import time
 import warnings
@@ -12,11 +13,22 @@ import pytest
 import cutpaste.tvlab.exact
 from cutpaste.chains import run_efcp_matrix, standard_ehrenfest
 from cutpaste.cli import COMMANDS, _float, _int, build_parser, main
-from cutpaste.errors import ValidationError, _renamed
-from cutpaste.paintbox import law_from_config
+from cutpaste.errors import BUDGETS, BudgetRefusal, ValidationError, _renamed
+from cutpaste.paintbox import PermutationMix, SelfSimilar, law_from_config
 from cutpaste.partitions import Coloring
 from cutpaste.products import estimate_lyapunov
-from cutpaste.tvlab import ehrenfest_mixing_time, ehrenfest_tv_profile, loglog_schedule
+from cutpaste.projections import projected_mixing_equivalence
+from cutpaste.smallspace import words
+from cutpaste.tvlab import (
+    ProductMultinomialLaw,
+    ehrenfest_mixing_time,
+    ehrenfest_tv_profile,
+    loglog_schedule,
+    make_constant_pair,
+    tv_exact_atomic,
+    tv_exact_product_multinomial,
+    tv_upper_mc,
+)
 
 ATOMIC_LAW = {
     "kind": "atomic",
@@ -490,7 +502,7 @@ def test_ehrenfest_exact_refuses_past_the_size_limit(capsys):
     assert out == ""
     diag = json.loads(err)["error"]
     assert diag["type"] == "budget_exceeded"
-    assert diag["details"] == {"n": 2000, "limit": 1100}
+    assert diag["details"] == {"budget_name": "ehrenfest_sites", "required": 2000, "budget": 1100}
 
 
 @pytest.mark.parametrize("n,grid", [("1029", "0,100"), ("1100", "100")])
@@ -520,7 +532,7 @@ ACCEPTED = {
     "mixing-time": "law n k epsilon method replicates m_max seed",
     "cutoff": "law k n_grid epsilon method replicates m_max lyapunov_m lyapunov_replicates seed",
     "ehrenfest": "n alpha standard t beta exact t_grid mixing_eps loglog seed",
-    "project": "law n k epsilon state_budget m_max seed",
+    "project": "law n k epsilon m_max seed",
 }
 
 # A quick, valid run of each command; the tests below change one setting
@@ -544,7 +556,7 @@ SAMPLE = {
     "n": 5, "steps": 3, "seed": 7, "thin": 2, "construction": "coordinate", "x0": "1212",
     "x0_color": 2, "m": 2, "replicates": 3, "m_max": 6, "delta": 0.001, "pair": "block",
     "color_a": 2, "color_b": 1, "m_grid": [1, 2], "k": 2, "epsilon": [0.5, 0.3],
-    "n_grid": [4, 6], "lyapunov_m": 6, "lyapunov_replicates": 3, "state_budget": 100,
+    "n_grid": [4, 6], "lyapunov_m": 6, "lyapunov_replicates": 3,
     "alpha": 0.5, "t": 4, "beta": 2, "mixing_eps": 0.3, "t_grid": [1, 2],
     "standard": True, "exact": True, "loglog": True,
     ("tv", "method"): "upper", ("tv", "n"): 8, ("mixing-time", "method"): "mc_sandwich",
@@ -900,11 +912,92 @@ def test_project_refuses_a_huge_n_from_n_and_k_alone(capsys, tmp_path):
     assert (rc, out) == (3, "")
     diag = json.loads(err)["error"]
     assert diag["type"] == "budget_exceeded"
-    assert diag["details"] == {"required": "3^100000000", "budget": 4096}
+    assert diag["details"] == {
+        "budget_name": "project_states", "required": "3^100000000", "budget": 4096,
+    }
     # an exact count while it stays below 2^63
     rc, _, err = run_cli(capsys, ["project", "--config", cfg, "--n", "39"])
     assert rc == 3
-    assert json.loads(err)["error"]["details"] == {"required": 3**39, "budget": 4096}
+    assert json.loads(err)["error"]["details"] == {
+        "budget_name": "project_states", "required": 3**39, "budget": 4096,
+    }
+
+
+def test_exact_tv_refuses_a_huge_horizon_from_r_m_and_the_statistic_alone(capsys, tmp_path):
+    law = {
+        "kind": "atomic",
+        "atoms": [[[0.8, 0.3], [0.2, 0.7]], [[0.6, 0.45], [0.4, 0.55]], [[0.5, 0.5], [0.5, 0.5]]],
+        "weights": [0.3, 0.3, 0.4],
+    }
+    cfg = write_config(tmp_path, {"law": law})
+    start = time.perf_counter()
+    argv = ["tv", "--config", cfg, "--method", "exact", "--n", "4", "--m", "100000000"]
+    rc, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (3, "")
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "budget_exceeded"
+    # 3^m atom sequences times the 5 count vectors of 4 sites at k = 2
+    assert diag["details"] == {
+        "budget_name": "enumeration", "required": "3^100000000*5", "budget": 20_000_000,
+    }
+
+
+def _refused(call, *args):
+    with pytest.raises(BudgetRefusal) as exc:
+        call(*args)
+    return exc.value.details
+
+
+def _exit_3(capsys, tmp_path, command, settings):
+    rc, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, settings)])
+    assert (rc, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "budget_exceeded"
+    return error["details"]
+
+
+def _upper_two_replicates(law, x0, x1, m):
+    return tv_upper_mc(law, x0, x1, m, replicates=2, seed=0)
+
+
+# One way to reach each size gate: the budget's name, then a call
+# (function, *args) or a CLI run (command, config).
+SIZE_GATES = {
+    "tv_exact_atomic": ("enumeration", (
+        tv_exact_atomic, law_from_config(ATOMIC_LAW), *make_constant_pair(6, 2), 40)),
+    # one block of 500 sites at k = 4 holds C(503, 3) count vectors
+    "tv_exact_product_multinomial": ("enumeration", (
+        tv_exact_product_multinomial,
+        ProductMultinomialLaw(((500, (0.4, 0.3, 0.2, 0.1)),)),
+        ProductMultinomialLaw(((500, (0.25, 0.25, 0.25, 0.25)),)))),
+    # one mixed cell of 6400 sites at k = 3 holds C(6402, 2) count vectors
+    "tv_upper_mc": ("enumeration", (
+        _upper_two_replicates, SelfSimilar([1.0, 1.0, 1.0]), *make_constant_pair(6400, 3), 1)),
+    "projected_mixing_equivalence": ("project_states", (
+        projected_mixing_equivalence, PermutationMix(3), 10, 3)),
+    "project": ("project_states", (
+        "project", {"law": {"kind": "permutation_mix", "k": 3}, "n": 100_000_000})),
+    "ehrenfest": ("ehrenfest_sites", ("ehrenfest", {"n": 2000, "alpha": 0.25, "exact": True})),
+    "words": ("small_space_states", (words, 25, 3)),
+}
+
+
+@pytest.mark.parametrize("gate", SIZE_GATES)
+def test_every_size_gate_refuses_with_one_payload(capsys, tmp_path, gate):
+    name, reach = SIZE_GATES[gate]
+    if isinstance(reach[0], str):
+        details = _exit_3(capsys, tmp_path, *reach)
+    else:
+        details = _refused(*reach)
+    assert set(details) == {"budget_name", "required", "budget"}
+    assert details["budget_name"] == name
+    assert details["budget"] == BUDGETS[name]
+    required = details["required"]
+    if isinstance(required, str):
+        assert re.fullmatch(r"\d+\^\d+(\*\d+)*", required)
+    else:
+        assert required > details["budget"]
 
 
 def test_a_nan_from_the_program_is_a_fault_not_bad_input(tmp_path, monkeypatch):

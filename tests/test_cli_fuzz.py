@@ -101,8 +101,8 @@ FUZZED = {
     },
     "project": {
         "law": (LAWS, False), "n": ([-1, 0, 1, 3, 4, "x"], False), "k": ([1, 2, 3, "x"], True),
-        "epsilon": (EPSILON_LISTS, True), "state_budget": ([-1, 0, 8, 100, "x"], True),
-        "m_max": ([-1, 0, 1, 8, "x"], False), "seed": (SEEDS, True),
+        "epsilon": (EPSILON_LISTS, True), "m_max": ([-1, 0, 1, 8, "x"], False),
+        "seed": (SEEDS, True),
     },
 }
 

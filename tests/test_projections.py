@@ -244,19 +244,19 @@ def test_equivalence_validation_and_budget():
     with pytest.raises(ValidationError):
         projected_mixing_equivalence(law, 4, 2, epsilon=(1.5,))
     with pytest.raises(BudgetRefusal) as exc:
-        projected_mixing_equivalence(law, 16, 2, state_budget=100)
-    assert exc.value.details["required"] == 2**16
+        projected_mixing_equivalence(law, 13, 2)
+    assert exc.value.details["required"] == 2**13
 
 
 def test_equivalence_refuses_past_the_kernel_cap_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetRefusal) as exc:
-            projected_mixing_equivalence(PermutationMix(3), 10, 3, state_budget=10**9)
+            projected_mixing_equivalence(PermutationMix(3), 10, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert exc.value.details == {"required": 3**10, "budget": 2**13}
+    assert exc.value.details == {"budget_name": "project_states", "required": 3**10, "budget": 4096}
     assert peak < 1 << 20
 
 

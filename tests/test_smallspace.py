@@ -13,7 +13,7 @@ from _oracles import (
     orbit_classes,
     product_step_kernel,
 )
-from cutpaste.errors import TheoryRefusal, ValidationError
+from cutpaste.errors import BudgetRefusal, TheoryRefusal, ValidationError
 from cutpaste.paintbox import Atomic, DirichletColumns, PermutationMix, StochasticMatrix
 from cutpaste.partitions import Coloring
 from cutpaste.smallspace import (
@@ -294,5 +294,8 @@ def test_lumped_kernel_names_the_first_class_that_disagrees():
 
 
 def test_words_budget():
-    with pytest.raises(ValidationError):
+    with pytest.raises(BudgetRefusal) as exc:
         words(25, 3)
+    assert exc.value.details == {
+        "budget_name": "small_space_states", "required": 3**25, "budget": 1 << 20,
+    }

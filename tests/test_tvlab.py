@@ -35,7 +35,6 @@ from cutpaste.paintbox import (
 )
 from cutpaste.partitions import Coloring
 from cutpaste.tvlab import (
-    DEFAULT_ENUMERATION_BUDGET,
     MixingProfile,
     ProductMultinomialLaw,
     TVEstimate,
@@ -101,15 +100,15 @@ def test_tv_estimate_validation():
     }
     assert TVEstimate(1.0 + 5e-10, "exact").value == 1.0
     assert TVEstimate(-5e-10, "exact").value == 0.0
-    with pytest.raises(ValidationError):
+    with pytest.raises(RuntimeError):
         TVEstimate(0.5, "approximate")
     # a value outside [0, 1] can only come from the program itself
     for value in (1.2, -0.1, math.nan):
         with pytest.raises(FloatingPointError):
             TVEstimate(value, "exact")
-    with pytest.raises(ValidationError):
+    with pytest.raises(RuntimeError):
         TVEstimate(0.5, "exact", mc_std_error=0.1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(RuntimeError):
         TVEstimate(0.5, "upper_bound", mc_std_error=-0.1)
 
 
@@ -636,11 +635,11 @@ def slow_two_atom_law():
 
 def test_mixing_profile_invariants():
     est = TVEstimate(0.4, "exact")
-    with pytest.raises(ValidationError):
+    with pytest.raises(RuntimeError):
         MixingProfile(4, (0.25,), ((3, est), (1, est)), {0.25: 3}, "exact_atomic")
-    with pytest.raises(ValidationError):
+    with pytest.raises(RuntimeError):
         MixingProfile(4, (0.25,), ((1, est),), {0.5: 1}, "exact_atomic")
-    with pytest.raises(ValidationError):
+    with pytest.raises(RuntimeError):
         MixingProfile(4, (0.5, 0.25), ((1, est),), {0.5: 3, 0.25: 1}, "exact_atomic")
     prof = MixingProfile(4, (0.5, 0.25), ((1, est), (2, est)), {0.5: 1, 0.25: 2}, "exact_atomic")
     assert prof.estimate_at(2) is est
@@ -723,7 +722,7 @@ def test_mixing_time_mc_needs_two_replicates():
 
 
 def redraw_mixing_time(law, n, k, epsilon=0.25, method="mc_sandwich", seed=0,
-                       replicates=2000, m_max=4096, budget=DEFAULT_ENUMERATION_BUDGET,
+                       replicates=2000, m_max=4096, budget=None,
                        theta_hat=None):
     """mixing_time as it ran before the gate stopped at its first witness and
     probes shared a product path: the full collapse diagnostic, then every
@@ -884,7 +883,7 @@ def test_cutoff_validation():
 @pytest.mark.parametrize("settings,field", [
     ({"replicates": 1}, "replicates"), ({"m_max": 0}, "m_max"), ({"method": "bogus"}, "method"),
     ({"k": 3}, "k"), ({"n_grid": (0, 32)}, "n_grid"), ({"lyapunov_m": 0}, "lyapunov_m"),
-    ({"lyapunov_replicates": 0}, "lyapunov_replicates"),
+    ({"lyapunov_replicates": 0}, "lyapunov_replicates"), ({"method": "exact_atomic"}, "method"),
 ])
 def test_cutoff_names_its_own_setting_before_any_work(monkeypatch, settings, field):
     calls = []
