@@ -7,12 +7,17 @@ diagnostic. The equivalence check computes both chains' exact distance
 profiles on small state spaces and compares their epsilon-crossing times.
 
 The labeled kernel K[x, y] = sum_a w_a prod_i s_a[y_i, x_i] is unchanged
-when the sites of x and y are permuted together, and so is its unique
-stationary law pi. So TV(K^m(x, .), pi) depends only on the multiset of
-colors of x, and the worst start is found among the C(n+k-1, k-1) states
-with a non-decreasing word: the labeled profile propagates those rows
-only, one (rows x k^n) by (k^n x k^n) product per step instead of a full
-matrix power. The projected chain is small and keeps its full power.
+when the sites of x and y are permuted together. So the multisets of colors
+are lumpable (Kemeny and Snell): the count chain on the C(n+k-1, k-1)
+multisets has the rows of K at the states with a non-decreasing word,
+summed by the multiset of their target. A unique stationary law pi of K is
+constant on each multiset, so it is the count chain's stationary law spread
+evenly over the states of each multiset, and no k^n-state system is
+solved; pi is then certified on K itself. For the same reason
+TV(K^m(x, .), pi) depends only on the multiset of colors of x, so the
+labeled profile propagates the non-decreasing rows only, one (rows x k^n)
+by (k^n x k^n) product per step instead of a full matrix power. The
+projected chain is small and keeps its full power.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from .errors import TheoryRefusal, ValidationError, _epsilon_grid, check_budget
 from .paintbox import PaintboxLaw
 from .partitions import UnlabeledPartition, project
 from .smallspace import (
+    _certified_stationary,
+    _orbit_classes,
     exact_kernel,
     lumped_kernel,
-    projection_classes,
     stationary_distribution,
     words,
 )
@@ -99,10 +105,44 @@ def _worst_tv(rows: np.ndarray, pi: np.ndarray) -> float:
     return float(0.5 * np.abs(rows - pi[None, :]).sum(axis=1).max())
 
 
-def _site_orbit_reps(n: int, k: int) -> np.ndarray:
-    """Indices of the states whose word is non-decreasing: one state per
-    orbit of the site permutations, C(n+k-1, k-1) of the k^n."""
-    return np.flatnonzero((np.diff(words(n, k), axis=1) >= 0).all(axis=1))
+def _count_classes(w: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted, counts) for the states whose color words are w = words(n, k):
+    sorted lists the states whose word is non-decreasing, one per multiset
+    of colors, C(n+k-1, k-1) of the k^n, and counts[x] is the position in
+    that list of the state whose word is x's word sorted."""
+    place = k ** np.arange(w.shape[1] - 1, -1, -1)
+    return np.unique(np.sort(w, axis=1) @ place, return_inverse=True)
+
+
+def _stationary_from_counts(kernel: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The stationary law of the labeled kernel, solved on the count chain.
+
+    rows are the kernel's rows at the non-decreasing words and counts labels
+    each state by its multiset of colors, as from _count_classes. The count
+    kernel sums each row by the multiset of its target; its stationary law
+    divided by the number of states of each multiset is pi, which must then
+    pass the labeled certificates. Raises TheoryRefusal if either chain's
+    law is not unique or not certified.
+    """
+    size = len(rows)
+    count_kernel = np.bincount(
+        (np.arange(size)[:, None] * size + counts).ravel(),
+        weights=rows.ravel(),
+        minlength=size * size,
+    ).reshape(size, size)
+    try:
+        pi_counts = stationary_distribution(count_kernel)
+    except ValidationError as e:
+        why = f"chain of color counts, states in sorted-word order: {e}"
+    else:
+        try:
+            return _certified_stationary(kernel, (pi_counts / np.bincount(counts))[counts])
+        except ValidationError as e:
+            why = str(e)
+    raise TheoryRefusal(
+        "projection equivalence needs a unique, certified stationary law "
+        "of the labeled chain", stationary=why,
+    )
 
 
 def projected_mixing_equivalence(
@@ -141,24 +181,21 @@ def projected_mixing_equivalence(
     check_budget("project_states", (k, n),
                  "labeled state space too large for the exact equivalence check")
 
+    w = words(n, k)
     kernel = exact_kernel(law, n)
-    try:
-        pi = stationary_distribution(kernel)
-    except ValidationError as e:
-        raise TheoryRefusal(
-            "projection equivalence needs a unique, certified stationary law "
-            "of the labeled chain", stationary=str(e),
-        ) from None
-    labels, reps = projection_classes(n, k)
+    sorted_states, counts = _count_classes(w, k)
+    # a start's distance to pi depends only on its multiset of colors
+    rows = kernel[sorted_states]
+    pi = _stationary_from_counts(kernel, rows, counts)
+    labels, classes = _orbit_classes(w, k)
     lumped = lumped_kernel(kernel, labels)
-    pi_proj = np.bincount(labels, weights=pi, minlength=len(reps))
+    pi_proj = np.bincount(labels, weights=pi, minlength=len(classes))
 
     flags: list[str] = []
     profile: list[tuple[int, float, float]] = []
     t_lab: dict[float, int | None] = {e: None for e in eps_grid}
     t_proj: dict[float, int | None] = {e: None for e in eps_grid}
-    # a start's distance to pi depends only on its multiset of colors
-    rows, power_proj = kernel[_site_orbit_reps(n, k)], lumped
+    power_proj = lumped
     for m in range(1, m_max + 1):
         tv_lab = _worst_tv(rows, pi)
         tv_pr = _worst_tv(power_proj, pi_proj)

@@ -6,12 +6,17 @@ classes. Everything here is dense linear algebra, so callers must keep k^n
 within a few thousand states.
 
 Given the paintbox s, the n coordinates jump independently, so the kernel is
-the n-fold Kronecker power of s^T. The stationary law comes from one LU
-solve of pi (K - I) = 0 with one equation swapped for sum(pi) = 1, and is
-certified twice: the state with the most mass must be reachable from every
-state on the support graph K > 0 (so the chain has exactly one closed class
-and the law is unique), and pi K must equal pi to within a residual
-tolerance.
+the n-fold Kronecker power of s^T. A law's kernel sum_a w_a K_a splits the
+sites into a left half of h = floor(n/2) and a right half of n - h, and is
+built as one matrix product of the atoms' weighted left-half kernels by
+their right-half kernels, followed by one axis swap. The stationary law
+of a kernel comes from one LU solve of pi (K - I) = 0 with one equation
+swapped for sum(pi) = 1. A law found any way is certified twice: the state
+with the most mass must be reachable from every state on the support graph
+K > 0 (so the chain has exactly one closed class and the law is unique),
+and pi K must equal pi to within a residual tolerance. The projection check
+solves only the small chain of color counts and certifies the law it lifts
+from there on K, so no k^n-state system is solved for it.
 """
 
 from __future__ import annotations
@@ -73,6 +78,13 @@ def product_kernel_given_S(s, n: int) -> np.ndarray:
 def exact_kernel(law: PaintboxLaw, n: int) -> np.ndarray:
     """One-step kernel of the paintbox chain, averaged over the law's atoms.
 
+    With h = floor(n/2), K[(xl, xr), (yl, yr)] = sum_a w_a L_a[xl, yl]
+    R_a[xr, yr] for the atoms' product kernels L_a on the first h sites and
+    R_a on the other n - h: one (k^2h x A) by (A x k^2(n-h)) product, whose
+    (xl, yl, xr, yr) axes are then swapped into place. Every term is
+    nonnegative, so an entry is 0 exactly when every atom of positive weight
+    gives it 0.
+
     Only finitely supported laws can be enumerated; laws with a density are
     refused rather than approximated.
     """
@@ -83,22 +95,18 @@ def exact_kernel(law: PaintboxLaw, n: int) -> np.ndarray:
             law=law.config(),
         )
     total = _enumerable(n, law.k)
-    kernel = np.zeros((total, total))
-    for s, wgt in zip(atoms.atoms, atoms.weights):
-        kernel += float(wgt) * product_kernel_given_S(s, n)
-    return kernel
 
+    def halves(sites: int) -> np.ndarray:
+        # (atoms, k^2sites): each atom's kernel on `sites` sites, flattened
+        if sites == 0:
+            return np.ones((len(atoms.atoms), 1))
+        return np.stack([product_kernel_given_S(s, sites).ravel() for s in atoms.atoms])
 
-def kernel_power(kernel: np.ndarray, m: int) -> np.ndarray:
-    out = np.eye(kernel.shape[0])
-    base = kernel.copy()
-    e = m
-    while e > 0:
-        if e & 1:
-            out = out @ base
-        base = base @ base
-        e >>= 1
-    return out
+    h = n // 2
+    left = law.k**h
+    right = total // left
+    kernel = (halves(h).T * atoms.weights) @ halves(n - h)
+    return kernel.reshape(left, left, right, right).swapaxes(1, 2).reshape(total, total)
 
 
 def _reaches_all(support: np.ndarray, r: int) -> bool:
@@ -133,6 +141,14 @@ def stationary_distribution(kernel: np.ndarray, tol: float = 1e-10) -> np.ndarra
         raise ValidationError(
             "stationary system is singular: stationary law not unique"
         ) from None
+    return _certified_stationary(kernel, pi, tol)
+
+
+def _certified_stationary(kernel: np.ndarray, pi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """pi clipped at 0 and renormalized, once both certificates hold: the
+    state r = argmax pi is reachable from every state on K > 0 (so the
+    chain has one closed class and pi is its only stationary law), and
+    max |pi K - pi| <= tol."""
     r = int(np.argmax(pi))
     if not _reaches_all(kernel > 0, r):
         raise ValidationError(
@@ -154,7 +170,12 @@ def projection_classes(n: int, k: int) -> tuple[np.ndarray, list[tuple[int, ...]
     occurrence (first-occurrence relabeling), which indexes the orbit: the
     unlabeled partition.
     """
-    w = words(n, k)
+    return _orbit_classes(words(n, k), k)
+
+
+def _orbit_classes(w: np.ndarray, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """projection_classes of the states whose color words are w = words(n, k)."""
+    n = w.shape[1]
     hits = w[:, :, None] == np.arange(k)
     first = np.where(hits.any(axis=1), hits.argmax(axis=1), n)
     rank = np.argsort(np.argsort(first, axis=1, kind="stable"), axis=1)

@@ -74,6 +74,19 @@ def product_step_kernel(s: np.ndarray, n: int) -> np.ndarray:
     return kernel
 
 
+def kernel_power(kernel: np.ndarray, m: int) -> np.ndarray:
+    """K^m by repeated squaring."""
+    out = np.eye(kernel.shape[0])
+    base = kernel.copy()
+    e = m
+    while e > 0:
+        if e & 1:
+            out = out @ base
+        base = base @ base
+        e >>= 1
+    return out
+
+
 def eig_stationary(kernel: np.ndarray) -> np.ndarray:
     """Stationary law from a general eigensolve of K^T: the eigenvector of
     the only eigenvalue within 1e-8 of 1, normalized to sum 1."""

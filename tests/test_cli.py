@@ -359,6 +359,16 @@ def test_project_non_ergodic_exit_3(capsys, tmp_path):
     assert "stationary law" in diag["reason"]
 
 
+def test_project_non_ergodic_k3_names_the_count_chain(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"law": {"kind": "permutation_mix", "k": 3}})
+    rc, out, err = run_cli(capsys, ["project", "--config", cfg, "--n", "2", "--k", "3"])
+    assert (rc, out) == (3, "")
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "theory_gate"
+    assert diag["details"]["stationary"].startswith("chain of color counts")
+    assert "unique" in diag["details"]["stationary"]
+
+
 @pytest.mark.parametrize(
     "settings,field",
     [

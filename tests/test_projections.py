@@ -15,7 +15,8 @@ from cutpaste.partitions import Coloring, project
 from cutpaste.projections import (
     EquivalenceReport,
     ProjectedRun,
-    _site_orbit_reps,
+    _count_classes,
+    _stationary_from_counts,
     project_run,
     projected_mixing_equivalence,
 )
@@ -26,6 +27,7 @@ from cutpaste.smallspace import (
     projection_classes,
     state_index,
     stationary_distribution,
+    words,
 )
 from cutpaste.tvlab.mixing import mixing_time
 
@@ -221,6 +223,22 @@ def test_equivalence_refuses_non_ergodic_rce_law():
     assert "unique" in exc.value.details["stationary"]
 
 
+@pytest.mark.parametrize("law,n,k", [
+    (PermutationMix(2), 3, 2),
+    (PermutationMix(3), 2, 3),
+    # an atom of weight 0 that would join every state adds no edge
+    (Atomic([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0.5, 0.5], [0.5, 0.5]]], [0.5, 0.5, 0.0]), 3, 2),
+])
+def test_non_unique_law_is_refused_on_the_count_chain(law, n, k):
+    assert law.is_rce().value is True
+    with pytest.raises(TheoryRefusal) as exc:
+        projected_mixing_equivalence(law, n, k)
+    why = exc.value.details["stationary"]
+    assert "unique" in why
+    # a state index of the count chain is named as such, not as a coloring
+    assert why.startswith("chain of color counts")
+
+
 @pytest.mark.parametrize(
     "kwargs,field",
     [
@@ -356,7 +374,7 @@ def test_worst_start_is_a_sorted_word(case):
     kernel = exact_kernel(law, n)
     pi = stationary_distribution(kernel)
     reps = _sorted_word_states(n, k)
-    assert _site_orbit_reps(n, k).tolist() == reps
+    assert _count_classes(words(n, k), k)[0].tolist() == reps
     assert len(reps) == math.comb(n + k - 1, k - 1)
     power = kernel
     for _ in range(4):
@@ -364,3 +382,28 @@ def test_worst_start_is_a_sorted_word(case):
         assert abs(tvs.max() - tvs[reps].max()) <= 1e-14
         power = power @ kernel
         power = power @ kernel
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_atomic_laws())
+def test_lifted_count_law_is_the_labeled_stationary_law(case):
+    # K commutes with permuting the sites whatever the law, so the counts
+    # are lumpable for laws that are not row-column exchangeable too
+    law, n, k = case
+    kernel = exact_kernel(law, n)
+    sorted_states, counts = _count_classes(words(n, k), k)
+    pi = _stationary_from_counts(kernel, kernel[sorted_states], counts)
+    assert np.max(np.abs(pi - stationary_distribution(kernel))) <= 1e-14
+
+
+def test_no_system_larger_than_the_count_chain_is_solved(monkeypatch):
+    sizes = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        sizes.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    projected_mixing_equivalence(BLEND, 6, 3, epsilon=(0.5, 0.25))
+    assert sizes and max(sizes) <= math.comb(6 + 3 - 1, 3 - 1)

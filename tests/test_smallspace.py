@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from _oracles import (
     canonical_relabel,
     eig_stationary,
+    kernel_power,
     lumped_kernel_by_class,
     orbit_classes,
     product_step_kernel,
@@ -19,7 +20,6 @@ from cutpaste.partitions import Coloring
 from cutpaste.smallspace import (
     enumerate_colorings,
     exact_kernel,
-    kernel_power,
     lumped_kernel,
     product_kernel_given_S,
     projection_classes,
@@ -105,6 +105,27 @@ def test_product_kernel_bit_identical_to_site_loop(k, n):
     m = gen.random((k, k)) + 0.05
     s = m / m.sum(axis=0)
     assert np.array_equal(product_kernel_given_S(s, n), product_step_kernel(s, n))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_exact_kernel_is_the_weighted_sum_of_site_loops(k, n):
+    # odd n splits unevenly, and n = 1 has an empty left half
+    gen = np.random.default_rng(10 * k + n)
+    atoms = [m / m.sum(axis=0) for m in gen.random((3, k, k)) + 0.05]
+    weights = np.array([0.5, 0.3, 0.2])
+    want = sum(w * product_step_kernel(s, n) for s, w in zip(atoms, weights))
+    assert np.max(np.abs(exact_kernel(Atomic(atoms, weights), n) - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_kernel_atom_of_weight_zero_adds_no_support(n):
+    # the identity never moves; the positive atom would join every state
+    law = Atomic([np.eye(2), np.full((2, 2), 0.5)], [1.0, 0.0])
+    kernel = exact_kernel(law, n)
+    assert np.array_equal(kernel > 0, np.eye(2**n, dtype=bool))
+    with pytest.raises(ValidationError, match="unique"):
+        stationary_distribution(kernel)
 
 
 def permuted_identity_blend(k: int, gamma: float) -> Atomic:
