@@ -59,8 +59,6 @@ __all__, __getattr__, __dir__ = _lazy(globals(), {
         "EquivalenceReport", "ProjectedRun", "project_run", "projected_mixing_equivalence",
     ),
     "rng": ("RngStream", "as_stream"),
-    # no name of its own here, but reachable as cutpaste.smallspace
-    "smallspace": (),
     "tvlab": (
         "CutoffReport", "MixingProfile", "ProductMultinomialLaw", "TVEstimate",
         "cutoff_experiment", "ehrenfest_bounds", "ehrenfest_mixing_time",

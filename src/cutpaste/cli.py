@@ -268,7 +268,11 @@ def _cmd_tv(s, out) -> None:
         return tv_mc(law, x0, x1, m, s["replicates"], seed)
 
     if s["m_grid"] is not None:
-        _emit_csv(n, seed, [(m, estimate(m)) for m in sorted(set(s["m_grid"]))], out)
+        if not s["m_grid"]:
+            raise ValidationError("m_grid needs at least one horizon", field="m_grid")
+        with _renamed({"m": "m_grid"}):
+            rows = [(m, estimate(m)) for m in sorted(set(s["m_grid"]))]
+        _emit_csv(n, seed, rows, out)
     else:
         _emit_json("tv", _echo(s), estimate(s["m"]).to_json(), out)
 

@@ -95,12 +95,14 @@ class BudgetRefusal(Refusal):
     code = "budget_exceeded"
 
 
-# The most work each exact method may enumerate, by name.
+# The most work each kind of exact enumeration may do, by name: three kinds,
+# one budget each.
 BUDGETS = {
     "enumeration": 20_000_000,  # atom sequences x count vectors, or the count statistic
-    "project_states": 4096,  # the k^n labeled states of `project`: a 128 MiB dense kernel
+    # every enumeration of the k^n labeled states; `project` keeps a dense
+    # k^n x k^n kernel, 128 MiB at 4096
+    "project_states": 4096,
     "ehrenfest_sites": 1100,  # n: the stationary elimination works in an (n+1)^2 matrix
-    "small_space_states": 1 << 20,  # states of a direct small-space enumeration
 }
 
 

@@ -6,6 +6,14 @@ projection is still computed for other laws, but the run is flagged as
 diagnostic. The equivalence check computes both chains' exact distance
 profiles on small state spaces and compares their epsilon-crossing times.
 
+The states are the k^n colorings, enumerated as color words (dense linear
+algebra throughout, so k^n stays within the "project_states" budget). Given
+the paintbox s, the n coordinates jump independently, so the kernel is the
+n-fold Kronecker power of s^T. A law's kernel sum_a w_a K_a splits the
+sites into a left half of h = floor(n/2) and a right half of n - h, and is
+built as one matrix product of the atoms' weighted left-half kernels by
+their right-half kernels, followed by one axis swap.
+
 The labeled kernel K[x, y] = sum_a w_a prod_i s_a[y_i, x_i] is unchanged
 when the sites of x and y are permuted together. So the multisets of colors
 are lumpable (Kemeny and Snell): the count chain on the C(n+k-1, k-1)
@@ -13,11 +21,21 @@ multisets has the rows of K at the states with a non-decreasing word,
 summed by the multiset of their target. A unique stationary law pi of K is
 constant on each multiset, so it is the count chain's stationary law spread
 evenly over the states of each multiset, and no k^n-state system is
-solved; pi is then certified on K itself. For the same reason
-TV(K^m(x, .), pi) depends only on the multiset of colors of x, so the
-labeled profile propagates the non-decreasing rows only, one (rows x k^n)
-by (k^n x k^n) product per step instead of a full matrix power. The
-projected chain is small and keeps its full power.
+solved. A stationary law is certified twice: the state with the most mass
+must be reachable from every state on the support graph K > 0 (so the chain
+has exactly one closed class and the law is unique), and pi K must equal pi
+to within a residual tolerance; the lifted pi is certified on K itself.
+
+For the same reason TV(K^m(x, .), pi) depends only on the multiset of
+colors of x, so the labeled profile propagates the non-decreasing rows
+only, one (rows x k^n) by (k^n x k^n) product per step instead of a full
+matrix power. The projected profile reads the same rows: under a
+row-column exchangeable law the projected chain's law at m from an
+unlabeled class is the pushforward of K^m(x, .) from any state x of the
+class, permuting the sites leaves that pushforward's distance to the
+projected pi unchanged, and every orbit of block sizes holds a sorted word.
+So each step sums every propagated row by unlabeled class, and no projected
+kernel is built.
 """
 
 from __future__ import annotations
@@ -30,14 +48,152 @@ from .chains import ChainRun
 from .errors import TheoryRefusal, ValidationError, _epsilon_grid, check_budget
 from .paintbox import PaintboxLaw
 from .partitions import UnlabeledPartition, project
-from .smallspace import (
-    _certified_stationary,
-    _orbit_classes,
-    exact_kernel,
-    lumped_kernel,
-    stationary_distribution,
-    words,
-)
+
+# the largest |pi K - pi| a certified stationary law may leave
+_RESIDUAL_TOL = 1e-10
+
+
+def _enumerable(n: int, k: int) -> int:
+    if n < 1 or k < 1:
+        raise ValidationError("need n >= 1 and k >= 1")
+    check_budget("project_states", (k, n), "k^n states are too many to enumerate")
+    return k**n
+
+
+def words(n: int, k: int) -> np.ndarray:
+    """All colorings as an (k^n, n) array of 0-based color words, in
+    lexicographic order (site 1 is the most significant digit)."""
+    total = _enumerable(n, k)
+    idx = np.arange(total)
+    out = np.empty((total, n), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        out[:, i] = idx % k
+        idx //= k
+    return out
+
+
+def product_kernel_given_S(s, n: int) -> np.ndarray:
+    """K[x, y] = prod_i s[y_i, x_i]: the one-step kernel of n coordinates
+    jumping independently through the column of their current color. Both
+    chain constructions share this conditional kernel given the paintbox.
+
+    Site 1 is the most significant digit of a state index, so K is the
+    Kronecker power s^T (x) ... (x) s^T, built from site 1 on; each entry is
+    the product over sites taken in site order."""
+    entries = np.asarray(getattr(s, "entries", s), dtype=float)
+    _enumerable(n, entries.shape[0])
+    kernel = np.ones((1, 1))
+    for _ in range(n):
+        kernel = np.kron(kernel, entries.T)
+    return kernel
+
+
+def exact_kernel(law: PaintboxLaw, n: int) -> np.ndarray:
+    """One-step kernel of the paintbox chain, averaged over the law's atoms.
+
+    With h = floor(n/2), K[(xl, xr), (yl, yr)] = sum_a w_a L_a[xl, yl]
+    R_a[xr, yr] for the atoms' product kernels L_a on the first h sites and
+    R_a on the other n - h: one (k^2h x A) by (A x k^2(n-h)) product, whose
+    (xl, yl, xr, yr) axes are then swapped into place. Every term is
+    nonnegative, so an entry is 0 exactly when every atom of positive weight
+    gives it 0.
+
+    Only finitely supported laws can be enumerated; laws with a density are
+    refused rather than approximated.
+    """
+    atoms = law.as_atomic()
+    if atoms is None:
+        raise TheoryRefusal(
+            "exact kernels need a finitely supported paintbox law",
+            law=law.config(),
+        )
+    total = _enumerable(n, law.k)
+
+    def halves(sites: int) -> np.ndarray:
+        # (atoms, k^2sites): each atom's kernel on `sites` sites, flattened
+        if sites == 0:
+            return np.ones((len(atoms.atoms), 1))
+        return np.stack([product_kernel_given_S(s, sites).ravel() for s in atoms.atoms])
+
+    h = n // 2
+    left = law.k**h
+    right = total // left
+    kernel = (halves(h).T * atoms.weights) @ halves(n - h)
+    return kernel.reshape(left, left, right, right).swapaxes(1, 2).reshape(total, total)
+
+
+def _reaches_all(support: np.ndarray, r: int) -> bool:
+    """Whether state r can be reached from every state along support[x, y]
+    (backward breadth-first search)."""
+    reached = np.zeros(support.shape[0], dtype=bool)
+    reached[r] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = support[:, frontier].any(axis=1) & ~reached
+        reached |= frontier
+    return bool(reached.all())
+
+
+def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
+    """The stationary law pi = pi K, normalized to a probability vector.
+
+    The columns of K^T - I sum to zero, so one equation of (K^T - I) pi = 0
+    is redundant and is replaced by sum(pi) = 1; the system is nonsingular
+    exactly when the chain has one closed class. Raises if the law is not
+    unique (a singular solve, or a state with the most mass that some state
+    cannot reach) or if the solve fails its residual check.
+    """
+    total = kernel.shape[0]
+    system = kernel.T - np.eye(total)
+    system[-1] = 1.0
+    rhs = np.zeros(total)
+    rhs[-1] = 1.0
+    try:
+        pi = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        raise ValidationError(
+            "stationary system is singular: stationary law not unique"
+        ) from None
+    return _certified_stationary(kernel, pi)
+
+
+def _certified_stationary(kernel: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """pi clipped at 0 and renormalized, once both certificates hold: the
+    state r = argmax pi is reachable from every state on K > 0 (so the
+    chain has one closed class and pi is its only stationary law), and
+    max |pi K - pi| <= _RESIDUAL_TOL."""
+    r = int(np.argmax(pi))
+    if not _reaches_all(kernel > 0, r):
+        raise ValidationError(
+            f"state {r} is not reachable from every state: stationary law not unique"
+        )
+    pi = np.clip(pi, 0.0, None)
+    pi /= pi.sum()
+    if not np.max(np.abs(pi @ kernel - pi)) <= _RESIDUAL_TOL:  # a NaN residual fails too
+        raise ValidationError("stationary solve failed its residual check")
+    return pi
+
+
+def _orbit_classes(w: np.ndarray, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Map every state whose color word is a row of w = words(n, k) to its
+    orbit index under color permutations.
+
+    Returns (labels, reps) where labels[i] is the orbit of state i and
+    reps[c] is the canonical word of orbit c, in order of first appearance.
+    The canonical word renames each color by the rank of its first
+    occurrence (first-occurrence relabeling), which indexes the orbit: the
+    unlabeled partition.
+    """
+    n = w.shape[1]
+    hits = w[:, :, None] == np.arange(k)
+    first = np.where(hits.any(axis=1), hits.argmax(axis=1), n)
+    rank = np.argsort(np.argsort(first, axis=1, kind="stable"), axis=1)
+    canon = np.take_along_axis(rank, w, axis=1)
+    # read as a base-k number, a canonical word is its own state index; it
+    # is the smallest word of its orbit, so the sorted indices list the
+    # orbits in order of first appearance
+    firsts, labels = np.unique(canon @ k ** np.arange(n - 1, -1, -1), return_inverse=True)
+    return labels, [tuple(row) for row in (w[firsts] + 1).tolist()]
 
 
 @dataclass(frozen=True)
@@ -105,6 +261,17 @@ def _worst_tv(rows: np.ndarray, pi: np.ndarray) -> float:
     return float(0.5 * np.abs(rows - pi[None, :]).sum(axis=1).max())
 
 
+def _sum_by(rows: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
+    """out[r, c] = the sum of rows[r, y] over the states y with labels[y] = c,
+    for labels in range(size): each row's pushforward through labels."""
+    count = len(rows)
+    return np.bincount(
+        (np.arange(count)[:, None] * size + labels).ravel(),
+        weights=rows.ravel(),
+        minlength=count * size,
+    ).reshape(count, size)
+
+
 def _count_classes(w: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(sorted, counts) for the states whose color words are w = words(n, k):
     sorted lists the states whose word is non-decreasing, one per multiset
@@ -124,14 +291,8 @@ def _stationary_from_counts(kernel: np.ndarray, rows: np.ndarray, counts: np.nda
     pass the labeled certificates. Raises TheoryRefusal if either chain's
     law is not unique or not certified.
     """
-    size = len(rows)
-    count_kernel = np.bincount(
-        (np.arange(size)[:, None] * size + counts).ravel(),
-        weights=rows.ravel(),
-        minlength=size * size,
-    ).reshape(size, size)
     try:
-        pi_counts = stationary_distribution(count_kernel)
+        pi_counts = stationary_distribution(_sum_by(rows, counts, len(rows)))
     except ValidationError as e:
         why = f"chain of color counts, states in sorted-word order: {e}"
     else:
@@ -158,11 +319,10 @@ def projected_mixing_equivalence(
 
     Needs a row-column exchangeable, finitely supported law on k^n states
     within the "project_states" budget (refused before any kernel is built)
-    whose labeled chain has a unique stationary law; the projected kernel is
-    the lumping of the labeled one and the projected stationary law is the
-    pushforward of the labeled one. The
-    seed parameter is accepted for interface uniformity; the computation is
-    deterministic.
+    whose labeled chain has a unique stationary law. The projected law at
+    each horizon is the pushforward of the labeled rows, and the projected
+    stationary law is the pushforward of the labeled one. The seed parameter
+    is accepted for interface uniformity; the computation is deterministic.
     """
     del seed
     if law.k != k:
@@ -188,17 +348,16 @@ def projected_mixing_equivalence(
     rows = kernel[sorted_states]
     pi = _stationary_from_counts(kernel, rows, counts)
     labels, classes = _orbit_classes(w, k)
-    lumped = lumped_kernel(kernel, labels)
     pi_proj = np.bincount(labels, weights=pi, minlength=len(classes))
 
     flags: list[str] = []
     profile: list[tuple[int, float, float]] = []
     t_lab: dict[float, int | None] = {e: None for e in eps_grid}
     t_proj: dict[float, int | None] = {e: None for e in eps_grid}
-    power_proj = lumped
     for m in range(1, m_max + 1):
         tv_lab = _worst_tv(rows, pi)
-        tv_pr = _worst_tv(power_proj, pi_proj)
+        # the projected law from each sorted word's class
+        tv_pr = _worst_tv(_sum_by(rows, labels, len(classes)), pi_proj)
         profile.append((m, tv_lab, tv_pr))
         if tv_pr > tv_lab + 1e-9:
             flags.append(f"pushforward contraction violated at m={m}")
@@ -210,7 +369,6 @@ def projected_mixing_equivalence(
         if all(t_lab[e] is not None and t_proj[e] is not None for e in eps_grid):
             break
         rows = rows @ kernel
-        power_proj = power_proj @ lumped
     else:
         flags.append(f"profile truncated at m_max={m_max} before all crossings")
 

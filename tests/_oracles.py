@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately self-contained (numpy, math, fractions and
-scipy.stats only, no package imports) so the tests compare two genuinely
+scipy.stats only; the one package import is the Coloring container that
+enumerate_colorings lists states in) so the tests compare two genuinely
 separate routes to the same numbers.
 """
 
@@ -25,6 +26,21 @@ def words_array(n: int, k: int) -> np.ndarray:
         out[:, i] = idx % k
         idx //= k
     return out
+
+
+def enumerate_colorings(n: int, k: int) -> list:
+    """Every coloring of n sites with k colors, in the words_array order."""
+    from cutpaste.partitions import Coloring
+
+    return [Coloring(n, k, tuple(int(v) + 1 for v in row)) for row in words_array(n, k)]
+
+
+def state_index(x) -> int:
+    """Position of a coloring in the words_array(x.n, x.k) order."""
+    i = 0
+    for v in x.word:
+        i = i * x.k + (v - 1)
+    return i
 
 
 def matrix_enumeration_kernel(s: np.ndarray, n: int) -> np.ndarray:

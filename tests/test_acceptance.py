@@ -32,9 +32,8 @@ from cutpaste.chains import EhrenfestParams, standard_ehrenfest
 from cutpaste.paintbox import Atomic, PointMass, SelfSimilar
 from cutpaste.partitions import Coloring, act, colorings_to_matrix, identity_matrix, matmul
 from cutpaste.products import estimate_lyapunov, log_abs_det_on_V
-from cutpaste.projections import projected_mixing_equivalence
+from cutpaste.projections import exact_kernel, projected_mixing_equivalence
 from cutpaste.rng import as_stream
-from cutpaste.smallspace import exact_kernel
 from cutpaste.tvlab import (
     ProductMultinomialLaw,
     cutoff_experiment,

@@ -24,15 +24,10 @@ from cutpaste.paintbox import (
     sample_S,
 )
 from cutpaste.partitions import Coloring, act, cyclic_shift_matrix
+from cutpaste.projections import exact_kernel, product_kernel_given_S, words
 from cutpaste.rng import RngStream
-from cutpaste.smallspace import (
-    exact_kernel,
-    product_kernel_given_S,
-    state_index,
-    words,
-)
 
-from _oracles import efcp_by_column, ehrenfest_by_site, matrix_enumeration_kernel
+from _oracles import efcp_by_column, ehrenfest_by_site, matrix_enumeration_kernel, state_index
 
 
 def random_stochastic(gen, k):

@@ -17,8 +17,7 @@ from cutpaste.errors import BUDGETS, BudgetRefusal, ValidationError, _renamed
 from cutpaste.paintbox import PermutationMix, SelfSimilar, law_from_config
 from cutpaste.partitions import Coloring
 from cutpaste.products import estimate_lyapunov
-from cutpaste.projections import projected_mixing_equivalence
-from cutpaste.smallspace import words
+from cutpaste.projections import projected_mixing_equivalence, words
 from cutpaste.tvlab import (
     ProductMultinomialLaw,
     ehrenfest_mixing_time,
@@ -772,6 +771,9 @@ def test_collapse_names_a_nonpositive_size(capsys, tmp_path, key, value):
     # JSON null unsets the base run's t and beta, which mixing_eps does not read
     ("ehrenfest", {"mixing_eps": 0, "t": None, "beta": None}, "mixing_eps"),
     ("ehrenfest", {"mixing_eps": -1, "t": None, "beta": None}, "mixing_eps"),
+    # JSON null unsets the base run's m, which m_grid replaces
+    ("tv", {"m_grid": [-1, 2], "m": None}, "m_grid"),
+    ("tv", {"m_grid": [], "m": None}, "m_grid"),
 ])
 def test_a_bad_value_names_the_setting_given(capsys, tmp_path, command, settings, field):
     cfg = write_config(tmp_path, {**BASE[command], **settings})
@@ -989,7 +991,7 @@ SIZE_GATES = {
     "project": ("project_states", (
         "project", {"law": {"kind": "permutation_mix", "k": 3}, "n": 100_000_000})),
     "ehrenfest": ("ehrenfest_sites", ("ehrenfest", {"n": 2000, "alpha": 0.25, "exact": True})),
-    "words": ("small_space_states", (words, 25, 3)),
+    "words": ("project_states", (words, 25, 3)),
 }
 
 

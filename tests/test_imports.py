@@ -79,26 +79,26 @@ exec("from cutpaste import *", ns)
 print(json.dumps([
     before,
     sorted(set(cutpaste.__all__) - set(listed)),
-    [m for m in ("tvlab", "smallspace", "chains") if m not in listed],
+    [m for m in ("tvlab", "projections", "chains") if m not in listed],
     sorted(set(cutpaste.__all__) - set(ns)),
     ns["mixing_time"] is cutpaste.tvlab.mixing.mixing_time,
-    cutpaste.smallspace.__name__,
+    cutpaste.projections.__name__,
     sorted(set(cutpaste.tvlab.__all__) - set(dir(cutpaste.tvlab))),
 ]))
 """
-    before, unlisted, submodules, unstarred, same, smallspace, tv_unlisted = json.loads(_fresh(code))
+    before, unlisted, submodules, unstarred, same, projections, tv_unlisted = json.loads(_fresh(code))
     assert before == []
     assert unlisted == [] and submodules == [] and tv_unlisted == []
     assert unstarred == []
     assert same
-    assert smallspace == "cutpaste.smallspace"
+    assert projections == "cutpaste.projections"
 
 
 def test_a_command_loads_only_its_modules():
     rc, loaded = _cli_loads(["ehrenfest", "--n", "8", "--alpha", "0.25", "--t", "1"])
     assert rc == 0
     assert "cutpaste.tvlab.ehrenfest" in loaded
-    unused = ("products", "projections", "smallspace", "tvlab.mc", "tvlab.mixing")
+    unused = ("products", "projections", "tvlab.mc", "tvlab.mixing")
     assert [m for m in unused if f"cutpaste.{m}" in loaded] == []
 
 

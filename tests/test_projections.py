@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from cutpaste.chains import EhrenfestParams, run_efcp_matrix, run_ehrenfest
-from cutpaste.errors import BudgetRefusal, TheoryRefusal, ValidationError
+from cutpaste.errors import BUDGETS, BudgetRefusal, TheoryRefusal, ValidationError
 from cutpaste.paintbox import Atomic, PermutationMix, PointMass
 from cutpaste.partitions import Coloring, project
 from cutpaste.projections import (
@@ -17,21 +17,21 @@ from cutpaste.projections import (
     ProjectedRun,
     _count_classes,
     _stationary_from_counts,
+    exact_kernel,
     project_run,
     projected_mixing_equivalence,
-)
-from cutpaste.smallspace import (
-    enumerate_colorings,
-    exact_kernel,
-    lumped_kernel,
-    projection_classes,
-    state_index,
     stationary_distribution,
     words,
 )
 from cutpaste.tvlab.mixing import mixing_time
 
-from _oracles import worst_tv_profile_dense
+from _oracles import (
+    enumerate_colorings,
+    lumped_kernel_by_class,
+    orbit_classes,
+    state_index,
+    worst_tv_profile_dense,
+)
 
 
 def orbit_closure_law(base):
@@ -112,7 +112,7 @@ def test_projected_chain_is_empirically_markov():
     law = orbit_closure_law(RCE_BASE)
     n = 3
     run = run_efcp_matrix(law, Coloring(n, 2, (1, 1, 2)), 9000, seed=17, thin=1)
-    labels, _ = projection_classes(n, 2)
+    labels, _ = orbit_classes(n, 2)
     seq = [state_index(x) for x in run.trajectory]
     counts: dict[int, dict[tuple[int, int], int]] = {}
     for a, b in zip(seq, seq[1:]):
@@ -153,8 +153,8 @@ def test_lumped_kernel_counts_label_assignments(law, n, k):
     injective block labelings k(k-1)...(k-r+1)."""
     assert law.is_rce().value is True
     kernel = exact_kernel(law, n)
-    labels, reps = projection_classes(n, k)
-    lumped = lumped_kernel(kernel, labels)
+    labels, reps = orbit_classes(n, k)
+    lumped = lumped_kernel_by_class(kernel, labels)
     states = enumerate_colorings(n, k)
     by_class: dict[int, list[int]] = {}
     for i in range(len(states)):
@@ -321,6 +321,7 @@ def _sorted_word_states(n, k):
 
 K3_BASE = [[0.7, 0.2, 0.1], [0.2, 0.7, 0.1], [0.1, 0.1, 0.8]]
 BLEND = orbit_closure_law(0.8 * np.eye(3) + 0.2 / 3)
+BLEND_K2 = orbit_closure_law(0.8 * np.eye(2) + 0.2 / 2)
 
 
 @pytest.mark.parametrize("law,n,k,eps", [
@@ -332,13 +333,14 @@ BLEND = orbit_closure_law(0.8 * np.eye(3) + 0.2 / 3)
     (orbit_closure_law(K3_BASE), 3, 3, (0.5, 0.25, 0.1)),
     (BLEND, 6, 3, (0.5, 0.25)),
     (BLEND, 4, 3, (1e-6,)),
+    (BLEND_K2, 10, 2, (0.5, 0.25)),
 ])
 def test_profile_matches_the_full_matrix_power(law, n, k, eps):
     report = projected_mixing_equivalence(law, n, k, epsilon=eps)
     kernel = exact_kernel(law, n)
     pi = stationary_distribution(kernel)
-    labels, reps = projection_classes(n, k)
-    lumped = lumped_kernel(kernel, labels)
+    labels, reps = orbit_classes(n, k)
+    lumped = lumped_kernel_by_class(kernel, labels)
     pi_proj = np.bincount(labels, weights=pi, minlength=len(reps))
     steps = len(report.profile)
     want = np.array([worst_tv_profile_dense(kernel, pi, steps),
@@ -349,6 +351,18 @@ def test_profile_matches_the_full_matrix_power(law, n, k, eps):
         for e in report.epsilons:
             below = [m for m, v in enumerate(want[:, col], start=1) if v < e]
             assert crossings[e] == (below[0] if below else None)
+
+
+@pytest.mark.parametrize("law,n,k", [
+    (BLEND_K2, 12, 2),
+    (orbit_closure_law(0.8 * np.eye(4) + 0.2 / 4), 6, 4),
+])
+def test_the_state_cap_runs_clean(law, n, k):
+    # both blends have exactly the 4096 states the budget allows
+    assert k**n == BUDGETS["project_states"]
+    report = projected_mixing_equivalence(law, n, k, epsilon=(0.5, 0.25))
+    assert report.flags == ()
+    assert report.equal_crossings
 
 
 @st.composite

