@@ -342,7 +342,7 @@ def _cmd_project(s, out) -> None:
     from .projections import projected_mixing_equivalence
 
     rep = projected_mixing_equivalence(
-        s["law"], s["n"], s["k"], tuple(s["epsilon"]), s["seed"], m_max=s["m_max"],
+        s["law"], s["n"], s["k"], tuple(s["epsilon"]), m_max=s["m_max"],
     )
     _emit_json("project", _echo(s), rep.to_json(), out)
 

@@ -99,21 +99,20 @@ class BudgetRefusal(Refusal):
 # one budget each.
 BUDGETS = {
     "enumeration": 20_000_000,  # atom sequences x count vectors, or the count statistic
-    # every enumeration of the k^n labeled states; `project` keeps a dense
-    # k^n x k^n kernel, 128 MiB at 4096
+    # every enumeration of the k^n labeled states; `project` keeps one dense
+    # k^n x k^n kernel, 128 MiB at 4096, and no other array of that size
     "project_states": 4096,
     "ehrenfest_sites": 1100,  # n: the stationary elimination works in an (n+1)^2 matrix
 }
 
 
-def check_budget(name: str, required, reason: str, budget: int | None = None) -> None:
-    """Refuse work whose size exceeds budget, by default the named entry of
-    BUDGETS, with the details {budget_name, required, budget}. required is a
-    count, or a power (base, exponent, *factors), base^exponent times the
-    factors. A power that would pass 2^63 is refused whatever the budget,
+def check_budget(name: str, required, reason: str) -> None:
+    """Refuse work whose size exceeds the named entry of BUDGETS, with the
+    details {budget_name, required, budget}. required is a count, or a power
+    (base, exponent, *factors), base^exponent times the factors. A power that would pass 2^63 is refused whatever the budget,
     without being built (its digits alone can take seconds, and Python will
     not print past 4300 of them), and reported as "base^exponent*factor"."""
-    budget = BUDGETS[name] if budget is None else budget
+    budget = BUDGETS[name]
     if isinstance(required, tuple):
         base, exponent, *factors = required
         if exponent * math.log2(base) + sum(map(math.log2, factors)) < 63:

@@ -10,9 +10,10 @@ The states are the k^n colorings, enumerated as color words (dense linear
 algebra throughout, so k^n stays within the "project_states" budget). Given
 the paintbox s, the n coordinates jump independently, so the kernel is the
 n-fold Kronecker power of s^T. A law's kernel sum_a w_a K_a splits the
-sites into a left half of h = floor(n/2) and a right half of n - h, and is
-built as one matrix product of the atoms' weighted left-half kernels by
-their right-half kernels, followed by one axis swap.
+sites into a left half of h = floor(n/2) and a right half of n - h, and each
+row of it, one left-half state by one right-half state, is one matrix
+product of the atoms' weighted left-half rows by their right-half rows,
+written where it belongs in the kernel.
 
 The labeled kernel K[x, y] = sum_a w_a prod_i s_a[y_i, x_i] is unchanged
 when the sites of x and y are permuted together. So the multisets of colors
@@ -21,10 +22,9 @@ multisets has the rows of K at the states with a non-decreasing word,
 summed by the multiset of their target. A unique stationary law pi of K is
 constant on each multiset, so it is the count chain's stationary law spread
 evenly over the states of each multiset, and no k^n-state system is
-solved. A stationary law is certified twice: the state with the most mass
-must be reachable from every state on the support graph K > 0 (so the chain
-has exactly one closed class and the law is unique), and pi K must equal pi
-to within a residual tolerance; the lifted pi is certified on K itself.
+solved. The elimination that solves the count chain also shows the lifted
+law unique (see _stationary_from_counts), which must then leave a residual
+|pi K - pi| within a tolerance on K itself.
 
 For the same reason TV(K^m(x, .), pi) depends only on the multiset of
 colors of x, so the labeled profile propagates the non-decreasing rows
@@ -46,6 +46,7 @@ import numpy as np
 
 from .chains import ChainRun
 from .errors import TheoryRefusal, ValidationError, _epsilon_grid, check_budget
+from .lumped import _gth
 from .paintbox import PaintboxLaw
 from .partitions import UnlabeledPartition, project
 
@@ -93,10 +94,11 @@ def exact_kernel(law: PaintboxLaw, n: int) -> np.ndarray:
 
     With h = floor(n/2), K[(xl, xr), (yl, yr)] = sum_a w_a L_a[xl, yl]
     R_a[xr, yr] for the atoms' product kernels L_a on the first h sites and
-    R_a on the other n - h: one (k^2h x A) by (A x k^2(n-h)) product, whose
-    (xl, yl, xr, yr) axes are then swapped into place. Every term is
-    nonnegative, so an entry is 0 exactly when every atom of positive weight
-    gives it 0.
+    R_a on the other n - h. So the row at (xl, xr) is the (k^h x A) by
+    (A x k^(n-h)) product of the atoms' weighted rows L_a[xl] by their rows
+    R_a[xr], written straight into K, the only k^n x k^n array made. Every
+    term is nonnegative, so an entry is 0 exactly when every atom of
+    positive weight gives it 0.
 
     Only finitely supported laws can be enumerated; laws with a density are
     refused rather than approximated.
@@ -110,68 +112,20 @@ def exact_kernel(law: PaintboxLaw, n: int) -> np.ndarray:
     total = _enumerable(n, law.k)
 
     def halves(sites: int) -> np.ndarray:
-        # (atoms, k^2sites): each atom's kernel on `sites` sites, flattened
+        # (atoms, k^sites, k^sites): each atom's kernel on `sites` sites
         if sites == 0:
-            return np.ones((len(atoms.atoms), 1))
-        return np.stack([product_kernel_given_S(s, sites).ravel() for s in atoms.atoms])
+            return np.ones((len(atoms.atoms), 1, 1))
+        return np.stack([product_kernel_given_S(s, sites) for s in atoms.atoms])
 
     h = n // 2
     left = law.k**h
     right = total // left
-    kernel = (halves(h).T * atoms.weights) @ halves(n - h)
-    return kernel.reshape(left, left, right, right).swapaxes(1, 2).reshape(total, total)
-
-
-def _reaches_all(support: np.ndarray, r: int) -> bool:
-    """Whether state r can be reached from every state along support[x, y]
-    (backward breadth-first search)."""
-    reached = np.zeros(support.shape[0], dtype=bool)
-    reached[r] = True
-    frontier = reached.copy()
-    while frontier.any():
-        frontier = support[:, frontier].any(axis=1) & ~reached
-        reached |= frontier
-    return bool(reached.all())
-
-
-def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
-    """The stationary law pi = pi K, normalized to a probability vector.
-
-    The columns of K^T - I sum to zero, so one equation of (K^T - I) pi = 0
-    is redundant and is replaced by sum(pi) = 1; the system is nonsingular
-    exactly when the chain has one closed class. Raises if the law is not
-    unique (a singular solve, or a state with the most mass that some state
-    cannot reach) or if the solve fails its residual check.
-    """
-    total = kernel.shape[0]
-    system = kernel.T - np.eye(total)
-    system[-1] = 1.0
-    rhs = np.zeros(total)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        raise ValidationError(
-            "stationary system is singular: stationary law not unique"
-        ) from None
-    return _certified_stationary(kernel, pi)
-
-
-def _certified_stationary(kernel: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """pi clipped at 0 and renormalized, once both certificates hold: the
-    state r = argmax pi is reachable from every state on K > 0 (so the
-    chain has one closed class and pi is its only stationary law), and
-    max |pi K - pi| <= _RESIDUAL_TOL."""
-    r = int(np.argmax(pi))
-    if not _reaches_all(kernel > 0, r):
-        raise ValidationError(
-            f"state {r} is not reachable from every state: stationary law not unique"
-        )
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    if not np.max(np.abs(pi @ kernel - pi)) <= _RESIDUAL_TOL:  # a NaN residual fails too
-        raise ValidationError("stationary solve failed its residual check")
-    return pi
+    # (xl, 1, yl, A) by (xr, A, yr) gives the (xl, xr, yl, yr) layout of K
+    weighted = (halves(h) * atoms.weights[:, None, None]).transpose(1, 2, 0)[:, None]
+    kernel = np.empty((total, total))
+    np.matmul(weighted, halves(n - h).transpose(1, 0, 2),
+              out=kernel.reshape(left, right, left, right))
+    return kernel
 
 
 def _orbit_classes(w: np.ndarray, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
@@ -288,18 +242,33 @@ def _stationary_from_counts(kernel: np.ndarray, rows: np.ndarray, counts: np.nda
     each state by its multiset of colors, as from _count_classes. The count
     kernel sums each row by the multiset of its target; its stationary law
     divided by the number of states of each multiset is pi, which must then
-    pass the labeled certificates. Raises TheoryRefusal if either chain's
-    law is not unique or not certified.
+    leave max |pi K - pi| <= _RESIDUAL_TOL. Raises TheoryRefusal if the
+    count chain's elimination refuses or the residual is too large.
+
+    Uniqueness: count state 0 is the constant word 1...1, which every site
+    permutation fixes, and permuting the sites carries a count path from a
+    sorted word to one from any word of its multiset, so a count path to
+    state 0 lifts to a labeled path to 1...1. Every pivot of the elimination
+    is positive exactly when every count state reaches state 0 (underflow
+    can only refuse), and then 1...1 is reachable from every labeled state,
+    the labeled chain has one closed class and the lifted law is its only
+    stationary law. Conversely, under a row-column exchangeable law with an
+    atom of positive weight that is not a permutation matrix, some row of
+    that atom has two positive entries, and the law's closure under row and
+    column permutations lets any two colors present merge: every start
+    reaches 1...1, and the law is not refused. A law of permutation atoms
+    only keeps the site partition fixed, so at n >= 2 its labeled chain has
+    more than one closed class and it is refused.
     """
     try:
-        pi_counts = stationary_distribution(_sum_by(rows, counts, len(rows)))
+        pi_counts = _gth(_sum_by(rows, counts, len(rows)), len(rows) - 1)
     except ValidationError as e:
         why = f"chain of color counts, states in sorted-word order: {e}"
     else:
-        try:
-            return _certified_stationary(kernel, (pi_counts / np.bincount(counts))[counts])
-        except ValidationError as e:
-            why = str(e)
+        pi = (pi_counts / np.bincount(counts))[counts]
+        if np.max(np.abs(pi @ kernel - pi)) <= _RESIDUAL_TOL:  # a NaN residual fails too
+            return pi
+        why = "stationary solve failed its residual check"
     raise TheoryRefusal(
         "projection equivalence needs a unique, certified stationary law "
         "of the labeled chain", stationary=why,
@@ -311,7 +280,6 @@ def projected_mixing_equivalence(
     n: int,
     k: int,
     epsilon=(0.5, 0.25),
-    seed=0,
     m_max: int = 512,
 ) -> EquivalenceReport:
     """Exact worst-start TV profiles for the labeled chain and its unlabeled
@@ -321,10 +289,8 @@ def projected_mixing_equivalence(
     within the "project_states" budget (refused before any kernel is built)
     whose labeled chain has a unique stationary law. The projected law at
     each horizon is the pushforward of the labeled rows, and the projected
-    stationary law is the pushforward of the labeled one. The seed parameter
-    is accepted for interface uniformity; the computation is deterministic.
+    stationary law is the pushforward of the labeled one.
     """
-    del seed
     if law.k != k:
         raise ValidationError(f"law has k={law.k}, asked for k={k}", field="k")
     if n < 1:

@@ -12,11 +12,9 @@ two N1 laws.
 
 A move shifts the count by at most a, so the N1 chain is a band of width a,
 kept only as the table of its moves. A forward step scatters the law over
-that table at O(n a). The stationary law comes from Grassmann-Taksar-Heyman
-elimination (Operations Research 33, 1985), which does no subtractions, so
-keeps its relative accuracy in the tails, and adds no entry outside the band
-(Stewart, Introduction to the Numerical Solution of Markov Chains, 1994):
-O(n a^2) work, in an (n+1)^2 matrix; so the pass is refused past the
+that table at O(n a). The stationary law comes from the banded elimination
+of cutpaste.lumped, the one `project` runs on its color counts: O(n a^2)
+work, in an (n+1)^2 matrix; so the pass is refused past the
 "ehrenfest_sites" budget on n.
 """
 
@@ -29,6 +27,7 @@ import numpy as np
 
 from ..chains import EhrenfestParams
 from ..errors import BudgetRefusal, TheoryRefusal, ValidationError, check_budget
+from ..lumped import _gth
 from ..partitions import Coloring
 from .exact import TVEstimate, _half_l1, _log_factorials
 
@@ -191,31 +190,13 @@ def _step(row: np.ndarray, moves) -> np.ndarray:
 
 
 def _stationary(moves, n: int, a: int) -> np.ndarray:
-    """Stationary law by Grassmann-Taksar-Heyman elimination: censor the
-    states from the top down, dividing by the escape mass below each pivot
-    instead of subtracting from one. Count 0 is reachable from every count,
-    so every pivot is positive. Pivot m touches only counts m - a to m - 1.
-
-    The back-substituted pi[m] / pi[0] grows like C(n, m), past the double
-    range near n = 1030, so the prefix is scaled down by 2^-900 whenever an
-    entry passes 2^900. A power-of-two scaling is exact, so wherever the
-    unscaled law was finite the normalised law keeps every bit, except in
-    entries that end up subnormal."""
+    """Stationary law of N1 from the table of its moves: count 0 is reachable
+    from every count, and a move shifts the count by at most a, so the shared
+    elimination answers on the band of width a."""
     src, dst, p = moves
     size = n + 1
     g = np.bincount(src * size + dst, weights=p, minlength=size * size).reshape(size, size)
-    for m in range(n, 0, -1):
-        lo = max(0, m - a)
-        g[lo:m, m] /= g[m, lo:m].sum()
-        g[lo:m, lo:m] += np.outer(g[lo:m, m], g[m, lo:m])
-    pi = np.zeros(size)
-    pi[0] = 1.0
-    for m in range(1, size):
-        lo = max(0, m - a)
-        pi[m] = pi[lo:m] @ g[lo:m, m]
-        if pi[m] > 2.0**900:
-            pi[: m + 1] = np.ldexp(pi[: m + 1], -900)
-    return pi / pi.sum()
+    return _gth(g, a)
 
 
 def _tv_sweep(params: EhrenfestParams, horizons):

@@ -199,12 +199,12 @@ def _row_chunks(rows: int, width: int, budget: int):
         yield slice(lo, min(lo + step, rows))
 
 
-def _pmf_pairs(cols_p: np.ndarray, cols_q: np.ndarray, sizes, budget: int | None = None):
+def _pmf_pairs(cols_p: np.ndarray, cols_q: np.ndarray, sizes):
     """Chunks (rows, joint pmfs from cols_p, joint pmfs from cols_q) over
     the (R, k, cells) stacks; refuses when the joint statistic exceeds the
     enumeration budget."""
     size = _statistic_size(sizes, cols_p.shape[1])
-    check_budget("enumeration", size, "joint count statistic too large to enumerate", budget)
+    check_budget("enumeration", size, "joint count statistic too large to enumerate")
     for rows in _row_chunks(len(cols_p), size, _ELEMENT_BUDGET):
         yield rows, _joint_pmfs(cols_p[rows], sizes), _joint_pmfs(cols_q[rows], sizes)
 
@@ -219,7 +219,6 @@ def _half_l1(p: np.ndarray, q: np.ndarray) -> float:
 def tv_exact_product_multinomial(
     p: ProductMultinomialLaw,
     q: ProductMultinomialLaw,
-    budget: int | None = None,
 ) -> TVEstimate:
     """Exact TV between two product-multinomial laws over the per-block
     count-vector statistic, which is sufficient for the pair.
@@ -238,7 +237,7 @@ def tv_exact_product_multinomial(
     if not kept:
         return TVEstimate(0.0, "exact")
     sizes, cols_p, cols_q = zip(*kept)
-    [(_, rows_p, rows_q)] = _pmf_pairs(np.array(cols_p).T[None], np.array(cols_q).T[None], sizes, budget)
+    [(_, rows_p, rows_q)] = _pmf_pairs(np.array(cols_p).T[None], np.array(cols_q).T[None], sizes)
     return TVEstimate(_half_l1(rows_p[0], rows_q[0]), "exact")
 
 
@@ -346,7 +345,6 @@ def tv_exact_atomic(
     x0: Coloring,
     x0_tilde: Coloring,
     m: int,
-    budget: int | None = None,
 ) -> TVEstimate:
     """Exact TV between the two chains' unconditional laws at step m, for a
     finitely supported paintbox law: enumerate all atom sequences, mix the
@@ -374,8 +372,7 @@ def tv_exact_atomic(
     col_a, col_b, sizes = zip(*((a - 1, b - 1, cnt) for a, b, cnt in cells))
     r = len(atomic.atoms)
     joint_size = _statistic_size(sizes, k)
-    check_budget("enumeration", (r, m, joint_size), "atom-sequence enumeration exceeds the budget",
-                 budget)
+    check_budget("enumeration", (r, m, joint_size), "atom-sequence enumeration exceeds the budget")
     atoms = np.stack([a.entries for a in atomic.atoms])
     weights = np.asarray(atomic.weights, dtype=float)
     # digit t of sequence index i is the atom applied at step t + 1

@@ -116,7 +116,6 @@ def mixing_time(
     seed=0,
     replicates: int = 2000,
     m_max: int = 4096,
-    budget: int | None = None,
     theta_hat: float | None = None,
 ) -> MixingProfile:
     """Smallest horizon with certified worst-pair TV below each epsilon.
@@ -153,7 +152,7 @@ def mixing_time(
             best: TVEstimate | None = None
             for (a, b), path in zip(pairs, paths):
                 if method == "exact_atomic":
-                    est = tv_exact_atomic(law, a, b, m, budget=budget)
+                    est = tv_exact_atomic(law, a, b, m)
                 else:
                     est = tv_upper_mc(law, a, b, m, replicates, path)
                 if best is None or est.value > best.value:

@@ -115,6 +115,29 @@ def eig_stationary(kernel: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def reachability(kernel: np.ndarray) -> np.ndarray:
+    """reach[x, y]: whether y can be reached from x in zero or more steps,
+    from the transitive closure of the support graph K > 0 by squaring."""
+    size = kernel.shape[0]
+    reach = (np.asarray(kernel) > 0) | np.eye(size, dtype=bool)
+    for _ in range(max(1, size).bit_length()):
+        reach = (reach.astype(float) @ reach.astype(float)) > 0
+    return reach
+
+
+def closed_states(kernel: np.ndarray) -> np.ndarray:
+    """Whether each state lies in a closed class: every state it reaches
+    reaches it back."""
+    reach = reachability(kernel)
+    return (reach <= reach.T).all(axis=1)
+
+
+def closed_classes(kernel: np.ndarray) -> int:
+    """Number of closed communicating classes."""
+    reach = reachability(kernel)
+    return len({tuple(row) for row in reach[closed_states(kernel)]})
+
+
 def canonical_relabel(word: tuple[int, ...]) -> tuple[int, ...]:
     """First-occurrence relabeling: color names are replaced by the order in
     which they first appear, which indexes the orbit under color

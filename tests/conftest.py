@@ -1,4 +1,5 @@
-"""Shared pytest wiring: a one-line verdict per acceptance criterion.
+"""Shared pytest wiring: a one-line verdict per acceptance criterion, and a
+fixture that lowers the enumeration budget for one test.
 
 Tests named ``test_criterion_NN_*`` in test_acceptance.py are the acceptance
 gate. This plugin collects their outcomes and prints a compact block at the
@@ -13,6 +14,8 @@ from __future__ import annotations
 import re
 
 import pytest
+
+from cutpaste.errors import BUDGETS
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_([a-z0-9_]+)")
 
@@ -39,6 +42,12 @@ def pytest_runtest_makereport(item, call):
     else:
         verdict = rep.outcome
     _results[number] = (label, verdict)
+
+
+@pytest.fixture
+def enumeration_budget(monkeypatch):
+    """Call with a limit to set BUDGETS["enumeration"] until the test ends."""
+    return lambda limit: monkeypatch.setitem(BUDGETS, "enumeration", limit)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

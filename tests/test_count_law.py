@@ -308,22 +308,27 @@ def test_statistic_size_counts_compositions():
     assert exact._statistic_size([3, 4], 3) == 10 * 15
 
 
-def test_budget_refusals_report_the_same_sizes():
-    p = ProductMultinomialLaw(((30, (0.3, 0.3, 0.2, 0.2)),))
-    q = ProductMultinomialLaw(((30, (0.25, 0.25, 0.25, 0.25)),))
-    with pytest.raises(BudgetRefusal) as exc:
-        tv_exact_product_multinomial(p, q, budget=100)
-    assert exc.value.details["required"] == 5456
-
-    law = Atomic([IDENTITY, [[0.5, 0.5], [0.5, 0.5]]], [0.5, 0.5])
-    x, y = make_constant_pair(6, 2)
-    with pytest.raises(BudgetRefusal) as exc:
-        tv_exact_atomic(law, x, y, 5, budget=10)
-    assert exc.value.details["required"] == 2**5 * 7
-    assert tv_exact_atomic(law, x, y, 5, budget=224).kind == "exact"
-
-    # one mixed cell of 6400 sites at k = 3 holds C(6402, 2) count vectors
+def test_budget_refusals_report_the_same_sizes(enumeration_budget):
+    # one mixed cell of 6400 sites at k = 3 holds C(6402, 2) count vectors,
+    # past the default budget
     x, y = make_constant_pair(6400, 3)
     with pytest.raises(BudgetRefusal) as exc:
         tv_upper_mc(SelfSimilar([1.0, 1.0, 1.0]), x, y, 1, replicates=2, seed=0)
     assert exc.value.details["required"] == math.comb(6402, 2) == 20_489_601
+
+    p = ProductMultinomialLaw(((30, (0.3, 0.3, 0.2, 0.2)),))
+    q = ProductMultinomialLaw(((30, (0.25, 0.25, 0.25, 0.25)),))
+    enumeration_budget(100)
+    with pytest.raises(BudgetRefusal) as exc:
+        tv_exact_product_multinomial(p, q)
+    assert exc.value.details["required"] == 5456
+
+    law = Atomic([IDENTITY, [[0.5, 0.5], [0.5, 0.5]]], [0.5, 0.5])
+    x, y = make_constant_pair(6, 2)
+    enumeration_budget(10)
+    with pytest.raises(BudgetRefusal) as exc:
+        tv_exact_atomic(law, x, y, 5)
+    assert exc.value.details["required"] == 2**5 * 7
+    enumeration_budget(224)
+    assert tv_exact_atomic(law, x, y, 5).kind == "exact"
+

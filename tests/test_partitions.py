@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutpaste.partitions import (
     Coloring,
@@ -282,3 +284,58 @@ def test_json_round_trips():
         m = random_matrix(rng, n, k)
         assert coloring_from_json(coloring_to_json(x)) == x
         assert partition_matrix_from_json(partition_matrix_to_json(m)) == m
+
+
+# ---------------------------------------------------------------------------
+# Monoid laws and round trips as properties, at pinned examples.
+
+_PINNED = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+def _words(draw, n, k, count):
+    return [draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)) for _ in range(count)]
+
+
+def _matrix(n, k, columns):
+    """The partition matrix whose column j sends site s to row columns[j][s]."""
+    cells = [[0] * k for _ in range(k)]
+    for j, col in enumerate(columns):
+        for site, i in enumerate(col):
+            cells[i][j] |= 1 << site
+    return PartitionMatrix(n, k, tuple(tuple(row) for row in cells))
+
+
+@st.composite
+def _monoid_cases(draw):
+    """(a, b, c, xs): three partition matrices and k colorings, all of one
+    [n] and k."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 16))
+    a, b, c = (_matrix(n, k, _words(draw, n, k, k)) for _ in range(3))
+    xs = tuple(Coloring(n, k, tuple(v + 1 for v in word)) for word in _words(draw, n, k, k))
+    return a, b, c, xs
+
+
+@_PINNED
+@given(_monoid_cases())
+def test_matmul_is_associative_with_identity(case):
+    a, b, c, _ = case
+    one = identity_matrix(a.n, a.k)
+    assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
+    assert matmul(one, a) == a == matmul(a, one)
+
+
+@_PINNED
+@given(_monoid_cases())
+def test_act_of_a_product_is_the_composed_action(case):
+    a, b, _, (x, *_) = case
+    assert act(matmul(a, b), x) == act(a, act(b, x))
+    assert act(identity_matrix(x.n, x.k), x) == x
+
+
+@_PINNED
+@given(_monoid_cases())
+def test_matrices_and_column_colorings_round_trip(case):
+    a, _, _, xs = case
+    assert colorings_to_matrix(matrix_to_colorings(a)) == a
+    assert matrix_to_colorings(colorings_to_matrix(xs)) == xs

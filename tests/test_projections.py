@@ -12,6 +12,7 @@ from cutpaste.chains import EhrenfestParams, run_efcp_matrix, run_ehrenfest
 from cutpaste.errors import BUDGETS, BudgetRefusal, TheoryRefusal, ValidationError
 from cutpaste.paintbox import Atomic, PermutationMix, PointMass
 from cutpaste.partitions import Coloring, project
+from cutpaste import projections
 from cutpaste.projections import (
     EquivalenceReport,
     ProjectedRun,
@@ -20,15 +21,17 @@ from cutpaste.projections import (
     exact_kernel,
     project_run,
     projected_mixing_equivalence,
-    stationary_distribution,
     words,
 )
 from cutpaste.tvlab.mixing import mixing_time
 
 from _oracles import (
+    closed_classes,
+    eig_stationary,
     enumerate_colorings,
     lumped_kernel_by_class,
     orbit_classes,
+    product_step_kernel,
     state_index,
     worst_tv_profile_dense,
 )
@@ -174,7 +177,7 @@ def test_lumped_kernel_counts_label_assignments(law, n, k):
 
 def test_equivalence_exact_small_instance():
     law = orbit_closure_law(RCE_BASE)
-    report = projected_mixing_equivalence(law, 4, 2, epsilon=(0.5, 0.25), seed=0)
+    report = projected_mixing_equivalence(law, 4, 2, epsilon=(0.5, 0.25))
     assert report.equal_crossings
     assert report.t_labeled == report.t_projected
     assert all(t is not None for t in report.t_labeled.values())
@@ -188,7 +191,7 @@ def test_equivalence_late_crossings_still_equal():
     # the equality claim is exercised away from the trivial first horizon
     law = orbit_closure_law([[0.95, 0.05], [0.05, 0.95]])
     assert len(law.as_atomic().atoms) == 2
-    report = projected_mixing_equivalence(law, 4, 2, epsilon=(0.5, 0.25), seed=0)
+    report = projected_mixing_equivalence(law, 4, 2, epsilon=(0.5, 0.25))
     assert report.equal_crossings
     assert report.t_labeled[0.5] == 3
     assert report.t_labeled[0.25] == 6
@@ -198,7 +201,7 @@ def test_equivalence_late_crossings_still_equal():
 def test_equivalence_and_contraction_across_instances(n, k):
     base = RCE_BASE if k == 2 else [[0.7, 0.2, 0.1], [0.2, 0.7, 0.1], [0.1, 0.1, 0.8]]
     law = orbit_closure_law(base)
-    report = projected_mixing_equivalence(law, n, k, epsilon=(0.5, 0.25, 0.1), seed=0)
+    report = projected_mixing_equivalence(law, n, k, epsilon=(0.5, 0.25, 0.1))
     assert report.equal_crossings, (n, k, report.t_labeled, report.t_projected)
     for _, tv_lab, tv_proj in report.profile:
         assert tv_proj <= tv_lab + 1e-9
@@ -338,7 +341,7 @@ BLEND_K2 = orbit_closure_law(0.8 * np.eye(2) + 0.2 / 2)
 def test_profile_matches_the_full_matrix_power(law, n, k, eps):
     report = projected_mixing_equivalence(law, n, k, epsilon=eps)
     kernel = exact_kernel(law, n)
-    pi = stationary_distribution(kernel)
+    pi = eig_stationary(kernel)
     labels, reps = orbit_classes(n, k)
     lumped = lumped_kernel_by_class(kernel, labels)
     pi_proj = np.bincount(labels, weights=pi, minlength=len(reps))
@@ -386,7 +389,7 @@ def test_worst_start_is_a_sorted_word(case):
     # distance equals that of its sorted word
     law, n, k = case
     kernel = exact_kernel(law, n)
-    pi = stationary_distribution(kernel)
+    pi = eig_stationary(kernel)
     reps = _sorted_word_states(n, k)
     assert _count_classes(words(n, k), k)[0].tolist() == reps
     assert len(reps) == math.comb(n + k - 1, k - 1)
@@ -407,17 +410,64 @@ def test_lifted_count_law_is_the_labeled_stationary_law(case):
     kernel = exact_kernel(law, n)
     sorted_states, counts = _count_classes(words(n, k), k)
     pi = _stationary_from_counts(kernel, kernel[sorted_states], counts)
-    assert np.max(np.abs(pi - stationary_distribution(kernel))) <= 1e-14
+    assert np.max(np.abs(pi - eig_stationary(kernel))) <= 1e-14
 
 
 def test_no_system_larger_than_the_count_chain_is_solved(monkeypatch):
     sizes = []
-    solve = np.linalg.solve
+    gth = projections._gth
 
-    def recording_solve(a, b):
-        sizes.append(a.shape[0])
-        return solve(a, b)
+    def recording_gth(g, band):
+        sizes.append(g.shape)
+        return gth(g, band)
 
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    def no_solve(*args):
+        raise AssertionError("project called np.linalg.solve")
+
+    monkeypatch.setattr(projections, "_gth", recording_gth)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
     projected_mixing_equivalence(BLEND, 6, 3, epsilon=(0.5, 0.25))
-    assert sizes and max(sizes) <= math.comb(6 + 3 - 1, 3 - 1)
+    count_states = math.comb(6 + 3 - 1, 3 - 1)
+    assert sizes == [(count_states, count_states)]
+
+
+def _listed_permutation_mix(k: int) -> PermutationMix:
+    """The uniform law on all k! permutations, listed in reverse order."""
+    perms = [[c + 1 for c in p] for p in itertools.permutations(range(k))][::-1]
+    return PermutationMix(k, perms=perms)
+
+
+_PARITY_LAWS = {
+    k: [("permutation_mix", PermutationMix(k)), ("listed_permutations", _listed_permutation_mix(k)),
+        # the permuted-identity blends (1 - gamma) P + gamma J / k
+        *((f"blend_{gamma}", orbit_closure_law((1 - gamma) * np.eye(k) + gamma / k))
+          for gamma in (0.0, 0.2, 1.0))]
+    for k in (2, 3, 4)
+}
+
+
+@pytest.mark.parametrize("k,n_max", [(2, 7), (3, 5), (4, 4)])
+def test_refusal_parity_with_the_closed_classes_of_the_dense_kernel(k, n_max):
+    # project refuses exactly when the labeled chain has more than one
+    # closed class, and otherwise lifts the labeled chain's stationary law
+    refused = answered = 0
+    for name, law in _PARITY_LAWS[k]:
+        assert law.is_rce().value is True, name
+        atoms = law.as_atomic()
+        for n in range(1, n_max + 1):
+            dense = sum(w * product_step_kernel(s.entries, n)
+                        for s, w in zip(atoms.atoms, atoms.weights))
+            if closed_classes(dense) > 1:
+                refused += 1
+                with pytest.raises(TheoryRefusal) as exc:
+                    projected_mixing_equivalence(law, n, k, m_max=2)
+                why = exc.value.details["stationary"]
+                assert why.startswith("chain of color counts") and "unique" in why, (name, n)
+                continue
+            answered += 1
+            projected_mixing_equivalence(law, n, k, m_max=2)
+            kernel = exact_kernel(law, n)
+            sorted_states, counts = _count_classes(words(n, k), k)
+            pi = _stationary_from_counts(kernel, kernel[sorted_states], counts)
+            assert np.max(np.abs(pi - eig_stationary(dense))) <= 1e-14, (name, n)
+    assert refused and answered

@@ -8,24 +8,33 @@ from hypothesis.extra.numpy import arrays
 
 from _oracles import (
     canonical_relabel,
+    closed_classes,
+    closed_states,
     eig_stationary,
     enumerate_colorings,
     kernel_power,
     lumped_kernel_by_class,
     orbit_classes,
     product_step_kernel,
+    reachability,
     state_index,
 )
 from cutpaste.errors import BudgetRefusal, TheoryRefusal, ValidationError
+from cutpaste.lumped import _gth
 from cutpaste.paintbox import Atomic, DirichletColumns, PermutationMix, StochasticMatrix
 from cutpaste.partitions import Coloring
 from cutpaste.projections import (
     _orbit_classes,
     exact_kernel,
     product_kernel_given_S,
-    stationary_distribution,
     words,
 )
+
+
+def eliminate(kernel: np.ndarray) -> np.ndarray:
+    """The stationary law from the shared elimination over the whole
+    matrix, run on a copy of it."""
+    return _gth(np.array(kernel, dtype=float), kernel.shape[0] - 1)
 
 
 def test_enumeration_order_and_index():
@@ -82,7 +91,7 @@ def test_stationary_distribution_small_chain():
     a = StochasticMatrix([[0.9, 0.2], [0.1, 0.8]])
     law = Atomic([a], [1.0])
     kernel = exact_kernel(law, 2)
-    pi = stationary_distribution(kernel)
+    pi = eliminate(kernel)
     assert abs(pi.sum() - 1.0) < 1e-12
     assert np.max(np.abs(pi @ kernel - pi)) < 1e-10
     # cross-check against a long power of the kernel
@@ -94,7 +103,7 @@ def test_stationary_distribution_rejects_reducible():
     law = PermutationMix(2, perms=[(1, 2)])  # identity only: nothing moves
     kernel = exact_kernel(law, 2)
     with pytest.raises(ValidationError):
-        stationary_distribution(kernel)
+        eliminate(kernel)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -124,7 +133,7 @@ def test_exact_kernel_atom_of_weight_zero_adds_no_support(n):
     kernel = exact_kernel(law, n)
     assert np.array_equal(kernel > 0, np.eye(2**n, dtype=bool))
     with pytest.raises(ValidationError, match="unique"):
-        stationary_distribution(kernel)
+        eliminate(kernel)
 
 
 def permuted_identity_blend(k: int, gamma: float) -> Atomic:
@@ -149,49 +158,54 @@ def _random_positive_kernel(gen, size):
         *(_random_positive_kernel(np.random.default_rng(seed), size)
           for seed, size in [(1, 1), (2, 2), (3, 5), (4, 17), (5, 64), (6, 243)]),
         exact_kernel(permuted_identity_blend(3, 0.2), 6),
-        np.array([[0.0, 1.0], [0.0, 1.0]]),  # one transient state
+        np.array([[1.0, 0.0], [1.0, 0.0]]),  # one transient state
     ],
     ids=["pos1", "pos2", "pos5", "pos17", "pos64", "pos243", "blend_k3_n6", "transient"],
 )
 def test_stationary_distribution_matches_eig_oracle(kernel):
-    pi = stationary_distribution(kernel)
+    pi = eliminate(kernel)
     assert np.max(np.abs(pi - eig_stationary(kernel))) < 1e-12
 
 
 def test_stationary_distribution_keeps_transient_states_at_zero():
-    pi = stationary_distribution(np.array([[0.0, 1.0], [0.0, 1.0]]))
-    assert pi.tolist() == [0.0, 1.0]
+    pi = eliminate(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    assert pi.tolist() == [1.0, 0.0]
+    # states 2 and 4 leave the closed class {0, 1, 3} and never come back
+    kernel = np.array([
+        [0.5, 0.5, 0.0, 0.0, 0.0],
+        [0.0, 0.2, 0.0, 0.8, 0.0],
+        [0.1, 0.0, 0.3, 0.2, 0.4],
+        [0.7, 0.0, 0.0, 0.3, 0.0],
+        [0.0, 0.0, 0.9, 0.0, 0.1],
+    ])
+    pi = eliminate(kernel)
+    assert pi[2] == 0.0 and pi[4] == 0.0
+    assert np.max(np.abs(pi - eig_stationary(kernel))) < 1e-15
+
+
+def test_stationary_distribution_refuses_a_transient_state_0():
+    # one closed class, {1}, which state 0 leaves for good
+    with pytest.raises(ValidationError, match="state 1 does not reach state 0"):
+        eliminate(np.array([[0.0, 1.0], [0.0, 1.0]]))
 
 
 def test_stationary_distribution_refuses_identity():
-    with pytest.raises(ValidationError, match="not unique"):
-        stationary_distribution(np.eye(4))
+    with pytest.raises(ValidationError, match="not certified unique"):
+        eliminate(np.eye(4))
 
 
 def test_stationary_distribution_refuses_two_closed_classes():
-    # state 0 feeds the closed classes {1, 2} and {3, 4}; the solve itself
-    # goes through and returns a stationary law of one class, so only the
-    # reachability check can refuse it
+    # state 0 feeds the closed classes {1, 2} and {3, 4}: state 4 reaches
+    # only state 3, and state 3 nothing below it
     kernel = np.zeros((5, 5))
     kernel[0] = [0.2, 0.3, 0.1, 0.4, 0.0]
     kernel[1:3, 1:3] = [[0.3, 0.7], [0.6, 0.4]]
     kernel[3:, 3:] = [[0.1, 0.9], [0.55, 0.45]]
-    with pytest.raises(ValidationError, match="not reachable"):
-        stationary_distribution(kernel)
-    # two classes with no transient state make the solve singular
-    with pytest.raises(ValidationError, match="not unique"):
-        stationary_distribution(kernel[1:, 1:])
-
-
-def _closed_classes(kernel: np.ndarray) -> int:
-    """Number of closed communicating classes, from the transitive closure
-    of the support graph."""
-    size = kernel.shape[0]
-    reach = (kernel > 0) | np.eye(size, dtype=bool)
-    for _ in range(size):
-        reach = (reach.astype(int) @ reach.astype(int)) > 0
-    closed = [i for i in range(size) if reach[np.flatnonzero(reach[i]), i].all()]
-    return len({tuple(reach[i]) for i in closed})
+    with pytest.raises(ValidationError, match="state 3 does not reach state 0: .* not certified unique"):
+        eliminate(kernel)
+    # with no transient state, the second class is {2, 3}
+    with pytest.raises(ValidationError, match="state 2 does not reach state 0: .* not certified unique"):
+        eliminate(kernel[1:, 1:])
 
 
 def _stochastic(zeros: bool):
@@ -219,17 +233,34 @@ def _assert_stationary(pi: np.ndarray, kernel: np.ndarray) -> None:
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_stochastic(zeros=False))
 def test_stationary_distribution_property_positive(kernel):
-    _assert_stationary(stationary_distribution(kernel), kernel)
+    _assert_stationary(eliminate(kernel), kernel)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(_stochastic(zeros=True))
 def test_stationary_distribution_property_answers_iff_one_closed_class(kernel):
-    if _closed_classes(kernel) == 1:
-        _assert_stationary(stationary_distribution(kernel), kernel)
+    # listed from a state of a closed class, the chain answers iff that
+    # class is its only one
+    first = np.flatnonzero(closed_states(kernel))[0]
+    order = np.r_[first, np.delete(np.arange(len(kernel)), first)]
+    kernel = kernel[np.ix_(order, order)]
+    if closed_classes(kernel) == 1:
+        _assert_stationary(eliminate(kernel), kernel)
     else:
-        with pytest.raises(ValidationError):
-            stationary_distribution(kernel)
+        with pytest.raises(ValidationError, match="not certified unique"):
+            eliminate(kernel)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_stochastic(zeros=True))
+def test_elimination_answers_iff_every_state_reaches_state_0(kernel):
+    if reachability(kernel)[:, 0].all():
+        pi = eliminate(kernel)
+        _assert_stationary(pi, kernel)
+        assert np.all(pi[~closed_states(kernel)] == 0.0)
+    else:
+        with pytest.raises(ValidationError, match="not certified unique"):
+            eliminate(kernel)
 
 
 def test_canonical_relabel_and_classes():

@@ -193,11 +193,12 @@ def test_tv_axioms_on_exact_values():
         assert d_ac <= d_ab + d_bc + 1e-12
 
 
-def test_tv_exact_budget_refusal():
+def test_tv_exact_budget_refusal(enumeration_budget):
     p = ProductMultinomialLaw(((30, (0.3, 0.3, 0.2, 0.2)),))
     q = ProductMultinomialLaw(((30, (0.25, 0.25, 0.25, 0.25)),))
+    enumeration_budget(100)
     with pytest.raises(BudgetRefusal) as exc:
-        tv_exact_product_multinomial(p, q, budget=100)
+        tv_exact_product_multinomial(p, q)
     assert exc.value.details["required"] > 100
 
 
@@ -280,11 +281,12 @@ def test_tv_atomic_matches_full_state_brute_force():
         assert abs(got - tv_distance(kernel[ix], kernel[iy])) < 1e-12
 
 
-def test_tv_atomic_gates():
+def test_tv_atomic_gates(enumeration_budget):
     law = Atomic([np.eye(2), [[0.5, 0.5], [0.5, 0.5]]], [0.5, 0.5])
     x, y = make_constant_pair(6, 2)
+    enumeration_budget(10)
     with pytest.raises(BudgetRefusal) as exc:
-        tv_exact_atomic(law, x, y, 5, budget=10)
+        tv_exact_atomic(law, x, y, 5)
     assert exc.value.details["required"] > 10
     with pytest.raises(TheoryRefusal):
         tv_exact_atomic(DirichletColumns(np.ones((2, 2))), x, y, 2)
@@ -682,10 +684,11 @@ def test_mixing_time_refuses_without_collapse_certificate():
     assert "diagnostic" in exc.value.details
 
 
-def test_mixing_time_budget_flags_inconclusive():
+def test_mixing_time_budget_flags_inconclusive(enumeration_budget):
     law = slow_two_atom_law()
     # budget admits only m=1 (2 sequences x 9 counts); d-bar(1) is far above 1/4
-    prof = mixing_time(law, 8, 2, epsilon=0.25, method="exact_atomic", seed=0, budget=20)
+    enumeration_budget(20)
+    prof = mixing_time(law, 8, 2, epsilon=0.25, method="exact_atomic", seed=0)
     assert prof.t_mix[0.25] is None
     assert any("budget" in f for f in prof.flags)
 
@@ -722,8 +725,7 @@ def test_mixing_time_mc_needs_two_replicates():
 
 
 def redraw_mixing_time(law, n, k, epsilon=0.25, method="mc_sandwich", seed=0,
-                       replicates=2000, m_max=4096, budget=None,
-                       theta_hat=None):
+                       replicates=2000, m_max=4096, theta_hat=None):
     """mixing_time as it ran before the gate stopped at its first witness and
     probes shared a product path: the full collapse diagnostic, then every
     probe redrawn by tv_upper_mc (or enumerated by tv_exact_atomic)."""
@@ -743,7 +745,7 @@ def redraw_mixing_time(law, n, k, epsilon=0.25, method="mc_sandwich", seed=0,
     def pair_estimates(m):
         for idx, (a, b) in enumerate(pairs):
             if method == "exact_atomic":
-                yield tv_exact_atomic(law, a, b, m, budget=budget)
+                yield tv_exact_atomic(law, a, b, m)
             else:
                 yield tv_upper_mc(law, a, b, m, replicates, stream.derive("pair", idx))
 
@@ -759,7 +761,7 @@ _SEARCH_CASES = {
     "two_atom_exact": (slow_two_atom_law(), 12, 2, dict(
         epsilon=(0.5, 0.25), method="exact_atomic", seed=3)),
     "two_atom_budget": (slow_two_atom_law(), 8, 2, dict(
-        epsilon=0.25, method="exact_atomic", budget=20)),
+        epsilon=0.25, method="exact_atomic")),
     "dirichlet_k2_cutoff_size": (SelfSimilar([1.0, 1.0]), 256, 2, dict(
         epsilon=(0.25, 0.75), replicates=400, m_max=64, seed=11)),
     "dirichlet_k3": (SelfSimilar([1.0, 1.0, 1.0]), 6, 3, dict(
@@ -776,8 +778,10 @@ _SEARCH_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_SEARCH_CASES))
-def test_mixing_time_matches_redraw_search(case):
+def test_mixing_time_matches_redraw_search(case, enumeration_budget):
     law, n, k, kwargs = _SEARCH_CASES[case]
+    if case == "two_atom_budget":
+        enumeration_budget(20)  # admits only m = 1
     got = mixing_time(law, n, k, **kwargs).to_json()
     assert got == redraw_mixing_time(law, n, k, **kwargs).to_json()
     if case == "m_max_exhausted_mc":
