@@ -88,10 +88,7 @@ class EhrenfestParams:
         if self.n < 1:
             raise ValidationError(f"need n >= 1, got {self.n}", field="n")
         if not 0.0 < self.alpha < 1.0 + 1e-15:
-            if not (self.variant == "standard" and self.alpha <= 1.0):
-                raise ValidationError(
-                    f"alpha={self.alpha} outside (0, 1)", field="alpha"
-                )
+            raise ValidationError(f"alpha={self.alpha} outside (0, 1)", field="alpha")
         if self.variant not in ("general", "standard"):
             raise ValidationError(f"unknown variant {self.variant!r}", field="variant")
         if self.batch_size < 1:

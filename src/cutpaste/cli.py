@@ -4,8 +4,8 @@ JSON config in, JSON or CSV out, with every output fully determined by
 (config, seed): keys are sorted, no timestamps are emitted, and replicate
 reductions are index-ordered. Malformed input, a setting the requested
 mode would not read included, exits 2 with a field-level diagnostic; a
-precondition gate that declines to run (theory hypothesis, enumeration
-budget, inconclusive certification) exits 3 with a machine-readable reason.
+refusal exits 3 with its code: theory_gate for a theory hypothesis,
+budget_exceeded for a size budget, inconclusive for a step allowance.
 
 Every command's settings are declared once, in COMMANDS: each key maps to
 the reader that converts its value, to its default and, for a setting that
@@ -291,7 +291,7 @@ def _cmd_cutoff(s, out) -> None:
     from .tvlab.mixing import cutoff_experiment
 
     rep = cutoff_experiment(
-        s["law"], s["k"], s["n_grid"], s["epsilon"], s["seed"], s["method"],
+        s["law"], s["k"], s["n_grid"], s["epsilon"], s["seed"],
         s["replicates"], s["m_max"], s["lyapunov_m"], s["lyapunov_replicates"],
     )
     _emit_json("cutoff", _echo(s), rep.to_json(), out)
@@ -388,6 +388,7 @@ COMMANDS = {
     "cutoff": (_cmd_cutoff, "mixing horizons across a size grid", {
         "law": _LAW, "k": (_int, _law_k), "n_grid": (_list_of(_int), REQUIRED),
         "epsilon": (_float, 0.25),
+        # the one method cutoff runs; configs may still name it
         "method": (_one_of("cutoff method", "mc_sandwich"), "mc_sandwich"),
         "replicates": (_int, 2000), "m_max": (_int, 4096), "lyapunov_m": (_int, 2000),
         "lyapunov_replicates": (_int, 32), "seed": _SEED,

@@ -3,9 +3,9 @@
 Two failure families matter to callers. ValidationError means the input
 itself is malformed (bad dimensions, bad config fields) and maps to CLI
 exit code 2. Refusal means the input was well formed but a precondition
-gate declined to run (theory hypotheses, enumeration budgets, Monte Carlo
-certification), and maps to CLI exit code 3. Every size gate refuses
-through check_budget, against one named limit of BUDGETS.
+gate declined to run (theory hypotheses, enumeration budgets, step
+allowances), and maps to CLI exit code 3. Every size gate refuses through
+check_budget, against one named limit of BUDGETS.
 """
 
 from __future__ import annotations
@@ -79,9 +79,6 @@ class Refusal(RuntimeError):
         self.reason = reason
         self.details = details
 
-    def payload(self):
-        return {"code": self.code, "reason": self.reason, "details": self.details}
-
 
 class TheoryRefusal(Refusal):
     """A theoretical precondition (ergodicity, exchangeability, density) is not established."""
@@ -124,6 +121,6 @@ def check_budget(name: str, required, reason: str) -> None:
 
 
 class InconclusiveRefusal(Refusal):
-    """Monte Carlo error bands were too wide to certify the requested threshold."""
+    """A search certified no horizon below its threshold within its step allowance."""
 
     code = "inconclusive"

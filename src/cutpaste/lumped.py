@@ -3,6 +3,8 @@ one-count and `project`'s color counts."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -46,4 +48,4 @@ def _gth(g: np.ndarray, band: int) -> np.ndarray:
         pi[m] = pi[lo:m] @ g[lo:m, m]
         if pi[m] > 2.0**900:
             pi[: m + 1] = np.ldexp(pi[: m + 1], -900)
-    return pi / pi.sum()
+    return pi / math.fsum(pi)

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..chains import EhrenfestParams
-from ..errors import BudgetRefusal, TheoryRefusal, ValidationError, check_budget
+from ..errors import InconclusiveRefusal, TheoryRefusal, ValidationError, check_budget
 from ..lumped import _gth
-from ..partitions import Coloring
 from .exact import TVEstimate, _half_l1, _log_factorials
 
 
@@ -166,7 +165,8 @@ def loglog_schedule(n: int, beta: float) -> LogLogSchedule:
 
 def _count_moves(n: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every move of N1 as (from, to, probability) arrays: from j ones, with
-    weight C(j, h) C(n - j, a - h) / (2 C(n, a)) each, to j - h and j - h + a."""
+    weight C(j, h) C(n - j, a - h) / (2 C(n, a)) each, to j - h and j - h + a;
+    each count's weights are normalised, so no step gains or loses mass."""
     lf = _log_factorials(n)
     j = np.arange(n + 1)[:, None]
     h = np.arange(a + 1)[None, :]
@@ -177,7 +177,8 @@ def _count_moves(n: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         + (lf[rest] - lf[miss] - lf[np.where(ok, rest - miss, 0)])
         - (lf[n] - lf[a] - lf[n - a])
     )
-    w = 0.5 * np.exp(np.where(ok, logw, -np.inf))
+    w = np.exp(np.where(ok, logw, -np.inf))
+    w *= 0.5 / w.sum(axis=1, keepdims=True)
     ones, hits = np.nonzero(w)
     low = ones - hits
     return np.tile(ones, 2), np.concatenate([low, low + a]), np.tile(w[ones, hits], 2)
@@ -215,53 +216,42 @@ def _tv_sweep(params: EhrenfestParams, horizons):
         yield t, _half_l1(row, pi)
 
 
-def _check_exact_inputs(params: EhrenfestParams, x0) -> None:
-    n = params.n
-    check_budget("ehrenfest_sites", n,
+def _check_exact_inputs(params: EhrenfestParams) -> None:
+    check_budget("ehrenfest_sites", params.n,
                  "exact pass is limited to moderate n; use the coupling bounds instead")
-    if x0 is not None:
-        if not isinstance(x0, Coloring) or x0.k != 2 or x0.n != n:
-            raise ValidationError("x0 must be a 2-coloring of the chain's sites", field="x0")
-        if len(set(x0.word)) != 1:
-            raise TheoryRefusal(
-                "the exact pass covers constant initial colorings only",
-                x0=x0.to_string(),
-            )
 
 
-def ehrenfest_tv_profile(
-    params: EhrenfestParams, t_grid, x0: Coloring | None = None
-) -> list[tuple[int, TVEstimate]]:
+def ehrenfest_tv_profile(params: EhrenfestParams, t_grid) -> list[tuple[int, TVEstimate]]:
     """Exact TV to stationarity at every horizon in t_grid, in one forward
     sweep. The two constant starts are symmetric, so the all-ones law
     computed here covers both."""
-    _check_exact_inputs(params, x0)
+    _check_exact_inputs(params)
     grid = sorted({int(t) for t in t_grid})
     if not grid or grid[0] < 0:
         raise ValidationError("t_grid must be non-empty with t >= 0", field="t_grid")
     return [(t, TVEstimate(tv, "exact")) for t, tv in _tv_sweep(params, grid)]
 
 
-def ehrenfest_tv_exact(params: EhrenfestParams, t: int, x0: Coloring | None = None) -> TVEstimate:
+def ehrenfest_tv_exact(params: EhrenfestParams, t: int) -> TVEstimate:
     """Exact TV between the chain's law at horizon t (from a constant start)
     and its stationary law."""
-    return ehrenfest_tv_profile(params, [t], x0)[0][1]
+    return ehrenfest_tv_profile(params, [t])[0][1]
 
 
-def ehrenfest_mixing_time(params: EhrenfestParams, epsilon: float, t_max: int | None = None) -> int:
+def ehrenfest_mixing_time(params: EhrenfestParams, epsilon: float) -> int:
     """Smallest t with exact TV below epsilon. TV to stationarity is
     non-increasing in t, so the first crossing found by the forward sweep is
-    the mixing time."""
+    the mixing time. A sweep past ceil(2 (n/a) log n) + 8 ceil(n/a) steps is
+    refused as inconclusive."""
     if not 0.0 < epsilon < 1.0:
         raise ValidationError("epsilon must lie in (0, 1)", field="epsilon")
-    _check_exact_inputs(params, None)
+    _check_exact_inputs(params)
     n, a = params.n, params.batch_size
-    if t_max is None:
-        t_max = int(math.ceil(2.0 * (n / a) * math.log(n))) + 8 * int(math.ceil(n / a))
+    t_max = int(math.ceil(2.0 * (n / a) * math.log(n))) + 8 * int(math.ceil(n / a))
     for t, tv in _tv_sweep(params, range(t_max + 1)):
         if tv < epsilon:
             return t
-    raise BudgetRefusal(
+    raise InconclusiveRefusal(
         "no horizon below epsilon within the step allowance",
         epsilon=epsilon, t_max=t_max,
     )

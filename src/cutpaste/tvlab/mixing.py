@@ -45,16 +45,15 @@ def certified_below(est: TVEstimate, epsilon: float) -> bool:
     return est.value + 3.0 * est.mc_std_error < epsilon
 
 
-def _check_search(law: PaintboxLaw, k: int, method: str, methods: tuple[str, ...],
-                  replicates: int, m_max: int) -> None:
+def _check_search(law: PaintboxLaw, k: int, method: str, replicates: int, m_max: int) -> None:
     """The search settings that mixing_time and cutoff_experiment share,
-    checked before either spends any work; method must be one of methods."""
+    checked before either spends any work."""
     if law.k != k:
         raise ValidationError(f"law has k={law.k}, asked for k={k}", field="k")
     if k < 2:
         raise ValidationError("the designed pairs need k >= 2", field="k")
-    if method not in methods:
-        raise ValidationError(f"method must be one of {methods}", field="method")
+    if method not in METHODS:
+        raise ValidationError(f"method must be one of {METHODS}", field="method")
     if m_max < 1:
         raise ValidationError("need m_max >= 1", field="m_max")
     if method == "mc_sandwich" and replicates < 2:
@@ -74,7 +73,6 @@ class MixingProfile:
     estimates: tuple[tuple[int, TVEstimate], ...]
     t_mix: dict[float, int | None]
     method: str
-    theta_hat: float | None = None
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -102,7 +100,6 @@ class MixingProfile:
             "estimates": [{"m": m, **est.to_json()} for m, est in self.estimates],
             "t_mix": [{"epsilon": e, "m": self.t_mix[e]} for e in self.epsilons],
             "method": self.method,
-            "theta_hat": self.theta_hat,
             "flags": list(self.flags),
         }
 
@@ -116,20 +113,19 @@ def mixing_time(
     seed=0,
     replicates: int = 2000,
     m_max: int = 4096,
-    theta_hat: float | None = None,
 ) -> MixingProfile:
     """Smallest horizon with certified worst-pair TV below each epsilon.
 
-    Doubles the horizon until certified, then bisects; a final pass takes the
-    minimum certified horizon over everything probed. Estimates share one
-    seed per pair across horizons, so MC probes at different m see the same
-    paintbox path prefixes, and each probe extends that pair's path from the
-    nearest probed horizon below it. MC certification needs a standard
-    error, so mc_sandwich needs at least two replicates. Certification
-    failures (budget or band width) leave t_mix None for that epsilon and
-    add a flag instead of raising.
+    Doubles the horizon until certified, probing m_max itself last, then
+    bisects; a final pass takes the minimum certified horizon over everything
+    probed. Estimates share one seed per pair across horizons, so MC probes
+    at different m see the same paintbox path prefixes, and each probe
+    extends that pair's path from the nearest probed horizon below it. MC
+    certification needs a standard error, so mc_sandwich needs at least two
+    replicates. Certification failures (budget or band width) leave t_mix
+    None for that epsilon and add a flag instead of raising.
     """
-    _check_search(law, k, method, METHODS, replicates, m_max)
+    _check_search(law, k, method, replicates, m_max)
     if n < 1:
         raise ValidationError("need n >= 1", field="n")
     eps_grid = _epsilon_grid(epsilon)
@@ -163,7 +159,7 @@ def mixing_time(
     budget_note = None
     for eps in sorted(eps_grid, reverse=True):
         lo, hi = 0, 1
-        while hi <= m_max:
+        while True:
             try:
                 est = d_bar(hi)
             except BudgetRefusal as exc:
@@ -172,16 +168,15 @@ def mixing_time(
                 break
             if certified_below(est, eps):
                 break
-            lo, hi = hi, hi * 2
-        else:
-            hi = None
-            if method == "mc_sandwich":
+            if hi == m_max:
+                hi = None
                 flags.append(
                     f"inconclusive for epsilon={eps:g}: bands too wide within m <= {m_max} "
-                    f"at {replicates} replicates"
+                    f"at {replicates} replicates" if method == "mc_sandwich"
+                    else f"no certified horizon <= {m_max} for epsilon={eps:g}"
                 )
-            else:
-                flags.append(f"no certified horizon <= {m_max} for epsilon={eps:g}")
+                break
+            lo, hi = hi, min(2 * hi, m_max)
         if hi is None:
             continue
         while hi - lo > 1:
@@ -204,7 +199,6 @@ def mixing_time(
         estimates=tuple(sorted(cache.items())),
         t_mix=t_mix,
         method=method,
-        theta_hat=theta_hat,
         flags=tuple(flags),
     )
 
@@ -252,7 +246,6 @@ def cutoff_experiment(
     n_grid,
     epsilon: float = 0.25,
     seed=0,
-    method: str = "mc_sandwich",
     replicates: int = 2000,
     m_max: int = 4096,
     lyapunov_m: int = 2000,
@@ -263,11 +256,11 @@ def cutoff_experiment(
 
     Only laws with a smooth paintbox density qualify; finitely supported
     laws are refused because the sharp-threshold scaling has no content for
-    them, and so is the exact_atomic method, which needs such a law. Sizes
-    whose certification fails are reported with a flag and excluded from
-    the slope fits.
+    them. So every size is searched by mc_sandwich, as exact_atomic needs a
+    finitely supported law. Sizes whose certification fails are reported
+    with a flag and excluded from the slope fits.
     """
-    _check_search(law, k, method, ("mc_sandwich",), replicates, m_max)
+    _check_search(law, k, "mc_sandwich", replicates, m_max)
     if not law.has_smooth_density:
         raise TheoryRefusal(
             "cutoff experiments need a paintbox law with a smooth density",
@@ -299,11 +292,10 @@ def cutoff_experiment(
             n,
             k,
             (epsilon, 1.0 - epsilon),
-            method,
+            "mc_sandwich",
             stream.derive("mixing-profile", n),
             replicates=replicates,
             m_max=m_max,
-            theta_hat=theta,
         )
         if prof.flags:
             flags.extend(f"n={n}: {f}" for f in prof.flags)

@@ -306,8 +306,8 @@ def ehrenfest_covering_tvs(n: int, a: int, t_grid) -> list[float]:
 def ehrenfest_dense_kernel(n: int, a: int) -> np.ndarray:
     """The one-count chain's kernel as a dense (n+1) x (n+1) matrix: from j
     ones the batch holds h of them with weight C(j, h) C(n - j, a - h) /
-    C(n, a), from this module's own lgamma table, and one fair coin sends the
-    count to j - h or to j - h + a."""
+    C(n, a), from this module's own lgamma table and normalised over h, and
+    one fair coin sends the count to j - h or to j - h + a."""
     lf = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
     j = np.arange(n + 1)[:, None]
     h = np.arange(a + 1)[None, :]
@@ -318,7 +318,8 @@ def ehrenfest_dense_kernel(n: int, a: int) -> np.ndarray:
         + (lf[rest] - lf[miss] - lf[np.where(ok, rest - miss, 0)])
         - (lf[n] - lf[a] - lf[n - a])
     )
-    w = 0.5 * np.exp(np.where(ok, logw, -np.inf))
+    w = np.exp(np.where(ok, logw, -np.inf))
+    w *= 0.5 / w.sum(axis=1, keepdims=True)
     ones, hits = np.nonzero(w)
     k = np.zeros((n + 1, n + 1))
     k[ones, ones - hits] = w[ones, hits]
@@ -764,8 +765,9 @@ def mixing_search_redraw(pair_estimates, epsilons, m_max: int, mc: bool, replica
     pair_estimates(m) gives every designed pair's estimate at horizon m,
     each redrawing its paintboxes from step 1 for MC; an estimate has
     .value, .kind and .mc_std_error. An exception with details["required"]
-    stands for the enumeration budget. Doubles the horizon until the worst
-    pair is certified below epsilon (largest epsilon first), then bisects;
+    stands for the enumeration budget. Doubles the horizon, the last probe
+    being m_max itself, until the worst pair is certified below epsilon
+    (largest epsilon first), then bisects;
     returns the probed (m, estimate) pairs in order of m, the smallest
     certified horizon per epsilon, and the flags.
     """
@@ -800,7 +802,8 @@ def mixing_search_redraw(pair_estimates, epsilons, m_max: int, mc: bool, replica
                 break
             if certified(est, eps):
                 break
-            lo, hi = hi, 2 * hi
+            # past m_max itself the ladder ends
+            lo, hi = hi, min(2 * hi, m_max) if hi < m_max else m_max + 1
         else:
             hi = None
             if mc:

@@ -774,6 +774,9 @@ def test_collapse_names_a_nonpositive_size(capsys, tmp_path, key, value):
     # JSON null unsets the base run's m, which m_grid replaces
     ("tv", {"m_grid": [-1, 2], "m": None}, "m_grid"),
     ("tv", {"m_grid": [], "m": None}, "m_grid"),
+    # cutoff runs mc_sandwich only, and its config may say so
+    ("cutoff", {"method": "bogus"}, "method"),
+    ("cutoff", {"method": "exact_atomic"}, "method"),
 ])
 def test_a_bad_value_names_the_setting_given(capsys, tmp_path, command, settings, field):
     cfg = write_config(tmp_path, {**BASE[command], **settings})
