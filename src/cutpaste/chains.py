@@ -9,6 +9,11 @@ Both paintbox constructions move all sites in one stacked step, with the
 paintboxes and move uniforms of a block of steps drawn at once. The
 streams are read in the same order as one draw per step, so a seed replays
 the same path as a per-step, per-color loop (kept as a test oracle).
+
+Every runner takes its draws from streams derived from the seed and never
+from the state, so runs with one seed share every draw (the same
+paintboxes, uniforms and refresh history) whatever their starts: a grand
+coupling of the chain from all starts at once.
 """
 
 from __future__ import annotations
@@ -19,32 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TheoryRefusal, ValidationError
-from .paintbox import (
-    PaintboxLaw,
-    StochasticMatrix,
-    _bits_to_mask,
-    _column_stochastic,
-    _mask_to_bits,
-)
+from .paintbox import PaintboxLaw, _column_stochastic
 from .partitions import Coloring
-from .rng import RngStream, as_stream
+from .rng import as_stream
 
 
 @dataclass(frozen=True)
 class ChainRun:
     """A simulated trajectory. trajectory[0] is always x0; with thin = 0 only
     the endpoints are stored, with thin = d every d-th state plus the final
-    one. paintbox_trace / move_trace hold the driving randomness when the
-    caller asked for it."""
+    one."""
 
     law: PaintboxLaw | None
-    x0: Coloring
     steps: int
     thin: int
     trajectory: tuple[Coloring, ...]
-    paintbox_trace: tuple[StochasticMatrix, ...] | None
-    move_trace: tuple[tuple[int, int], ...] | None
-    seed: RngStream
 
     @property
     def final(self) -> Coloring:
@@ -88,7 +82,7 @@ class EhrenfestParams:
         if self.n < 1:
             raise ValidationError(f"need n >= 1, got {self.n}", field="n")
         if not 0.0 < self.alpha < 1.0 + 1e-15:
-            raise ValidationError(f"alpha={self.alpha} outside (0, 1)", field="alpha")
+            raise ValidationError(f"alpha={self.alpha} outside (0, 1]", field="alpha")
         if self.variant not in ("general", "standard"):
             raise ValidationError(f"unknown variant {self.variant!r}", field="variant")
         if self.batch_size < 1:
@@ -122,7 +116,7 @@ def _check_run(law: PaintboxLaw, x0: Coloring, m_steps: int, thin: int) -> None:
         raise ValidationError(f"need thin >= 0, got {thin}", field="thin")
 
 
-def _run_efcp(law, x0, m_steps, seed, thin, record_paintbox, paintbox_sequence, streams, per_column):
+def _run_efcp(law, x0, m_steps, seed, thin, streams, per_column):
     """The loop of both constructions: site i moves from its color c to the
     row of column c of S in which its uniform falls. streams names the
     paintbox and the move streams; per_column draws one uniform per site and
@@ -136,36 +130,18 @@ def _run_efcp(law, x0, m_steps, seed, thin, record_paintbox, paintbox_sequence, 
     That is k - 1 gathers and compares per step over all sites at once."""
     _check_run(law, x0, m_steps, thin)
     stream = as_stream(seed)
-    # separate streams for the paintbox draws and the moves, so that
-    # injecting a recorded paintbox sequence replays the same moves
     gen_s = stream.derive(streams[0]).generator()
     gen_u = stream.derive(streams[1]).generator()
     n, k = x0.n, x0.k
-    seq = None
-    if paintbox_sequence is not None:
-        seq = [s if isinstance(s, StochasticMatrix) else StochasticMatrix(s) for s in paintbox_sequence]
-        if len(seq) < m_steps or any(s.k != k for s in seq[:m_steps]):
-            raise ValidationError("paintbox_sequence needs m_steps k x k matrices")
     width = n * k if per_column else n
     # site i's uniform for color c sits at i * k + c of a step's draw
     offsets = np.arange(n) * k if per_column else None
     block = max(1, _UNIFORM_BUDGET // width)
     word = np.array(x0.word, dtype=np.intp) - 1
     traj = [x0]
-    trace: list[StochasticMatrix] = []
     for lo in range(0, m_steps, block):
         b = min(block, m_steps - lo)
-        if seq is not None:
-            drawn = seq[lo:lo + b]
-            boxes = np.stack([s.entries for s in drawn])
-        else:
-            raw = law.sample_batch(gen_s, b)
-            boxes = _column_stochastic(raw)
-            # a recorded paintbox is built from its raw draw, as sample_S builds it
-            drawn = [StochasticMatrix(r) for r in raw] if record_paintbox else ()
-        if record_paintbox:
-            trace.extend(drawn)
-        cum = np.cumsum(boxes, axis=1)
+        cum = np.cumsum(_column_stochastic(law.sample_batch(gen_s, b)), axis=1)
         uniforms = gen_u.random((b, width))
         for j in range(b):
             u = uniforms[j] if offsets is None else uniforms[j].take(offsets + word)
@@ -176,10 +152,7 @@ def _run_efcp(law, x0, m_steps, seed, thin, record_paintbox, paintbox_sequence, 
             t = lo + j + 1
             if _keep(t, thin, m_steps):
                 traj.append(Coloring(n, k, tuple((word + 1).tolist())))
-    return ChainRun(
-        law, x0, m_steps, thin, tuple(traj),
-        tuple(trace) if record_paintbox else None, None, stream,
-    )
+    return ChainRun(law, m_steps, thin, tuple(traj))
 
 
 def run_efcp_matrix(
@@ -189,20 +162,14 @@ def run_efcp_matrix(
     seed,
     *,
     thin: int = 0,
-    record_paintbox: bool = False,
-    paintbox_sequence=None,
 ) -> ChainRun:
     """Whole-step construction: per step draw S from the law, then a random
     partition matrix with the product law given S, and apply it to the state.
     The matrix is drawn as sample_M_given_S draws it (one uniform per site
     and column) and applied site by site, without building its bitmasks.
-
-    paintbox_sequence injects a fixed sequence of stochastic matrices in
-    place of fresh draws (the per-step matrix draw still uses the stream),
-    which is how the two constructions are compared at a shared paintbox.
-    """
+    Runs with one seed share every paintbox and uniform."""
     return _run_efcp(
-        law, x0, m_steps, seed, thin, record_paintbox, paintbox_sequence,
+        law, x0, m_steps, seed, thin,
         ("efcp-matrix-paintbox", "efcp-matrix-moves"), per_column=True,
     )
 
@@ -214,15 +181,14 @@ def run_efcp_coordinate(
     seed,
     *,
     thin: int = 0,
-    record_paintbox: bool = False,
-    paintbox_sequence=None,
 ) -> ChainRun:
     """Coordinate construction: per step draw S, then move every site
     independently from its color c to color r with probability S[r, c].
     Given the same paintbox sequence this has the same law as the
-    whole-matrix construction."""
+    whole-matrix construction; runs with one seed share every paintbox and
+    uniform."""
     return _run_efcp(
-        law, x0, m_steps, seed, thin, record_paintbox, paintbox_sequence,
+        law, x0, m_steps, seed, thin,
         ("efcp-coordinate-paintbox", "efcp-coordinate-jumps"), per_column=False,
     )
 
@@ -268,16 +234,11 @@ def run_ehrenfest(
     seed,
     *,
     thin: int = 0,
-    moves=None,
-    record_moves: bool = False,
 ) -> ChainRun:
     """Batch-refresh chain: per step pick a uniform subset A of fixed size and
-    one coin I in {1, 2}, and set every site of A to color I.
-
-    moves injects a fixed sequence of (site bitmask, color) pairs, which is
-    how two chains are coupled on identical refresh histories; record_moves
-    stores the realized pairs in move_trace.
-    """
+    one coin I in {1, 2}, and set every site of A to color I. Runs with one
+    seed share every refresh (A, I), so chains from any two starts agree on
+    every site refreshed so far and meet once the refreshes cover [n]."""
     if x0.k != 2:
         raise ValidationError("batch-refresh chain is defined for k = 2", field="x0")
     if x0.n != params.n:
@@ -286,34 +247,14 @@ def run_ehrenfest(
         raise ValidationError("need m_steps >= 0", field="m_steps")
     gen = as_stream(seed).derive("ehrenfest").generator()
     a = params.batch_size
-    injected = None
-    if moves is not None:
-        injected = [(int(m), int(c)) for m, c in moves]
-        if len(injected) < m_steps:
-            raise ValidationError("moves shorter than m_steps")
     word = np.array(x0.word, dtype=np.int64)
     traj = [x0]
-    trace: list[tuple[int, int]] = []
     for t in range(1, m_steps + 1):
-        if injected is not None:
-            mask, color = injected[t - 1]
-            word[_mask_to_bits(mask, params.n)] = color
-        else:
-            subset = _uniform_subset(gen, params.n, a)
-            color = int(gen.integers(1, 3))
-            word[subset] = color
-            if record_moves:
-                bits = np.zeros(params.n, dtype=bool)
-                bits[subset] = True
-                mask = _bits_to_mask(bits)
-        if record_moves:
-            trace.append((mask, color))
+        subset = _uniform_subset(gen, params.n, a)
+        word[subset] = int(gen.integers(1, 3))
         if _keep(t, thin, m_steps):
             traj.append(Coloring(params.n, 2, tuple(int(v) for v in word)))
-    return ChainRun(
-        None, x0, m_steps, thin, tuple(traj), None,
-        tuple(trace) if record_moves else None, as_stream(seed),
-    )
+    return ChainRun(None, m_steps, thin, tuple(traj))
 
 
 def check_group_weights(lambda_weights, k: int) -> np.ndarray:
@@ -352,4 +293,4 @@ def run_group_chain(lambda_weights, x0: Coloring, m_steps: int, seed, *, thin: i
         word = (word + increments) % k
         if _keep(t, thin, m_steps):
             traj.append(Coloring(x0.n, k, tuple(int(v) + 1 for v in word)))
-    return ChainRun(None, x0, m_steps, thin, tuple(traj), None, None, as_stream(seed))
+    return ChainRun(None, m_steps, thin, tuple(traj))

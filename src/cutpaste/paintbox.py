@@ -392,11 +392,16 @@ class DirichletColumns(PaintboxLaw):
         gen = _as_generator(rng)
         out = gen.standard_gamma(self.alpha, size=(size, self.k, self.k))
         sums = out.sum(axis=1, keepdims=True)
-        # a column of exact zeros is astronomically rare (tiny parameters plus
-        # float underflow); redraw those samples so columns stay stochastic
-        while np.any(sums == 0.0):
-            bad = np.unique(np.nonzero(sums == 0.0)[0])
-            out[bad] = gen.standard_gamma(self.alpha, size=(len(bad), self.k, self.k))
+        # tiny parameters underflow every Gamma draw of a column to 0: redraw
+        # those columns in log space, Gamma(a) = Gamma(a + 1) U^(1/a), the logs
+        # scaled by the column's smallest a so they stay finite
+        bad, col = np.nonzero(sums[:, 0, :] == 0.0)
+        if len(bad):
+            a = self.alpha[:, col].T
+            lo = a.min(axis=1, keepdims=True)
+            logs = lo * np.log(gen.standard_gamma(a + 1.0)) + lo / a * np.log1p(-gen.random(a.shape))
+            with np.errstate(over="ignore"):
+                out[bad, :, col] = np.exp((logs - logs.max(axis=1, keepdims=True)) / lo)
             sums = out.sum(axis=1, keepdims=True)
         return out / sums
 
@@ -480,13 +485,6 @@ def sample_S(law: PaintboxLaw, rng) -> StochasticMatrix:
 
 def _bits_to_mask(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _mask_to_bits(mask: int, n: int) -> np.ndarray:
-    """Bit i of mask for i < n, as a boolean array; higher bits are ignored."""
-    raw = (mask & ((1 << n) - 1)).to_bytes((n + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
-    return bits.view(bool)
 
 
 def sample_M_given_S(s: StochasticMatrix, n: int, rng) -> PartitionMatrix:

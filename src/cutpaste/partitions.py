@@ -77,13 +77,9 @@ class Coloring:
         return cls(n, k, (color,) * n)
 
     @classmethod
-    def from_classes(cls, classes, k: int | None = None) -> "Coloring":
+    def from_classes(cls, classes) -> "Coloring":
         """Build from a tuple of per-color bitmasks (index j holds color j+1)."""
         classes = tuple(int(m) for m in classes)
-        if k is None:
-            k = len(classes)
-        if len(classes) != k:
-            raise ValidationError(f"expected {k} classes, got {len(classes)}")
         union = 0
         total = 0
         for m in classes:
@@ -98,7 +94,7 @@ class Coloring:
                 low = m & -m
                 word[low.bit_length() - 1] = j + 1
                 m ^= low
-        return cls(n, k, tuple(word))
+        return cls(n, len(classes), tuple(word))
 
     def classes(self) -> tuple[int, ...]:
         """Per-color bitmasks; index j is the class of color j+1."""
@@ -204,9 +200,7 @@ class PartitionMatrix:
 
     def column(self, j: int) -> Coloring:
         """Column j+1 read as the coloring that sends sites to their row color."""
-        return Coloring.from_classes(
-            tuple(self.cells[i][j] for i in range(self.k)), self.k
-        )
+        return Coloring.from_classes(tuple(self.cells[i][j] for i in range(self.k)))
 
 
 def identity_matrix(n: int, k: int) -> PartitionMatrix:
@@ -247,7 +241,7 @@ def act(m: PartitionMatrix, x: Coloring) -> Coloring:
         for j in range(m.k):
             mask |= row[j] & old[j]
         new.append(mask)
-    return Coloring.from_classes(tuple(new), m.k)
+    return Coloring.from_classes(tuple(new))
 
 
 def project(x: Coloring) -> UnlabeledPartition:

@@ -7,7 +7,8 @@ supported paintbox laws. Every such law is built by one count-law kernel:
 multinomial log-pmfs over a stack of cell distributions, as log-factorial
 coefficients plus a matrix product of log-probabilities with the count
 vectors. Exact totals take their half-L1 sums with compensated accumulation
-(fsum); Monte Carlo rows use a plain numpy row sum.
+(fsum) up to 65,536 entries and with a plain numpy sum above that, where an
+fsum would cost milliseconds; Monte Carlo rows use a plain numpy row sum.
 
 One case has a shortcut: two colors and a single cell where the starts
 differ, which is every Monte Carlo upper bound on the constant pair. There

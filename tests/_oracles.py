@@ -1,9 +1,10 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately self-contained (numpy, math, fractions and
-scipy.stats only; the one package import is the Coloring container that
-enumerate_colorings lists states in) so the tests compare two genuinely
-separate routes to the same numbers.
+scipy.stats only; the package imports are the Coloring container that
+enumerate_colorings lists states in and the PaintboxLaw base that
+ScriptedLaw fakes) so the tests compare two genuinely separate routes to
+the same numbers.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.stats import binom
+
+from cutpaste.paintbox import PaintboxLaw
 
 
 def words_array(n: int, k: int) -> np.ndarray:
@@ -680,23 +683,40 @@ def atomic_tv(atoms, weights, x0_word, x1_word, m: int) -> float:
     return tv_distance(mix_p, mix_q)
 
 
+class ScriptedLaw(PaintboxLaw):
+    """A fake paintbox law that drives a chain runner with fixed paintboxes:
+    sample_batch returns the next `size` matrices of a fixed list, raw as
+    given, whatever generator it is handed."""
+
+    def __init__(self, matrices):
+        self.matrices = np.array([getattr(m, "entries", m) for m in matrices], dtype=float)
+        self.used = 0
+
+    @property
+    def k(self) -> int:
+        return self.matrices.shape[1]
+
+    def sample_batch(self, rng, size):
+        out = self.matrices[self.used:self.used + size]
+        assert len(out) == size, "the script has run out of paintboxes"
+        self.used += size
+        return out
+
+
 def efcp_by_column(boxes, x0_word, k: int, m_steps: int, gen_u, thin: int, per_column: bool):
     """The paintbox chain one step and one color at a time.
 
-    boxes[t] drives step t + 1: an object with normalized .entries is used
-    as it is, a raw array has negatives clipped and each column divided by
-    its sum first. Per step one draw of uniforms from gen_u ((n, k) when
-    per_column, site i reading its color's column; else (n,)) and a
-    searchsorted of each color's sites into the cumulative column of S.
-    Returns (kept words, x0 first; entries bytes of every step's S)."""
+    boxes[t] is the raw draw that drives step t + 1: its negatives are
+    clipped and each column divided by its sum. Per step one draw of
+    uniforms from gen_u ((n, k) when per_column, site i reading its color's
+    column; else (n,)) and a searchsorted of each color's sites into the
+    cumulative column of S. Returns the kept words, x0 first."""
     n = len(x0_word)
     word = np.array(x0_word, dtype=np.int64) - 1
-    traj, trace = [tuple(x0_word)], []
+    traj = [tuple(x0_word)]
     for t in range(1, m_steps + 1):
-        s = getattr(boxes[t - 1], "entries", None)
-        if s is None:
-            s = np.clip(np.array(boxes[t - 1], dtype=float), 0.0, None)
-            s /= s.sum(axis=0)
+        s = np.clip(np.array(boxes[t - 1], dtype=float), 0.0, None)
+        s /= s.sum(axis=0)
         cum = np.cumsum(s, axis=0)
         cum[-1, :] = 1.0
         u = gen_u.random((n, k))[np.arange(n), word] if per_column else gen_u.random(n)
@@ -706,10 +726,9 @@ def efcp_by_column(boxes, x0_word, k: int, m_steps: int, gen_u, thin: int, per_c
             if mask.any():
                 new[mask] = np.searchsorted(cum[:, c], u[mask], side="right")
         word = new
-        trace.append(s.tobytes())
         if t == m_steps or (thin > 0 and t % thin == 0):
             traj.append(tuple(int(v) + 1 for v in word))
-    return traj, trace
+    return traj
 
 
 def worst_tv_profile_dense(kernel: np.ndarray, pi: np.ndarray, m_max: int) -> list[float]:
@@ -734,23 +753,18 @@ def _uniform_subset(gen, n: int, a: int) -> list[int]:
     return picked
 
 
-def ehrenfest_by_site(n: int, a: int, x0_word, m_steps: int, gen, moves=None):
+def ehrenfest_by_site(n: int, a: int, x0_word, m_steps: int, gen):
     """The batch-refresh chain with Python-int site masks: per step a
-    uniform a-subset by partial Fisher-Yates and a coin in {1, 2} from gen
-    (or the injected (mask, color) pair, read bit by bit over the n sites).
+    uniform a-subset by partial Fisher-Yates and a coin in {1, 2} from gen.
     Returns (every word from x0 on, the (mask, color) of every step)."""
     word = list(x0_word)
     traj, trace = [tuple(word)], []
-    for t in range(m_steps):
-        if moves is not None:
-            mask, color = int(moves[t][0]), int(moves[t][1])
-            sites = [i for i in range(n) if (mask >> i) & 1]
-        else:
-            sites = _uniform_subset(gen, n, a)
-            color = int(gen.integers(1, 3))
-            mask = 0
-            for i in sites:
-                mask |= 1 << i
+    for _ in range(m_steps):
+        sites = _uniform_subset(gen, n, a)
+        color = int(gen.integers(1, 3))
+        mask = 0
+        for i in sites:
+            mask |= 1 << i
         for i in sites:
             word[i] = color
         traj.append(tuple(word))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutpaste import chains
 from cutpaste.chains import (
@@ -27,7 +29,13 @@ from cutpaste.partitions import Coloring, act, cyclic_shift_matrix
 from cutpaste.projections import exact_kernel, product_kernel_given_S, words
 from cutpaste.rng import RngStream
 
-from _oracles import efcp_by_column, ehrenfest_by_site, matrix_enumeration_kernel, state_index
+from _oracles import (
+    ScriptedLaw,
+    efcp_by_column,
+    ehrenfest_by_site,
+    matrix_enumeration_kernel,
+    state_index,
+)
 
 
 def random_stochastic(gen, k):
@@ -93,13 +101,12 @@ def test_constructions_agree_given_fixed_paintbox():
 
     # and both simulators, driven by that same fixed paintbox sequence,
     # land on it empirically
-    law = PointMass(s1)  # ignored: the sequence overrides the draws
     reps = 30_000
     for runner in (run_efcp_matrix, run_efcp_coordinate):
         counts = np.zeros(2**n)
         stream = RngStream(90 if runner is run_efcp_matrix else 91)
         for rep in range(reps):
-            run = runner(law, x0, 2, stream.derive("rep", rep), paintbox_sequence=[s1, s2])
+            run = runner(ScriptedLaw([s1, s2]), x0, 2, stream.derive("rep", rep))
             counts[state_index(run.final)] += 1
         freq = counts / reps
         sigma = np.sqrt(np.clip(expected * (1 - expected), 1e-12, None) / reps)
@@ -115,31 +122,22 @@ def test_matrix_construction_replays_partition_matrices(fixed):
     steps = 12
     stream = RngStream(12)
     gen = RngStream(13).generator()
-    seq = [random_stochastic(gen, 3) for _ in range(steps)] if fixed else None
+    seq = [random_stochastic(gen, 3) for _ in range(steps)]
+
+    def fresh_law():
+        # a scripted law hands out each paintbox once, so every run reads its own
+        return ScriptedLaw(seq) if fixed else law
+
     gen_s = stream.derive("efcp-matrix-paintbox").generator()
     gen_m = stream.derive("efcp-matrix-moves").generator()
-    x, want = x0, [x0]
-    for t in range(steps):
-        s = seq[t] if fixed else sample_S(law, gen_s)
-        x = act(sample_M_given_S(s, x0.n, gen_m), x)
+    x, want, replayed = x0, [x0], fresh_law()
+    for _ in range(steps):
+        x = act(sample_M_given_S(sample_S(replayed, gen_s), x0.n, gen_m), x)
         want.append(x)
-    full = run_efcp_matrix(law, x0, steps, stream, thin=1, paintbox_sequence=seq)
+    full = run_efcp_matrix(fresh_law(), x0, steps, stream, thin=1)
     assert full.trajectory == tuple(want)
-    ends = run_efcp_matrix(law, x0, steps, stream, paintbox_sequence=seq)
+    ends = run_efcp_matrix(fresh_law(), x0, steps, stream)
     assert ends.trajectory == (x0, want[-1])
-
-
-def test_paintbox_trace_recording():
-    law = DirichletColumns([[1.0, 2.0, 1.5], [2.0, 1.0, 0.5], [1.0, 1.0, 1.0]])
-    x0 = Coloring.constant(6, 3, 2)
-    run = run_efcp_matrix(law, x0, 5, RngStream(3), record_paintbox=True)
-    assert run.paintbox_trace is not None and len(run.paintbox_trace) == 5
-    # replaying the recorded trace with the same stream reproduces the path
-    again = run_efcp_matrix(law, x0, 5, RngStream(3), paintbox_sequence=run.paintbox_trace)
-    assert again.final == run.final
-    plain = run_efcp_matrix(law, x0, 5, RngStream(3))
-    assert plain.paintbox_trace is None
-    assert plain.final == run.final
 
 
 def test_coordinate_frequencies_track_matrix_power():
@@ -187,19 +185,17 @@ def test_ehrenfest_replay_and_coupling():
     params = EhrenfestParams(10, 0.3)
     assert params.batch_size == 3
     x0 = Coloring.constant(10, 2, 1)
-    base = run_ehrenfest(params, x0, 40, RngStream(23), thin=1, record_moves=True)
-    assert base.move_trace is not None and len(base.move_trace) == 40
-    replay = run_ehrenfest(params, x0, 40, RngStream(999), thin=1, moves=base.move_trace)
-    assert replay.trajectory == base.trajectory
+    base = run_ehrenfest(params, x0, 40, RngStream(23), thin=1)
+    # the site-mask oracle replays the run from the stream the runner derives
+    want, moves = ehrenfest_by_site(10, 3, x0.word, 40, RngStream(23).derive("ehrenfest").generator())
+    assert [x.word for x in base.trajectory] == want
 
-    # a chain started anywhere else couples once the moves have covered [n]
-    other = run_ehrenfest(
-        params, Coloring.constant(10, 2, 2), 40, RngStream(0), thin=1,
-        moves=base.move_trace,
-    )
+    # a chain started anywhere else on the same seed shares every refresh,
+    # so the two couple once the refreshes have covered [n]
+    other = run_ehrenfest(params, Coloring.constant(10, 2, 2), 40, RngStream(23), thin=1)
     covered = 0
     coupling_time = None
-    for t, (mask, _) in enumerate(base.move_trace, start=1):
+    for t, (mask, _) in enumerate(moves, start=1):
         covered |= mask
         if covered == (1 << 10) - 1:
             coupling_time = t
@@ -244,8 +240,9 @@ def test_standard_variant_is_single_site():
     params = standard_ehrenfest(12)
     assert params.batch_size == 1
     x0 = Coloring.constant(12, 2, 1)
-    run = run_ehrenfest(params, x0, 25, RngStream(5), thin=1, record_moves=True)
-    for (mask, color), before, after in zip(run.move_trace, run.trajectory, run.trajectory[1:]):
+    run = run_ehrenfest(params, x0, 25, RngStream(5), thin=1)
+    _, moves = ehrenfest_by_site(12, 1, x0.word, 25, RngStream(5).derive("ehrenfest").generator())
+    for (mask, color), before, after in zip(moves, run.trajectory, run.trajectory[1:]):
         assert bin(mask).count("1") == 1
         site = mask.bit_length() - 1
         assert after.word[site] == color
@@ -302,10 +299,11 @@ def test_thinning_and_reproducibility():
     assert sparse.trajectory == tuple(full.trajectory[t] for t in (0, 3, 6, 9, 10))
     ends = run_efcp_matrix(law, x0, 10, RngStream(40))
     assert ends.trajectory == (x0, full.trajectory[10])
-    # a derived stream draws different paintboxes
-    a = run_efcp_matrix(law, x0, 1, RngStream(40), record_paintbox=True)
-    b = run_efcp_matrix(law, x0, 1, RngStream(40).derive("x", 1), record_paintbox=True)
-    assert np.max(np.abs(a.paintbox_trace[0].entries - b.paintbox_trace[0].entries)) > 1e-6
+    # a derived stream draws different paintboxes: read them from the stream
+    # the runner derives
+    a, b = (law.sample_batch(seed.derive("efcp-matrix-paintbox").generator(), 1)[0]
+            for seed in (RngStream(40), RngStream(40).derive("x", 1)))
+    assert np.max(np.abs(a - b)) > 1e-6
 
 
 def test_run_validation():
@@ -315,14 +313,7 @@ def test_run_validation():
     with pytest.raises(ValidationError):
         run_efcp_matrix(law, Coloring.constant(3, 2, 1), -1, RngStream(0))
     with pytest.raises(ValidationError):
-        run_efcp_matrix(law, Coloring.constant(3, 2, 1), 3, RngStream(0), paintbox_sequence=[np.eye(2)])
-    for runner in (run_efcp_matrix, run_efcp_coordinate):
-        with pytest.raises(ValidationError):
-            runner(law, Coloring.constant(3, 2, 1), 1, RngStream(0), paintbox_sequence=[np.eye(3)])
-    with pytest.raises(ValidationError):
         run_ehrenfest(EhrenfestParams(3, 0.5), Coloring.constant(3, 3, 1), 2, RngStream(0))
-    with pytest.raises(ValidationError):
-        run_ehrenfest(EhrenfestParams(3, 0.5), Coloring.constant(3, 2, 1), 2, RngStream(0), moves=[(1, 1)])
     with pytest.raises(ValidationError):
         EhrenfestParams(10, 0.05)
     with pytest.raises(ValidationError):
@@ -361,21 +352,21 @@ LAW_KINDS = ["point_mass", "atomic", "permutation_mix", "permutation_mix_perms",
 
 
 def _assert_matches_oracle(runner, law, x0, m_steps, seed, thin, sequence=None):
-    run = runner(law, x0, m_steps, seed, thin=thin, record_paintbox=True,
-                 paintbox_sequence=sequence)
+    """The run against the column oracle, on the paintboxes the oracle
+    redraws from the runner's stream, or on a scripted sequence of them in
+    place of law."""
     names = _STREAMS[runner]
     if sequence is None:
         gen_s = seed.derive(names[0]).generator()
         boxes = [law.sample_batch(gen_s, 1)[0] for _ in range(m_steps)]
     else:
-        boxes = [s if isinstance(s, StochasticMatrix) else np.asarray(s) for s in sequence]
-    want, trace = efcp_by_column(boxes, x0.word, x0.k, m_steps, seed.derive(names[1]).generator(),
-                                 thin, runner is run_efcp_matrix)
+        law = ScriptedLaw(sequence)
+        boxes = law.matrices
+    run = runner(law, x0, m_steps, seed, thin=thin)
+    want = efcp_by_column(boxes, x0.word, x0.k, m_steps, seed.derive(names[1]).generator(),
+                          thin, runner is run_efcp_matrix)
     assert [x.word for x in run.trajectory] == want
     assert run.final.word == want[-1]
-    assert [s.entries.tobytes() for s in run.paintbox_trace] == trace
-    plain = runner(law, x0, m_steps, seed, thin=thin, paintbox_sequence=sequence)
-    assert plain.trajectory == run.trajectory and plain.paintbox_trace is None
 
 
 def _block(runner, n, k):
@@ -412,7 +403,7 @@ def test_stacked_step_matches_column_oracle_at_the_block_budget(runner, k):
 
 @pytest.mark.parametrize("runner", [run_efcp_matrix, run_efcp_coordinate])
 def test_stacked_step_matches_column_oracle_on_exact_zeros_and_ones(monkeypatch, runner):
-    # injected paintboxes with exact 0/1 entries: uniforms never reach a
+    # scripted paintboxes with exact 0/1 entries: uniforms never reach a
     # zero-width row, and a column with a single 1 moves every site to it
     monkeypatch.setattr(chains, "_UNIFORM_BUDGET", 40)
     sequence = [
@@ -422,12 +413,55 @@ def test_stacked_step_matches_column_oracle_on_exact_zeros_and_ones(monkeypatch,
         [[0.0, 0.0, 0.25], [1.0, 0.0, 0.25], [0.0, 1.0, 0.5]],
         [[0.2, 0.0, 1.0], [0.0, 1.0, 0.0], [0.8, 0.0, 0.0]],
     ] * 3
-    law = PointMass(np.full((3, 3), 1 / 3))
     for n in (1, 7, 20):
         x0 = Coloring(n, 3, tuple(i % 3 + 1 for i in range(n)))
         for thin in (0, 1, 3):
             for m_steps in (0, 1, len(sequence)):
-                _assert_matches_oracle(runner, law, x0, m_steps, RngStream(n), thin, sequence)
+                _assert_matches_oracle(runner, None, x0, m_steps, RngStream(n), thin, sequence)
+
+
+# ------------------------------------------- one seed couples every start
+
+_COUPLED = settings(max_examples=30, derandomize=True, database=None, deadline=None)
+
+
+def _two_starts(data, n, k):
+    return [Coloring(n, k, tuple(data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))))
+            for _ in range(2)]
+
+
+def _assert_agreement_persists(a, b):
+    """A site where two runs on one seed agree still agrees a step later."""
+    for x, y, x1, y1 in zip(a.trajectory, b.trajectory, a.trajectory[1:], b.trajectory[1:]):
+        for i in range(x.n):
+            if x.word[i] == y.word[i]:
+                assert x1.word[i] == y1.word[i]
+
+
+@_COUPLED
+@given(data=st.data())
+@pytest.mark.parametrize("runner", [run_efcp_matrix, run_efcp_coordinate])
+@pytest.mark.parametrize("kind", LAW_KINDS)
+def test_one_seed_couples_two_paintbox_runs(runner, kind, data):
+    k, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 10))
+    seed = RngStream(data.draw(st.integers(0, 2**32)))
+    law = _law(kind, k, seed.derive("law").generator())
+    x, y = _two_starts(data, n, k)
+    _assert_agreement_persists(runner(law, x, 12, seed, thin=1), runner(law, y, 12, seed, thin=1))
+
+
+@_COUPLED
+@given(data=st.data())
+def test_one_seed_couples_two_batch_refresh_runs(data):
+    n = data.draw(st.integers(1, 10))
+    a = data.draw(st.integers(1, n))
+    # (a + 0.5) / n keeps floor(alpha * n) = a clear of rounding
+    params = EhrenfestParams(n, 1.0 if a == n else (a + 0.5) / n)
+    assert params.batch_size == a
+    seed = RngStream(data.draw(st.integers(0, 2**32)))
+    x, y = _two_starts(data, n, 2)
+    _assert_agreement_persists(run_ehrenfest(params, x, 12, seed, thin=1),
+                               run_ehrenfest(params, y, 12, seed, thin=1))
 
 
 @pytest.mark.parametrize("params,x0", [
@@ -440,19 +474,8 @@ def test_ehrenfest_matches_site_mask_oracle(params, x0):
     x0 = Coloring(params.n, 2, x0)
     steps = 30
     seed = RngStream(params.n)
-    run = run_ehrenfest(params, x0, steps, seed, thin=1, record_moves=True)
-    want, moves = ehrenfest_by_site(params.n, params.batch_size, x0.word, steps,
-                                    seed.derive("ehrenfest").generator())
+    run = run_ehrenfest(params, x0, steps, seed, thin=1)
+    want, _ = ehrenfest_by_site(params.n, params.batch_size, x0.word, steps,
+                                seed.derive("ehrenfest").generator())
     assert [x.word for x in run.trajectory] == want
-    assert run.move_trace == tuple(moves)
-    assert run_ehrenfest(params, x0, steps, seed, thin=1).trajectory == run.trajectory
-    # injected masks: bits past n and negative masks select as Python ints do
-    gen = RngStream(73).derive("masks", params.n).generator()
-    injected = [(int(m), int(c)) for m, c in zip(gen.integers(-2**40, 2**40, steps),
-                                                gen.integers(1, 3, steps))]
-    injected[0] = (1 << (params.n + 3), 1)
-    replay = run_ehrenfest(params, x0, steps, RngStream(0), thin=1, moves=injected,
-                           record_moves=True)
-    want, _ = ehrenfest_by_site(params.n, params.batch_size, x0.word, steps, None, injected)
-    assert [x.word for x in replay.trajectory] == want
-    assert replay.move_trace == tuple(injected)
+    assert run_ehrenfest(params, x0, steps, seed).trajectory == (x0, run.final)

@@ -3,6 +3,8 @@ import json
 import math
 import re
 import shlex
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -739,6 +741,21 @@ def test_replicates_echo_only_where_read(capsys, tmp_path):
         assert json.loads(out)["config"].get("replicates") == want
 
 
+def test_lyapunov_ends_on_columns_whose_gamma_draws_underflow(tmp_path):
+    # every Gamma draw at 1e-300 is exactly 0; drawing such columns must end
+    law = {"kind": "dirichlet_columns", "alpha_columns": [[1e-300, 1e-300], [1e-300, 1e-300]]}
+    argv = ["lyapunov", "--config", write_config(tmp_path, {"law": law}), "--m", "5",
+            "--replicates", "2"]
+    src = str(Path(cutpaste.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {src!r}); from cutpaste.cli import main; sys.exit(main({argv!r}))"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["kind"] == "mc_estimate"
+
+
 @pytest.mark.parametrize("delta", ["-1", "0", "1", "nan", "inf", "-inf", "1.5"])
 def test_collapse_refuses_a_delta_outside_the_unit_interval(capsys, tmp_path, delta):
     cfg = write_config(tmp_path, {"law": {"kind": "permutation_mix", "k": 2}})
@@ -847,6 +864,8 @@ def test_readme_example_runs(capsys, tmp_path, monkeypatch, line):
     ("ehrenfest", {"mixing_eps": 1.5, "t": None, "beta": None}, "mixing_eps",
      "mixing_eps must lie in (0, 1)"),
     ("ehrenfest", {"beta": -1}, "beta", "need beta > 0"),
+    # alpha = 1 (refresh every site at once) is in range
+    ("ehrenfest", {"alpha": 1.5}, "alpha", "alpha=1.5 outside (0, 1]"),
 ])
 def test_a_renamed_setting_is_named_in_the_message_too(capsys, tmp_path, command, settings,
                                                         field, message):

@@ -135,6 +135,29 @@ def test_dirichlet_means():
         assert np.all(err < 3 * np.sqrt(var / 100_000) + 1e-12)
 
 
+def test_dirichlet_columns_that_underflow_land_on_a_vertex_at_the_right_rate():
+    # every Gamma draw at parameters this small is exactly 0; such a column is
+    # drawn as Gamma(a + 1) U^(1/a) in log space, which puts it on vertex i
+    # with probability a_i / sum(a)
+    law = DirichletColumns([[1e-300, 3e-300], [1.0, 2.0]])
+    reps = 20_000
+    draws = law.sample_batch(RngStream(24), reps)
+    assert np.allclose(draws.sum(axis=1), 1.0)
+    assert np.all((draws[:, :, 0] == 0.0) | (draws[:, :, 0] == 1.0))
+    freq = np.mean(draws[:, 0, 0] == 1.0)
+    assert abs(freq - 0.25) < 5 * math.sqrt(0.25 * 0.75 / reps)
+    # parameters down to the smallest subnormal keep every entry finite
+    tiny = DirichletColumns([[5e-324, 1e-310, 1e-300]] * 3).sample_batch(RngStream(25), 100)
+    assert np.all(np.isfinite(tiny)) and np.allclose(tiny.sum(axis=1), 1.0)
+
+
+def test_dirichlet_draws_without_underflow_are_normalized_gammas():
+    alpha_cols = [[1.0, 2.0, 3.0], [2.0, 2.0, 2.0], [0.5, 1.0, 1.5]]
+    law = DirichletColumns(alpha_cols)
+    raw = RngStream(23).generator().standard_gamma(law.alpha, size=(50, 3, 3))
+    assert np.array_equal(law.sample_batch(RngStream(23), 50), raw / raw.sum(axis=1, keepdims=True))
+
+
 def test_permutation_mix_sampling():
     law = PermutationMix(3)
     draws = law.sample_batch(RngStream(31), 60_000)
