@@ -107,13 +107,17 @@ def _keep(step: int, thin: int, total: int) -> bool:
     return step == total or (thin > 0 and step % thin == 0)
 
 
-def _check_run(law: PaintboxLaw, x0: Coloring, m_steps: int, thin: int) -> None:
-    if law.k != x0.k:
-        raise ValidationError("law and initial state must share k")
+def _check_steps(m_steps: int, thin: int) -> None:
     if m_steps < 0:
         raise ValidationError(f"need m_steps >= 0, got {m_steps}", field="m_steps")
     if thin < 0:
         raise ValidationError(f"need thin >= 0, got {thin}", field="thin")
+
+
+def _check_run(law: PaintboxLaw, x0: Coloring, m_steps: int, thin: int) -> None:
+    if law.k != x0.k:
+        raise ValidationError("law and initial state must share k")
+    _check_steps(m_steps, thin)
 
 
 def _run_efcp(law, x0, m_steps, seed, thin, streams, per_column):
@@ -243,8 +247,7 @@ def run_ehrenfest(
         raise ValidationError("batch-refresh chain is defined for k = 2", field="x0")
     if x0.n != params.n:
         raise ValidationError("params.n and x0.n differ")
-    if m_steps < 0:
-        raise ValidationError("need m_steps >= 0", field="m_steps")
+    _check_steps(m_steps, thin)
     gen = as_stream(seed).derive("ehrenfest").generator()
     a = params.batch_size
     word = np.array(x0.word, dtype=np.int64)
@@ -281,8 +284,7 @@ def run_group_chain(lambda_weights, x0: Coloring, m_steps: int, seed, *, thin: i
     """Cyclic group chain: every step adds an increment coloring with i.i.d.
     lambda-distributed coordinates, acting by coordinatewise addition mod k
     (color arithmetic: y = ((x - 1) + (l - 1)) mod k + 1)."""
-    if m_steps < 0:
-        raise ValidationError("need m_steps >= 0", field="m_steps")
+    _check_steps(m_steps, thin)
     k = x0.k
     w = check_group_weights(lambda_weights, k)
     gen = as_stream(seed).derive("group-chain").generator()

@@ -99,7 +99,9 @@ BUDGETS = {
     # every enumeration of the k^n labeled states; `project` keeps one dense
     # k^n x k^n kernel, 128 MiB at 4096, and no other array of that size
     "project_states": 4096,
-    "ehrenfest_sites": 1100,  # n: the stationary elimination works in an (n+1)^2 matrix
+    # n: the exact pass holds O(n a) memory, so this bounds its time, the
+    # elimination's O(n a^2) and the sweep's O(t n a)
+    "ehrenfest_sites": 1100,
 }
 
 

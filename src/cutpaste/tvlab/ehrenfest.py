@@ -10,12 +10,12 @@ start the law at every time t is exchangeable, and so is the stationary
 law, so both are uniform given N1 and their TV equals the TV between the
 two N1 laws.
 
-A move shifts the count by at most a, so the N1 chain is a band of width a,
-kept only as the table of its moves. A forward step scatters the law over
-that table at O(n a). The stationary law comes from the banded elimination
-of cutpaste.lumped, the one `project` runs on its color counts: O(n a^2)
-work, in an (n+1)^2 matrix; so the pass is refused past the
-"ehrenfest_sites" budget on n.
+A move shifts the count by at most a, so the N1 chain is held as its
+(n+1) x (2a+1) band of moves, and cutpaste.lumped runs it: a forward step
+is one windowed dot per count at O(n a), and the stationary law comes from
+the banded elimination that `project` runs on its color counts, O(n a^2)
+work in O(n a) memory. The pass is refused past the "ehrenfest_sites"
+budget on n, which bounds its time.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from ..chains import EhrenfestParams
 from ..errors import InconclusiveRefusal, TheoryRefusal, ValidationError, check_budget
-from ..lumped import _gth
+from ..lumped import _stationary, _sweep
 from .exact import TVEstimate, _half_l1, _log_factorials
 
 
@@ -163,10 +163,11 @@ def loglog_schedule(n: int, beta: float) -> LogLogSchedule:
     )
 
 
-def _count_moves(n: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every move of N1 as (from, to, probability) arrays: from j ones, with
-    weight C(j, h) C(n - j, a - h) / (2 C(n, a)) each, to j - h and j - h + a;
-    each count's weights are normalised, so no step gains or loses mass."""
+def _count_moves(n: int, a: int) -> np.ndarray:
+    """The N1 chain as a band, out[j, d] = P(j -> j + d - a): from j ones,
+    with weight C(j, h) C(n - j, a - h) / (2 C(n, a)) each, to j - h and
+    j - h + a; each count's weights are normalised, so no step gains or
+    loses mass."""
     lf = _log_factorials(n)
     j = np.arange(n + 1)[:, None]
     h = np.arange(a + 1)[None, :]
@@ -179,25 +180,10 @@ def _count_moves(n: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
     w = np.exp(np.where(ok, logw, -np.inf))
     w *= 0.5 / w.sum(axis=1, keepdims=True)
-    ones, hits = np.nonzero(w)
-    low = ones - hits
-    return np.tile(ones, 2), np.concatenate([low, low + a]), np.tile(w[ones, hits], 2)
-
-
-def _step(row: np.ndarray, moves) -> np.ndarray:
-    """The one-count law one step on, at O(n a): each move carries its share."""
-    src, dst, p = moves
-    return np.bincount(dst, weights=row[src] * p, minlength=row.size)
-
-
-def _stationary(moves, n: int, a: int) -> np.ndarray:
-    """Stationary law of N1 from the table of its moves: count 0 is reachable
-    from every count, and a move shifts the count by at most a, so the shared
-    elimination answers on the band of width a."""
-    src, dst, p = moves
-    size = n + 1
-    g = np.bincount(src * size + dst, weights=p, minlength=size * size).reshape(size, size)
-    return _gth(g, a)
+    out = np.zeros((n + 1, 2 * a + 1))
+    out[:, : a + 1] = w[:, ::-1]
+    out[:, a:] += w[:, ::-1]
+    return out
 
 
 def _tv_sweep(params: EhrenfestParams, horizons):
@@ -205,13 +191,14 @@ def _tv_sweep(params: EhrenfestParams, horizons):
     the all-ones start, in one forward pass of the one-count chain."""
     n, a = params.n, params.batch_size
     moves = _count_moves(n, a)
-    pi = _stationary(moves, n, a)
+    pi = _stationary(moves)
     row = np.zeros(n + 1)
     row[n] = 1.0
+    laws = _sweep(moves, row)
     t = 0
     for horizon in horizons:
         for _ in range(t, horizon):
-            row = _step(row, moves)
+            row = next(laws)
         t = horizon
         yield t, _half_l1(row, pi)
 

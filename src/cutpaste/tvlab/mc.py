@@ -140,17 +140,18 @@ def tv_upper_mc(
     return TVEstimate(min(mean, 1.0), "upper_bound", se, replicates)
 
 
-def _power(z: np.ndarray, e: int) -> np.ndarray:
+def _power(z: np.ndarray, e: int, out: np.ndarray) -> np.ndarray:
     """z**e entrywise for an integer e >= 1 by repeated squaring, about
     log2(e) complex multiplies; numpy's complex ** goes through log and exp
     above small exponents and is far slower. Overwrites z, and returns it
-    when e is a power of two."""
+    when e is a power of two; otherwise the power is written to out, an
+    array of z's shape, and returned."""
     while not e & 1:
         z *= z
         e >>= 1
     if e == 1:
         return z
-    out = z.copy()
+    np.copyto(out, z)
     e >>= 1
     while e:
         z *= z
@@ -160,7 +161,14 @@ def _power(z: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _statistic_spectra(qs: np.ndarray, k: int, n_prime: int, tilde: bool) -> np.ndarray:
+def _spectrum_buffers(rows: int, width: int) -> np.ndarray:
+    """The three (rows, width) complex work arrays of _statistic_spectra."""
+    return np.empty((3, rows, width), dtype=complex)
+
+
+def _statistic_spectra(
+    qs: np.ndarray, k: int, n_prime: int, tilde: bool, buffers: np.ndarray
+) -> np.ndarray:
     """rfft, over the statistic's L = k(k-1)n' + 1 support points, of the
     summed block statistic's law given each paintbox in qs.
 
@@ -170,20 +178,26 @@ def _statistic_spectra(qs: np.ndarray, k: int, n_prime: int, tilde: bool) -> np.
     Binomial(n', p) with p = Q[j, i] (x0) or Q[j, j] (x0_tilde), so the
     spectrum is the n'-th power of the product of (1 + p (w^f - 1)) over
     the pairs.
+
+    The spectra are written into buffers, from _spectrum_buffers with at
+    least len(qs) rows, and the result is a view of one of them, so a call
+    with the same buffers overwrites it. Reused buffers keep the page
+    faults of a call to its first chunk, whatever allocator threshold an
+    earlier array of another size has set.
     """
     pairs = list(itertools.permutations(range(k), 2))
     length = len(pairs) * n_prime + 1
     # w^f - 1 with w = exp(-2 pi i / L), without cancellation at small f
     shift = np.expm1(-2j * np.pi / length * np.arange(length // 2 + 1))
-    spectrum = None
-    for i, j in pairs:
-        factor = (qs[:, j, j] if tilde else qs[:, j, i])[:, None] * shift
-        factor += 1.0
-        if spectrum is None:
-            spectrum = factor
-        else:
+    spectrum, factor, out = buffers[:, : len(qs)]
+    for pair, (i, j) in enumerate(pairs):
+        p = qs[:, j, j] if tilde else qs[:, j, i]
+        term = factor if pair else spectrum
+        np.multiply(p[:, None], shift, out=term)
+        term += 1.0
+        if pair:
             spectrum *= factor
-    return _power(spectrum, n_prime)
+    return _power(spectrum, n_prime, out)
 
 
 def tv_lower_mc(
@@ -226,12 +240,15 @@ def tv_lower_mc(
     # statistic is 2n' less a copy of the x0 statistic, so its law is the
     # x0 law reversed, and only the x0 spectra are computed
     mirrored = k == 2
+    rows0 = chunks[0].stop
+    buffers_p = _spectrum_buffers(rows0, length // 2 + 1)
+    buffers_q = None if mirrored else _spectrum_buffers(rows0, length // 2 + 1)
     sum_p = np.zeros(length // 2 + 1, dtype=complex)
     sum_q = np.zeros_like(sum_p)
     for rows in chunks:
-        sum_p += _statistic_spectra(qs[rows], k, n_prime, False).sum(axis=0)
+        sum_p += _statistic_spectra(qs[rows], k, n_prime, False, buffers_p).sum(axis=0)
         if not mirrored:
-            sum_q += _statistic_spectra(qs[rows], k, n_prime, True).sum(axis=0)
+            sum_q += _statistic_spectra(qs[rows], k, n_prime, True, buffers_q).sum(axis=0)
     mean_p = np.clip(np.fft.irfft(sum_p / replicates, length), 0.0, None)
     if mirrored:
         mean_q = mean_p[::-1]
@@ -254,9 +271,9 @@ def tv_lower_mc(
     dual[0] = 0.0
     margins = np.empty(replicates)
     for rows in chunks:
-        phi = _statistic_spectra(qs[rows], k, n_prime, False)
+        phi = _statistic_spectra(qs[rows], k, n_prime, False, buffers_p)
         if not mirrored:
-            phi -= _statistic_spectra(qs[rows], k, n_prime, True)
+            phi -= _statistic_spectra(qs[rows], k, n_prime, True, buffers_q)
         # einsum, not BLAS: a one-row matvec takes another kernel, and a
         # margin must not depend on the chunk its row falls in
         margins[rows] = np.einsum("rf,f->r", phi, dual).real

@@ -335,10 +335,16 @@ def dense_gth_stationary(k: np.ndarray) -> np.ndarray:
     matrix, with no use of its band: censor the states from the top down,
     dividing by the escape mass below each pivot. The back-substituted
     prefix is scaled by 2^-900 whenever an entry passes 2^900, which is
-    exact, so laws past the double range stay finite."""
+    exact, so laws past the double range stay finite. The loop is
+    right-looking: each pivot updates every entry above and left of it.
+    ValueError names the first state, from the top, whose escape mass is
+    not positive."""
     g = np.array(k, dtype=float)
     for m in range(g.shape[0] - 1, 0, -1):
-        g[:m, m] /= g[m, :m].sum()
+        escape = g[m, :m].sum()
+        if not escape > 0:
+            raise ValueError(f"state {m} does not reach state 0")
+        g[:m, m] /= escape
         g[:m, :m] += np.outer(g[:m, m], g[m, :m])
     pi = np.zeros(g.shape[0])
     pi[0] = 1.0

@@ -322,6 +322,12 @@ def test_run_validation():
         EhrenfestParams(0, 0.5)
     with pytest.raises(ValidationError):
         EhrenfestParams(4, 0.5, variant="weird")
+    with pytest.raises(ValidationError) as err:
+        run_ehrenfest(EhrenfestParams(6, 0.5), Coloring.constant(6, 2, 1), 5, 1, thin=-3)
+    assert err.value.field == "thin"
+    with pytest.raises(ValidationError) as err:
+        run_group_chain([0.5, 0.5], Coloring.constant(6, 2, 1), 5, 1, thin=-2)
+    assert err.value.field == "thin"
 
 
 # ------------------------------------------- stacked step against its oracle

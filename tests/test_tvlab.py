@@ -59,8 +59,15 @@ from cutpaste.tvlab import (
 from cutpaste.products import collapse_diagnostic, estimate_lyapunov
 from cutpaste.rng import RngStream, as_stream
 from cutpaste.tvlab import mixing as mixing_module
-from cutpaste.tvlab.ehrenfest import _count_moves, _stationary, _step
-from cutpaste.tvlab.mc import _SPECTRUM_BUDGET, _power, _ProductPath, _statistic_spectra
+from cutpaste.lumped import _stationary, _sweep
+from cutpaste.tvlab.ehrenfest import _count_moves
+from cutpaste.tvlab.mc import (
+    _SPECTRUM_BUDGET,
+    _power,
+    _ProductPath,
+    _spectrum_buffers,
+    _statistic_spectra,
+)
 from cutpaste.tvlab.mixing import designed_pairs
 
 
@@ -441,7 +448,8 @@ def test_statistic_spectra_invert_to_exact_convolutions(k, n_prime):
     )
     length = k * (k - 1) * n_prime + 1
     for tilde in (False, True):
-        pmfs = np.fft.irfft(_statistic_spectra(qs, k, n_prime, tilde), length, axis=1)
+        buffers = _spectrum_buffers(len(qs), length // 2 + 1)
+        pmfs = np.fft.irfft(_statistic_spectra(qs, k, n_prime, tilde, buffers), length, axis=1)
         for q, pmf in zip(qs, pmfs):
             want = block_statistic_pmf_fraction(q, k, n_prime, tilde)
             assert np.max(np.abs(pmf - want)) <= 1e-14
@@ -495,7 +503,7 @@ def test_power_matches_repeated_products_and_keeps_powers_of_two_in_place():
         for _ in range(e):
             want = want * z
         work = z.copy()
-        got = _power(work, e)
+        got = _power(work, e, np.empty_like(work))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         assert (got is work) == (e & (e - 1) == 0)
 
@@ -542,6 +550,24 @@ def test_tv_lower_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "law, n, m, seed, value, se",
+    [
+        # the benchmark's tv_lower_block query: 16 chunks, mirrored spectra
+        (SelfSimilar([1.0, 1.0]), 1024, 1, 11, 0.0017711971971606857, 0.015396462947414586),
+        # the benchmark's k = 3 block pair: one chunk
+        (ATOMIC_K3, 12, 2, 5, 0.2520750816846221, 0.0015809102006371846),
+        # k = 3 in two chunks, the last one partial
+        (ATOMIC_K3, 120, 2, 5, 0.675687253733321, 0.00302208344273778),
+    ],
+)
+def test_tv_lower_is_pinned(law, n, m, seed, value, se):
+    x, y = make_test_pair(n, law.k)
+    est = tv_lower_mc(law, x, y, m, 2000, seed)
+    assert est.value == value
+    assert est.mc_std_error == se
 
 
 def test_tv_lower_requires_block_design():
@@ -970,7 +996,7 @@ def test_ehrenfest_t0_point_mass_vs_stationary():
 def test_single_site_stationary_law_is_binomial_past_the_double_range(n):
     # for a = 1 the stationary one-count law is Binomial(n, 1/2); its
     # unnormalised back-substitution grows like C(n, j), past 2^1024 here
-    pi = _stationary(_count_moves(n, 1), n, 1)
+    pi = _stationary(_count_moves(n, 1))
     want = np.array([float(Fraction(math.comb(n, j), 2**n)) for j in range(n + 1)])
     # the kernel's log-factorial weights round at ulp(log n!) ~ 9e-13
     # relative, which is about 2e-14 at the binomial mode 0.024
@@ -980,12 +1006,13 @@ def test_single_site_stationary_law_is_binomial_past_the_double_range(n):
 def _assert_band_matches_dense(n, a):
     moves = _count_moves(n, a)
     kernel = ehrenfest_dense_kernel(n, a)
-    assert np.max(np.abs(_stationary(moves, n, a) - dense_gth_stationary(kernel))) < 1e-14
+    assert np.max(np.abs(_stationary(moves) - dense_gth_stationary(kernel))) < 1e-14
     row = np.zeros(n + 1)
     row[n] = 1.0
     want = row.copy()
+    laws = _sweep(moves, row)
     for _ in range(2 * n // a + 3):
-        row, want = _step(row, moves), want @ kernel
+        row, want = next(laws), want @ kernel
         assert np.max(np.abs(row - want)) < 1e-14
 
 
@@ -1003,16 +1030,17 @@ def test_band_matches_the_dense_oracle_for_every_batch(na):
 
 
 def test_band_step_memory_is_linear_in_the_band():
-    # one (n+1)^2 kernel at n = 1100 alone is 9.3 MiB; the band step reads
-    # 2(n+1)(a+1) moves, about 0.2 MiB per array here
+    # one (n+1)^2 kernel at n = 1100 alone is 9.3 MiB; the band sweep holds
+    # the (n+1)(2a+1) incoming band, about 0.2 MiB here
     n, a = 1100, 11
     moves = _count_moves(n, a)
     row = np.zeros(n + 1)
     row[n] = 1.0
+    laws = _sweep(moves, row)
     tracemalloc.start()
     try:
         for _ in range(100):
-            row = _step(row, moves)
+            row = next(laws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
