@@ -6,9 +6,26 @@ for product-multinomial laws, and their weighted mixtures for finitely
 supported paintbox laws. Every such law is built by one count-law kernel:
 multinomial log-pmfs over a stack of cell distributions, as log-factorial
 coefficients plus a matrix product of log-probabilities with the count
-vectors. Exact totals take their half-L1 sums with compensated accumulation
-(fsum) up to 65,536 entries and with a plain numpy sum above that, where an
-fsum would cost milliseconds; Monte Carlo rows use a plain numpy row sum.
+vectors (both read-only tables, cached per cell size and k).
+
+An exact value is a half-L1 sum over one difference of two laws on the
+joint statistic. For a mixture over atom sequences (or the one "sequence"
+of a product-multinomial pair), the refinement cells split, in their order,
+into a left and a right group of balanced joint size; a joint law is the
+outer product of the two groups' joint laws, so the mixture difference
+sum_w w (L_p x R_p - L_q x R_q) is the matrix product
+[w L_p; -w L_q]^T @ [R_p; R_q]. Each chunk of sequences adds one such
+product into the one joint-size array, and no per-sequence joint row and
+no mixture is built. _half_l1 then reads that array once, with compensated
+accumulation (fsum) up to 65,536 entries and a plain numpy sum above that,
+where an fsum would cost milliseconds. Monte Carlo rows take the difference
+of their two joint laws in place and a plain numpy row sum.
+
+Every chunked kernel here, and the lower bound's spectra in mc, holds at
+most _CACHE_BUDGET elements per temporary. Such a block stays in cache and
+its memory is reused from the heap from one chunk to the next, where a
+block of megabytes is mapped afresh by every call and costs thousands of
+page faults.
 
 One case has a shortcut: two colors and a single cell where the starts
 differ, which is every Monte Carlo upper bound on the constant pair. There
@@ -38,8 +55,11 @@ from ..errors import TheoryRefusal, ValidationError, check_budget
 from ..paintbox import PaintboxLaw, StochasticMatrix, _column_stochastic
 from ..partitions import Coloring
 
-# most elements one stacked block of count laws may hold at once
-_ELEMENT_BUDGET = 4_000_000
+# most elements one temporary of a chunked kernel holds: a block of joint
+# count laws, a window of binomial terms, a chunk of lower-bound spectra.
+# 256 KiB of doubles stays in cache and is reused from the heap between
+# chunks, so no call maps fresh pages
+_CACHE_BUDGET = 1 << 15
 # stands in for log 0: finite, so a zero count times it is exactly 0, and so
 # negative that any positive count makes the term underflow to probability 0
 _LOG_ZERO = -1e300
@@ -47,9 +67,6 @@ _LOG_ZERO = -1e300
 # Hoeffding bound on each binomial tail left outside the window of
 # _binomial_tvs
 _TAIL_MASS = 1e-18
-# most elements of one (rows, window) temporary in _binomial_tvs: small
-# enough to stay in cache and to be reused from the heap between chunks
-_WINDOW_BUDGET = 1 << 15
 
 _KINDS = ("exact", "upper_bound", "lower_bound")
 
@@ -170,48 +187,91 @@ def _statistic_size(sizes, k: int) -> int:
     return math.prod(math.comb(size + k - 1, k - 1) for size in sizes)
 
 
+@lru_cache(maxsize=256)
+def _count_table(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed half of every Multinomial(size, .) log-pmf over
+    _compositions(size, k): the log multinomial coefficients, and the count
+    vectors as floats, both read-only."""
+    counts = _compositions(size, k)
+    lf = _log_factorials(size)
+    coef = lf[size] - lf[counts].sum(axis=1)
+    counts = counts.astype(float)
+    coef.setflags(write=False)
+    counts.setflags(write=False)
+    return coef, counts
+
+
 def _count_logpmf(cols: np.ndarray, size: int) -> np.ndarray:
     """Row r: the Multinomial(size, cols[r]) log-pmf over
     _compositions(size, k), for an (R, k) stack of cell distributions."""
-    counts = _compositions(size, cols.shape[1])
-    lf = _log_factorials(size)
-    coef = lf[size] - lf[counts].sum(axis=1)
+    coef, counts = _count_table(size, cols.shape[1])
     with np.errstate(divide="ignore"):
         logs = np.maximum(np.log(cols), _LOG_ZERO)
-    return coef + logs @ counts.T
+    out = logs @ counts.T
+    out += coef
+    return out
 
 
 def _joint_pmfs(cols: np.ndarray, sizes) -> np.ndarray:
     """Row r: the joint count law over independent cells, cell b holding
     sizes[b] sites colored from cols[r, :, b]; cols is (R, k, cells), and the
-    joint index runs over the cells' compositions, first cell slowest."""
+    joint index runs over the cells' compositions, first cell slowest. No
+    cells give the one-point law."""
     rows = np.ones((cols.shape[0], 1))
     for b, size in enumerate(sizes):
-        block = np.exp(_count_logpmf(cols[:, :, b], size))
-        rows = (rows[:, :, None] * block[:, None, :]).reshape(rows.shape[0], -1)
+        block = _count_logpmf(cols[:, :, b], size)
+        np.exp(block, out=block)
+        rows = block if b == 0 else (rows[:, :, None] * block[:, None, :]).reshape(len(block), -1)
     return rows
 
 
-def _row_chunks(rows: int, width: int, budget: int):
+def _row_chunks(rows: int, width: int):
     """Slices over rows such that a chunk of rows of `width` elements each
-    stays within `budget` elements."""
-    step = max(1, budget // width)
+    stays within _CACHE_BUDGET elements."""
+    step = max(1, _CACHE_BUDGET // width)
     for lo in range(0, rows, step):
         yield slice(lo, min(lo + step, rows))
 
 
-def _pmf_pairs(cols_p: np.ndarray, cols_q: np.ndarray, sizes):
-    """Chunks (rows, joint pmfs from cols_p, joint pmfs from cols_q) over
-    the (R, k, cells) stacks; refuses when the joint statistic exceeds the
-    enumeration budget."""
-    size = _statistic_size(sizes, cols_p.shape[1])
-    check_budget("enumeration", size, "joint count statistic too large to enumerate")
-    for rows in _row_chunks(len(cols_p), size, _ELEMENT_BUDGET):
-        yield rows, _joint_pmfs(cols_p[rows], sizes), _joint_pmfs(cols_q[rows], sizes)
+def _balanced_split(sizes, k: int) -> int:
+    """The s that splits the cells, in their order, into sizes[:s] and
+    sizes[s:] so that the larger of the two groups' joint statistics is
+    smallest."""
+    left = [_statistic_size(sizes[:s], k) for s in range(len(sizes) + 1)]
+    return min(range(len(left)), key=lambda s: max(left[s], left[-1] // left[s]))
 
 
-def _half_l1(p: np.ndarray, q: np.ndarray) -> float:
-    d = np.abs(p - q)
+def _mixture_tv(sizes, k: int, count: int, draw) -> float:
+    """Half-L1 distance between two mixtures of joint count laws: sum_i w_i
+    times the joint law of cols_p[i], against the same with cols_q[i], over
+    `count` components, where draw(rows) gives (w, cols_p, cols_q) for a
+    slice of them with (rows, k, cells) stacks of cell distributions.
+
+    The cells split into a left and a right group (_balanced_split), and a
+    joint law is the outer product of the two groups' joint laws, so the
+    difference of the mixtures, as a (left, right) array, is
+    [w L_p; -w L_q]^T @ [R_p; R_q]: one matrix product per cache-sized
+    chunk of components, added into one joint-size array."""
+    s = _balanced_split(sizes, k)
+    left, right = sizes[:s], sizes[s:]
+    width = _statistic_size(left, k) + _statistic_size(right, k)
+    d = part = None
+    for rows in _row_chunks(count, 2 * width):
+        w, cols_p, cols_q = draw(rows)
+        a = np.concatenate((_joint_pmfs(cols_p[:, :, :s], left), _joint_pmfs(cols_q[:, :, :s], left)))
+        a *= np.concatenate((w, -w))[:, None]
+        b = np.concatenate((_joint_pmfs(cols_p[:, :, s:], right), _joint_pmfs(cols_q[:, :, s:], right)))
+        if d is None:
+            d = a.T @ b
+        else:
+            part = np.matmul(a.T, b, out=part)
+            d += part
+    return _half_l1(d.reshape(-1))
+
+
+def _half_l1(d: np.ndarray) -> float:
+    """Half the L1 norm of a difference of laws; overwrites d."""
+    d = np.abs(d, out=d)
     if d.size <= 1 << 16:
         return 0.5 * math.fsum(d.tolist())
     return 0.5 * float(np.sum(d))
@@ -238,8 +298,9 @@ def tv_exact_product_multinomial(
     if not kept:
         return TVEstimate(0.0, "exact")
     sizes, cols_p, cols_q = zip(*kept)
-    [(_, rows_p, rows_q)] = _pmf_pairs(np.array(cols_p).T[None], np.array(cols_q).T[None], sizes)
-    return TVEstimate(_half_l1(rows_p[0], rows_q[0]), "exact")
+    check_budget("enumeration", _statistic_size(sizes, p.k), "joint count statistic too large to enumerate")
+    one = (np.ones(1), np.array(cols_p).T[None], np.array(cols_q).T[None])
+    return TVEstimate(_mixture_tv(sizes, p.k, 1, lambda rows: one), "exact")
 
 
 def refinement_cells(x0: Coloring, x0_tilde: Coloring) -> list[tuple[int, int, int]]:
@@ -304,7 +365,7 @@ def _binomial_tvs(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     first = c.astype(np.int64) + 1
     below, above = np.arange(1.0 - h, 1.0), np.arange(1.0, h + 1.0)
     tails = np.empty(len(c))
-    for rows in _row_chunks(len(c), 2 * h, _WINDOW_BUDGET):
+    for rows in _row_chunks(len(c), 2 * h):
         cr, start = c[rows, None], first[rows]
         tails[rows] = _tail_sums(cr + below, log_hi[rows], log1m_hi[rows], log_comb[start], n)
         tails[rows] += _tail_sums(cr + above, log_lo[rows], log1m_lo[rows], log_comb[start + h], n)
@@ -334,10 +395,14 @@ def _conditional_tvs(qs: np.ndarray, x0: Coloring, x0_tilde: Coloring) -> np.nda
     )
     if qs.shape[1] == 2 and len(sizes) == 1:
         return _binomial_tvs(qs[:, 0, col_a[0]], qs[:, 0, col_b[0]], sizes[0])
+    size = _statistic_size(sizes, qs.shape[1])
+    check_budget("enumeration", size, "joint count statistic too large to enumerate")
+    cols_p, cols_q = qs[:, :, list(col_a)], qs[:, :, list(col_b)]
     values = np.empty(len(qs))
-    pairs = _pmf_pairs(qs[:, :, list(col_a)], qs[:, :, list(col_b)], sizes)
-    for rows, pmf_p, pmf_q in pairs:
-        values[rows] = 0.5 * np.abs(pmf_p - pmf_q).sum(axis=1)
+    for rows in _row_chunks(len(qs), size):
+        d = _joint_pmfs(cols_p[rows], sizes)
+        d -= _joint_pmfs(cols_q[rows], sizes)
+        values[rows] = 0.5 * np.abs(d, out=d).sum(axis=1)
     return values
 
 
@@ -378,18 +443,17 @@ def tv_exact_atomic(
     weights = np.asarray(atomic.weights, dtype=float)
     # digit t of sequence index i is the atom applied at step t + 1
     place = r ** np.arange(m - 1, -1, -1)
-    mix_p = np.zeros(joint_size)
-    mix_q = np.zeros(joint_size)
-    for seqs in _row_chunks(r**m, joint_size + k * k, _ELEMENT_BUDGET):
+
+    def draw(seqs):
         digits = np.arange(seqs.start, seqs.stop)[:, None] // place % r
         q = np.broadcast_to(np.eye(k), (len(digits), k, k))
         w = np.ones(len(digits))
         for t in range(m):
             q = atoms[digits[:, t]] @ q
             w = w * weights[digits[:, t]]
-        mix_p += w @ _joint_pmfs(q[:, :, list(col_a)], sizes)
-        mix_q += w @ _joint_pmfs(q[:, :, list(col_b)], sizes)
-    return TVEstimate(_half_l1(mix_p, mix_q), "exact")
+        return w, q[:, :, list(col_a)], q[:, :, list(col_b)]
+
+    return TVEstimate(_mixture_tv(sizes, k, r**m, draw), "exact")
 
 
 @dataclass(frozen=True)

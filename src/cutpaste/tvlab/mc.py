@@ -19,11 +19,12 @@ by repeated squaring. Summing over replicates commutes with the inverse
 transform, so each side's mixed law is one irfft of the summed spectra, and
 each replicate's margin on the separating set is an inner product with the
 set's spectrum (Parseval), one complex matvec per chunk of rows. Chunks hold
-about _SPECTRUM_BUDGET complex entries, so they stay in cache. At k = 2 the
-columns sum to 1, so the x0_tilde statistic is 2n' less a copy of the x0
-statistic: its mixed law is the x0 one reversed, each margin is an inner
-product with the spectrum of 1_best - reverse(1_best), and each pass
-computes one spectrum per replicate.
+about exact._CACHE_BUDGET complex entries (about 125 rows at n = 1024,
+k = 2), so they stay in cache. At k = 2 the columns sum to 1, so the
+x0_tilde statistic is 2n' less a copy of the x0 statistic: its mixed law is
+the x0 one reversed, each margin is an inner product with the spectrum of
+1_best - reverse(1_best), and each pass computes one spectrum per
+replicate.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ from ..rng import as_stream
 from .exact import TVEstimate, _conditional_tvs, _row_chunks
 
 DEFAULT_REPLICATES = 10_000
-# complex entries one chunk of lower-bound spectra holds (about 125 rows at
-# n = 1024, k = 2): small enough to stay in cache while it is worked on
-_SPECTRUM_BUDGET = 1 << 15
 
 
 def make_constant_pair(n: int, k: int, i: int = 1, j: int = 2) -> tuple[Coloring, Coloring]:
@@ -235,7 +233,7 @@ def tv_lower_mc(
     qs = batched_products(law, m, replicates, seed)
 
     length = k * (k - 1) * n_prime + 1
-    chunks = list(_row_chunks(replicates, length // 2 + 1, _SPECTRUM_BUDGET))
+    chunks = list(_row_chunks(replicates, length // 2 + 1))
     # at k = 2, Q[1, 1] = 1 - Q[0, 1] and Q[0, 0] = 1 - Q[1, 0]: the x0_tilde
     # statistic is 2n' less a copy of the x0 statistic, so its law is the
     # x0 law reversed, and only the x0 spectra are computed

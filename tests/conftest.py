@@ -1,5 +1,5 @@
-"""Shared pytest wiring: a one-line verdict per acceptance criterion, and a
-fixture that lowers the enumeration budget for one test.
+"""Shared pytest wiring: a one-line verdict per acceptance criterion, and
+fixtures that set the enumeration budget or the chunk budget for one test.
 
 Tests named ``test_criterion_NN_*`` in test_acceptance.py are the acceptance
 gate. This plugin collects their outcomes and prints a compact block at the
@@ -16,6 +16,7 @@ import re
 import pytest
 
 from cutpaste.errors import BUDGETS
+from cutpaste.tvlab import exact
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_([a-z0-9_]+)")
 
@@ -48,6 +49,13 @@ def pytest_runtest_makereport(item, call):
 def enumeration_budget(monkeypatch):
     """Call with a limit to set BUDGETS["enumeration"] until the test ends."""
     return lambda limit: monkeypatch.setitem(BUDGETS, "enumeration", limit)
+
+
+@pytest.fixture
+def cache_budget(monkeypatch):
+    """Call with a limit to set the chunked kernels' element budget,
+    exact._CACHE_BUDGET, until the test ends."""
+    return lambda limit: monkeypatch.setattr(exact, "_CACHE_BUDGET", limit)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1036,7 +1036,7 @@ def test_every_size_gate_refuses_with_one_payload(capsys, tmp_path, gate):
 
 def test_a_nan_from_the_program_is_a_fault_not_bad_input(tmp_path, monkeypatch):
     # a fault raises out of main, so the process exits 1 with a traceback
-    monkeypatch.setattr(cutpaste.tvlab.exact, "_half_l1", lambda p, q: math.nan)
+    monkeypatch.setattr(cutpaste.tvlab.exact, "_half_l1", lambda d: math.nan)
     with pytest.raises(FloatingPointError):
         main(["tv", "--config", write_config(tmp_path, BASE["tv"])])
 

@@ -8,6 +8,7 @@ checked against exact rationals, scipy's pmfs and the dense kernel.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,12 @@ def _pair(design, n, k):
         return make_constant_pair(n, k)
     if design == "block":
         return make_test_pair(n, k)
+    if design == "unequal":
+        # refinement cells (1,1) x1, (1,2) x5, (2,2) x2, (2,3) x1, (3,1) x3
+        # in first-occurrence order: joint sizes 3, 21, 6, 3, 10 at k = 3
+        assert (n, k) == (12, 3)
+        return (Coloring(12, 3, (1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 3)),
+                Coloring(12, 3, (1, 2, 2, 2, 2, 2, 2, 2, 3, 1, 1, 1)))
     rng = np.random.default_rng(n * 10 + k)
     words = rng.integers(1, k + 1, size=(2, n))
     return Coloring(n, k, tuple(map(int, words[0]))), Coloring(n, k, tuple(map(int, words[1])))
@@ -255,6 +262,9 @@ def test_edge_columns_give_exact_extremes():
         pytest.param(EDGE_K2, "block", 8, id="k2-block"),
         pytest.param(TWO_ATOM_K3, "constant", 4, id="k3-constant"),
         pytest.param(ZERO_K3, "general", 4, id="k3-zero-rank-one"),
+        # nine cells, joint size 6^3 * 3^6 = 157,464
+        pytest.param(TWO_ATOM_K3, "block", 12, id="k3-block-nine-cells"),
+        pytest.param(ZERO_K3, "unequal", 12, id="k3-unequal-cells"),
     ],
 )
 def test_atomic_matches_per_sequence_oracle(law, design, n, m):
@@ -265,20 +275,63 @@ def test_atomic_matches_per_sequence_oracle(law, design, n, m):
     assert abs(tv_exact_atomic(law, x, y, m).value - want) < TOL
 
 
-def test_chunked_stacks_match_one_block(monkeypatch):
+def test_balanced_split_of_the_oracle_pairs():
+    # the oracle's nine-cell block pair splits after 4 of its cells (324 x
+    # 486), and its unequal-cell pair mid-list, after 2 of 5 (63 x 180)
+    for design, sizes, split in [("block", [2, 1, 1, 2, 1, 1, 2, 1, 1], 4), ("unequal", [1, 5, 2, 1, 3], 2)]:
+        x, y = _pair(design, 12, 3)
+        assert [c for _, _, c in exact.refinement_cells(x, y)] == sizes
+        assert exact._balanced_split(sizes, 3) == split
+    assert exact._balanced_split([40], 3) == 0
+
+
+def test_conditional_tvs_peak_memory_stays_in_cache():
+    # the benchmark's tv_const_upper shape: one 48-site cell, 1225 count
+    # vectors a replicate; one block of all 400 rows peaks near 15 MiB
+    x, y = make_constant_pair(48, 3)
+    qs = batched_products(TWO_ATOM_K3, 8, 400, 5)
+    exact._conditional_tvs(qs[:1], x, y)
+    tracemalloc.start()
+    try:
+        exact._conditional_tvs(qs, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_exact_atomic_peak_memory_stays_near_one_joint_array():
+    # the benchmark's tv_block_exact pair at m = 2 holds one joint-size
+    # difference array; joint pmf rows per sequence and two mixtures peak
+    # near 7.4 joint arrays
+    x, y = make_test_pair(12, 3)
+    joint = exact._statistic_size([c for _, _, c in exact.refinement_cells(x, y)], 3)
+    assert joint == 157_464
+    tv_exact_atomic(TWO_ATOM_K3, x, y, 1)
+    tracemalloc.start()
+    try:
+        tv_exact_atomic(TWO_ATOM_K3, x, y, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * joint * 8
+
+
+def test_chunked_stacks_match_one_block(cache_budget):
+    # a budget of 1 gives one replicate or one atom sequence per chunk
     law = TWO_ATOM_K3
     x, y = _pair("general", 6, 3)
     qs = batched_products(law, 3, 50, 2)
+    cache_budget(1 << 30)
     whole_rows = exact._conditional_tvs(qs, x, y)
     whole_atomic = tv_exact_atomic(law, x, y, 4).value
-    size = exact._statistic_size([c for a, b, c in exact.refinement_cells(x, y) if a != b], 3)
-    monkeypatch.setattr(exact, "_ELEMENT_BUDGET", 3 * size)
+    cache_budget(1)
     assert np.max(np.abs(exact._conditional_tvs(qs, x, y) - whole_rows)) < TOL
     assert abs(tv_exact_atomic(law, x, y, 4).value - whole_atomic) < TOL
 
 
 @pytest.mark.parametrize("n", [1, 48, 2048])
-def test_binomial_window_chunks_keep_every_bit(monkeypatch, n):
+def test_binomial_window_chunks_keep_every_bit(monkeypatch, cache_budget, n):
     # rows are independent, so the chunk size cannot move a value
     gen = np.random.default_rng(n)
     p, q = gen.random(301), gen.random(301)
@@ -292,9 +345,9 @@ def test_binomial_window_chunks_keep_every_bit(monkeypatch, n):
 
     monkeypatch.setattr(exact, "_row_chunks", recording)
     split = exact._binomial_tvs(p, q, n)
-    monkeypatch.setattr(exact, "_WINDOW_BUDGET", 1)
+    cache_budget(1)
     rows = exact._binomial_tvs(p, q, n)
-    monkeypatch.setattr(exact, "_WINDOW_BUDGET", 1 << 30)
+    cache_budget(1 << 30)
     whole = exact._binomial_tvs(p, q, n)
     assert [len(c) for c in chunks[1:]] == [301, 1]
     assert len(chunks[0]) == (4 if n == 2048 else 1)

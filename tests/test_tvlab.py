@@ -58,11 +58,12 @@ from cutpaste.tvlab import (
 )
 from cutpaste.products import collapse_diagnostic, estimate_lyapunov
 from cutpaste.rng import RngStream, as_stream
+from cutpaste.tvlab import ehrenfest as ehrenfest_module
 from cutpaste.tvlab import mixing as mixing_module
 from cutpaste.lumped import _stationary, _sweep
 from cutpaste.tvlab.ehrenfest import _count_moves
+from cutpaste.tvlab.exact import _CACHE_BUDGET
 from cutpaste.tvlab.mc import (
-    _SPECTRUM_BUDGET,
     _power,
     _ProductPath,
     _spectrum_buffers,
@@ -511,7 +512,7 @@ def test_power_matches_repeated_products_and_keeps_powers_of_two_in_place():
 @pytest.mark.parametrize("k, n_prime", [(2, 1), (2, 256), (3, 17), (3, 1000)])
 def test_tv_lower_m0_is_exactly_one_in_every_chunking(k, n_prime):
     x, y = make_test_pair(2 * k * (k - 1) * n_prime, k)
-    rows = _SPECTRUM_BUDGET // (k * (k - 1) * n_prime // 2 + 1)
+    rows = _CACHE_BUDGET // (k * (k - 1) * n_prime // 2 + 1)
     for replicates in (1, 2, rows + 1, 2 * rows + 3):
         est = tv_lower_mc(SelfSimilar([1.0] * k), x, y, m=0, replicates=replicates, seed=0)
         assert est.value == 1.0
@@ -533,7 +534,7 @@ def test_tv_lower_single_replicate_and_ragged_chunks():
     est = assert_lower_matches_reference(SelfSimilar([1.0, 1.0]), 256, 1, 1, 3)
     assert est.mc_std_error == 0.0
     # several chunks, the last one partial
-    rows = _SPECTRUM_BUDGET // (2 * 256 // 2 + 1)
+    rows = _CACHE_BUDGET // (2 * 256 // 2 + 1)
     assert_lower_matches_reference(ATOMIC_K2, 256, 3, 3 * rows + 11, 3)
     assert_lower_matches_reference(SelfSimilar([1.0, 1.0]), 256, 1, 3 * rows + 11, 3)
 
@@ -1100,6 +1101,35 @@ def test_ehrenfest_mixing_time_matches_brute_force_n12():
         if 0.5 * np.abs(dist - pi).sum(axis=1).max() < 0.25:
             break
     assert ehrenfest_mixing_time(standard_ehrenfest(n), 0.25) == t
+
+
+@pytest.mark.parametrize(
+    "n, a, epsilon",
+    [
+        (12, 1, 0.25),
+        (64, 16, 0.01),
+        (200, 1, 0.1),
+        (101, 7, 1e-6),
+        # epsilon set to the exact TV at t = 40: the first t below it is 41
+        (96, 3, "profile"),
+    ],
+)
+def test_ehrenfest_mixing_time_matches_the_compensated_sum(monkeypatch, n, a, epsilon):
+    params = EhrenfestParams(n, a / n)
+    assert params.batch_size == a
+    profile = [tv.value for _, tv in ehrenfest_tv_profile(params, range(4000))]
+    exact_value = epsilon == "profile"
+    if exact_value:
+        epsilon = profile[40]
+    want = next(t for t, tv in enumerate(profile) if tv < epsilon)
+    calls = []
+    half_l1 = ehrenfest_module._half_l1
+    monkeypatch.setattr(ehrenfest_module, "_half_l1", lambda d: calls.append(1) or half_l1(d))
+    assert ehrenfest_mixing_time(params, epsilon) == want
+    # the numpy sum decides alone except within its rounding margin of epsilon
+    assert len(calls) == (1 if exact_value else 0)
+    if exact_value:
+        assert want == 41
 
 
 def test_ehrenfest_constant_start_extremal_only_for_single_site():
