@@ -35,9 +35,8 @@ def _lazy(namespace: dict, exports: dict):
 
 __all__, __getattr__, __dir__ = _lazy(globals(), {
     "chains": (
-        "ChainRun", "EhrenfestParams", "SimplexPoint", "run_efcp_coordinate",
-        "run_efcp_matrix", "run_ehrenfest", "run_group_chain", "run_induced_simplex",
-        "standard_ehrenfest",
+        "ChainRun", "EhrenfestParams", "run_efcp_coordinate", "run_efcp_matrix",
+        "run_ehrenfest", "standard_ehrenfest",
     ),
     "errors": (
         "BudgetRefusal", "InconclusiveRefusal", "Refusal", "TheoryRefusal", "ValidationError",
@@ -48,15 +47,13 @@ __all__, __getattr__, __dir__ = _lazy(globals(), {
     ),
     "partitions": (
         "MAX_COLORS", "Coloring", "PartitionMatrix", "UnlabeledPartition", "act",
-        "colorings_to_matrix", "cyclic_shift_matrix", "identity_matrix", "matmul",
-        "matrix_mapping", "matrix_to_colorings", "project",
+        "colorings_to_matrix", "identity_matrix", "matmul", "matrix_to_colorings", "project",
     ),
     "products": (
         "CollapseReport", "LyapunovEstimate", "collapse_diagnostic", "estimate_lyapunov",
-        "lyapunov_trace",
     ),
     "projections": (
-        "EquivalenceReport", "ProjectedRun", "project_run", "projected_mixing_equivalence",
+        "EquivalenceReport", "projected_mixing_equivalence",
     ),
     "rng": ("RngStream", "as_stream"),
     "tvlab": (
@@ -64,8 +61,7 @@ __all__, __getattr__, __dir__ = _lazy(globals(), {
         "cutoff_experiment", "ehrenfest_bounds", "ehrenfest_mixing_time",
         "ehrenfest_tv_exact", "ehrenfest_tv_profile", "loglog_schedule",
         "make_constant_pair", "make_test_pair", "mixing_time", "tv_exact_atomic",
-        "tv_exact_conditional", "tv_exact_product_multinomial", "tv_likelihood_bound",
-        "tv_lower_mc", "tv_upper_mc",
+        "tv_exact_product_multinomial", "tv_lower_mc", "tv_upper_mc",
     ),
 })
 __all__.append("__version__")

@@ -1,9 +1,8 @@
 """Chain simulators on k-colorings of [n].
 
 Two equivalent constructions of the paintbox-directed chain (whole-step
-partition matrices versus independent per-coordinate jumps), the induced
-chain on the color simplex, the two-color batch-refresh (Ehrenfest) family,
-and the cyclic-shift group chain.
+partition matrices versus independent per-coordinate jumps) and the
+two-color batch-refresh (Ehrenfest) family.
 
 Both paintbox constructions move all sites in one stacked step, with the
 paintboxes and move uniforms of a block of steps drawn at once. The
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TheoryRefusal, ValidationError
+from .errors import ValidationError
 from .paintbox import PaintboxLaw, _column_stochastic
 from .partitions import Coloring
 from .rng import as_stream
@@ -49,20 +48,6 @@ class ChainRun:
         """The step index of each trajectory entry: 0 for x0, then the kept
         steps."""
         return (0,) + tuple(t for t in range(1, self.steps + 1) if _keep(t, self.thin, self.steps))
-
-
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A probability vector over the k colors."""
-
-    k: int
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != self.k:
-            raise ValidationError("need one coordinate per color", field="coords")
-        arr = _column_stochastic(np.array(self.coords, dtype=float)[:, None], "coords", 1e-12)
-        object.__setattr__(self, "coords", tuple(arr[:, 0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -124,7 +109,8 @@ def _run_efcp(law, x0, m_steps, seed, thin, streams, per_column):
     """The loop of both constructions: site i moves from its color c to the
     row of column c of S in which its uniform falls. streams names the
     paintbox and the move streams; per_column draws one uniform per site and
-    column, as sample_M_given_S does, and site i reads its color's column.
+    column, a random partition matrix given S (column c puts each site in
+    row r with probability S[r, c]), and site i reads its color's column.
 
     Paintboxes and uniforms are drawn a block of steps at a time, which
     reads each stream in the same order as one draw per step. The new color
@@ -169,8 +155,8 @@ def run_efcp_matrix(
 ) -> ChainRun:
     """Whole-step construction: per step draw S from the law, then a random
     partition matrix with the product law given S, and apply it to the state.
-    The matrix is drawn as sample_M_given_S draws it (one uniform per site
-    and column) and applied site by site, without building its bitmasks.
+    The matrix is drawn as one uniform per site and column and applied site
+    by site, without building its bitmasks.
     Runs with one seed share every paintbox and uniform."""
     return _run_efcp(
         law, x0, m_steps, seed, thin,
@@ -195,26 +181,6 @@ def run_efcp_coordinate(
         law, x0, m_steps, seed, thin,
         ("efcp-coordinate-paintbox", "efcp-coordinate-jumps"), per_column=False,
     )
-
-
-def run_induced_simplex(law: PaintboxLaw, y0: SimplexPoint, m_steps: int, seed) -> list[SimplexPoint]:
-    """The color-frequency chain Y_t = S_t Y_{t-1} on the simplex."""
-    if law.k != y0.k:
-        raise ValidationError("law and y0 must share k")
-    if m_steps < 0:
-        raise ValidationError("need m_steps >= 0", field="m_steps")
-    gen = as_stream(seed).derive("induced-simplex").generator()
-    out = [y0]
-    if m_steps == 0:
-        return out
-    batch = law.sample_batch(gen, m_steps)
-    y = np.array(y0.coords)
-    for t in range(m_steps):
-        y = batch[t] @ y
-        y = np.clip(y, 0.0, None)
-        y /= y.sum()
-        out.append(SimplexPoint(law.k, tuple(y.tolist())))
-    return out
 
 
 def _uniform_subset(gen: np.random.Generator, n: int, a: int) -> np.ndarray:
@@ -257,42 +223,4 @@ def run_ehrenfest(
         word[subset] = int(gen.integers(1, 3))
         if _keep(t, thin, m_steps):
             traj.append(Coloring(params.n, 2, tuple(int(v) for v in word)))
-    return ChainRun(None, m_steps, thin, tuple(traj))
-
-
-def check_group_weights(lambda_weights, k: int) -> np.ndarray:
-    """Validate and normalize the increment law for the cyclic group chain.
-
-    The analysis of convergence to the uniform law is stated for weight
-    vectors with lambda(j) = lambda(k-j+1) > 0; anything else is refused.
-    """
-    w = np.array(lambda_weights, dtype=float)
-    if w.shape != (k,):
-        raise ValidationError("need one weight per color", field="lambda_weights")
-    if np.any(w <= 0.0):
-        raise ValidationError("weights must be strictly positive", field="lambda_weights")
-    w = _column_stochastic(w[:, None], "lambda_weights")[:, 0]
-    if np.max(np.abs(w - w[::-1])) > 1e-12:
-        raise TheoryRefusal(
-            "group-chain weights must satisfy lambda(j) = lambda(k-j+1) > 0",
-            lambda_weights=w.tolist(),
-        )
-    return w
-
-
-def run_group_chain(lambda_weights, x0: Coloring, m_steps: int, seed, *, thin: int = 0) -> ChainRun:
-    """Cyclic group chain: every step adds an increment coloring with i.i.d.
-    lambda-distributed coordinates, acting by coordinatewise addition mod k
-    (color arithmetic: y = ((x - 1) + (l - 1)) mod k + 1)."""
-    _check_steps(m_steps, thin)
-    k = x0.k
-    w = check_group_weights(lambda_weights, k)
-    gen = as_stream(seed).derive("group-chain").generator()
-    word = np.array(x0.word, dtype=np.int64) - 1
-    traj = [x0]
-    for t in range(1, m_steps + 1):
-        increments = gen.choice(k, size=x0.n, p=w)
-        word = (word + increments) % k
-        if _keep(t, thin, m_steps):
-            traj.append(Coloring(x0.n, k, tuple(int(v) + 1 for v in word)))
     return ChainRun(None, m_steps, thin, tuple(traj))

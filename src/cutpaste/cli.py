@@ -378,14 +378,19 @@ COMMANDS = {
         "seed": _SEED, "m_grid": (_list_of(_int), None),
         "m": (_int, REQUIRED, _unread_with("m_grid")),
     }),
-    "mixing-time": (_cmd_mixing_time, "smallest certified horizon under epsilon", {
+    "mixing-time": (_cmd_mixing_time,
+                    "smallest horizon at which the TV between constant-coloring starts is "
+                    "certified below epsilon (mc_sandwich: through the shared-paintbox "
+                    "coupling bound)", {
         "law": _LAW, "n": (_int, REQUIRED), "k": (_int, _law_k),
         "epsilon": (_list_of(_float), (0.25,)),
         "method": (_one_of("mixing method", "exact_atomic", "mc_sandwich"), "mc_sandwich"),
         "replicates": (_int, 2000, _unread_when("method", "exact_atomic")),
         "m_max": (_int, 4096), "seed": _SEED,
     }),
-    "cutoff": (_cmd_cutoff, "mixing horizons across a size grid", {
+    "cutoff": (_cmd_cutoff,
+               "across a size grid, the horizons at which the TV between constant-coloring "
+               "starts is certified below epsilon through the shared-paintbox coupling bound", {
         "law": _LAW, "k": (_int, _law_k), "n_grid": (_list_of(_int), REQUIRED),
         "epsilon": (_float, 0.25),
         # the one method cutoff runs; configs may still name it

@@ -2,8 +2,8 @@
 
 One chain step is directed by a sampled matrix S: a site currently colored c
 moves to color r with probability S[r-1, c-1], independently across sites
-given S. sample_M_given_S turns a matrix draw into a random partition matrix
-with exactly that product law, column by column.
+given S. The chain runners in `chains` draw the moves of all sites for a
+stack of sampled matrices at once.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, _renamed, coerce
-from .partitions import MAX_COLORS, PartitionMatrix
+from .partitions import MAX_COLORS
 from .rng import as_stream
 
 _COLSUM_TOL = 1e-9
@@ -107,10 +107,6 @@ class StochasticMatrix:
         return f"StochasticMatrix({self.entries.tolist()!r})"
 
 
-def uniform_matrix(k: int) -> StochasticMatrix:
-    return StochasticMatrix(np.full((k, k), 1.0 / k))
-
-
 @dataclass(frozen=True)
 class RceResult:
     """Outcome of the row-column exchangeability test.
@@ -137,9 +133,6 @@ class PaintboxLaw:
     @property
     def k(self) -> int:
         raise NotImplementedError
-
-    def sample(self, rng) -> StochasticMatrix:
-        return StochasticMatrix(self.sample_batch(rng, 1)[0])
 
     def sample_batch(self, rng, size: int) -> np.ndarray:
         """Draw `size` matrices as a (size, k, k) array."""
@@ -476,32 +469,3 @@ def law_from_config(obj) -> PaintboxLaw:
             raise
         with _renamed({e.field: keys[0]}):
             raise
-
-
-def sample_S(law: PaintboxLaw, rng) -> StochasticMatrix:
-    """One draw from the law. rng may be an RngStream, a seed, or a Generator."""
-    return law.sample(_as_generator(rng))
-
-
-def _bits_to_mask(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def sample_M_given_S(s: StochasticMatrix, n: int, rng) -> PartitionMatrix:
-    """Random partition matrix given s: in column j, each site lands in row r
-    with probability s[r, j], independently over sites and columns."""
-    if n < 1:
-        raise ValidationError(f"need at least one site, got n={n}", field="n")
-    gen = _as_generator(rng)
-    k = s.k
-    cum = np.cumsum(s.entries, axis=0)
-    cum[-1, :] = 1.0
-    u = gen.random((n, k))
-    cells = []
-    for r in range(k):
-        cells.append([0] * k)
-    for j in range(k):
-        rows = np.searchsorted(cum[:, j], u[:, j], side="right")
-        for r in range(k):
-            cells[r][j] = _bits_to_mask(rows == r)
-    return PartitionMatrix(n, k, tuple(tuple(row) for row in cells))

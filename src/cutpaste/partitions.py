@@ -8,7 +8,7 @@ colorings by block substitution and compose by a union-of-intersections
 product, forming a monoid whose identity has [n] on the diagonal.
 
 Subsets of [n] are stored as bitmasks (bit i-1 represents site i); the
-public contract is set identity, and serialization uses sorted site lists.
+public contract is set identity.
 """
 
 from __future__ import annotations
@@ -31,13 +31,6 @@ def _check_dims(n: int, k: int) -> None:
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
-
-
-def sites_to_mask(sites) -> int:
-    mask = 0
-    for s in sites:
-        mask |= 1 << (s - 1)
-    return mask
 
 
 def mask_to_sites(mask: int) -> tuple[int, ...]:
@@ -185,19 +178,6 @@ class PartitionMatrix:
                     f"column {j + 1} is not a partition of 1..{self.n}", field="cells"
                 )
 
-    @classmethod
-    def from_site_lists(cls, n: int, k: int, lists) -> "PartitionMatrix":
-        cells = tuple(
-            tuple(sites_to_mask(lists[i][j]) for j in range(k)) for i in range(k)
-        )
-        return cls(n, k, cells)
-
-    def to_site_lists(self) -> list[list[list[int]]]:
-        return [
-            [list(mask_to_sites(self.cells[i][j])) for j in range(self.k)]
-            for i in range(self.k)
-        ]
-
     def column(self, j: int) -> Coloring:
         """Column j+1 read as the coloring that sends sites to their row color."""
         return Coloring.from_classes(tuple(self.cells[i][j] for i in range(self.k)))
@@ -250,36 +230,6 @@ def project(x: Coloring) -> UnlabeledPartition:
     return UnlabeledPartition(x.n, blocks)
 
 
-def cyclic_shift_matrix(x: Coloring) -> PartitionMatrix:
-    """Matrix whose column j+1 is the j-th cyclic shift of x's color classes.
-
-    Cell (i, j) holds class (i - j) mod k of x, so acting on a coloring adds
-    x coordinatewise in the cyclic group on {1..k}.
-    """
-    cls = x.classes()
-    k = x.k
-    cells = tuple(
-        tuple(cls[(i - j) % k] for j in range(k)) for i in range(k)
-    )
-    return PartitionMatrix(x.n, k, cells)
-
-
-def matrix_mapping(x: Coloring, y: Coloring) -> PartitionMatrix:
-    """Some partition matrix m with act(m, x) == y (the action is transitive)."""
-    if x.n != y.n or x.k != y.k:
-        raise ValidationError("colorings must share n and k")
-    k = x.k
-    xcls = x.classes()
-    ycls = y.classes()
-    cells = [[0] * k for _ in range(k)]
-    for j in range(k):
-        rest = full_mask(x.n) & ~xcls[j]
-        for r in range(k):
-            cells[r][j] = ycls[r] & xcls[j]
-        cells[0][j] |= rest
-    return PartitionMatrix(x.n, k, tuple(tuple(row) for row in cells))
-
-
 def matrix_to_colorings(m: PartitionMatrix) -> tuple[Coloring, ...]:
     """Identify a partition matrix with the k-tuple of its column colorings."""
     return tuple(m.column(j) for j in range(m.k))
@@ -297,19 +247,3 @@ def colorings_to_matrix(cols) -> PartitionMatrix:
     for i in range(k):
         cells.append(tuple(classes[j][i] for j in range(k)))
     return PartitionMatrix(n, k, tuple(cells))
-
-
-def coloring_to_json(x: Coloring) -> dict:
-    return {"n": x.n, "k": x.k, "word": x.to_string()}
-
-
-def coloring_from_json(obj) -> Coloring:
-    return Coloring.from_string(obj["word"], int(obj["k"]))
-
-
-def partition_matrix_to_json(m: PartitionMatrix) -> dict:
-    return {"n": m.n, "k": m.k, "cells": m.to_site_lists()}
-
-
-def partition_matrix_from_json(obj) -> PartitionMatrix:
-    return PartitionMatrix.from_site_lists(int(obj["n"]), int(obj["k"]), obj["cells"])

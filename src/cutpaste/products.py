@@ -3,7 +3,7 @@
 The all-ones vector is a fixed left eigenvector of every column-stochastic
 matrix, so products act invariantly on the subspace V orthogonal to it.
 Everything here measures that restricted action: singular values of Q_m|V,
-the diameter of the image simplex, and growth-rate (Lyapunov) estimates
+the collapse of the image simplex, and growth-rate (Lyapunov) estimates
 accumulated through QR re-orthonormalization.
 
 The restriction helpers broadcast over leading axes, so the estimators treat
@@ -106,17 +106,6 @@ def log_abs_det_on_V(q):
     array over the leading axes of a stack."""
     _, logdet = np.linalg.slogdet(_entries(q))
     return _scalar(logdet)
-
-
-def simplex_diameter(q) -> float:
-    """Euclidean diameter of the image of the simplex under v -> qv.
-
-    The image is the convex hull of the columns, so the diameter is attained
-    at a pair of column vectors.
-    """
-    e = _entries(q)
-    diff = e[:, :, None] - e[:, None, :]
-    return float(np.sqrt((diff**2).sum(axis=0)).max())
 
 
 _COLLAPSE_EPS = 1e-13
@@ -277,21 +266,6 @@ def estimate_lyapunov(law: PaintboxLaw, m: int, replicates: int, seed) -> Lyapun
         replicates=replicates,
         flags=tuple(sorted(flags)),
     )
-
-
-def lyapunov_trace(law: PaintboxLaw, m: int, seed) -> np.ndarray:
-    """Running per-direction exponent estimates along one path: row t-1 holds
-    log_r_sums / t after t steps. For convergence plots; every step is its
-    own block, since each row reads the exponents after one more step. As in
-    estimate_lyapunov's spectrum, the directions after the first collapsed
-    one (log_r_sum -inf) have no rate: they read NaN."""
-    if law.k < 2:
-        raise ValidationError("growth rates need a law with k >= 2", field="law")
-    batch = _replicate_batches(law, seed, "lyapunov-replicate", range(1), m)
-    sums = np.cumsum(_block_log_r(restrict_to_V(batch), 1)[0], axis=0)
-    collapsed = np.logical_or.accumulate(np.isneginf(sums), axis=1)
-    sums[:, 1:][collapsed[:, :-1]] = np.nan
-    return sums / np.arange(1, m + 1)[:, None]
 
 
 @dataclass(frozen=True)

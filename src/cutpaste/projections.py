@@ -1,9 +1,8 @@
-"""Unlabeled projections of runs and the mixing-equivalence check.
+"""The mixing-equivalence check of a chain and its unlabeled projection.
 
 Forgetting the color labels of a trajectory is only guaranteed to leave a
-Markov chain when the driving paintbox law is row-column exchangeable. The
-projection is still computed for other laws, but the run is flagged as
-diagnostic. The equivalence check computes both chains' exact distance
+Markov chain when the driving paintbox law is row-column exchangeable, so
+the check accepts those laws only. It computes both chains' exact distance
 profiles on small state spaces and compares their epsilon-crossing times.
 
 The states are the k^n colorings, enumerated as color words (dense linear
@@ -44,11 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainRun
 from .errors import TheoryRefusal, ValidationError, _epsilon_grid, check_budget
 from .lumped import _gth
 from .paintbox import PaintboxLaw
-from .partitions import UnlabeledPartition, project
 
 # the largest |pi K - pi| a certified stationary law may leave
 _RESIDUAL_TOL = 1e-10
@@ -148,37 +145,6 @@ def _orbit_classes(w: np.ndarray, k: int) -> tuple[np.ndarray, list[tuple[int, .
     # orbits in order of first appearance
     firsts, labels = np.unique(canon @ k ** np.arange(n - 1, -1, -1), return_inverse=True)
     return labels, [tuple(row) for row in (w[firsts] + 1).tolist()]
-
-
-@dataclass(frozen=True)
-class ProjectedRun:
-    """A run with its trajectory pushed onto unlabeled partitions."""
-
-    base: ChainRun
-    trajectory: tuple[UnlabeledPartition, ...]
-    markov_certified: bool
-    flags: tuple[str, ...] = ()
-
-
-def project_run(run: ChainRun) -> ProjectedRun:
-    """Project every recorded coloring of a run onto its unlabeled partition.
-
-    The projected sequence is certified Markov only when the driving law is
-    row-column exchangeable; otherwise the result carries a diagnostic flag
-    and no Markov claim.
-    """
-    traj = tuple(project(x) for x in run.trajectory)
-    flags: list[str] = []
-    certified = False
-    if run.law is None:
-        flags.append("diagnostic only: run has no recorded paintbox law")
-    else:
-        rce = run.law.is_rce()
-        if rce:
-            certified = True
-        else:
-            flags.append(f"diagnostic only: projection may be non-Markov ({rce.reason})")
-    return ProjectedRun(run, traj, certified, tuple(flags))
 
 
 @dataclass(frozen=True)

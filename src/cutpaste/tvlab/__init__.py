@@ -13,9 +13,8 @@ __all__, __getattr__, __dir__ = _lazy(globals(), {
         "loglog_schedule",
     ),
     "exact": (
-        "LikelihoodCertificate", "ProductMultinomialLaw", "TVEstimate", "refinement_cells",
-        "tv_exact_atomic", "tv_exact_conditional", "tv_exact_product_multinomial",
-        "tv_likelihood_bound",
+        "ProductMultinomialLaw", "TVEstimate", "refinement_cells", "tv_exact_atomic",
+        "tv_exact_product_multinomial",
     ),
     "mc": (
         "batched_products", "make_constant_pair", "make_test_pair", "tv_lower_mc",

@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import TheoryRefusal, ValidationError, check_budget
-from ..paintbox import PaintboxLaw, StochasticMatrix, _column_stochastic
+from ..paintbox import PaintboxLaw, _column_stochastic
 from ..partitions import Coloring
 
 # most elements one temporary of a chunked kernel holds: a block of joint
@@ -323,21 +323,6 @@ def _refinement_cells(x0: Coloring, x0_tilde: Coloring) -> tuple[tuple[int, int,
                  for c, cnt in zip(uniq[order], counts[order]))
 
 
-def tv_exact_conditional(qm, x0: Coloring, x0_tilde: Coloring) -> TVEstimate:
-    """Exact TV between the two chains' conditional laws at a fixed composed
-    paintbox qm: given the paintbox trace, each chain is product-multinomial
-    over the refinement cells of the initial pair, with cell distributions
-    read from the columns of qm."""
-    e = (qm if isinstance(qm, StochasticMatrix) else StochasticMatrix(qm)).entries
-    if e.shape[0] != x0.k:
-        raise ValidationError("paintbox and states must share k")
-    cells = _refinement_cells(x0, x0_tilde)
-    return tv_exact_product_multinomial(
-        ProductMultinomialLaw(tuple((cnt, e[:, a - 1]) for a, _, cnt in cells)),
-        ProductMultinomialLaw(tuple((cnt, e[:, b - 1]) for _, b, cnt in cells)),
-    )
-
-
 def _binomial_tvs(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     """Row r: TV(Bin(n, p[r]), Bin(n, q[r])), as 1 minus the lower tail of
     the larger parameter over the counts c - h + 1 .. c up to the crossing
@@ -386,10 +371,17 @@ def _tail_sums(x: np.ndarray, log_p: np.ndarray, log1m_p: np.ndarray, log_comb: 
 
 
 def _conditional_tvs(qs: np.ndarray, x0: Coloring, x0_tilde: Coloring) -> np.ndarray:
-    """Row r: the exact conditional TV of tv_exact_conditional at the
-    composed paintbox qs[r], for an (R, k, k) stack, with numpy row sums.
+    """Row r: the exact TV between the two chains' laws given the composed
+    paintbox qs[r], for an (R, k, k) stack of distinct starts. Given the
+    paintbox, each chain is product-multinomial over the refinement cells
+    of the pair, with cell distributions read from the columns of qs[r].
     Cells where both starts agree have equal laws and factor out; two colors
-    with one differing cell take the binomial shortcut."""
+    with one differing cell take the binomial shortcut.
+
+    Rows go through the count-law kernel in chunks of one row count, the
+    last one padded by repeating its last row. A matrix product rounds a
+    row by the product's shape and the row's place in it, so each row gets
+    the same bits in every stack that holds it at the same index."""
     col_a, col_b, sizes = zip(
         *((a - 1, b - 1, cnt) for a, b, cnt in _refinement_cells(x0, x0_tilde) if a != b)
     )
@@ -398,11 +390,14 @@ def _conditional_tvs(qs: np.ndarray, x0: Coloring, x0_tilde: Coloring) -> np.nda
     size = _statistic_size(sizes, qs.shape[1])
     check_budget("enumeration", size, "joint count statistic too large to enumerate")
     cols_p, cols_q = qs[:, :, list(col_a)], qs[:, :, list(col_b)]
-    values = np.empty(len(qs))
-    for rows in _row_chunks(len(qs), size):
+    count = len(qs)
+    step = max(1, _CACHE_BUDGET // size)
+    values = np.empty(count)
+    for lo in range(0, count, step):
+        rows = np.minimum(np.arange(lo, lo + step), count - 1)
         d = _joint_pmfs(cols_p[rows], sizes)
         d -= _joint_pmfs(cols_q[rows], sizes)
-        values[rows] = 0.5 * np.abs(d, out=d).sum(axis=1)
+        values[lo:lo + step] = 0.5 * np.abs(d, out=d).sum(axis=1)[:count - lo]
     return values
 
 
@@ -454,47 +449,3 @@ def tv_exact_atomic(
         return w, q[:, :, list(col_a)], q[:, :, list(col_b)]
 
     return TVEstimate(_mixture_tv(sizes, k, r**m, draw), "exact")
-
-
-@dataclass(frozen=True)
-class LikelihoodCertificate:
-    """Outcome of the likelihood-ratio tail check: when the reference law
-    puts mass below epsilon on the set where the ratio strays from 1 by more
-    than epsilon, the TV distance is certified below 2 * epsilon."""
-
-    certified: bool
-    epsilon: float
-    tail_mass: float
-    bound: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "certified": self.certified,
-            "epsilon": self.epsilon,
-            "tail_mass": self.tail_mass,
-            "bound": self.bound,
-        }
-
-
-def tv_likelihood_bound(p, q, epsilon: float) -> LikelihoodCertificate:
-    """Certify TV(p, q) < 2*epsilon from the likelihood-ratio tail of q.
-
-    Points where q vanishes but p does not count as ratio-divergent by
-    convention; points where both vanish are neutral.
-    """
-    if not epsilon > 0.0:
-        raise ValidationError("epsilon must be positive", field="epsilon")
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValidationError("laws must be vectors on a shared support")
-    # checked only: the certificate is computed on p and q as given
-    for name, v in (("p", p), ("q", q)):
-        _column_stochastic(v[:, None], name, 1e-6)
-    pos = q > 0.0
-    in_b = np.zeros(p.shape, dtype=bool)
-    in_b[pos] = np.abs(p[pos] / q[pos] - 1.0) > epsilon
-    in_b[~pos] = p[~pos] > 0.0
-    tail = float(q[in_b].sum())
-    certified = tail < epsilon
-    return LikelihoodCertificate(certified, float(epsilon), tail, 2.0 * epsilon if certified else None)

@@ -4,12 +4,20 @@ A mixing-time query first runs the collapse diagnostic's scan as a gate;
 without a certified collapsing product the chain need not mix to a unique
 law and the search is refused. One witness certifies collapse, so the gate
 stops at the first sampled product that contracts V or is positive, and
-only a refusal carries the full diagnostic. Distance to stationarity is
-tracked through the worst designed initial-state pair, and a horizon only
-counts as mixed when its estimate is certified below epsilon (exact value
-below, or mean plus three standard errors below for MC). MC probes of one
-designed pair extend one product path, so each horizon draws only the
-steps past the nearest probed one.
+only a refusal carries the full diagnostic.
+
+What the search certifies is the TV between the chains started from the
+designed pairs, the two constant colorings of each pair of colors, at the
+worst pair: exactly under exact_atomic, and under mc_sandwich through the
+shared-paintbox coupling, whose mean conditional TV bounds it from above.
+It is not the distance to stationarity from every start. From the constant
+start i a step reads only column i of the paintbox, so under a law with
+i.i.d. columns the two constant starts have one law from m = 1 on, while
+other starts may still be far from stationarity. A horizon only counts as
+mixed when its estimate is certified below epsilon (exact value below, or
+mean plus three standard errors below for MC). MC probes of one designed
+pair extend one product path, so each horizon draws only the steps past
+the nearest probed one.
 """
 
 from __future__ import annotations

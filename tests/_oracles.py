@@ -1,10 +1,10 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately self-contained (numpy, math, fractions and
-scipy.stats only; the package imports are the Coloring container that
-enumerate_colorings lists states in and the PaintboxLaw base that
-ScriptedLaw fakes) so the tests compare two genuinely separate routes to
-the same numbers.
+scipy.stats only; the package imports are the Coloring, PartitionMatrix and
+StochasticMatrix containers, the PaintboxLaw base that ScriptedLaw fakes and
+the seed-to-generator coercion) so the tests compare two genuinely separate
+routes to the same numbers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import binom
 
-from cutpaste.paintbox import PaintboxLaw
+from cutpaste.paintbox import PaintboxLaw, StochasticMatrix, _as_generator
+from cutpaste.partitions import PartitionMatrix
 
 
 def words_array(n: int, k: int) -> np.ndarray:
@@ -417,6 +418,17 @@ def singular_values_on_mean_zero(q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(eigs, 0.0, None))
 
 
+def simplex_diameter(q) -> float:
+    """Euclidean diameter of the image of the simplex under v -> qv.
+
+    The image is the convex hull of the columns, so the diameter is attained
+    at a pair of column vectors.
+    """
+    e = np.asarray(getattr(q, "entries", q), dtype=float)
+    diff = e[:, :, None] - e[:, None, :]
+    return float(np.sqrt((diff**2).sum(axis=0)).max())
+
+
 @dataclass
 class ProductState:
     """Running product Q_m with a QR-maintained orthonormal frame in the
@@ -452,22 +464,6 @@ def step(state: ProductState, s) -> ProductState:
     absd = np.abs(d)
     logs = np.where(absd < 1e-13, -np.inf, np.log(np.maximum(absd, 1e-300)))
     return ProductState(e @ state.q, state.m + 1, h @ qv, state.log_r_sums + logs)
-
-
-def lyapunov_trace_steps(samples: np.ndarray) -> np.ndarray:
-    """Running exponent estimates along one path of pre-drawn samples
-    (m, k, k), by step: row t-1 holds log_r_sums / t after t steps, and NaN
-    for every direction after the first whose sum is -inf."""
-    state = new_product_state(samples.shape[-1])
-    out = np.zeros((len(samples), samples.shape[-1] - 1))
-    for t, s in enumerate(samples):
-        state = step(state, s)
-        out[t] = state.log_r_sums / (t + 1)
-        for j, v in enumerate(state.log_r_sums):
-            if v == -np.inf:
-                out[t, j + 1:] = np.nan
-                break
-    return out
 
 
 def fraction_det(a) -> Fraction:
@@ -687,6 +683,47 @@ def atomic_tv(atoms, weights, x0_word, x1_word, m: int) -> float:
         mix_p = mix_p + w * vec_p
         mix_q = mix_q + w * vec_q
     return tv_distance(mix_p, mix_q)
+
+
+def uniform_matrix(k: int) -> StochasticMatrix:
+    return StochasticMatrix(np.full((k, k), 1.0 / k))
+
+
+def sample_S(law: PaintboxLaw, rng) -> StochasticMatrix:
+    """One draw from the law. rng may be an RngStream, a seed, or a Generator."""
+    return StochasticMatrix(law.sample_batch(_as_generator(rng), 1)[0])
+
+
+def sites_to_mask(sites) -> int:
+    """The bitmask of a set of sites 1..n: bit i-1 represents site i."""
+    mask = 0
+    for s in sites:
+        mask |= 1 << (s - 1)
+    return mask
+
+
+def _bits_to_mask(bits: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def sample_M_given_S(s: StochasticMatrix, n: int, rng) -> PartitionMatrix:
+    """Random partition matrix given s: in column j, each site lands in row r
+    with probability s[r, j], independently over sites and columns. The
+    reference for the matrix construction's draw: one uniform per site and
+    column, placed by a searchsorted into the cumulative column."""
+    gen = _as_generator(rng)
+    k = s.k
+    cum = np.cumsum(s.entries, axis=0)
+    cum[-1, :] = 1.0
+    u = gen.random((n, k))
+    cells = []
+    for r in range(k):
+        cells.append([0] * k)
+    for j in range(k):
+        rows = np.searchsorted(cum[:, j], u[:, j], side="right")
+        for r in range(k):
+            cells[r][j] = _bits_to_mask(rows == r)
+    return PartitionMatrix(n, k, tuple(tuple(row) for row in cells))
 
 
 class ScriptedLaw(PaintboxLaw):

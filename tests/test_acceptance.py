@@ -425,6 +425,36 @@ def test_criterion_08_supplement_window_endpoints_and_rate_oracle(dirichlet_cuto
     assert abs(report.lambda1_hat - math.exp(-1.5)) < 0.01
 
 
+def _iid_columns(a, b) -> Atomic:
+    """The law whose two columns are i.i.d., each a or b with probability 1/2."""
+    cols = (a, b)
+    atoms = tuple(np.column_stack([cols[i], cols[j]]) for i in (0, 1) for j in (0, 1))
+    return Atomic(atoms=atoms, weights=(0.25,) * 4)
+
+
+def test_criterion_08_supplement_designed_pairs_certify_the_constant_pair_tv():
+    """The horizons of mixing-time and cutoff bound the TV between the chains
+    from two constant colorings, not the distance to stationarity from every
+    start. From the constant start i a step reads only column i of the
+    paintbox, so under i.i.d. columns the two constant starts have one law
+    from m = 1 on, while other starts are still far from stationarity."""
+    law = _iid_columns((0.9, 0.1), (0.3, 0.7))
+    x, y = Coloring.constant(64, 2, 1), Coloring.constant(64, 2, 2)
+    # measured at most 4.6e-17 on m = 1, 2, 3 and 6
+    assert all(tv_exact_atomic(law, x, y, m).value < 1e-15 for m in (1, 2, 3, 6))
+    assert mixing_time(law, n=64, k=2, epsilon=0.25, method="exact_atomic").t_mix == {0.25: 1}
+
+    # row-column exchangeable, so project reads the worst start's distance
+    # to stationarity: 0.333, 0.080 and 0.016 at m = 1, 2 and 3
+    law = _iid_columns((0.8, 0.2), (0.2, 0.8))
+    report = projected_mixing_equivalence(law, n=12, k=2, epsilon=(0.25, 0.05))
+    worst = [tv for _, tv, _ in report.profile]
+    assert abs(worst[0] - 0.333) < 5e-4 and abs(worst[1] - 0.080) < 5e-4 and abs(worst[2] - 0.016) < 5e-4
+    assert report.t_labeled == {0.25: 2, 0.05: 3}
+    constant = mixing_time(law, n=12, k=2, epsilon=(0.25, 0.05), method="exact_atomic")
+    assert constant.t_mix == {0.25: 1, 0.05: 1}
+
+
 # ---------------------------------------------------------------------------
 # criterion 9: logarithmic growth of certified horizons for a positive
 # two-atom law

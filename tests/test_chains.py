@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 from cutpaste import chains
 from cutpaste.chains import (
     EhrenfestParams,
-    SimplexPoint,
     run_efcp_coordinate,
     run_efcp_matrix,
     run_ehrenfest,
-    run_group_chain,
-    run_induced_simplex,
     standard_ehrenfest,
 )
-from cutpaste.errors import TheoryRefusal, ValidationError
+from cutpaste.errors import ValidationError
 from cutpaste.paintbox import (
     Atomic,
     DirichletColumns,
@@ -22,10 +19,8 @@ from cutpaste.paintbox import (
     PointMass,
     SelfSimilar,
     StochasticMatrix,
-    sample_M_given_S,
-    sample_S,
 )
-from cutpaste.partitions import Coloring, act, cyclic_shift_matrix
+from cutpaste.partitions import Coloring, act
 from cutpaste.projections import exact_kernel, product_kernel_given_S, words
 from cutpaste.rng import RngStream
 
@@ -34,6 +29,8 @@ from _oracles import (
     efcp_by_column,
     ehrenfest_by_site,
     matrix_enumeration_kernel,
+    sample_M_given_S,
+    sample_S,
     state_index,
 )
 
@@ -157,30 +154,6 @@ def test_coordinate_frequencies_track_matrix_power():
     assert np.all(np.abs(freq - target) < 5 * sigma)
 
 
-def test_induced_simplex_follows_the_flow():
-    s = np.array([[0.9, 0.4], [0.1, 0.6]])
-    law = PointMass(s)
-    y0 = SimplexPoint(2, (0.25, 0.75))
-    path = run_induced_simplex(law, y0, 6, RngStream(2))
-    assert len(path) == 7
-    y = np.array(y0.coords)
-    for t in range(1, 7):
-        y = s @ y
-        assert np.max(np.abs(np.array(path[t].coords) - y)) < 1e-12
-        assert abs(sum(path[t].coords) - 1.0) < 1e-15
-
-
-def test_simplex_point_validation():
-    with pytest.raises(ValidationError):
-        SimplexPoint(2, (0.5, 0.6))
-    with pytest.raises(ValidationError):
-        SimplexPoint(2, (1.2, -0.2))
-    with pytest.raises(ValidationError):
-        SimplexPoint(3, (0.5, 0.5))
-    p = SimplexPoint(2, (0.5 + 4e-13, 0.5 - 4e-13))
-    assert abs(sum(p.coords) - 1.0) < 1e-15
-
-
 def test_ehrenfest_replay_and_coupling():
     params = EhrenfestParams(10, 0.3)
     assert params.batch_size == 3
@@ -251,44 +224,6 @@ def test_standard_variant_is_single_site():
                 assert after.word[i] == before.word[i]
 
 
-def test_group_chain_matches_shift_matrices_and_increment_law():
-    lam = np.array([0.2, 0.6, 0.2])
-    # matrix route: acting by the shift matrix of an increment coloring is
-    # coordinatewise addition mod k
-    for xw in [(1, 2), (3, 3), (2, 1)]:
-        x = Coloring(2, 3, xw)
-        for lw in [(1, 1), (2, 3), (3, 1)]:
-            inc = Coloring(2, 3, lw)
-            shifted = act(cyclic_shift_matrix(inc), x)
-            manual = tuple((xi - 1 + li - 1) % 3 + 1 for xi, li in zip(xw, lw))
-            assert shifted.word == manual
-
-    # simulator route: n sites, one step, per-site increments follow lambda
-    n = 30_000
-    x0 = Coloring.constant(n, 3, 2)
-    run = run_group_chain(lam, x0, 1, RngStream(77))
-    inc = np.array([(y - x) % 3 for x, y in zip(x0.word, run.final.word)])
-    freq = np.bincount(inc, minlength=3) / n
-    sigma = np.sqrt(lam * (1 - lam) / n)
-    assert np.all(np.abs(freq - lam) < 5 * sigma)
-
-
-def test_group_chain_weight_gate():
-    x0 = Coloring.constant(4, 3, 1)
-    with pytest.raises(TheoryRefusal) as e:
-        run_group_chain([0.5, 0.3, 0.2], x0, 3, RngStream(1))
-    assert e.value.code == "theory_gate"
-    with pytest.raises(ValidationError):
-        run_group_chain([0.5, 0.0, 0.5], x0, 3, RngStream(1))
-    with pytest.raises(ValidationError):
-        run_group_chain([0.5, 0.5], x0, 3, RngStream(1))
-    with pytest.raises(ValidationError):
-        run_group_chain([0.4, 0.4, 0.4], x0, 3, RngStream(1))
-    # k=2 is symmetric whenever both weights match
-    ok = run_group_chain([0.5, 0.5], Coloring.constant(4, 2, 1), 3, RngStream(1))
-    assert ok.final.n == 4
-
-
 def test_thinning_and_reproducibility():
     law = DirichletColumns([[1.0, 1.0], [1.0, 1.0]])
     x0 = Coloring.constant(5, 2, 1)
@@ -324,9 +259,6 @@ def test_run_validation():
         EhrenfestParams(4, 0.5, variant="weird")
     with pytest.raises(ValidationError) as err:
         run_ehrenfest(EhrenfestParams(6, 0.5), Coloring.constant(6, 2, 1), 5, 1, thin=-3)
-    assert err.value.field == "thin"
-    with pytest.raises(ValidationError) as err:
-        run_group_chain([0.5, 0.5], Coloring.constant(6, 2, 1), 5, 1, thin=-2)
     assert err.value.field == "thin"
 
 

@@ -322,12 +322,29 @@ def test_chunked_stacks_match_one_block(cache_budget):
     law = TWO_ATOM_K3
     x, y = _pair("general", 6, 3)
     qs = batched_products(law, 3, 50, 2)
-    cache_budget(1 << 30)
+    # one block of the 50 rows exactly: the last block is padded to the
+    # budget's row count, so a larger budget would compute more rows
+    size = exact._statistic_size([c for a, b, c in exact.refinement_cells(x, y) if a != b], 3)
+    cache_budget(len(qs) * size)
     whole_rows = exact._conditional_tvs(qs, x, y)
+    cache_budget(1 << 30)
     whole_atomic = tv_exact_atomic(law, x, y, 4).value
     cache_budget(1)
     assert np.max(np.abs(exact._conditional_tvs(qs, x, y) - whole_rows)) < TOL
     assert abs(tv_exact_atomic(law, x, y, 4).value - whole_atomic) < TOL
+
+
+@pytest.mark.parametrize("design, n, reps", [("constant", 20, 200), ("constant", 48, 100), ("block", 12, 6)])
+def test_conditional_tv_rows_keep_their_bits_in_every_prefix(design, n, reps):
+    # one replicate must not read two values at two replicate counts: at
+    # n = 48 (26-row chunks), prefixes of 1, 27, 53 and 79 rows left a
+    # one-row last chunk, whose product went through gemv and moved that
+    # row by an ulp
+    x, y = _pair(design, n, 3)
+    qs = batched_products(TWO_ATOM_K3, 3, reps, 29)
+    full = exact._conditional_tvs(qs, x, y)
+    for r in range(1, reps + 1):
+        assert exact._conditional_tvs(qs[:r], x, y).tobytes() == full[:r].tobytes(), r
 
 
 @pytest.mark.parametrize("n", [1, 48, 2048])

@@ -10,8 +10,8 @@ from _oracles import (
     collapse_counts,
     fraction_det,
     lyapunov_per_replicate,
-    lyapunov_trace_steps,
     new_product_state,
+    simplex_diameter,
     singular_values_on_mean_zero,
     step,
 )
@@ -33,9 +33,7 @@ from cutpaste.products import (
     estimate_lyapunov,
     helmert_basis,
     log_abs_det_on_V,
-    lyapunov_trace,
     restrict_to_V,
-    simplex_diameter,
     singular_values_on_V,
     top_singular_on_V,
 )
@@ -193,13 +191,6 @@ def test_lyapunov_rank1_collapse_flag():
     assert "super_exponential_collapse" in est.flags
 
 
-def test_lyapunov_trace_converges_to_estimate():
-    law = PointMass(StochasticMatrix([[0.8, 0.3], [0.2, 0.7]]))
-    trace = lyapunov_trace(law, 50, seed=6)
-    assert trace.shape == (50, 1)
-    assert abs(trace[-1, 0] - math.log(0.5)) < 1e-12
-
-
 def test_lyapunov_validation():
     law = SelfSimilar([1.0, 1.0])
     with pytest.raises(ValidationError):
@@ -330,24 +321,6 @@ def test_estimate_lyapunov_matches_per_replicate_oracle(case):
         assert "logdet_floored" in est.flags
     if case == "identity_point_mass":
         assert abs(est.lambda1 - 1.0) < 1e-12 and est.flags == ()
-
-
-@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
-def test_lyapunov_trace_matches_the_step_oracle_at_every_step(case):
-    law, m, _ = _ORACLE_CASES[case]
-    got = lyapunov_trace(law, m, seed=23)
-    want = lyapunov_trace_steps(_replicate_draws(law, 23, "lyapunov-replicate", 1, m)[0])
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-
-
-def test_lyapunov_trace_has_no_rate_after_a_collapsed_direction():
-    # as in estimate_lyapunov's spectrum; the QR's choice of frame column
-    # for the collapsed direction set the later rates (-0.599 and -1.441)
-    law, m, _ = _ORACLE_CASES["two_unit_columns_k4"]
-    last = lyapunov_trace(law, m, seed=23)[-1]
-    assert last[0] == -np.inf and np.isnan(last[1:]).all()
-    trace = lyapunov_trace(_ORACLE_CASES["self_similar_k3"][0], 40, seed=23)
-    assert np.isfinite(trace).all()
 
 
 # --------------------------------------------------- the block QR kernel

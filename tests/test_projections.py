@@ -8,18 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from cutpaste.chains import EhrenfestParams, run_efcp_matrix, run_ehrenfest
+from cutpaste.chains import run_efcp_matrix
 from cutpaste.errors import BUDGETS, BudgetRefusal, TheoryRefusal, ValidationError
 from cutpaste.paintbox import Atomic, PermutationMix, PointMass
 from cutpaste.partitions import Coloring, project
 from cutpaste import projections
 from cutpaste.projections import (
     EquivalenceReport,
-    ProjectedRun,
     _count_classes,
     _stationary_from_counts,
     exact_kernel,
-    project_run,
     projected_mixing_equivalence,
     words,
 )
@@ -58,53 +56,6 @@ def test_orbit_closure_is_rce():
     law = orbit_closure_law(RCE_BASE)
     assert law.is_rce().value is True
     assert len(law.as_atomic().atoms) == 4
-
-
-# ------------------------------------------------------------- project_run
-
-
-def test_project_run_pointwise_and_certified():
-    law = orbit_closure_law(RCE_BASE)
-    run = run_efcp_matrix(law, Coloring(5, 2, (1, 1, 2, 1, 2)), 12, seed=3, thin=1)
-    proj = project_run(run)
-    assert isinstance(proj, ProjectedRun)
-    assert proj.base is run
-    assert len(proj.trajectory) == len(run.trajectory)
-    for x, u in zip(run.trajectory, proj.trajectory):
-        assert u == project(x)
-    assert proj.markov_certified
-    assert proj.flags == ()
-
-
-def test_project_run_constant_trajectory():
-    law = PointMass(np.eye(2))  # identity paintbox never moves the state
-    x0 = Coloring(4, 2, (1, 2, 2, 1))
-    run = run_efcp_matrix(law, x0, 6, seed=0, thin=1)
-    proj = project_run(run)
-    assert all(u == proj.trajectory[0] for u in proj.trajectory)
-
-
-def test_project_run_permutation_law_moves_labels_not_blocks():
-    law = PermutationMix(2)
-    x0 = Coloring(6, 2, (1, 1, 1, 2, 2, 1))
-    run = run_efcp_matrix(law, x0, 40, seed=9, thin=1)
-    words = {x.word for x in run.trajectory}
-    assert len(words) == 2  # the color swap does fire
-    projected = {u for u in project_run(run).trajectory}
-    assert len(projected) == 1
-
-
-def test_project_run_flags_non_rce_and_missing_law():
-    law = PointMass([[0.9, 0.2], [0.1, 0.8]])
-    run = run_efcp_matrix(law, Coloring.constant(4, 2, 1), 5, seed=1, thin=1)
-    proj = project_run(run)
-    assert not proj.markov_certified
-    assert any("diagnostic only" in f for f in proj.flags)
-
-    eruns = run_ehrenfest(EhrenfestParams(6, 0.5), Coloring.constant(6, 2, 1), 4, seed=2, thin=1)
-    eproj = project_run(eruns)
-    assert not eproj.markov_certified
-    assert any("no recorded paintbox law" in f for f in eproj.flags)
 
 
 def test_projected_chain_is_empirically_markov():
