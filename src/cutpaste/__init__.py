@@ -59,7 +59,7 @@ __all__, __getattr__, __dir__ = _lazy(globals(), {
     "tvlab": (
         "CutoffReport", "MixingProfile", "ProductMultinomialLaw", "TVEstimate",
         "cutoff_experiment", "ehrenfest_bounds", "ehrenfest_mixing_time",
-        "ehrenfest_tv_exact", "ehrenfest_tv_profile", "loglog_schedule",
+        "ehrenfest_tv_profile", "loglog_schedule",
         "make_constant_pair", "make_test_pair", "mixing_time", "tv_exact_atomic",
         "tv_exact_product_multinomial", "tv_lower_mc", "tv_upper_mc",
     ),

@@ -51,6 +51,14 @@ def _epsilon_grid(epsilon, descending: bool = False) -> tuple[float, ...]:
     return grid
 
 
+def _fields_json(report) -> dict:
+    """The JSON of a dataclass report: every field under its own name, a
+    tuple as a list. A report whose JSON differs in some fields starts from
+    this and reshapes only those. A report's instance dict holds its fields
+    and nothing else, in their order."""
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(report).items()}
+
+
 @contextmanager
 def _renamed(fields: dict):
     """Report malformed input raised inside the block under the caller's own

@@ -9,8 +9,6 @@ sweep, both at O(size a) memory.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
@@ -46,9 +44,10 @@ def _gth(g: np.ndarray, band: int) -> np.ndarray:
 
     The back-substituted pi[m] / pi[0] can pass the double range (near
     n = 1030 for the single-site one-count law), so the prefix is scaled by
-    2^-900 whenever an entry passes 2^900. That is exact, so the normalised
-    law keeps every bit wherever the unscaled law was finite, except in
-    entries that end up subnormal."""
+    2^-900 whenever an entry passes 2^900. That scaling is exact and
+    commutes with the final division by the law's numpy sum, so the
+    normalised law keeps every bit wherever the unscaled law was finite,
+    except in entries that end up subnormal."""
     size = g.shape[0]
     for m in range(size - 1, 0, -1):
         lo, hi = max(0, m - band), min(size, m + band + 1)
@@ -68,7 +67,7 @@ def _gth(g: np.ndarray, band: int) -> np.ndarray:
         pi[m] = pi[lo:m] @ g[lo:m, m]
         if pi[m] > 2.0**900:
             pi[: m + 1] = np.ldexp(pi[: m + 1], -900)
-    return pi / math.fsum(pi)
+    return pi / pi.sum()
 
 
 def _stationary(moves: np.ndarray) -> np.ndarray:

@@ -89,9 +89,6 @@ class StochasticMatrix:
     def k(self) -> int:
         return self.entries.shape[0]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j]
-
     def to_lists(self) -> list[list[float]]:
         return self.entries.tolist()
 

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _fields_json
 from .paintbox import PaintboxLaw, StochasticMatrix
 from .rng import as_stream
 
@@ -196,16 +196,7 @@ class LyapunovEstimate:
     replicates: int
     flags: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "spectrum": list(self.spectrum),
-            "kappa_hat": self.kappa_hat,
-            "std_error": self.std_error,
-            "m": self.m,
-            "replicates": self.replicates,
-            "flags": list(self.flags),
-        }
+    to_json = _fields_json
 
 
 def estimate_lyapunov(law: PaintboxLaw, m: int, replicates: int, seed) -> LyapunovEstimate:
@@ -286,17 +277,7 @@ class CollapseReport:
     m_max: int
     replicates: int
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "first_contraction_m": self.first_contraction_m,
-            "first_positivity_m": self.first_positivity_m,
-            "p_contract": list(self.p_contract),
-            "p_positive": list(self.p_positive),
-            "delta": self.delta,
-            "m_max": self.m_max,
-            "replicates": self.replicates,
-        }
+    to_json = _fields_json
 
 
 def collapse_diagnostic(

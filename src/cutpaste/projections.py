@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TheoryRefusal, ValidationError, _epsilon_grid, check_budget
+from .errors import TheoryRefusal, ValidationError, _epsilon_grid, _fields_json, check_budget
 from .lumped import _gth
 from .paintbox import PaintboxLaw
 
@@ -163,17 +163,13 @@ class EquivalenceReport:
 
     def to_json(self) -> dict:
         return {
-            "n": self.n,
-            "k": self.k,
-            "epsilons": list(self.epsilons),
+            **_fields_json(self),
             "profile": [
                 {"m": m, "tv_labeled": a, "tv_projected": b, "kind": "exact"}
                 for m, a, b in self.profile
             ],
             "t_labeled": [{"epsilon": e, "m": self.t_labeled[e]} for e in self.epsilons],
             "t_projected": [{"epsilon": e, "m": self.t_projected[e]} for e in self.epsilons],
-            "equal_crossings": self.equal_crossings,
-            "flags": list(self.flags),
         }
 
 

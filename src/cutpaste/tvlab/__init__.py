@@ -9,11 +9,10 @@ from .. import _lazy
 __all__, __getattr__, __dir__ = _lazy(globals(), {
     "ehrenfest": (
         "EhrenfestBounds", "LogLogSchedule", "coupling_upper", "ehrenfest_bounds",
-        "ehrenfest_mixing_time", "ehrenfest_tv_exact", "ehrenfest_tv_profile",
-        "loglog_schedule",
+        "ehrenfest_mixing_time", "ehrenfest_tv_profile", "loglog_schedule",
     ),
     "exact": (
-        "ProductMultinomialLaw", "TVEstimate", "refinement_cells", "tv_exact_atomic",
+        "ProductMultinomialLaw", "TVEstimate", "tv_exact_atomic",
         "tv_exact_product_multinomial",
     ),
     "mc": (

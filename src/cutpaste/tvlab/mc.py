@@ -38,7 +38,7 @@ from ..errors import TheoryRefusal, ValidationError
 from ..paintbox import PaintboxLaw
 from ..partitions import Coloring
 from ..rng import as_stream
-from .exact import TVEstimate, _conditional_tvs, _row_chunks
+from .exact import TVEstimate, _conditional_tvs, _half_l1, _row_chunks
 
 DEFAULT_REPLICATES = 10_000
 
@@ -252,7 +252,7 @@ def tv_lower_mc(
         mean_q = mean_p[::-1]
     else:
         mean_q = np.clip(np.fft.irfft(sum_q / replicates, length), 0.0, None)
-    tv_hat = 0.5 * float(np.abs(mean_p - mean_q).sum())
+    tv_hat = _half_l1(mean_p - mean_q)
 
     # Parseval: row r's margin on the set `best` is the sum over all L bins
     # of D_r(f) conj(B(f)) / L for D_r = phi_p - phi_q and B = rfft(1_best).

@@ -12,12 +12,12 @@ worst pair: exactly under exact_atomic, and under mc_sandwich through the
 shared-paintbox coupling, whose mean conditional TV bounds it from above.
 It is not the distance to stationarity from every start. From the constant
 start i a step reads only column i of the paintbox, so under a law with
-i.i.d. columns the two constant starts have one law from m = 1 on, while
-other starts may still be far from stationarity. A horizon only counts as
-mixed when its estimate is certified below epsilon (exact value below, or
-mean plus three standard errors below for MC). MC probes of one designed
-pair extend one product path, so each horizon draws only the steps past
-the nearest probed one.
+exchangeable columns the two constant starts have one law from m = 1 on,
+while other starts may still be far from stationarity. A horizon only
+counts as mixed when its estimate is certified below epsilon (exact value
+below, or mean plus three standard errors below for MC). MC probes of one
+designed pair extend one product path, so each horizon draws only the
+steps past the nearest probed one.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BudgetRefusal, TheoryRefusal, ValidationError, _epsilon_grid, _renamed
+from ..errors import BudgetRefusal, TheoryRefusal, ValidationError, _epsilon_grid, _fields_json, _renamed
 from ..paintbox import PaintboxLaw
 from ..partitions import Coloring
 from ..products import _collapse_scan, estimate_lyapunov
@@ -95,20 +95,11 @@ class MixingProfile:
             if tb > ta:
                 raise RuntimeError("t_mix must be non-increasing in epsilon")
 
-    def estimate_at(self, m: int) -> TVEstimate | None:
-        for mm, est in self.estimates:
-            if mm == m:
-                return est
-        return None
-
     def to_json(self) -> dict:
         return {
-            "n": self.n,
-            "epsilons": list(self.epsilons),
+            **_fields_json(self),
             "estimates": [{"m": m, **est.to_json()} for m, est in self.estimates],
             "t_mix": [{"epsilon": e, "m": self.t_mix[e]} for e in self.epsilons],
-            "method": self.method,
-            "flags": list(self.flags),
         }
 
 
@@ -232,20 +223,10 @@ class CutoffReport:
     flags: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "law": self.law_config,
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "n_grid": list(self.n_grid),
-            "lambda1_hat": self.lambda1_hat,
-            "theta_hat": self.theta_hat,
-            "profiles": [p.to_json() for p in self.profiles],
-            "slope_high": self.slope_high,
-            "slope_low": self.slope_low,
-            "window_ratios": list(self.window_ratios),
-            "window_nonincreasing": self.window_nonincreasing,
-            "flags": list(self.flags),
-        }
+        out = _fields_json(self)
+        out["law"] = out.pop("law_config")
+        out["profiles"] = [p.to_json() for p in self.profiles]
+        return out
 
 
 def cutoff_experiment(

@@ -555,6 +555,52 @@ def test_criterion_11_projection_equivalence():
             assert report.t_labeled[eps] == report.t_projected[eps]
 
 
+# the worst start's horizons from `project` at epsilon = 0.5 and 0.25, as
+# measured, on every criterion 11 law with k^n <= 729 and the i.i.d.-column
+# law of criterion 08; mc_sandwich (4000 replicates, seed 1) measured 2-13
+# and 2-20 on them
+_WORST_START_HORIZONS = [
+    ((0.2, 2, 6), (2, 4)),
+    ((0.2, 2, 10), (3, 5)),
+    ((0.2, 3, 4), (2, 4)),
+    ((0.2, 3, 6), (3, 5)),
+    ((0.5, 2, 6), (1, 2)),
+    ((0.5, 2, 10), (1, 2)),
+    ((0.5, 3, 4), (1, 2)),
+    ((0.5, 3, 6), (1, 2)),
+    (([[0.8, 0.3], [0.2, 0.7]], 2, 8), (1, 2)),
+    (([[0.95, 0.05], [0.05, 0.95]], 2, 6), (5, 8)),
+    (("iid", 2, 12), (1, 2)),
+]
+
+
+def test_criterion_11_supplement_three_horizons():
+    """What the designed pairs certify, next to the distance to stationarity
+    from the worst start. Every law here has exchangeable columns, so the two
+    constant starts have one law from m = 1 on: exact_atomic certifies 1 at
+    every epsilon, while `project`'s worst start needs up to 8 steps. The
+    mc_sandwich horizon bounds the shared-paintbox coupling, and is never
+    below the worst start here."""
+    epsilons = (0.5, 0.25)
+    for (base, k, n), worst in _WORST_START_HORIZONS:
+        if base == "iid":
+            law = _iid_columns((0.8, 0.2), (0.2, 0.8))
+        elif isinstance(base, float):
+            law = _permuted_identity_blend(k, base)
+        else:
+            law = _orbit_closure(np.array(base))
+        # measured at most 5.2e-17
+        for i, j in itertools.combinations(range(1, k + 1), 2):
+            x, y = Coloring.constant(n, k, i), Coloring.constant(n, k, j)
+            assert tv_exact_atomic(law, x, y, 1).value < 1e-16
+        exact = mixing_time(law, n, k, epsilons, "exact_atomic", seed=1).t_mix
+        assert [exact[e] for e in epsilons] == [1, 1], (base, k, n)
+        report = projected_mixing_equivalence(law, n=n, k=k, epsilon=epsilons)
+        assert tuple(report.t_labeled[e] for e in epsilons) == worst, (base, k, n)
+        mc = mixing_time(law, n, k, epsilons, "mc_sandwich", seed=1, replicates=4000).t_mix
+        assert all(mc[e] >= w for e, w in zip(epsilons, worst)), (base, k, n)
+
+
 # ---------------------------------------------------------------------------
 # criterion 12: two-block trend suite and its limiting endpoints
 

@@ -9,7 +9,6 @@ import time
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import cutpaste.tvlab.exact

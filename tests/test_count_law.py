@@ -228,21 +228,21 @@ def test_refinement_cells_match_site_loop():
     for n, k in [(1, 1), (1, 2), (7, 2), (40, 3), (300, 5), (2048, 2)]:
         words = rng.integers(1, k + 1, size=(2, n))
         x, y = (Coloring(n, k, tuple(map(int, w))) for w in words)
-        assert exact.refinement_cells(x, y) == refinement_cells(x.word, y.word)
+        assert list(exact._refinement_cells(x, y)) == refinement_cells(x.word, y.word)
     x, y = make_test_pair(24, 3)
-    assert exact.refinement_cells(x, y) == refinement_cells(x.word, y.word)
+    assert list(exact._refinement_cells(x, y)) == refinement_cells(x.word, y.word)
     x, y = make_constant_pair(10, 4, 3, 1)
-    assert exact.refinement_cells(x, y) == [(3, 1, 10)]
+    assert list(exact._refinement_cells(x, y)) == [(3, 1, 10)]
 
 
 def test_refinement_cells_are_computed_once_per_pair():
     x, y = make_test_pair(24, 3)
     exact._refinement_cells.cache_clear()
-    cells = exact.refinement_cells(x, y)
+    cells = list(exact._refinement_cells(x, y))
     cells.append((0, 0, 0))
-    # an equal pair built anew hits the same entry, and the caller's list
-    # is its own
-    again = exact.refinement_cells(*make_test_pair(24, 3))
+    # an equal pair built anew hits the same entry, which a change to a
+    # caller's copy leaves as it was
+    again = list(exact._refinement_cells(*make_test_pair(24, 3)))
     assert again == refinement_cells(x.word, y.word)
     assert exact._refinement_cells.cache_info().misses == 1
 
@@ -280,7 +280,7 @@ def test_balanced_split_of_the_oracle_pairs():
     # 486), and its unequal-cell pair mid-list, after 2 of 5 (63 x 180)
     for design, sizes, split in [("block", [2, 1, 1, 2, 1, 1, 2, 1, 1], 4), ("unequal", [1, 5, 2, 1, 3], 2)]:
         x, y = _pair(design, 12, 3)
-        assert [c for _, _, c in exact.refinement_cells(x, y)] == sizes
+        assert [c for _, _, c in exact._refinement_cells(x, y)] == sizes
         assert exact._balanced_split(sizes, 3) == split
     assert exact._balanced_split([40], 3) == 0
 
@@ -305,7 +305,7 @@ def test_exact_atomic_peak_memory_stays_near_one_joint_array():
     # difference array; joint pmf rows per sequence and two mixtures peak
     # near 7.4 joint arrays
     x, y = make_test_pair(12, 3)
-    joint = exact._statistic_size([c for _, _, c in exact.refinement_cells(x, y)], 3)
+    joint = exact._statistic_size([c for _, _, c in exact._refinement_cells(x, y)], 3)
     assert joint == 157_464
     tv_exact_atomic(TWO_ATOM_K3, x, y, 1)
     tracemalloc.start()
@@ -324,7 +324,7 @@ def test_chunked_stacks_match_one_block(cache_budget):
     qs = batched_products(law, 3, 50, 2)
     # one block of the 50 rows exactly: the last block is padded to the
     # budget's row count, so a larger budget would compute more rows
-    size = exact._statistic_size([c for a, b, c in exact.refinement_cells(x, y) if a != b], 3)
+    size = exact._statistic_size([c for a, b, c in exact._refinement_cells(x, y) if a != b], 3)
     cache_budget(len(qs) * size)
     whole_rows = exact._conditional_tvs(qs, x, y)
     cache_budget(1 << 30)

@@ -2,6 +2,7 @@
 a fresh interpreter: names are loaded on first use, and a command loads
 only the modules it calls."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -107,3 +108,30 @@ def test_help_and_a_bad_integer_load_no_numpy():
         rc, loaded = _cli_loads(argv)
         assert rc == code
         assert "numpy" not in loaded, argv
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads. `from __future__`
+    imports and a package's `__init__` (its imports are re-exports) are
+    exempt."""
+    if path.name == "__init__.py":
+        return []
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path}:{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    root = Path(SRC).parent
+    files = sorted([*Path(SRC, "cutpaste").rglob("*.py"), *Path(root, "tests").glob("*.py")])
+    assert len(files) > 20
+    assert [line for path in files for line in _unused_imports(path)] == []

@@ -37,7 +37,7 @@ from cutpaste.products import (
     singular_values_on_V,
     top_singular_on_V,
 )
-from cutpaste.rng import RngStream, as_stream
+from cutpaste.rng import as_stream
 
 
 def random_stochastic(rng, k):

@@ -14,7 +14,6 @@ from cutpaste.paintbox import Atomic, PermutationMix, PointMass
 from cutpaste.partitions import Coloring, project
 from cutpaste import projections
 from cutpaste.projections import (
-    EquivalenceReport,
     _count_classes,
     _stationary_from_counts,
     exact_kernel,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -43,7 +44,6 @@ from cutpaste.tvlab import (
     cutoff_experiment,
     ehrenfest_bounds,
     ehrenfest_mixing_time,
-    ehrenfest_tv_exact,
     ehrenfest_tv_profile,
     loglog_schedule,
     make_constant_pair,
@@ -56,7 +56,6 @@ from cutpaste.tvlab import (
 )
 from cutpaste.products import collapse_diagnostic, estimate_lyapunov
 from cutpaste.rng import RngStream, as_stream
-from cutpaste.tvlab import ehrenfest as ehrenfest_module
 from cutpaste.tvlab import mixing as mixing_module
 from cutpaste.lumped import _stationary, _sweep
 from cutpaste.tvlab.ehrenfest import _count_moves
@@ -101,6 +100,26 @@ def configuration_tv(blocks_p, blocks_q):
 
 
 # ---------------------------------------------------------------- exact TV
+
+
+def test_a_report_json_holds_exactly_its_fields_in_order():
+    # the reports whose JSON is their fields as they are
+    law = PointMass([[0.9, 0.2], [0.1, 0.8]])
+    params = EhrenfestParams(64, 0.25)
+    for report in (
+        TVEstimate(0.5, "upper_bound", 0.01, 100),
+        ehrenfest_bounds(params, t=3.0),
+        ehrenfest_bounds(params, t=3.0, beta=1.0),
+        loglog_schedule(64, 0.5),
+        estimate_lyapunov(law, 4, 2, 0),
+        collapse_diagnostic(law, 4, 3, 0),
+    ):
+        fields = [f.name for f in dataclasses.fields(report)]
+        assert list(report.to_json()) == fields
+        for name, value in report.to_json().items():
+            assert not isinstance(value, tuple)
+            want = getattr(report, name)
+            assert value == (list(want) if isinstance(want, tuple) else want)
 
 
 def test_tv_estimate_validation():
@@ -646,8 +665,8 @@ def test_mixing_profile_invariants():
     with pytest.raises(RuntimeError):
         MixingProfile(4, (0.5, 0.25), ((1, est),), {0.5: 3, 0.25: 1}, "exact_atomic")
     prof = MixingProfile(4, (0.5, 0.25), ((1, est), (2, est)), {0.5: 1, 0.25: 2}, "exact_atomic")
-    assert prof.estimate_at(2) is est
-    assert prof.estimate_at(7) is None
+    assert dict(prof.estimates)[2] is est
+    assert 7 not in dict(prof.estimates)
     blob = prof.to_json()
     assert blob["n"] == 4
     assert {row["epsilon"]: row["m"] for row in blob["t_mix"]} == {0.5: 1, 0.25: 2}
@@ -937,9 +956,9 @@ def test_ehrenfest_exact_matches_exhaustive_oracle():
         params = EhrenfestParams(n, a / n)
         assert params.batch_size == a
         for t in (0, 1, 2, 3, 5):
-            got = ehrenfest_tv_exact(params, t).value
+            (_, got), = ehrenfest_tv_profile(params, [t])
             want = ehrenfest_exhaustive_tv(n, a, t)
-            assert abs(got - want) < 1e-10, (n, a, t)
+            assert abs(got.value - want) < 1e-10, (n, a, t)
 
 
 @pytest.mark.parametrize("n,a", [(40, 10), (64, 1), (64, 16), (97, 33), (128, 8), (64, 64)])
@@ -964,7 +983,7 @@ def test_ehrenfest_profile_matches_exact_rational_oracle(n, a):
 
 def test_ehrenfest_t0_point_mass_vs_stationary():
     for n in (3, 6, 10):
-        est = ehrenfest_tv_exact(standard_ehrenfest(n), 0)
+        (_, est), = ehrenfest_tv_profile(standard_ehrenfest(n), [0])
         assert abs(est.value - (1.0 - 2.0**-n)) < 1e-12
 
 
@@ -1035,13 +1054,13 @@ def test_ehrenfest_profile_monotone_and_consistent():
     profile = ehrenfest_tv_profile(params, range(0, 26, 5))
     values = [est.value for _, est in profile]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-    lone = ehrenfest_tv_exact(params, 15)
+    (_, lone), = ehrenfest_tv_profile(params, [15])
     assert abs(dict(profile)[15].value - lone.value) < 1e-15
 
 
 def test_ehrenfest_exact_gates():
     with pytest.raises(BudgetRefusal):
-        ehrenfest_tv_exact(EhrenfestParams(4000, 0.25), 3)
+        ehrenfest_tv_profile(EhrenfestParams(4000, 0.25), [3])
     params = EhrenfestParams(6, 0.5)
     with pytest.raises(ValidationError):
         ehrenfest_tv_profile(params, [])
@@ -1089,7 +1108,7 @@ def test_ehrenfest_mixing_time_matches_brute_force_n12():
         (96, 3, "profile"),
     ],
 )
-def test_ehrenfest_mixing_time_matches_the_compensated_sum(monkeypatch, n, a, epsilon):
+def test_ehrenfest_mixing_time_matches_the_profile(n, a, epsilon):
     params = EhrenfestParams(n, a / n)
     assert params.batch_size == a
     profile = [tv.value for _, tv in ehrenfest_tv_profile(params, range(4000))]
@@ -1097,12 +1116,7 @@ def test_ehrenfest_mixing_time_matches_the_compensated_sum(monkeypatch, n, a, ep
     if exact_value:
         epsilon = profile[40]
     want = next(t for t, tv in enumerate(profile) if tv < epsilon)
-    calls = []
-    half_l1 = ehrenfest_module._half_l1
-    monkeypatch.setattr(ehrenfest_module, "_half_l1", lambda d: calls.append(1) or half_l1(d))
     assert ehrenfest_mixing_time(params, epsilon) == want
-    # the numpy sum decides alone except within its rounding margin of epsilon
-    assert len(calls) == (1 if exact_value else 0)
     if exact_value:
         assert want == 41
 
