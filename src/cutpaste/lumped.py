@@ -1,10 +1,18 @@
 """The lumped count chains: the batch-refresh chain's one-count and
-`project`'s color counts.
+`project`'s color counts, and the lab's one TV reduction and one
+first-crossing search.
 
 A chain whose moves shift the state by at most a is held as a band,
 moves[j, d] = P(j -> j + d - a) for d = 0 .. 2a, with zeros for moves off
 the states. Its stationary law is one elimination and its forward laws one
 sweep, both at O(size a) memory.
+
+A TV between two laws is _half_l1 of their difference. The TV between the
+laws of two chains driven by one kernel, and the TV to a stationary law, is
+non-increasing in the horizon, since a Markov kernel contracts TV (Levin,
+Peres and Wilmer, Markov Chains and Mixing Times, 2009, ch. 4). So a mixing
+time is the first horizon of a forward sweep below epsilon, and
+_first_crossings finds it for every search.
 """
 
 from __future__ import annotations
@@ -13,6 +21,33 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ValidationError
+
+
+def _half_l1(d: np.ndarray, axis=None):
+    """Half the L1 norm of a difference of laws d, over all of d or along
+    axis: the lab's one TV reduction. Overwrites d."""
+    return 0.5 * np.abs(d, out=d).sum(axis)
+
+
+def _first_crossings(sweep, grids) -> list[dict]:
+    """The first horizon at which each series falls below each epsilon of
+    its grid.
+
+    sweep yields (m, values) at increasing m, one certified upper value per
+    series, and grids holds one epsilon grid per series. The sweep is read
+    only until every series is below its whole grid. Returns one
+    {epsilon: m} per series, with None where the sweep ended first. On a
+    non-increasing series the first crossing is the mixing time; on a Monte
+    Carlo bound it is the first horizon certified."""
+    crossings = [dict.fromkeys(grid) for grid in grids]
+    for m, values in sweep:
+        for first, value in zip(crossings, values):
+            for e, t in first.items():
+                if t is None and value < e:
+                    first[e] = m
+        if all(t is not None for first in crossings for t in first.values()):
+            break
+    return crossings
 
 
 def _gth(g: np.ndarray, band: int) -> np.ndarray:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TheoryRefusal, ValidationError, _epsilon_grid, _fields_json, check_budget
-from .lumped import _gth
+from .lumped import _first_crossings, _gth, _half_l1
 from .paintbox import PaintboxLaw
 
 # the largest |pi K - pi| a certified stationary law may leave
@@ -174,7 +174,7 @@ class EquivalenceReport:
 
 
 def _worst_tv(rows: np.ndarray, pi: np.ndarray) -> float:
-    return float(0.5 * np.abs(rows - pi[None, :]).sum(axis=1).max())
+    return float(_half_l1(rows - pi, axis=1).max())
 
 
 def _sum_by(rows: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
@@ -280,24 +280,20 @@ def projected_mixing_equivalence(
 
     flags: list[str] = []
     profile: list[tuple[int, float, float]] = []
-    t_lab: dict[float, int | None] = {e: None for e in eps_grid}
-    t_proj: dict[float, int | None] = {e: None for e in eps_grid}
-    for m in range(1, m_max + 1):
-        tv_lab = _worst_tv(rows, pi)
-        # the projected law from each sorted word's class
-        tv_pr = _worst_tv(_sum_by(rows, labels, len(classes)), pi_proj)
-        profile.append((m, tv_lab, tv_pr))
-        if tv_pr > tv_lab + 1e-9:
-            flags.append(f"pushforward contraction violated at m={m}")
-        for e in eps_grid:
-            if t_lab[e] is None and tv_lab < e:
-                t_lab[e] = m
-            if t_proj[e] is None and tv_pr < e:
-                t_proj[e] = m
-        if all(t_lab[e] is not None and t_proj[e] is not None for e in eps_grid):
-            break
-        rows = rows @ kernel
-    else:
+
+    def sweep(rows):
+        for m in range(1, m_max + 1):
+            tv_lab = _worst_tv(rows, pi)
+            # the projected law from each sorted word's class
+            tv_pr = _worst_tv(_sum_by(rows, labels, len(classes)), pi_proj)
+            profile.append((m, tv_lab, tv_pr))
+            if tv_pr > tv_lab + 1e-9:
+                flags.append(f"pushforward contraction violated at m={m}")
+            yield m, (tv_lab, tv_pr)
+            rows = rows @ kernel
+
+    t_lab, t_proj = _first_crossings(sweep(rows), [eps_grid] * 2)
+    if None in (*t_lab.values(), *t_proj.values()):
         flags.append(f"profile truncated at m_max={m_max} before all crossings")
 
     equal = all(

@@ -27,8 +27,8 @@ import numpy as np
 
 from ..chains import EhrenfestParams
 from ..errors import InconclusiveRefusal, TheoryRefusal, ValidationError, _fields_json, check_budget
-from ..lumped import _stationary, _sweep
-from .exact import TVEstimate, _half_l1, _log_factorials
+from ..lumped import _first_crossings, _half_l1, _stationary, _sweep
+from .exact import TVEstimate, _log_factorials
 
 
 def coupling_upper(params: EhrenfestParams, t: float) -> float:
@@ -200,19 +200,19 @@ def ehrenfest_tv_profile(params: EhrenfestParams, t_grid) -> list[tuple[int, TVE
 
 
 def ehrenfest_mixing_time(params: EhrenfestParams, epsilon: float) -> int:
-    """Smallest t with exact TV below epsilon. TV to stationarity is
-    non-increasing in t, so the first crossing found by the forward sweep is
-    the mixing time; each step's TV is the one ehrenfest_tv_profile reports
-    at that t. A sweep past ceil(2 (n/a) log n) + 8 ceil(n/a) steps is
-    refused as inconclusive."""
+    """Smallest t with exact TV below epsilon: the first crossing of the
+    forward sweep, whose TV at each t is the one ehrenfest_tv_profile
+    reports. A sweep past ceil(2 (n/a) log n) + 8 ceil(n/a) steps is refused
+    as inconclusive."""
     if not 0.0 < epsilon < 1.0:
         raise ValidationError("epsilon must lie in (0, 1)", field="epsilon")
     _check_exact_inputs(params)
     n, a = params.n, params.batch_size
     t_max = int(math.ceil(2.0 * (n / a) * math.log(n))) + 8 * int(math.ceil(n / a))
-    for t, d in _tv_sweep(params, range(t_max + 1)):
-        if _half_l1(d) < epsilon:
-            return t
+    sweep = ((t, (_half_l1(d),)) for t, d in _tv_sweep(params, range(t_max + 1)))
+    t_mix = _first_crossings(sweep, [(epsilon,)])[0][epsilon]
+    if t_mix is not None:
+        return t_mix
     raise InconclusiveRefusal(
         "no horizon below epsilon within the step allowance",
         epsilon=epsilon, t_max=t_max,

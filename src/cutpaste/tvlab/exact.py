@@ -19,8 +19,8 @@ product into the one joint-size array, and no per-sequence joint row and
 no mixture is built. _half_l1 then reads that array once.
 
 What "exact" means: an exact value is half the numpy pairwise sum of
-|p - q| over the two computed laws, taken by _half_l1, the lab's one TV
-reduction. Its error is that of the laws' entries, about 1e-11 from the
+|p - q| over the two computed laws, taken by lumped._half_l1, the lab's one
+TV reduction. Its error is that of the laws' entries, about 1e-11 from the
 log-factorial weights at n in the hundreds, plus at most about log2(N) u
 relative from the sum of N terms (u = 2^-53): the terms are nonnegative,
 so the sum has condition number 1 (Higham, Accuracy and Stability of
@@ -58,6 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import TheoryRefusal, ValidationError, _fields_json, check_budget
+from ..lumped import _half_l1
 from ..paintbox import PaintboxLaw, _column_stochastic
 from ..partitions import Coloring
 
@@ -267,12 +268,6 @@ def _mixture_tv(sizes, k: int, count: int, draw) -> float:
             part = np.matmul(a.T, b, out=part)
             d += part
     return _half_l1(d)
-
-
-def _half_l1(d: np.ndarray, axis=None):
-    """Half the L1 norm of a difference of laws d, over all of d or along
-    axis: the lab's one TV reduction. Overwrites d."""
-    return 0.5 * np.abs(d, out=d).sum(axis)
 
 
 def tv_exact_product_multinomial(

@@ -5,9 +5,9 @@ coupling; the lower bound projects both chains onto a scalar block-count
 statistic and mixes the projected laws. Replicate r's paintbox sequence is
 assembled from per-step derived streams, so the first m matrices of a run at
 horizon m' > m are identical to the run at horizon m (estimates are pathwise
-consistent across horizons for a fixed seed). A _ProductPath keeps the
-products at the horizons asked for and extends the nearest one below a new
-horizon, so the mixing search's probes cost only the steps between them.
+consistent across horizons for a fixed seed). _products yields Q_0, Q_1,
+... along one such path, so the mixing search's forward sweep draws each
+step once.
 
 The lower bound never builds a per-replicate pmf. Given a paintbox, the
 block statistic is a sum of k(k-1) independent Binomial(n', p) counts, so its
@@ -35,10 +35,11 @@ import math
 import numpy as np
 
 from ..errors import TheoryRefusal, ValidationError
+from ..lumped import _half_l1
 from ..paintbox import PaintboxLaw
 from ..partitions import Coloring
 from ..rng import as_stream
-from .exact import TVEstimate, _conditional_tvs, _half_l1, _row_chunks
+from .exact import TVEstimate, _conditional_tvs, _row_chunks
 
 DEFAULT_REPLICATES = 10_000
 
@@ -67,46 +68,36 @@ def make_test_pair(n: int, k: int) -> tuple[Coloring, Coloring]:
     return Coloring(n, k, tuple(x0w)), Coloring(n, k, tuple(xtw))
 
 
-class _ProductPath:
-    """Composed paintboxes Q_m = S_m ... S_1 of `replicates` independent
-    sequences, at any horizons, along one path. Step t draws from the stream
-    derived at ("paintbox-step", t).
-
-    Q is kept at the horizons asked for so far, and only those. A new
-    horizon extends the largest kept one below it with the same draws and
-    the same left multiplications as a fresh composition from t = 1, so it
-    gets the same bits at a fraction of the draws.
-    """
-
-    def __init__(self, law: PaintboxLaw, replicates: int, stream):
-        self.law = law
-        self.replicates = replicates
-        self.stream = as_stream(stream)
-        self.kept: dict[int, np.ndarray] = {}
-
-    def at(self, m: int) -> np.ndarray:
-        """Q_m as a (replicates, k, k) array; do not write to it."""
-        if m < 0:
-            raise ValidationError("need m >= 0", field="m")
-        if m not in self.kept:
-            start = max((h for h in self.kept if h < m), default=0)
-            if start:
-                q = self.kept[start]
-            else:
-                k = self.law.k
-                q = np.broadcast_to(np.eye(k), (self.replicates, k, k)).copy()
-            for t in range(start + 1, m + 1):
-                gen = self.stream.derive("paintbox-step", t).generator()
-                q = self.law.sample_batch(gen, self.replicates) @ q
-            self.kept[m] = q
-        return self.kept[m]
+def _products(law: PaintboxLaw, replicates: int, stream):
+    """Composed paintboxes Q_0 = I, Q_1, Q_2, ... of `replicates`
+    independent sequences, Q_m = S_m ... S_1 as a (replicates, k, k) array,
+    each a fresh one. Step t draws from the stream derived at
+    ("paintbox-step", t), so Q_m has the same bits however it is reached."""
+    stream = as_stream(stream)
+    k = law.k
+    q = np.broadcast_to(np.eye(k), (replicates, k, k)).copy()
+    for t in itertools.count(1):
+        yield q
+        q = law.sample_batch(stream.derive("paintbox-step", t).generator(), replicates) @ q
 
 
 def batched_products(law: PaintboxLaw, m: int, replicates: int, stream) -> np.ndarray:
     """Composed paintboxes Q_m = S_m ... S_1 for `replicates` independent
     sequences, as a (replicates, k, k) array. Step t draws from the stream
     derived at ("paintbox-step", t)."""
-    return _ProductPath(law, replicates, stream).at(m)
+    if m < 0:
+        raise ValidationError("need m >= 0", field="m")
+    return next(itertools.islice(_products(law, replicates, stream), m, None))
+
+
+def _upper_bound(qs: np.ndarray, x0: Coloring, x0_tilde: Coloring) -> TVEstimate:
+    """The mean exact conditional TV over the composed paintboxes qs, for
+    distinct starts, with its standard error."""
+    replicates = len(qs)
+    values = _conditional_tvs(qs, x0, x0_tilde)
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
+    return TVEstimate(min(mean, 1.0), "upper_bound", se, replicates)
 
 
 def tv_upper_mc(
@@ -119,23 +110,14 @@ def tv_upper_mc(
 ) -> TVEstimate:
     """Upper bound on TV between the two chains' laws at step m: the mean of
     the exact conditional TV under a shared paintbox coupling, with its MC
-    standard error. seed may also be a _ProductPath of this law and
-    replicate count, whose kept products the estimate then extends."""
+    standard error."""
     if law.k != x0.k:
         raise ValidationError("law and states must share k")
     if replicates < 1:
         raise ValidationError("need replicates >= 1", field="replicates")
     if x0 == x0_tilde:
         return TVEstimate(0.0, "upper_bound", 0.0, replicates)
-    path = seed if isinstance(seed, _ProductPath) else _ProductPath(law, replicates, seed)
-    # the caller builds the path, so one of another law or size is a fault
-    # of the program, not malformed input
-    if path.law is not law or path.replicates != replicates:
-        raise RuntimeError("product path of another law or replicate count")
-    values = _conditional_tvs(path.at(m), x0, x0_tilde)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
-    return TVEstimate(min(mean, 1.0), "upper_bound", se, replicates)
+    return _upper_bound(batched_products(law, m, replicates, seed), x0, x0_tilde)
 
 
 def _power(z: np.ndarray, e: int, out: np.ndarray) -> np.ndarray:

@@ -15,9 +15,10 @@ start i a step reads only column i of the paintbox, so under a law with
 exchangeable columns the two constant starts have one law from m = 1 on,
 while other starts may still be far from stationarity. A horizon only
 counts as mixed when its estimate is certified below epsilon (exact value
-below, or mean plus three standard errors below for MC). MC probes of one
-designed pair extend one product path, so each horizon draws only the
-steps past the nearest probed one.
+below, or mean plus three standard errors below for MC). The search is one
+forward sweep m = 1, 2, ...: each designed pair's MC products extend one
+path by one step per horizon, and the sweep stops at the first horizon
+certified for the last open epsilon.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BudgetRefusal, TheoryRefusal, ValidationError, _epsilon_grid, _fields_json, _renamed
+from ..lumped import _first_crossings
 from ..paintbox import PaintboxLaw
 from ..partitions import Coloring
 from ..products import _collapse_scan, estimate_lyapunov
 from ..rng import as_stream
 from .exact import TVEstimate, tv_exact_atomic
-from .mc import _ProductPath, make_constant_pair, tv_upper_mc
+from .mc import _products, _upper_bound, make_constant_pair
 
 METHODS = ("exact_atomic", "mc_sandwich")
 
@@ -42,15 +44,17 @@ METHODS = ("exact_atomic", "mc_sandwich")
 def designed_pairs(n: int, k: int) -> list[tuple[Coloring, Coloring]]:
     """Initial-state pairs whose worst-case TV drives the mixing search: the
     constant colorings in each unordered color pair. Constant pairs refine
-    into a single cell, so their exact statistic has n+1 states and the
-    search scales to large n."""
+    into a single cell, so their exact statistic has C(n+k-1, k-1) states,
+    n+1 at k = 2, and the search scales to large n."""
     return [make_constant_pair(n, k, i, j) for i, j in itertools.combinations(range(1, k + 1), 2)]
 
 
-def certified_below(est: TVEstimate, epsilon: float) -> bool:
+def _certified(est: TVEstimate) -> float:
+    """The value an estimate certifies the TV below: the exact value, or the
+    MC mean plus three standard errors."""
     if est.kind == "exact":
-        return est.value < epsilon
-    return est.value + 3.0 * est.mc_std_error < epsilon
+        return est.value
+    return est.value + 3.0 * est.mc_std_error
 
 
 def _check_search(law: PaintboxLaw, k: int, method: str, replicates: int, m_max: int) -> None:
@@ -115,14 +119,14 @@ def mixing_time(
 ) -> MixingProfile:
     """Smallest horizon with certified worst-pair TV below each epsilon.
 
-    Doubles the horizon until certified, probing m_max itself last, then
-    bisects; a final pass takes the minimum certified horizon over everything
-    probed. Estimates share one seed per pair across horizons, so MC probes
-    at different m see the same paintbox path prefixes, and each probe
-    extends that pair's path from the nearest probed horizon below it. MC
-    certification needs a standard error, so mc_sandwich needs at least two
-    replicates. Certification failures (budget or band width) leave t_mix
-    None for that epsilon and add a flag instead of raising.
+    Probes m = 1, 2, ... in one forward sweep, and stops at the first
+    horizon certified below the last open epsilon, at m_max, or where
+    the enumeration budget refuses a horizon. Under mc_sandwich each pair
+    extends one product path a step per horizon, so the estimate at m is
+    the one tv_upper_mc gives at m with the pair's seed. MC certification
+    needs a standard error, so mc_sandwich needs at least two replicates.
+    Certification failures (budget or band width) leave t_mix None for that
+    epsilon and add a flag instead of raising.
     """
     _check_search(law, k, method, replicates, m_max)
     if n < 1:
@@ -138,64 +142,39 @@ def mixing_time(
         )
 
     pairs = designed_pairs(n, k)
-    paths = [_ProductPath(law, replicates, stream.derive("pair", i)) for i in range(len(pairs))]
-    cache: dict[int, TVEstimate] = {}
+    # Q_1, Q_2, ... of each pair
+    paths = [itertools.islice(_products(law, replicates, stream.derive("pair", i)), 1, None)
+             for i in range(len(pairs))]
+    estimates: list[tuple[int, TVEstimate]] = []
     flags: list[str] = []
 
-    def d_bar(m: int) -> TVEstimate:
-        if m not in cache:
-            best: TVEstimate | None = None
-            for (a, b), path in zip(pairs, paths):
-                if method == "exact_atomic":
-                    est = tv_exact_atomic(law, a, b, m)
-                else:
-                    est = tv_upper_mc(law, a, b, m, replicates, path)
-                if best is None or est.value > best.value:
-                    best = est
-            cache[m] = best
-        return cache[m]
-
-    budget_note = None
-    for eps in sorted(eps_grid, reverse=True):
-        lo, hi = 0, 1
-        while True:
+    def sweep():
+        for m in range(1, m_max + 1):
             try:
-                est = d_bar(hi)
+                if method == "exact_atomic":
+                    ests = [tv_exact_atomic(law, a, b, m) for a, b in pairs]
+                else:
+                    ests = [_upper_bound(next(path), a, b) for (a, b), path in zip(pairs, paths)]
             except BudgetRefusal as exc:
-                budget_note = f"enumeration budget reached at m={hi} ({exc.details['required']} needed)"
-                hi = None
-                break
-            if certified_below(est, eps):
-                break
-            if hi == m_max:
-                hi = None
-                flags.append(
-                    f"inconclusive for epsilon={eps:g}: bands too wide within m <= {m_max} "
-                    f"at {replicates} replicates" if method == "mc_sandwich"
-                    else f"no certified horizon <= {m_max} for epsilon={eps:g}"
-                )
-                break
-            lo, hi = hi, min(2 * hi, m_max)
-        if hi is None:
-            continue
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if certified_below(d_bar(mid), eps):
-                hi = mid
-            else:
-                lo = mid
-    if budget_note is not None:
-        flags.append(budget_note)
+                flags.append(f"enumeration budget reached at m={m} ({exc.details['required']} needed)")
+                return
+            worst = max(ests, key=lambda est: est.value)
+            estimates.append((m, worst))
+            yield m, (_certified(worst),)
 
-    t_mix: dict[float, int | None] = {}
-    for eps in eps_grid:
-        hits = [m for m, est in cache.items() if certified_below(est, eps)]
-        t_mix[eps] = min(hits) if hits else None
+    (t_mix,) = _first_crossings(sweep(), [eps_grid])
+    if len(estimates) == m_max:
+        flags.extend(
+            f"inconclusive for epsilon={eps:g}: bands too wide within m <= {m_max} "
+            f"at {replicates} replicates" if method == "mc_sandwich"
+            else f"no certified horizon <= {m_max} for epsilon={eps:g}"
+            for eps in sorted(eps_grid, reverse=True) if t_mix[eps] is None
+        )
 
     return MixingProfile(
         n=n,
         epsilons=eps_grid,
-        estimates=tuple(sorted(cache.items())),
+        estimates=tuple(estimates),
         t_mix=t_mix,
         method=method,
         flags=tuple(flags),

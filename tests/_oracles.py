@@ -816,53 +816,46 @@ def ehrenfest_by_site(n: int, a: int, x0_word, m_steps: int, gen):
 
 
 def mixing_search_redraw(pair_estimates, epsilons, m_max: int, mc: bool, replicates: int):
-    """The mixing-time search with every probe estimated afresh: the search
-    as it ran before MC probes shared one product path per pair.
+    """The mixing-time search with every probe estimated afresh, as a plain
+    forward loop: m = 1, 2, ... until the worst pair is certified below
+    every epsilon, or m_max, or the budget.
 
     pair_estimates(m) gives every designed pair's estimate at horizon m,
     each redrawing its paintboxes from step 1 for MC; an estimate has
     .value, .kind and .mc_std_error. An exception with details["required"]
-    stands for the enumeration budget. Doubles the horizon, the last probe
-    being m_max itself, until the worst pair is certified below epsilon
-    (largest epsilon first), then bisects;
-    returns the probed (m, estimate) pairs in order of m, the smallest
-    certified horizon per epsilon, and the flags.
+    stands for the enumeration budget. Returns the probed (m, estimate)
+    pairs in order of m, the smallest certified horizon per epsilon, and
+    the flags.
     """
     def certified(est, eps):
         if est.kind == "exact":
             return est.value < eps
         return est.value + 3.0 * est.mc_std_error < eps
 
-    probed: dict = {}
-
-    def worst(m):
-        if m not in probed:
-            best = None
-            for est in pair_estimates(m):
-                if best is None or est.value > best.value:
-                    best = est
-            probed[m] = best
-        return probed[m]
-
+    probed = []
+    t_mix = {eps: None for eps in epsilons}
     flags = []
-    budget_note = None
-    for eps in sorted(epsilons, reverse=True):
-        lo, hi = 0, 1
-        while hi <= m_max:
-            try:
-                est = worst(hi)
-            except Exception as exc:
-                if "required" not in getattr(exc, "details", {}):
-                    raise
-                budget_note = f"enumeration budget reached at m={hi} ({exc.details['required']} needed)"
-                hi = None
-                break
-            if certified(est, eps):
-                break
-            # past m_max itself the ladder ends
-            lo, hi = hi, min(2 * hi, m_max) if hi < m_max else m_max + 1
-        else:
-            hi = None
+    for m in range(1, m_max + 1):
+        try:
+            worst = None
+            for est in pair_estimates(m):
+                if worst is None or est.value > worst.value:
+                    worst = est
+        except Exception as exc:
+            if "required" not in getattr(exc, "details", {}):
+                raise
+            flags.append(f"enumeration budget reached at m={m} ({exc.details['required']} needed)")
+            break
+        probed.append((m, worst))
+        for eps in epsilons:
+            if t_mix[eps] is None and certified(worst, eps):
+                t_mix[eps] = m
+        if None not in t_mix.values():
+            break
+    else:
+        for eps in sorted(epsilons, reverse=True):
+            if t_mix[eps] is not None:
+                continue
             if mc:
                 flags.append(
                     f"inconclusive for epsilon={eps:g}: bands too wide within m <= {m_max} "
@@ -870,21 +863,7 @@ def mixing_search_redraw(pair_estimates, epsilons, m_max: int, mc: bool, replica
                 )
             else:
                 flags.append(f"no certified horizon <= {m_max} for epsilon={eps:g}")
-        if hi is None:
-            continue
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if certified(worst(mid), eps):
-                hi = mid
-            else:
-                lo = mid
-    if budget_note is not None:
-        flags.append(budget_note)
-    t_mix = {}
-    for eps in epsilons:
-        hits = [m for m, est in probed.items() if certified(est, eps)]
-        t_mix[eps] = min(hits) if hits else None
-    return sorted(probed.items(), key=lambda item: item[0]), t_mix, flags
+    return probed, t_mix, flags
 
 
 def listed_permutation_draws(perms, weights, k: int, gen, size: int) -> np.ndarray:

@@ -213,6 +213,31 @@ def test_mixing_time_deterministic_and_refusal(capsys, tmp_path):
     assert json.loads(err3)["error"]["type"] == "theory_gate"
 
 
+def test_mixing_time_cli_stops_at_its_crossing_inside_the_budget(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"law": ATOMIC_LAW})
+    rc, out, _ = run_cli(capsys, [
+        "mixing-time", "--config", cfg, "--n", "1000", "--k", "2", "--epsilon", "0.01,0.001",
+        "--method", "exact_atomic",
+    ])
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert result["t_mix"] == [{"epsilon": 0.001, "m": 9}, {"epsilon": 0.01, "m": 7}]
+    assert result["flags"] == []
+    assert [e["m"] for e in result["estimates"]] == list(range(1, 10))
+
+
+def test_mixing_time_cli_flags_the_budget_under_mc(capsys, tmp_path):
+    # the k = 4 conditional TVs at n = 500 enumerate C(503, 3) > 2e7 states
+    cfg = write_config(tmp_path, {"law": {"kind": "self_similar", "nu": [1.0] * 4}})
+    rc, out, _ = run_cli(capsys, [
+        "mixing-time", "--config", cfg, "--n", "500", "--k", "4", "--replicates", "20",
+    ])
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert result["flags"] == ["enumeration budget reached at m=1 (21084251 needed)"]
+    assert result["estimates"] == [] and result["t_mix"] == [{"epsilon": 0.25, "m": None}]
+
+
 def test_collapse_command(capsys, tmp_path):
     cfg = write_config(tmp_path, {"law": {"kind": "self_similar", "nu": [1.0, 1.0]}})
     rc, out, _ = run_cli(capsys, ["collapse", "--config", cfg, "--seed", "0", "--replicates", "100"])

@@ -95,12 +95,23 @@ print(json.dumps([
     assert projections == "cutpaste.projections"
 
 
-def test_a_command_loads_only_its_modules():
+def test_a_command_loads_only_its_modules(tmp_path):
     rc, loaded = _cli_loads(["ehrenfest", "--n", "8", "--alpha", "0.25", "--t", "1"])
     assert rc == 0
     assert "cutpaste.tvlab.ehrenfest" in loaded
     unused = ("products", "projections", "tvlab.mc", "tvlab.mixing")
     assert [m for m in unused if f"cutpaste.{m}" in loaded] == []
+    # the crossing helper's home carries no Monte Carlo or chain machinery
+    # into the projection check
+    law = {"kind": "atomic", "atoms": [[[0.8, 0.2], [0.2, 0.8]], [[0.2, 0.8], [0.8, 0.2]]],
+           "weights": [0.5, 0.5]}
+    config = tmp_path / "project.json"
+    config.write_text(json.dumps({"law": law}))
+    rc, loaded = _cli_loads(["project", "--config", str(config), "--n", "3", "--k", "2"])
+    assert rc == 0
+    ours = [m for m in loaded if m.startswith("cutpaste")]
+    assert [m for m in ours if m.startswith(("cutpaste.tvlab", "cutpaste.products",
+                                             "cutpaste.chains"))] == []
 
 
 def test_help_and_a_bad_integer_load_no_numpy():

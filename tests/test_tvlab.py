@@ -62,7 +62,7 @@ from cutpaste.tvlab.ehrenfest import _count_moves
 from cutpaste.tvlab.exact import _CACHE_BUDGET, _conditional_tvs
 from cutpaste.tvlab.mc import (
     _power,
-    _ProductPath,
+    _products,
     _spectrum_buffers,
     _statistic_spectra,
 )
@@ -747,9 +747,9 @@ def test_mixing_time_mc_needs_two_replicates():
 
 def redraw_mixing_time(law, n, k, epsilon=0.25, method="mc_sandwich", seed=0,
                        replicates=2000, m_max=4096):
-    """mixing_time as it ran before the gate stopped at its first witness and
-    probes shared a product path: the full collapse diagnostic, then every
-    probe redrawn by tv_upper_mc (or enumerated by tv_exact_atomic)."""
+    """mixing_time with the full collapse diagnostic as its gate, then a
+    forward search whose every probe is redrawn from step 1 by tv_upper_mc
+    (or enumerated by tv_exact_atomic)."""
     try:
         epsilons = tuple(sorted({float(e) for e in epsilon}))
     except TypeError:
@@ -783,6 +783,9 @@ _SEARCH_CASES = {
         epsilon=(0.5, 0.25), method="exact_atomic", seed=3)),
     "two_atom_budget": (slow_two_atom_law(), 8, 2, dict(
         epsilon=0.25, method="exact_atomic")),
+    # the k = 3 conditional TVs enumerate C(8, 2) = 28 > 20 count states
+    "dirichlet_k3_mc_budget": (SelfSimilar([1.0, 1.0, 1.0]), 6, 3, dict(
+        epsilon=0.25, replicates=50, seed=5)),
     "dirichlet_k2_cutoff_size": (SelfSimilar([1.0, 1.0]), 256, 2, dict(
         epsilon=(0.25, 0.75), replicates=400, m_max=64, seed=11)),
     "dirichlet_k3": (SelfSimilar([1.0, 1.0, 1.0]), 6, 3, dict(
@@ -795,7 +798,8 @@ _SEARCH_CASES = {
         epsilon=1e-9, replicates=50, m_max=8, seed=2)),
     "two_replicates": (slow_two_atom_law(), 6, 2, dict(
         epsilon=(0.75, 0.3), replicates=2, m_max=32, seed=4)),
-    # the doubling stops at m_max itself: 1, 2, then 3
+    # the first certified horizon is m_max itself, so the sweep ends there
+    # with no flag
     "m_max_not_a_power_of_two": (Atomic([
         [[0.6, 0.2, 0.1], [0.3, 0.5, 0.2], [0.1, 0.3, 0.7]],
         [[0.3, 0.1, 0.25], [0.2, 0.7, 0.15], [0.5, 0.2, 0.6]],
@@ -806,16 +810,38 @@ _SEARCH_CASES = {
 @pytest.mark.parametrize("case", sorted(_SEARCH_CASES))
 def test_mixing_time_matches_redraw_search(case, enumeration_budget):
     law, n, k, kwargs = _SEARCH_CASES[case]
-    if case == "two_atom_budget":
-        enumeration_budget(20)  # admits only m = 1
+    if case.endswith("_budget"):
+        enumeration_budget(20)  # admits only m = 1 of two_atom_budget
     got = mixing_time(law, n, k, **kwargs).to_json()
     assert got == redraw_mixing_time(law, n, k, **kwargs).to_json()
     if case == "m_max_exhausted_mc":
         assert got["flags"] and all(row["m"] is None for row in got["t_mix"])
     if case == "two_atom_budget":
         assert any("budget" in f for f in got["flags"])
+    if case == "dirichlet_k3_mc_budget":
+        assert got["flags"] == ["enumeration budget reached at m=1 (28 needed)"]
+        assert got["estimates"] == [] and got["t_mix"] == [{"epsilon": 0.25, "m": None}]
     if case == "m_max_not_a_power_of_two":
         assert got["t_mix"] == [{"epsilon": 0.5, "m": 3}] and not got["flags"]
+    if not got["flags"]:
+        # one forward sweep, to the last crossing and no further
+        last = max(row["m"] for row in got["t_mix"])
+        assert [e["m"] for e in got["estimates"]] == list(range(1, last + 1))
+
+
+def test_mixing_time_stops_at_its_crossing_inside_the_enumeration_budget():
+    # criterion 09's law at n = 1000: m = 9 enumerates 2^9 sequences of 1001
+    # states, while a probe at m = 16 would need 2^16 * 1001 > 2e7
+    law = slow_two_atom_law()
+    prof = mixing_time(law, 1000, 2, epsilon=(0.01, 0.001), method="exact_atomic")
+    assert prof.t_mix == {0.01: 7, 0.001: 9} and prof.flags == ()
+    assert [m for m, _ in prof.estimates] == list(range(1, 10))
+    x, y = make_constant_pair(1000, 2)
+    for m, est in prof.estimates:
+        assert est == tv_exact_atomic(law, x, y, m)
+    values = dict(prof.estimates)
+    for m, want in {6: 0.01819, 7: 0.005926, 8: 0.001924, 9: 0.0006250}.items():
+        assert values[m].value == pytest.approx(want, rel=1e-3), m
 
 
 @pytest.mark.parametrize("law", [PermutationMix(2), PermutationMix(3), PointMass(np.eye(2))])
@@ -839,6 +865,18 @@ def test_cutoff_experiment_matches_redraw_search(monkeypatch):
     want = cutoff_experiment(law, 2, (32, 64, 128), 0.25, **kwargs).to_json()
     assert got == want
     assert all(row["m"] is not None for p in got["profiles"] for row in p["t_mix"])
+
+
+def test_cutoff_experiment_flags_a_size_past_the_budget(enumeration_budget):
+    # the k = 3 conditional TVs enumerate C(6, 2) = 15 states at n = 4 and
+    # C(42, 2) = 861 at n = 40: only the larger size is refused
+    enumeration_budget(100)
+    rep = cutoff_experiment(SelfSimilar([1.0, 1.0, 1.0]), 3, (4, 40), 0.25, seed=7,
+                            replicates=50, m_max=64, lyapunov_m=50, lyapunov_replicates=4)
+    assert rep.flags == ("n=40: enumeration budget reached at m=1 (861 needed)",)
+    small, large = rep.profiles
+    assert not small.flags and None not in small.t_mix.values()
+    assert large.estimates == () and set(large.t_mix.values()) == {None}
 
 
 def test_gate_draws_one_replicate_on_a_witness_first_law(monkeypatch):
@@ -869,27 +907,18 @@ def test_gate_draws_one_replicate_on_a_witness_first_law(monkeypatch):
     DirichletColumns(np.array([[1.0, 0.5, 2.0], [1.0, 1.0, 1.0], [0.3, 1.0, 1.0]])),
 ], ids=["atomic_k2", "dirichlet_k2", "atomic_k3", "dirichlet_columns_k3"])
 def test_product_path_matches_fresh_products(law):
-    for order in itertools.permutations([0, 1, 5]):
-        for asked in (list(order), list(order) + [3, 8, 2]):
-            path = _ProductPath(law, 7, 42)
-            for m in asked:
-                assert np.array_equal(path.at(m), batched_products(law, m, 7, 42)), (asked, m)
-            # the path keeps the horizons asked for, and only those
-            assert sorted(path.kept) == sorted(set(asked))
+    # every product along one path, kept past the steps after it, has the
+    # bits of a fresh composition from step 1
+    path = list(itertools.islice(_products(law, 7, 42), 9))
+    stream, k = as_stream(42), law.k
+    q = np.broadcast_to(np.eye(k), (7, k, k))
+    for m, got in enumerate(path):
+        if m:
+            q = law.sample_batch(stream.derive("paintbox-step", m).generator(), 7) @ q
+        assert np.array_equal(got, q), m
+        assert np.array_equal(got, batched_products(law, m, 7, 42)), m
     with pytest.raises(ValidationError):
-        _ProductPath(law, 7, 42).at(-1)
-
-
-def test_tv_upper_refuses_a_product_path_of_another_law_or_size():
-    law = SelfSimilar([1.0, 1.0])
-    x, y = make_constant_pair(16, 2)
-    path = _ProductPath(law, 7, 42)
-    assert tv_upper_mc(law, x, y, 3, 7, path) == tv_upper_mc(law, x, y, 3, 7, 42)
-    # the mean would run over 7 rows and the error divide by sqrt(8)
-    with pytest.raises(RuntimeError, match="product path"):
-        tv_upper_mc(law, x, y, 3, 8, path)
-    with pytest.raises(RuntimeError, match="product path"):
-        tv_upper_mc(SelfSimilar([1.0, 1.0]), x, y, 3, 7, path)
+        batched_products(law, -1, 7, 42)
 
 
 # ------------------------------------------------------------------ cutoff
