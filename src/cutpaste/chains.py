@@ -7,7 +7,8 @@ two-color batch-refresh (Ehrenfest) family.
 Both paintbox constructions move all sites in one stacked step, with the
 paintboxes and move uniforms of a block of steps drawn at once. The
 streams are read in the same order as one draw per step, so a seed replays
-the same path as a per-step, per-color loop (kept as a test oracle).
+the same path as a per-step, per-color loop (kept as a test oracle),
+unless a DirichletColumns law redraws underflowed columns after a block.
 
 Every runner takes its draws from streams derived from the seed and never
 from the state, so runs with one seed share every draw (the same
@@ -113,11 +114,12 @@ def _run_efcp(law, x0, m_steps, seed, thin, streams, per_column):
     row r with probability S[r, c]), and site i reads its color's column.
 
     Paintboxes and uniforms are drawn a block of steps at a time, which
-    reads each stream in the same order as one draw per step. The new color
-    of a site at color c with uniform u is the number of r < k - 1 with
-    cum[r, c] <= u, cum the column cumsums of S: the row searchsorted would
-    find, since a cumsum of nonnegative entries never decreases and u < 1.
-    That is k - 1 gathers and compares per step over all sites at once."""
+    reads each stream in per-step order (see the module docstring). The new
+    color of a site at color c with uniform u is the number of r < k - 1
+    with cum[r, c] <= u, cum the column cumsums of S: the row searchsorted
+    would find, since a cumsum of nonnegative entries never decreases and
+    u < 1. That is k - 1 gathers and compares per step over all sites at
+    once."""
     _check_run(law, x0, m_steps, thin)
     stream = as_stream(seed)
     gen_s = stream.derive(streams[0]).generator()

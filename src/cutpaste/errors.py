@@ -39,7 +39,7 @@ def coerce(value, kind, field):
 
 def _epsilon_grid(epsilon, descending: bool = False) -> tuple[float, ...]:
     """The distinct thresholds of an epsilon setting, one number or several,
-    sorted; each must lie in (0, 1)."""
+    sorted; each must lie in [1e-9, 1)."""
     try:
         grid = tuple(sorted({float(e) for e in epsilon}, reverse=descending))
     except TypeError:
@@ -48,6 +48,10 @@ def _epsilon_grid(epsilon, descending: bool = False) -> tuple[float, ...]:
         raise ValidationError("epsilon needs at least one threshold", field="epsilon")
     if not all(0.0 < e < 1.0 for e in grid):
         raise ValidationError("epsilon must lie in (0, 1)", field="epsilon")
+    # 100 times the 1e-11 error of an exact value's entries (tvlab/exact.py):
+    # below it, rounding alone would certify a horizon
+    if min(grid) < 1e-9:
+        raise ValidationError("epsilon must be at least 1e-09", field="epsilon")
     return grid
 
 

@@ -6,9 +6,13 @@ Everything here measures that restricted action: singular values of Q_m|V,
 the collapse of the image simplex, and growth-rate (Lyapunov) estimates
 accumulated through QR re-orthonormalization.
 
+Every sampled paintbox sequence of a seed is one path: one generator,
+derived as "paintbox-path" and read in step order, each step drawing every
+replicate's matrix at once, so a replicate's draws depend on the replicate
+count. _products is the one loop that composes it.
+
 The restriction helpers broadcast over leading axes, so the estimators treat
-every replicate at once; each replicate still draws its matrices from its
-own derived stream. Every step is restricted once, B_t = H^T (S_t H), and
+every replicate at once. Every step is restricted once, B_t = H^T (S_t H), and
 its determinant needs no restriction: 1^T S = 1^T makes S block triangular
 in the basis [H, 1/sqrt(k)], so det B_t = det S_t. The growth rates
 re-orthonormalize once per block of L steps rather than once per step
@@ -27,13 +31,14 @@ on a two-atom k = 3 law (m = 400, 16 replicates) 2e-6 off, and its block
 diagonals fall below 1e-13, flagging a collapse that never happened.
 
 The collapse diagnostic and the mixing search's ergodicity gate share one
-replicate scan. The diagnostic counts every replicate; the gate needs only
-one witness, so it tries replicate 0 alone before the stacked rest and
-stops at the first product that contracts V or is positive.
+scan of the path. The diagnostic counts every replicate at every step; the
+gate needs only one witness, so it stops at the first step where some
+replicate's product contracts V or is positive.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -179,11 +184,19 @@ def _block_log_r(b: np.ndarray, block: int) -> np.ndarray:
     return _qr_sweep(p) + np.add.reduceat(np.log(norms), starts, axis=-1)[..., None]
 
 
-def _replicate_batches(law: PaintboxLaw, seed, label: str, reps: range, m: int) -> np.ndarray:
-    """(len(reps), m, k, k) draws; replicate rep samples its m matrices from
-    the stream derived as (label, rep)."""
-    base = as_stream(seed)
-    return np.stack([law.sample_batch(base.derive(label, rep).generator(), m) for rep in reps])
+def _products(law: PaintboxLaw, replicates: int, stream):
+    """Composed paintboxes Q_0 = I, Q_1, ... of `replicates` sequences on
+    the path of stream (a seed or an RngStream), Q_m = S_m ... S_1 as a
+    fresh (replicates, k, k) array: step t is one draw of `replicates`
+    matrices, so Q_m has the same bits however far the path is read. One
+    draw of several steps reads the generator in the same order, unless
+    DirichletColumns redraws underflowed columns after the whole batch."""
+    gen = as_stream(stream).derive("paintbox-path").generator()
+    k = law.k
+    q = np.broadcast_to(np.eye(k), (replicates, k, k)).copy()
+    while True:
+        yield q
+        q = law.sample_batch(gen, replicates) @ q
 
 
 @dataclass(frozen=True)
@@ -209,7 +222,8 @@ def estimate_lyapunov(law: PaintboxLaw, m: int, replicates: int, seed) -> Lyapun
     when the floor is hit). A collapsed direction yields lambda1 = 0 and the
     super_exponential_collapse flag; the spectrum gives the first frame
     direction that collapses rate 0.0 and every later one None. All
-    replicates advance together, one stacked QR per block of steps.
+    replicates advance together, one stacked QR per block of steps. The
+    steps are those of the seed's path (_products), drawn in one call.
     """
     if law.k < 2:
         raise ValidationError("growth rates need a law with k >= 2", field="law")
@@ -217,7 +231,9 @@ def estimate_lyapunov(law: PaintboxLaw, m: int, replicates: int, seed) -> Lyapun
         raise ValidationError(f"need m >= 1, got {m}", field="m")
     if replicates < 1:
         raise ValidationError("need at least one replicate", field="replicates")
-    batches = _replicate_batches(law, seed, "lyapunov-replicate", range(replicates), m)
+    # step t of replicate r is draw t * replicates + r of the path
+    draws = law.sample_batch(as_stream(seed).derive("paintbox-path").generator(), m * replicates)
+    batches = draws.reshape(m, replicates, law.k, law.k).swapaxes(0, 1)
     logdets = log_abs_det_on_V(batches)
     b = restrict_to_V(batches)
     log_r_sums = _block_log_r(b, _block_length(b, logdets)).sum(axis=-2)
@@ -301,15 +317,13 @@ def _collapse_scan(
     delta: float = 1e-6,
     first_witness: bool = False,
 ) -> CollapseReport | None:
-    """The collapse diagnostic's counts, replicate rep drawing its m_max
-    matrices from the stream derived as ("collapse-replicate", rep).
+    """The collapse diagnostic's counts over the products Q_1 .. Q_m_max of
+    the seed's path (_products).
 
-    By default every replicate advances in one stacked block. With
-    first_witness, the scan is the ergodicity gate: it runs replicate 0
-    alone, then the rest as one block, and returns None at the first
-    product that contracts V or is positive, since one witness certifies
-    collapse. Only a scan that finds none returns its report; the counts
-    add across blocks, so that report is the full diagnostic's.
+    With first_witness, the scan is the ergodicity gate: it returns None at
+    the first step where some replicate's product contracts V or is
+    positive, since one witness certifies collapse. Only a scan that finds
+    none returns its report, which is then the full diagnostic's.
     """
     if m_max < 1:
         raise ValidationError(f"need m_max >= 1, got {m_max}", field="m_max")
@@ -317,22 +331,14 @@ def _collapse_scan(
         raise ValidationError(f"need replicates >= 1, got {replicates}", field="replicates")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta must lie in (0, 1), got {delta!r}", field="delta")
-    blocks = [range(1), range(1, replicates)] if first_witness else [range(replicates)]
     contract = np.zeros(m_max, dtype=np.int64)
     positive = np.zeros(m_max, dtype=np.int64)
-    for reps in blocks:
-        if not reps:
-            continue
-        batches = _replicate_batches(law, seed, "collapse-replicate", reps, m_max)
-        q = np.eye(law.k)
-        for t in range(m_max):
-            q = batches[:, t] @ q
-            c = np.count_nonzero(top_singular_on_V(q) < 1.0 - delta)
-            p = np.count_nonzero(np.all(q > 0.0, axis=(-2, -1)))
-            if first_witness and (c or p):
-                return None
-            contract[t] += c
-            positive[t] += p
+    path = itertools.islice(_products(law, replicates, seed), 1, m_max + 1)
+    for t, q in enumerate(path):
+        contract[t] = np.count_nonzero(top_singular_on_V(q) < 1.0 - delta)
+        positive[t] = np.count_nonzero(np.all(q > 0.0, axis=(-2, -1)))
+        if first_witness and (contract[t] or positive[t]):
+            return None
     first_c = int(np.argmax(contract > 0)) + 1 if np.any(contract > 0) else None
     first_p = int(np.argmax(positive > 0)) + 1 if np.any(positive > 0) else None
     verdict = "yes" if (first_c is not None or first_p is not None) else "undetermined"

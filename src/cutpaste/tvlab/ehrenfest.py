@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..chains import EhrenfestParams
-from ..errors import InconclusiveRefusal, TheoryRefusal, ValidationError, _fields_json, check_budget
+from ..errors import InconclusiveRefusal, TheoryRefusal, ValidationError, _epsilon_grid, _fields_json, check_budget
 from ..lumped import _first_crossings, _half_l1, _stationary, _sweep
 from .exact import TVEstimate, _log_factorials
 
@@ -204,8 +204,7 @@ def ehrenfest_mixing_time(params: EhrenfestParams, epsilon: float) -> int:
     forward sweep, whose TV at each t is the one ehrenfest_tv_profile
     reports. A sweep past ceil(2 (n/a) log n) + 8 ceil(n/a) steps is refused
     as inconclusive."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError("epsilon must lie in (0, 1)", field="epsilon")
+    (epsilon,) = _epsilon_grid(epsilon)
     _check_exact_inputs(params)
     n, a = params.n, params.batch_size
     t_max = int(math.ceil(2.0 * (n / a) * math.log(n))) + 8 * int(math.ceil(n / a))

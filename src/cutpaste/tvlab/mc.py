@@ -2,12 +2,11 @@
 
 The upper bound averages exact conditional TVs over a shared paintbox
 coupling; the lower bound projects both chains onto a scalar block-count
-statistic and mixes the projected laws. Replicate r's paintbox sequence is
-assembled from per-step derived streams, so the first m matrices of a run at
-horizon m' > m are identical to the run at horizon m (estimates are pathwise
-consistent across horizons for a fixed seed). _products yields Q_0, Q_1,
-... along one such path, so the mixing search's forward sweep draws each
-step once.
+statistic and mixes the projected laws. Both read Q_m from the seed's
+paintbox path (products._products), so the first m steps of a run at
+horizon m' > m are those of the run at horizon m (estimates are pathwise
+consistent across horizons for a fixed seed), and the mixing search's
+forward sweep, which reads the same path, draws each step once.
 
 The lower bound never builds a per-replicate pmf. Given a paintbox, the
 block statistic is a sum of k(k-1) independent Binomial(n', p) counts, so its
@@ -38,7 +37,7 @@ from ..errors import TheoryRefusal, ValidationError
 from ..lumped import _half_l1
 from ..paintbox import PaintboxLaw
 from ..partitions import Coloring
-from ..rng import as_stream
+from ..products import _products
 from .exact import TVEstimate, _conditional_tvs, _row_chunks
 
 DEFAULT_REPLICATES = 10_000
@@ -68,23 +67,10 @@ def make_test_pair(n: int, k: int) -> tuple[Coloring, Coloring]:
     return Coloring(n, k, tuple(x0w)), Coloring(n, k, tuple(xtw))
 
 
-def _products(law: PaintboxLaw, replicates: int, stream):
-    """Composed paintboxes Q_0 = I, Q_1, Q_2, ... of `replicates`
-    independent sequences, Q_m = S_m ... S_1 as a (replicates, k, k) array,
-    each a fresh one. Step t draws from the stream derived at
-    ("paintbox-step", t), so Q_m has the same bits however it is reached."""
-    stream = as_stream(stream)
-    k = law.k
-    q = np.broadcast_to(np.eye(k), (replicates, k, k)).copy()
-    for t in itertools.count(1):
-        yield q
-        q = law.sample_batch(stream.derive("paintbox-step", t).generator(), replicates) @ q
-
-
 def batched_products(law: PaintboxLaw, m: int, replicates: int, stream) -> np.ndarray:
     """Composed paintboxes Q_m = S_m ... S_1 for `replicates` independent
-    sequences, as a (replicates, k, k) array. Step t draws from the stream
-    derived at ("paintbox-step", t)."""
+    sequences, as a (replicates, k, k) array: the m-th product of the
+    stream's paintbox path (products._products)."""
     if m < 0:
         raise ValidationError("need m >= 0", field="m")
     return next(itertools.islice(_products(law, replicates, stream), m, None))

@@ -16,9 +16,10 @@ exchangeable columns the two constant starts have one law from m = 1 on,
 while other starts may still be far from stationarity. A horizon only
 counts as mixed when its estimate is certified below epsilon (exact value
 below, or mean plus three standard errors below for MC). The search is one
-forward sweep m = 1, 2, ...: each designed pair's MC products extend one
-path by one step per horizon, and the sweep stops at the first horizon
-certified for the last open epsilon.
+forward sweep m = 1, 2, ...: its MC products extend one path by one step
+per horizon, every designed pair is scored on that path (each pair's bound
+stands on its own), and the sweep stops at the first horizon certified for
+the last open epsilon.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from ..errors import BudgetRefusal, TheoryRefusal, ValidationError, _epsilon_gri
 from ..lumped import _first_crossings
 from ..paintbox import PaintboxLaw
 from ..partitions import Coloring
-from ..products import _collapse_scan, estimate_lyapunov
+from ..products import _collapse_scan, _products, estimate_lyapunov
 from ..rng import as_stream
 from .exact import TVEstimate, tv_exact_atomic
-from .mc import _products, _upper_bound, make_constant_pair
+from .mc import _upper_bound, make_constant_pair
 
 METHODS = ("exact_atomic", "mc_sandwich")
 
@@ -121,9 +122,9 @@ def mixing_time(
 
     Probes m = 1, 2, ... in one forward sweep, and stops at the first
     horizon certified below the last open epsilon, at m_max, or where
-    the enumeration budget refuses a horizon. Under mc_sandwich each pair
-    extends one product path a step per horizon, so the estimate at m is
-    the one tv_upper_mc gives at m with the pair's seed. MC certification
+    the enumeration budget refuses a horizon. Under mc_sandwich one product
+    path extends a step per horizon, so each pair's estimate at m is the
+    one tv_upper_mc gives at m with the search's seed. MC certification
     needs a standard error, so mc_sandwich needs at least two replicates.
     Certification failures (budget or band width) leave t_mix None for that
     epsilon and add a flag instead of raising.
@@ -142,9 +143,8 @@ def mixing_time(
         )
 
     pairs = designed_pairs(n, k)
-    # Q_1, Q_2, ... of each pair
-    paths = [itertools.islice(_products(law, replicates, stream.derive("pair", i)), 1, None)
-             for i in range(len(pairs))]
+    # Q_1, Q_2, ... of the search's one path
+    path = itertools.islice(_products(law, replicates, stream), 1, None)
     estimates: list[tuple[int, TVEstimate]] = []
     flags: list[str] = []
 
@@ -154,7 +154,8 @@ def mixing_time(
                 if method == "exact_atomic":
                     ests = [tv_exact_atomic(law, a, b, m) for a, b in pairs]
                 else:
-                    ests = [_upper_bound(next(path), a, b) for (a, b), path in zip(pairs, paths)]
+                    q = next(path)
+                    ests = [_upper_bound(q, a, b) for a, b in pairs]
             except BudgetRefusal as exc:
                 flags.append(f"enumeration budget reached at m={m} ({exc.details['required']} needed)")
                 return
@@ -236,6 +237,7 @@ def cutoff_experiment(
         )
     if not 0.0 < epsilon < 0.5:
         raise ValidationError("epsilon must lie in (0, 0.5)", field="epsilon")
+    _epsilon_grid(epsilon)
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 2 or n_grid[0] < 1 or sorted(set(n_grid)) != list(n_grid):
         raise ValidationError(

@@ -258,7 +258,7 @@ def test_criterion_05_spectrum_determinant_identity():
             log_lhs = sum(math.log(v) for v in est.spectrum) * m
 
             # the same stream the estimator consumed, replayed for Q_m
-            gen = as_stream(seed).derive("lyapunov-replicate", 0).generator()
+            gen = as_stream(seed).derive("paintbox-path").generator()
             q = np.eye(k)
             for s in law.sample_batch(gen, m):
                 q = np.asarray(s, dtype=float) @ q

@@ -705,6 +705,18 @@ def test_empty_epsilon_list_exits_2(capsys, tmp_path, command, how):
 
 
 @pytest.mark.parametrize("command,settings,field", [
+    ("mixing-time", {"law": ATOMIC_LAW, "n": 8, "k": 2, "epsilon": [1e-13]}, "epsilon"),
+    ("ehrenfest", {"n": 32, "standard": True, "mixing_eps": 1e-13}, "mixing_eps"),
+])
+def test_epsilon_below_the_rounding_floor_exits_2(capsys, tmp_path, command, settings, field):
+    # an exact TV is good to about 1e-11, so rounding alone would certify a
+    # horizon below 1e-13
+    rc, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, settings)])
+    assert (rc, out) == (2, "")
+    assert _validation_field(err) == field
+
+
+@pytest.mark.parametrize("command,settings,field", [
     ("tv", {"law": ATOMIC_LAW, "n": 4, "method": "exact", "m": 1, "m_grid": [1, 2]}, "m"),
     ("ehrenfest", {"n": 64, "alpha": 0.25, "t": 3, "t_grid": [1, 2]}, "t_grid"),
     ("ehrenfest", {"n": 64, "alpha": 0.25, "beta": 1.0, "t_grid": [1, 2]}, "t_grid"),

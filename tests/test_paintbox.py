@@ -153,6 +153,24 @@ def test_dirichlet_columns_that_underflow_land_on_a_vertex_at_the_right_rate():
     assert np.all(np.isfinite(tiny)) and np.allclose(tiny.sum(axis=1), 1.0)
 
 
+def test_a_block_of_draws_is_single_draws_unless_columns_underflow():
+    # sample_batch redraws underflowed columns after the whole batch, so
+    # only then does a block of steps read the stream in another order than
+    # one draw per step
+    def differing(law):
+        count = 0
+        for seed in range(50):
+            block = law.sample_batch(RngStream(seed).generator(), 4)
+            gen = RngStream(seed).generator()
+            singles = np.concatenate([law.sample_batch(gen, 1) for _ in range(4)])
+            count += not np.array_equal(block, singles)
+        return count
+
+    assert differing(SelfSimilar([1e-3, 1e-3])) == 38
+    assert differing(SelfSimilar([1.0, 1.0])) == 0
+    assert differing(DirichletColumns([[0.5, 2.0], [1.0, 3.0]])) == 0
+
+
 def test_dirichlet_draws_without_underflow_are_normalized_gammas():
     alpha_cols = [[1.0, 2.0, 3.0], [2.0, 2.0, 2.0], [0.5, 1.0, 1.5]]
     law = DirichletColumns(alpha_cols)

@@ -260,11 +260,11 @@ def test_stacked_step_matches_per_replicate_steps():
         assert stacked.degenerate.shape == (3,) and not stacked.degenerate.any()
 
 
-def _replicate_draws(law, seed, label, replicates, m):
-    base = as_stream(seed)
-    return np.stack([
-        law.sample_batch(base.derive(label, rep).generator(), m) for rep in range(replicates)
-    ])
+def _path_draws(law, seed, replicates, m):
+    """The seed's paintbox path as (replicates, m, k, k) draws, read one
+    step of every replicate at a time."""
+    gen = as_stream(seed).derive("paintbox-path").generator()
+    return np.stack([law.sample_batch(gen, replicates) for _ in range(m)], axis=1)
 
 
 _SINGULAR_ON_V = [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
@@ -305,7 +305,7 @@ def _assert_estimates_match(got, want, keys):
 def test_estimate_lyapunov_matches_per_replicate_oracle(case):
     law, m, replicates = _ORACLE_CASES[case]
     est = estimate_lyapunov(law, m, replicates, seed=21)
-    want = lyapunov_per_replicate(_replicate_draws(law, 21, "lyapunov-replicate", replicates, m))
+    want = lyapunov_per_replicate(_path_draws(law, 21, replicates, m))
     got = est.to_json()
     assert got["flags"] == want["flags"]
     _assert_estimates_match(got, want, ("lambda1", "spectrum", "kappa_hat", "std_error"))
@@ -385,15 +385,16 @@ _BLOCK_LAWS = {
 @pytest.mark.parametrize("case", sorted(_BLOCK_LAWS))
 def test_block_length_follows_the_conditioning_rule(case):
     law, m, replicates = _BLOCK_LAWS[case]
-    draws = _replicate_draws(law, 31, "lyapunov-replicate", replicates, m)
+    draws = _path_draws(law, 31, replicates, m)
     b = restrict_to_V(draws)
     block = _block_length(b, log_abs_det_on_V(draws))
     sigma_min = np.linalg.svd(b, compute_uv=False)[..., -1]
     assert block & (block - 1) == 0 and block < 2 * m
     if (sigma_min < 1e-13).any():
         assert block == 1
-    else:
-        # every aligned block's condition product is within the bound
+    elif block > 1:
+        # every aligned block's condition product is within the bound; one
+        # step's condition is the law's, which no block length changes
         assert _block_cond_logs(b, block).max() <= _LOG_BLOCK_COND + 1e-9
     if case == "self_similar_k2":
         # 1 x 1 steps have condition 1: one block spans the path
@@ -447,7 +448,7 @@ def test_block_kernel_matches_the_step_oracle_on_random_atomic_laws(data):
     replicates = data.draw(st.integers(1, 4))
     seed = data.draw(st.integers(0, 1000))
     got = estimate_lyapunov(law, m, replicates, seed).to_json()
-    want = lyapunov_per_replicate(_replicate_draws(law, seed, "lyapunov-replicate", replicates, m))
+    want = lyapunov_per_replicate(_path_draws(law, seed, replicates, m))
     keys = ["lambda1", "std_error", "spectrum"]
     # the oracle's log |det| of an atom singular in exact arithmetic is -inf,
     # floored; float LU gives exactly -inf for only some of them (41-67% of
@@ -465,7 +466,7 @@ def test_block_kernel_matches_the_step_oracle_on_random_atomic_laws(data):
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_collapse_diagnostic_matches_per_replicate_oracle(case):
     law, m, replicates = _ORACLE_CASES[case]
-    draws = _replicate_draws(law, 22, "collapse-replicate", replicates, m)
+    draws = _path_draws(law, 22, replicates, m)
     # a coarse delta makes the contraction counts depend on each product
     for delta in (1e-6, 0.5):
         rep = collapse_diagnostic(law, m_max=m, replicates=replicates, seed=22, delta=delta)
@@ -482,7 +483,7 @@ def test_collapse_diagnostic_matches_per_replicate_oracle(case):
 _SWAP = [[0.0, 1.0], [1.0, 0.0]]
 _CONTRACTING = [[0.8, 0.3], [0.2, 0.7]]
 # permutations never contract V nor turn positive, so a witness waits for
-# the rare contracting atom: often past replicate 0 and past m = 1
+# the rare contracting atom: often past m = 1
 _RARE_WITNESS = Atomic([_SWAP, np.eye(2), _CONTRACTING], [0.49, 0.49, 0.02])
 
 _GATE_LAWS = {
@@ -514,17 +515,15 @@ def test_gate_stops_exactly_when_the_diagnostic_says_yes(case):
     for (m_max, replicates), seed in itertools.product([(32, 200), (4, 5), (3, 1)], range(6)):
         report = _gate_agrees(law, m_max, replicates, seed, 1e-6)
         verdicts.add(report.verdict)
-        draws = _replicate_draws(law, seed, "collapse-replicate", 1, m_max)
-        contract, positive = collapse_counts(draws, 1e-6)
         first = min(m for m in (report.first_contraction_m, report.first_positivity_m, m_max + 1)
                     if m is not None)
-        late += report.verdict == "yes" and not (contract.any() or positive.any()) and first > 1
+        late += report.verdict == "yes" and first > 1
     want = {"permutation_mix_k2": {"undetermined"}, "permutation_mix_k3": {"undetermined"},
             "identity_point_mass": {"undetermined"}, "dirichlet_k3": {"yes"},
             "rare_witness": {"yes", "undetermined"}}[case]
     assert verdicts == want
     if case == "rare_witness":
-        # some scans found their first witness past replicate 0 and m = 1
+        # some scans found their first witness past m = 1
         assert late > 0
 
 

@@ -60,9 +60,9 @@ from cutpaste.tvlab import mixing as mixing_module
 from cutpaste.lumped import _stationary, _sweep
 from cutpaste.tvlab.ehrenfest import _count_moves
 from cutpaste.tvlab.exact import _CACHE_BUDGET, _conditional_tvs
+from cutpaste.products import _products
 from cutpaste.tvlab.mc import (
     _power,
-    _products,
     _spectrum_buffers,
     _statistic_spectra,
 )
@@ -578,11 +578,11 @@ def test_tv_lower_peak_memory_stays_small():
     "law, n, m, seed, value, se",
     [
         # the benchmark's tv_lower_block query: 16 chunks, mirrored spectra
-        (SelfSimilar([1.0, 1.0]), 1024, 1, 11, 0.0017711971971606857, 0.015396462947414586),
+        (SelfSimilar([1.0, 1.0]), 1024, 1, 11, 0.017469537223484953, 0.013751723301080697),
         # the benchmark's k = 3 block pair: one chunk
-        (ATOMIC_K3, 12, 2, 5, 0.2520750816846221, 0.0015809102006371846),
+        (ATOMIC_K3, 12, 2, 5, 0.24832295781511204, 0.0015761967845861248),
         # k = 3 in two chunks, the last one partial
-        (ATOMIC_K3, 120, 2, 5, 0.675687253733321, 0.00302208344273778),
+        (ATOMIC_K3, 120, 2, 5, 0.6684817305137739, 0.0030199738104639434),
     ],
 )
 def test_tv_lower_is_pinned(law, n, m, seed, value, se):
@@ -749,7 +749,8 @@ def redraw_mixing_time(law, n, k, epsilon=0.25, method="mc_sandwich", seed=0,
                        replicates=2000, m_max=4096):
     """mixing_time with the full collapse diagnostic as its gate, then a
     forward search whose every probe is redrawn from step 1 by tv_upper_mc
-    (or enumerated by tv_exact_atomic)."""
+    on the search's seed for every pair (or enumerated by
+    tv_exact_atomic)."""
     try:
         epsilons = tuple(sorted({float(e) for e in epsilon}))
     except TypeError:
@@ -764,11 +765,11 @@ def redraw_mixing_time(law, n, k, epsilon=0.25, method="mc_sandwich", seed=0,
     pairs = designed_pairs(n, k)
 
     def pair_estimates(m):
-        for idx, (a, b) in enumerate(pairs):
+        for a, b in pairs:
             if method == "exact_atomic":
                 yield tv_exact_atomic(law, a, b, m)
             else:
-                yield tv_upper_mc(law, a, b, m, replicates, stream.derive("pair", idx))
+                yield tv_upper_mc(law, a, b, m, replicates, stream)
 
     estimates, t_mix, flags = mixing_search_redraw(
         pair_estimates, epsilons, m_max, method == "mc_sandwich", replicates
@@ -879,9 +880,25 @@ def test_cutoff_experiment_flags_a_size_past_the_budget(enumeration_budget):
     assert large.estimates == () and set(large.t_mix.values()) == {None}
 
 
-def test_gate_draws_one_replicate_on_a_witness_first_law(monkeypatch):
+def test_gate_draws_one_step_on_a_witness_first_law(monkeypatch):
     law = slow_two_atom_law()
-    # every atom contracts V, so replicate 0 is a witness at m = 1
+    # every atom contracts V, so every replicate is a witness at m = 1
+    sizes = []
+    sample_batch = law.sample_batch
+
+    def counted(rng, size):
+        sizes.append(size)
+        return sample_batch(rng, size)
+
+    monkeypatch.setattr(law, "sample_batch", counted)
+    mixing_time(law, 8, 2, epsilon=0.25, method="exact_atomic", seed=1)
+    assert sizes == [200]
+    sizes.clear()
+    collapse_diagnostic(law, seed=as_stream(1).derive("collapse-gate"))
+    assert sizes == [200] * 32
+
+
+def test_each_sampled_path_builds_one_generator(monkeypatch):
     made = []
     generator = RngStream.generator
 
@@ -890,11 +907,27 @@ def test_gate_draws_one_replicate_on_a_witness_first_law(monkeypatch):
         return generator(self)
 
     monkeypatch.setattr(RngStream, "generator", counted)
-    mixing_time(law, 8, 2, epsilon=0.25, method="exact_atomic", seed=1)
-    assert len(made) == 1
+
+    def built(run):
+        made.clear()
+        run()
+        return len(made)
+
+    law = SelfSimilar([1.0, 1.0, 1.0])
+    x, y = make_constant_pair(6, 3)
+    assert built(lambda: collapse_diagnostic(law, seed=3)) == 1
+    assert built(lambda: estimate_lyapunov(law, 50, 8, 3)) == 1
+    assert built(lambda: tv_upper_mc(law, x, y, 5, 40, 3)) == 1
     made.clear()
-    collapse_diagnostic(law, seed=as_stream(1).derive("collapse-gate"))
-    assert len(made) == 200
+    with pytest.raises(TheoryRefusal):
+        mixing_time(PermutationMix(3), 6, 3, epsilon=0.25, seed=3)
+    assert len(made) == 1
+    # the gate's path and the search's one path, however many horizons and
+    # pairs (three at k = 3) the sweep scores
+    made.clear()
+    prof = mixing_time(law, 6, 3, epsilon=(0.5, 0.25), replicates=100, seed=5)
+    assert len(made) == 2
+    assert len(prof.estimates) > 1 and not prof.flags
 
 
 @pytest.mark.parametrize("law", [
@@ -910,11 +943,11 @@ def test_product_path_matches_fresh_products(law):
     # every product along one path, kept past the steps after it, has the
     # bits of a fresh composition from step 1
     path = list(itertools.islice(_products(law, 7, 42), 9))
-    stream, k = as_stream(42), law.k
+    gen, k = as_stream(42).derive("paintbox-path").generator(), law.k
     q = np.broadcast_to(np.eye(k), (7, k, k))
     for m, got in enumerate(path):
         if m:
-            q = law.sample_batch(stream.derive("paintbox-step", m).generator(), 7) @ q
+            q = law.sample_batch(gen, 7) @ q
         assert np.array_equal(got, q), m
         assert np.array_equal(got, batched_products(law, m, 7, 42)), m
     with pytest.raises(ValidationError):
@@ -1166,10 +1199,11 @@ def test_ehrenfest_constant_start_extremal_only_for_single_site():
 def test_ehrenfest_mixing_time_budget():
     # the allowance is ceil(2 n log n) + 8 n = 478 steps at n = 32, a = 1
     with pytest.raises(InconclusiveRefusal) as exc:
-        ehrenfest_mixing_time(standard_ehrenfest(32), 1e-300)
-    assert exc.value.details == {"epsilon": 1e-300, "t_max": 478}
-    with pytest.raises(ValidationError):
-        ehrenfest_mixing_time(standard_ehrenfest(8), 1.5)
+        ehrenfest_mixing_time(standard_ehrenfest(32), 1e-9)
+    assert exc.value.details == {"epsilon": 1e-9, "t_max": 478}
+    for epsilon in (1.5, 1e-300):
+        with pytest.raises(ValidationError):
+            ehrenfest_mixing_time(standard_ehrenfest(8), epsilon)
 
 
 def test_ehrenfest_bounds_and_schedule_gates():
