@@ -14,9 +14,10 @@ other mode refuses the setting when given. The parser's flags and the
 accepted config keys both come from that table, and a flag value goes
 through the same reader as a config value.
 
-Each command's handler imports the modules it calls, and a call builds
-the flags of its own command only, so a call loads and parses no more
-than its command needs.
+Each command's handler imports the modules it calls, and a call naming a
+command builds that command's parser alone, so a call loads and parses no
+more than its command needs. `cutpaste --help`, and a call that names no
+command, build the parser of every command.
 """
 
 from __future__ import annotations
@@ -419,36 +420,47 @@ COMMANDS = {
 }
 
 
+def _add_flags(parser: argparse.ArgumentParser, table: dict) -> argparse.ArgumentParser:
+    """A command's flags on parser: --config, --out and one per setting of
+    its table but the law."""
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--out", help="output path (default stdout)")
+    for key, (read, *_) in table.items():
+        if key == "law":
+            continue
+        flag = "--" + key.replace("_", "-")
+        if read is _bool:
+            parser.add_argument(flag, dest=key, action="store_true", default=None)
+        else:
+            parser.add_argument(flag, dest=key)
+    return parser
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command; given a command, only that command's
-    subparser gets its flags, which is all a call naming it parses."""
+    """The parser of every command, one subparser each; given a command,
+    that command's own parser, which parses the arguments after its name
+    and prints the same help as its subparser."""
+    if command is not None:
+        return _add_flags(argparse.ArgumentParser(prog=f"cutpaste {command}"), COMMANDS[command][2])
     parser = argparse.ArgumentParser(
         prog="cutpaste",
         description="Simulation and analysis of paintbox-driven coloring chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, table) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command not in (None, name):
-            continue
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output path (default stdout)")
-        for key, (read, *_) in table.items():
-            if key == "law":
-                continue
-            flag = "--" + key.replace("_", "-")
-            if read is _bool:
-                p.add_argument(flag, dest=key, action="store_true", default=None)
-            else:
-                p.add_argument(flag, dest=key)
+        _add_flags(sub.add_parser(name, help=help_text), table)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
-    handler, _, table = COMMANDS[args.command]
+    if argv and argv[0] in COMMANDS:
+        command = argv[0]
+        args = build_parser(command).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
+        command = args.command
+    handler, _, table = COMMANDS[command]
     try:
         handler(_settings(args, table), args.out)
         return 0

@@ -11,11 +11,17 @@ law, so both are uniform given N1 and their TV equals the TV between the
 two N1 laws.
 
 A move shifts the count by at most a, so the N1 chain is held as its
-(n+1) x (2a+1) band of moves, and cutpaste.lumped runs it: a forward step
-is one windowed dot per count at O(n a), and the stationary law comes from
-the banded elimination that `project` runs on its color counts, O(n a^2)
-work in O(n a) memory. The pass is refused past the "ehrenfest_sites"
-budget on n, which bounds its time.
+(n+1) x (2a+1) band of moves, and cutpaste.lumped runs it: the stationary
+law comes from the banded elimination that `project` runs on its color
+counts, O(n a^2) work in O(n a) memory, and the forward sweep takes b steps
+per call with the band of K^b, of half-width a b, at O(n a b) per block,
+no more than b single steps. The block length b is the largest power of two
+whose band fits the lab's one chunk budget, (n + 1)(2ab + 1) <= 2^15
+elements, or 1 where b = 2 does not fit: 32 at (n, a) = (320, 1), 8 at
+(1100, 1), 2 at (256, 16) and 1 at (320, 80). The law at t is always
+t // b blocks and then t % b single steps, so a horizon's TV has the same
+bits in any grid, asked alone and in the mixing search. The pass is
+refused past the "ehrenfest_sites" budget on n, which bounds its time.
 """
 
 from __future__ import annotations
@@ -26,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..chains import EhrenfestParams
-from ..errors import InconclusiveRefusal, TheoryRefusal, ValidationError, _epsilon_grid, _fields_json, check_budget
+from ..errors import (InconclusiveRefusal, TheoryRefusal, ValidationError, _epsilon_grid,
+                      _fields_json, check_budget, coerce)
 from ..lumped import _first_crossings, _half_l1, _stationary, _sweep
-from .exact import TVEstimate, _log_factorials
+from .exact import _CACHE_BUDGET, TVEstimate
 
 
 def coupling_upper(params: EhrenfestParams, t: float) -> float:
@@ -145,19 +152,24 @@ def loglog_schedule(n: int, beta: float) -> LogLogSchedule:
 def _count_moves(n: int, a: int) -> np.ndarray:
     """The N1 chain as a band, out[j, d] = P(j -> j + d - a): from j ones,
     with weight C(j, h) C(n - j, a - h) / (2 C(n, a)) each, to j - h and
-    j - h + a; each count's weights are normalised, so no step gains or
-    loses mass."""
-    lf = _log_factorials(n)
+    j - h + a. A row's weights come from the ratio recurrence
+    log w(h + 1) / w(h) = log((j - h)(a - h)) - log((h + 1)(n - j - a + h + 1)),
+    summed from the row's first feasible h: no term is a difference of large
+    log-factorials, whose rounding grew with n. Each count's weights are then
+    normalised, so no step gains or loses mass."""
     j = np.arange(n + 1)[:, None]
     h = np.arange(a + 1)[None, :]
-    rest, miss = n - j, a - h
-    ok = (h <= j) & (miss <= rest)
-    logw = (
-        (lf[j] - lf[h] - lf[np.where(ok, j - h, 0)])
-        + (lf[rest] - lf[miss] - lf[np.where(ok, rest - miss, 0)])
-        - (lf[n] - lf[a] - lf[n - a])
-    )
-    w = np.exp(np.where(ok, logw, -np.inf))
+    ok = (h <= j) & (a - h <= n - j)
+    # the term from h to h + 1 where both are feasible, else 0
+    up = ok[:, :-1] & ok[:, 1:]
+    h = h[:, :-1]
+    ratio = np.log(np.where(up, (j - h) * (a - h), 1))
+    ratio -= np.log(np.where(up, (h + 1) * (n - j - a + h + 1), 1))
+    logw = np.zeros((n + 1, a + 1))
+    np.cumsum(ratio, axis=1, out=logw[:, 1:])
+    logw[~ok] = -np.inf
+    logw -= logw.max(axis=1, keepdims=True)
+    w = np.exp(logw, out=logw)
     w *= 0.5 / w.sum(axis=1, keepdims=True)
     out = np.zeros((n + 1, 2 * a + 1))
     out[:, : a + 1] = w[:, ::-1]
@@ -165,22 +177,23 @@ def _count_moves(n: int, a: int) -> np.ndarray:
     return out
 
 
-def _tv_sweep(params: EhrenfestParams, horizons):
-    """(t, the N1 law at t less the stationary law, as a fresh array) at each
-    of the increasing horizons, from the all-ones start, in one forward pass
-    of the one-count chain."""
+def _block_length(n: int, a: int) -> int:
+    """The block length b of the sweep: the largest power of two whose band
+    of K^b, (n + 1) x (2ab + 1), fits the lab's one chunk budget, or 1."""
+    b = 1
+    while (n + 1) * (4 * a * b + 1) <= _CACHE_BUDGET:
+        b *= 2
+    return b
+
+
+def _one_count_chain(params: EhrenfestParams):
+    """The N1 chain's band, its stationary law, the all-ones start and the
+    block length of its sweep."""
     n, a = params.n, params.batch_size
     moves = _count_moves(n, a)
-    pi = _stationary(moves)
     row = np.zeros(n + 1)
     row[n] = 1.0
-    laws = _sweep(moves, row)
-    t = 0
-    for horizon in horizons:
-        for _ in range(t, horizon):
-            row = next(laws)
-        t = horizon
-        yield t, row - pi
+    return moves, _stationary(moves), row, _block_length(n, a)
 
 
 def _check_exact_inputs(params: EhrenfestParams) -> None:
@@ -191,25 +204,44 @@ def _check_exact_inputs(params: EhrenfestParams) -> None:
 def ehrenfest_tv_profile(params: EhrenfestParams, t_grid) -> list[tuple[int, TVEstimate]]:
     """Exact TV to stationarity at every horizon in t_grid, in one forward
     sweep. The two constant starts are symmetric, so the all-ones law
-    computed here covers both."""
+    computed here covers both. A horizon must be a whole number."""
     _check_exact_inputs(params)
-    grid = sorted({int(t) for t in t_grid})
+    grid = sorted({coerce(t, int, "t_grid") for t in t_grid})
     if not grid or grid[0] < 0:
         raise ValidationError("t_grid must be non-empty with t >= 0", field="t_grid")
-    return [(t, TVEstimate(_half_l1(d), "exact")) for t, d in _tv_sweep(params, grid)]
+    moves, pi, row, b = _one_count_chain(params)
+    return [(t, TVEstimate(_half_l1(law - pi), "exact")) for t, law in _sweep(moves, row, grid, b)]
 
 
 def ehrenfest_mixing_time(params: EhrenfestParams, epsilon: float) -> int:
-    """Smallest t with exact TV below epsilon: the first crossing of the
-    forward sweep, whose TV at each t is the one ehrenfest_tv_profile
-    reports. A sweep past ceil(2 (n/a) log n) + 8 ceil(n/a) steps is refused
-    as inconclusive."""
+    """Smallest t with exact TV below epsilon, whose TV at each t is the one
+    ehrenfest_tv_profile reports: the first crossing over the block ends of
+    the sweep, then over the single steps inside the block that ends there,
+    stepped from the law at that block's start. A sweep past
+    ceil(2 (n/a) log n) + 8 ceil(n/a) steps is refused as inconclusive; the
+    last partial block is stepped one step at a time up to that allowance."""
     (epsilon,) = _epsilon_grid(epsilon)
     _check_exact_inputs(params)
     n, a = params.n, params.batch_size
     t_max = int(math.ceil(2.0 * (n / a) * math.log(n))) + 8 * int(math.ceil(n / a))
-    sweep = ((t, (_half_l1(d),)) for t, d in _tv_sweep(params, range(t_max + 1)))
-    t_mix = _first_crossings(sweep, [(epsilon,)])[0][epsilon]
+    moves, pi, row, b = _one_count_chain(params)
+    start, aligned = 0, row
+
+    def block_ends():
+        nonlocal start, aligned
+        for t, law in _sweep(moves, row, range(0, t_max + 1, b), b):
+            yield t, (_half_l1(law - pi),)
+            # reached only while the search reads on: the last block end
+            # not below epsilon
+            start, aligned = t, law
+
+    t_end = _first_crossings(block_ends(), [(epsilon,)])[0][epsilon]
+    stop = t_max if t_end is None else t_end - 1
+    singles = ((start + t, (_half_l1(law - pi),))
+               for t, law in _sweep(moves, aligned, range(1, stop - start + 1), 1))
+    t_mix = _first_crossings(singles, [(epsilon,)])[0][epsilon]
+    if t_mix is None:
+        t_mix = t_end
     if t_mix is not None:
         return t_mix
     raise InconclusiveRefusal(

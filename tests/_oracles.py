@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.stats import binom
 
 from cutpaste.paintbox import PaintboxLaw, StochasticMatrix, _as_generator
@@ -329,6 +330,32 @@ def ehrenfest_dense_kernel(n: int, a: int) -> np.ndarray:
     k[ones, ones - hits] = w[ones, hits]
     k[ones, ones - hits + a] += w[ones, hits]
     return k
+
+
+def one_step_sweep(moves: np.ndarray, row: np.ndarray):
+    """The laws one, two, ... steps on from the law row of the chain held as
+    the band moves, moves[j, d] = P(j -> j + d - a), one step at a time at
+    O(size a) a step: new[i] is the dot of the window row[i - a .. i + a]
+    with the incoming band kin[i, e] = P(i - a + e -> i). The laws alternate
+    between two zero-padded buffers, so each one yielded is overwritten two
+    steps on."""
+    size, width = moves.shape
+    a = width // 2
+    padded = np.zeros((size + 2 * a, width))
+    padded[a : a + size] = moves
+    step = padded.itemsize
+    # kin[i, e] = padded[i + e, 2a - e], one anti-diagonal of padded per row
+    strides = (width * step, (width - 1) * step)
+    kin = as_strided(padded.reshape(-1)[2 * a :], (size, width), strides).copy()
+    del padded
+    laws = np.zeros((2, size + 2 * a))
+    laws[0, a : a + size] = row
+    windows = sliding_window_view(laws, width, axis=1)
+    now = 0
+    while True:
+        np.einsum("ij,ij->i", windows[now], kin, out=laws[1 - now, a : a + size])
+        now = 1 - now
+        yield laws[now, a : a + size]
 
 
 def dense_gth_stationary(k: np.ndarray) -> np.ndarray:

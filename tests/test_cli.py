@@ -1077,14 +1077,40 @@ def test_a_nan_from_the_program_is_a_fault_not_bad_input(tmp_path, monkeypatch):
         main(["tv", "--config", write_config(tmp_path, BASE["tv"])])
 
 
-def test_a_command_parser_declares_only_its_own_flags():
-    def flags(parser):
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return {c: {f for a in p._actions for f in a.option_strings} for c, p in sub.choices.items()}
+def test_a_command_parser_declares_only_its_own_flags(capsys):
+    full = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, (_, _, table) in COMMANDS.items():
+        own = build_parser(command)
+        want = {"-h", "--help", "--config", "--out"}
+        want |= {"--" + k.replace("_", "-") for k in table if k != "law"}
+        assert {f for a in own._actions for f in a.option_strings} == want, command
+        # `cutpaste <command> --help` prints the help of the command's
+        # subparser in the parser of every command
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == full.choices[command].format_help()
 
-    full = flags(build_parser())
-    for command in COMMANDS:
-        assert flags(build_parser(command)) == {
-            c: want if c == command else {"-h", "--help"} for c, want in full.items()
-        }
-        assert build_parser(command).format_help() == build_parser().format_help()
+
+def test_a_named_command_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["ehrenfest", "--n", "64", "--alpha", "0.25", "--t", "3"]) == 0
+    assert built == ["cutpaste ehrenfest"]
+    # an unknown flag prints the command's own usage line and exits 2
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["ehrenfest", "--bogus"])
+    assert exc.value.code == 2 and built == ["cutpaste ehrenfest"]
+    assert capsys.readouterr().err.startswith("usage: cutpaste ehrenfest [-h]")
+    # the top-level help builds the parser of every command
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert len(built) == len(COMMANDS) + 1

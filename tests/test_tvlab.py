@@ -58,7 +58,7 @@ from cutpaste.products import collapse_diagnostic, estimate_lyapunov
 from cutpaste.rng import RngStream, as_stream
 from cutpaste.tvlab import mixing as mixing_module
 from cutpaste.lumped import _stationary, _sweep
-from cutpaste.tvlab.ehrenfest import _count_moves
+from cutpaste.tvlab.ehrenfest import _block_length, _count_moves
 from cutpaste.tvlab.exact import _CACHE_BUDGET, _conditional_tvs
 from cutpaste.products import _products
 from cutpaste.tvlab.mc import (
@@ -1055,9 +1055,10 @@ def test_single_site_stationary_law_is_binomial_past_the_double_range(n):
     # unnormalised back-substitution grows like C(n, j), past 2^1024 here
     pi = _stationary(_count_moves(n, 1))
     want = np.array([float(Fraction(math.comb(n, j), 2**n)) for j in range(n + 1)])
-    # the kernel's log-factorial weights round at ulp(log n!) ~ 9e-13
-    # relative, which is about 2e-14 at the binomial mode 0.024
-    assert np.max(np.abs(pi - want)) < 4e-14
+    # the ratio-recurrence weights j / n and (n - j) / n are correct to an
+    # ulp; log-factorial weights rounded at ulp(log n!) ~ 9e-13 relative,
+    # about 2e-14 at the binomial mode 0.024
+    assert np.max(np.abs(pi - want)) < 1e-16
 
 
 def _assert_band_matches_dense(n, a):
@@ -1066,11 +1067,14 @@ def _assert_band_matches_dense(n, a):
     assert np.max(np.abs(_stationary(moves) - dense_gth_stationary(kernel))) < 1e-14
     row = np.zeros(n + 1)
     row[n] = 1.0
-    want = row.copy()
-    laws = _sweep(moves, row)
-    for _ in range(2 * n // a + 3):
-        row, want = next(laws), want @ kernel
-        assert np.max(np.abs(row - want)) < 1e-14
+    horizons = range(1, 2 * n // a + 4)
+    # the chain's own block length, and blocks of 4 steps that the horizons
+    # pass through at every offset
+    for b in (_block_length(n, a), 4):
+        want = row.copy()
+        for _, law in _sweep(moves, row, horizons, b):
+            want = want @ kernel
+            assert np.max(np.abs(law - want)) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -1093,11 +1097,10 @@ def test_band_step_memory_is_linear_in_the_band():
     moves = _count_moves(n, a)
     row = np.zeros(n + 1)
     row[n] = 1.0
-    laws = _sweep(moves, row)
     tracemalloc.start()
     try:
-        for _ in range(100):
-            row = next(laws)
+        for _ in _sweep(moves, row, range(1, 101), 1):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1112,12 +1115,19 @@ def test_ehrenfest_sweep_keeps_its_mass_over_long_horizons():
 
 
 def test_ehrenfest_profile_monotone_and_consistent():
-    params = EhrenfestParams(20, 0.2)
-    profile = ehrenfest_tv_profile(params, range(0, 26, 5))
-    values = [est.value for _, est in profile]
-    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-    (_, lone), = ehrenfest_tv_profile(params, [15])
-    assert abs(dict(profile)[15].value - lone.value) < 1e-15
+    # t = 15 is a single step inside the first block, the last step of a
+    # block and one step past a block end
+    for n, batch, b in [(20, 4, 128), (200, 8, 8), (256, 16, 2)]:
+        params = EhrenfestParams(n, batch / n)
+        assert params.batch_size == batch and _block_length(n, batch) == b
+        profile = ehrenfest_tv_profile(params, range(0, 26, 5))
+        values = [est.value for _, est in profile]
+        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+        # the law at 15 has the same bits asked alone and in the mixing search
+        (_, lone), (_, after) = ehrenfest_tv_profile(params, [15, 16])
+        assert dict(profile)[15].value == lone.value
+        assert after.value < lone.value
+        assert ehrenfest_mixing_time(params, lone.value) == 16
 
 
 def test_ehrenfest_exact_gates():
@@ -1128,6 +1138,17 @@ def test_ehrenfest_exact_gates():
         ehrenfest_tv_profile(params, [])
     with pytest.raises(ValidationError):
         ehrenfest_tv_profile(params, [-1, 2])
+
+
+@pytest.mark.parametrize("grid", [[2.7, 3], [True], [False, 2], [2, "x"]])
+def test_ehrenfest_profile_refuses_a_horizon_that_is_not_a_whole_number(grid):
+    # int() truncated 2.7 to 2 and read True as 1
+    with pytest.raises(ValidationError) as exc:
+        ehrenfest_tv_profile(EhrenfestParams(6, 0.5), grid)
+    assert exc.value.field == "t_grid"
+    # a whole number given as a float is that horizon
+    params = EhrenfestParams(6, 0.5)
+    assert ehrenfest_tv_profile(params, [3.0, 5]) == ehrenfest_tv_profile(params, [3, 5])
 
 
 def test_ehrenfest_mixing_time_matches_brute_force_n12():
