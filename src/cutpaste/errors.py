@@ -108,8 +108,9 @@ class BudgetRefusal(Refusal):
 # one budget each.
 BUDGETS = {
     "enumeration": 20_000_000,  # atom sequences x count vectors, or the count statistic
-    # every enumeration of the k^n labeled states; `project` keeps one dense
-    # k^n x k^n kernel, 128 MiB at 4096, and no other array of that size
+    # every enumeration of the k^n labeled states; `project` applies its
+    # kernel through the two site halves, holding no k^n x k^n array
+    # (about 3 MiB traced at 4096 states, k = 2)
     "project_states": 4096,
     # n: the exact pass holds O(n a) memory, so this bounds its time, the
     # elimination's O(n a^2) and the sweep's O(t n a)

@@ -5,14 +5,16 @@ Markov chain when the driving paintbox law is row-column exchangeable, so
 the check accepts those laws only. It computes both chains' exact distance
 profiles on small state spaces and compares their epsilon-crossing times.
 
-The states are the k^n colorings, enumerated as color words (dense linear
-algebra throughout, so k^n stays within the "project_states" budget). Given
-the paintbox s, the n coordinates jump independently, so the kernel is the
-n-fold Kronecker power of s^T. A law's kernel sum_a w_a K_a splits the
-sites into a left half of h = floor(n/2) and a right half of n - h, and each
-row of it, one left-half state by one right-half state, is one matrix
-product of the atoms' weighted left-half rows by their right-half rows,
-written where it belongs in the kernel.
+The states are the k^n colorings, enumerated as color words, so k^n stays
+within the "project_states" budget. Given the paintbox s, the n coordinates
+jump independently, so a law's kernel is K = sum_a w_a L_a (x) R_a, with
+L_a and R_a the Kronecker powers of s_a^T on the first h = floor(n/2) sites
+and on the other n - h. K is never formed, only applied through its factors
+(Van Loan, "The ubiquitous Kronecker product", 2000): a law X on the states,
+a k^h x k^(n-h) matrix, steps to sum_a w_a L_a^T X R_a in A k^n (k^h +
+k^(n-h)) multiply-adds for A atoms, against k^(2n) with a dense K. That is
+more only past A = k^n / (k^h + k^(n-h)), as for the 24 atoms of a
+permuted-identity blend at n = 5, k = 4, or its 120 at n = 5, k = 5.
 
 The labeled kernel K[x, y] = sum_a w_a prod_i s_a[y_i, x_i] is unchanged
 when the sites of x and y are permuted together. So the multisets of colors
@@ -23,18 +25,17 @@ constant on each multiset, so it is the count chain's stationary law spread
 evenly over the states of each multiset, and no k^n-state system is
 solved. The elimination that solves the count chain also shows the lifted
 law unique (see _stationary_from_counts), which must then leave a residual
-|pi K - pi| within a tolerance on K itself.
+|pi K - pi|, one step of pi, within a tolerance.
 
 For the same reason TV(K^m(x, .), pi) depends only on the multiset of
 colors of x, so the labeled profile propagates the non-decreasing rows
-only, one (rows x k^n) by (k^n x k^n) product per step instead of a full
-matrix power. The projected profile reads the same rows: under a
-row-column exchangeable law the projected chain's law at m from an
-unlabeled class is the pushforward of K^m(x, .) from any state x of the
-class, permuting the sites leaves that pushforward's distance to the
-projected pi unchanged, and every orbit of block sizes holds a sorted word.
-So each step sums every propagated row by unlabeled class, and no projected
-kernel is built.
+only, one step of them per horizon instead of a full matrix power. The
+projected profile reads the same rows: under a row-column exchangeable law
+the projected chain's law at m from an unlabeled class is the pushforward
+of K^m(x, .) from any state x of the class, permuting the sites leaves that
+pushforward's distance to the projected pi unchanged, and every orbit of
+block sizes holds a sorted word. So each step sums every propagated row by
+unlabeled class, and no projected kernel is built.
 """
 
 from __future__ import annotations
@@ -86,43 +87,38 @@ def product_kernel_given_S(s, n: int) -> np.ndarray:
     return kernel
 
 
-def exact_kernel(law: PaintboxLaw, n: int) -> np.ndarray:
-    """One-step kernel of the paintbox chain, averaged over the law's atoms.
+def _kernel_step(law: PaintboxLaw, n: int):
+    """x -> x K for the law's one-step kernel K, on a (rows, k^n) stack x.
 
     With h = floor(n/2), K[(xl, xr), (yl, yr)] = sum_a w_a L_a[xl, yl]
-    R_a[xr, yr] for the atoms' product kernels L_a on the first h sites and
-    R_a on the other n - h. So the row at (xl, xr) is the (k^h x A) by
-    (A x k^(n-h)) product of the atoms' weighted rows L_a[xl] by their rows
-    R_a[xr], written straight into K, the only k^n x k^n array made. Every
-    term is nonnegative, so an entry is 0 exactly when every atom of
-    positive weight gives it 0.
-
-    Only finitely supported laws can be enumerated; laws with a density are
-    refused rather than approximated.
+    R_a[xr, yr] for the atoms' product kernels L_a on the first h sites (1 x 1
+    ones at h = 0) and R_a on the other n - h. So a row of x, viewed as a
+    k^h x k^(n-h) matrix X, steps to sum_a w_a L_a^T X R_a. Every term is
+    nonnegative, so an entry is 0 exactly when every atom of positive weight
+    gives it 0. Laws with a density are refused rather than approximated.
     """
     atoms = law.as_atomic()
     if atoms is None:
-        raise TheoryRefusal(
-            "exact kernels need a finitely supported paintbox law",
-            law=law.config(),
-        )
+        raise TheoryRefusal("exact kernels need a finitely supported paintbox law", law=law.config())
     total = _enumerable(n, law.k)
-
-    def halves(sites: int) -> np.ndarray:
-        # (atoms, k^sites, k^sites): each atom's kernel on `sites` sites
-        if sites == 0:
-            return np.ones((len(atoms.atoms), 1, 1))
-        return np.stack([product_kernel_given_S(s, sites) for s in atoms.atoms])
-
     h = n // 2
-    left = law.k**h
-    right = total // left
-    # (xl, 1, yl, A) by (xr, A, yr) gives the (xl, xr, yl, yr) layout of K
-    weighted = (halves(h) * atoms.weights[:, None, None]).transpose(1, 2, 0)[:, None]
-    kernel = np.empty((total, total))
-    np.matmul(weighted, halves(n - h).transpose(1, 0, 2),
-              out=kernel.reshape(left, right, left, right))
-    return kernel
+    left, right = law.k**h, law.k ** (n - h)
+
+    def half(s, sites: int) -> np.ndarray:
+        return product_kernel_given_S(s, sites) if sites else np.ones((1, 1))
+
+    factors = [(w * half(s, h).T, half(s, n - h)) for s, w in zip(atoms.atoms, atoms.weights)]
+
+    def step(x: np.ndarray) -> np.ndarray:
+        # the rows' matrices X side by side, so each factor is one product
+        rows = x.size // total
+        side = x.reshape(rows, left, right).transpose(1, 0, 2).reshape(left, -1)
+        out = np.zeros((left * rows, right))
+        for left_t, right_a in factors:
+            out += (left_t @ side).reshape(-1, right) @ right_a
+        return out.reshape(left, rows, right).transpose(1, 0, 2).reshape(rows, total)
+
+    return step
 
 
 def _orbit_classes(w: np.ndarray, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
@@ -197,15 +193,16 @@ def _count_classes(w: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(np.sort(w, axis=1) @ place, return_inverse=True)
 
 
-def _stationary_from_counts(kernel: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The stationary law of the labeled kernel, solved on the count chain.
+def _stationary_from_counts(step, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The stationary law of the labeled kernel K, solved on the count chain.
 
-    rows are the kernel's rows at the non-decreasing words and counts labels
-    each state by its multiset of colors, as from _count_classes. The count
-    kernel sums each row by the multiset of its target; its stationary law
-    divided by the number of states of each multiset is pi, which must then
-    leave max |pi K - pi| <= _RESIDUAL_TOL. Raises TheoryRefusal if the
-    count chain's elimination refuses or the residual is too large.
+    step maps a stack of laws x to x K, as from _kernel_step; rows are K's
+    rows at the non-decreasing words and counts labels each state by its
+    multiset of colors, as from _count_classes. The count kernel sums each
+    row by the multiset of its target; its stationary law divided by the
+    number of states of each multiset is pi, which must then leave
+    max |pi K - pi| <= _RESIDUAL_TOL. Raises TheoryRefusal if the count
+    chain's elimination refuses or the residual is too large.
 
     Uniqueness: count state 0 is the constant word 1...1, which every site
     permutation fixes, and permuting the sites carries a count path from a
@@ -228,7 +225,7 @@ def _stationary_from_counts(kernel: np.ndarray, rows: np.ndarray, counts: np.nda
         why = f"chain of color counts, states in sorted-word order: {e}"
     else:
         pi = (pi_counts / np.bincount(counts))[counts]
-        if np.max(np.abs(pi @ kernel - pi)) <= _RESIDUAL_TOL:  # a NaN residual fails too
+        if np.max(np.abs(step(pi) - pi)) <= _RESIDUAL_TOL:  # a NaN residual fails too
             return pi
         why = "stationary solve failed its residual check"
     raise TheoryRefusal(
@@ -270,11 +267,11 @@ def projected_mixing_equivalence(
                  "labeled state space too large for the exact equivalence check")
 
     w = words(n, k)
-    kernel = exact_kernel(law, n)
+    step = _kernel_step(law, n)
     sorted_states, counts = _count_classes(w, k)
     # a start's distance to pi depends only on its multiset of colors
-    rows = kernel[sorted_states]
-    pi = _stationary_from_counts(kernel, rows, counts)
+    rows = step((sorted_states[:, None] == np.arange(len(w))).astype(float))
+    pi = _stationary_from_counts(step, rows, counts)
     labels, classes = _orbit_classes(w, k)
     pi_proj = np.bincount(labels, weights=pi, minlength=len(classes))
 
@@ -290,7 +287,7 @@ def projected_mixing_equivalence(
             if tv_pr > tv_lab + 1e-9:
                 flags.append(f"pushforward contraction violated at m={m}")
             yield m, (tv_lab, tv_pr)
-            rows = rows @ kernel
+            rows = step(rows)
 
     t_lab, t_proj = _first_crossings(sweep(rows), [eps_grid] * 2)
     if None in (*t_lab.values(), *t_proj.values()):

@@ -161,8 +161,8 @@ def _compositions(n: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _log_factorials(n: int) -> np.ndarray:
-    """log(i!) for i = 0..n: the source of the multinomial coefficients of
-    the count-law kernel and of the Ehrenfest hypergeometric weights."""
+    """log(i!) for i = 0..n, read only by _count_table for its log
+    multinomial coefficients."""
     out = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
     out.setflags(write=False)
     return out

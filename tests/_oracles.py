@@ -95,6 +95,12 @@ def product_step_kernel(s: np.ndarray, n: int) -> np.ndarray:
     return kernel
 
 
+def mixture_step_kernel(atomic, n: int) -> np.ndarray:
+    """sum_a w_a K_a over the atoms and weights of an Atomic law, each K_a
+    from product_step_kernel."""
+    return sum(w * product_step_kernel(s.entries, n) for s, w in zip(atomic.atoms, atomic.weights))
+
+
 def kernel_power(kernel: np.ndarray, m: int) -> np.ndarray:
     """K^m by repeated squaring."""
     out = np.eye(kernel.shape[0])

@@ -1,5 +1,6 @@
-"""Shared pytest wiring: a one-line verdict per acceptance criterion, and
-fixtures that set the enumeration budget or the chunk budget for one test.
+"""Shared pytest wiring: a one-line verdict per acceptance criterion,
+fixtures that set the enumeration budget or the chunk budget for one test,
+and one that measures a call's peak of traced allocations.
 
 Tests named ``test_criterion_NN_*`` in test_acceptance.py are the acceptance
 gate. This plugin collects their outcomes and prints a compact block at the
@@ -12,6 +13,7 @@ line of their own.
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import pytest
 
@@ -56,6 +58,23 @@ def cache_budget(monkeypatch):
     """Call with a limit to set the chunked kernels' element budget,
     exact._CACHE_BUDGET, until the test ends."""
     return lambda limit: monkeypatch.setattr(exact, "_CACHE_BUDGET", limit)
+
+
+@pytest.fixture
+def traced_peak():
+    """Call with a function and its arguments to run it under tracemalloc
+    and get the peak of its traced allocations in bytes (numpy reports its
+    buffers to tracemalloc)."""
+
+    def peak(fn, *args, **kwargs) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,7 +8,6 @@ checked against exact rationals, scipy's pmfs and the dense kernel.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,22 +284,16 @@ def test_balanced_split_of_the_oracle_pairs():
     assert exact._balanced_split([40], 3) == 0
 
 
-def test_conditional_tvs_peak_memory_stays_in_cache():
+def test_conditional_tvs_peak_memory_stays_in_cache(traced_peak):
     # the benchmark's tv_const_upper shape: one 48-site cell, 1225 count
     # vectors a replicate; one block of all 400 rows peaks near 15 MiB
     x, y = make_constant_pair(48, 3)
     qs = batched_products(TWO_ATOM_K3, 8, 400, 5)
     exact._conditional_tvs(qs[:1], x, y)
-    tracemalloc.start()
-    try:
-        exact._conditional_tvs(qs, x, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert traced_peak(exact._conditional_tvs, qs, x, y) < 2**20
 
 
-def test_exact_atomic_peak_memory_stays_near_one_joint_array():
+def test_exact_atomic_peak_memory_stays_near_one_joint_array(traced_peak):
     # the benchmark's tv_block_exact pair at m = 2 holds one joint-size
     # difference array; joint pmf rows per sequence and two mixtures peak
     # near 7.4 joint arrays
@@ -308,13 +301,7 @@ def test_exact_atomic_peak_memory_stays_near_one_joint_array():
     joint = exact._statistic_size([c for _, _, c in exact._refinement_cells(x, y)], 3)
     assert joint == 157_464
     tv_exact_atomic(TWO_ATOM_K3, x, y, 1)
-    tracemalloc.start()
-    try:
-        tv_exact_atomic(TWO_ATOM_K3, x, y, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * joint * 8
+    assert traced_peak(tv_exact_atomic, TWO_ATOM_K3, x, y, 2) < 3 * joint * 8
 
 
 def test_chunked_stacks_match_one_block(cache_budget):

@@ -5,7 +5,6 @@ matrix powers, and the memory and the stepping calls of an exact
 profile."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,16 +118,10 @@ def test_the_standard_profile_steps_by_blocks(monkeypatch):
     assert len(calls) <= 100
 
 
-def test_exact_profile_memory_is_linear_in_the_band():
+def test_exact_profile_memory_is_linear_in_the_band(traced_peak):
     # one (n+1)^2 matrix at n = 1100 alone is 9.3 MiB. At a = 11 the moves,
     # the incoming band and the elimination's band storage are 0.2, 0.2 and
     # 0.4 MiB; at a = 1 the band of K^8 is 0.1 MiB
     for params, a in [(EhrenfestParams(1100, 0.01), 11), (standard_ehrenfest(1100), 1)]:
         assert params.batch_size == a
-        tracemalloc.start()
-        try:
-            ehrenfest_tv_profile(params, [0, 10, 100])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert traced_peak(ehrenfest_tv_profile, params, [0, 10, 100]) < 2**20

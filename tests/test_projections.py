@@ -15,8 +15,8 @@ from cutpaste.partitions import Coloring, project
 from cutpaste import projections
 from cutpaste.projections import (
     _count_classes,
+    _kernel_step,
     _stationary_from_counts,
-    exact_kernel,
     projected_mixing_equivalence,
     words,
 )
@@ -27,8 +27,8 @@ from _oracles import (
     eig_stationary,
     enumerate_colorings,
     lumped_kernel_by_class,
+    mixture_step_kernel,
     orbit_classes,
-    product_step_kernel,
     state_index,
     worst_tv_profile_dense,
 )
@@ -105,7 +105,7 @@ def test_lumped_kernel_counts_label_assignments(law, n, k):
     likely, so the lumped entry is the labeled entry times the number of
     injective block labelings k(k-1)...(k-r+1)."""
     assert law.is_rce().value is True
-    kernel = exact_kernel(law, n)
+    kernel = mixture_step_kernel(law.as_atomic(), n)
     labels, reps = orbit_classes(n, k)
     lumped = lumped_kernel_by_class(kernel, labels)
     states = enumerate_colorings(n, k)
@@ -290,7 +290,7 @@ BLEND_K2 = orbit_closure_law(0.8 * np.eye(2) + 0.2 / 2)
 ])
 def test_profile_matches_the_full_matrix_power(law, n, k, eps):
     report = projected_mixing_equivalence(law, n, k, epsilon=eps)
-    kernel = exact_kernel(law, n)
+    kernel = mixture_step_kernel(law, n)
     pi = eig_stationary(kernel)
     labels, reps = orbit_classes(n, k)
     lumped = lumped_kernel_by_class(kernel, labels)
@@ -318,6 +318,45 @@ def test_the_state_cap_runs_clean(law, n, k):
     assert report.equal_crossings
 
 
+def test_the_state_cap_query_peaks_below_8_mib(traced_peak):
+    # a dense 4096 x 4096 kernel alone is 128 MiB; the halves are 64 x 64
+    assert traced_peak(projected_mixing_equivalence, BLEND_K2, 12, 2) < 8 * 2**20
+
+
+@st.composite
+def _step_cases(draw):
+    """An atomic law with zeros in its atoms, row-column exchangeable (an
+    orbit closure) or not, plus a positive atom of weight 0."""
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([1, 2, 3, 5]))
+    entry = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    bases = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = np.array(draw(st.lists(entry, min_size=k * k, max_size=k * k))).reshape(k, k)
+        m[:, m.sum(axis=0) == 0] = 1.0  # an all-zero column becomes uniform
+        bases.append(m / m.sum(axis=0))
+    if draw(st.booleans()):
+        closed = orbit_closure_law(bases[0])
+        atoms, weights = list(closed.atoms), list(closed.weights)
+    else:
+        atoms = bases
+        weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(bases), max_size=len(bases)))
+    law = Atomic([*atoms, np.full((k, k), 1.0 / k)], [*np.array(weights) / sum(weights), 0.0])
+    return law, n, k
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_step_cases())
+def test_kernel_step_matches_the_site_loops(case):
+    # the step applied to the identity is the kernel, against the weighted
+    # sum of site-by-site kernels; the atom of weight 0 adds no support
+    law, n, k = case
+    got = _kernel_step(law, n)(np.eye(k**n))
+    want = mixture_step_kernel(law, n)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.array_equal(got > 0, want > 0)
+
+
 @st.composite
 def _atomic_laws(draw):
     k = draw(st.integers(2, 3))
@@ -338,7 +377,7 @@ def test_worst_start_is_a_sorted_word(case):
     # K commutes with permuting the sites, and so does pi, so every start's
     # distance equals that of its sorted word
     law, n, k = case
-    kernel = exact_kernel(law, n)
+    kernel = mixture_step_kernel(law, n)
     pi = eig_stationary(kernel)
     reps = _sorted_word_states(n, k)
     assert _count_classes(words(n, k), k)[0].tolist() == reps
@@ -357,10 +396,10 @@ def test_lifted_count_law_is_the_labeled_stationary_law(case):
     # K commutes with permuting the sites whatever the law, so the counts
     # are lumpable for laws that are not row-column exchangeable too
     law, n, k = case
-    kernel = exact_kernel(law, n)
+    step = _kernel_step(law, n)
     sorted_states, counts = _count_classes(words(n, k), k)
-    pi = _stationary_from_counts(kernel, kernel[sorted_states], counts)
-    assert np.max(np.abs(pi - eig_stationary(kernel))) <= 1e-14
+    pi = _stationary_from_counts(step, step(np.eye(k**n)[sorted_states]), counts)
+    assert np.max(np.abs(pi - eig_stationary(mixture_step_kernel(law, n)))) <= 1e-14
 
 
 def test_no_system_larger_than_the_count_chain_is_solved(monkeypatch):
@@ -403,10 +442,8 @@ def test_refusal_parity_with_the_closed_classes_of_the_dense_kernel(k, n_max):
     refused = answered = 0
     for name, law in _PARITY_LAWS[k]:
         assert law.is_rce().value is True, name
-        atoms = law.as_atomic()
         for n in range(1, n_max + 1):
-            dense = sum(w * product_step_kernel(s.entries, n)
-                        for s, w in zip(atoms.atoms, atoms.weights))
+            dense = mixture_step_kernel(law.as_atomic(), n)
             if closed_classes(dense) > 1:
                 refused += 1
                 with pytest.raises(TheoryRefusal) as exc:
@@ -416,8 +453,8 @@ def test_refusal_parity_with_the_closed_classes_of_the_dense_kernel(k, n_max):
                 continue
             answered += 1
             projected_mixing_equivalence(law, n, k, m_max=2)
-            kernel = exact_kernel(law, n)
+            step = _kernel_step(law, n)
             sorted_states, counts = _count_classes(words(n, k), k)
-            pi = _stationary_from_counts(kernel, kernel[sorted_states], counts)
+            pi = _stationary_from_counts(step, step(np.eye(k**n)[sorted_states]), counts)
             assert np.max(np.abs(pi - eig_stationary(dense))) <= 1e-14, (name, n)
     assert refused and answered

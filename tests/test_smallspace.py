@@ -14,6 +14,7 @@ from _oracles import (
     enumerate_colorings,
     kernel_power,
     lumped_kernel_by_class,
+    mixture_step_kernel,
     orbit_classes,
     product_step_kernel,
     reachability,
@@ -24,8 +25,8 @@ from cutpaste.lumped import _gth
 from cutpaste.paintbox import Atomic, DirichletColumns, PermutationMix, StochasticMatrix
 from cutpaste.partitions import Coloring
 from cutpaste.projections import (
+    _kernel_step,
     _orbit_classes,
-    exact_kernel,
     product_kernel_given_S,
     words,
 )
@@ -65,11 +66,11 @@ def test_exact_kernel_mixture_and_refusal():
     a = StochasticMatrix([[0.8, 0.3], [0.2, 0.7]])
     b = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
     law = Atomic([a, b], [0.25, 0.75])
-    kernel = exact_kernel(law, 2)
+    kernel = _kernel_step(law, 2)(np.eye(4))
     manual = 0.25 * product_kernel_given_S(a, 2) + 0.75 * product_kernel_given_S(b, 2)
     assert np.max(np.abs(kernel - manual)) < 1e-15
-    with pytest.raises(TheoryRefusal):
-        exact_kernel(DirichletColumns([[1.0, 1.0], [1.0, 1.0]]), 2)
+    with pytest.raises(TheoryRefusal, match="^exact kernels need a finitely supported paintbox law$"):
+        _kernel_step(DirichletColumns([[1.0, 1.0], [1.0, 1.0]]), 2)
 
 
 def test_kernel_power_matches_repeated_multiplication():
@@ -90,7 +91,7 @@ def test_stationary_distribution_small_chain():
     # positive mixture instead so the chain is ergodic on everything
     a = StochasticMatrix([[0.9, 0.2], [0.1, 0.8]])
     law = Atomic([a], [1.0])
-    kernel = exact_kernel(law, 2)
+    kernel = mixture_step_kernel(law, 2)
     pi = eliminate(kernel)
     assert abs(pi.sum() - 1.0) < 1e-12
     assert np.max(np.abs(pi @ kernel - pi)) < 1e-10
@@ -101,7 +102,7 @@ def test_stationary_distribution_small_chain():
 
 def test_stationary_distribution_rejects_reducible():
     law = PermutationMix(2, perms=[(1, 2)])  # identity only: nothing moves
-    kernel = exact_kernel(law, 2)
+    kernel = mixture_step_kernel(law.as_atomic(), 2)
     with pytest.raises(ValidationError):
         eliminate(kernel)
 
@@ -123,14 +124,15 @@ def test_exact_kernel_is_the_weighted_sum_of_site_loops(k, n):
     atoms = [m / m.sum(axis=0) for m in gen.random((3, k, k)) + 0.05]
     weights = np.array([0.5, 0.3, 0.2])
     want = sum(w * product_step_kernel(s, n) for s, w in zip(atoms, weights))
-    assert np.max(np.abs(exact_kernel(Atomic(atoms, weights), n) - want)) <= 1e-15
+    got = _kernel_step(Atomic(atoms, weights), n)(np.eye(k**n))
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_exact_kernel_atom_of_weight_zero_adds_no_support(n):
     # the identity never moves; the positive atom would join every state
     law = Atomic([np.eye(2), np.full((2, 2), 0.5)], [1.0, 0.0])
-    kernel = exact_kernel(law, n)
+    kernel = _kernel_step(law, n)(np.eye(2**n))
     assert np.array_equal(kernel > 0, np.eye(2**n, dtype=bool))
     with pytest.raises(ValidationError, match="unique"):
         eliminate(kernel)
@@ -157,7 +159,7 @@ def _random_positive_kernel(gen, size):
     [
         *(_random_positive_kernel(np.random.default_rng(seed), size)
           for seed, size in [(1, 1), (2, 2), (3, 5), (4, 17), (5, 64), (6, 243)]),
-        exact_kernel(permuted_identity_blend(3, 0.2), 6),
+        mixture_step_kernel(permuted_identity_blend(3, 0.2), 6),
         np.array([[1.0, 0.0], [1.0, 0.0]]),  # one transient state
     ],
     ids=["pos1", "pos2", "pos5", "pos17", "pos64", "pos243", "blend_k3_n6", "transient"],
@@ -292,7 +294,7 @@ def test_projection_classes_match_word_by_word_relabeling(n, k):
 def test_lumped_kernel_row_sums_and_consistency():
     # a permutation-invariant law projects cleanly onto orbits
     law = PermutationMix(2)
-    kernel = exact_kernel(law, 3)
+    kernel = mixture_step_kernel(law.as_atomic(), 3)
     labels, reps = orbit_classes(3, 2)
     lumped = lumped_kernel_by_class(kernel, labels)
     assert lumped.shape == (4, 4)
@@ -302,7 +304,7 @@ def test_lumped_kernel_row_sums_and_consistency():
     # its mirror (2,2,1) send different mass to the constant-word orbit
     skew = Atomic([StochasticMatrix([[0.9, 0.2], [0.1, 0.8]])], [1.0])
     with pytest.raises(ValueError):
-        lumped_kernel_by_class(exact_kernel(skew, 3), labels)
+        lumped_kernel_by_class(mixture_step_kernel(skew, 3), labels)
 
 
 def test_words_budget():

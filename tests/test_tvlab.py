@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -560,18 +559,12 @@ def test_tv_lower_single_replicate_and_ragged_chunks():
     assert_lower_matches_reference(SelfSimilar([1.0, 1.0]), 256, 1, 3 * rows + 11, 3)
 
 
-def test_tv_lower_peak_memory_stays_small():
-    # numpy reports its buffers to tracemalloc; holding every replicate's
-    # pmf, as a per-row FFT path does, peaks at about 67 MiB here
+def test_tv_lower_peak_memory_stays_small(traced_peak):
+    # holding every replicate's pmf, as a per-row FFT path does, peaks at
+    # about 67 MiB here
     law = SelfSimilar([1.0, 1.0])
     x, y = make_test_pair(1024, 2)
-    tracemalloc.start()
-    try:
-        tv_lower_mc(law, x, y, m=1, replicates=2000, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert traced_peak(tv_lower_mc, law, x, y, m=1, replicates=2000, seed=0) <= 8 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -1090,21 +1083,19 @@ def test_band_matches_the_dense_oracle_for_every_batch(na):
     _assert_band_matches_dense(*na)
 
 
-def test_band_step_memory_is_linear_in_the_band():
+def test_band_step_memory_is_linear_in_the_band(traced_peak):
     # one (n+1)^2 kernel at n = 1100 alone is 9.3 MiB; the band sweep holds
     # the (n+1)(2a+1) incoming band, about 0.2 MiB here
     n, a = 1100, 11
     moves = _count_moves(n, a)
     row = np.zeros(n + 1)
     row[n] = 1.0
-    tracemalloc.start()
-    try:
+
+    def sweep():
         for _ in _sweep(moves, row, range(1, 101), 1):
             pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+
+    assert traced_peak(sweep) < 2**20
 
 
 def test_ehrenfest_sweep_keeps_its_mass_over_long_horizons():
