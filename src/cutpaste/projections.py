@@ -78,12 +78,16 @@ def product_kernel_given_S(s, n: int) -> np.ndarray:
 
     Site 1 is the most significant digit of a state index, so K is the
     Kronecker power s^T (x) ... (x) s^T, built from site 1 on; each entry is
-    the product over sites taken in site order."""
+    the product over sites taken in site order. Each site's factor is one
+    broadcast outer product, the entries np.kron would give."""
     entries = np.asarray(getattr(s, "entries", s), dtype=float)
-    _enumerable(n, entries.shape[0])
+    k = entries.shape[0]
+    _enumerable(n, k)
+    site = entries.T
     kernel = np.ones((1, 1))
     for _ in range(n):
-        kernel = np.kron(kernel, entries.T)
+        rows = kernel.shape[0]
+        kernel = (kernel[:, None, :, None] * site[None, :, None, :]).reshape(rows * k, rows * k)
     return kernel
 
 

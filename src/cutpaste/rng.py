@@ -1,10 +1,13 @@
-"""Counter-based random streams.
+"""Keyed random streams.
 
 Every stochastic routine in the package draws from an RngStream, a thin
-wrapper around numpy's Philox counter-based generator keyed by the pair
-(seed, stream). The same (seed, stream) always replays the same draw
-sequence, regardless of how work is batched or ordered, so replicated
-experiments are reproducible bit for bit.
+wrapper around numpy's SFC64 generator seeded through a SeedSequence from
+the 128-bit key seed | stream << 64. The same (seed, stream) always replays
+the same draw sequence, regardless of how work is batched or ordered, so
+replicated experiments are reproducible bit for bit. Earlier versions
+drew from a slower counter-based bit generator under the same keys, so a
+seed run there gives other Monte Carlo outputs and trajectories than here;
+every exact answer is the same on both.
 
 Child streams are derived by hashing a purpose label and an index into a
 fresh 64-bit stream id. Labels keep unrelated consumers of the same seed
@@ -33,9 +36,10 @@ class RngStream:
         object.__setattr__(self, "stream", int(self.stream) & _MASK64)
 
     def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at draw index 0 of this stream."""
+        """Fresh SFC64 generator positioned at draw index 0 of this stream,
+        its state expanded from the key seed | stream << 64 by a SeedSequence."""
         key = self.seed | (self.stream << 64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
     def derive(self, label: str, index: int = 0) -> "RngStream":
         """Child stream for a named purpose; deterministic in (self, label, index)."""

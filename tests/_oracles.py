@@ -95,6 +95,15 @@ def product_step_kernel(s: np.ndarray, n: int) -> np.ndarray:
     return kernel
 
 
+def kron_product_kernel(s: np.ndarray, n: int) -> np.ndarray:
+    """K = s^T (x) ... (x) s^T by repeated np.kron, site 1 first."""
+    site = np.asarray(s, dtype=float).T
+    kernel = np.ones((1, 1))
+    for _ in range(n):
+        kernel = np.kron(kernel, site)
+    return kernel
+
+
 def mixture_step_kernel(atomic, n: int) -> np.ndarray:
     """sum_a w_a K_a over the atoms and weights of an Atomic law, each K_a
     from product_step_kernel."""

@@ -409,6 +409,11 @@ def test_criterion_08_cutoff_slope_and_window(dirichlet_cutoff_report):
 
 
 def test_criterion_08_supplement_slopes_within_band(dirichlet_cutoff_report):
+    # the slopes are fitted to integer horizons, so whether they land in the
+    # band depends on the draw stream: one horizon moving by a step moves a
+    # slope by about 0.05. Under SFC64 (and Philox, PCG64) slope_high is 0.412
+    # against the band's top 0.414; on PCG64DXSM streams the horizon at
+    # n = 1024 moves and slope_high is 0.464 against [0.250, 0.417]
     report, _ = dirichlet_cutoff_report
     lo, hi = 0.75 * report.theta_hat, 1.25 * report.theta_hat
     assert lo <= report.slope_high <= hi

@@ -166,7 +166,7 @@ def test_a_block_of_draws_is_single_draws_unless_columns_underflow():
             count += not np.array_equal(block, singles)
         return count
 
-    assert differing(SelfSimilar([1e-3, 1e-3])) == 38
+    assert differing(SelfSimilar([1e-3, 1e-3])) == 40
     assert differing(SelfSimilar([1.0, 1.0])) == 0
     assert differing(DirichletColumns([[0.5, 2.0], [1.0, 3.0]])) == 0
 

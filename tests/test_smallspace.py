@@ -13,6 +13,7 @@ from _oracles import (
     eig_stationary,
     enumerate_colorings,
     kernel_power,
+    kron_product_kernel,
     lumped_kernel_by_class,
     mixture_step_kernel,
     orbit_classes,
@@ -114,6 +115,14 @@ def test_product_kernel_bit_identical_to_site_loop(k, n):
     m = gen.random((k, k)) + 0.05
     s = m / m.sum(axis=0)
     assert np.array_equal(product_kernel_given_S(s, n), product_step_kernel(s, n))
+
+
+@pytest.mark.parametrize("k, n", [(3, 3), (2, 6), (4, 3), (3, 1), (5, 2)])
+def test_product_kernel_bit_identical_to_kron_powers(k, n):
+    gen = np.random.default_rng(1000 * k + n)
+    m = gen.random((k, k)) * (gen.random((k, k)) < 0.7) + np.eye(k)
+    s = m / m.sum(axis=0)
+    assert np.array_equal(product_kernel_given_S(s, n), kron_product_kernel(s, n))
 
 
 @pytest.mark.parametrize("k", [2, 3])
