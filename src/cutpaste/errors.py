@@ -108,10 +108,9 @@ class BudgetRefusal(Refusal):
 # one budget each.
 BUDGETS = {
     "enumeration": 20_000_000,  # atom sequences x count vectors, or the count statistic
-    # every enumeration of the k^n labeled states; `project` applies its
-    # kernel through the two site halves, holding no k^n x k^n array
-    # (about 3 MiB traced at 4096 states, k = 2)
-    "project_states": 4096,
+    # project's color count table states, summed over its starts (8,986 at
+    # k = 8, n = 4, the most of any k^n <= 4096; k = 2 reaches n = 89)
+    "project_states": 1 << 16,
     # n: the exact pass holds O(n a) memory, so this bounds its time, the
     # elimination's O(n a^2) and the sweep's O(t n a)
     "ehrenfest_sites": 1100,

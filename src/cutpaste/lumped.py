@@ -1,5 +1,5 @@
-"""The lumped count chains: the batch-refresh chain's one-count and
-`project`'s color counts, and the lab's one TV reduction and one
+"""The lumped count chains: the batch-refresh chain's one-count, the color
+count tables of `project`, and the lab's one TV reduction and one
 first-crossing search.
 
 A chain whose moves shift the state by at most a is held as a band,
@@ -10,6 +10,11 @@ each one application of the band of K^b built by banded squaring: one
 numpy call per b steps, at no more multiply-adds than b single steps. The
 law at t always takes the same path, t // b blocks and then t % b single
 steps, so its bits do not depend on which other horizons are asked.
+
+Under a paintbox atom a the sites move independently, so the counts N of s
+sites move by K_a(s), row N the law of sum_c Mult(N_c, a[:, c]) over
+_compositions(s, k). A table of cells, each cell its sites' counts, moves
+by sum_a w_a (x)_cells K_a(cell size), applied one cell axis at a time.
 
 A TV between two laws is _half_l1 of their difference. The TV between the
 laws of two chains driven by one kernel, and the TV to a stationary law, is
@@ -22,11 +27,87 @@ _first_crossings finds it for every search.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ValidationError
+
+
+@lru_cache(maxsize=256)
+def _compositions(n: int, k: int) -> np.ndarray:
+    """All count vectors of length k summing to n, lexicographic."""
+    if k == 1:
+        out = np.array([[n]], dtype=np.int64)
+    else:
+        parts = []
+        for first in range(n + 1):
+            rest = _compositions(n - first, k - 1)
+            block = np.empty((rest.shape[0], k), dtype=np.int64)
+            block[:, 0] = first
+            block[:, 1:] = rest
+            parts.append(block)
+        out = np.vstack(parts)
+    out.setflags(write=False)
+    return out
+
+
+def _statistic_size(sizes, k: int) -> int:
+    """Number of joint count vectors over cells of the given sizes."""
+    return math.prod(math.comb(size + k - 1, k - 1) for size in sizes)
+
+
+def _rank(counts: np.ndarray) -> np.ndarray:
+    """The index of each count vector (last axis) in _compositions(s, k),
+    s their sum: the vectors before N agree with it up to some color i < k - 1
+    and hold fewer there, C(r_i + j, j) - C(r_i - N_i + j, j) of them, for
+    r_i the sites at colors i and after and j = k - 1 - i."""
+    k = counts.shape[-1]
+    after = np.cumsum(counts[..., ::-1], axis=-1)[..., :0:-1]
+    j = np.arange(k - 1, 0, -1)
+    table = np.array([[math.comb(r + i, i) for i in range(k)] for r in range(int(after.max(initial=0)) + 1)])
+    return (table[after, j] - table[after - counts[..., :-1], j]).sum(axis=-1)
+
+
+@lru_cache(maxsize=256)
+def _site_moves(s: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(color, parent, up) over the count vectors of s >= 1 sites: each N's
+    first color c, the index of N - e_c among those of s - 1 sites, and
+    up[r, M], the index of M + e_r for each vector M of s - 1 sites."""
+    counts = _compositions(s, k)
+    color = np.argmax(counts > 0, axis=1)
+    unit = np.eye(k, dtype=np.int64)
+    return color, _rank(counts - unit[color]), _rank(_compositions(s - 1, k)[None] + unit[:, None])
+
+
+def _count_kernels(atoms: np.ndarray, sizes) -> dict[int, np.ndarray]:
+    """{s: K_a(s) stacked over the (A, k, k) atoms} for each s in sizes,
+    K_a(0) the 1 x 1 identity, built one site at a time: row N of K_a(s) is
+    row N - e_c of K_a(s - 1), c the first color of N, shifted by e_r with
+    weight a[r, c] and summed over r. No term is negative, so the support is exact."""
+    count, k = atoms.shape[:2]
+    kernel = np.ones((count, 1, 1))
+    out = {0: kernel} if 0 in sizes else {}
+    for s in range(1, max(sizes) + 1):
+        color, parent, up = _site_moves(s, k)
+        rest, kernel = kernel[:, parent], np.zeros((count, len(color), len(color)))
+        for r in range(k):
+            kernel[:, :, up[r]] += atoms[:, r, color, None] * rest
+        if s in sizes:
+            out[s] = kernel
+    return out
+
+
+def _table_step(law: np.ndarray, kernels, weights: np.ndarray) -> np.ndarray:
+    """sum_a weights[a] law (x)_c kernels[c][a], for a table law with one
+    axis per cell: each cell's stack of kernels is one batched product after
+    the cell's axis is rotated last, which leaves the axes in order after
+    the last cell."""
+    table = law.reshape(1, -1)
+    for kernel in kernels:
+        table = table.reshape(len(table), kernel.shape[-1], -1).swapaxes(1, 2) @ kernel
+    return (weights @ table.reshape(len(table), -1)).reshape(law.shape)
 
 
 def _half_l1(d: np.ndarray, axis=None):

@@ -2,149 +2,151 @@
 
 Forgetting the color labels of a trajectory is only guaranteed to leave a
 Markov chain when the driving paintbox law is row-column exchangeable, so
-the check accepts those laws only. It computes both chains' exact distance
-profiles on small state spaces and compares their epsilon-crossing times.
+the check accepts those laws only, and compares the epsilon-crossing times
+of both chains' exact worst-start distance profiles.
 
-The states are the k^n colorings, enumerated as color words, so k^n stays
-within the "project_states" budget. Given the paintbox s, the n coordinates
-jump independently, so a law's kernel is K = sum_a w_a L_a (x) R_a, with
-L_a and R_a the Kronecker powers of s_a^T on the first h = floor(n/2) sites
-and on the other n - h. K is never formed, only applied through its factors
-(Van Loan, "The ubiquitous Kronecker product", 2000): a law X on the states,
-a k^h x k^(n-h) matrix, steps to sum_a w_a L_a^T X R_a in A k^n (k^h +
-k^(n-h)) multiply-adds for A atoms, against k^(2n) with a dense K. That is
-more only past A = k^n / (k^h + k^(n-h)), as for the 24 atoms of a
-permuted-identity blend at n = 5, k = 4, or its 120 at n = 5, k = 5.
+The labeled kernel K commutes with permuting the sites, so from a start x,
+K^m(x, .) is exchangeable within x's color classes, the cells, and lumps
+exactly (Kemeny and Snell, Finite Markov Chains, 1960) to the table T[c, r]
+of the sites of cell c now of color r, the mass of T spread evenly over its
+prod_c multinom(|c|; T[c]) colorings. The table moves by sum_a w_a (x)_c
+K_a(|c|). Under row-column exchangeability a start matters only through
+its partition of n into at most k parts, cell c starting at color c.
 
-The labeled kernel K[x, y] = sum_a w_a prod_i s_a[y_i, x_i] is unchanged
-when the sites of x and y are permuted together. So the multisets of colors
-are lumpable (Kemeny and Snell): the count chain on the C(n+k-1, k-1)
-multisets has the rows of K at the states with a non-decreasing word,
-summed by the multiset of their target. A unique stationary law pi of K is
-constant on each multiset, so it is the count chain's stationary law spread
-evenly over the states of each multiset, and no k^n-state system is
-solved. The elimination that solves the count chain also shows the lifted
-law unique (see _stationary_from_counts), which must then leave a residual
-|pi K - pi|, one step of pi, within a tolerance.
-
-For the same reason TV(K^m(x, .), pi) depends only on the multiset of
-colors of x, so the labeled profile propagates the non-decreasing rows
-only, one step of them per horizon instead of a full matrix power. The
-projected profile reads the same rows: under a row-column exchangeable law
-the projected chain's law at m from an unlabeled class is the pushforward
-of K^m(x, .) from any state x of the class, permuting the sites leaves that
-pushforward's distance to the projected pi unchanged, and every orbit of
-block sizes holds a sorted word. So each step sums every propagated row by
-unlabeled class, and no projected kernel is built.
+The one-cell start is the count chain of K(n) = sum_a w_a K_a(n), solved by
+lumped._gth. A unique stationary law of K is pi_count(N) / multinom(n; N)
+at each coloring's counts N, so a start's stationary table law is pi_T(T) =
+pi_count(colsum T) prod_c multinom(|c|; T[c]) / multinom(n; colsum T).
+The labeled TV is the TV of the table laws. Up to the site permutations
+that keep each cell, a set partition is the multiset of its blocks' counts
+in each cell, block r's being column r of T, so the projected TV is the TV
+of the table laws summed by the multiset of T's columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import TheoryRefusal, ValidationError, _epsilon_grid, _fields_json, check_budget
-from .lumped import _first_crossings, _gth, _half_l1
+from .errors import BUDGETS, TheoryRefusal, ValidationError, _epsilon_grid, _fields_json, check_budget
+from .lumped import (_compositions, _count_kernels, _first_crossings, _gth, _half_l1, _rank,
+                     _statistic_size, _table_step)
 from .paintbox import PaintboxLaw
 
 # the largest |pi K - pi| a certified stationary law may leave
 _RESIDUAL_TOL = 1e-10
+# most kernel and table entries one chunk of atoms holds; sets memory, not answers
+_ATOM_CHUNK = 1 << 18
+
+_comb = np.frompyfunc(math.comb, 2, 1)
 
 
-def _enumerable(n: int, k: int) -> int:
-    if n < 1 or k < 1:
-        raise ValidationError("need n >= 1 and k >= 1")
-    check_budget("project_states", (k, n), "k^n states are too many to enumerate")
-    return k**n
-
-
-def words(n: int, k: int) -> np.ndarray:
-    """All colorings as an (k^n, n) array of 0-based color words, in
-    lexicographic order (site 1 is the most significant digit)."""
-    total = _enumerable(n, k)
-    idx = np.arange(total)
-    out = np.empty((total, n), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        out[:, i] = idx % k
-        idx //= k
+@lru_cache(maxsize=256)
+def _multinomials(s: int, k: int) -> np.ndarray:
+    """multinom(s; N) for N in _compositions(s, k), each rounded once from
+    the exact integer prod_i C(sites at colors i and after, N_i)."""
+    counts = _compositions(s, k)
+    out = _comb(np.cumsum(counts[:, ::-1], axis=1)[:, ::-1], counts).prod(axis=1).astype(float)
+    out.setflags(write=False)
     return out
 
 
-def product_kernel_given_S(s, n: int) -> np.ndarray:
-    """K[x, y] = prod_i s[y_i, x_i]: the one-step kernel of n coordinates
-    jumping independently through the column of their current color. Both
-    chain constructions share this conditional kernel given the paintbox.
-
-    Site 1 is the most significant digit of a state index, so K is the
-    Kronecker power s^T (x) ... (x) s^T, built from site 1 on; each entry is
-    the product over sites taken in site order. Each site's factor is one
-    broadcast outer product, the entries np.kron would give."""
-    entries = np.asarray(getattr(s, "entries", s), dtype=float)
-    k = entries.shape[0]
-    _enumerable(n, k)
-    site = entries.T
-    kernel = np.ones((1, 1))
-    for _ in range(n):
-        rows = kernel.shape[0]
-        kernel = (kernel[:, None, :, None] * site[None, :, None, :]).reshape(rows * k, rows * k)
-    return kernel
+def _starts(n: int, k: int) -> list[tuple[int, ...]]:
+    """The partitions of n into at most k (and so at most n) parts."""
+    counts = _compositions(n, min(n, k))
+    keep = np.all(counts[:, :-1] >= counts[:, 1:], axis=1)
+    return [tuple(s for s in row if s) for row in counts[keep].tolist()]
 
 
-def _kernel_step(law: PaintboxLaw, n: int):
-    """x -> x K for the law's one-step kernel K, on a (rows, k^n) stack x.
+def _cells(parts, k: int) -> list[np.ndarray]:
+    """Each cell's _compositions(size, k) along its own axis, colors last."""
+    return [_compositions(s, k).reshape((1,) * c + (-1,) + (1,) * (len(parts) - 1 - c) + (k,))
+            for c, s in enumerate(parts)]
 
-    With h = floor(n/2), K[(xl, xr), (yl, yr)] = sum_a w_a L_a[xl, yl]
-    R_a[xr, yr] for the atoms' product kernels L_a on the first h sites (1 x 1
-    ones at h = 0) and R_a on the other n - h. So a row of x, viewed as a
-    k^h x k^(n-h) matrix X, steps to sum_a w_a L_a^T X R_a. Every term is
-    nonnegative, so an entry is 0 exactly when every atom of positive weight
-    gives it 0. Laws with a density are refused rather than approximated.
-    """
-    atoms = law.as_atomic()
-    if atoms is None:
-        raise TheoryRefusal("exact kernels need a finitely supported paintbox law", law=law.config())
-    total = _enumerable(n, law.k)
-    h = n // 2
-    left, right = law.k**h, law.k ** (n - h)
 
-    def half(s, sites: int) -> np.ndarray:
-        return product_kernel_given_S(s, sites) if sites else np.ones((1, 1))
+def _start_law(parts, k: int) -> np.ndarray:
+    """The table law at m = 0: cell c all at color c."""
+    law = np.zeros([_statistic_size([s], k) for s in parts])
+    law[tuple(_rank(s * np.eye(k, dtype=np.int64)[c]) for c, s in enumerate(parts))] = 1.0
+    return law
 
-    factors = [(w * half(s, h).T, half(s, n - h)) for s, w in zip(atoms.atoms, atoms.weights)]
 
-    def step(x: np.ndarray) -> np.ndarray:
-        # the rows' matrices X side by side, so each factor is one product
-        rows = x.size // total
-        side = x.reshape(rows, left, right).transpose(1, 0, 2).reshape(left, -1)
-        out = np.zeros((left * rows, right))
-        for left_t, right_a in factors:
-            out += (left_t @ side).reshape(-1, right) @ right_a
-        return out.reshape(left, rows, right).transpose(1, 0, 2).reshape(rows, total)
+def _orbits(parts, k: int, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, pi summed by label) for the table states labeled by the
+    sorted numbers of their columns, in the radix of the cell sizes + 1."""
+    radix = np.cumprod([1, *(s + 1 for s in parts[:-1])])
+    codes = sum(cell * place for cell, place in zip(_cells(parts, k), radix))
+    orbits, labels = np.unique(np.sort(codes.reshape(-1, k), axis=1), axis=0, return_inverse=True)
+    labels = labels.reshape(-1)
+    return labels, np.bincount(labels, pi.ravel(), len(orbits))
+
+
+def _chunks(count: int, per_atom: int) -> list[slice]:
+    """Slices of count atoms, each within _ATOM_CHUNK entries at per_atom an atom."""
+    size = max(1, _ATOM_CHUNK // per_atom)
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
+
+
+def _count_kernel(atoms: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """K(n) = sum_a w_a K_a(n), a chunk of atoms (three kernels each) at a time."""
+    size = _statistic_size([n], atoms.shape[1])
+    out = np.zeros((size, size))
+    for chunk in _chunks(len(atoms), 3 * size * size):
+        out += np.tensordot(weights[chunk], _count_kernels(atoms[chunk], {n})[n], 1)
+    return out
+
+
+def _stepper(atoms: np.ndarray, weights: np.ndarray, count_kernel: np.ndarray, starts):
+    """One table step of every start's law: by count_kernel for the one-cell
+    start, else by its atoms' kernels, rebuilt each step a chunk at a time."""
+    k = atoms.shape[1]
+    multi = [parts for parts in starts if len(parts) > 1]
+    sizes = {s for parts in multi for s in parts}
+    # an atom holds its kernels, about two more while they are built, and two tables
+    per_atom = (sum(3 * _statistic_size([s], k) ** 2 for s in sizes)
+                + 2 * max((_statistic_size(parts, k) for parts in multi), default=0))
+    chunks = _chunks(len(atoms), per_atom) if multi else []
+
+    def step(laws):
+        out = [_table_step(law, [count_kernel[None]], np.ones(1)) if len(parts) == 1 else np.zeros_like(law)
+               for parts, law in zip(starts, laws)]
+        for chunk in chunks:
+            kernels = _count_kernels(atoms[chunk], sizes)
+            for parts, law, new in zip(starts, laws, out):
+                if len(parts) > 1:
+                    new += _table_step(law, [kernels[s] for s in parts], weights[chunk])
+        return out
 
     return step
 
 
-def _orbit_classes(w: np.ndarray, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Map every state whose color word is a row of w = words(n, k) to its
-    orbit index under color permutations.
-
-    Returns (labels, reps) where labels[i] is the orbit of state i and
-    reps[c] is the canonical word of orbit c, in order of first appearance.
-    The canonical word renames each color by the rank of its first
-    occurrence (first-occurrence relabeling), which indexes the orbit: the
-    unlabeled partition.
-    """
-    n = w.shape[1]
-    hits = w[:, :, None] == np.arange(k)
-    first = np.where(hits.any(axis=1), hits.argmax(axis=1), n)
-    rank = np.argsort(np.argsort(first, axis=1, kind="stable"), axis=1)
-    canon = np.take_along_axis(rank, w, axis=1)
-    # read as a base-k number, a canonical word is its own state index; it
-    # is the smallest word of its orbit, so the sorted indices list the
-    # orbits in order of first appearance
-    firsts, labels = np.unique(canon @ k ** np.arange(n - 1, -1, -1), return_inverse=True)
-    return labels, [tuple(row) for row in (w[firsts] + 1).tolist()]
+def _stationary_tables(count_kernel: np.ndarray, n: int, k: int, starts, step) -> list[np.ndarray]:
+    """Each start's pi_T, or TheoryRefusal if the count chain's elimination
+    or a residual fails. Count state 0 is the constant word k...k, which
+    every site permutation fixes, so every pivot is positive exactly when
+    k...k is reachable from every coloring (underflow can only refuse): one
+    closed class, one stationary law. Under row-column exchangeability an
+    atom of positive weight that is not a permutation matrix lets any two
+    colors merge, so only laws of permutation atoms are refused at n >= 2."""
+    try:
+        pi_count = _gth(count_kernel.copy(), len(count_kernel) - 1)
+    except ValidationError as e:
+        why = f"chain of color counts, states in lexicographic order from (0, ..., 0, {n}): {e}"
+    else:
+        per_count = pi_count / _multinomials(n, k)
+        tables = [per_count[_rank(sum(_cells(parts, k)))]
+                  * reduce(np.multiply.outer, [_multinomials(s, k) for s in parts]) for parts in starts]
+        residual = np.max([np.max(np.abs(new - pi)) for new, pi in zip(step(tables), tables)])
+        if residual <= _RESIDUAL_TOL:  # a NaN residual fails too
+            return tables
+        why = "stationary solve failed its residual check"
+    raise TheoryRefusal(
+        "projection equivalence needs a unique, certified stationary law "
+        "of the labeled chain", stationary=why,
+    )
 
 
 @dataclass(frozen=True)
@@ -173,71 +175,6 @@ class EquivalenceReport:
         }
 
 
-def _worst_tv(rows: np.ndarray, pi: np.ndarray) -> float:
-    return float(_half_l1(rows - pi, axis=1).max())
-
-
-def _sum_by(rows: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
-    """out[r, c] = the sum of rows[r, y] over the states y with labels[y] = c,
-    for labels in range(size): each row's pushforward through labels."""
-    count = len(rows)
-    return np.bincount(
-        (np.arange(count)[:, None] * size + labels).ravel(),
-        weights=rows.ravel(),
-        minlength=count * size,
-    ).reshape(count, size)
-
-
-def _count_classes(w: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted, counts) for the states whose color words are w = words(n, k):
-    sorted lists the states whose word is non-decreasing, one per multiset
-    of colors, C(n+k-1, k-1) of the k^n, and counts[x] is the position in
-    that list of the state whose word is x's word sorted."""
-    place = k ** np.arange(w.shape[1] - 1, -1, -1)
-    return np.unique(np.sort(w, axis=1) @ place, return_inverse=True)
-
-
-def _stationary_from_counts(step, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The stationary law of the labeled kernel K, solved on the count chain.
-
-    step maps a stack of laws x to x K, as from _kernel_step; rows are K's
-    rows at the non-decreasing words and counts labels each state by its
-    multiset of colors, as from _count_classes. The count kernel sums each
-    row by the multiset of its target; its stationary law divided by the
-    number of states of each multiset is pi, which must then leave
-    max |pi K - pi| <= _RESIDUAL_TOL. Raises TheoryRefusal if the count
-    chain's elimination refuses or the residual is too large.
-
-    Uniqueness: count state 0 is the constant word 1...1, which every site
-    permutation fixes, and permuting the sites carries a count path from a
-    sorted word to one from any word of its multiset, so a count path to
-    state 0 lifts to a labeled path to 1...1. Every pivot of the elimination
-    is positive exactly when every count state reaches state 0 (underflow
-    can only refuse), and then 1...1 is reachable from every labeled state,
-    the labeled chain has one closed class and the lifted law is its only
-    stationary law. Conversely, under a row-column exchangeable law with an
-    atom of positive weight that is not a permutation matrix, some row of
-    that atom has two positive entries, and the law's closure under row and
-    column permutations lets any two colors present merge: every start
-    reaches 1...1, and the law is not refused. A law of permutation atoms
-    only keeps the site partition fixed, so at n >= 2 its labeled chain has
-    more than one closed class and it is refused.
-    """
-    try:
-        pi_counts = _gth(_sum_by(rows, counts, len(rows)), len(rows) - 1)
-    except ValidationError as e:
-        why = f"chain of color counts, states in sorted-word order: {e}"
-    else:
-        pi = (pi_counts / np.bincount(counts))[counts]
-        if np.max(np.abs(step(pi) - pi)) <= _RESIDUAL_TOL:  # a NaN residual fails too
-            return pi
-        why = "stationary solve failed its residual check"
-    raise TheoryRefusal(
-        "projection equivalence needs a unique, certified stationary law "
-        "of the labeled chain", stationary=why,
-    )
-
-
 def projected_mixing_equivalence(
     law: PaintboxLaw,
     n: int,
@@ -248,11 +185,11 @@ def projected_mixing_equivalence(
     """Exact worst-start TV profiles for the labeled chain and its unlabeled
     projection, with the smallest horizon under each epsilon.
 
-    Needs a row-column exchangeable, finitely supported law on k^n states
-    within the "project_states" budget (refused before any kernel is built)
-    whose labeled chain has a unique stationary law. The projected law at
-    each horizon is the pushforward of the labeled rows, and the projected
-    stationary law is the pushforward of the labeled one.
+    Needs a row-column exchangeable, finitely supported law whose labeled
+    chain has a unique stationary law, and table states summed over the
+    starts within the "project_states" budget, checked before any kernel is
+    built. Within it the dense count kernel K(n) is largest at k = 13, n = 4,
+    1820 x 1820.
     """
     if law.k != k:
         raise ValidationError(f"law has k={law.k}, asked for k={k}", field="k")
@@ -267,46 +204,42 @@ def projected_mixing_equivalence(
             "projection equivalence holds under row-column exchangeability only",
             rce_reason=rce.reason,
         )
-    check_budget("project_states", (k, n),
-                 "labeled state space too large for the exact equivalence check")
+    one_cell = _statistic_size([n], k)
+    # the one-cell start alone bounds the sum from below, so a huge n is
+    # refused before its partitions are listed
+    starts = _starts(n, k) if one_cell <= BUDGETS["project_states"] else [(n,)]
+    check_budget("project_states", sum(_statistic_size(parts, k) for parts in starts),
+                 "too many color count table states for the exact equivalence check")
+    atoms = law.as_atomic()
+    if atoms is None:
+        raise TheoryRefusal("exact kernels need a finitely supported paintbox law", law=law.config())
 
-    w = words(n, k)
-    step = _kernel_step(law, n)
-    sorted_states, counts = _count_classes(w, k)
-    # a start's distance to pi depends only on its multiset of colors
-    rows = step((sorted_states[:, None] == np.arange(len(w))).astype(float))
-    pi = _stationary_from_counts(step, rows, counts)
-    labels, classes = _orbit_classes(w, k)
-    pi_proj = np.bincount(labels, weights=pi, minlength=len(classes))
+    stack = np.array([s.entries for s in atoms.atoms])
+    weights = np.asarray(atoms.weights, dtype=float)
+    count_kernel = _count_kernel(stack, weights, n)
+    step = _stepper(stack, weights, count_kernel, starts)
+    pis = _stationary_tables(count_kernel, n, k, starts, step)
+    orbits = [_orbits(parts, k, pi) for parts, pi in zip(starts, pis)]
 
     flags: list[str] = []
     profile: list[tuple[int, float, float]] = []
 
-    def sweep(rows):
+    def sweep(laws):
         for m in range(1, m_max + 1):
-            tv_lab = _worst_tv(rows, pi)
-            # the projected law from each sorted word's class
-            tv_pr = _worst_tv(_sum_by(rows, labels, len(classes)), pi_proj)
+            laws = step(laws)
+            tv_lab = max(float(_half_l1(law - pi)) for law, pi in zip(laws, pis))
+            # the projected law from each start's class
+            tv_pr = max(float(_half_l1(np.bincount(labels, law.ravel(), len(proj)) - proj))
+                        for law, (labels, proj) in zip(laws, orbits))
             profile.append((m, tv_lab, tv_pr))
             if tv_pr > tv_lab + 1e-9:
                 flags.append(f"pushforward contraction violated at m={m}")
             yield m, (tv_lab, tv_pr)
-            rows = step(rows)
 
-    t_lab, t_proj = _first_crossings(sweep(rows), [eps_grid] * 2)
+    t_lab, t_proj = _first_crossings(sweep([_start_law(parts, k) for parts in starts]), [eps_grid] * 2)
     if None in (*t_lab.values(), *t_proj.values()):
         flags.append(f"profile truncated at m_max={m_max} before all crossings")
 
-    equal = all(
-        t_lab[e] is not None and t_lab[e] == t_proj[e] for e in eps_grid
-    )
-    return EquivalenceReport(
-        n=n,
-        k=k,
-        epsilons=eps_grid,
-        profile=tuple(profile),
-        t_labeled=t_lab,
-        t_projected=t_proj,
-        equal_crossings=equal,
-        flags=tuple(flags),
-    )
+    equal = all(t_lab[e] is not None and t_lab[e] == t_proj[e] for e in eps_grid)
+    return EquivalenceReport(n=n, k=k, epsilons=eps_grid, profile=tuple(profile), t_labeled=t_lab,
+                             t_projected=t_proj, equal_crossings=equal, flags=tuple(flags))

@@ -58,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import TheoryRefusal, ValidationError, _fields_json, check_budget
-from ..lumped import _half_l1
+from ..lumped import _compositions, _half_l1, _statistic_size
 from ..paintbox import PaintboxLaw, _column_stochastic
 from ..partitions import Coloring
 
@@ -141,28 +141,9 @@ class ProductMultinomialLaw:
         return sum(size for size, _ in self.blocks)
 
 
-@lru_cache(maxsize=256)
-def _compositions(n: int, k: int) -> np.ndarray:
-    """All count vectors of length k summing to n, lexicographic."""
-    if k == 1:
-        out = np.array([[n]], dtype=np.int64)
-    else:
-        parts = []
-        for first in range(n + 1):
-            rest = _compositions(n - first, k - 1)
-            block = np.empty((rest.shape[0], k), dtype=np.int64)
-            block[:, 0] = first
-            block[:, 1:] = rest
-            parts.append(block)
-        out = np.vstack(parts)
-    out.setflags(write=False)
-    return out
-
-
 @lru_cache(maxsize=64)
 def _log_factorials(n: int) -> np.ndarray:
-    """log(i!) for i = 0..n, read only by _count_table for its log
-    multinomial coefficients."""
+    """log(i!) for i = 0..n: the log multinomial coefficients of _count_table."""
     out = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
     out.setflags(write=False)
     return out
@@ -181,11 +162,6 @@ def _log_binomials(n: int, pad: int) -> np.ndarray:
         c = c * (n - x) // (x + 1)
     out.setflags(write=False)
     return out
-
-
-def _statistic_size(sizes, k: int) -> int:
-    """Number of joint count vectors over cells of the given sizes."""
-    return math.prod(math.comb(size + k - 1, k - 1) for size in sizes)
 
 
 @lru_cache(maxsize=256)

@@ -101,6 +101,8 @@ def tv_upper_mc(
         raise ValidationError("law and states must share k")
     if replicates < 1:
         raise ValidationError("need replicates >= 1", field="replicates")
+    if m < 0:
+        raise ValidationError("need m >= 0", field="m")
     if x0 == x0_tilde:
         return TVEstimate(0.0, "upper_bound", 0.0, replicates)
     return _upper_bound(batched_products(law, m, replicates, seed), x0, x0_tilde)

@@ -28,11 +28,12 @@ from _oracles import (
     tv_distance,
     words_array,
 )
+from _tables import table_chain_kernel
 from cutpaste.chains import EhrenfestParams, standard_ehrenfest
 from cutpaste.paintbox import Atomic, PointMass, SelfSimilar
 from cutpaste.partitions import Coloring, act, colorings_to_matrix, identity_matrix, matmul
 from cutpaste.products import estimate_lyapunov, log_abs_det_on_V
-from cutpaste.projections import _kernel_step, projected_mixing_equivalence
+from cutpaste.projections import projected_mixing_equivalence
 from cutpaste.rng import as_stream
 from cutpaste.tvlab import (
     ProductMultinomialLaw,
@@ -59,10 +60,9 @@ def test_criterion_01_construction_equivalence():
 
     Route A enumerates every partition matrix and mixes the enumerated
     one-step kernels, route B sums conditional product-form kernels over all
-    atom sequences of length m, and route C is the package's exact kernel
-    raised to the m-th power. Equality of A and B is the heart of the
-    construction; C ties the package to both, its one step applied to the
-    identity.
+    atom sequences of length m, and route C is the package's table chain
+    run m steps from every start, unfolded onto the colorings. Equality of
+    A and B is the heart of the construction; C ties the package to both.
     """
     start = time.monotonic()
     rng = np.random.default_rng(101)
@@ -73,10 +73,9 @@ def test_criterion_01_construction_equivalence():
         law = Atomic(atoms=(s0.tolist(), s1.tolist()), weights=w)
 
         one_step_enum = w[0] * matrix_enumeration_kernel(s0, n) + w[1] * matrix_enumeration_kernel(s1, n)
-        one_step_pkg = _kernel_step(law, n)(np.eye(k**n))
         for m in (1, 2, 3):
             route_a = np.linalg.matrix_power(one_step_enum, m)
-            route_c = np.linalg.matrix_power(one_step_pkg, m)
+            route_c = table_chain_kernel(law, n, m)
             route_b = np.zeros_like(route_a)
             for seq in itertools.product((0, 1), repeat=m):
                 q = np.eye(k)
@@ -559,6 +558,17 @@ def test_criterion_11_projection_equivalence():
         for eps in (0.5, 0.25):
             assert report.t_labeled[eps] is not None
             assert report.t_labeled[eps] == report.t_projected[eps]
+
+
+def test_criterion_11_supplement_past_the_old_cap():
+    """The equivalence past the former cap of 4096 labeled states, on the
+    permuted-identity blend at gamma = 0.2."""
+    for (n, k), crossings in [((24, 2), (5, 7)), ((12, 3), (4, 6))]:
+        report = projected_mixing_equivalence(_permuted_identity_blend(k, 0.2), n=n, k=k, epsilon=(0.5, 0.25))
+        assert k**n > 4096
+        assert not report.flags, (n, k)
+        assert report.equal_crossings, (n, k)
+        assert (report.t_labeled[0.5], report.t_labeled[0.25]) == crossings, (n, k)
 
 
 # the worst start's horizons from `project` at epsilon = 0.5 and 0.25, as

@@ -21,7 +21,6 @@ from cutpaste.paintbox import (
     StochasticMatrix,
 )
 from cutpaste.partitions import Coloring, act
-from cutpaste.projections import _kernel_step, product_kernel_given_S, words
 from cutpaste.rng import RngStream
 
 from _oracles import (
@@ -29,9 +28,12 @@ from _oracles import (
     efcp_by_column,
     ehrenfest_by_site,
     matrix_enumeration_kernel,
+    mixture_step_kernel,
+    product_step_kernel,
     sample_M_given_S,
     sample_S,
     state_index,
+    words_array,
 )
 
 
@@ -48,7 +50,7 @@ def test_product_kernel_matches_matrix_enumeration():
     for n, k in [(2, 2), (3, 2), (2, 3)]:
         for _ in range(3):
             s = random_stochastic(gen, k)
-            ours = product_kernel_given_S(s, n)
+            ours = product_step_kernel(s.entries, n)
             brute = matrix_enumeration_kernel(s.entries, n)
             assert np.max(np.abs(ours - brute)) < 1e-12
 
@@ -70,7 +72,7 @@ def test_one_step_empirical_matches_exact_kernel(runner):
     ]
     law = Atomic(atoms, [0.35, 0.65])
     x0 = Coloring(3, 2, (1, 2, 1))
-    row = _kernel_step(law, 3)(np.eye(8)[state_index(x0)])[0]
+    row = mixture_step_kernel(law, 3)[state_index(x0)]
     reps = 40_000
     freq = _empirical_one_step(runner, law, x0, reps, RngStream(7))
     sigma = np.sqrt(np.clip(row * (1 - row), 1e-12, None) / reps)
@@ -86,9 +88,9 @@ def test_constructions_agree_given_fixed_paintbox():
 
     # conditional two-step law equals the product over sites of the
     # composed one-color-at-a-time kernel, exactly
-    joint = product_kernel_given_S(s1, n) @ product_kernel_given_S(s2, n)
+    joint = product_step_kernel(s1.entries, n) @ product_step_kernel(s2.entries, n)
     q2 = s2.entries @ s1.entries
-    w = words(n, 2)
+    w = words_array(n, 2)
     x_idx = state_index(x0)
     expected = np.ones(2**n)
     for i in range(n):

@@ -18,7 +18,7 @@ from cutpaste.errors import BUDGETS, BudgetRefusal, ValidationError, _renamed
 from cutpaste.paintbox import PermutationMix, SelfSimilar, law_from_config
 from cutpaste.partitions import Coloring
 from cutpaste.products import estimate_lyapunov
-from cutpaste.projections import projected_mixing_equivalence, words
+from cutpaste.projections import projected_mixing_equivalence
 from cutpaste.tvlab import (
     ProductMultinomialLaw,
     ehrenfest_mixing_time,
@@ -982,15 +982,29 @@ def test_project_refuses_a_huge_n_from_n_and_k_alone(capsys, tmp_path):
     assert (rc, out) == (3, "")
     diag = json.loads(err)["error"]
     assert diag["type"] == "budget_exceeded"
+    # the one-cell start's C(n + 2, 2) count vectors alone, a lower bound
     assert diag["details"] == {
-        "budget_name": "project_states", "required": "3^100000000", "budget": 4096,
+        "budget_name": "project_states", "required": math.comb(100_000_002, 2), "budget": 2**16,
     }
-    # an exact count while it stays below 2^63
+    # the table states summed over every start, the partitions of 39 into at
+    # most 3 parts
     rc, _, err = run_cli(capsys, ["project", "--config", cfg, "--n", "39"])
     assert rc == 3
     assert json.loads(err)["error"]["details"] == {
-        "budget_name": "project_states", "required": 3**39, "budget": 4096,
+        "budget_name": "project_states", "required": 58_240_650, "budget": 2**16,
     }
+
+
+@pytest.mark.parametrize("method", ["upper", "exact"])
+@pytest.mark.parametrize("horizon,field", [({"m": -3}, "m"), ({"m_grid": [2, -3], "m": None}, "m_grid")])
+def test_a_negative_horizon_is_refused_between_equal_starts(capsys, tmp_path, method, horizon, field):
+    # the two constant starts coincide, so the TV is 0 at every horizon, but
+    # a negative one is still malformed
+    cfg = write_config(tmp_path, {"law": ATOMIC_LAW, "n": 4, "method": method, "color_a": 1,
+                                  "color_b": 1, **horizon})
+    rc, out, err = run_cli(capsys, ["tv", "--config", cfg])
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "validation", "field": field, "message": f"need {field} >= 0"}
 
 
 def test_exact_tv_refuses_a_huge_horizon_from_r_m_and_the_statistic_alone(capsys, tmp_path):
@@ -1045,11 +1059,10 @@ SIZE_GATES = {
     "tv_upper_mc": ("enumeration", (
         _upper_two_replicates, SelfSimilar([1.0, 1.0, 1.0]), *make_constant_pair(6400, 3), 1)),
     "projected_mixing_equivalence": ("project_states", (
-        projected_mixing_equivalence, PermutationMix(3), 10, 3)),
+        projected_mixing_equivalence, PermutationMix(3), 40, 3)),
     "project": ("project_states", (
         "project", {"law": {"kind": "permutation_mix", "k": 3}, "n": 100_000_000})),
     "ehrenfest": ("ehrenfest_sites", ("ehrenfest", {"n": 2000, "alpha": 0.25, "exact": True})),
-    "words": ("project_states", (words, 25, 3)),
 }
 
 

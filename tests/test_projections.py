@@ -9,17 +9,12 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from cutpaste.chains import run_efcp_matrix
-from cutpaste.errors import BUDGETS, BudgetRefusal, TheoryRefusal, ValidationError
+from cutpaste.errors import BudgetRefusal, TheoryRefusal, ValidationError
 from cutpaste.paintbox import Atomic, PermutationMix, PointMass
 from cutpaste.partitions import Coloring, project
 from cutpaste import projections
-from cutpaste.projections import (
-    _count_classes,
-    _kernel_step,
-    _stationary_from_counts,
-    projected_mixing_equivalence,
-    words,
-)
+from cutpaste.lumped import _count_kernels, _rank
+from cutpaste.projections import projected_mixing_equivalence
 from cutpaste.tvlab.mixing import mixing_time
 
 from _oracles import (
@@ -29,9 +24,11 @@ from _oracles import (
     lumped_kernel_by_class,
     mixture_step_kernel,
     orbit_classes,
+    product_step_kernel,
     state_index,
     worst_tv_profile_dense,
 )
+from _tables import lifted_stationary, table_chain_kernel, word_counts
 
 
 def orbit_closure_law(base):
@@ -215,19 +212,20 @@ def test_equivalence_validation_and_budget():
     with pytest.raises(ValidationError):
         projected_mixing_equivalence(law, 4, 2, epsilon=(1.5,))
     with pytest.raises(BudgetRefusal) as exc:
-        projected_mixing_equivalence(law, 13, 2)
-    assert exc.value.details["required"] == 2**13
+        projected_mixing_equivalence(law, 90, 2)
+    # the tables of the 46 starts (90 - j, j) hold (91 - j)(j + 1) states
+    assert exc.value.details["required"] == sum((91 - j) * (j + 1) for j in range(46))
 
 
 def test_equivalence_refuses_past_the_kernel_cap_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetRefusal) as exc:
-            projected_mixing_equivalence(PermutationMix(3), 10, 3)
+            projected_mixing_equivalence(PermutationMix(3), 40, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert exc.value.details == {"budget_name": "project_states", "required": 3**10, "budget": 4096}
+    assert exc.value.details == {"budget_name": "project_states", "required": 69_281_520, "budget": 2**16}
     assert peak < 1 << 20
 
 
@@ -311,16 +309,19 @@ def test_profile_matches_the_full_matrix_power(law, n, k, eps):
     (orbit_closure_law(0.8 * np.eye(4) + 0.2 / 4), 6, 4),
 ])
 def test_the_state_cap_runs_clean(law, n, k):
-    # both blends have exactly the 4096 states the budget allows
-    assert k**n == BUDGETS["project_states"]
+    # both blends have exactly the 4096 labeled states of the former cap
+    assert k**n == 4096
     report = projected_mixing_equivalence(law, n, k, epsilon=(0.5, 0.25))
     assert report.flags == ()
     assert report.equal_crossings
 
 
 def test_the_state_cap_query_peaks_below_8_mib(traced_peak):
-    # a dense 4096 x 4096 kernel alone is 128 MiB; the halves are 64 x 64
+    # a dense 4096 x 4096 kernel alone is 128 MiB; the 24-atom blend's
+    # largest count kernels are 84 x 84
     assert traced_peak(projected_mixing_equivalence, BLEND_K2, 12, 2) < 8 * 2**20
+    law = orbit_closure_law(0.8 * np.eye(4) + 0.2 / 4)
+    assert traced_peak(projected_mixing_equivalence, law, 6, 4) < 8 * 2**20
 
 
 @st.composite
@@ -348,13 +349,40 @@ def _step_cases(draw):
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(_step_cases())
 def test_kernel_step_matches_the_site_loops(case):
-    # the step applied to the identity is the kernel, against the weighted
-    # sum of site-by-site kernels; the atom of weight 0 adds no support
+    # one table step from every start, unfolded onto the colorings, is the
+    # kernel, against the weighted sum of site-by-site kernels; the atom of
+    # weight 0 adds no support
     law, n, k = case
-    got = _kernel_step(law, n)(np.eye(k**n))
+    got = table_chain_kernel(law, n)
     want = mixture_step_kernel(law, n)
     assert np.max(np.abs(got - want)) <= 1e-14
     assert np.array_equal(got > 0, want > 0)
+
+
+def _count_labels(n: int, k: int) -> np.ndarray:
+    """Each word's index among the count vectors of n sites, listed in
+    lexicographic order."""
+    counts = [tuple(row) for row in word_counts(n, k).tolist()]
+    where = {c: i for i, c in enumerate(sorted(set(counts)))}
+    return np.array([where[c] for c in counts])
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_step_cases())
+def test_count_kernel_is_the_lumped_labeled_kernel(case):
+    # each atom's count kernel, and the weighted one that `project` solves,
+    # against the labeled kernels lumped by color counts
+    law, n, k = case
+    labels = _count_labels(n, k)
+    atomic = law.as_atomic()
+    stack = np.array([s.entries for s in atomic.atoms])
+    kernels = [*_count_kernels(stack, {n})[n], projections._count_kernel(stack, np.array(atomic.weights), n)]
+    wants = [*(product_step_kernel(s, n) for s in stack), mixture_step_kernel(atomic, n)]
+    for got, labeled in zip(kernels, wants):
+        want = lumped_kernel_by_class(labeled, labels)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.array_equal(got > 0, want > 0)
+        assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-15
 
 
 @st.composite
@@ -380,7 +408,8 @@ def test_worst_start_is_a_sorted_word(case):
     kernel = mixture_step_kernel(law, n)
     pi = eig_stationary(kernel)
     reps = _sorted_word_states(n, k)
-    assert _count_classes(words(n, k), k)[0].tolist() == reps
+    # the sorted words list the count vectors in reverse lexicographic order
+    assert _rank(word_counts(n, k)[reps]).tolist() == list(range(len(reps)))[::-1]
     assert len(reps) == math.comb(n + k - 1, k - 1)
     power = kernel
     for _ in range(4):
@@ -396,9 +425,7 @@ def test_lifted_count_law_is_the_labeled_stationary_law(case):
     # K commutes with permuting the sites whatever the law, so the counts
     # are lumpable for laws that are not row-column exchangeable too
     law, n, k = case
-    step = _kernel_step(law, n)
-    sorted_states, counts = _count_classes(words(n, k), k)
-    pi = _stationary_from_counts(step, step(np.eye(k**n)[sorted_states]), counts)
+    pi = lifted_stationary(law, n, k)
     assert np.max(np.abs(pi - eig_stationary(mixture_step_kernel(law, n)))) <= 1e-14
 
 
@@ -453,8 +480,6 @@ def test_refusal_parity_with_the_closed_classes_of_the_dense_kernel(k, n_max):
                 continue
             answered += 1
             projected_mixing_equivalence(law, n, k, m_max=2)
-            step = _kernel_step(law, n)
-            sorted_states, counts = _count_classes(words(n, k), k)
-            pi = _stationary_from_counts(step, step(np.eye(k**n)[sorted_states]), counts)
+            pi = lifted_stationary(law, n, k)
             assert np.max(np.abs(pi - eig_stationary(dense))) <= 1e-14, (name, n)
     assert refused and answered

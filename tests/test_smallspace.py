@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,17 +22,14 @@ from _oracles import (
     product_step_kernel,
     reachability,
     state_index,
+    words_array,
 )
-from cutpaste.errors import BudgetRefusal, TheoryRefusal, ValidationError
-from cutpaste.lumped import _gth
+from _tables import table_chain_kernel
+from cutpaste.errors import TheoryRefusal, ValidationError
+from cutpaste import projections
+from cutpaste.lumped import _gth, _rank
 from cutpaste.paintbox import Atomic, DirichletColumns, PermutationMix, StochasticMatrix
 from cutpaste.partitions import Coloring
-from cutpaste.projections import (
-    _kernel_step,
-    _orbit_classes,
-    product_kernel_given_S,
-    words,
-)
 
 
 def eliminate(kernel: np.ndarray) -> np.ndarray:
@@ -47,7 +46,7 @@ def test_enumeration_order_and_index():
     assert cols[-1].word == (3, 3)
     for i, c in enumerate(cols):
         assert state_index(c) == i
-    w = words(3, 2)
+    w = words_array(3, 2)
     assert w.shape == (8, 3)
     assert list(w[5]) == [1, 0, 1]
 
@@ -56,10 +55,10 @@ def test_product_kernel_rows_stochastic():
     gen = np.random.default_rng(4)
     m = gen.random((3, 3)) + 0.1
     s = StochasticMatrix(m / m.sum(axis=0))
-    kernel = product_kernel_given_S(s, 3)
+    kernel = product_step_kernel(s.entries, 3)
     assert np.allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
     # single-site kernel is the transposed matrix itself
-    one = product_kernel_given_S(s, 1)
+    one = product_step_kernel(s.entries, 1)
     assert np.max(np.abs(one - s.entries.T)) < 1e-15
 
 
@@ -67,18 +66,19 @@ def test_exact_kernel_mixture_and_refusal():
     a = StochasticMatrix([[0.8, 0.3], [0.2, 0.7]])
     b = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
     law = Atomic([a, b], [0.25, 0.75])
-    kernel = _kernel_step(law, 2)(np.eye(4))
-    manual = 0.25 * product_kernel_given_S(a, 2) + 0.75 * product_kernel_given_S(b, 2)
+    kernel = table_chain_kernel(law, 2)
+    manual = 0.25 * product_step_kernel(a.entries, 2) + 0.75 * product_step_kernel(b.entries, 2)
     assert np.max(np.abs(kernel - manual)) < 1e-15
+    # a row-column exchangeable law with a density
     with pytest.raises(TheoryRefusal, match="^exact kernels need a finitely supported paintbox law$"):
-        _kernel_step(DirichletColumns([[1.0, 1.0], [1.0, 1.0]]), 2)
+        projections.projected_mixing_equivalence(DirichletColumns([[1.0, 1.0], [1.0, 1.0]]), 2, 2)
 
 
 def test_kernel_power_matches_repeated_multiplication():
     gen = np.random.default_rng(9)
     m = gen.random((2, 2)) + 0.1
     s = StochasticMatrix(m / m.sum(axis=0))
-    kernel = product_kernel_given_S(s, 3)
+    kernel = product_step_kernel(s.entries, 3)
     direct = np.eye(8)
     for _ in range(5):
         direct = direct @ kernel
@@ -114,7 +114,7 @@ def test_product_kernel_bit_identical_to_site_loop(k, n):
     gen = np.random.default_rng(100 * k + n)
     m = gen.random((k, k)) + 0.05
     s = m / m.sum(axis=0)
-    assert np.array_equal(product_kernel_given_S(s, n), product_step_kernel(s, n))
+    assert np.array_equal(kron_product_kernel(s, n), product_step_kernel(s, n))
 
 
 @pytest.mark.parametrize("k, n", [(3, 3), (2, 6), (4, 3), (3, 1), (5, 2)])
@@ -122,18 +122,18 @@ def test_product_kernel_bit_identical_to_kron_powers(k, n):
     gen = np.random.default_rng(1000 * k + n)
     m = gen.random((k, k)) * (gen.random((k, k)) < 0.7) + np.eye(k)
     s = m / m.sum(axis=0)
-    assert np.array_equal(product_kernel_given_S(s, n), kron_product_kernel(s, n))
+    assert np.array_equal(product_step_kernel(s, n), kron_product_kernel(s, n))
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_exact_kernel_is_the_weighted_sum_of_site_loops(k, n):
-    # odd n splits unevenly, and n = 1 has an empty left half
+    # one table step from every start, unfolded onto the colorings
     gen = np.random.default_rng(10 * k + n)
     atoms = [m / m.sum(axis=0) for m in gen.random((3, k, k)) + 0.05]
     weights = np.array([0.5, 0.3, 0.2])
     want = sum(w * product_step_kernel(s, n) for s, w in zip(atoms, weights))
-    got = _kernel_step(Atomic(atoms, weights), n)(np.eye(k**n))
+    got = table_chain_kernel(Atomic(atoms, weights), n)
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -141,7 +141,7 @@ def test_exact_kernel_is_the_weighted_sum_of_site_loops(k, n):
 def test_exact_kernel_atom_of_weight_zero_adds_no_support(n):
     # the identity never moves; the positive atom would join every state
     law = Atomic([np.eye(2), np.full((2, 2), 0.5)], [1.0, 0.0])
-    kernel = _kernel_step(law, n)(np.eye(2**n))
+    kernel = table_chain_kernel(law, n)
     assert np.array_equal(kernel > 0, np.eye(2**n, dtype=bool))
     with pytest.raises(ValidationError, match="unique"):
         eliminate(kernel)
@@ -277,7 +277,7 @@ def test_elimination_answers_iff_every_state_reaches_state_0(kernel):
 def test_canonical_relabel_and_classes():
     assert canonical_relabel((2, 2, 3, 1)) == (1, 1, 2, 3)
     assert canonical_relabel((1, 1, 1)) == (1, 1, 1)
-    labels, reps = _orbit_classes(words(3, 2), 2)
+    labels, reps = orbit_classes(3, 2)
     # 8 words fall into 4 orbits under swapping the two colors
     assert len(reps) == 4
     assert reps[0] == (1, 1, 1)
@@ -293,11 +293,28 @@ def test_canonical_relabel_and_classes():
     "n,k", [(1, 1), (1, 3), (2, 2), (3, 3), (4, 2), (5, 3), (6, 3), (4, 5), (8, 2)]
 )
 def test_projection_classes_match_word_by_word_relabeling(n, k):
-    labels, reps = _orbit_classes(words(n, k), k)
-    want_labels, want_reps = orbit_classes(n, k)
-    assert labels.tolist() == want_labels.tolist()
-    assert reps == want_reps
-    assert all(type(v) is int for rep in reps for v in rep)
+    # `project` labels a start's tables by the multiset of their columns;
+    # word by word, the blocks of the relabeled word y, each counted in every
+    # color class of the start x, must group the words alike: two words
+    # share an orbit under the site permutations that keep x's classes
+    # exactly when their blocks meet the classes in the same counts
+    w = words_array(n, k)
+    for parts in projections._starts(n, k):
+        start = np.repeat(np.arange(len(parts)), parts)
+        shape = [math.comb(s + k - 1, k - 1) for s in parts]
+        labels, sizes = projections._orbits(parts, k, np.ones(shape))
+        count = len(sizes)
+        tables = ((start[:, None] == np.arange(len(parts)))[None, :, :, None]
+                  & (w[:, :, None, None] == np.arange(k))).sum(axis=1)
+        got = labels[np.ravel_multi_index(tuple(_rank(tables[:, c]) for c in range(len(parts))), shape)]
+        want = []
+        for word in w.tolist():
+            blocks = np.array(canonical_relabel(tuple(word)))
+            profiles = Counter(tuple(int(np.sum((start == c) & (blocks == b))) for c in range(len(parts)))
+                               for b in set(blocks.tolist()))
+            want.append(frozenset(profiles.items()))
+        assert len(set(got.tolist())) == count == len(set(want))
+        assert len(set(zip(got.tolist(), want))) == count, parts
 
 
 def test_lumped_kernel_row_sums_and_consistency():
@@ -314,11 +331,3 @@ def test_lumped_kernel_row_sums_and_consistency():
     skew = Atomic([StochasticMatrix([[0.9, 0.2], [0.1, 0.8]])], [1.0])
     with pytest.raises(ValueError):
         lumped_kernel_by_class(mixture_step_kernel(skew, 3), labels)
-
-
-def test_words_budget():
-    with pytest.raises(BudgetRefusal) as exc:
-        words(25, 3)
-    assert exc.value.details == {
-        "budget_name": "project_states", "required": 3**25, "budget": 4096,
-    }
