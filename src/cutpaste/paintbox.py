@@ -157,30 +157,45 @@ class PaintboxLaw:
         raise NotImplementedError
 
 
-def _merge_atoms(mats: list[np.ndarray], weights: list[float]):
-    reps: list[np.ndarray] = []
-    wts: list[float] = []
-    for a, w in zip(mats, weights):
-        for i, r in enumerate(reps):
-            if np.max(np.abs(a - r)) <= _ATOM_TOL:
-                wts[i] += w
-                break
-        else:
-            reps.append(a)
-            wts.append(w)
-    return reps, wts
+def _near(entries: np.ndarray, atom: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Whether each column of entries, atoms flattened one a column, is
+    within _ATOM_TOL of the flattened atom in every entry: one pass over a
+    scratch buffer of entries' shape, since a fresh temporary of this size
+    costs more than the arithmetic."""
+    np.subtract(entries, atom[:, None], out=scratch)
+    return np.abs(scratch, out=scratch).max(axis=0) <= _ATOM_TOL
 
 
-def _matches_multiset(transformed, reps, wts) -> bool:
-    used = [False] * len(reps)
-    for a, w in transformed:
-        for i, (r, wr) in enumerate(zip(reps, wts)):
-            if not used[i] and np.max(np.abs(a - r)) <= _ATOM_TOL and abs(w - wr) <= _WEIGHT_TOL:
-                used[i] = True
-                break
+def _merge_atoms(mats: np.ndarray, weights: np.ndarray):
+    """The (A, k, k) atoms within _ATOM_TOL of an earlier one merged into the
+    first such, greedily in order: the representatives' flattened entries,
+    one a column, and their summed weights."""
+    flat = mats.reshape(len(mats), -1)
+    reps, wts = np.empty((flat.shape[1], len(flat))), np.empty(len(flat))
+    scratch = np.empty_like(reps)
+    count = 0
+    for a, w in zip(flat, weights):
+        near = np.flatnonzero(_near(reps[:, :count], a, scratch[:, :count]))
+        if near.size:
+            wts[near[0]] += w
         else:
+            reps[:, count], wts[count] = a, w
+            count += 1
+    return reps[:, :count], wts[:count]
+
+
+def _matches_multiset(moved: np.ndarray, reps: np.ndarray, wts: np.ndarray) -> bool:
+    """Whether the moved atoms, column i of weight wts[i], match the columns
+    of reps one to one: each takes the first unused representative within
+    _ATOM_TOL whose weight is within _WEIGHT_TOL."""
+    free = np.ones(len(wts), dtype=bool)
+    scratch = np.empty_like(reps)
+    for a, w in zip(moved.T, wts):
+        near = np.flatnonzero(free & _near(reps, a, scratch) & (np.abs(wts - w) <= _WEIGHT_TOL))
+        if not near.size:
             return False
-    return all(used)
+        free[near[0]] = False
+    return not free.any()
 
 
 def _atomic_rce(mats, weights, k) -> RceResult:
@@ -191,12 +206,12 @@ def _atomic_rce(mats, weights, k) -> RceResult:
     by every adjacent row swap and every adjacent column swap.
     """
     reps, wts = _merge_atoms(mats, weights)
+    square = reps.reshape(k, k, -1)
     for t in range(k - 1):
-        rows = [(a[_swap_index(k, t), :], w) for a, w in zip(reps, wts)]
-        if not _matches_multiset(rows, reps, wts):
+        swap = _swap_index(k, t)
+        if not _matches_multiset(square[swap].reshape(reps.shape), reps, wts):
             return RceResult(False, f"atom set not closed under swapping rows {t + 1},{t + 2}")
-        cols = [(a[:, _swap_index(k, t)], w) for a, w in zip(reps, wts)]
-        if not _matches_multiset(cols, reps, wts):
+        if not _matches_multiset(square[:, swap].reshape(reps.shape), reps, wts):
             return RceResult(False, f"atom set not closed under swapping columns {t + 1},{t + 2}")
     return RceResult(True, "atom set closed under row and column permutations with matched weights")
 
@@ -264,7 +279,7 @@ class Atomic(PaintboxLaw):
         return self._stack[idx]
 
     def is_rce(self):
-        return _atomic_rce(list(self._stack), list(self.weights), self.k)
+        return _atomic_rce(self._stack, self.weights, self.k)
 
     def as_atomic(self):
         return self

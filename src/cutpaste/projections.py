@@ -101,7 +101,9 @@ def _count_kernel(atoms: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 
 def _stepper(atoms: np.ndarray, weights: np.ndarray, count_kernel: np.ndarray, starts):
     """One table step of every start's law: by count_kernel for the one-cell
-    start, else by its atoms' kernels, rebuilt each step a chunk at a time."""
+    start, else by its atoms' kernels, a chunk of atoms at a time. When one
+    chunk holds every atom its kernels are built once and kept; otherwise
+    each step rebuilds them."""
     k = atoms.shape[1]
     multi = [parts for parts in starts if len(parts) > 1]
     sizes = {s for parts in multi for s in parts}
@@ -109,12 +111,13 @@ def _stepper(atoms: np.ndarray, weights: np.ndarray, count_kernel: np.ndarray, s
     per_atom = (sum(3 * _statistic_size([s], k) ** 2 for s in sizes)
                 + 2 * max((_statistic_size(parts, k) for parts in multi), default=0))
     chunks = _chunks(len(atoms), per_atom) if multi else []
+    kept = _count_kernels(atoms, sizes) if len(chunks) == 1 else None
 
     def step(laws):
         out = [_table_step(law, [count_kernel[None]], np.ones(1)) if len(parts) == 1 else np.zeros_like(law)
                for parts, law in zip(starts, laws)]
         for chunk in chunks:
-            kernels = _count_kernels(atoms[chunk], sizes)
+            kernels = _count_kernels(atoms[chunk], sizes) if kept is None else kept
             for parts, law, new in zip(starts, laws, out):
                 if len(parts) > 1:
                     new += _table_step(law, [kernels[s] for s in parts], weights[chunk])

@@ -10,18 +10,26 @@ start the law at every time t is exchangeable, and so is the stationary
 law, so both are uniform given N1 and their TV equals the TV between the
 two N1 laws.
 
+The coin is fair, so swapping the two colors maps the chain to itself:
+K(x, y) = K(n - x, n - y). Only the rows x <= n / 2 of the N1 chain are
+computed, and the others are their mirrors. The N1 chain lumps once more,
+to y = min(N1, n - N1) on n // 2 + 1 states, and its stationary law is
+that of the folded chain, split evenly between x and n - x. Both steps are
+exact and subtract nothing.
+
 A move shifts the count by at most a, so the N1 chain is held as its
-(n+1) x (2a+1) band of moves, and cutpaste.lumped runs it: the stationary
+(n+1) x (2a+1) band of moves, and cutpaste.lumped runs it. The stationary
 law comes from the banded elimination that `project` runs on its color
-counts, O(n a^2) work in O(n a) memory, and the forward sweep takes b steps
-per call with the band of K^b, of half-width a b, at O(n a b) per block,
-no more than b single steps. The block length b is the largest power of two
-whose band fits the lab's one chunk budget, (n + 1)(2ab + 1) <= 2^15
-elements, or 1 where b = 2 does not fit: 32 at (n, a) = (320, 1), 8 at
-(1100, 1), 2 at (256, 16) and 1 at (320, 80). The law at t is always
-t // b blocks and then t % b single steps, so a horizon's TV has the same
-bits in any grid, asked alone and in the mixing search. The pass is
-refused past the "ehrenfest_sites" budget on n, which bounds its time.
+counts, here on the folded chain: O(n a^2) work, half that of the full
+chain, in O(n a) memory. The forward sweep takes b steps per call with the
+band of K^b, of half-width a b, at O(n a b) per block, no more than b
+single steps. The block length b is the largest power of two whose band
+fits the lab's one chunk budget, (n + 1)(2ab + 1) <= 2^15 elements, or 1
+where b = 2 does not fit: 32 at (n, a) = (320, 1), 8 at (1100, 1), 2 at
+(256, 16) and 1 at (320, 80). The law at t is always t // b blocks and
+then t % b single steps, so a horizon's TV has the same bits in any grid,
+asked alone and in the mixing search. The pass is refused past the
+"ehrenfest_sites" budget on n, which bounds its time.
 """
 
 from __future__ import annotations
@@ -156,8 +164,12 @@ def _count_moves(n: int, a: int) -> np.ndarray:
     log w(h + 1) / w(h) = log((j - h)(a - h)) - log((h + 1)(n - j - a + h + 1)),
     summed from the row's first feasible h: no term is a difference of large
     log-factorials, whose rounding grew with n. Each count's weights are then
-    normalised, so no step gains or loses mass."""
-    j = np.arange(n + 1)[:, None]
+    normalised, so no step gains or loses mass. Only the rows j <= n // 2 are
+    computed: the coin is fair, so swapping the colors maps the chain to
+    itself, and the rows past n / 2 are their mirrors, out[n - j, d] =
+    out[j, 2a - d]."""
+    half = n // 2
+    j = np.arange(half + 1)[:, None]
     h = np.arange(a + 1)[None, :]
     ok = (h <= j) & (a - h <= n - j)
     # the term from h to h + 1 where both are feasible, else 0
@@ -165,16 +177,46 @@ def _count_moves(n: int, a: int) -> np.ndarray:
     h = h[:, :-1]
     ratio = np.log(np.where(up, (j - h) * (a - h), 1))
     ratio -= np.log(np.where(up, (h + 1) * (n - j - a + h + 1), 1))
-    logw = np.zeros((n + 1, a + 1))
+    logw = np.zeros((half + 1, a + 1))
     np.cumsum(ratio, axis=1, out=logw[:, 1:])
     logw[~ok] = -np.inf
     logw -= logw.max(axis=1, keepdims=True)
     w = np.exp(logw, out=logw)
     w *= 0.5 / w.sum(axis=1, keepdims=True)
     out = np.zeros((n + 1, 2 * a + 1))
-    out[:, : a + 1] = w[:, ::-1]
-    out[:, a:] += w[:, ::-1]
+    out[: half + 1, : a + 1] = w[:, ::-1]
+    out[: half + 1, a:] += w[:, ::-1]
+    out[half + 1 :] = out[n - half - 1 :: -1, ::-1]
     return out
+
+
+def _folded_stationary(moves: np.ndarray) -> np.ndarray:
+    """The stationary law of the N1 chain held as the band moves, from the
+    chain lumped by the color swap to y = min(N1, n - N1) on n // 2 + 1
+    states (Kemeny and Snell, 1960): N1 and n - N1 move to y with the same
+    probability, so row j <= n / 2 of moves with each target t past n / 2
+    reflected to n - t is row j of the lumped chain. Each lumped move is a
+    sum of at most two moves, with nothing subtracted. A lumped move shifts
+    y by at most a, and by at most n // 2 between states, so the band is cut
+    to the smaller half-width, which _stationary needs below its size. The
+    lumped law pi_f unfolds to pi(x) = pi_f(min(x, n - x)) / 2, and
+    pi(n / 2) = pi_f(n / 2) for even n: exactly, and mirror-symmetric bit
+    for bit."""
+    n, width = moves.shape[0] - 1, moves.shape[1]
+    a, half = width // 2, n // 2
+    fold = moves[: half + 1].copy()
+    target = np.arange(half + 1)[:, None] + np.arange(-a, a + 1)
+    j, d = np.nonzero(2 * target > n)
+    over = fold[j, d]
+    fold[j, d] = 0.0
+    # t = j + d - a goes to n - t, at column n - 2j + 2a - d of row j
+    fold[j, n - 2 * j + 2 * a - d] += over
+    cut = max(0, a - half)
+    pi = _stationary(fold[:, cut : width - cut])
+    mirror = pi / 2
+    if n % 2 == 0:
+        mirror[half] = pi[half]
+    return np.concatenate([mirror, mirror[n - half - 1 :: -1]])
 
 
 def _block_length(n: int, a: int) -> int:
@@ -193,7 +235,7 @@ def _one_count_chain(params: EhrenfestParams):
     moves = _count_moves(n, a)
     row = np.zeros(n + 1)
     row[n] = 1.0
-    return moves, _stationary(moves), row, _block_length(n, a)
+    return moves, _folded_stationary(moves), row, _block_length(n, a)
 
 
 def _check_exact_inputs(params: EhrenfestParams) -> None:

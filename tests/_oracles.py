@@ -944,3 +944,41 @@ def permutation_set_rce(perms, weights, k: int, tol: float = 1e-9) -> bool:
         if not invariant(lambda p: tuple(p[swap[j]] for j in range(k))):
             return False
     return True
+
+
+def atomic_rce_loop(mats, weights, k: int, atom_tol: float = 1e-12, weight_tol: float = 1e-9):
+    """(verdict, failing swap or None, merged weights) of the atom-set
+    closure test, one pair of atoms at a time: each atom merges into the
+    first earlier representative within atom_tol in every entry, and under
+    each adjacent row, then column, swap each moved representative takes the
+    first unused one within atom_tol whose weight is within weight_tol."""
+    reps: list[np.ndarray] = []
+    wts: list[float] = []
+    for a, w in zip(mats, weights):
+        for i, r in enumerate(reps):
+            if np.max(np.abs(a - r)) <= atom_tol:
+                wts[i] += w
+                break
+        else:
+            reps.append(a)
+            wts.append(w)
+
+    def matched(moved) -> bool:
+        used = [False] * len(reps)
+        for a, w in zip(moved, wts):
+            for i, (r, wr) in enumerate(zip(reps, wts)):
+                if not used[i] and np.max(np.abs(a - r)) <= atom_tol and abs(w - wr) <= weight_tol:
+                    used[i] = True
+                    break
+            else:
+                return False
+        return all(used)
+
+    for t in range(k - 1):
+        swap = list(range(k))
+        swap[t], swap[t + 1] = swap[t + 1], swap[t]
+        if not matched([r[swap, :] for r in reps]):
+            return False, ("rows", t), wts
+        if not matched([r[:, swap] for r in reps]):
+            return False, ("columns", t), wts
+    return True, None, wts

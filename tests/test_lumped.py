@@ -18,7 +18,7 @@ from cutpaste.chains import EhrenfestParams, standard_ehrenfest
 from cutpaste.errors import ValidationError
 from cutpaste.lumped import _band_power, _gth, _half_l1, _stationary, _sweep
 from cutpaste.tvlab import ehrenfest_tv_profile
-from cutpaste.tvlab.ehrenfest import _block_length, _count_moves
+from cutpaste.tvlab.ehrenfest import _block_length, _one_count_chain
 
 
 def _band_to_dense(moves: np.ndarray) -> np.ndarray:
@@ -89,10 +89,7 @@ def test_blocked_sweep_matches_the_one_step_oracle(chain, b, horizons):
 def test_a_chain_of_block_length_one_takes_the_oracle_values(n, a):
     params = EhrenfestParams(n, a / n)
     assert params.batch_size == a and _block_length(n, a) == 1
-    moves = _count_moves(n, a)
-    pi = _stationary(moves)
-    row = np.zeros(n + 1)
-    row[n] = 1.0
+    moves, pi, row, _ = _one_count_chain(params)
     grid = [0, 1, 2, 5, 9, 17, 30]
     laws = one_step_sweep(moves, row)
     law, t, want = row, 0, []

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -16,7 +16,9 @@ from cutpaste.paintbox import (
     PointMass,
     SelfSimilar,
     StochasticMatrix,
+    _atomic_rce,
     _column_stochastic,
+    _merge_atoms,
     law_from_config,
 )
 from cutpaste.partitions import identity_matrix, mask_to_sites
@@ -24,6 +26,7 @@ from cutpaste.rng import RngStream
 from cutpaste.tvlab.exact import ProductMultinomialLaw
 
 from _oracles import (
+    atomic_rce_loop,
     listed_permutation_draws,
     permutation_set_rce,
     sample_M_given_S,
@@ -222,6 +225,44 @@ def test_rce_decisions():
 
     assert bool(PointMass(np.eye(2)).is_rce()) is False
     assert bool(PermutationMix(4).is_rce()) is True
+
+
+@st.composite
+def _near_closed_atom_sets(draw):
+    """Orbits of one to three random atoms under every row and column
+    permutation, or under some of them, a fifth of the atoms listed three
+    times at a third of the weight, and a third moved by about _ATOM_TOL in
+    their entries, so that some lie within _ATOM_TOL of two representatives,
+    or by up to a few _WEIGHT_TOL in their weights."""
+    k = draw(st.integers(2, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atom_noise = draw(st.sampled_from([0.0, 4e-13, 7e-13, 3e-12]))
+    weight_noise = draw(st.sampled_from([0.0, 3e-10, 3e-9]))
+    perms = list(itertools.permutations(range(k)))
+    mats, weights = [], []
+    for base in gen.dirichlet(np.ones(k), size=(draw(st.integers(1, 3)), k)).transpose(0, 2, 1):
+        w, closed = gen.random() + 0.1, gen.random() < 0.7
+        for p, q in itertools.product(perms, perms):
+            if closed or gen.random() < 0.5:
+                copies = 3 if gen.random() < 0.2 else 1
+                for _ in range(copies):
+                    moved = gen.random() < 0.3
+                    mats.append(base[list(p)][:, list(q)] + moved * atom_noise * gen.standard_normal((k, k)))
+                    weights.append(w / copies + moved * weight_noise)
+    assume(mats)
+    return np.stack(mats), np.array(weights), k
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_near_closed_atom_sets())
+def test_atom_set_closure_matches_the_pairwise_loop(case):
+    mats, weights, k = case
+    verdict, where, wts = atomic_rce_loop(mats, weights, k)
+    got = _atomic_rce(mats, weights, k)
+    assert got.value is verdict
+    if where is not None:
+        assert got.reason == f"atom set not closed under swapping {where[0]} {where[1] + 1},{where[1] + 2}"
+    assert _merge_atoms(mats, weights)[1].tolist() == wts
 
 
 def test_smooth_density_flags():

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    _covering_stationary,
+    _covering_weights,
     block_statistic_pmf_fraction,
     block_statistic_pmfs,
     dense_gth_stationary,
@@ -56,8 +58,9 @@ from cutpaste.tvlab import (
 from cutpaste.products import collapse_diagnostic, estimate_lyapunov
 from cutpaste.rng import RngStream, as_stream
 from cutpaste.tvlab import mixing as mixing_module
+from cutpaste import lumped
 from cutpaste.lumped import _stationary, _sweep
-from cutpaste.tvlab.ehrenfest import _block_length, _count_moves
+from cutpaste.tvlab.ehrenfest import _block_length, _count_moves, _one_count_chain
 from cutpaste.tvlab.exact import _CACHE_BUDGET, _conditional_tvs
 from cutpaste.products import _products
 from cutpaste.tvlab.mc import (
@@ -1052,6 +1055,45 @@ def test_single_site_stationary_law_is_binomial_past_the_double_range(n):
     # ulp; log-factorial weights rounded at ulp(log n!) ~ 9e-13 relative,
     # about 2e-14 at the binomial mode 0.024
     assert np.max(np.abs(pi - want)) < 1e-16
+    # the chain's own law, eliminated on the n // 2 + 1 folded states
+    _, folded, _, _ = _one_count_chain(standard_ehrenfest(n))
+    assert np.max(np.abs(folded - want)) < 1e-16
+
+
+def _fold_cases():
+    for n in (1, 2, 3, 4, 7, 8, 33):
+        for a in sorted({1, n // 2, n // 2 + 1, n - 1, n} - {0}):
+            yield n, a
+
+
+@pytest.mark.parametrize("n,a", list(_fold_cases()))
+def test_the_folded_stationary_law_matches_the_covering_and_dense_oracles(n, a):
+    params = EhrenfestParams(n, a / n)
+    assert params.batch_size == a
+    moves, pi, _, _ = _one_count_chain(params)
+    assert np.max(np.abs(pi - _covering_stationary(n, a, _covering_weights(n, a)))) < 1e-14
+    assert np.max(np.abs(pi - dense_gth_stationary(ehrenfest_dense_kernel(n, a)))) < 1e-14
+    # the color swap: pi and every row but a middle one are mirrors, bit for bit
+    assert np.array_equal(pi, pi[::-1])
+    mirrored = np.arange(n + 1) != n / 2
+    assert np.array_equal(moves[mirrored], moves[::-1, ::-1][mirrored])
+    if n == 1:
+        assert pi.tolist() == [0.5, 0.5]
+
+
+def test_the_elimination_runs_on_the_folded_states(monkeypatch):
+    # a profile and a mixing search each eliminate once, on n // 2 + 1
+    # states, among them batches wider than the folded chain
+    sizes = []
+    gth = lumped._gth
+    monkeypatch.setattr(lumped, "_gth", lambda g, band: sizes.append(len(g)) or gth(g, band))
+    for n, a in [(1, 1), (9, 9), (320, 80), (256, 16), (320, 1), (33, 20)]:
+        params = EhrenfestParams(n, a / n)
+        assert params.batch_size == a
+        sizes.clear()
+        ehrenfest_tv_profile(params, [0, 3])
+        ehrenfest_mixing_time(params, 0.25)
+        assert sizes == [n // 2 + 1] * 2, (n, a)
 
 
 def _assert_band_matches_dense(n, a):
