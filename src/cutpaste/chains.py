@@ -56,8 +56,9 @@ class EhrenfestParams:
     """Two-color batch-refresh chain: each step recolors a uniform random
     subset of floor(alpha * n) sites with one shared fresh coin.
 
-    variant "standard" is the single-site case, reached by alpha = 1/n
-    through the same code path rather than a special one.
+    variant "standard" is the single-site case, alpha = 1/n, through the
+    same code path rather than a special one; its batch size is 1 for every
+    n, where floor((1/n) * n) can round to 0 (n = 49, for one).
     """
 
     n: int
@@ -78,7 +79,7 @@ class EhrenfestParams:
 
     @property
     def batch_size(self) -> int:
-        return math.floor(self.alpha * self.n)
+        return 1 if self.variant == "standard" else math.floor(self.alpha * self.n)
 
 
 def standard_ehrenfest(n: int) -> EhrenfestParams:

@@ -190,9 +190,9 @@ def projected_mixing_equivalence(
 
     Needs a row-column exchangeable, finitely supported law whose labeled
     chain has a unique stationary law, and table states summed over the
-    starts within the "project_states" budget, checked before any kernel is
-    built. Within it the dense count kernel K(n) is largest at k = 13, n = 4,
-    1820 x 1820.
+    starts, or the count kernels' n levels if more, within the
+    "project_states" budget, checked before any kernel is built. Within it
+    the dense count kernel K(n) is largest at k = 13, n = 4, 1820 x 1820.
     """
     if law.k != k:
         raise ValidationError(f"law has k={law.k}, asked for k={k}", field="k")
@@ -211,7 +211,8 @@ def projected_mixing_equivalence(
     # the one-cell start alone bounds the sum from below, so a huge n is
     # refused before its partitions are listed
     starts = _starts(n, k) if one_cell <= BUDGETS["project_states"] else [(n,)]
-    check_budget("project_states", sum(_statistic_size(parts, k) for parts in starts),
+    # the count kernels are built through n levels, more than the tables only at k = 1
+    check_budget("project_states", max(n, sum(_statistic_size(parts, k) for parts in starts)),
                  "too many color count table states for the exact equivalence check")
     atoms = law.as_atomic()
     if atoms is None:

@@ -9,14 +9,16 @@ coefficients plus a matrix product of log-probabilities with the count
 vectors (both read-only tables, cached per cell size and k).
 
 An exact value is a half-L1 sum over one difference of two laws on the
-joint statistic. For a mixture over atom sequences (or the one "sequence"
-of a product-multinomial pair), the refinement cells split, in their order,
-into a left and a right group of balanced joint size; a joint law is the
-outer product of the two groups' joint laws, so the mixture difference
-sum_w w (L_p x R_p - L_q x R_q) is the matrix product
-[w L_p; -w L_q]^T @ [R_p; R_q]. Each chunk of sequences adds one such
-product into the one joint-size array, and no per-sequence joint row and
-no mixture is built. _half_l1 then reads that array once.
+joint statistic. Between two product-multinomial laws, a pair of
+ProductMultinomialLaws or a pair's two chains given the paintbox, one
+kernel, _product_tvs, takes that difference a joint-law row of each at a
+time. For the mixture over atom sequences of tv_exact_atomic, the
+refinement cells split, in their order, into a left and a right group of
+balanced joint size; a joint law is the outer product of the two groups'
+joint laws, so the mixture difference sum_w w (L_p x R_p - L_q x R_q) is
+the matrix product [w L_p; -w L_q]^T @ [R_p; R_q]. Each chunk of sequences
+adds one such product into the one joint-size array, and no per-sequence
+joint row and no mixture is built. _half_l1 then reads that array once.
 
 What "exact" means: an exact value is half the numpy pairwise sum of
 |p - q| over the two computed laws, taken by lumped._half_l1, the lab's one
@@ -33,20 +35,20 @@ its memory is reused from the heap from one chunk to the next, where a
 block of megabytes is mapped afresh by every call and costs thousands of
 page faults.
 
-One case has a shortcut: two colors and a single cell where the starts
-differ, which is every Monte Carlo upper bound on the constant pair. There
-the conditional TV is TV(Bin(n, p), Bin(n, q)). Binomials have a monotone
-likelihood ratio, so by Scheffe's identity the TV is F_lo(c) - F_hi(c) at
-the one crossing c of the two pmfs, that is 1 minus the lower tail of the
-larger parameter up to c minus the upper tail of the smaller above c. Each
-tail is summed over a half window of h = O(sqrt(n)) counts on its side of
-c; Hoeffding's inequality bounds the mass left outside it by _TAIL_MASS,
-far below double rounding, so the value stays exact at O(sqrt(n)) cost per
-replicate. A half window takes its log-binomial coefficients as one row of
-a table padded with log 0 outside 0..n, so a window that runs past either
-end needs no clipping and no per-element select. The coefficients are
-rounded once from exact integers, not taken as differences of
-log-factorials.
+One case has a shortcut: two colors and a single cell where the two laws
+differ, which is every Monte Carlo upper bound on the constant pair and
+every one-block pair of two-color ProductMultinomialLaws. There the TV is
+TV(Bin(n, p), Bin(n, q)). Binomials have a monotone likelihood ratio, so by
+Scheffe's identity the TV is F_lo(c) - F_hi(c) at the one crossing c of the
+two pmfs, that is 1 minus the lower tail of the larger parameter up to c
+minus the upper tail of the smaller above c. Each tail is summed over a
+half window of h = O(sqrt(n)) counts on its side of c; Hoeffding's
+inequality bounds the mass left outside it by _TAIL_MASS, far below double
+rounding, so the value stays exact at O(sqrt(n)) cost per replicate. A half
+window takes its log-binomial coefficients as one row of a table padded
+with log 0 outside 0..n, so a window that runs past either end needs no
+clipping and no per-element select. The coefficients are rounded once from
+exact integers, not taken as differences of log-factorials.
 """
 
 from __future__ import annotations
@@ -218,34 +220,6 @@ def _balanced_split(sizes, k: int) -> int:
     return min(range(len(left)), key=lambda s: max(left[s], left[-1] // left[s]))
 
 
-def _mixture_tv(sizes, k: int, count: int, draw) -> float:
-    """Half-L1 distance between two mixtures of joint count laws: sum_i w_i
-    times the joint law of cols_p[i], against the same with cols_q[i], over
-    `count` components, where draw(rows) gives (w, cols_p, cols_q) for a
-    slice of them with (rows, k, cells) stacks of cell distributions.
-
-    The cells split into a left and a right group (_balanced_split), and a
-    joint law is the outer product of the two groups' joint laws, so the
-    difference of the mixtures, as a (left, right) array, is
-    [w L_p; -w L_q]^T @ [R_p; R_q]: one matrix product per cache-sized
-    chunk of components, added into one joint-size array."""
-    s = _balanced_split(sizes, k)
-    left, right = sizes[:s], sizes[s:]
-    width = _statistic_size(left, k) + _statistic_size(right, k)
-    d = part = None
-    for rows in _row_chunks(count, 2 * width):
-        w, cols_p, cols_q = draw(rows)
-        a = np.concatenate((_joint_pmfs(cols_p[:, :, :s], left), _joint_pmfs(cols_q[:, :, :s], left)))
-        a *= np.concatenate((w, -w))[:, None]
-        b = np.concatenate((_joint_pmfs(cols_p[:, :, s:], right), _joint_pmfs(cols_q[:, :, s:], right)))
-        if d is None:
-            d = a.T @ b
-        else:
-            part = np.matmul(a.T, b, out=part)
-            d += part
-    return _half_l1(d)
-
-
 def tv_exact_product_multinomial(
     p: ProductMultinomialLaw,
     q: ProductMultinomialLaw,
@@ -267,9 +241,7 @@ def tv_exact_product_multinomial(
     if not kept:
         return TVEstimate(0.0, "exact")
     sizes, cols_p, cols_q = zip(*kept)
-    check_budget("enumeration", _statistic_size(sizes, p.k), "joint count statistic too large to enumerate")
-    one = (np.ones(1), np.array(cols_p).T[None], np.array(cols_q).T[None])
-    return TVEstimate(_mixture_tv(sizes, p.k, 1, lambda rows: one), "exact")
+    return TVEstimate(_product_tvs(np.stack(cols_p, 1)[None], np.stack(cols_q, 1)[None], sizes)[0], "exact")
 
 
 @lru_cache(maxsize=16)
@@ -335,27 +307,21 @@ def _tail_sums(x: np.ndarray, log_p: np.ndarray, log1m_p: np.ndarray, log_comb: 
     return np.exp(logpmf, out=logpmf).sum(axis=1)
 
 
-def _conditional_tvs(qs: np.ndarray, x0: Coloring, x0_tilde: Coloring) -> np.ndarray:
-    """Row r: the exact TV between the two chains' laws given the composed
-    paintbox qs[r], for an (R, k, k) stack of distinct starts. Given the
-    paintbox, each chain is product-multinomial over the refinement cells
-    of the pair, with cell distributions read from the columns of qs[r].
-    Cells where both starts agree have equal laws and factor out; two colors
-    with one differing cell take the binomial shortcut.
+def _product_tvs(cols_p: np.ndarray, cols_q: np.ndarray, sizes) -> np.ndarray:
+    """Row r: the exact TV between two product-multinomial laws, cell b
+    holding sizes[b] sites colored from cols_p[r, :, b] in one and from
+    cols_q[r, :, b] in the other, for (R, k, cells) stacks. Two colors with
+    one cell take the binomial shortcut.
 
     Rows go through the count-law kernel in chunks of one row count, the
     last one padded by repeating its last row. A matrix product rounds a
     row by the product's shape and the row's place in it, so each row gets
     the same bits in every stack that holds it at the same index."""
-    col_a, col_b, sizes = zip(
-        *((a - 1, b - 1, cnt) for a, b, cnt in _refinement_cells(x0, x0_tilde) if a != b)
-    )
-    if qs.shape[1] == 2 and len(sizes) == 1:
-        return _binomial_tvs(qs[:, 0, col_a[0]], qs[:, 0, col_b[0]], sizes[0])
-    size = _statistic_size(sizes, qs.shape[1])
+    if cols_p.shape[1] == 2 and len(sizes) == 1:
+        return _binomial_tvs(cols_p[:, 0, 0], cols_q[:, 0, 0], sizes[0])
+    size = _statistic_size(sizes, cols_p.shape[1])
     check_budget("enumeration", size, "joint count statistic too large to enumerate")
-    cols_p, cols_q = qs[:, :, list(col_a)], qs[:, :, list(col_b)]
-    count = len(qs)
+    count = len(cols_p)
     step = max(1, _CACHE_BUDGET // size)
     values = np.empty(count)
     for lo in range(0, count, step):
@@ -364,6 +330,18 @@ def _conditional_tvs(qs: np.ndarray, x0: Coloring, x0_tilde: Coloring) -> np.nda
         d -= _joint_pmfs(cols_q[rows], sizes)
         values[lo:lo + step] = _half_l1(d, axis=1)[:count - lo]
     return values
+
+
+def _conditional_tvs(qs: np.ndarray, x0: Coloring, x0_tilde: Coloring) -> np.ndarray:
+    """Row r: the exact TV between the two chains' laws given the composed
+    paintbox qs[r], for an (R, k, k) stack of distinct starts. Given the
+    paintbox, each chain is product-multinomial over the refinement cells
+    of the pair, with cell distributions read from the columns of qs[r].
+    Cells where both starts agree have equal laws and factor out."""
+    col_a, col_b, sizes = zip(
+        *((a - 1, b - 1, cnt) for a, b, cnt in _refinement_cells(x0, x0_tilde) if a != b)
+    )
+    return _product_tvs(qs[:, :, list(col_a)], qs[:, :, list(col_b)], sizes)
 
 
 def tv_exact_atomic(
@@ -397,20 +375,32 @@ def tv_exact_atomic(
     k = law.k
     col_a, col_b, sizes = zip(*((a - 1, b - 1, cnt) for a, b, cnt in cells))
     r = len(atomic.atoms)
-    joint_size = _statistic_size(sizes, k)
-    check_budget("enumeration", (r, m, joint_size), "atom-sequence enumeration exceeds the budget")
+    # each sequence also composes m matrices, so m counts where it passes S
+    check_budget("enumeration", (r, m, max(_statistic_size(sizes, k), m)),
+                 "atom-sequence enumeration exceeds the budget")
     atoms = np.stack([a.entries for a in atomic.atoms])
     weights = np.asarray(atomic.weights, dtype=float)
     # digit t of sequence index i is the atom applied at step t + 1
     place = r ** np.arange(m - 1, -1, -1)
-
-    def draw(seqs):
+    # the mixture difference over the cells' balanced split (module docstring)
+    s = _balanced_split(sizes, k)
+    left, right = sizes[:s], sizes[s:]
+    width = _statistic_size(left, k) + _statistic_size(right, k)
+    d = part = None
+    for seqs in _row_chunks(r**m, 2 * width):
         digits = np.arange(seqs.start, seqs.stop)[:, None] // place % r
         q = np.broadcast_to(np.eye(k), (len(digits), k, k))
         w = np.ones(len(digits))
         for t in range(m):
             q = atoms[digits[:, t]] @ q
             w = w * weights[digits[:, t]]
-        return w, q[:, :, list(col_a)], q[:, :, list(col_b)]
-
-    return TVEstimate(_mixture_tv(sizes, k, r**m, draw), "exact")
+        cols_p, cols_q = q[:, :, list(col_a)], q[:, :, list(col_b)]
+        a = np.concatenate((_joint_pmfs(cols_p[:, :, :s], left), _joint_pmfs(cols_q[:, :, :s], left)))
+        a *= np.concatenate((w, -w))[:, None]
+        b = np.concatenate((_joint_pmfs(cols_p[:, :, s:], right), _joint_pmfs(cols_q[:, :, s:], right)))
+        if d is None:
+            d = a.T @ b
+        else:
+            part = np.matmul(a.T, b, out=part)
+            d += part
+    return TVEstimate(_half_l1(d), "exact")

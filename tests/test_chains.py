@@ -210,6 +210,12 @@ def ehrenfest_kernel_cached(n, a):
     return _KERNELS[(n, a)]
 
 
+def test_standard_variant_has_batch_size_one_for_every_n():
+    # floor((1/n) * n) rounds to 0 at 91 of these n (49, 98, 103, ...)
+    assert all(standard_ehrenfest(n).batch_size == 1 for n in range(2, 1101))
+    assert EhrenfestParams(50, 0.5).batch_size == 25
+
+
 def test_standard_variant_is_single_site():
     params = standard_ehrenfest(12)
     assert params.batch_size == 1

@@ -540,6 +540,13 @@ def test_ehrenfest_exact_refuses_past_the_size_limit(capsys):
     assert diag["details"] == {"budget_name": "ehrenfest_sites", "required": 2000, "budget": 1100}
 
 
+def test_ehrenfest_standard_runs_where_one_over_n_times_n_rounds_down(capsys):
+    # (1 / 49) * 49 is 0.9999999999999999, a batch of 0 sites if floored
+    rc, out, err = run_cli(capsys, ["ehrenfest", "--n", "49", "--standard", "--exact", "--t-grid", "0"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1].startswith("49,0,")
+
+
 @pytest.mark.parametrize("n,grid", [("1029", "0,100"), ("1100", "100")])
 def test_ehrenfest_exact_single_site_near_the_size_limit(capsys, n, grid):
     # the unnormalised stationary law passes the double range near n = 1030
@@ -995,6 +1002,32 @@ def test_project_refuses_a_huge_n_from_n_and_k_alone(capsys, tmp_path):
     }
 
 
+def test_project_bounds_the_one_color_build_by_n(capsys, tmp_path):
+    # at k = 1 there is one table state, but the count kernel is built
+    # through all n levels
+    cfg = write_config(tmp_path, {"law": ONE_COLOR_LAW})
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["project", "--config", cfg, "--k", "1", "--n", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (3, "")
+    assert json.loads(err)["error"]["details"] == {
+        "budget_name": "project_states", "required": 100_000_000, "budget": 2**16,
+    }
+
+
+def test_exact_tv_counts_the_horizon_of_a_one_atom_law(capsys, tmp_path):
+    # one atom makes one sequence, whose m compositions the budget counts
+    cfg = write_config(tmp_path, {"law": {"kind": "point_mass", "matrix": [[0.9, 0.2], [0.1, 0.8]]},
+                                  "n": 4, "method": "exact", "m": 10**9})
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["tv", "--config", cfg])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (3, "")
+    assert json.loads(err)["error"]["details"] == {
+        "budget_name": "enumeration", "required": 10**9, "budget": BUDGETS["enumeration"],
+    }
+
+
 @pytest.mark.parametrize("method", ["upper", "exact"])
 @pytest.mark.parametrize("horizon,field", [({"m": -3}, "m"), ({"m_grid": [2, -3], "m": None}, "m_grid")])
 def test_a_negative_horizon_is_refused_between_equal_starts(capsys, tmp_path, method, horizon, field):
@@ -1021,9 +1054,10 @@ def test_exact_tv_refuses_a_huge_horizon_from_r_m_and_the_statistic_alone(capsys
     assert (rc, out) == (3, "")
     diag = json.loads(err)["error"]
     assert diag["type"] == "budget_exceeded"
-    # 3^m atom sequences times the 5 count vectors of 4 sites at k = 2
+    # 3^m atom sequences times the m compositions of each, more than the 5
+    # count vectors of 4 sites at k = 2
     assert diag["details"] == {
-        "budget_name": "enumeration", "required": "3^100000000*5", "budget": 20_000_000,
+        "budget_name": "enumeration", "required": "3^100000000*100000000", "budget": 20_000_000,
     }
 
 

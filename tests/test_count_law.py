@@ -358,6 +358,45 @@ def test_binomial_window_chunks_keep_every_bit(monkeypatch, cache_budget, n):
     assert whole.tobytes() == split.tobytes() == rows.tobytes()
 
 
+def test_product_multinomial_tv_is_the_conditional_tv_row():
+    # one kernel for both: on the same normalised columns, the law pair's TV
+    # has the bits of the conditional TV of a one-row stack, for one cell
+    # (the binomial path at k = 2) and for several
+    rng = np.random.default_rng(35)
+    for k in (2, 3):
+        for design, n in [("constant", 30), ("general", 9), ("block", 12)]:
+            x, y = _pair(design, n, k)
+            cells = [(a - 1, b - 1, c) for a, b, c in exact._refinement_cells(x, y) if a != b]
+            for _ in range(5):
+                q = rng.random((k, k))
+                q /= q.sum(axis=0)
+                p_law = ProductMultinomialLaw(tuple((c, q[:, a]) for a, _, c in cells))
+                q_law = ProductMultinomialLaw(tuple((c, q[:, b]) for _, b, c in cells))
+                for (a, b, _), (_, col_p), (_, col_q) in zip(cells, p_law.blocks, q_law.blocks):
+                    q[:, a], q[:, b] = col_p, col_q
+                want = exact._conditional_tvs(q[None], x, y)[0]
+                assert tv_exact_product_multinomial(p_law, q_law).value == want, (k, design)
+
+
+def test_two_color_product_multinomial_tv_matches_mpmath():
+    # one differing block at k = 2 takes the binomial path. Each log-pmf
+    # sums terms of size about n, so its rounding is about n u relative
+    # (u = 2^-53); log-factorial coefficients missed by 1e-14 .. 4e-13 here
+    import mpmath
+
+    for n in (7, 40, 200, 1000):
+        gap = n**-0.5
+        for p, q in [(0.3, 0.45), (0.5, 0.52), (0.62, 0.6), (0.1, 0.9), (0.5 + gap / 2, 0.5 - gap / 2)]:
+            p_law = ProductMultinomialLaw(((n, (p, 1 - p)),))
+            q_law = ProductMultinomialLaw(((n, (q, 1 - q)),))
+            with mpmath.workdps(40):
+                a, b = (mpmath.mpf(law.blocks[0][1][0]) for law in (p_law, q_law))
+                want = mpmath.fsum(abs(mpmath.binomial(n, x) * (a**x * (1 - a)**(n - x) - b**x * (1 - b)**(n - x)))
+                                   for x in range(n + 1)) / 2
+                got = tv_exact_product_multinomial(p_law, q_law).value
+                assert abs(got - want) < n * 2**-53, (n, p, q)
+
+
 def test_statistic_size_counts_compositions():
     for k in (1, 2, 3, 4):
         for size in (0, 1, 5, 12):
