@@ -67,6 +67,31 @@ def _blas(np) -> dict:
         return {"name": None, "version": None}
 
 
+def _src(doc: str, argv=None) -> Path:
+    """The src directory named by --src on a layer script's command line
+    (default: this checkout's), put first on sys.path."""
+    parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the src directory to time")
+    src = parser.parse_args(argv).src.resolve()
+    sys.path.insert(0, str(src))
+    return src
+
+
+def _environment(src: Path) -> dict:
+    """What a layer record was timed on: the tree, Python, numpy and its
+    BLAS, the thread settings and the machine."""
+    import numpy as np
+
+    return {
+        **_tree(src),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": _blas(np),
+        "threads": {var: os.environ[var] for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "machine": {"cpus": os.cpu_count(), "arch": platform.machine()},
+    }
+
+
 def _stages(n: int, a: int):
     """{stage: zero-argument call}, the block length b and the name of the
     elimination timed."""
@@ -100,10 +125,7 @@ def _stages(n: int, a: int):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the src directory to time")
-    args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    src = _src(__doc__, argv)
     import numpy as np
 
     rows = []
@@ -125,18 +147,7 @@ def main(argv=None) -> int:
             print(f"n={n:4d} a={a:3d} b={b:2d} {name:12s} median {median * 1e3:8.4f} ms"
                   f"  iqr {(q3 - q1) * 1e3:7.4f} ms")
 
-    record = {
-        "layer": "ehrenfest",
-        **_tree(args.src.resolve()),
-        "stationary": solver,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": _blas(np),
-        "threads": {var: os.environ[var] for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
-        "machine": {"cpus": os.cpu_count(), "arch": platform.machine()},
-        "reps": REPS,
-        "results": rows,
-    }
+    record = {"layer": "ehrenfest", **_environment(src), "stationary": solver, "reps": REPS, "results": rows}
     (ROOT / "BENCH_ehrenfest.json").write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

@@ -25,14 +25,13 @@ of the table laws summed by the multiset of T's columns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from .errors import BUDGETS, TheoryRefusal, ValidationError, _epsilon_grid, _fields_json, check_budget
-from .lumped import (_compositions, _count_kernels, _first_crossings, _gth, _half_l1, _rank,
+from .lumped import (_compositions, _count_kernels, _count_table, _first_crossings, _gth, _half_l1, _rank,
                      _statistic_size, _table_step)
 from .paintbox import PaintboxLaw
 
@@ -40,19 +39,6 @@ from .paintbox import PaintboxLaw
 _RESIDUAL_TOL = 1e-10
 # most kernel and table entries one chunk of atoms holds; sets memory, not answers
 _ATOM_CHUNK = 1 << 18
-
-_comb = np.frompyfunc(math.comb, 2, 1)
-
-
-@lru_cache(maxsize=256)
-def _multinomials(s: int, k: int) -> np.ndarray:
-    """multinom(s; N) for N in _compositions(s, k), each rounded once from
-    the exact integer prod_i C(sites at colors i and after, N_i)."""
-    counts = _compositions(s, k)
-    out = _comb(np.cumsum(counts[:, ::-1], axis=1)[:, ::-1], counts).prod(axis=1).astype(float)
-    out.setflags(write=False)
-    return out
-
 
 def _starts(n: int, k: int) -> list[tuple[int, ...]]:
     """The partitions of n into at most k (and so at most n) parts."""
@@ -139,9 +125,9 @@ def _stationary_tables(count_kernel: np.ndarray, n: int, k: int, starts, step) -
     except ValidationError as e:
         why = f"chain of color counts, states in lexicographic order from (0, ..., 0, {n}): {e}"
     else:
-        per_count = pi_count / _multinomials(n, k)
+        per_count = pi_count * np.exp(-_count_table(n, k)[0])
         tables = [per_count[_rank(sum(_cells(parts, k)))]
-                  * reduce(np.multiply.outer, [_multinomials(s, k) for s in parts]) for parts in starts]
+                  * np.exp(reduce(np.add.outer, [_count_table(s, k)[0] for s in parts])) for parts in starts]
         residual = np.max([np.max(np.abs(new - pi)) for new, pi in zip(step(tables), tables)])
         if residual <= _RESIDUAL_TOL:  # a NaN residual fails too
             return tables

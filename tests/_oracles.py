@@ -1,10 +1,10 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here is deliberately self-contained (numpy, math, fractions and
-scipy.stats only; the package imports are the Coloring, PartitionMatrix and
-StochasticMatrix containers, the PaintboxLaw base that ScriptedLaw fakes and
-the seed-to-generator coercion) so the tests compare two genuinely separate
-routes to the same numbers.
+Everything here is deliberately self-contained (numpy, math, fractions,
+mpmath and scipy.stats only; the package imports are the Coloring,
+PartitionMatrix and StochasticMatrix containers, the PaintboxLaw base that
+ScriptedLaw fakes and the seed-to-generator coercion) so the tests compare
+two genuinely separate routes to the same numbers.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.stats import binom
@@ -612,6 +613,21 @@ def multinomial_pmf(size: int, s) -> np.ndarray:
             coef //= math.factorial(c)
         out.append(float(coef) * math.prod(float(p) ** c for p, c in zip(s, counts)))
     return np.array(out)
+
+
+def log_multinomial_mp(counts) -> mpmath.mpf:
+    """log multinom(n; N) = log n! - sum_c log N_c!, n the sum of the counts
+    N, from mpmath's loggamma at 40 digits."""
+    with mpmath.workdps(40):
+        return mpmath.loggamma(sum(counts) + 1) - mpmath.fsum(mpmath.loggamma(c + 1) for c in counts)
+
+
+def stirlerr_mp(m: int) -> mpmath.mpf:
+    """Stirling's remainder log m! - (m log m - m + log(2 pi m) / 2) at
+    m >= 1, at 40 digits."""
+    with mpmath.workdps(40):
+        m = mpmath.mpf(m)
+        return mpmath.loggamma(m + 1) - (m * mpmath.log(m) - m + mpmath.log(2 * mpmath.pi * m) / 2)
 
 
 def _cell_laws(q: np.ndarray, x0_word, x1_word) -> tuple[np.ndarray, np.ndarray]:

@@ -58,8 +58,10 @@ def table_chain_kernel(law, n: int, m: int = 1) -> np.ndarray:
 def lifted_stationary(law, n: int, k: int) -> np.ndarray:
     """The labeled stationary law as `project` reads it: the count chain's
     law from lumped._gth on projections._count_kernel, divided by the
-    multinomial of each word's counts. Raises ValidationError where the
-    elimination refuses."""
+    multinomial of each word's counts, here from exact integers. Raises
+    ValidationError where the elimination refuses."""
     kernel = projections._count_kernel(*_stack(law), n)
     pi_count = _gth(kernel.copy(), len(kernel) - 1)
-    return (pi_count / projections._multinomials(n, k))[_rank(word_counts(n, k))]
+    counts = word_counts(n, k)
+    multinomials = [math.factorial(n) // math.prod(map(math.factorial, row)) for row in counts.tolist()]
+    return pi_count[_rank(counts)] / np.array(multinomials, dtype=float)

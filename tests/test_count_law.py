@@ -4,11 +4,15 @@ Conditional TVs and atom-sequence mixtures run through one stacked
 multinomial pmf; each is checked here against a loop over replicates or
 sequences in _oracles.py, to 1e-12. The binomial case (two colors, one
 differing cell) takes the windowed Scheffe sum of exact._binomial_tvs,
-checked against exact rationals, scipy's pmfs and the dense kernel.
+checked against exact rationals, scipy's pmfs and the dense kernel. Both
+take their coefficients from lumped._log_multinomials, checked against
+40-digit mpmath.
 """
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +23,11 @@ from _oracles import (
     binomial_tv_fraction,
     binomial_tvs,
     conditional_tvs,
+    log_multinomial_mp,
     refinement_cells,
+    stirlerr_mp,
 )
+from cutpaste import lumped
 from cutpaste.errors import BudgetRefusal
 from cutpaste.paintbox import Atomic, PointMass, SelfSimilar
 from cutpaste.partitions import Coloring
@@ -128,8 +135,9 @@ def test_binomial_tvs_match_exact_rationals(n):
 
 @pytest.mark.parametrize("n", [1, 2, 37, 400, 2048, 4096])
 def test_binomial_tvs_match_log_safe_oracle(n):
-    # the dense kernel's own error sets the bar: a double log-factorial
-    # table rounds at ulp(log n!), 3.6e-12 at n = 4096
+    # the dense kernel's own error sets the bar: both kernels add log-pmf
+    # terms x log p and (n - x) log(1 - p) of size up to about n, so a pmf
+    # rounds at about n u relative (u = 2^-53; 4096 u = 4.5e-13)
     qs = batched_products(SelfSimilar([1.0, 1.0]), 2, 200, 3)
     p, q = qs[:, 0, 0], qs[:, 0, 1]
     want = binomial_tvs(p, q, n)
@@ -156,6 +164,8 @@ def test_binomial_tvs_match_log_safe_oracle(n):
         pytest.param(0.98, 0.9999, 50, id="crossing-at-n-1"),
         pytest.param(0.3, 0.3 + 1e-12, 64, id="gap-1e-12"),
         pytest.param(0.5, 0.5 - 1e-12, 64, id="gap-1e-12-center"),
+        # both laws are the point mass at 0
+        pytest.param(0.3, 0.6, 0, id="n0"),
     ],
 )
 def test_binomial_tvs_edges_match_exact_rationals(p, q, n):
@@ -163,8 +173,10 @@ def test_binomial_tvs_edges_match_exact_rationals(p, q, n):
     assert got[0] == got[1]
     want = binomial_tv_fraction(p, q, n)
     assert abs(got[0] - want) < 1e-14
-    if p == q:
+    if p == q or n == 0:
         assert got[0] == 0.0
+    laws = [ProductMultinomialLaw(((n, (s, 1.0 - s)),)) for s in (p, q)]
+    assert abs(tv_exact_product_multinomial(*laws).value - want) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -174,9 +186,11 @@ def test_binomial_tvs_edges_match_exact_rationals(p, q, n):
 )
 def test_binomial_tvs_at_large_n_match_log_safe_oracle(p, q):
     # at n = 4096 the window holds 586 of 4097 counts, so for far-apart
-    # pairs most of both laws' mass lies outside it
-    got = exact._binomial_tvs(np.array([p]), np.array([q]), 4096)
-    assert abs(got[0] - binomial_tvs([p], [q], 4096)[0]) < 3e-12
+    # pairs most of both laws' mass lies outside it; at n = 10^5 the
+    # coefficient table takes O(n), not the O(n^2) of exact integers
+    for n in (4096, 10**5):
+        got = exact._binomial_tvs(np.array([p]), np.array([q]), n)
+        assert abs(got[0] - binomial_tvs([p], [q], n)[0]) < 3e-12, n
 
 
 def test_binomial_tvs_clip_the_window_at_both_ends():
@@ -382,8 +396,6 @@ def test_two_color_product_multinomial_tv_matches_mpmath():
     # one differing block at k = 2 takes the binomial path. Each log-pmf
     # sums terms of size about n, so its rounding is about n u relative
     # (u = 2^-53); log-factorial coefficients missed by 1e-14 .. 4e-13 here
-    import mpmath
-
     for n in (7, 40, 200, 1000):
         gap = n**-0.5
         for p, q in [(0.3, 0.45), (0.5, 0.52), (0.62, 0.6), (0.1, 0.9), (0.5 + gap / 2, 0.5 - gap / 2)]:
@@ -397,10 +409,33 @@ def test_two_color_product_multinomial_tv_matches_mpmath():
                 assert abs(got - want) < n * 2**-53, (n, p, q)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 7, 40, 1000, 10**5, 10**6])
+def test_log_multinomials_match_mpmath(n, k):
+    # each of the first k - 1 colors at 0, 1, the centre or n - 1 sites,
+    # the last color the rest; the docstring's bound is 4 ulps
+    levels = sorted({x for x in (0, 1, n // k, n - 1) if 0 <= x <= n})
+    rows = [(*r, n - sum(r)) for r in itertools.product(levels, repeat=k - 1) if sum(r) <= n]
+    got = lumped._log_multinomials(np.array(rows))
+    for value, row in zip(got.tolist(), rows):
+        if sum(c > 0 for c in row) <= 1:
+            assert value == 0.0, row
+            continue
+        want = log_multinomial_mp(row)
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(value) - want) <= 4 * np.spacing(float(want)), row
+
+
+def test_stirlerr_literals_match_mpmath():
+    # entry 0 is a placeholder: an empty color adds no Stirling rest
+    assert lumped._STIRLERR[0] == 0.0
+    assert lumped._STIRLERR[1:].tolist() == [float(stirlerr_mp(m)) for m in range(1, 16)]
+
+
 def test_statistic_size_counts_compositions():
     for k in (1, 2, 3, 4):
         for size in (0, 1, 5, 12):
-            assert exact._statistic_size([size], k) == exact._compositions(size, k).shape[0]
+            assert exact._statistic_size([size], k) == lumped._compositions(size, k).shape[0]
     assert exact._statistic_size([3, 4], 3) == 10 * 15
 
 
