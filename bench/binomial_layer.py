@@ -18,18 +18,15 @@ n = 10^6.
 
     python bench/binomial_layer.py [--src DIR]
 
-`--src` and the tree digest work as in `ehrenfest_layer.py`. The record goes
-into `BENCH_binomial.json` at the root of this checkout, which keeps one
-record per digest of timed sources, so two trees timed in turn stand side
-by side. The file name keeps pytest from collecting it.
+`--src`, the tree digest and the record file work as in
+`ehrenfest_layer.py`; the record goes into `BENCH_binomial.json`.
 """
 
 from __future__ import annotations
 
 # first, so that BLAS and OpenMP are held to one thread before numpy loads
-from ehrenfest_layer import ROOT, _environment, _src
+from ehrenfest_layer import ROOT, _environment, _src, _write_record
 
-import json
 import math
 import time
 
@@ -84,10 +81,8 @@ def main(argv=None) -> int:
             print(f"{stage:12s} n={n:8d} median {median * 1e3:10.4f} ms  iqr {(q3 - q1) * 1e3:8.4f} ms"
                   f"  ({len(times)} calls)")
 
-    record = {"layer": "binomial", **_environment(src), "replicates": REPLICATES, "results": rows}
-    records = json.loads(RECORD.read_text())["records"] if RECORD.exists() else []
-    records = [r for r in records if r["src_sha256"] != record["src_sha256"]] + [record]
-    RECORD.write_text(json.dumps({"layer": "binomial", "records": records}, indent=2) + "\n")
+    _write_record(RECORD, {"layer": "binomial", **_environment(src), "replicates": REPLICATES,
+                           "results": rows})
     return 0
 
 

@@ -104,16 +104,21 @@ class BudgetRefusal(Refusal):
     code = "budget_exceeded"
 
 
-# The most work each kind of exact enumeration may do, by name: three kinds,
+# The most work each kind of exact enumeration may do, by name: four kinds,
 # one budget each.
 BUDGETS = {
     "enumeration": 20_000_000,  # atom sequences x count vectors, or the count statistic
     # project's color count table states, summed over its starts (8,986 at
     # k = 8, n = 4, the most of any k^n <= 4096; k = 2 reaches n = 89)
     "project_states": 1 << 16,
-    # n: the exact pass holds O(n a) memory, so this bounds its time, the
-    # elimination's O(n a^2) and the sweep's O(t n a)
+    # n: the exact batch-refresh pass holds O(n a) memory, and this bounds it
+    # and the elimination's O(n a^2) time
     "ehrenfest_sites": 1100,
+    # multiply-adds of an exact batch-refresh profile's sweep to its last
+    # horizon t, (t // b + b)(n + 1)(2ab + 1) in blocks of b steps; 1.8e9 at
+    # n = 1100, a = 275, t = 3000 take about 0.9 s, and the narrow blocks of
+    # a = 1 about twice as long per multiply-add
+    "ehrenfest_sweep": 2_000_000_000,
 }
 
 

@@ -20,6 +20,8 @@ from .errors import ValidationError
 MAX_COLORS = 16
 
 _DIGITS = "123456789ABCDEFG"
+# color c as the byte c, to its digit
+_ENCODE = bytes.maketrans(bytes(range(1, len(_DIGITS) + 1)), _DIGITS.encode("ascii"))
 
 
 def _check_dims(n: int, k: int) -> None:
@@ -103,7 +105,7 @@ class Coloring:
         return tuple(out)
 
     def to_string(self) -> str:
-        return "".join(_DIGITS[c - 1] for c in self.word)
+        return bytes(self.word).translate(_ENCODE).decode("ascii")
 
     @classmethod
     def from_string(cls, text: str, k: int) -> "Coloring":

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import cutpaste.tvlab.ehrenfest
 import cutpaste.tvlab.exact
 from cutpaste.chains import run_efcp_matrix, standard_ehrenfest
 from cutpaste.cli import COMMANDS, _float, _int, build_parser, main
@@ -538,6 +539,23 @@ def test_ehrenfest_exact_refuses_past_the_size_limit(capsys):
     diag = json.loads(err)["error"]
     assert diag["type"] == "budget_exceeded"
     assert diag["details"] == {"budget_name": "ehrenfest_sites", "required": 2000, "budget": 1100}
+
+
+def test_ehrenfest_exact_refuses_a_long_sweep_before_any_work(capsys, monkeypatch):
+    # 10^9 steps at n = 64, a = 16 would sweep for about 14 minutes; the
+    # refusal comes before the band is built or a stationary law looked up
+    def no_band(n, a):
+        raise AssertionError("the band was built")
+
+    monkeypatch.setattr(cutpaste.tvlab.ehrenfest, "_count_moves", no_band)
+    argv = ["ehrenfest", "--n", "64", "--alpha", "0.25", "--exact", "--t-grid", "1000000000"]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out) == (3, "")
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "budget_exceeded"
+    # blocks of b = 8 steps, each a band of 2ab + 1 = 257 moves per count
+    assert diag["details"] == {"budget_name": "ehrenfest_sweep", "required": (10**9 // 8 + 8) * 65 * 257,
+                               "budget": BUDGETS["ehrenfest_sweep"]}
 
 
 def test_ehrenfest_standard_runs_where_one_over_n_times_n_rounds_down(capsys):
@@ -1097,6 +1115,8 @@ SIZE_GATES = {
     "project": ("project_states", (
         "project", {"law": {"kind": "permutation_mix", "k": 3}, "n": 100_000_000})),
     "ehrenfest": ("ehrenfest_sites", ("ehrenfest", {"n": 2000, "alpha": 0.25, "exact": True})),
+    "ehrenfest_sweep": ("ehrenfest_sweep", (
+        "ehrenfest", {"n": 64, "alpha": 0.25, "exact": True, "t_grid": [10**9]})),
 }
 
 

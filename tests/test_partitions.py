@@ -113,6 +113,9 @@ def test_coloring_string_round_trip():
         assert Coloring.from_string(x.to_string(), k) == x
     y = Coloring.from_word([1, 10, 16], k=16)
     assert y.to_string() == "1AG"
+    every = Coloring.from_word(range(16, 0, -1), k=16)
+    assert every.to_string() == "GFEDCBA987654321"
+    assert Coloring.from_string(every.to_string(), 16) == every
 
 
 def test_coloring_validation():

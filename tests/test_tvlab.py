@@ -59,6 +59,7 @@ from cutpaste.products import collapse_diagnostic, estimate_lyapunov
 from cutpaste.rng import RngStream, as_stream
 from cutpaste.tvlab import mixing as mixing_module
 from cutpaste import lumped
+from cutpaste.tvlab import ehrenfest
 from cutpaste.lumped import _stationary, _sweep
 from cutpaste.tvlab.ehrenfest import _block_length, _count_moves, _one_count_chain
 from cutpaste.tvlab.exact import _CACHE_BUDGET, _conditional_tvs
@@ -1082,8 +1083,8 @@ def test_the_folded_stationary_law_matches_the_covering_and_dense_oracles(n, a):
 
 
 def test_the_elimination_runs_on_the_folded_states(monkeypatch):
-    # a profile and a mixing search each eliminate once, on n // 2 + 1
-    # states, among them batches wider than the folded chain
+    # on a cold cache, a profile and a mixing search share one elimination,
+    # on n // 2 + 1 states, among them batches wider than the folded chain
     sizes = []
     gth = lumped._gth
     monkeypatch.setattr(lumped, "_gth", lambda g, band: sizes.append(len(g)) or gth(g, band))
@@ -1091,9 +1092,83 @@ def test_the_elimination_runs_on_the_folded_states(monkeypatch):
         params = EhrenfestParams(n, a / n)
         assert params.batch_size == a
         sizes.clear()
+        ehrenfest._stationary_laws.clear()
         ehrenfest_tv_profile(params, [0, 3])
         ehrenfest_mixing_time(params, 0.25)
-        assert sizes == [n // 2 + 1] * 2, (n, a)
+        assert sizes == [n // 2 + 1], (n, a)
+
+
+def _profile_and_mixing(params):
+    return [tv.value for _, tv in ehrenfest_tv_profile(params, [0, 1, 7, 40])], \
+        ehrenfest_mixing_time(params, 0.25)
+
+
+@pytest.mark.parametrize("first,second", [
+    # two variants with one batch size share an entry
+    (standard_ehrenfest(64), EhrenfestParams(64, 1.5 / 64)),
+    (EhrenfestParams(9, 1.0), EhrenfestParams(9, 1.0)),
+    (EhrenfestParams(320, 0.25), EhrenfestParams(320, 0.25)),
+])
+def test_a_kept_stationary_law_gives_the_cold_values_bit_for_bit(first, second):
+    assert first.batch_size == second.batch_size
+    cold = []
+    for params in (first, second):
+        ehrenfest._stationary_laws.clear()
+        cold.append(_profile_and_mixing(params))
+    # the profile fills the entry that the mixing search and the second
+    # variant read
+    ehrenfest._stationary_laws.clear()
+    assert [_profile_and_mixing(first), _profile_and_mixing(second)] == cold
+    assert [_profile_and_mixing(first), _profile_and_mixing(second)] == cold
+
+
+def test_a_repeat_at_a_kept_n_and_batch_size_runs_no_elimination(monkeypatch):
+    calls = []
+    gth = lumped._gth
+    monkeypatch.setattr(lumped, "_gth", lambda g, band: calls.append(len(g)) or gth(g, band))
+    ehrenfest._stationary_laws.clear()
+    _profile_and_mixing(standard_ehrenfest(64))
+    assert calls == [33]
+    _profile_and_mixing(standard_ehrenfest(64))
+    _profile_and_mixing(EhrenfestParams(64, 1.5 / 64))
+    assert calls == [33]
+
+
+def test_a_kept_stationary_law_is_read_only():
+    _, pi, _, _ = _one_count_chain(EhrenfestParams(20, 0.25))
+    with pytest.raises(ValueError):
+        pi[0] = 1.0
+    _, again, _, _ = _one_count_chain(EhrenfestParams(20, 0.25))
+    assert again is pi
+
+
+def test_the_kept_stationary_laws_are_bounded_least_recently_used_first():
+    ehrenfest._stationary_laws.clear()
+    chains = [EhrenfestParams(n, (a + 0.5) / n) for n in range(1, 30) for a in range(1, n)][:257]
+    assert len({(p.n, p.batch_size) for p in chains}) == 257
+    for params in chains[:256]:
+        _one_count_chain(params)
+    # a hit makes the oldest entry the newest
+    _one_count_chain(chains[0])
+    _one_count_chain(chains[256])
+    kept = list(ehrenfest._stationary_laws)
+    assert len(kept) == 256
+    assert (chains[1].n, chains[1].batch_size) not in kept
+    assert kept[-2:] == [(p.n, p.batch_size) for p in (chains[0], chains[256])]
+    assert all(pi.shape == (n + 1,) for (n, _), pi in ehrenfest._stationary_laws.items())
+
+
+def test_a_kept_stationary_law_does_not_lift_a_refusal(monkeypatch):
+    monkeypatch.setitem(ehrenfest._stationary_laws, (2000, 500), np.full(2001, 1 / 2001))
+    for call in (lambda p: ehrenfest_tv_profile(p, [3]), lambda p: ehrenfest_mixing_time(p, 0.25)):
+        with pytest.raises(BudgetRefusal) as exc:
+            call(EhrenfestParams(2000, 0.25))
+        assert exc.value.details["budget_name"] == "ehrenfest_sites"
+    ehrenfest_tv_profile(EhrenfestParams(64, 0.25), [3])
+    assert (64, 16) in ehrenfest._stationary_laws
+    with pytest.raises(BudgetRefusal) as exc:
+        ehrenfest_tv_profile(EhrenfestParams(64, 0.25), [3, 10**9])
+    assert exc.value.details["budget_name"] == "ehrenfest_sweep"
 
 
 def _assert_band_matches_dense(n, a):
