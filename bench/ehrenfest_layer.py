@@ -12,7 +12,7 @@ queries (perfbench/workloads.py):
   stationary law kept for its (n, a), as in a one-shot process;
 - `warm`: the query's `ehrenfest_tv_profile` or `ehrenfest_mixing_time`
   call after its first call in this process, as in every benchmark pass
-  after the first.
+  after the first (a tree that keeps no stationary law eliminates in each).
 
 The first three stages and `cold_chain` time what a one-shot process pays;
 `warm` times what a process pays once it has seen the query.
@@ -116,7 +116,6 @@ def _write_record(path: Path, record: dict) -> None:
 def _exact_call(workload: str, query: str):
     """The chain's parameters and the exact call a benchmark query makes,
     as the CLI makes it."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
     from cutpaste.chains import EhrenfestParams, standard_ehrenfest
@@ -176,6 +175,7 @@ def _stages(workload: str, query: str):
 
 def main(argv=None) -> int:
     src = _src(__doc__, argv)
+    sys.path.insert(0, str(ROOT / "perfbench"))
     import numpy as np
 
     rows = []
