@@ -1,6 +1,7 @@
 """Shared pytest wiring: a one-line verdict per acceptance criterion,
 fixtures that set the enumeration budget or the chunk budget for one test,
-and one that measures a call's peak of traced allocations.
+one that measures a call's peak of traced allocations, and one that makes
+every test start with no kept Ehrenfest stationary law.
 
 Tests named ``test_criterion_NN_*`` in test_acceptance.py are the acceptance
 gate. This plugin collects their outcomes and prints a compact block at the
@@ -18,7 +19,7 @@ import tracemalloc
 import pytest
 
 from cutpaste.errors import BUDGETS
-from cutpaste.tvlab import exact
+from cutpaste.tvlab import ehrenfest, exact
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_([a-z0-9_]+)")
 
@@ -58,6 +59,14 @@ def cache_budget(monkeypatch):
     """Call with a limit to set the chunked kernels' element budget,
     exact._CACHE_BUDGET, until the test ends."""
     return lambda limit: monkeypatch.setattr(exact, "_CACHE_BUDGET", limit)
+
+
+@pytest.fixture(autouse=True)
+def cold_stationary_laws():
+    """Forget the stationary laws that ehrenfest._one_count_chain keeps, so
+    a test's elimination counts and memory peaks are those of a cold call
+    whatever ran before it."""
+    ehrenfest._stationary_laws.clear()
 
 
 @pytest.fixture

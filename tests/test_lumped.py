@@ -17,7 +17,7 @@ from cutpaste import lumped
 from cutpaste.chains import EhrenfestParams, standard_ehrenfest
 from cutpaste.errors import ValidationError
 from cutpaste.lumped import _band_power, _gth, _half_l1, _stationary, _sweep
-from cutpaste.tvlab import ehrenfest_tv_profile
+from cutpaste.tvlab import ehrenfest, ehrenfest_tv_profile
 from cutpaste.tvlab.ehrenfest import _block_length, _one_count_chain
 
 
@@ -118,7 +118,9 @@ def test_the_standard_profile_steps_by_blocks(monkeypatch):
 def test_exact_profile_memory_is_linear_in_the_band(traced_peak):
     # one (n+1)^2 matrix at n = 1100 alone is 9.3 MiB. At a = 11 the moves,
     # the incoming band and the elimination's band storage are 0.2, 0.2 and
-    # 0.4 MiB; at a = 1 the band of K^8 is 0.1 MiB
+    # 0.4 MiB; at a = 1 the band of K^8 is 0.1 MiB. Each call is cold, so
+    # the elimination runs inside the traced peak
     for params, a in [(EhrenfestParams(1100, 0.01), 11), (standard_ehrenfest(1100), 1)]:
         assert params.batch_size == a
+        ehrenfest._stationary_laws.clear()
         assert traced_peak(ehrenfest_tv_profile, params, [0, 10, 100]) < 2**20
