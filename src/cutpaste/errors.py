@@ -99,13 +99,13 @@ class TheoryRefusal(Refusal):
 
 
 class BudgetRefusal(Refusal):
-    """An exact enumeration would exceed the configured budget."""
+    """An exact enumeration or a sampled scan would exceed its named budget."""
 
     code = "budget_exceeded"
 
 
-# The most work each kind of exact enumeration may do, by name: four kinds,
-# one budget each.
+# The most work each kind of exact enumeration or sampled scan may do, by
+# name: five kinds, one budget each.
 BUDGETS = {
     "enumeration": 20_000_000,  # atom sequences x count vectors, or the count statistic
     # project's color count table states, summed over its starts (8,986 at
@@ -119,6 +119,9 @@ BUDGETS = {
     # n = 1100, a = 275, t = 3000 take about 0.9 s, and the narrow blocks of
     # a = 1 about twice as long per multiply-add
     "ehrenfest_sweep": 2_000_000_000,
+    # entries of the matrices a collapse scan samples, m_max * replicates *
+    # k^2: one step holds replicates * k^2 of them several times over
+    "collapse_scan": 10_000_000,
 }
 
 

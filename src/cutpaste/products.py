@@ -34,6 +34,15 @@ The collapse diagnostic and the mixing search's ergodicity gate share one
 scan of the path. The diagnostic counts every replicate at every step; the
 gate needs only one witness, so it stops at the first step where some
 replicate's product contracts V or is positive.
+
+Whether Q_m contracts V, sigma_max(B) < 1 - delta for B = Q_m|V, is decided
+from the Frobenius norm: ||B||_F / sqrt(d) <= sigma_max(B) <= ||B||_F for d
+= k - 1. Only where these bounds straddle the threshold, within a relative
+guard band of 1e-12 that covers the rounding of the norm and of the SVD,
+does a stacked SVD decide, so every decision is the SVD's. Permutation
+products (sigma_max = 1, ||B||_F = sqrt(d)) and rank-one ones (B = 0) never
+need it. The scan is bounded by the collapse_scan budget on its sampled
+entries, m_max * replicates * k^2, before it draws or allocates anything.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError, _fields_json
+from .errors import ValidationError, _fields_json, check_budget
 from .paintbox import PaintboxLaw, StochasticMatrix
 from .rng import as_stream
 
@@ -97,8 +106,10 @@ def singular_values_on_V(q) -> np.ndarray:
 
 def top_singular_on_V(q):
     """Largest singular value of q|V; the Lipschitz constant of v -> qv on the
-    simplex. Always within 1e-10 of [0, 1] for column-stochastic q. A float
-    for one matrix, an array over the leading axes of a stack."""
+    simplex. For column-stochastic q it lies between ||q|V||_F / sqrt(k - 1)
+    and ||q|V||_F, and it can pass 1: the columns (e1, e1, e2) give
+    2 / sqrt(3). A float for one matrix, an array over the leading axes of a
+    stack."""
     e = _entries(q)
     if e.shape[-1] == 1:
         return _scalar(np.zeros(e.shape[:-2]))
@@ -114,6 +125,10 @@ def log_abs_det_on_V(q):
 
 
 _COLLAPSE_EPS = 1e-13
+# relative half-width of the band around 1 - delta in which the norm bounds
+# on sigma_max leave the contraction test to the SVD: far above the few ulps
+# by which either the norm or the SVD's sigma_max can be off
+_CONTRACT_GUARD = 1e-12
 # The rounding of one block's product and QR is about eps * prod cond(B_t)
 # relative to its smallest direction, so a product of condition bounds within
 # 2^10 keeps every exponent within about 1e-13 of step-by-step QR.
@@ -296,6 +311,20 @@ class CollapseReport:
     to_json = _fields_json
 
 
+def _contracts_V(q: np.ndarray, delta: float) -> np.ndarray:
+    """top_singular_on_V(q) < 1 - delta for a (R, k, k) stack q, by the norm
+    bounds of the module docstring; the SVD runs only on the matrices whose
+    bounds straddle the threshold."""
+    limit = 1.0 - delta
+    b = restrict_to_V(q)
+    fro = np.sqrt(np.einsum("...ij,...ij->...", b, b))
+    out = fro < limit * (1.0 - _CONTRACT_GUARD)
+    unsure = ~out & (fro < limit * (1.0 + _CONTRACT_GUARD) * math.sqrt(b.shape[-1]))
+    if unsure.any():
+        out[unsure] = np.linalg.svd(b[unsure], compute_uv=False)[:, 0] < limit
+    return out
+
+
 def collapse_diagnostic(
     law: PaintboxLaw,
     m_max: int = 32,
@@ -331,11 +360,13 @@ def _collapse_scan(
         raise ValidationError(f"need replicates >= 1, got {replicates}", field="replicates")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta must lie in (0, 1), got {delta!r}", field="delta")
+    check_budget("collapse_scan", m_max * replicates * law.k**2,
+                 "collapse scan samples too many matrix entries")
     contract = np.zeros(m_max, dtype=np.int64)
     positive = np.zeros(m_max, dtype=np.int64)
     path = itertools.islice(_products(law, replicates, seed), 1, m_max + 1)
     for t, q in enumerate(path):
-        contract[t] = np.count_nonzero(top_singular_on_V(q) < 1.0 - delta)
+        contract[t] = np.count_nonzero(_contracts_V(q, delta))
         positive[t] = np.count_nonzero(np.all(q > 0.0, axis=(-2, -1)))
         if first_witness and (contract[t] or positive[t]):
             return None

@@ -1117,6 +1117,9 @@ SIZE_GATES = {
     "ehrenfest": ("ehrenfest_sites", ("ehrenfest", {"n": 2000, "alpha": 0.25, "exact": True})),
     "ehrenfest_sweep": ("ehrenfest_sweep", (
         "ehrenfest", {"n": 64, "alpha": 0.25, "exact": True, "t_grid": [10**9]})),
+    # its counts alone would take 7.45 GiB at m_max = 10^9
+    "collapse": ("collapse_scan", (
+        "collapse", {"law": {"kind": "permutation_mix", "k": 3}, "m_max": 10**9})),
 }
 
 

@@ -15,7 +15,7 @@ from _oracles import (
     singular_values_on_mean_zero,
     step,
 )
-from cutpaste.errors import ValidationError
+from cutpaste.errors import BUDGETS, BudgetRefusal, ValidationError
 from cutpaste.paintbox import (
     Atomic,
     PermutationMix,
@@ -29,6 +29,7 @@ from cutpaste.products import (
     _block_length,
     _block_log_r,
     _collapse_scan,
+    _contracts_V,
     collapse_diagnostic,
     estimate_lyapunov,
     helmert_basis,
@@ -67,7 +68,17 @@ def test_singular_values_match_svd():
             got = singular_values_on_V(q)
             want = singular_values_on_mean_zero(q.entries)
             assert np.allclose(got, want, atol=1e-10)
-            assert got[0] <= 1.0 + 1e-10
+            # the Frobenius bounds the collapse scan decides by
+            fro = np.linalg.norm(restrict_to_V(q))
+            assert fro / math.sqrt(k - 1) * (1.0 - 1e-14) <= got[0] <= fro * (1.0 + 1e-14)
+
+
+def test_top_singular_value_can_pass_one():
+    # two columns on e1 and one on e2: the simplex is mapped onto an edge,
+    # and the direction e1 - e3 of V is stretched by 2 / sqrt(3)
+    q = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    assert abs(top_singular_on_V(q) - 2.0 / math.sqrt(3.0)) < 1e-15
+    assert abs(singular_values_on_mean_zero(q)[0] - 2.0 / math.sqrt(3.0)) < 1e-12
 
 
 def test_top_singular_special_cases():
@@ -547,6 +558,103 @@ def test_gate_agrees_with_the_diagnostic_on_random_atomic_laws(data):
     replicates = data.draw(st.integers(1, 6))
     delta = data.draw(st.sampled_from([1e-6, 0.1, 0.5]))
     _gate_agrees(law, m_max, replicates, data.draw(st.integers(0, 50)), delta)
+
+
+def _scaled_on_V(q: np.ndarray, target: float, norm) -> np.ndarray:
+    """J / k + c (q - J / k) for the all-ones J, whose restriction to V is
+    c times q's, with c such that norm of that restriction is target."""
+    k = q.shape[-1]
+    return 1.0 / k + target / norm(restrict_to_V(q)) * (q - 1.0 / k)
+
+
+def _top(b):
+    return np.linalg.svd(b, compute_uv=False)[0]
+
+
+def _upper(b):
+    return np.linalg.norm(b)
+
+
+def _lower(b):
+    return np.linalg.norm(b) / math.sqrt(b.shape[-1])
+
+
+def _matrix_of_kind(gen, k: int, kind: str) -> np.ndarray:
+    if kind == "dense":
+        return random_stochastic(gen, k).entries
+    if kind == "permutation":
+        return np.eye(k)[:, gen.permutation(k)]
+    if kind == "rank_one_law":  # equal columns: q|V = 0
+        return np.tile(random_stochastic(gen, k).entries[:, :1], (1, k))
+    # rank one on V: J / k + u w^T for mean-zero u and w
+    u, w = gen.standard_normal((2, k))
+    return 1.0 / k + np.outer(u - u.mean(), w - w.mean())
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_norm_bounds_decide_contraction_as_the_svd_does(data):
+    # d = k - 1 from 1 to 5; near-threshold matrices put sigma_max, or one
+    # of its two norm bounds, within 1e-13 of 1 - delta, where the bounds
+    # alone cannot decide
+    k = data.draw(st.integers(2, 6))
+    delta = data.draw(st.sampled_from([1e-6, 1e-3, 0.1, 0.5, 0.999]))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        kind = data.draw(st.sampled_from(["dense", "permutation", "rank_one_law", "rank_one_on_V"]))
+        q = _matrix_of_kind(gen, k, kind)
+        if kind != "rank_one_law" and data.draw(st.booleans()):
+            norm = data.draw(st.sampled_from([_top, _upper, _lower]))
+            shift = data.draw(st.sampled_from([-1e-13, -1e-15, 0.0, 1e-15, 1e-13]))
+            q = _scaled_on_V(q, (1.0 - delta) * (1.0 + shift), norm)
+        stack.append(q)
+    stack = np.array(stack)
+    assert _contracts_V(stack, delta).tolist() == (top_singular_on_V(stack) < 1.0 - delta).tolist()
+
+
+def test_norm_bounds_leave_only_straddling_matrices_to_the_svd(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(b, *args, **kwargs):
+        calls.append(len(b))
+        return svd(b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    gen = np.random.default_rng(38)
+    for k in range(2, 7):
+        # permutations sit on the lower bound at 1 > 1 - delta, and laws with
+        # equal columns have q|V = 0: neither needs the SVD
+        sure = np.array([_matrix_of_kind(gen, k, kind) for kind in ["permutation", "rank_one_law"] * 20])
+        assert _contracts_V(sure, 1e-6).tolist() == [False, True] * 20
+        assert calls == []
+        # a dense matrix scaled to sigma_max = 1 - delta has its bounds on
+        # either side of the threshold
+        near = np.array([_scaled_on_V(random_stochastic(gen, k).entries, 0.5, _top) for _ in range(4)])
+        calls.clear()
+        _contracts_V(np.concatenate([sure, near]), 0.5)
+        assert calls == [4]
+        calls.clear()
+
+
+def test_collapse_scan_refuses_past_its_budget_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("the scan drew before its budget check")
+
+    law = PermutationMix(3)
+    monkeypatch.setattr(PermutationMix, "sample_batch", no_draws)
+    for scan in (collapse_diagnostic, lambda law, **kw: _collapse_scan(law, **kw, first_witness=True)):
+        with pytest.raises(BudgetRefusal) as exc:
+            scan(law, m_max=10**9, replicates=200)
+        assert exc.value.details == {"budget_name": "collapse_scan", "required": 10**9 * 200 * 9,
+                                     "budget": BUDGETS["collapse_scan"]}
+    # at the budget's edge, m_max * replicates * k^2 equal to it runs
+    monkeypatch.undo()
+    monkeypatch.setitem(BUDGETS, "collapse_scan", 10 * 20 * 9)
+    assert collapse_diagnostic(law, m_max=10, replicates=20).m_max == 10
+    with pytest.raises(BudgetRefusal):
+        collapse_diagnostic(law, m_max=11, replicates=20)
 
 
 @pytest.mark.parametrize("key,value", [
