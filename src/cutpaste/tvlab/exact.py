@@ -9,16 +9,21 @@ coefficients of lumped._log_multinomials plus a matrix product of
 log-probabilities with the count vectors, both cached per cell size and k.
 
 An exact value is a half-L1 sum over one difference of two laws on the
-joint statistic. Between two product-multinomial laws, a pair of
+joint statistic, and one split rule builds every such difference. The
+cells split, in their order, into a left and a right group of balanced
+joint size (_balanced_split); a joint law is the outer product of the two
+groups' joint laws L and R, so a difference of two of them, L_p x R_p -
+L_q x R_q, is a matrix product of rank 2, [L_p, -L_q] @ [R_p; R_q], whose
+factors hold the two groups' sizes where the joint laws hold their
+product. Between two product-multinomial laws, a pair of
 ProductMultinomialLaws or a pair's two chains given the paintbox, one
-kernel, _product_tvs, takes that difference a joint-law row of each at a
-time. For the mixture over atom sequences of tv_exact_atomic, the
-refinement cells split, in their order, into a left and a right group of
-balanced joint size; a joint law is the outer product of the two groups'
-joint laws, so the mixture difference sum_w w (L_p x R_p - L_q x R_q) is
-the matrix product [w L_p; -w L_q]^T @ [R_p; R_q]. Each chunk of sequences
-adds one such product into the one joint-size array, and no per-sequence
-joint row and no mixture is built. _half_l1 then reads that array once.
+kernel, _product_tvs, takes one such product per row; one cell has no
+split, and its difference is R_p - R_q. For the mixture over atom
+sequences of tv_exact_atomic, the difference sum_w w (L_p x R_p - L_q x
+R_q) is the matrix product [w L_p; -w L_q]^T @ [R_p; R_q]: each chunk of
+sequences adds one such product into the one joint-size array, and no
+per-sequence joint row and no mixture is built. _half_l1 then reads each
+difference once.
 
 What "exact" means: an exact value is half the numpy pairwise sum of
 |p - q| over the two computed laws, taken by lumped._half_l1, the lab's one
@@ -279,29 +284,63 @@ def _tail_sums(x: np.ndarray, log_p: np.ndarray, log1m_p: np.ndarray, log_comb: 
     return np.exp(logpmf, out=logpmf).sum(axis=1)
 
 
+def _split_laws(cols_p: np.ndarray, cols_q: np.ndarray, sizes, s: int):
+    """L_p, L_q, R_p, R_q: the joint laws of the cells sizes[:s] and of the
+    cells sizes[s:], read from the (R, k, cells) stacks of two laws."""
+    left, right = sizes[:s], sizes[s:]
+    return (_joint_pmfs(cols_p[:, :, :s], left), _joint_pmfs(cols_q[:, :, :s], left),
+            _joint_pmfs(cols_p[:, :, s:], right), _joint_pmfs(cols_q[:, :, s:], right))
+
+
 def _product_tvs(cols_p: np.ndarray, cols_q: np.ndarray, sizes) -> np.ndarray:
     """Row r: the exact TV between two product-multinomial laws, cell b
     holding sizes[b] sites colored from cols_p[r, :, b] in one and from
     cols_q[r, :, b] in the other, for (R, k, cells) stacks. Two colors with
     one cell take the binomial shortcut.
 
-    Rows go through the count-law kernel in chunks of one row count, the
-    last one padded by repeating its last row. A matrix product rounds a
-    row by the product's shape and the row's place in it, so each row gets
-    the same bits in every stack that holds it at the same index."""
-    if cols_p.shape[1] == 2 and len(sizes) == 1:
+    Every other row's difference is the rank-2 product [L_p, -L_q] @
+    [R_p; R_q] over the cells' balanced split (module docstring); one cell
+    splits into no cells and itself, and its difference is R_p - R_q. The
+    factors of a chunk of rows are built at once, and their products taken
+    a sub-chunk at a time, each within _CACHE_BUDGET elements. Both kinds of
+    chunk have one row count, the last one padded by repeating its last row.
+    A matrix product rounds a row by the product's shape and the row's place
+    in it, so each row gets the same bits in every stack that holds it at
+    the same index."""
+    k = cols_p.shape[1]
+    if k == 2 and len(sizes) == 1:
         return _binomial_tvs(cols_p[:, 0, 0], cols_q[:, 0, 0], sizes[0])
-    size = _statistic_size(sizes, cols_p.shape[1])
+    size = _statistic_size(sizes, k)
     check_budget("enumeration", size, "joint count statistic too large to enumerate")
+    s = _balanced_split(sizes, k)
+    width = _statistic_size(sizes[:s], k) + _statistic_size(sizes[s:], k)
     count = len(cols_p)
     step = max(1, _CACHE_BUDGET // size)
+    chunk = step * max(1, _CACHE_BUDGET // (2 * width * step))
     values = np.empty(count)
-    for lo in range(0, count, step):
-        rows = np.minimum(np.arange(lo, lo + step), count - 1)
-        d = _joint_pmfs(cols_p[rows], sizes)
-        d -= _joint_pmfs(cols_q[rows], sizes)
-        values[lo:lo + step] = _half_l1(d, axis=1)[:count - lo]
+    for lo in range(0, count, chunk):
+        rows = np.minimum(np.arange(lo, lo + chunk), count - 1)
+        values[lo:lo + chunk] = _chunk_tvs(cols_p[rows], cols_q[rows], sizes, s, step, min(chunk, count - lo))
     return values
+
+
+def _chunk_tvs(cols_p: np.ndarray, cols_q: np.ndarray, sizes, s: int, step: int, count: int):
+    """The TVs of the first count rows of a chunk of _product_tvs, split
+    after s cells, with the differences taken step rows at a time."""
+    left_p, left_q, right_p, right_q = _split_laws(cols_p, cols_q, sizes, s)
+    if s:
+        a = np.stack((left_p, -left_q), axis=-1)
+        b = np.stack((right_p, right_q), axis=1)
+    values = []
+    for lo in range(0, count, step):
+        part = slice(lo, lo + step)
+        if s:
+            d = a[part] @ b[part]
+        else:
+            d = right_p[part]
+            d -= right_q[part]
+        values.append(_half_l1(d.reshape(step, -1), axis=1))
+    return np.concatenate(values)[:count]
 
 
 def _conditional_tvs(qs: np.ndarray, x0: Coloring, x0_tilde: Coloring) -> np.ndarray:
@@ -356,8 +395,7 @@ def tv_exact_atomic(
     place = r ** np.arange(m - 1, -1, -1)
     # the mixture difference over the cells' balanced split (module docstring)
     s = _balanced_split(sizes, k)
-    left, right = sizes[:s], sizes[s:]
-    width = _statistic_size(left, k) + _statistic_size(right, k)
+    width = _statistic_size(sizes[:s], k) + _statistic_size(sizes[s:], k)
     d = part = None
     for seqs in _row_chunks(r**m, 2 * width):
         digits = np.arange(seqs.start, seqs.stop)[:, None] // place % r
@@ -366,10 +404,10 @@ def tv_exact_atomic(
         for t in range(m):
             q = atoms[digits[:, t]] @ q
             w = w * weights[digits[:, t]]
-        cols_p, cols_q = q[:, :, list(col_a)], q[:, :, list(col_b)]
-        a = np.concatenate((_joint_pmfs(cols_p[:, :, :s], left), _joint_pmfs(cols_q[:, :, :s], left)))
+        left_p, left_q, right_p, right_q = _split_laws(q[:, :, list(col_a)], q[:, :, list(col_b)], sizes, s)
+        a = np.concatenate((left_p, left_q))
         a *= np.concatenate((w, -w))[:, None]
-        b = np.concatenate((_joint_pmfs(cols_p[:, :, s:], right), _joint_pmfs(cols_q[:, :, s:], right)))
+        b = np.concatenate((right_p, right_q))
         if d is None:
             d = a.T @ b
         else:

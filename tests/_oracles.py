@@ -647,6 +647,20 @@ def conditional_tvs(qs: np.ndarray, x0_word, x1_word) -> np.ndarray:
     return np.array([tv_distance(*_cell_laws(q, x0_word, x1_word)) for q in qs])
 
 
+def joint_product_tvs(cells_p, cells_q) -> np.ndarray:
+    """Row r: the TV between two laws of independent cells, given each
+    cell's law as row r of cells_p[b] and cells_q[b], from each side's whole
+    joint law, the outer product of its cells' laws, first cell slowest."""
+    out = []
+    for r in range(len(cells_p[0])):
+        joint_p = joint_q = np.ones(1)
+        for law_p, law_q in zip(cells_p, cells_q):
+            joint_p = np.outer(joint_p, law_p[r]).ravel()
+            joint_q = np.outer(joint_q, law_q[r]).ravel()
+        out.append(tv_distance(joint_p, joint_q))
+    return np.array(out)
+
+
 def binomial_tvs(p, q, n: int) -> np.ndarray:
     """TV(Bin(n, p[r]), Bin(n, q[r])) per row, from the dense pmfs of
     scipy.stats (computed in log space, so safe at any n)."""

@@ -23,6 +23,7 @@ from _oracles import (
     binomial_tv_fraction,
     binomial_tvs,
     conditional_tvs,
+    joint_product_tvs,
     log_multinomial_mp,
     refinement_cells,
     stirlerr_mp,
@@ -296,6 +297,55 @@ def test_balanced_split_of_the_oracle_pairs():
         assert [c for _, _, c in exact._refinement_cells(x, y)] == sizes
         assert exact._balanced_split(sizes, 3) == split
     assert exact._balanced_split([40], 3) == 0
+
+
+def _mixed_cells(design, n, k):
+    """The pair's refinement cells where its starts differ: their colors in
+    each start (0-based) and their sizes."""
+    x, y = _pair(design, n, k)
+    return map(list, zip(*((a - 1, b - 1, c) for a, b, c in exact._refinement_cells(x, y) if a != b)))
+
+
+def _cell_laws(cols, sizes):
+    return [np.exp(exact._count_logpmf(cols[:, :, b], size)) for b, size in enumerate(sizes)]
+
+
+SPLIT_CASES = [("block", 12, 3), ("general", 8, 3), ("unequal", 12, 3), ("general", 6, 4),
+               ("block", 24, 3), ("general", 5, 5), ("block", 12, 2)]
+
+
+@pytest.mark.parametrize("design, n, k", SPLIT_CASES)
+def test_split_product_tvs_match_the_joint_product_oracle(design, n, k):
+    # the same cell laws, multiplied out into each law's whole joint law by
+    # the oracle: the split's rank-2 product rounds each entry of the
+    # difference in another order, so a TV may move by a few ulps of the
+    # laws' mass 1 (2 the most seen), however small the TV
+    col_a, col_b, sizes = _mixed_cells(design, n, k)
+    assert len(sizes) > 1
+    for nu in (1.0, 0.3):
+        qs = batched_products(SelfSimilar([nu] * k), 2, 40, n + k)
+        cols_p, cols_q = qs[:, :, col_a], qs[:, :, col_b]
+        got = exact._product_tvs(cols_p, cols_q, sizes)
+        want = joint_product_tvs(_cell_laws(cols_p, sizes), _cell_laws(cols_q, sizes))
+        assert np.max(np.abs(got - want)) <= 4 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("design, n, k", SPLIT_CASES)
+@pytest.mark.parametrize("budget", [None, 5])
+def test_split_product_tv_rows_keep_their_bits_in_any_chunk(cache_budget, design, n, k, budget):
+    # a budget of 5 joint arrays gives sub-chunks of 5 rows, so a roll of
+    # the 23 rows moves each row to another sub-chunk and another place
+    col_a, col_b, sizes = _mixed_cells(design, n, k)
+    if budget is not None:
+        cache_budget(budget * exact._statistic_size(sizes, k))
+    qs = batched_products(TWO_ATOM_K3 if k == 3 else SelfSimilar([1.0] * k), 2, 23, 7)
+    cols_p, cols_q = qs[:, :, col_a], qs[:, :, col_b]
+    full = exact._product_tvs(cols_p, cols_q, sizes)
+    for shift in (1, 5, 11):
+        rolled = exact._product_tvs(np.roll(cols_p, shift, axis=0), np.roll(cols_q, shift, axis=0), sizes)
+        assert rolled.tobytes() == np.roll(full, shift).tobytes(), shift
+    for r in range(len(qs)):
+        assert exact._product_tvs(cols_p[r:r + 1], cols_q[r:r + 1], sizes)[0] == full[r], r
 
 
 def test_conditional_tvs_peak_memory_stays_in_cache(traced_peak):
