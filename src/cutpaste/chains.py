@@ -4,11 +4,16 @@ Two equivalent constructions of the paintbox-directed chain (whole-step
 partition matrices versus independent per-coordinate jumps) and the
 two-color batch-refresh (Ehrenfest) family.
 
-Both paintbox constructions move all sites in one stacked step, with the
-paintboxes and move uniforms of a block of steps drawn at once. The
-streams are read in the same order as one draw per step, so a seed replays
-the same path as a per-step, per-color loop (kept as a test oracle),
-unless a DirichletColumns law redraws underflowed columns after a block.
+Both paintbox constructions move all sites in one stacked step. The
+paintboxes and the move uniforms come from two separate streams, each
+drawn a chunk of steps at a time under its own budget: a chunk of
+uniforms holds at most _UNIFORM_BUDGET of them (5 steps at n = 4096, k = 3
+for the whole-matrix construction), and a chunk of paintboxes at most
+_PAINTBOX_BUDGET entries (7281 steps at k = 3), so a run of a few hundred
+steps draws its paintboxes once. Each stream is read in the same order as
+one draw per step, so a seed replays the same path as a per-step,
+per-color loop (kept as a test oracle), unless a DirichletColumns law
+redraws underflowed columns after a chunk.
 
 Every runner takes its draws from streams derived from the seed and never
 from the state, so runs with one seed share every draw (the same
@@ -86,8 +91,10 @@ def standard_ehrenfest(n: int) -> EhrenfestParams:
     return EhrenfestParams(n, 1.0 / n, "standard")
 
 
-# most uniforms one block of move draws holds (512 KiB)
+# most uniforms one chunk of move draws holds (512 KiB)
 _UNIFORM_BUDGET = 1 << 16
+# most entries one chunk of paintbox draws holds (512 KiB)
+_PAINTBOX_BUDGET = 1 << 16
 
 
 def _keep(step: int, thin: int, total: int) -> bool:
@@ -107,6 +114,14 @@ def _check_run(law: PaintboxLaw, x0: Coloring, m_steps: int, thin: int) -> None:
     _check_steps(m_steps, thin)
 
 
+def _paintbox_cumsums(law, gen, m_steps: int):
+    """The column cumsums of the run's m_steps paintboxes, one (k, k) array
+    a step, drawn _PAINTBOX_BUDGET entries at a time."""
+    chunk = max(1, _PAINTBOX_BUDGET // law.k**2)
+    for lo in range(0, m_steps, chunk):
+        yield from np.cumsum(_column_stochastic(law.sample_batch(gen, min(chunk, m_steps - lo))), axis=1)
+
+
 def _run_efcp(law, x0, m_steps, seed, thin, streams, per_column):
     """The loop of both constructions: site i moves from its color c to the
     row of column c of S in which its uniform falls. streams names the
@@ -114,16 +129,16 @@ def _run_efcp(law, x0, m_steps, seed, thin, streams, per_column):
     column, a random partition matrix given S (column c puts each site in
     row r with probability S[r, c]), and site i reads its color's column.
 
-    Paintboxes and uniforms are drawn a block of steps at a time, which
-    reads each stream in per-step order (see the module docstring). The new
-    color of a site at color c with uniform u is the number of r < k - 1
-    with cum[r, c] <= u, cum the column cumsums of S: the row searchsorted
-    would find, since a cumsum of nonnegative entries never decreases and
-    u < 1. That is k - 1 gathers and compares per step over all sites at
-    once."""
+    Paintboxes and uniforms are drawn in chunks of steps, each under its own
+    budget, which reads each stream in per-step order (see the module
+    docstring). The new color of a site at color c with uniform u is the
+    number of r < k - 1 with cum[r, c] <= u, cum the column cumsums of S:
+    the row searchsorted would find, since a cumsum of nonnegative entries
+    never decreases and u < 1. That is k - 1 gathers and compares per step
+    over all sites at once."""
     _check_run(law, x0, m_steps, thin)
     stream = as_stream(seed)
-    gen_s = stream.derive(streams[0]).generator()
+    cums = _paintbox_cumsums(law, stream.derive(streams[0]).generator(), m_steps)
     gen_u = stream.derive(streams[1]).generator()
     n, k = x0.n, x0.k
     width = n * k if per_column else n
@@ -134,13 +149,13 @@ def _run_efcp(law, x0, m_steps, seed, thin, streams, per_column):
     traj = [x0]
     for lo in range(0, m_steps, block):
         b = min(block, m_steps - lo)
-        cum = np.cumsum(_column_stochastic(law.sample_batch(gen_s, b)), axis=1)
         uniforms = gen_u.random((b, width))
         for j in range(b):
+            cum = next(cums)
             u = uniforms[j] if offsets is None else uniforms[j].take(offsets + word)
             new = np.zeros(n, dtype=np.intp)
             for r in range(k - 1):
-                new += cum[j, r].take(word) <= u
+                new += cum[r].take(word) <= u
             word = new
             t = lo + j + 1
             if _keep(t, thin, m_steps):

@@ -58,9 +58,9 @@ class Coloring:
             raise ValidationError(
                 f"word length {len(self.word)} does not match n={self.n}", field="word"
             )
-        for c in self.word:
-            if not 1 <= c <= self.k:
-                raise ValidationError(f"color {c} outside 1..{self.k}", field="word")
+        if min(self.word) < 1 or max(self.word) > self.k:
+            bad = next(c for c in self.word if not 1 <= c <= self.k)
+            raise ValidationError(f"color {bad} outside 1..{self.k}", field="word")
 
     @classmethod
     def from_word(cls, word, k: int) -> "Coloring":

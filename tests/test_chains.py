@@ -322,8 +322,11 @@ def _block(runner, n, k):
 @pytest.mark.parametrize("runner", [run_efcp_matrix, run_efcp_coordinate])
 @pytest.mark.parametrize("kind", LAW_KINDS)
 def test_stacked_step_matches_column_oracle(monkeypatch, runner, kind):
-    # a small block budget makes every size cross block boundaries
+    # a small block budget makes every size cross block boundaries, and
+    # paintbox chunks of 60, 15, 6 and 2 steps at k = 1, 2, 3 and 5 end
+    # inside uniform blocks
     monkeypatch.setattr(chains, "_UNIFORM_BUDGET", 96)
+    monkeypatch.setattr(chains, "_PAINTBOX_BUDGET", 60)
     gen = RngStream(71).derive(kind).generator()
     for k in (1, 2, 3, 5):
         law = _law(kind, k, gen)
@@ -351,6 +354,8 @@ def test_stacked_step_matches_column_oracle_on_exact_zeros_and_ones(monkeypatch,
     # scripted paintboxes with exact 0/1 entries: uniforms never reach a
     # zero-width row, and a column with a single 1 moves every site to it
     monkeypatch.setattr(chains, "_UNIFORM_BUDGET", 40)
+    # paintbox chunks of 4 steps, which end inside uniform blocks of 5 or more
+    monkeypatch.setattr(chains, "_PAINTBOX_BUDGET", 36)
     sequence = [
         np.eye(3),
         [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]],
