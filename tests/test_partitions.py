@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -129,6 +130,18 @@ def test_coloring_validation():
         Coloring.from_classes((0b01, 0b01))
     with pytest.raises(ValidationError):
         Coloring.from_string("1@2", k=3)
+
+
+@pytest.mark.parametrize("word, bad", [
+    ((1, 2, 0, 4), "0"), ((3, 3, 1), "3"), ((1, math.nan, 2), "nan"), ((math.nan, 1, 2), "nan"),
+    ((1, 1.5, 2), "1.5"),
+])
+def test_coloring_names_its_first_color_outside_the_range(word, bad):
+    # a color is one of the integers 1..k: NaN and non-integral numbers are
+    # refused wherever they sit in the word
+    with pytest.raises(ValidationError) as exc:
+        Coloring(len(word), 2, word)
+    assert (str(exc.value), exc.value.field) == (f"color {bad} outside 1..2", "word")
 
 
 def test_matrix_validation():
