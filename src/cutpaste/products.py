@@ -40,8 +40,8 @@ from the Frobenius norm: ||B||_F / sqrt(d) <= sigma_max(B) <= ||B||_F for d
 = k - 1. Only where these bounds straddle the threshold, within a relative
 guard band of 1e-12 that covers the rounding of the norm and of the SVD,
 does a stacked SVD decide, so every decision is the SVD's. Permutation
-products (sigma_max = 1, ||B||_F = sqrt(d)) and rank-one ones (B = 0) never
-need it. The scan is bounded by the collapse_scan budget on its sampled
+products (sigma_max = 1, ||B||_F = sqrt(d)) and products with equal columns
+(B = 0) never need it. The scan is bounded by the collapse_scan budget on its sampled
 entries, m_max * replicates * k^2, before it draws or allocates anything.
 """
 
