@@ -332,20 +332,27 @@ def test_split_product_tvs_match_the_joint_product_oracle(design, n, k):
 
 @pytest.mark.parametrize("design, n, k", SPLIT_CASES)
 @pytest.mark.parametrize("budget", [None, 5])
-def test_split_product_tv_rows_keep_their_bits_in_any_chunk(cache_budget, design, n, k, budget):
-    # a budget of 5 joint arrays gives sub-chunks of 5 rows, so a roll of
-    # the 23 rows moves each row to another sub-chunk and another place
+def test_split_product_tv_rows_keep_their_bits_in_any_chunk(monkeypatch, cache_budget, design, n, k, budget):
+    # a whole chunk of other rows put before the stack moves each row to the
+    # same place in another chunk, beside other rows; a budget of 5 joint
+    # arrays gives sub-chunks of 5 rows, so a chunk holds several
     col_a, col_b, sizes = _mixed_cells(design, n, k)
     if budget is not None:
         cache_budget(budget * exact._statistic_size(sizes, k))
-    qs = batched_products(TWO_ATOM_K3 if k == 3 else SelfSimilar([1.0] * k), 2, 23, 7)
+    chunks = []
+    chunk_tvs = exact._chunk_tvs
+    monkeypatch.setattr(exact, "_chunk_tvs", lambda p, *args: chunks.append(len(p)) or chunk_tvs(p, *args))
+    law = TWO_ATOM_K3 if k == 3 else SelfSimilar([1.0] * k)
+    qs = batched_products(law, 2, 23, 7)
     cols_p, cols_q = qs[:, :, col_a], qs[:, :, col_b]
     full = exact._product_tvs(cols_p, cols_q, sizes)
-    for shift in (1, 5, 11):
-        rolled = exact._product_tvs(np.roll(cols_p, shift, axis=0), np.roll(cols_q, shift, axis=0), sizes)
-        assert rolled.tobytes() == np.roll(full, shift).tobytes(), shift
-    for r in range(len(qs)):
-        assert exact._product_tvs(cols_p[r:r + 1], cols_q[r:r + 1], sizes)[0] == full[r], r
+    rows = chunks[0]
+    other = batched_products(law, 3, rows, 8)
+    shifted = exact._product_tvs(np.concatenate((other[:, :, col_a], cols_p)),
+                                 np.concatenate((other[:, :, col_b], cols_q)), sizes)
+    assert shifted[rows:].tobytes() == full.tobytes()
+    for r in (1, 6, 22):
+        assert exact._product_tvs(cols_p[:r], cols_q[:r], sizes).tobytes() == full[:r].tobytes(), r
 
 
 def test_conditional_tvs_peak_memory_stays_in_cache(traced_peak):
