@@ -15,15 +15,17 @@ accepted config keys both come from that table, and a flag value goes
 through the same reader as a config value.
 
 Each command's handler imports the modules it calls, and a call naming a
-command builds that command's parser alone, so a call loads and parses no
-more than its command needs. `cutpaste --help`, and a call that names no
-command, build the parser of every command.
+command builds that command's parser alone, once per process, and reuses
+it, so a call loads and parses no more than its command needs.
+`cutpaste --help`, and a call that names no command, build the parser of
+every command, also once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -436,10 +438,15 @@ def _add_flags(parser: argparse.ArgumentParser, table: dict) -> argparse.Argumen
     return parser
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, one subparser each; given a command,
     that command's own parser, which parses the arguments after its name
-    and prints the same help as its subparser."""
+    and prints the same help as its subparser.
+
+    A parser depends only on COMMANDS, so each is built once per process
+    and the same object is returned to every caller: it must not be
+    mutated. Parsing reads it and writes only to a new namespace."""
     if command is not None:
         return _add_flags(argparse.ArgumentParser(prog=f"cutpaste {command}"), COMMANDS[command][2])
     parser = argparse.ArgumentParser(

@@ -120,7 +120,9 @@ BUDGETS = {
     # a = 1 about twice as long per multiply-add
     "ehrenfest_sweep": 2_000_000_000,
     # entries of the matrices a collapse scan samples, m_max * replicates *
-    # k^2: one step holds replicates * k^2 of them several times over
+    # k^2, each step counted as at least products._STEP_ENTRIES of them, the
+    # entries whose cost a step has however few its replicates: one step
+    # holds replicates * k^2 of them several times over
     "collapse_scan": 10_000_000,
 }
 

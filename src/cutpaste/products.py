@@ -42,7 +42,9 @@ guard band of 1e-12 that covers the rounding of the norm and of the SVD,
 does a stacked SVD decide, so every decision is the SVD's. Permutation
 products (sigma_max = 1, ||B||_F = sqrt(d)) and products with equal columns
 (B = 0) never need it. The scan is bounded by the collapse_scan budget on its sampled
-entries, m_max * replicates * k^2, before it draws or allocates anything.
+entries, m_max * replicates * k^2, before it draws or allocates anything. A step
+counts as at least _STEP_ENTRIES entries, since its cost has a floor however few
+its replicates, so the budget bounds the scan's time as well as its memory.
 """
 
 from __future__ import annotations
@@ -129,6 +131,10 @@ _COLLAPSE_EPS = 1e-13
 # on sigma_max leave the contraction test to the SVD: far above the few ulps
 # by which either the norm or the SVD's sigma_max can be off
 _CONTRACT_GUARD = 1e-12
+# the fewest entries a collapse scan step counts as: a step of one replicate
+# costs 20-38 us at every k from 2 to 16, and an entry 24-50 ns at 5000
+# replicates (k = 2, 3), so a step of fewer entries costs as much as about 1000
+_STEP_ENTRIES = 1024
 # The rounding of one block's product and QR is about eps * prod cond(B_t)
 # relative to its smallest direction, so a product of condition bounds within
 # 2^10 keeps every exponent within about 1e-13 of step-by-step QR.
@@ -360,7 +366,7 @@ def _collapse_scan(
         raise ValidationError(f"need replicates >= 1, got {replicates}", field="replicates")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta must lie in (0, 1), got {delta!r}", field="delta")
-    check_budget("collapse_scan", m_max * replicates * law.k**2,
+    check_budget("collapse_scan", m_max * max(replicates * law.k**2, _STEP_ENTRIES),
                  "collapse scan samples too many matrix entries")
     contract = np.zeros(m_max, dtype=np.int64)
     positive = np.zeros(m_max, dtype=np.int64)

@@ -1171,16 +1171,58 @@ def test_a_named_command_builds_one_parser(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert main(["ehrenfest", "--n", "64", "--alpha", "0.25", "--t", "3"]) == 0
+    build_parser.cache_clear()
+    argv = ["ehrenfest", "--n", "64", "--alpha", "0.25", "--t", "3"]
+    assert main(argv) == 0
     assert built == ["cutpaste ehrenfest"]
-    # an unknown flag prints the command's own usage line and exits 2
+    # later calls reuse it; an unknown flag still prints the command's own
+    # usage line and exits 2
     built.clear()
+    assert main(argv) == 0
     with pytest.raises(SystemExit) as exc:
         main(["ehrenfest", "--bogus"])
-    assert exc.value.code == 2 and built == ["cutpaste ehrenfest"]
+    assert exc.value.code == 2 and built == []
     assert capsys.readouterr().err.startswith("usage: cutpaste ehrenfest [-h]")
-    # the top-level help builds the parser of every command
-    built.clear()
-    with pytest.raises(SystemExit):
-        main(["--help"])
-    assert len(built) == len(COMMANDS) + 1
+    # the top-level help builds the parser of every command, once
+    build_parser.cache_clear()
+    for want in (len(COMMANDS) + 1, 0):
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and len(built) == want
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one CLI call, an exit from argparse
+    included."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_a_shared_parser_carries_nothing_from_one_call_to_the_next(capsys, tmp_path, command):
+    cfg = write_config(tmp_path, BASE[command])
+    # a valid call with a flag, an unknown flag, a malformed value, the
+    # help, and a valid call without the first call's flag
+    calls = [
+        [command, "--config", cfg, "--seed", "7"],
+        [command, "--config", cfg, "--bogus"],
+        [command, "--config", cfg, "--seed", "x"],
+        [command, "--help"],
+        [command, "--config", cfg],
+    ]
+    build_parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in calls]
+    assert build_parser.cache_info().currsize == 1
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 2, 0, 0]
+    assert _validation_field(shared[2][2]) == "seed"
+    assert shared[0][1] != shared[4][1]

@@ -25,6 +25,7 @@ from cutpaste.paintbox import (
 )
 from cutpaste.products import (
     _LOG_BLOCK_COND,
+    _STEP_ENTRIES,
     CollapseReport,
     _block_length,
     _block_log_r,
@@ -649,12 +650,30 @@ def test_collapse_scan_refuses_past_its_budget_before_drawing(monkeypatch):
             scan(law, m_max=10**9, replicates=200)
         assert exc.value.details == {"budget_name": "collapse_scan", "required": 10**9 * 200 * 9,
                                      "budget": BUDGETS["collapse_scan"]}
-    # at the budget's edge, m_max * replicates * k^2 equal to it runs
+    # at the budget's edge, m_max * replicates * k^2 equal to it runs, and
+    # a step of fewer than _STEP_ENTRIES entries counts as that many
     monkeypatch.undo()
-    monkeypatch.setitem(BUDGETS, "collapse_scan", 10 * 20 * 9)
-    assert collapse_diagnostic(law, m_max=10, replicates=20).m_max == 10
-    with pytest.raises(BudgetRefusal):
-        collapse_diagnostic(law, m_max=11, replicates=20)
+    for replicates, per_step in ((200, 200 * 9), (20, _STEP_ENTRIES)):
+        monkeypatch.setitem(BUDGETS, "collapse_scan", 10 * per_step)
+        assert collapse_diagnostic(law, m_max=10, replicates=replicates).m_max == 10
+        with pytest.raises(BudgetRefusal):
+            collapse_diagnostic(law, m_max=11, replicates=replicates)
+
+
+def test_a_long_one_replicate_collapse_scan_is_refused_before_drawing(monkeypatch):
+    # 2.5e6 steps of one k = 2 replicate sample 10^7 entries, within the
+    # budget, but a step costs about 20 us however small: about 50 s
+    def no_draws(*args):
+        raise AssertionError("the scan drew before its budget check")
+
+    law = PermutationMix(2)
+    monkeypatch.setattr(PermutationMix, "sample_batch", no_draws)
+    assert 2_500_000 * 1 * 4 <= BUDGETS["collapse_scan"]
+    for scan in (collapse_diagnostic, lambda law, **kw: _collapse_scan(law, **kw, first_witness=True)):
+        with pytest.raises(BudgetRefusal) as exc:
+            scan(law, m_max=2_500_000, replicates=1)
+        assert exc.value.details == {"budget_name": "collapse_scan", "required": 2_500_000 * _STEP_ENTRIES,
+                                     "budget": BUDGETS["collapse_scan"]}
 
 
 @pytest.mark.parametrize("key,value", [
